@@ -31,7 +31,7 @@ from .codec import (
     perm_rank,
     perm_unrank,
 )
-from .model import Dataset, Model, correctness_vector, zero_model
+from .model import Dataset, Model, correctness_mask, zero_model
 from .numerics import DomainError, FixedVector
 from .sgd_engine import (
     EpochTrace,
@@ -56,14 +56,6 @@ STRICT_MAX_SCALE = 8
 EPC_MAGIC = b"EPC1"
 
 
-def _ceil_frac(x: Fraction) -> int:
-    return -((-x.numerator) // x.denominator)
-
-
-def _floor_frac(x: Fraction) -> int:
-    return x.numerator // x.denominator
-
-
 def _exact_count(rate: Fraction, total: int) -> int:
     v = rate * total
     if v.denominator != 1:
@@ -71,8 +63,8 @@ def _exact_count(rate: Fraction, total: int) -> int:
     return v.numerator
 
 
-def _classifier(cv: Sequence[int]) -> Callable[[int], int]:
-    return lambda eid: cv[eid]
+def _classifier(mask: int) -> Callable[[int], int]:
+    return lambda eid: (mask >> eid) & 1
 
 
 def _template(dataset: Dataset, config: RunConfig) -> Model:
@@ -111,8 +103,8 @@ def select_case(trace: EpochTrace, beta: Fraction) -> CaseSelector:
     if not trace.completed:
         raise DomainError("case selection needs a completed epoch")
     n, b, t = trace.n, trace.batch_size, trace.num_batches
-    j_start = _ceil_frac(beta * Fraction(n, 8 * b)) + 1
-    j_final = _floor_frac((1 - beta / 8) * Fraction(n, b)) + 1
+    j_start = math.ceil(beta * Fraction(n, 8 * b)) + 1
+    j_final = math.floor((1 - beta / 8) * Fraction(n, b)) + 1
     lo = max(j_start, 2)
     hi = min(j_final, t)
     if lo > hi:
@@ -228,10 +220,10 @@ def encode_epoch(
     if selector.case == SPLIT:
         assert selector.split_j is not None
         side = choose_split_side(trace, selector.split_j)
-        _encode_split(stream, segments, trace, dataset, config, selector.split_j, side, mode)
+        _encode_split(stream, segments, trace, dataset, selector.split_j, side, mode)
     else:
         side = None
-        _encode_backward(stream, segments, trace, dataset, config)
+        _encode_backward(stream, segments, trace)
     declared = sum(w for _, w in segments)
     if declared != len(stream):
         raise CodecError(
@@ -257,7 +249,6 @@ def _encode_split(
     segments: list[tuple[str, int]],
     trace: EpochTrace,
     dataset: Dataset,
-    config: RunConfig,
     j: int,
     side: int,
     mode: str,
@@ -270,15 +261,15 @@ def _encode_split(
     segments.append(("split_j", jw))
     stream.write_uint(side, 1)
     segments.append(("side", 1))
-    checkpoint = trace.checkpoints[j - 1]
     if mode == STRICT:
-        segments.append(("model", _write_model_field(stream, checkpoint)))
-    cv = correctness_vector(_template(dataset, config).with_weights(checkpoint), dataset)
+        segments.append(("model", _write_model_field(stream, trace.checkpoints[j - 1])))
     m = (j - 1) * b
     seen_sorted = tuple(sorted(trace.order[:m]))
     unseen_sorted = tuple(sorted(trace.order[m:]))
     target = seen_sorted if side == 0 else unseen_sorted
-    info = encode_set_conditional(stream, target, dataset.ids, _classifier(cv))
+    info = encode_set_conditional(
+        stream, target, dataset.ids, _classifier(trace.masks[j - 1])
+    )
     segments.append(("set_sizes", 2 * info.size_header_bits))
     segments.append(("set_rank_pos", info.rank_ones_bits))
     segments.append(("set_rank_neg", info.rank_zeros_bits))
@@ -291,25 +282,19 @@ def _encode_split(
 
 
 def _encode_backward(
-    stream: BitStream,
-    segments: list[tuple[str, int]],
-    trace: EpochTrace,
-    dataset: Dataset,
-    config: RunConfig,
+    stream: BitStream, segments: list[tuple[str, int]], trace: EpochTrace
 ) -> None:
     b, t = trace.batch_size, trace.num_batches
     stream.write_uint(0, 1)
     segments.append(("case", 1))
-    template = _template(dataset, config)
     batches = trace.batches
     perm_w = ceil_log2(math.factorial(b))
     for j in range(t, 0, -1):
-        cv = correctness_vector(
-            template.with_weights(trace.checkpoints[j]), dataset
-        )
         pool = tuple(sorted(trace.order[: j * b]))
         batch_sorted = tuple(sorted(batches[j - 1]))
-        info = encode_set_conditional(stream, batch_sorted, pool, _classifier(cv))
+        info = encode_set_conditional(
+            stream, batch_sorted, pool, _classifier(trace.masks[j])
+        )
         tag = f"b{j:03d}"
         segments.append((f"{tag}_sizes", 2 * info.size_header_bits))
         segments.append((f"{tag}_rank_pos", info.rank_ones_bits))
@@ -398,10 +383,13 @@ def decode_epoch(
             raise CodecError("ACCOUNTING decode needs the checkpoint list")
     else:
         raise DomainError(f"unknown mode {side.mode!r}")
-    case_bit = stream.read_uint(1)
-    if case_bit:
-        return _decode_split(stream, dataset, config, side)
-    return _decode_backward(stream, dataset, config, side)
+    if stream.read_uint(1):
+        result = _decode_split(stream, dataset, config, side)
+    else:
+        result = _decode_backward(stream, dataset, config, side)
+    if stream.bits_remaining():
+        raise CodecError(f"{stream.bits_remaining()} bit(s) left after the last field")
+    return result
 
 
 def _decode_split(
@@ -420,7 +408,7 @@ def _decode_split(
         if j - 1 >= len(side.checkpoints):
             raise CodecError(f"checkpoint {j} missing from side info")
         weights_j = side.checkpoints[j - 1]
-    cv = correctness_vector(template.with_weights(weights_j), dataset)
+    cv = correctness_mask(template.with_weights(weights_j), dataset)
     m = (j - 1) * b
     size = m if side_bit == 0 else n - m
     chosen = decode_set_conditional(stream, dataset.ids, _classifier(cv), size)
@@ -470,7 +458,7 @@ def _decode_backward(
             if j >= len(side.checkpoints):
                 raise CodecError(f"checkpoint {j + 1} missing from side info")
             weights_next = side.checkpoints[j]
-        cv = correctness_vector(template.with_weights(weights_next), dataset)
+        cv = correctness_mask(template.with_weights(weights_next), dataset)
         batch_sorted = decode_set_conditional(
             stream, tuple(pool), _classifier(cv), b
         )

@@ -171,8 +171,7 @@ class CompressionReport:
         mean = self.mean_savings_bits
         if mean is None or mean <= 0:
             return None
-        q = Fraction(self.side_charge_bits) / mean
-        return -((-q.numerator) // q.denominator)
+        return math.ceil(Fraction(self.side_charge_bits) / mean)
 
     def check_conservation(self) -> bool:
         good = sum(r.payload_bits + r.model_charge_bits for r in self.rows if r.good)
@@ -431,7 +430,7 @@ def verify_hoeffding(check: HoeffdingCheck) -> HoeffdingResult:
     for p in pmf:
         acc += p
         cdf.append(float(acc))
-    threshold = _floor(k * (check.mu - check.delta))
+    threshold = math.floor(k * (check.mu - check.delta))
     exact = sum(pmf[: threshold + 1], Fraction(0))
     rng = random.Random(check.seed)
     hits = 0
@@ -454,10 +453,6 @@ def verify_hoeffding(check: HoeffdingCheck) -> HoeffdingResult:
         ok_empirical=float(freq) <= bound + 3 * sigma,
         ok_exact=float(exact) <= bound + 1e-12,
     )
-
-
-def _floor(x: Fraction) -> int:
-    return x.numerator // x.denominator
 
 
 @dataclass(frozen=True)

@@ -1,31 +1,34 @@
-"""Datasets and grid-valued classifiers with exact-rational gradients.
+"""Datasets and grid-valued classifiers with exact integer gradients.
 
 Two model kinds are supported: a logistic-linear classifier and a one hidden
 layer network whose activations go through the same sigmoid table.  The
-sigmoid is a precomputed fixed-point lookup table with linear interpolation,
-evaluated in exact rational arithmetic, so a gradient is a deterministic
-function of (weights, batch) with a single round-half-even quantization at
-the end of each step.  Accuracy is an exact rational: correct count over
-subset size, with the prediction rule score > 0 -> label 1.
+sigmoid is a precomputed fixed-point lookup table with linear interpolation.
+Scores, table values, slopes and gradients are integer numerators over
+power-of-two denominators fixed by the grid scale (the batch mean adds a
+factor of the batch size), so a gradient is a deterministic function of
+(weights, batch) with a single round-half-even division at the end of each
+step.  The Fraction-valued functions are views of the same numerators.
+Accuracy is an exact rational: correct count over subset size, with the
+prediction rule score > 0 -> label 1.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Iterable, Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence, Union
 
 from .numerics import (
     DomainError,
-    FixedScalar,
     FixedVector,
     GridSpec,
     Rational,
     SaturationError,
-    quantize_vector,
+    div_round_half_even,
     round_half_even,
     zero_vector,
 )
@@ -121,7 +124,7 @@ class GeneratorSpec:
 
 @dataclass(frozen=True)
 class Dataset:
-    """Elements sorted by id; ids are exactly 0..n-1."""
+    """Elements sorted by id; ids are exactly 0..n-1, all features on ``grid``."""
 
     elements: tuple[Element, ...]
     grid: GridSpec
@@ -131,6 +134,8 @@ class Dataset:
         for i, el in enumerate(self.elements):
             if el.eid != i:
                 raise DomainError("element ids must be exactly 0..n-1 in order")
+            if el.features.grid != self.grid:
+                raise DomainError("element features live on another grid")
 
     @property
     def n(self) -> int:
@@ -267,35 +272,62 @@ def _sigmoid_knots(scale: int) -> tuple[int, ...]:
     return tuple(knots)
 
 
-def sigmoid_table_value(z: Rational, scale: int) -> Fraction:
-    """Interpolated table sigmoid, exact rational in [0, 1]."""
-    zf = Fraction(z)
-    if zf >= Z_MAX:
-        return Fraction(1)
-    if zf <= -Z_MAX:
-        return Fraction(0)
+def _sigmoid_num(num: int, exp: int, scale: int) -> int:
+    """Table sigmoid of num / 2**exp, as a numerator over 2**(scale + exp)."""
+    if num >= Z_MAX << exp:
+        return 1 << (scale + exp)
+    if num <= -(Z_MAX << exp):
+        return 0
     knots = _sigmoid_knots(scale)
-    unit = 1 << scale
-    scaled = zf * (1 << KNOT_BITS)
-    k = scaled.numerator // scaled.denominator
-    frac = scaled - k
+    shifted = num << KNOT_BITS
+    k = shifted >> exp
     base = k + (Z_MAX << KNOT_BITS)
-    lo = Fraction(knots[base], unit)
-    hi = Fraction(knots[base + 1], unit)
-    return lo + (hi - lo) * frac
+    lo = knots[base]
+    return (lo << exp) + (knots[base + 1] - lo) * (shifted - (k << exp))
+
+
+def _sigmoid_slope_num(num: int, exp: int, scale: int) -> int:
+    """Right-segment table slope at num / 2**exp, as a numerator over 2**scale."""
+    if num >= Z_MAX << exp or num < -(Z_MAX << exp):
+        return 0
+    knots = _sigmoid_knots(scale)
+    base = ((num << KNOT_BITS) >> exp) + (Z_MAX << KNOT_BITS)
+    return (knots[base + 1] - knots[base]) << KNOT_BITS
+
+
+def _dyadic(z: Rational) -> tuple[int, int]:
+    zf = Fraction(z)
+    exp = zf.denominator.bit_length() - 1
+    if zf.denominator != 1 << exp:
+        raise DomainError(f"table sigmoid argument {zf} is not dyadic")
+    return zf.numerator, exp
+
+
+def sigmoid_table_value(z: Rational, scale: int) -> Fraction:
+    """Interpolated table sigmoid at a dyadic z, exact rational in [0, 1]."""
+    num, exp = _dyadic(z)
+    return Fraction(_sigmoid_num(num, exp, scale), 1 << (scale + exp))
 
 
 def sigmoid_table_slope(z: Rational, scale: int) -> Fraction:
-    """Right-segment slope of the table sigmoid (zero beyond the ends)."""
-    zf = Fraction(z)
-    if zf >= Z_MAX or zf < -Z_MAX:
-        return Fraction(0)
+    """Right-segment slope of the table sigmoid at a dyadic z (zero beyond the ends)."""
+    num, exp = _dyadic(z)
+    return Fraction(_sigmoid_slope_num(num, exp, scale), 1 << scale)
+
+
+def sigmoid_table_max_slope(scale: int) -> Fraction:
+    """Largest knot-to-knot slope of the table at this scale.
+
+    Rounding the knots to the grid makes the table steeper than the exact
+    sigmoid's 1/4 at coarse scales: 4 at scale 4, 1 at scale 6.
+    """
     knots = _sigmoid_knots(scale)
-    unit = 1 << scale
-    scaled = zf * (1 << KNOT_BITS)
-    k = scaled.numerator // scaled.denominator
-    base = k + (Z_MAX << KNOT_BITS)
-    return Fraction(knots[base + 1] - knots[base], unit) * (1 << KNOT_BITS)
+    step = max(abs(b - a) for a, b in zip(knots, knots[1:]))
+    return Fraction(step << KNOT_BITS, 1 << scale)
+
+
+def _dot(a: Sequence[int], b: Sequence[int]) -> int:
+    return sum(map(operator.mul, a, b))
 
 
 @dataclass(frozen=True)
@@ -304,6 +336,10 @@ class Model:
 
     one-hidden-layer weight layout: ``width`` rows of ``dim`` input weights,
     then ``width`` output weights.
+
+    At grid scale s every quantity is an integer numerator over a fixed power
+    of two: hidden pre-activations over 2**(2s) and activations over 2**(3s);
+    the output score over 2**(2s) (logistic-linear) or 2**(4s) (hidden).
     """
 
     kind: str
@@ -337,33 +373,33 @@ class Model:
     def with_weights(self, weights: FixedVector) -> "Model":
         return replace(self, weights=weights)
 
-    def _hidden_pre(self, x_raws: Sequence[int]) -> list[Fraction]:
-        unit2 = self.grid.unit * self.grid.unit
-        out = []
+    def _features(self, el: Element) -> tuple[int, ...]:
+        grid = el.features.grid
+        if grid is not self.weights.grid and grid != self.weights.grid:
+            raise DomainError("element and model live on different grids")
+        return el.features.raws
+
+    def _hidden(self, x: Sequence[int]) -> tuple[list[int], list[int]]:
+        """Hidden pre-activation numerators (over 2**(2s)) and activations (over 2**(3s))."""
+        s, w, dim = self.grid.scale, self.weights.raws, self.dim
+        pre = [_dot(w[r * dim : (r + 1) * dim], x) for r in range(self.width)]
+        return pre, [_sigmoid_num(p, 2 * s, s) for p in pre]
+
+    def _scores(self, xs: Iterable[Sequence[int]]) -> list[int]:
+        """Output pre-activation numerators, over 2**(2s) or 2**(4s) (hidden)."""
         w = self.weights.raws
-        for r in range(self.width):
-            row = w[r * self.dim : (r + 1) * self.dim]
-            out.append(Fraction(sum(a * b for a, b in zip(row, x_raws)), unit2))
-        return out
+        if self.kind == "logistic-linear":
+            return [_dot(w, x) for x in xs]
+        v = w[self.width * self.dim :]
+        return [_dot(v, self._hidden(x)[1]) for x in xs]
 
     def score(self, el: Element) -> Fraction:
         """Pre-activation of the output unit; prediction is score > 0."""
-        if el.features.grid != self.grid:
-            raise DomainError("element and model live on different grids")
-        x = el.features.raws
-        if self.kind == "logistic-linear":
-            unit2 = self.grid.unit * self.grid.unit
-            return Fraction(sum(a * b for a, b in zip(self.weights.raws, x)), unit2)
-        pre = self._hidden_pre(x)
-        v = self.weights.raws[self.width * self.dim :]
-        unit = self.grid.unit
-        total = Fraction(0)
-        for vr, p in zip(v, pre):
-            total += Fraction(vr, unit) * sigmoid_table_value(p, self.grid.scale)
-        return total
+        exp = (2 if self.kind == "logistic-linear" else 4) * self.grid.scale
+        return Fraction(self._scores([self._features(el)])[0], 1 << exp)
 
     def predict(self, el: Element) -> int:
-        return 1 if self.score(el) > 0 else 0
+        return 1 if self._scores([self._features(el)])[0] > 0 else 0
 
     def correct(self, el: Element) -> int:
         return 1 if self.predict(el) == el.label else 0
@@ -378,42 +414,45 @@ def model_from_weights(kind: str, weights: FixedVector, dim: int, width: int = 0
     return Model(kind, weights, dim, width)
 
 
-def gradient_exact(model: Model, batch: Sequence[Element]) -> tuple[Fraction, ...]:
-    """Exact rational mean gradient of the table-defined logistic loss over a batch.
+def _gradient_sum(model: Model, batch: Sequence[Element]) -> tuple[list[int], int]:
+    """Batch-summed gradient numerators and the exponent e of their common 2**e.
 
-    Batch elements are visited in ascending id order; with exact rationals the
-    sum is order-free, the sort just fixes the documented convention.
+    The mean gradient is numerator / (len(batch) * 2**e): e = 4s for
+    logistic-linear (residual over 2**(3s) times a feature over 2**s), 8s for
+    one hidden layer.  Integer sums are exact, so batch order does not matter.
     """
     if not batch:
         raise DomainError("empty batch")
-    scale = model.grid.scale
-    unit = model.grid.unit
-    total = [Fraction(0)] * model.d
-    for el in sorted(batch, key=lambda e: e.eid):
-        if el.features.grid != model.grid:
-            raise DomainError("element and model live on different grids")
-        x = el.features.raws
-        if model.kind == "logistic-linear":
-            z = Fraction(sum(a * b for a, b in zip(model.weights.raws, x)), unit * unit)
-            resid = sigmoid_table_value(z, scale) - el.label
-            for c in range(model.dim):
-                total[c] += resid * Fraction(x[c], unit)
-        else:
-            pre = model._hidden_pre(x)
-            hidden = [sigmoid_table_value(p, scale) for p in pre]
-            v = model.weights.raws[model.width * model.dim :]
-            out_pre = sum(
-                (Fraction(vr, unit) * h for vr, h in zip(v, hidden)), Fraction(0)
-            )
-            resid = sigmoid_table_value(out_pre, scale) - el.label
-            for r in range(model.width):
-                slope = sigmoid_table_slope(pre[r], scale)
-                coef = resid * Fraction(v[r], unit) * slope
-                for c in range(model.dim):
-                    total[r * model.dim + c] += coef * Fraction(x[c], unit)
-                total[model.width * model.dim + r] += resid * hidden[r]
-    b = len(batch)
-    return tuple(t / b for t in total)
+    s = model.grid.scale
+    w = model.weights.raws
+    total = [0] * model.d
+    if model.kind == "logistic-linear":
+        for el in batch:
+            x = model._features(el)
+            resid = _sigmoid_num(_dot(w, x), 2 * s, s) - (el.label << 3 * s)
+            if resid:
+                total = [t + resid * xc for t, xc in zip(total, x)]
+        return total, 4 * s
+    dim, width = model.dim, model.width
+    v = w[width * dim :]
+    for el in batch:
+        x = model._features(el)
+        pre, act = model._hidden(x)
+        # residual over 2**(5s); slope over 2**s; coef over 2**(7s)
+        resid = _sigmoid_num(_dot(v, act), 4 * s, s) - (el.label << 5 * s)
+        for r in range(width):
+            coef = resid * v[r] * _sigmoid_slope_num(pre[r], 2 * s, s)
+            for c in range(dim):
+                total[r * dim + c] += coef * x[c]
+            total[width * dim + r] += resid * act[r]
+    return total, 8 * s
+
+
+def gradient_exact(model: Model, batch: Sequence[Element]) -> tuple[Fraction, ...]:
+    """Exact rational mean gradient of the table-defined logistic loss over a batch."""
+    total, exp = _gradient_sum(model, batch)
+    den = len(batch) << exp
+    return tuple(Fraction(t, den) for t in total)
 
 
 def loss_gradient(model: Model, batch: Sequence[Element]) -> FixedVector:
@@ -424,11 +463,14 @@ def loss_gradient(model: Model, batch: Sequence[Element]) -> FixedVector:
     """
     if model.weights.saturated:
         raise SaturationError("model weights carry a saturation flag")
-    exact = gradient_exact(model, batch)
-    vec = quantize_vector(exact, model.grid)
-    if vec.saturated:
+    total, exp = _gradient_sum(model, batch)
+    grid = model.grid
+    den = len(batch) << (exp - grid.scale)
+    raws = tuple(div_round_half_even(t, den) for t in total)
+    lo, hi = grid.raw_min, grid.raw_max
+    if any(r < lo or r > hi for r in raws):
         raise SaturationError("gradient coordinate clipped during quantization")
-    return vec
+    return FixedVector(raws, grid)
 
 
 def accuracy(model: Model, subset: Sequence[Element]) -> Fraction:
@@ -461,61 +503,28 @@ class AccuracyOracle:
 
 
 def correctness_vector(model: Model, dataset: Dataset) -> list[int]:
-    """Per-element correctness indexed by id, computed in one sweep."""
-    return [model.correct(el) for el in dataset.elements]
+    """Per-element correctness indexed by id, computed in one sweep.
+
+    Correct means the sign of the score numerator agrees with the label:
+    positive for label 1, zero or negative for label 0.
+    """
+    if dataset.grid != model.grid:
+        raise DomainError("dataset and model live on different grids")
+    elements = dataset.elements
+    scores = model._scores(el.features.raws for el in elements)
+    return [int((z > 0) == el.label) for z, el in zip(scores, elements)]
 
 
-@dataclass(frozen=True)
-class SmoothnessEstimate:
-    empirical_l: float
-    empirical_g: float
-    analytic_l: Optional[float]
-    analytic_g: Optional[float]
+def correctness_mask(model: Model, dataset: Dataset) -> int:
+    """The correctness sweep as one int: bit e is set iff element e is correct."""
+    return sum(1 << e for e, ok in enumerate(correctness_vector(model, dataset)) if ok)
 
 
 def analytic_logistic_smoothness(dataset: Dataset) -> tuple[Fraction, float]:
     """(L, G) bounds for the logistic-linear loss: L <= max |x|^2 / 4, G <= max |x|."""
     unit2 = dataset.grid.unit * dataset.grid.unit
     worst = max(
-        (Fraction(sum(r * r for r in el.features.raws), unit2) for el in dataset.elements),
+        (Fraction(_dot(el.features.raws, el.features.raws), unit2) for el in dataset.elements),
         default=Fraction(0),
     )
     return worst / 4, math.sqrt(float(worst))
-
-
-def estimate_smoothness(
-    model: Model, dataset: Dataset, pairs: int = 200, seed: int = 0
-) -> SmoothnessEstimate:
-    """Sampled per-element smoothness and gradient-norm estimates.
-
-    Draws random weight pairs inside the clip box and takes the worst observed
-    ratio |grad(w1) - grad(w2)| / |w1 - w2| over single-element batches, plus
-    the worst gradient norm.  For logistic-linear the analytic bounds are
-    reported alongside.
-    """
-    rng = random.Random(seed)
-    grid = model.grid
-    span = min(grid.raw_max, 4 * grid.unit)
-    worst_l = 0.0
-    worst_g = 0.0
-
-    def rand_weights() -> FixedVector:
-        return FixedVector(
-            tuple(rng.randrange(-span, span + 1) for _ in range(model.d)), grid
-        )
-
-    for _ in range(pairs):
-        el = dataset.element(rng.randrange(dataset.n))
-        w1, w2 = rand_weights(), rand_weights()
-        if w1.raws == w2.raws:
-            continue
-        g1 = gradient_exact(model.with_weights(w1), [el])
-        g2 = gradient_exact(model.with_weights(w2), [el])
-        num = math.sqrt(sum(float(a - b) ** 2 for a, b in zip(g1, g2)))
-        den = math.sqrt(sum(float(a - b) ** 2 for a, b in zip(w1.values, w2.values)))
-        worst_l = max(worst_l, num / den)
-        worst_g = max(worst_g, math.sqrt(sum(float(x) ** 2 for x in g1)))
-    if model.kind == "logistic-linear":
-        al, ag = analytic_logistic_smoothness(dataset)
-        return SmoothnessEstimate(worst_l, worst_g, float(al), ag)
-    return SmoothnessEstimate(worst_l, worst_g, None, None)

@@ -1,10 +1,13 @@
 """Deterministic fixed-point scalars/vectors and entropy helpers.
 
 All quantities that feed the codecs live on a shared dyadic grid: a value is
-an integer mantissa times 2**-scale, clipped to a symmetric range.  Arithmetic
-is pure integer / rational work so every platform produces bit-identical
-mantissas.  The entropy and divergence functions all use log base 2; code
-lengths elsewhere in the package are therefore in bits throughout.
+an integer mantissa times 2**-scale, clipped to a symmetric range.  Grid
+arithmetic is integer-only: every intermediate is an integer numerator over a
+denominator known in advance (a power of two, times the batch size for a
+mean), and a result goes back onto the grid through one
+``div_round_half_even``, so every platform produces bit-identical mantissas.
+The entropy and divergence functions all use log base 2; code lengths
+elsewhere in the package are therefore in bits throughout.
 """
 
 from __future__ import annotations
@@ -12,11 +15,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence, Union
+from typing import Sequence, Union
 
 Rational = Union[int, float, Fraction]
-
-LOG2_E = math.log2(math.e)
 
 
 class DomainError(ValueError):
@@ -31,16 +32,21 @@ class SaturationError(ArithmeticError):
     """A fixed-point intermediate hit the clip boundary where exactness is required."""
 
 
+def div_round_half_even(num: int, den: int) -> int:
+    """num / den rounded to the nearest integer, ties to the even integer; den > 0."""
+    q, r = divmod(num, den)
+    twice = 2 * r
+    if twice < den:
+        return q
+    if twice > den:
+        return q + 1
+    return q + (q & 1)
+
+
 def round_half_even(x: Rational) -> int:
     """Round to the nearest integer, ties to the even integer."""
     f = Fraction(x)
-    q, r = divmod(f.numerator, f.denominator)
-    twice = 2 * r
-    if twice < f.denominator:
-        return q
-    if twice > f.denominator:
-        return q + 1
-    return q if q % 2 == 0 else q + 1
+    return div_round_half_even(f.numerator, f.denominator)
 
 
 @dataclass(frozen=True)
@@ -138,8 +144,7 @@ class FixedScalar:
 
     def __mul__(self, other: "FixedScalar") -> "FixedScalar":
         grid = self._join(other)
-        raw = round_half_even(Fraction(self.raw * other.raw, grid.unit))
-        raw, sat = grid.clamp_raw(raw)
+        raw, sat = grid.clamp_raw(div_round_half_even(self.raw * other.raw, grid.unit))
         return FixedScalar(raw, grid, sat or self.saturated or other.saturated)
 
     def __lt__(self, other: "FixedScalar") -> bool:
@@ -171,19 +176,24 @@ class FixedVector:
         return tuple(Fraction(r, self.grid.unit) for r in self.raws)
 
     def gd_update(self, step_size: FixedScalar, gradient: "FixedVector") -> "FixedVector":
-        """One descent update: self - step_size * gradient, coordinatewise fixed mul."""
+        """One descent update: self - step_size * gradient, coordinatewise fixed mul.
+
+        Each product step_raw * g_raw is a numerator over 2**(2*scale), put
+        back onto the grid by one round-half-even division by 2**scale.
+        """
         if step_size.grid != self.grid or gradient.grid != self.grid:
             raise DomainError("operands live on different grids")
         if len(gradient) != len(self):
             raise DomainError("dimension mismatch")
-        out = []
         sat = self.saturated or gradient.saturated or step_size.saturated
-        for w, g in zip(self.raws, gradient.raws):
-            u = round_half_even(Fraction(step_size.raw * g, self.grid.unit))
-            raw, s = self.grid.clamp_raw(w - u)
-            sat = sat or s
-            out.append(raw)
-        return FixedVector(tuple(out), self.grid, sat)
+        grid = self.grid
+        step, unit, lo, hi = step_size.raw, grid.unit, grid.raw_min, grid.raw_max
+        raws = tuple(
+            w - div_round_half_even(step * g, unit)
+            for w, g in zip(self.raws, gradient.raws)
+        )
+        clipped = tuple(min(max(r, lo), hi) for r in raws)
+        return FixedVector(clipped, grid, sat or clipped != raws)
 
 
 def quantize_vector(values: Sequence[Rational], grid: GridSpec) -> FixedVector:

@@ -12,6 +12,7 @@ import math
 import struct
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterator, Optional, Sequence
 
 from .codec import BitStream
@@ -20,8 +21,9 @@ from .model import (
     GeneratorSpec,
     Model,
     analytic_logistic_smoothness,
-    correctness_vector,
+    correctness_mask,
     loss_gradient,
+    sigmoid_table_max_slope,
     zero_model,
     MODEL_KINDS,
 )
@@ -274,20 +276,22 @@ def gradient_norm_bound(config: RunConfig, dataset: Dataset) -> Fraction:
     else:
         raise PreconditionError("g_bound required for this model kind")
     unit = config.grid.unit
-    scaled = g * unit
-    raw = -((-scaled.numerator) // scaled.denominator)
-    return Fraction(raw, unit)
+    return Fraction(math.ceil(g * unit), unit)
 
 
 def check_step_smoothness(config: RunConfig, dataset: Dataset) -> Fraction:
     """Validates step * smoothness < 1 and returns the product.
 
-    Uses the analytic logistic bound; other model kinds are accepted as-is
-    because no closed-form constant is available for them here.
+    The logistic loss is max|x|^2 * S smooth, where S bounds the slope of the
+    sigmoid that training actually uses: the table's largest knot-to-knot
+    slope at the grid scale, which exceeds the exact sigmoid's 1/4 below
+    scale 8.  Other model kinds are accepted as-is because no closed-form
+    constant is available for them here.
     """
     if config.model_kind != "logistic-linear":
         return Fraction(0)
-    l_bound, _ = analytic_logistic_smoothness(dataset)
+    quarter_l, _ = analytic_logistic_smoothness(dataset)
+    l_bound = 4 * quarter_l * sigmoid_table_max_slope(config.grid.scale)
     product = config.step.value * l_bound
     if product >= 1:
         raise PreconditionError(
@@ -300,9 +304,11 @@ def check_step_smoothness(config: RunConfig, dataset: Dataset) -> Fraction:
 class EpochTrace:
     """Everything recorded while running one epoch.
 
-    Checkpoint i (0-based) is the model before step i+1; accuracy lists are
-    aligned with checkpoints.  Accessors take the 1-based step index j used
-    throughout the accounting: full(j) is defined for j in [1, steps+1],
+    Checkpoint i (0-based) is the model before step i+1; ``masks[i]`` is its
+    correctness over the dataset, bit e set iff element e is classified
+    correctly.  Accuracies are derived from the masks by popcount over
+    prefixes of the visit order.  Accessors take the 1-based step index j
+    used throughout the accounting: full(j) is defined for j in [1, steps+1],
     seen(j) for j in [2, steps+1], unseen(j) for j in [1, steps] when the
     epoch completed, batch_after(j) for j in [2, steps+1], batch_before(j)
     for j in [1, steps].
@@ -311,13 +317,8 @@ class EpochTrace:
     epoch: int
     batch_size: int
     order: tuple[int, ...]
-    tape: BitStream
     checkpoints: list[FixedVector] = field(default_factory=list)
-    full_acc: list[Fraction] = field(default_factory=list)
-    seen_acc: list[Optional[Fraction]] = field(default_factory=list)
-    unseen_acc: list[Optional[Fraction]] = field(default_factory=list)
-    batch_after_acc: list[Optional[Fraction]] = field(default_factory=list)
-    batch_before_acc: list[Optional[Fraction]] = field(default_factory=list)
+    masks: list[int] = field(default_factory=list)
     terminated: bool = False
     terminated_at: Optional[int] = None
     saturated: bool = False
@@ -345,38 +346,66 @@ class EpochTrace:
             tuple(self.order[k : k + b]) for k in range(0, self.n, b)
         )
 
+    @property
+    def full_acc(self) -> list[Fraction]:
+        """Full-dataset accuracy at every checkpoint."""
+        return [Fraction(mask.bit_count(), self.n) for mask in self.masks]
+
+    @cached_property
+    def _prefix_masks(self) -> tuple[int, ...]:
+        """Mask of the first k batches of the visit order, for k = 0..num_batches."""
+        out = [0]
+        for batch in self.batches:
+            out.append(out[-1] | sum(1 << e for e in batch))
+        return tuple(out)
+
+    def _rate(self, i: int, lo: int, hi: int) -> Fraction:
+        """Accuracy at checkpoint i over batches lo..hi-1 of the visit order."""
+        prefix = self._prefix_masks
+        hits = self.masks[i] & (prefix[hi] ^ prefix[lo])
+        return Fraction(hits.bit_count(), (hi - lo) * self.batch_size)
+
+    def rates(self, i: int) -> tuple[Optional[Fraction], ...]:
+        """(full, seen, unseen, batch after, batch before) at checkpoint i.
+
+        None marks an empty subset: nothing seen yet at i = 0, nothing left
+        once the whole order is seen.
+        """
+        t = self.num_batches
+        return (
+            Fraction(self.masks[i].bit_count(), self.n),
+            self._rate(i, 0, i) if i else None,
+            self._rate(i, i, t) if i < t else None,
+            self._rate(i, i - 1, i) if i else None,
+            self._rate(i, i, i + 1) if i < t else None,
+        )
+
     def _checked(self, j: int, lo: int, hi: int, name: str) -> int:
         if not (lo <= j <= hi):
             raise DomainError(f"{name}({j}) outside [{lo}, {hi}]")
         return j - 1
 
     def full(self, j: int) -> Fraction:
-        return self.full_acc[self._checked(j, 1, self.steps_done + 1, "full")]
+        i = self._checked(j, 1, self.steps_done + 1, "full")
+        return Fraction(self.masks[i].bit_count(), self.n)
 
     def seen(self, j: int) -> Fraction:
-        v = self.seen_acc[self._checked(j, 2, self.steps_done + 1, "seen")]
-        assert v is not None
-        return v
+        i = self._checked(j, 2, self.steps_done + 1, "seen")
+        return self._rate(i, 0, i)
 
     def unseen(self, j: int) -> Fraction:
-        v = self.unseen_acc[self._checked(j, 1, self.steps_done + 1, "unseen")]
-        if v is None:
+        i = self._checked(j, 1, self.steps_done + 1, "unseen")
+        if i >= self.num_batches:
             raise DomainError(f"unseen({j}) undefined: nothing left unseen")
-        return v
+        return self._rate(i, i, self.num_batches)
 
     def batch_after(self, j: int) -> Fraction:
-        v = self.batch_after_acc[
-            self._checked(j, 2, self.steps_done + 1, "batch_after")
-        ]
-        assert v is not None
-        return v
+        i = self._checked(j, 2, self.steps_done + 1, "batch_after")
+        return self._rate(i, i - 1, i)
 
     def batch_before(self, j: int) -> Fraction:
-        v = self.batch_before_acc[
-            self._checked(j, 1, self.steps_done, "batch_before")
-        ]
-        assert v is not None
-        return v
+        i = self._checked(j, 1, self.steps_done, "batch_before")
+        return self._rate(i, i, i + 1)
 
     def progress(self) -> Fraction:
         """Measured epoch progress: batch-size-weighted sum of per-step gains."""
@@ -386,31 +415,12 @@ class EpochTrace:
         return Fraction(self.batch_size, self.n) * total
 
 
-def _subset_mean(cv: Sequence[int], ids: Sequence[int]) -> Fraction:
-    return Fraction(sum(cv[e] for e in ids), len(ids))
-
-
-def _record_checkpoint(
-    trace: EpochTrace, model: Model, dataset: Dataset, index: int
-) -> Fraction:
-    """Appends checkpoint index (0-based) stats from one correctness sweep."""
-    cv = correctness_vector(model, dataset)
-    n, b = trace.n, trace.batch_size
-    split = index * b
+def _record_checkpoint(trace: EpochTrace, model: Model, dataset: Dataset) -> Fraction:
+    """Appends one checkpoint and its correctness mask; returns full accuracy."""
+    mask = correctness_mask(model, dataset)
     trace.checkpoints.append(model.weights)
-    lam = Fraction(sum(cv), n)
-    trace.full_acc.append(lam)
-    trace.seen_acc.append(_subset_mean(cv, trace.order[:split]) if split else None)
-    trace.unseen_acc.append(
-        _subset_mean(cv, trace.order[split:]) if split < n else None
-    )
-    trace.batch_after_acc.append(
-        _subset_mean(cv, trace.order[split - b : split]) if index else None
-    )
-    trace.batch_before_acc.append(
-        _subset_mean(cv, trace.order[split : split + b]) if split < n else None
-    )
-    return lam
+    trace.masks.append(mask)
+    return Fraction(mask.bit_count(), trace.n)
 
 
 def forward_step(model: Model, batch, step: FixedScalar) -> tuple[Model, FixedVector]:
@@ -427,8 +437,8 @@ def run_epoch(
 ) -> tuple[EpochTrace, Model]:
     """Runs one epoch; the trace stops early on termination or saturation."""
     perm = draw_epoch_permutation(dataset.n, config.seed, epoch)
-    trace = EpochTrace(epoch, config.batch_size, perm.order, perm.source_bits)
-    lam = _record_checkpoint(trace, model, dataset, 0)
+    trace = EpochTrace(epoch, config.batch_size, perm.order)
+    lam = _record_checkpoint(trace, model, dataset)
     batches = trace.batches
     for j in range(1, config.num_batches + 1):
         if lam >= 1 - config.eps:
@@ -441,12 +451,8 @@ def run_epoch(
         except SaturationError:
             trace.saturated = True
             break
-        lam = _record_checkpoint(trace, model, dataset, j)
+        lam = _record_checkpoint(trace, model, dataset)
     return trace, model
-
-
-def measure_local_progress(trace: EpochTrace) -> Fraction:
-    return trace.progress()
 
 
 @dataclass
@@ -509,7 +515,7 @@ def reverse_radius_raw(step: FixedScalar, g_bound: Fraction, d: int) -> int:
     """
     half = _sqrt_upper(d) / 2
     reach = step.value * (g_bound * step.grid.unit + half) + half
-    return -((-reach.numerator) // reach.denominator)
+    return math.ceil(reach)
 
 
 def _ball_offsets(d: int, radius: int) -> Iterator[tuple[int, ...]]:
@@ -616,20 +622,8 @@ def write_trace_csv(traces: Sequence[EpochTrace], path: str) -> None:
     for tr in traces:
         flag = "true" if (tr.terminated or tr.saturated) else "false"
         for i in range(tr.steps_done + 1):
-            lines.append(
-                ",".join(
-                    [
-                        str(tr.epoch),
-                        str(i + 1),
-                        cell(tr.full_acc[i]),
-                        cell(tr.seen_acc[i]),
-                        cell(tr.unseen_acc[i]),
-                        cell(tr.batch_after_acc[i]),
-                        cell(tr.batch_before_acc[i]),
-                        flag,
-                    ]
-                )
-            )
+            cells = [cell(v) for v in tr.rates(i)]
+            lines.append(",".join([str(tr.epoch), str(i + 1), *cells, flag]))
     with open(path, "w", encoding="ascii") as fh:
         fh.write("\n".join(lines) + "\n")
 

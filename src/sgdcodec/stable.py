@@ -32,18 +32,6 @@ def stable_log2(x: Number) -> float:
         return float(mpmath.log(_to_mp(f), 2))
 
 
-def stable_log2_simple(x: Number, over_e: bool = False) -> float:
-    """log2(x) or log2(x/e) for the per-epoch bound columns."""
-    f = Fraction(x)
-    if f <= 0:
-        raise ValueError("argument must be positive")
-    with mpmath.workdps(_PREC_DPS):
-        v = mpmath.log(_to_mp(f), 2)
-        if over_e:
-            v -= mpmath.log(mpmath.e, 2)
-        return float(v)
-
-
 def stable_entropy(p: Number) -> float:
     """Binary entropy in bits, evaluated in arbitrary precision."""
     f = Fraction(p)

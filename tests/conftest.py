@@ -5,12 +5,11 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from sgdcodec.codec import BitStream
 from sgdcodec.model import (
     Dataset,
     Element,
     GeneratorSpec,
-    correctness_vector,
+    correctness_mask,
     model_from_weights,
 )
 from sgdcodec.numerics import FixedVector, GridSpec
@@ -64,33 +63,16 @@ def synthesize_trace(
 ) -> EpochTrace:
     """Builds an EpochTrace from explicit checkpoint weights.
 
-    weight_rows holds T+1 FixedVectors; accuracy statistics come from real
+    weight_rows holds T+1 FixedVectors; the correctness masks come from real
     correctness sweeps so the trace is internally consistent even though the
     checkpoints need not satisfy the update rule.
     """
-    n = len(order)
-    trace = EpochTrace(
-        epoch=epoch, batch_size=batch_size, order=tuple(order), tape=BitStream()
-    )
-    for index, weights in enumerate(weight_rows):
+    trace = EpochTrace(epoch=epoch, batch_size=batch_size, order=tuple(order))
+    for weights in weight_rows:
         model = model_from_weights("logistic-linear", weights, dataset.dim)
-        cv = correctness_vector(model, dataset)
-        split = index * batch_size
-        trace.checkpoints.append(model.weights)
-        trace.full_acc.append(Fraction(sum(cv), n))
-        trace.seen_acc.append(_mean(cv, order[:split]) if split else None)
-        trace.unseen_acc.append(_mean(cv, order[split:]) if split < n else None)
-        trace.batch_after_acc.append(
-            _mean(cv, order[split - batch_size : split]) if index else None
-        )
-        trace.batch_before_acc.append(
-            _mean(cv, order[split : split + batch_size]) if split < n else None
-        )
+        trace.checkpoints.append(weights)
+        trace.masks.append(correctness_mask(model, dataset))
     return trace
-
-
-def _mean(cv, ids) -> Fraction:
-    return Fraction(sum(cv[e] for e in ids), len(ids))
 
 
 def staircase_trace(n: int, b: int, grid: GridSpec = GridSpec()):

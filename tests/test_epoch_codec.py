@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -244,6 +245,28 @@ def test_tampered_stream_never_decodes_silently():
         except DECODE_ERRORS:
             continue
         assert dec.order != tr.order
+
+
+def test_decode_rejects_trailing_bits(tmp_path):
+    cfg, run = labels_run(seed=5)
+    traces = run.completed_traces[:2]
+    codes = [encode_epoch(tr, run.dataset, cfg, mode=ACCOUNTING) for tr in traces]
+    assert [c.case for c in codes] == [BACKWARD, SPLIT]
+    path = str(tmp_path / "epoch.epc")
+    for tr, code in zip(traces, codes):
+        side = SideInfo.accounting(tr.checkpoints)
+        for extra in range(1, 8):
+            for fill in (0, (1 << extra) - 1):
+                padded = code.stream.copy()
+                padded.write_uint(fill, extra)
+                with pytest.raises(CodecError):
+                    decode_epoch(padded, run.dataset, cfg, side)
+                write_epoch_file(path, replace(code, stream=padded))
+                with pytest.raises(CodecError):
+                    decode_epoch(read_epoch_file(path)[3], run.dataset, cfg, side)
+        write_epoch_file(path, code)
+        dec = decode_epoch(read_epoch_file(path)[3], run.dataset, cfg, side)
+        assert dec.order == tr.order
 
 
 def test_strict_mode_refuses_infeasible_shapes():

@@ -23,6 +23,7 @@ from sgdcodec.model import (
     gradient_exact,
     loss_gradient,
     model_from_weights,
+    sigmoid_table_max_slope,
     sigmoid_table_slope,
     sigmoid_table_value,
     zero_model,
@@ -181,6 +182,12 @@ def test_sigmoid_slope_matches_segments():
     expect = (sigmoid_table_value(z + step, s) - sigmoid_table_value(z, s)) / step
     assert sigmoid_table_slope(z, s) == expect
     assert sigmoid_table_slope(Fraction(9), s) == 0
+
+
+def test_sigmoid_table_max_slope_by_scale():
+    # knots rounded to a coarse grid make the table steeper than sigmoid' <= 1/4
+    slopes = [sigmoid_table_max_slope(s) for s in (4, 6, 8, 16)]
+    assert slopes == [4, 1, Fraction(1, 4), Fraction(1, 4)]
 
 
 def test_zero_model_gradient_formula():

@@ -10,7 +10,12 @@ import hypothesis.strategies as st
 
 from conftest import band_dataset, manual_dataset, one_hot_dataset
 from sgdcodec.codec import BitStream, CodecError
-from sgdcodec.model import GeneratorSpec, generate_dataset, zero_model
+from sgdcodec.model import (
+    GeneratorSpec,
+    analytic_logistic_smoothness,
+    generate_dataset,
+    zero_model,
+)
 from sgdcodec.numerics import (
     DomainError,
     FixedScalar,
@@ -222,6 +227,19 @@ def test_check_step_smoothness_rejects_large_steps():
     ds = manual_dataset(GRID, rows)
     cfg = band_config(ds, step_raw=2 * GRID.unit, batch_size=2)
     # L = max|x|^2/4 = 1, step 2 -> product 2 >= 1
+    with pytest.raises(PreconditionError):
+        check_step_smoothness(cfg, ds)
+
+
+def test_check_step_smoothness_uses_the_table_slope():
+    # at scale 6 the table's steepest segment has slope 1, not 1/4:
+    # step 1/2 with max|x|^2 = 4 passes the analytic bound (1/2) but the
+    # table's smoothness gives step*L = 2
+    rows = [((2 * GRID6.unit,), 1), ((GRID6.unit,), 0)]
+    ds = manual_dataset(GRID6, rows)
+    cfg = band_config(ds, step_raw=GRID6.unit // 2, batch_size=2)
+    quarter_l, _ = analytic_logistic_smoothness(ds)
+    assert cfg.step.value * quarter_l < 1
     with pytest.raises(PreconditionError):
         check_step_smoothness(cfg, ds)
 
