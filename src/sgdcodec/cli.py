@@ -1,11 +1,11 @@
 """Command line front end.
 
 Subcommands: run (train + encode + account + artifacts), verify (inequality
-and tail-bound suites), encode (manifest + epoch codes only), decode (check
-epoch code files on disk against a deterministic rerun), report (print the
-summaries of an artifact directory).  A flat key=value file can provide any
-flag's default; explicit flags win.  SGDCODEC_OUT overrides the output
-directory.
+and tail-bound suites), encode (manifest + epoch codes only), decode (decode
+each epoch code file on disk once and check it, and final_model.bin, against
+a rerun of training), report (print the summaries of an artifact directory).
+A flat key=value file can provide any flag's default; explicit flags win.
+SGDCODEC_OUT overrides the output directory.
 """
 
 from __future__ import annotations
@@ -33,9 +33,9 @@ from .harness import (
     run_inequality_suite,
     verify_hoeffding,
 )
-from .model import FAMILIES, GeneratorSpec, MODEL_KINDS
-from .numerics import DomainError, GridSpec
-from .sgd_engine import RunConfig
+from .model import FAMILIES, GeneratorSpec, MODEL_KINDS, generate_dataset
+from .numerics import DomainError, GridSpec, SaturationError
+from .sgd_engine import ReverseError, RunConfig, run_training, vector_from_bytes
 
 OUT_ENV = "SGDCODEC_OUT"
 
@@ -201,19 +201,28 @@ def cmd_encode(args: argparse.Namespace) -> int:
 
 
 def cmd_decode(args: argparse.Namespace) -> int:
-    """Reads epoch code files from disk and checks them against a rerun."""
+    """Decodes each epoch code file once and checks it against a training rerun.
+
+    Only training is rerun (no encode, prediction or accounting).  Every
+    ``.epc`` must decode to the rerun's visit order; in STRICT mode the
+    recovered checkpoint chain must also equal the rerun's.  Each
+    replication's ``final_model.bin`` must hold the rerun's final weights.
+    Returns 1 on any mismatch; unreadable or undecodable files raise, and
+    ``main`` reports them with exit code 2.
+    """
     outdir = args.dir or _resolve_out(args)
     if not outdir:
         print("decode requires --dir or SGDCODEC_OUT", file=sys.stderr)
         return 2
     spec = load_manifest(os.path.join(outdir, "manifest.json"))
-    result = run_experiment(spec, None)
+    dataset = generate_dataset(spec.config.generator, spec.config.grid)
     failures = 0
-    for rep in result.replications:
-        config = replace(spec.config, seed=spec.config.seed + rep.index)
-        rep_dir = os.path.join(outdir, f"rep_{rep.index:02d}", "epochs")
-        for trace in rep.run.completed_traces:
-            path = os.path.join(rep_dir, f"epoch_{trace.epoch:03d}.epc")
+    for r in range(spec.replications):
+        config = replace(spec.config, seed=spec.config.seed + r)
+        run = run_training(config, dataset)
+        rep_dir = os.path.join(outdir, f"rep_{r:02d}")
+        for trace in run.completed_traces:
+            path = os.path.join(rep_dir, "epochs", f"epoch_{trace.epoch:03d}.epc")
             n, b, epoch, stream = read_epoch_file(path)
             if (n, b, epoch) != (trace.n, trace.batch_size, trace.epoch):
                 print(f"{path}: header mismatch")
@@ -224,10 +233,17 @@ def cmd_decode(args: argparse.Namespace) -> int:
                 if spec.mode == STRICT
                 else SideInfo.accounting(trace.checkpoints)
             )
-            decoded = decode_epoch(stream, result.dataset, config, side)
-            ok = decoded.order == trace.order
+            decoded = decode_epoch(stream, dataset, config, side)
+            ok = decoded.order == trace.order and (
+                spec.mode != STRICT or decoded.chain_matches(trace.checkpoints)
+            )
             failures += 0 if ok else 1
-            print(f"rep {rep.index:02d} epoch {epoch}: {'ok' if ok else 'MISMATCH'}")
+            print(f"rep {r:02d} epoch {epoch}: {'ok' if ok else 'MISMATCH'}")
+        with open(os.path.join(rep_dir, "final_model.bin"), "rb") as fh:
+            final = vector_from_bytes(fh.read(), config.grid)
+        ok = final.raws == run.final_model.weights.raws
+        failures += 0 if ok else 1
+        print(f"rep {r:02d} final_model.bin: {'ok' if ok else 'MISMATCH'}")
     return 0 if failures == 0 else 1
 
 
@@ -328,7 +344,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (DomainError, OSError, ValueError) as exc:
+    except (DomainError, OSError, ValueError, ReverseError, SaturationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

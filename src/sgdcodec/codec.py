@@ -15,9 +15,9 @@ widths.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 from .numerics import DomainError, binary_entropy
 
@@ -233,27 +233,6 @@ def perm_unrank(rank: int, base_ids: Sequence[int]) -> tuple[int, ...]:
 
 
 @dataclass(frozen=True)
-class SubsetCode:
-    rank: int
-    pool_size: int
-    subset_size: int
-
-    @property
-    def width(self) -> int:
-        return ceil_log2(binomial(self.pool_size, self.subset_size))
-
-
-@dataclass(frozen=True)
-class PermCode:
-    rank: int
-    size: int
-
-    @property
-    def width(self) -> int:
-        return ceil_log2(math.factorial(self.size))
-
-
-@dataclass(frozen=True)
 class ClassifierSplit:
     """A pool partitioned by a binary classifier: ones first, zeros second."""
 
@@ -267,13 +246,6 @@ class ClassifierSplit:
         for e in b_ids:
             (ones if g(e) else zeros).append(e)
         return cls(tuple(ones), tuple(zeros))
-
-    @property
-    def positive_rate(self) -> Fraction:
-        total = len(self.ones) + len(self.zeros)
-        if total == 0:
-            raise DomainError("empty pool has no positive rate")
-        return Fraction(len(self.ones), total)
 
 
 @dataclass(frozen=True)

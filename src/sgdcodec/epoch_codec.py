@@ -358,6 +358,12 @@ class DecodeResult:
     order: tuple[int, ...]
     checkpoints: Optional[tuple[FixedVector, ...]]
 
+    def chain_matches(self, checkpoints: Sequence[FixedVector]) -> bool:
+        """Whether a STRICT decode recovered exactly these checkpoints."""
+        if self.checkpoints is None:
+            return False
+        return [w.raws for w in self.checkpoints] == [w.raws for w in checkpoints]
+
 
 def decode_epoch(
     code: Union[EpochCode, BitStream],

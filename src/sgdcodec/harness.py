@@ -264,8 +264,11 @@ def run_experiment(spec: ExperimentSpec, outdir: Optional[str] = None) -> Experi
     """Runs, encodes, decodes, accounts, and (optionally) writes artifacts.
 
     Every epoch is round-tripped inline; a mismatch raises immediately.  In
-    STRICT mode the decoder chain is additionally driven from the final
-    weights backward across all completed epochs.
+    STRICT mode the decoder starts from the epoch's last checkpoint alone,
+    and the whole recovered chain must equal the trained one.  Completed
+    epochs are contiguous (epoch e starts where epoch e-1 ends), so by
+    induction from the last checkpoint these per-epoch checks are exactly
+    the backward walk from the final weights across all completed epochs.
     """
     dataset = generate_dataset(spec.config.generator, spec.config.grid)
     if outdir is not None:
@@ -292,6 +295,11 @@ def run_experiment(spec: ExperimentSpec, outdir: Optional[str] = None) -> Experi
             decoded = decode_epoch(code, dataset, config, side)
             if decoded.order != trace.order:
                 raise DomainError(f"epoch {trace.epoch} failed its round trip")
+            if spec.mode == STRICT and not decoded.chain_matches(trace.checkpoints):
+                raise DomainError(
+                    f"epoch {trace.epoch} STRICT decode recovered a wrong "
+                    f"checkpoint chain"
+                )
             predicted = predict_segments(trace, config, code.selector, spec.mode)
             if predicted != code.segments:
                 raise DomainError(
@@ -301,8 +309,6 @@ def run_experiment(spec: ExperimentSpec, outdir: Optional[str] = None) -> Experi
             epoch_codes.append(code)
             rows.append(epoch_accounting(code, trace, config))
             ceilings.append(check_eps_beta_ceiling(trace, config.eps))
-        if spec.mode == STRICT and run.completed_traces:
-            _verify_strict_chain(run, dataset, config)
         report = CompressionReport(
             rows,
             ceilings,
@@ -315,23 +321,6 @@ def run_experiment(spec: ExperimentSpec, outdir: Optional[str] = None) -> Experi
         if outdir is not None:
             _write_replication(outdir, r, run, epoch_codes, report)
     return ExperimentResult(spec, dataset, reps, outdir)
-
-
-def _verify_strict_chain(run: TrainingRun, dataset: Dataset, config: RunConfig) -> None:
-    """Decodes all epochs backward from the last completed checkpoint only."""
-    traces = run.completed_traces
-    current = traces[-1].checkpoints[-1]
-    for trace in reversed(traces):
-        code = encode_epoch(trace, dataset, config, STRICT)
-        decoded = decode_epoch(code, dataset, config, SideInfo.strict(current))
-        if decoded.order != trace.order:
-            raise DomainError(f"epoch {trace.epoch} failed the STRICT chain decode")
-        assert decoded.checkpoints is not None
-        if decoded.checkpoints[0].raws != trace.checkpoints[0].raws:
-            raise DomainError(
-                f"epoch {trace.epoch} STRICT chain recovered a wrong start point"
-            )
-        current = decoded.checkpoints[0]
 
 
 def _write_replication(

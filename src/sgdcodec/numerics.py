@@ -102,11 +102,6 @@ class GridSpec:
         raw, sat = self.clamp_raw(raw)
         return FixedScalar(raw, self, sat)
 
-    def from_raw(self, raw: int) -> "FixedScalar":
-        if raw < self.raw_min or raw > self.raw_max:
-            raise DomainError(f"raw mantissa {raw} outside clip range")
-        return FixedScalar(raw, self)
-
 
 @dataclass(frozen=True)
 class FixedScalar:
@@ -166,10 +161,6 @@ class FixedVector:
 
     def __len__(self) -> int:
         return len(self.raws)
-
-    @property
-    def entries(self) -> tuple[FixedScalar, ...]:
-        return tuple(FixedScalar(r, self.grid, self.saturated) for r in self.raws)
 
     @property
     def values(self) -> tuple[Fraction, ...]:

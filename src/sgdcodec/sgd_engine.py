@@ -117,14 +117,6 @@ class EpochPermutation:
     def n(self) -> int:
         return len(self.order)
 
-    def batches(self, batch_size: int) -> tuple[tuple[int, ...], ...]:
-        if self.n % batch_size:
-            raise DomainError("batch size must divide n")
-        return tuple(
-            tuple(self.order[k : k + batch_size])
-            for k in range(0, self.n, batch_size)
-        )
-
 
 def draw_permutation(n: int, source) -> tuple[int, ...]:
     """Fisher-Yates using rejection sampling on the given bit source.

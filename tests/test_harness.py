@@ -5,11 +5,13 @@ from __future__ import annotations
 import json
 import math
 import os
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
 from conftest import staircase_report_inputs
+from sgdcodec import cli, harness
 from sgdcodec.cli import main, read_config_file
 from sgdcodec.codec import binomial
 from sgdcodec.harness import (
@@ -24,7 +26,7 @@ from sgdcodec.harness import (
     verify_hoeffding,
 )
 from sgdcodec.model import GeneratorSpec, generate_dataset
-from sgdcodec.numerics import DomainError, GridSpec
+from sgdcodec.numerics import DomainError, FixedVector, GridSpec
 from sgdcodec.sgd_engine import RunConfig
 
 GRID = GridSpec()
@@ -125,6 +127,29 @@ def test_strict_experiment_verifies_chain():
     assert rep.report.epochs == 4
     assert all(r.case == "SPLIT" for r in rep.report.rows)
     assert all(r.stream_model_bits == GRID6.coord_bits for r in rep.report.rows)
+
+
+def shift_first_checkpoint(decode):
+    """Wraps a decoder so a STRICT result's first checkpoint is one raw off."""
+
+    def shifted(*args, **kwargs):
+        result = decode(*args, **kwargs)
+        if result.checkpoints is None:
+            return result
+        first = result.checkpoints[0]
+        wrong = FixedVector((first.raws[0] + 1,) + first.raws[1:], first.grid)
+        return replace(result, checkpoints=(wrong,) + result.checkpoints[1:])
+
+    return shifted
+
+
+def test_strict_round_trip_checks_the_recovered_chain(monkeypatch):
+    # The visit order still matches, so only the chain comparison can catch it.
+    monkeypatch.setattr(
+        harness, "decode_epoch", shift_first_checkpoint(harness.decode_epoch)
+    )
+    with pytest.raises(DomainError, match="checkpoint chain"):
+        run_experiment(strict_spec(), None)
 
 
 def test_replications_shift_the_run_seed(tmp_path):
@@ -282,3 +307,78 @@ def test_cli_decode_requires_directory(capsys, monkeypatch):
     monkeypatch.delenv("SGDCODEC_OUT", raising=False)
     assert main(["decode"]) == 2
     assert "requires" in capsys.readouterr().err
+
+
+STRICT_FLAGS = [
+    "--family", "two-gaussians", "--n", "32", "--dim", "1", "--data-seed", "3",
+    "--sigma", "1/2", "--center-dist", "2", "--batch-size", "4",
+    "--step-raw", "8", "--eps", "1/100", "--progress-coeff", "1", "--seed", "3",
+    "--max-epochs", "4", "--scale", "6", "--clip", "4", "--mode", "STRICT",
+]
+
+
+def test_cli_decode_checks_final_model(tmp_path, capsys):
+    out = str(tmp_path / "exp")
+    run_experiment(plateau_spec(max_epochs=2), out)
+    victim = os.path.join(out, "rep_00", "final_model.bin")
+    blob = bytearray(open(victim, "rb").read())
+    blob[8] ^= 0xFF  # lowest byte of the first raw, after the 8 byte header
+    with open(victim, "wb") as fh:
+        fh.write(bytes(blob))
+    capsys.readouterr()
+    assert main(["decode", "--dir", out]) == 1
+    assert "rep 00 final_model.bin: MISMATCH" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "spec", [plateau_spec(max_epochs=2, replications=2), strict_spec()],
+    ids=["accounting", "strict"],
+)
+def test_cli_decode_reruns_training_only(tmp_path, capsys, monkeypatch, spec):
+    out = str(tmp_path / "exp")
+    run_experiment(spec, out)
+    epc_files = sum(
+        len(files) for d, _, files in os.walk(out) if d.endswith("epochs")
+    )
+    real_decode = cli.decode_epoch
+    calls = []
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("decode must not rerun the experiment")
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real_decode(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "run_experiment", refuse)
+    monkeypatch.setattr(cli, "decode_epoch", counted)
+    assert main(["decode", "--dir", out]) == 0
+    assert len(calls) == epc_files > 0
+    assert "MISMATCH" not in capsys.readouterr().out
+
+
+def test_cli_decode_checks_the_strict_chain(tmp_path, capsys, monkeypatch):
+    out = str(tmp_path / "exp")
+    run_experiment(strict_spec(), out)
+    monkeypatch.setattr(cli, "decode_epoch", shift_first_checkpoint(cli.decode_epoch))
+    capsys.readouterr()
+    assert main(["decode", "--dir", out]) == 1
+    assert "rep 00 epoch 1: MISMATCH" in capsys.readouterr().out
+
+
+def test_cli_decode_reports_corrupt_strict_payloads(tmp_path, capsys):
+    out = str(tmp_path / "exp")
+    assert main(["encode", "--out", out] + STRICT_FLAGS) == 0
+    victim = os.path.join(out, "rep_00", "epochs", "epoch_001.epc")
+    original = open(victim, "rb").read()
+    assert len(original) > 16
+    for pos in range(16, len(original)):  # every byte after the 16 byte header
+        blob = bytearray(original)
+        blob[pos] ^= 0xFF
+        with open(victim, "wb") as fh:
+            fh.write(bytes(blob))
+        assert main(["decode", "--dir", out]) in (1, 2), pos
+    with open(victim, "wb") as fh:
+        fh.write(original)
+    capsys.readouterr()
+    assert main(["decode", "--dir", out]) == 0
