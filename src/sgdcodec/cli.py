@@ -278,8 +278,17 @@ def cmd_report(args: argparse.Namespace) -> int:
     return 0
 
 
+VERIFY_SUITES = ("inequalities", "hoeffding")
+
+
 def cmd_verify(args: argparse.Namespace) -> int:
-    suites = args.suites.split(",") if args.suites else ["inequalities", "hoeffding"]
+    suites = args.suites.split(",") if args.suites else list(VERIFY_SUITES)
+    unknown = [s for s in suites if s not in VERIFY_SUITES]
+    if unknown:
+        raise DomainError(
+            f"unknown suite(s) {','.join(map(repr, unknown))}; "
+            f"choose from {','.join(VERIFY_SUITES)}"
+        )
     all_ok = True
     if "inequalities" in suites:
         for row in run_inequality_suite():
@@ -333,7 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_rep.set_defaults(func=cmd_report)
 
     p_ver = sub.add_parser("verify", help="run statistical and inequality suites")
-    p_ver.add_argument("--suites", help="comma list: inequalities,hoeffding")
+    p_ver.add_argument("--suites", help=f"comma list: {','.join(VERIFY_SUITES)}")
     p_ver.add_argument("--trials", type=int, default=100_000)
     p_ver.set_defaults(func=cmd_verify)
     return parser

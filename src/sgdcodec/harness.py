@@ -11,7 +11,6 @@ and coding inequalities the bit accounting relies on.
 
 from __future__ import annotations
 
-import bisect
 import json
 import math
 import os
@@ -50,11 +49,10 @@ from .epoch_codec import (
 from .model import Dataset, generate_dataset
 from .numerics import (
     DomainError,
-    ProbGrid,
     PreconditionError,
-    binary_entropy,
-    kl_bernoulli,
-    verify_split_entropy,
+    _entropy,
+    _kl,
+    _split_slack,
 )
 from .sgd_engine import (
     RunConfig,
@@ -407,28 +405,22 @@ def hypergeometric_pmf(
 def verify_hoeffding(check: HoeffdingCheck) -> HoeffdingResult:
     """Monte Carlo plus exact verification of the without-replacement tail.
 
-    The sampler inverts the exact hypergeometric CDF, so the simulation and
-    the closed-form probability describe the same distribution; the verdict
-    allows three binomial standard deviations of Monte Carlo noise on top of
-    the e^(-2k delta^2) bound.
+    Each trial draws u = rng.random() and counts a hit when u < float(exact),
+    one comparison per trial.  This is inversion of the exact hypergeometric
+    CDF: the sampled count, the number of float CDF entries <= u, is at most
+    the threshold exactly when the CDF entry at the threshold, which is
+    float(exact), exceeds u, because the CDF is non-decreasing.  So the
+    simulation and the closed-form probability describe the same
+    distribution.  The verdict allows three binomial standard deviations of
+    Monte Carlo noise on top of the e^(-2k delta^2) bound.
     """
     k = check.sample_size
     pmf = hypergeometric_pmf(check.population_size, check.population_ones, k)
-    cdf: list[float] = []
-    acc = Fraction(0)
-    for p in pmf:
-        acc += p
-        cdf.append(float(acc))
     threshold = math.floor(k * (check.mu - check.delta))
     exact = sum(pmf[: threshold + 1], Fraction(0))
+    cut = float(exact)
     rng = random.Random(check.seed)
-    hits = 0
-    for _ in range(check.trials):
-        c = bisect.bisect_right(cdf, rng.random())
-        if c > k:
-            c = k
-        if c <= threshold:
-            hits += 1
+    hits = sum(rng.random() < cut for _ in range(check.trials))
     freq = Fraction(hits, check.trials)
     bound = stable_exp(-2 * k * check.delta**2)
     sigma = math.sqrt(max(bound * (1.0 - bound), 0.0) / check.trials)
@@ -466,9 +458,9 @@ class SuiteRow:
 def _sweep_entropy_upper(points: int) -> SuiteRow:
     # h(p) <= p*log2(e/p); worst positive excess should be numeric noise only.
     worst = -1.0
-    for p in ProbGrid.uniform(points).points:
-        lhs = binary_entropy(p)
-        rhs = float(p) * (stable_log2(1 / Fraction(p)) + 1 / math.log(2))
+    for k in range(1, points + 1):
+        lhs = _entropy(k, points)
+        rhs = k / points * (stable_log2(Fraction(points, k)) + 1 / math.log(2))
         worst = max(worst, lhs - rhs)
     return SuiteRow("entropy-vs-plog2ep", points, 0, worst, 1e-9, worst <= 1e-9)
 
@@ -477,12 +469,13 @@ def _sweep_split_entropy(side: int) -> SuiteRow:
     worst = math.inf
     skipped = 0
     cases = 0
-    qs = ProbGrid.uniform(side).points
-    for p in qs:
-        for gamma in qs:
-            for q in qs:
+    # p, gamma, q range over k/side for k = 1..side
+    ks = range(1, side + 1)
+    for a in ks:
+        for g in ks:
+            for c in ks:
                 try:
-                    slack = verify_split_entropy(p, gamma, q)
+                    slack = _split_slack(a, g, c, side)
                 except PreconditionError:
                     skipped += 1
                     continue
@@ -496,12 +489,11 @@ def _sweep_split_entropy(side: int) -> SuiteRow:
 def _sweep_pinsker(side: int) -> SuiteRow:
     worst = math.inf
     cases = 0
-    pts = ProbGrid.uniform(side).points
-    for p in pts:
-        for q in pts:
-            if q in (0, 1):
-                continue
-            margin = kl_bernoulli(p, q) - 2.0 * float((p - q) ** 2) / math.log(2)
+    # p, q range over k/side for k = 1..side; q = 1 is skipped (D(p || 1) is
+    # infinite for p != 1)
+    for a in range(1, side + 1):
+        for c in range(1, side):
+            margin = _kl(a, c, side) - 2.0 * ((a - c) ** 2 / side**2) / math.log(2)
             worst = min(worst, margin)
             cases += 1
     return SuiteRow("pinsker-bernoulli", cases, 0, worst, -1e-12, worst >= -1e-12)

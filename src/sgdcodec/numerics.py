@@ -7,7 +7,13 @@ denominator known in advance (a power of two, times the batch size for a
 mean), and a result goes back onto the grid through one
 ``div_round_half_even``, so every platform produces bit-identical mantissas.
 The entropy and divergence functions all use log base 2; code lengths
-elsewhere in the package are therefore in bits throughout.
+elsewhere in the package are therefore in bits throughout.  They evaluate
+over integer numerators: the public ones put their arguments over one
+common denominator once and call private kernels (``_entropy``, ``_kl``,
+``_split_slack``) that compare integers and form each float by one
+correctly rounded ``int / int``, so a value gets the same bits whatever
+denominator it is written over.  The inequality sweeps call the kernels
+directly.
 """
 
 from __future__ import annotations
@@ -221,34 +227,69 @@ class ProbGrid:
         return cls(tuple(Fraction(k, count) for k in range(1, count + 1)))
 
 
-def binary_entropy(p: Rational) -> float:
-    """Entropy of a Bernoulli(p) in bits; h(0) = h(1) = 0 by convention."""
-    pf = Fraction(p)
-    if pf < 0 or pf > 1:
-        raise DomainError(f"probability {p} outside [0, 1]")
-    if pf == 0 or pf == 1:
+def _numerators(*values: Rational) -> tuple[list[int], int]:
+    """The values as integer numerators over one common denominator."""
+    fracs = [Fraction(v) for v in values]
+    den = math.lcm(*(f.denominator for f in fracs))
+    return [f.numerator * (den // f.denominator) for f in fracs], den
+
+
+def _entropy(num: int, den: int) -> float:
+    """h(num/den) in bits for 0 <= num <= den."""
+    if num == 0 or num == den:
         return 0.0
-    x = float(pf)
+    x = num / den
     return -(x * math.log2(x) + (1.0 - x) * math.log2(1.0 - x))
 
 
-def kl_bernoulli(p: Rational, q: Rational) -> float:
-    """KL divergence between Bernoulli(p) and Bernoulli(q), in bits."""
-    pf, qf = Fraction(p), Fraction(q)
-    for v in (pf, qf):
-        if v < 0 or v > 1:
-            raise DomainError(f"probability {v} outside [0, 1]")
-    if pf == qf:
+def _kl(a: int, c: int, n: int) -> float:
+    """D(a/n || c/n) in bits; 0 < c < n unless a == c."""
+    if a == c:
         return 0.0
-    if qf == 0 or qf == 1:
-        raise DomainError("divergence is infinite for q on the boundary with p != q")
-    x, y = float(pf), float(qf)
+    x, y = a / n, c / n
     total = 0.0
     if x > 0.0:
         total += x * math.log2(x / y)
     if x < 1.0:
         total += (1.0 - x) * math.log2((1.0 - x) / (1.0 - y))
     return total
+
+
+def _split_slack(a: int, g: int, c: int, n: int) -> float:
+    """verify_split_entropy(a/n, g/n, c/n) for numerators in [0, n]."""
+    if a * g > c * n or (n - a) * g > (n - c) * n:
+        nn = n * n
+        raise PreconditionError(
+            f"split not realizable: p*gamma={a * g}/{nn} vs q={c}/{n}, "
+            f"(1-p)*gamma={(n - a) * g}/{nn} vs 1-q={n - c}/{n}"
+        )
+    if g == 0:
+        return 0.0
+    lhs = 0.0
+    if c > 0:
+        lhs += c / n * _entropy(a * g, c * n)
+    if c < n:
+        lhs += (n - c) / n * _entropy((n - a) * g, (n - c) * n)
+    return _entropy(g, n) - g / n * _kl(a, c, n) - lhs
+
+
+def binary_entropy(p: Rational) -> float:
+    """Entropy of a Bernoulli(p) in bits; h(0) = h(1) = 0 by convention."""
+    pf = Fraction(p)
+    if pf < 0 or pf > 1:
+        raise DomainError(f"probability {p} outside [0, 1]")
+    return _entropy(pf.numerator, pf.denominator)
+
+
+def kl_bernoulli(p: Rational, q: Rational) -> float:
+    """KL divergence between Bernoulli(p) and Bernoulli(q), in bits."""
+    (a, c), n = _numerators(p, q)
+    for v in (a, c):
+        if v < 0 or v > n:
+            raise DomainError(f"probability {Fraction(v, n)} outside [0, 1]")
+    if a != c and (c == 0 or c == n):
+        raise DomainError("divergence is infinite for q on the boundary with p != q")
+    return _kl(a, c, n)
 
 
 def verify_entropy_upper(grid: ProbGrid) -> float:
@@ -271,25 +312,11 @@ def verify_split_entropy(p: Rational, gamma: Rational, q: Rational) -> float:
     which is nonnegative whenever the arguments are valid.  Requires
     p*gamma <= q and (1-p)*gamma <= 1-q, otherwise the split is not realizable.
     """
-    pf, gf, qf = Fraction(p), Fraction(gamma), Fraction(q)
-    for v, name in ((pf, "p"), (gf, "gamma"), (qf, "q")):
-        if v < 0 or v > 1:
-            raise DomainError(f"{name}={v} outside [0, 1]")
-    if pf * gf > qf or (1 - pf) * gf > 1 - qf:
-        raise PreconditionError(
-            f"split not realizable: p*gamma={pf * gf} vs q={qf}, "
-            f"(1-p)*gamma={(1 - pf) * gf} vs 1-q={1 - qf}"
-        )
-    if gf == 0:
-        return 0.0
-    lhs = 0.0
-    if qf > 0:
-        lhs += float(qf) * binary_entropy(pf * gf / qf)
-    if qf < 1:
-        lhs += float(1 - qf) * binary_entropy((1 - pf) * gf / (1 - qf))
-    div = kl_bernoulli(pf, qf) if pf != qf else 0.0
-    rhs = binary_entropy(gf) - float(gf) * div
-    return rhs - lhs
+    (a, g, c), n = _numerators(p, gamma, q)
+    for v, name in ((a, "p"), (g, "gamma"), (c, "q")):
+        if v < 0 or v > n:
+            raise DomainError(f"{name}={Fraction(v, n)} outside [0, 1]")
+    return _split_slack(a, g, c, n)
 
 
 def log2_of_int(x: int) -> float:

@@ -1,0 +1,185 @@
+"""The integer-numerator entropy kernels and the Hoeffding sampler against oracles.
+
+The oracles below are the Fraction-based ``binary_entropy``, ``kl_bernoulli``
+and ``verify_split_entropy`` and the CDF-inversion Hoeffding sampler that the
+kernels replaced.  The public functions must return the very same float bits,
+or raise the same exception type, over mixed denominators, the boundary
+values 0 and 1, infeasible splits and out-of-range arguments.
+"""
+
+from __future__ import annotations
+
+import bisect
+import math
+import random
+from fractions import Fraction
+
+import hypothesis.strategies as st
+import pytest
+from hypothesis import given, settings
+
+from sgdcodec.harness import HoeffdingCheck, hypergeometric_pmf, verify_hoeffding
+from sgdcodec.numerics import (
+    DomainError,
+    PreconditionError,
+    binary_entropy,
+    kl_bernoulli,
+    verify_split_entropy,
+)
+
+
+def oracle_binary_entropy(p):
+    pf = Fraction(p)
+    if pf < 0 or pf > 1:
+        raise DomainError(f"probability {p} outside [0, 1]")
+    if pf == 0 or pf == 1:
+        return 0.0
+    x = float(pf)
+    return -(x * math.log2(x) + (1.0 - x) * math.log2(1.0 - x))
+
+
+def oracle_kl_bernoulli(p, q):
+    pf, qf = Fraction(p), Fraction(q)
+    for v in (pf, qf):
+        if v < 0 or v > 1:
+            raise DomainError(f"probability {v} outside [0, 1]")
+    if pf == qf:
+        return 0.0
+    if qf == 0 or qf == 1:
+        raise DomainError("divergence is infinite for q on the boundary with p != q")
+    x, y = float(pf), float(qf)
+    total = 0.0
+    if x > 0.0:
+        total += x * math.log2(x / y)
+    if x < 1.0:
+        total += (1.0 - x) * math.log2((1.0 - x) / (1.0 - y))
+    return total
+
+
+def oracle_verify_split_entropy(p, gamma, q):
+    pf, gf, qf = Fraction(p), Fraction(gamma), Fraction(q)
+    for v, name in ((pf, "p"), (gf, "gamma"), (qf, "q")):
+        if v < 0 or v > 1:
+            raise DomainError(f"{name}={v} outside [0, 1]")
+    if pf * gf > qf or (1 - pf) * gf > 1 - qf:
+        raise PreconditionError("split not realizable")
+    if gf == 0:
+        return 0.0
+    lhs = 0.0
+    if qf > 0:
+        lhs += float(qf) * oracle_binary_entropy(pf * gf / qf)
+    if qf < 1:
+        lhs += float(1 - qf) * oracle_binary_entropy((1 - pf) * gf / (1 - qf))
+    div = oracle_kl_bernoulli(pf, qf) if pf != qf else 0.0
+    rhs = oracle_binary_entropy(gf) - float(gf) * div
+    return rhs - lhs
+
+
+def oracle_hoeffding_hits(check: HoeffdingCheck) -> int:
+    k = check.sample_size
+    pmf = hypergeometric_pmf(check.population_size, check.population_ones, k)
+    cdf: list[float] = []
+    acc = Fraction(0)
+    for p in pmf:
+        acc += p
+        cdf.append(float(acc))
+    threshold = math.floor(k * (check.mu - check.delta))
+    rng = random.Random(check.seed)
+    hits = 0
+    for _ in range(check.trials):
+        c = min(bisect.bisect_right(cdf, rng.random()), k)
+        if c <= threshold:
+            hits += 1
+    return hits
+
+
+def outcome(fn, *args):
+    """The result's float bits, or the type of the exception it raised."""
+    try:
+        return fn(*args).hex()
+    except (ArithmeticError, ValueError) as exc:
+        return type(exc)
+
+
+@st.composite
+def rationals(draw):
+    """Mostly [0, 1], sometimes just outside it, over small and large denominators."""
+    den = draw(
+        st.one_of(
+            st.integers(1, 64),
+            st.sampled_from([1024, 3**13, 10**9 + 7, 2**60 + 1]),
+        )
+    )
+    num = draw(
+        st.one_of(
+            st.integers(0, den),
+            st.sampled_from([0, den, -1, den + 1]),
+            st.integers(-den, 2 * den),
+        )
+    )
+    return Fraction(num, den)
+
+
+PROBS = st.one_of(
+    rationals(),
+    st.sampled_from([0, 1, Fraction(1, 2)]),
+    st.floats(0.0, 1.0),
+)
+
+
+@settings(max_examples=200)
+@given(PROBS)
+def test_binary_entropy_matches_oracle(p):
+    assert outcome(binary_entropy, p) == outcome(oracle_binary_entropy, p)
+
+
+@settings(max_examples=200)
+@given(PROBS, PROBS)
+def test_kl_bernoulli_matches_oracle(p, q):
+    assert outcome(kl_bernoulli, p, q) == outcome(oracle_kl_bernoulli, p, q)
+
+
+@settings(max_examples=300)
+@given(PROBS, PROBS, PROBS)
+def test_verify_split_entropy_matches_oracle(p, gamma, q):
+    assert outcome(verify_split_entropy, p, gamma, q) == outcome(
+        oracle_verify_split_entropy, p, gamma, q
+    )
+
+
+@pytest.mark.parametrize("side", [1, 2, 7, 16])
+def test_verify_split_entropy_matches_oracle_on_grids(side):
+    # every (p, gamma, q) on a grid with 0, 1 and a mix of infeasible splits
+    pts = [Fraction(k, side) for k in range(side + 1)]
+    for p in pts:
+        for gamma in pts:
+            for q in pts:
+                assert outcome(verify_split_entropy, p, gamma, q) == outcome(
+                    oracle_verify_split_entropy, p, gamma, q
+                )
+
+
+def test_split_precondition_message_names_both_sides():
+    with pytest.raises(PreconditionError) as info:
+        verify_split_entropy(Fraction(1), Fraction(1, 2), Fraction(1, 4))
+    assert str(info.value) == (
+        "split not realizable: p*gamma=8/16 vs q=1/4, (1-p)*gamma=0/16 vs 1-q=3/4"
+    )
+
+
+@pytest.mark.parametrize(
+    "population, ones, k, delta, seed",
+    [
+        (64, 32, 16, Fraction(1, 8), 0),
+        (64, 32, 16, Fraction(0), 3),
+        (100, 37, 20, Fraction(1, 10), 5),
+        (1024, 512, 64, Fraction(1, 10), 11),
+        (50, 50, 10, Fraction(1, 2), 2),
+        (40, 0, 8, Fraction(0), 9),
+        (30, 12, 30, Fraction(1, 5), 4),
+    ],
+)
+def test_hoeffding_hits_match_cdf_inversion(population, ones, k, delta, seed):
+    check = HoeffdingCheck(population, ones, k, delta, trials=10**4, seed=seed)
+    res = verify_hoeffding(check)
+    assert res.empirical_freq * check.trials == oracle_hoeffding_hits(check)
