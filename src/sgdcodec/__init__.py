@@ -49,19 +49,16 @@ from .harness import (
     verify_hoeffding,
 )
 from .model import (
-    AccuracyOracle,
     Dataset,
     Element,
     GeneratorSpec,
     Model,
-    accuracy,
     generate_dataset,
     loss_gradient,
     zero_model,
 )
 from .numerics import (
     DomainError,
-    FixedScalar,
     FixedVector,
     GridSpec,
     PreconditionError,
@@ -78,7 +75,6 @@ from .sgd_engine import (
     TrainingRun,
     draw_epoch_permutation,
     forward_step,
-    replay_epoch_permutation,
     reverse_epoch,
     reverse_step,
     run_epoch,

@@ -3,7 +3,8 @@
 Subcommands: run (train + encode + account + artifacts), verify (inequality
 and tail-bound suites), encode (manifest + epoch codes only), decode (decode
 each epoch code file on disk once and check it, and final_model.bin, against
-a rerun of training), report (print the summaries of an artifact directory).
+a rerun of training), report (print the summaries of an artifact directory,
+reading its files only).
 A flat key=value file can provide any flag's default; explicit flags win.
 SGDCODEC_OUT overrides the output directory.
 """
@@ -255,12 +256,8 @@ def cmd_report(args: argparse.Namespace) -> int:
     manifest_path = os.path.join(outdir, "manifest.json")
     spec = load_manifest(manifest_path)
     print(f"manifest: {manifest_path} mode={spec.mode} replications={spec.replications}")
-    found = False
     for r in range(spec.replications):
         path = os.path.join(outdir, f"rep_{r:02d}", "summary.json")
-        if not os.path.exists(path):
-            continue
-        found = True
         with open(path, "r", encoding="ascii") as fh:
             summary = json.load(fh)
         print(
@@ -272,9 +269,6 @@ def cmd_report(args: argparse.Namespace) -> int:
             f" t*={summary['projected_epoch_bound']}"
             f" conservation={'ok' if summary['conservation_ok'] else 'VIOLATED'}"
         )
-    if not found:
-        result = run_experiment(spec, None)
-        _print_run_result(result)
     return 0
 
 

@@ -40,7 +40,7 @@ from .sgd_engine import (
     reverse_epoch,
     reverse_step,
 )
-from .stable import stable_ln, stable_log2
+from .stable import LOG2_E, stable_ln, stable_log2
 
 ACCOUNTING = "ACCOUNTING"
 STRICT = "STRICT"
@@ -71,12 +71,14 @@ def _template(dataset: Dataset, config: RunConfig) -> Model:
     return zero_model(config.model_kind, dataset.dim, config.grid, config.hidden_width)
 
 
-def _check_strict_scale(config: RunConfig, dataset: Dataset) -> None:
-    n, d, s = dataset.n, config.d, config.grid.scale
-    if n > STRICT_MAX_N or d > STRICT_MAX_D or s > STRICT_MAX_SCALE:
-        raise CodecError(
-            f"STRICT mode refused at n={n}, d={d}, scale={s}: reverse search "
-            f"is only feasible up to n={STRICT_MAX_N}, d={STRICT_MAX_D}, "
+def check_strict_limits(
+    n: int, d: int, scale: int, error: type[Exception] = CodecError
+) -> None:
+    """Raises ``error`` unless the STRICT reverse search fits this shape."""
+    if n > STRICT_MAX_N or d > STRICT_MAX_D or scale > STRICT_MAX_SCALE:
+        raise error(
+            f"STRICT mode refused at n={n}, d={d}, scale={scale}: reverse "
+            f"search is only feasible up to n={STRICT_MAX_N}, d={STRICT_MAX_D}, "
             f"scale={STRICT_MAX_SCALE}"
         )
 
@@ -169,9 +171,6 @@ class EpochCode:
         return sum(w for label, w in self.segments if label == "model")
 
 
-_LOG2_E = 1 / stable_ln(2)
-
-
 def epoch_target_bits(n: int, num_batches: int, beta: Fraction) -> float:
     """Per-epoch compression target: n*(log2(n/e) - beta^3/512) plus slack.
 
@@ -179,7 +178,7 @@ def epoch_target_bits(n: int, num_batches: int, beta: Fraction) -> float:
     Stirling correction the exact stream carries.
     """
     log2_n = stable_log2(n)
-    main = n * (log2_n - _LOG2_E) - float(Fraction(n) * beta**3 / 512)
+    main = n * (log2_n - LOG2_E) - float(Fraction(n) * beta**3 / 512)
     return main + 4.0 * (num_batches + 2) * log2_n
 
 
@@ -211,7 +210,7 @@ def encode_epoch(
     if not trace.completed:
         raise CodecError("cannot encode an incomplete epoch")
     if mode == STRICT:
-        _check_strict_scale(config, dataset)
+        check_strict_limits(dataset.n, config.d, config.grid.scale)
     if beta is None:
         beta = config.progress_floor
     selector = select_case(trace, beta)
@@ -381,7 +380,7 @@ def decode_epoch(
     stream = code.stream if isinstance(code, EpochCode) else code
     stream.reset_cursor()
     if side.mode == STRICT:
-        _check_strict_scale(config, dataset)
+        check_strict_limits(dataset.n, config.d, config.grid.scale)
         if side.final_weights is None:
             raise CodecError("STRICT decode needs the final weights")
     elif side.mode == ACCOUNTING:
@@ -631,7 +630,7 @@ def epoch_accounting(
             total += b * stable_log2(j * b) - float(2 * b * delta**2)
             total += 2 * ceil_log2(b + 1) + 2
             total += ceil_log2(math.factorial(b)) - (
-                b * (stable_log2(b) - _LOG2_E)
+                b * (stable_log2(b) - LOG2_E)
             )
         backward_bound = total
         backward_ok = payload <= backward_bound

@@ -29,9 +29,6 @@ from .codec import (
 from .epoch_codec import (
     ACCOUNTING,
     STRICT,
-    STRICT_MAX_D,
-    STRICT_MAX_N,
-    STRICT_MAX_SCALE,
     AccountRow,
     CeilingVerdict,
     CSV_FIELDS,
@@ -39,6 +36,7 @@ from .epoch_codec import (
     SideInfo,
     account_row_csv,
     check_eps_beta_ceiling,
+    check_strict_limits,
     decode_epoch,
     encode_epoch,
     epoch_accounting,
@@ -61,7 +59,7 @@ from .sgd_engine import (
     vector_to_bytes,
     write_trace_csv,
 )
-from .stable import stable_entropy, stable_exp, stable_log2
+from .stable import LOG2_E, stable_entropy, stable_exp, stable_log2
 
 MANIFEST_FORMAT = "sgdcodec-run-v1"
 
@@ -81,15 +79,7 @@ class ExperimentSpec:
             raise DomainError(f"unknown mode {self.mode!r}")
         if self.mode == STRICT:
             c = self.config
-            if (
-                c.n > STRICT_MAX_N
-                or c.d > STRICT_MAX_D
-                or c.grid.scale > STRICT_MAX_SCALE
-            ):
-                raise DomainError(
-                    f"STRICT experiments are limited to n<={STRICT_MAX_N}, "
-                    f"d<={STRICT_MAX_D}, scale<={STRICT_MAX_SCALE}"
-                )
+            check_strict_limits(c.n, c.d, c.grid.scale, DomainError)
 
     def to_dict(self) -> dict:
         return {
@@ -217,27 +207,6 @@ def write_report_csv(rows: Sequence[AccountRow], path: str) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def emit_plots_data(rows: Sequence[AccountRow], path: str) -> None:
-    """Per-epoch series for external plotting; savings recomputed per row."""
-    lines = ["epoch,case,measured_bits,baseline_bits,epoch_bound_bits,beta_hat,savings_bits"]
-    for r in rows:
-        lines.append(
-            ",".join(
-                [
-                    str(r.epoch),
-                    r.case,
-                    str(r.measured_bits),
-                    str(r.baseline_bits),
-                    repr(r.epoch_bound_bits),
-                    _frac_str(r.beta_hat),
-                    str(r.savings_bits),
-                ]
-            )
-        )
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
 @dataclass
 class ReplicationResult:
     index: int
@@ -271,7 +240,6 @@ def run_experiment(spec: ExperimentSpec, outdir: Optional[str] = None) -> Experi
     dataset = generate_dataset(spec.config.generator, spec.config.grid)
     if outdir is not None:
         os.makedirs(outdir, exist_ok=True)
-        os.makedirs(os.path.join(outdir, "plots"), exist_ok=True)
         with open(os.path.join(outdir, "manifest.json"), "w", encoding="ascii") as fh:
             fh.write(_json_bytes(spec.to_dict()))
         with open(os.path.join(outdir, "dataset.tsv"), "w", encoding="ascii") as fh:
@@ -344,7 +312,6 @@ def _write_replication(
     summary["final_accuracy"] = _frac_str(run.final_accuracy)
     with open(os.path.join(rep_dir, "summary.json"), "w", encoding="ascii") as fh:
         fh.write(_json_bytes(summary))
-    emit_plots_data(report.rows, os.path.join(outdir, "plots", f"rep_{index:02d}.csv"))
 
 
 def load_manifest(path: str) -> ExperimentSpec:
@@ -460,7 +427,7 @@ def _sweep_entropy_upper(points: int) -> SuiteRow:
     worst = -1.0
     for k in range(1, points + 1):
         lhs = _entropy(k, points)
-        rhs = k / points * (stable_log2(Fraction(points, k)) + 1 / math.log(2))
+        rhs = k / points * (stable_log2(Fraction(points, k)) + LOG2_E)
         worst = max(worst, lhs - rhs)
     return SuiteRow("entropy-vs-plog2ep", points, 0, worst, 1e-9, worst <= 1e-9)
 
@@ -505,7 +472,7 @@ def _sweep_stirling(sizes: Sequence[int]) -> SuiteRow:
     worst = 0.0
     for n in sizes:
         exact = stable_log2(math.factorial(n))
-        approx = n * (stable_log2(n) - 1 / math.log(2)) + 0.5 * stable_log2(two_pi * n)
+        approx = n * (stable_log2(n) - LOG2_E) + 0.5 * stable_log2(two_pi * n)
         worst = max(worst, abs(exact - approx))
     return SuiteRow("stirling-log2-factorial", len(sizes), 0, worst, 0.1, worst <= 0.1)
 

@@ -8,8 +8,9 @@ power-of-two denominators fixed by the grid scale (the batch mean adds a
 factor of the batch size), so a gradient is a deterministic function of
 (weights, batch) with a single round-half-even division at the end of each
 step.  The Fraction-valued functions are views of the same numerators.
-Accuracy is an exact rational: correct count over subset size, with the
-prediction rule score > 0 -> label 1.
+Classification goes through one sweep, ``correctness_vector`` (packed into an
+int by ``correctness_mask``), with the prediction rule score > 0 -> label 1;
+accuracies are popcounts of those masks.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence
 
 from .numerics import (
     DomainError,
@@ -36,10 +37,6 @@ from .stable import stable_sigmoid_float
 
 MODEL_KINDS = ("logistic-linear", "one-hidden-layer")
 FAMILIES = ("separable-margin", "two-gaussians", "random-labels", "one-hot")
-
-
-class EmptySubsetError(ValueError):
-    """Accuracy of an empty subset is undefined."""
 
 
 @dataclass(frozen=True)
@@ -148,9 +145,6 @@ class Dataset:
     @property
     def ids(self) -> tuple[int, ...]:
         return tuple(range(self.n))
-
-    def element(self, eid: int) -> Element:
-        return self.elements[eid]
 
     def subset(self, ids: Iterable[int]) -> tuple[Element, ...]:
         """Elements for the given ids, ascending by id."""
@@ -393,17 +387,6 @@ class Model:
         v = w[self.width * self.dim :]
         return [_dot(v, self._hidden(x)[1]) for x in xs]
 
-    def score(self, el: Element) -> Fraction:
-        """Pre-activation of the output unit; prediction is score > 0."""
-        exp = (2 if self.kind == "logistic-linear" else 4) * self.grid.scale
-        return Fraction(self._scores([self._features(el)])[0], 1 << exp)
-
-    def predict(self, el: Element) -> int:
-        return 1 if self._scores([self._features(el)])[0] > 0 else 0
-
-    def correct(self, el: Element) -> int:
-        return 1 if self.predict(el) == el.label else 0
-
 
 def zero_model(kind: str, dim: int, grid: GridSpec, width: int = 0) -> Model:
     d = dim if kind == "logistic-linear" else width * dim + width
@@ -471,35 +454,6 @@ def loss_gradient(model: Model, batch: Sequence[Element]) -> FixedVector:
     if any(r < lo or r > hi for r in raws):
         raise SaturationError("gradient coordinate clipped during quantization")
     return FixedVector(raws, grid)
-
-
-def accuracy(model: Model, subset: Sequence[Element]) -> Fraction:
-    """Exact accuracy of the model on a nonempty element sequence."""
-    if not subset:
-        raise EmptySubsetError("accuracy of an empty subset")
-    return Fraction(sum(model.correct(el) for el in subset), len(subset))
-
-
-class AccuracyOracle:
-    """Memoized per-element correctness of one fixed model snapshot.
-
-    Callable with an element id (or an Element); returns 1 if the snapshot
-    classifies it correctly.  This is the shared classifier the conditional
-    set codec conditions on.
-    """
-
-    def __init__(self, model: Model, dataset: Dataset) -> None:
-        self.model = model
-        self.dataset = dataset
-        self._memo: dict[int, int] = {}
-
-    def __call__(self, item: Union[int, Element]) -> int:
-        eid = item.eid if isinstance(item, Element) else item
-        hit = self._memo.get(eid)
-        if hit is None:
-            hit = self.model.correct(self.dataset.element(eid))
-            self._memo[eid] = hit
-        return hit
 
 
 def correctness_vector(model: Model, dataset: Dataset) -> list[int]:

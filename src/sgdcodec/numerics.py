@@ -1,4 +1,4 @@
-"""Deterministic fixed-point scalars/vectors and entropy helpers.
+"""Fixed-point grid vectors, exact rounding, and entropy helpers.
 
 All quantities that feed the codecs live on a shared dyadic grid: a value is
 an integer mantissa times 2**-scale, clipped to a symmetric range.  Grid
@@ -86,10 +86,6 @@ class GridSpec:
         return (self.clip << self.scale) - 1
 
     @property
-    def step(self) -> Fraction:
-        return Fraction(1, self.unit)
-
-    @property
     def coord_bits(self) -> int:
         """Bits needed to address one grid coordinate exactly."""
         count = self.raw_max - self.raw_min + 1
@@ -101,60 +97,6 @@ class GridSpec:
         if raw > self.raw_max:
             return self.raw_max, True
         return raw, False
-
-    def quantize(self, value: Rational) -> "FixedScalar":
-        """Nearest grid point, ties to even mantissa, saturating at the clip range."""
-        raw = round_half_even(Fraction(value) * self.unit)
-        raw, sat = self.clamp_raw(raw)
-        return FixedScalar(raw, self, sat)
-
-
-@dataclass(frozen=True)
-class FixedScalar:
-    """One grid value.  ``saturated`` records whether clipping ever occurred upstream."""
-
-    raw: int
-    grid: GridSpec
-    saturated: bool = False
-
-    @property
-    def value(self) -> Fraction:
-        return Fraction(self.raw, self.grid.unit)
-
-    def __float__(self) -> float:
-        return self.raw / self.grid.unit
-
-    def _join(self, other: "FixedScalar") -> GridSpec:
-        if self.grid != other.grid:
-            raise DomainError("operands live on different grids")
-        return self.grid
-
-    def __add__(self, other: "FixedScalar") -> "FixedScalar":
-        grid = self._join(other)
-        raw, sat = grid.clamp_raw(self.raw + other.raw)
-        return FixedScalar(raw, grid, sat or self.saturated or other.saturated)
-
-    def __sub__(self, other: "FixedScalar") -> "FixedScalar":
-        grid = self._join(other)
-        raw, sat = grid.clamp_raw(self.raw - other.raw)
-        return FixedScalar(raw, grid, sat or self.saturated or other.saturated)
-
-    def __neg__(self) -> "FixedScalar":
-        raw, sat = self.grid.clamp_raw(-self.raw)
-        return FixedScalar(raw, self.grid, sat or self.saturated)
-
-    def __mul__(self, other: "FixedScalar") -> "FixedScalar":
-        grid = self._join(other)
-        raw, sat = grid.clamp_raw(div_round_half_even(self.raw * other.raw, grid.unit))
-        return FixedScalar(raw, grid, sat or self.saturated or other.saturated)
-
-    def __lt__(self, other: "FixedScalar") -> bool:
-        self._join(other)
-        return self.raw < other.raw
-
-    def __le__(self, other: "FixedScalar") -> bool:
-        self._join(other)
-        return self.raw <= other.raw
 
 
 @dataclass(frozen=True)
@@ -172,25 +114,25 @@ class FixedVector:
     def values(self) -> tuple[Fraction, ...]:
         return tuple(Fraction(r, self.grid.unit) for r in self.raws)
 
-    def gd_update(self, step_size: FixedScalar, gradient: "FixedVector") -> "FixedVector":
-        """One descent update: self - step_size * gradient, coordinatewise fixed mul.
+    def gd_update(self, step_raw: int, gradient: "FixedVector") -> "FixedVector":
+        """One descent update: self - step * gradient, step = step_raw * 2**-scale.
 
         Each product step_raw * g_raw is a numerator over 2**(2*scale), put
         back onto the grid by one round-half-even division by 2**scale.
         """
-        if step_size.grid != self.grid or gradient.grid != self.grid:
+        if gradient.grid != self.grid:
             raise DomainError("operands live on different grids")
         if len(gradient) != len(self):
             raise DomainError("dimension mismatch")
-        sat = self.saturated or gradient.saturated or step_size.saturated
         grid = self.grid
-        step, unit, lo, hi = step_size.raw, grid.unit, grid.raw_min, grid.raw_max
+        unit, lo, hi = grid.unit, grid.raw_min, grid.raw_max
         raws = tuple(
-            w - div_round_half_even(step * g, unit)
+            w - div_round_half_even(step_raw * g, unit)
             for w, g in zip(self.raws, gradient.raws)
         )
         clipped = tuple(min(max(r, lo), hi) for r in raws)
-        return FixedVector(clipped, grid, sat or clipped != raws)
+        sat = self.saturated or gradient.saturated or clipped != raws
+        return FixedVector(clipped, grid, sat)
 
 
 def quantize_vector(values: Sequence[Rational], grid: GridSpec) -> FixedVector:
@@ -206,25 +148,6 @@ def quantize_vector(values: Sequence[Rational], grid: GridSpec) -> FixedVector:
 
 def zero_vector(dim: int, grid: GridSpec) -> FixedVector:
     return FixedVector((0,) * dim, grid)
-
-
-@dataclass(frozen=True)
-class ProbGrid:
-    """A finite list of rational probabilities used by the inequality sweeps."""
-
-    points: tuple[Fraction, ...]
-
-    def __post_init__(self) -> None:
-        for p in self.points:
-            if p < 0 or p > 1:
-                raise DomainError(f"probability {p} outside [0, 1]")
-
-    @classmethod
-    def uniform(cls, count: int) -> "ProbGrid":
-        """k/count for k = 1..count, i.e. a uniform grid of (0, 1]."""
-        if count < 1:
-            raise DomainError("count must be >= 1")
-        return cls(tuple(Fraction(k, count) for k in range(1, count + 1)))
 
 
 def _numerators(*values: Rational) -> tuple[list[int], int]:
@@ -292,19 +215,6 @@ def kl_bernoulli(p: Rational, q: Rational) -> float:
     return _kl(a, c, n)
 
 
-def verify_entropy_upper(grid: ProbGrid) -> float:
-    """Worst violation of h(p) <= p * log2(e/p) over the grid (<= 0 means it holds)."""
-    worst = float("-inf")
-    for p in grid.points:
-        if p == 0:
-            diff = 0.0
-        else:
-            x = float(p)
-            diff = binary_entropy(p) - x * math.log2(math.e / x)
-        worst = max(worst, diff)
-    return worst
-
-
 def verify_split_entropy(p: Rational, gamma: Rational, q: Rational) -> float:
     """Slack of the two-block entropy split bound.
 
@@ -317,23 +227,3 @@ def verify_split_entropy(p: Rational, gamma: Rational, q: Rational) -> float:
         if v < 0 or v > n:
             raise DomainError(f"{name}={Fraction(v, n)} outside [0, 1]")
     return _split_slack(a, g, c, n)
-
-
-def log2_of_int(x: int) -> float:
-    """log2 of a positive big integer, max error well below 1e-9."""
-    if x <= 0:
-        raise DomainError("argument must be positive")
-    bits = x.bit_length()
-    if bits <= 53:
-        return math.log2(x)
-    shift = bits - 53
-    return shift + math.log2(x >> shift)
-
-
-def log2_factorial(n: int) -> float:
-    """log2(n!) from the exact big-integer factorial."""
-    if n < 0:
-        raise DomainError("factorial of a negative number")
-    if n <= 1:
-        return 0.0
-    return log2_of_int(math.factorial(n))

@@ -1,7 +1,7 @@
 """Deterministic epoch SGD: shuffling, forward steps, statistics, reverse search.
 
-The per-epoch random tape is the exact bit string consumed while drawing the
-Fisher-Yates permutation from a splitmix64 stream, so a trace pins down every
+Each epoch's visit order is a Fisher-Yates permutation drawn from a
+splitmix64 stream keyed by (seed, epoch), so a run config pins down every
 random choice.  The reverse oracle recovers the unique predecessor of a step
 by exhaustive search over the grid ball that the update rule can reach.
 """
@@ -15,7 +15,6 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterator, Optional, Sequence
 
-from .codec import BitStream
 from .model import (
     Dataset,
     GeneratorSpec,
@@ -29,7 +28,6 @@ from .model import (
 )
 from .numerics import (
     DomainError,
-    FixedScalar,
     FixedVector,
     GridSpec,
     PreconditionError,
@@ -70,14 +68,13 @@ def splitmix64(state: int) -> tuple[int, int]:
 
 
 class BitTape:
-    """MSB-first bit source backed by splitmix64, recording every bit consumed."""
+    """MSB-first bit source backed by splitmix64."""
 
     def __init__(self, seed: int, epoch: int) -> None:
         # Distinct epochs get well-separated streams via a golden-ratio offset.
         self._state = (seed + epoch * GOLDEN64) & MASK64
         self._buf = 0
         self._buf_len = 0
-        self.consumed = BitStream()
 
     def take(self, width: int) -> int:
         if width < 0:
@@ -90,32 +87,7 @@ class BitTape:
         value = self._buf >> shift
         self._buf &= (1 << shift) - 1
         self._buf_len = shift
-        self.consumed.write_uint(value, width)
         return value
-
-
-class ReplayTape:
-    """Bit source that replays a previously recorded tape."""
-
-    def __init__(self, tape: BitStream) -> None:
-        self._stream = tape.copy()
-        self.consumed = self._stream
-
-    def take(self, width: int) -> int:
-        return self._stream.read_uint(width)
-
-
-@dataclass(frozen=True)
-class EpochPermutation:
-    """Visit order for one epoch plus the exact random bits that produced it."""
-
-    epoch: int
-    order: tuple[int, ...]
-    source_bits: BitStream
-
-    @property
-    def n(self) -> int:
-        return len(self.order)
 
 
 def draw_permutation(n: int, source) -> tuple[int, ...]:
@@ -135,19 +107,9 @@ def draw_permutation(n: int, source) -> tuple[int, ...]:
     return tuple(arr)
 
 
-def draw_epoch_permutation(n: int, seed: int, epoch: int) -> EpochPermutation:
-    tape = BitTape(seed, epoch)
-    order = draw_permutation(n, tape)
-    return EpochPermutation(epoch, order, tape.consumed)
-
-
-def replay_epoch_permutation(n: int, epoch: int, bits: BitStream) -> EpochPermutation:
-    """Rebuild the permutation from a recorded tape; must consume it exactly."""
-    tape = ReplayTape(bits)
-    order = draw_permutation(n, tape)
-    if tape.consumed.bits_remaining() != 0:
-        raise DomainError("tape longer than the permutation draw consumes")
-    return EpochPermutation(epoch, order, bits)
+def draw_epoch_permutation(n: int, seed: int, epoch: int) -> tuple[int, ...]:
+    """The visit order of one epoch, drawn from the (seed, epoch) stream."""
+    return draw_permutation(n, BitTape(seed, epoch))
 
 
 @dataclass(frozen=True)
@@ -204,10 +166,6 @@ class RunConfig:
     @property
     def num_batches(self) -> int:
         return self.n // self.batch_size
-
-    @property
-    def step(self) -> FixedScalar:
-        return FixedScalar(self.step_raw, self.grid)
 
     @property
     def progress_floor(self) -> Fraction:
@@ -284,7 +242,7 @@ def check_step_smoothness(config: RunConfig, dataset: Dataset) -> Fraction:
         return Fraction(0)
     quarter_l, _ = analytic_logistic_smoothness(dataset)
     l_bound = 4 * quarter_l * sigmoid_table_max_slope(config.grid.scale)
-    product = config.step.value * l_bound
+    product = Fraction(config.step_raw, config.grid.unit) * l_bound
     if product >= 1:
         raise PreconditionError(
             f"step*smoothness = {product} >= 1; reverse uniqueness not guaranteed"
@@ -415,10 +373,13 @@ def _record_checkpoint(trace: EpochTrace, model: Model, dataset: Dataset) -> Fra
     return Fraction(mask.bit_count(), trace.n)
 
 
-def forward_step(model: Model, batch, step: FixedScalar) -> tuple[Model, FixedVector]:
-    """One GD step; returns the new model and the quantized gradient applied."""
+def forward_step(model: Model, batch, step_raw: int) -> tuple[Model, FixedVector]:
+    """One GD step of size step_raw * 2**-scale.
+
+    Returns the new model and the quantized gradient applied.
+    """
     grad = loss_gradient(model, batch)
-    new_weights = model.weights.gd_update(step, grad)
+    new_weights = model.weights.gd_update(step_raw, grad)
     if new_weights.saturated:
         raise SaturationError("weight update clipped")
     return model.with_weights(new_weights), grad
@@ -428,8 +389,8 @@ def run_epoch(
     model: Model, dataset: Dataset, config: RunConfig, epoch: int
 ) -> tuple[EpochTrace, Model]:
     """Runs one epoch; the trace stops early on termination or saturation."""
-    perm = draw_epoch_permutation(dataset.n, config.seed, epoch)
-    trace = EpochTrace(epoch, config.batch_size, perm.order)
+    order = draw_epoch_permutation(dataset.n, config.seed, epoch)
+    trace = EpochTrace(epoch, config.batch_size, order)
     lam = _record_checkpoint(trace, model, dataset)
     batches = trace.batches
     for j in range(1, config.num_batches + 1):
@@ -439,7 +400,7 @@ def run_epoch(
             break
         batch = dataset.subset(batches[j - 1])
         try:
-            model, _ = forward_step(model, batch, config.step)
+            model, _ = forward_step(model, batch, config.step_raw)
         except SaturationError:
             trace.saturated = True
             break
@@ -499,14 +460,14 @@ def _sqrt_upper(d: int) -> Fraction:
     return Fraction(root + 1, scale)
 
 
-def reverse_radius_raw(step: FixedScalar, g_bound: Fraction, d: int) -> int:
+def reverse_radius_raw(step_raw: int, unit: int, g_bound: Fraction, d: int) -> int:
     """Search ball radius in raw grid units around the post-step point.
 
     Covers step*G plus the half-step wobble that gradient quantization and
     the update rounding can each add per coordinate.
     """
     half = _sqrt_upper(d) / 2
-    reach = step.value * (g_bound * step.grid.unit + half) + half
+    reach = Fraction(step_raw, unit) * (g_bound * unit + half) + half
     return math.ceil(reach)
 
 
@@ -547,7 +508,7 @@ def reverse_step(
     required; zero or several raise.
     """
     grid = target.grid
-    radius = reverse_radius_raw(config.step, g_bound, len(target))
+    radius = reverse_radius_raw(config.step_raw, grid.unit, g_bound, len(target))
     if ball_candidate_count(len(target), radius) > config.ball_cap:
         raise ReverseSearchInfeasible(
             f"search cube holds more than {config.ball_cap} candidates",
@@ -562,7 +523,7 @@ def reverse_step(
         candidate = FixedVector(raws, grid)
         try:
             stepped, _ = forward_step(
-                model_template.with_weights(candidate), batch, config.step
+                model_template.with_weights(candidate), batch, config.step_raw
             )
         except SaturationError:
             continue

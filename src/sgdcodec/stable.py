@@ -53,6 +53,9 @@ def stable_ln(x: Number) -> float:
         return float(mpmath.log(_to_mp(f)))
 
 
+LOG2_E = 1 / stable_ln(2)
+
+
 def stable_exp(x: Number) -> float:
     """exp of a rational, for tail-probability bounds."""
     with mpmath.workdps(_PREC_DPS):

@@ -147,7 +147,7 @@ def test_criterion_03_reverse_step_unique_over_full_grid(capsys):
         for w in range(grid.raw_min, grid.raw_max + 1):
             start = model_from_weights("logistic-linear", FixedVector((w,), grid), 1)
             try:
-                nxt, _ = forward_step(start, batch, cfg.step)
+                nxt, _ = forward_step(start, batch, cfg.step_raw)
             except SaturationError:
                 saturated += 1
                 continue

@@ -85,7 +85,6 @@ def test_run_experiment_writes_artifacts(tmp_path):
     for rel in (
         "manifest.json",
         "dataset.tsv",
-        "plots/rep_00.csv",
         "rep_00/trace.csv",
         "rep_00/final_model.bin",
         "rep_00/report.csv",
@@ -246,6 +245,16 @@ def test_cli_run_and_report(tmp_path, capsys):
     assert "rep 00:" in text and "artifacts written" in text
     assert main(["report", "--dir", out]) == 0
     assert "conservation=ok" in capsys.readouterr().out
+
+
+def test_cli_report_reads_artifacts_only(tmp_path, capsys):
+    # a manifest without any rep_NN/summary.json is an error, not a rerun
+    out = tmp_path / "exp"
+    out.mkdir()
+    (out / "manifest.json").write_text(json.dumps(plateau_spec().to_dict()))
+    assert main(["report", "--dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "summary.json" in err
 
 
 def test_cli_decode_detects_tampering(tmp_path, capsys):

@@ -29,7 +29,7 @@ from sgdcodec.model import (
     model_from_weights,
     zero_model,
 )
-from sgdcodec.numerics import FixedScalar, FixedVector, GridSpec, SaturationError
+from sgdcodec.numerics import FixedVector, GridSpec, SaturationError
 
 SCALES = (4, 6, 16)
 FAMILIES = ("random-labels", "two-gaussians", "one-hot")
@@ -170,7 +170,7 @@ def test_integer_kernel_matches_fraction_oracle(case):
     model, dataset, batch, grad, step_raw = case
     assert_kernel_matches(model, dataset, batch)
     grid = model.grid
-    updated = model.weights.gd_update(FixedScalar(step_raw, grid), FixedVector(grad, grid))
+    updated = model.weights.gd_update(step_raw, FixedVector(grad, grid))
     assert (updated.raws, updated.saturated) == oracle_update(
         model.weights.raws, step_raw, grad, grid
     )
@@ -222,6 +222,6 @@ def test_half_even_ties(scale):
     # step 1/2 times odd gradient raws lands halfway between two updates
     w = FixedVector((0, 0, 0, 0), grid)
     grad = FixedVector((1, -1, 3, -3), grid)
-    step = FixedScalar(grid.unit // 2, grid)
-    assert w.gd_update(step, grad).raws == (0, 0, -2, 2)
-    assert w.gd_update(step, grad).raws == oracle_update(w.raws, step.raw, grad.raws, grid)[0]
+    step_raw = grid.unit // 2
+    assert w.gd_update(step_raw, grad).raws == (0, 0, -2, 2)
+    assert w.gd_update(step_raw, grad).raws == oracle_update(w.raws, step_raw, grad.raws, grid)[0]

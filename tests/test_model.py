@@ -10,15 +10,11 @@ import pytest
 
 from conftest import manual_dataset, one_hot_dataset
 from sgdcodec.model import (
-    AccuracyOracle,
     Dataset,
-    EmptySubsetError,
     GeneratorSpec,
     KNOT_BITS,
     Z_MAX,
-    accuracy,
     analytic_logistic_smoothness,
-    correctness_vector,
     generate_dataset,
     gradient_exact,
     loss_gradient,
@@ -250,36 +246,6 @@ def test_hidden_model_gradient_shape():
     assert len(grad) == 3 * 2 + 3
     # zero hidden weights: output residual only reaches the output layer
     assert all(g == 0 for g in grad[:6])
-
-
-def test_accuracy_decomposition_identity():
-    ds = generate_dataset(GeneratorSpec(family="random-labels", n=32, dim=3, seed=7), GRID)
-    model = zero_model("logistic-linear", 3, GRID)
-    rng = random.Random(1)
-    ids = list(range(32))
-    rng.shuffle(ids)
-    for cut in (1, 8, 17, 31):
-        left = ds.subset(ids[:cut])
-        right = ds.subset(ids[cut:])
-        total = accuracy(model, ds.elements)
-        mix = (cut * accuracy(model, left) + (32 - cut) * accuracy(model, right)) / 32
-        assert total == mix
-
-
-def test_accuracy_empty_subset_error():
-    model = zero_model("logistic-linear", 3, GRID)
-    with pytest.raises(EmptySubsetError):
-        accuracy(model, [])
-
-
-def test_accuracy_oracle_memoizes_and_agrees():
-    ds = generate_dataset(GeneratorSpec(family="two-gaussians", n=20, dim=2, seed=2), GRID)
-    model = zero_model("logistic-linear", 2, GRID)
-    oracle = AccuracyOracle(model, ds)
-    cv = correctness_vector(model, ds)
-    assert [oracle(i) for i in range(20)] == cv
-    assert oracle(ds.element(3)) == cv[3]
-    assert len(oracle._memo) == 20
 
 
 def test_analytic_smoothness_bounds():

@@ -9,20 +9,16 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+from sgdcodec.harness import _sweep_entropy_upper
 from sgdcodec.numerics import (
     DomainError,
-    FixedScalar,
     FixedVector,
     GridSpec,
     PreconditionError,
-    ProbGrid,
     binary_entropy,
     kl_bernoulli,
-    log2_factorial,
-    log2_of_int,
     quantize_vector,
     round_half_even,
-    verify_entropy_upper,
     verify_split_entropy,
     zero_vector,
 )
@@ -69,7 +65,6 @@ def test_grid_spec_defaults():
     assert g.raw_max == (64 << 16) - 1
     # 2 * 64 * 2^16 representable raws need 23 bits
     assert g.coord_bits == 23
-    assert g.step == Fraction(1, 1 << 16)
 
 
 def test_grid_spec_small():
@@ -88,39 +83,24 @@ def test_grid_spec_rejects_bad_params():
 
 def test_quantize_round_half_even_on_grid():
     g = GridSpec(scale=6, clip=4)
-    assert g.quantize(Fraction(3, 128)).raw == 2  # 1.5 raw, tie to even
-    assert g.quantize(Fraction(5, 128)).raw == 2  # 2.5 raw, tie to even
-    assert g.quantize(Fraction(1, 3)).raw == 21
-    assert g.quantize(Fraction(-1, 3)).raw == -21
+    values = (Fraction(3, 128), Fraction(5, 128), Fraction(1, 3), Fraction(-1, 3))
+    # 1.5 and 2.5 raw tie to even
+    assert quantize_vector(values, g).raws == (2, 2, 21, -21)
 
 
 def test_quantize_clamps_and_flags():
     g = GridSpec(scale=6, clip=4)
-    top = g.quantize(Fraction(100))
-    assert top.raw == g.raw_max and top.saturated
-    bottom = g.quantize(Fraction(-100))
-    assert bottom.raw == g.raw_min and bottom.saturated
-    assert not g.quantize(Fraction(1, 2)).saturated
-
-
-def test_fixed_scalar_mul_rounds_half_even():
-    g = GridSpec(scale=6, clip=4)
-    a = FixedScalar(3, g)   # 3/64
-    b = FixedScalar(32, g)  # 1/2 -> product 1.5 raw
-    assert (a * b).raw == 2
-    c = FixedScalar(5, g)
-    assert (c * b).raw == 2  # 2.5 raw ties to even
-
-
-def test_fixed_scalar_value():
-    g = GridSpec(scale=6, clip=4)
-    assert FixedScalar(-21, g).value == Fraction(-21, 64)
+    top = quantize_vector((Fraction(100),), g)
+    assert top.raws == (g.raw_max,) and top.saturated
+    bottom = quantize_vector((Fraction(-100),), g)
+    assert bottom.raws == (g.raw_min,) and bottom.saturated
+    assert not quantize_vector((Fraction(1, 2),), g).saturated
 
 
 def test_vector_update_and_saturation():
     g = GridSpec(scale=6, clip=4)
     w = FixedVector((0, 100), g)
-    step = FixedScalar(64, g)  # 1.0
+    step = 64  # 1.0
     grad = FixedVector((-64, 0), g)
     out = w.gd_update(step, grad)
     assert out.raws == (64, 100) and not out.saturated
@@ -134,14 +114,6 @@ def test_zero_and_quantize_vector():
     assert zero_vector(3, g).raws == (0, 0, 0)
     v = quantize_vector((Fraction(1, 2), Fraction(-1, 3)), g)
     assert v.raws == (32, -21)
-
-
-def test_prob_grid_uniform():
-    pg = ProbGrid.uniform(8)
-    assert pg.points[0] == Fraction(1, 8)
-    assert pg.points[-1] == Fraction(1)
-    assert Fraction(0) not in pg.points
-    assert len(pg.points) == 8
 
 
 def test_binary_entropy_frozen_values():
@@ -183,16 +155,15 @@ def test_entropy_in_unit_interval(pq):
 
 
 def test_log2_of_int_and_factorial():
-    assert log2_of_int(1024) == 10.0
-    assert log2_of_int(1) == 0.0
-    assert log2_factorial(52) == pytest.approx(LOG2_FACT_52, abs=1e-9)
-    assert log2_factorial(1) == 0.0
+    assert stable_log2(1024) == 10.0
+    assert stable_log2(1) == 0.0
     assert stable_log2(math.factorial(52)) == pytest.approx(LOG2_FACT_52, abs=1e-9)
 
 
 def test_entropy_upper_check():
     # h(p) <= p * log2(e / p): worst signed violation stays at float noise
-    assert verify_entropy_upper(ProbGrid.uniform(256)) <= 1e-9
+    row = _sweep_entropy_upper(256)
+    assert row.cases == 256 and row.passed
 
 
 def test_split_entropy_slack_nonnegative():

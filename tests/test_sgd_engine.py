@@ -5,11 +5,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
-import hypothesis.strategies as st
 
 from conftest import band_dataset, manual_dataset, one_hot_dataset
-from sgdcodec.codec import BitStream, CodecError
 from sgdcodec.model import (
     GeneratorSpec,
     analytic_logistic_smoothness,
@@ -18,7 +15,6 @@ from sgdcodec.model import (
 )
 from sgdcodec.numerics import (
     DomainError,
-    FixedScalar,
     FixedVector,
     GridSpec,
     PreconditionError,
@@ -28,7 +24,6 @@ from sgdcodec.sgd_engine import (
     GOLDEN64,
     MultiplePreimage,
     PreimageNotFound,
-    ReplayTape,
     ReverseSearchInfeasible,
     RunConfig,
     ball_candidate_count,
@@ -37,7 +32,6 @@ from sgdcodec.sgd_engine import (
     draw_permutation,
     forward_step,
     gradient_norm_bound,
-    replay_epoch_permutation,
     reverse_epoch,
     reverse_radius_raw,
     reverse_step,
@@ -88,7 +82,6 @@ def test_bit_tape_is_deterministic_and_epoch_separated():
     vc = [c.take(13) for _ in range(20)]
     assert va == vb
     assert va != vc
-    assert len(a.consumed) == 260
 
 
 def test_bit_tape_rejects_negative_width():
@@ -101,12 +94,9 @@ class ScriptedSource:
 
     def __init__(self, values):
         self.values = list(values)
-        self.consumed = BitStream()
 
     def take(self, width):
-        v = self.values.pop(0)
-        self.consumed.write_uint(v, width)
-        return v
+        return self.values.pop(0)
 
 
 def test_fisher_yates_scripted_draws():
@@ -121,35 +111,15 @@ def test_fisher_yates_scripted_draws():
 
 def test_draw_permutation_is_valid_and_replayable():
     for seed in range(5):
-        perm = draw_epoch_permutation(50, seed, epoch=3)
-        assert sorted(perm.order) == list(range(50))
-        again = replay_epoch_permutation(50, 3, perm.source_bits)
-        assert again.order == perm.order
-
-
-def test_replay_must_consume_entire_tape():
-    perm = draw_epoch_permutation(16, 9, epoch=1)
-    padded = perm.source_bits.copy()
-    padded.write_uint(0, 1)
-    with pytest.raises(DomainError):
-        replay_epoch_permutation(16, 1, padded)
-
-
-def test_replay_underrun_raises():
-    perm = draw_epoch_permutation(16, 9, epoch=1)
-    clipped = BitStream()
-    stream = perm.source_bits.copy()
-    total = len(stream)
-    for _ in range(total - 1):
-        clipped.write_uint(stream.read_uint(1), 1)
-    with pytest.raises(CodecError):
-        replay_epoch_permutation(16, 1, clipped)
+        order = draw_epoch_permutation(50, seed, epoch=3)
+        assert sorted(order) == list(range(50))
+        assert draw_epoch_permutation(50, seed, epoch=3) == order
 
 
 def test_permutation_uniformity_smoke():
     counts = {}
     for seed in range(4096):
-        order = draw_epoch_permutation(3, seed, epoch=1).order
+        order = draw_epoch_permutation(3, seed, epoch=1)
         counts[order] = counts.get(order, 0) + 1
     assert len(counts) == 6
     assert min(counts.values()) > 4096 / 6 * 0.7
@@ -239,7 +209,7 @@ def test_check_step_smoothness_uses_the_table_slope():
     ds = manual_dataset(GRID6, rows)
     cfg = band_config(ds, step_raw=GRID6.unit // 2, batch_size=2)
     quarter_l, _ = analytic_logistic_smoothness(ds)
-    assert cfg.step.value * quarter_l < 1
+    assert Fraction(cfg.step_raw, GRID6.unit) * quarter_l < 1
     with pytest.raises(PreconditionError):
         check_step_smoothness(cfg, ds)
 
@@ -270,8 +240,8 @@ def test_sqrt_upper_is_an_upper_bound():
 
 
 def test_reverse_radius_monotone_in_g():
-    step = FixedScalar(GRID.unit // 4, GRID)
-    radii = [reverse_radius_raw(step, Fraction(g), 3) for g in (1, 2, 5, 9)]
+    step_raw = GRID.unit // 4
+    radii = [reverse_radius_raw(step_raw, GRID.unit, Fraction(g), 3) for g in (1, 2, 5, 9)]
     assert radii == sorted(radii)
     assert all(r >= 1 for r in radii)
 
@@ -290,7 +260,7 @@ def test_reverse_step_inverts_forward_on_band():
     batch = ds.subset((0, 3, 7, 11))
     for w_raw in (-60, -10, 0, 17, 63):
         start = FixedVector((w_raw,), GRID6)
-        stepped, _ = forward_step(template.with_weights(start), batch, cfg.step)
+        stepped, _ = forward_step(template.with_weights(start), batch, cfg.step_raw)
         back = reverse_step(stepped.weights, batch, cfg, g, template)
         assert back.raws == start.raws
 
@@ -306,7 +276,7 @@ def test_reverse_step_detects_multiple_preimages():
     collision = None
     for w_raw in range(GRID6.raw_min + 8, GRID6.raw_max - 8):
         w = FixedVector((w_raw,), GRID6)
-        img = forward_step(template.with_weights(w), batch, cfg.step)[0].weights.raws
+        img = forward_step(template.with_weights(w), batch, cfg.step_raw)[0].weights.raws
         if img in images:
             collision = img
             break
@@ -368,11 +338,3 @@ def test_write_trace_csv_shape(tmp_path):
     assert lines[0].startswith("epoch,j,lambda")
     expect = sum(tr.steps_done + 1 for tr in run.traces)
     assert len(lines) == 1 + expect
-
-
-@settings(max_examples=40)
-@given(st.integers(2, 40), st.integers(0, 2**32))
-def test_permutation_replay_property(n, seed):
-    perm = draw_epoch_permutation(n, seed, epoch=2)
-    assert sorted(perm.order) == list(range(n))
-    assert replay_epoch_permutation(n, 2, perm.source_bits).order == perm.order
