@@ -205,9 +205,10 @@ def cmd_decode(args: argparse.Namespace) -> int:
     """Decodes each epoch code file once and checks it against a training rerun.
 
     Only training is rerun (no encode, prediction or accounting).  Every
-    ``.epc`` must decode to the rerun's visit order; in STRICT mode the
-    recovered checkpoint chain must also equal the rerun's.  Each
-    replication's ``final_model.bin`` must hold the rerun's final weights.
+    ``.epc`` must decode to the rerun's visit order, and the checkpoint chain
+    the decoder walked (in STRICT mode, recovered from the rerun's last
+    checkpoint alone) must equal the rerun's.  Each replication's
+    ``final_model.bin`` must hold the rerun's final weights.
     Returns 1 on any mismatch; unreadable or undecodable files raise, and
     ``main`` reports them with exit code 2.
     """
@@ -229,14 +230,11 @@ def cmd_decode(args: argparse.Namespace) -> int:
                 print(f"{path}: header mismatch")
                 failures += 1
                 continue
-            side = (
-                SideInfo.strict(trace.checkpoints[-1])
-                if spec.mode == STRICT
-                else SideInfo.accounting(trace.checkpoints)
+            decoded = decode_epoch(
+                stream, dataset, config, SideInfo.of(spec.mode, trace.checkpoints)
             )
-            decoded = decode_epoch(stream, dataset, config, side)
-            ok = decoded.order == trace.order and (
-                spec.mode != STRICT or decoded.chain_matches(trace.checkpoints)
+            ok = decoded.order == trace.order and decoded.chain_matches(
+                trace.checkpoints
             )
             failures += 0 if ok else 1
             print(f"rep {r:02d} epoch {epoch}: {'ok' if ok else 'MISMATCH'}")

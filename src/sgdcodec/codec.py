@@ -49,14 +49,6 @@ class BitStream:
         self._len = 0
         self._cursor = 0
 
-    @property
-    def length(self) -> int:
-        return self._len
-
-    @property
-    def cursor(self) -> int:
-        return self._cursor
-
     def write_uint(self, value: int, width: int) -> None:
         if width < 0:
             raise CodecError("negative width")
@@ -232,33 +224,22 @@ def perm_unrank(rank: int, base_ids: Sequence[int]) -> tuple[int, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class ClassifierSplit:
-    """A pool partitioned by a binary classifier: ones first, zeros second."""
-
-    ones: tuple[int, ...]
-    zeros: tuple[int, ...]
-
-    @classmethod
-    def from_classifier(cls, b_ids: Sequence[int], g: Callable[[int], int]) -> "ClassifierSplit":
-        _check_sorted_unique(b_ids, "pool")
-        ones, zeros = [], []
-        for e in b_ids:
-            (ones if g(e) else zeros).append(e)
-        return cls(tuple(ones), tuple(zeros))
+def _split_by_classifier(
+    b_ids: Sequence[int], g: Callable[[int], int]
+) -> tuple[list[int], list[int]]:
+    """Pool B partitioned by a binary classifier: (ones, zeros), each ascending."""
+    _check_sorted_unique(b_ids, "pool")
+    ones, zeros = [], []
+    for e in b_ids:
+        (ones if g(e) else zeros).append(e)
+    return ones, zeros
 
 
 @dataclass(frozen=True)
 class SetCodeInfo:
     """Exact widths of one conditional set encoding, for bit accounting."""
 
-    pool_size: int
-    subset_size: int
     size_header_bits: int
-    ones_pool: int
-    ones_picked: int
-    zeros_pool: int
-    zeros_picked: int
     rank_ones_bits: int
     rank_zeros_bits: int
 
@@ -280,32 +261,22 @@ def encode_set_conditional(
     half, each in its exact ceil(log2 C(...)) width.  The decoder must know B,
     g and |A|.
     """
-    split = ClassifierSplit.from_classifier(b_ids, g)
-    ones_set = set(split.ones)
+    ones, zeros = _split_by_classifier(b_ids, g)
+    ones_set = set(ones)
     a1 = tuple(e for e in a_ids if e in ones_set)
     a0 = tuple(e for e in a_ids if e not in ones_set)
     if len(a1) + len(a0) != len(a_ids):
         raise CodecError("subset ids not distinct")
     wh = ceil_log2(len(a_ids) + 1)
-    r1 = subset_rank(a1, split.ones)
-    r0 = subset_rank(a0, split.zeros)
-    w1 = ceil_log2(binomial(len(split.ones), len(a1)))
-    w0 = ceil_log2(binomial(len(split.zeros), len(a0)))
+    r1 = subset_rank(a1, ones)
+    r0 = subset_rank(a0, zeros)
+    w1 = ceil_log2(binomial(len(ones), len(a1)))
+    w0 = ceil_log2(binomial(len(zeros), len(a0)))
     stream.write_uint(len(a1), wh)
     stream.write_uint(len(a0), wh)
     stream.write_uint(r1, w1)
     stream.write_uint(r0, w0)
-    return SetCodeInfo(
-        pool_size=len(b_ids),
-        subset_size=len(a_ids),
-        size_header_bits=wh,
-        ones_pool=len(split.ones),
-        ones_picked=len(a1),
-        zeros_pool=len(split.zeros),
-        zeros_picked=len(a0),
-        rank_ones_bits=w1,
-        rank_zeros_bits=w0,
-    )
+    return SetCodeInfo(size_header_bits=wh, rank_ones_bits=w1, rank_zeros_bits=w0)
 
 
 def decode_set_conditional(
@@ -315,20 +286,20 @@ def decode_set_conditional(
     size: int,
 ) -> tuple[int, ...]:
     """Inverse of encode_set_conditional; returns the subset in ascending id order."""
-    split = ClassifierSplit.from_classifier(b_ids, g)
+    ones, zeros = _split_by_classifier(b_ids, g)
     wh = ceil_log2(size + 1)
     n1 = stream.read_uint(wh)
     n0 = stream.read_uint(wh)
     if n1 + n0 != size:
         raise CodecError(f"size headers {n1}+{n0} != {size}")
-    if n1 > len(split.ones) or n0 > len(split.zeros):
+    if n1 > len(ones) or n0 > len(zeros):
         raise CodecError("size header exceeds pool half")
-    w1 = ceil_log2(binomial(len(split.ones), n1))
-    w0 = ceil_log2(binomial(len(split.zeros), n0))
+    w1 = ceil_log2(binomial(len(ones), n1))
+    w0 = ceil_log2(binomial(len(zeros), n0))
     r1 = stream.read_uint(w1)
     r0 = stream.read_uint(w0)
-    a1 = subset_unrank(r1, split.ones, n1)
-    a0 = subset_unrank(r0, split.zeros, n0)
+    a1 = subset_unrank(r1, ones, n1)
+    a0 = subset_unrank(r0, zeros, n0)
     return tuple(sorted(a1 + a0))
 
 

@@ -4,9 +4,13 @@ An epoch's visit order is compressed against the training run itself.  When
 some prefix/suffix statistic diverges (seen vs unseen accuracy), the order is
 split at that point and the two halves are coded through the mid-epoch
 checkpoint classifier.  Otherwise the batches are coded last to first, each
-conditioned on the accuracy pattern of the model that had just stepped on it;
-in STRICT mode the decoder rebuilds those models itself by reverse search
-starting from the final weights only.
+conditioned on the accuracy pattern of the model that had just stepped on it.
+
+The decoder walks the epoch's checkpoint chain backward from one source, a
+``SideInfo`` whose checkpoints end with the epoch's last one.  ACCOUNTING
+hands over the whole chain and the walk looks each checkpoint up; STRICT
+hands over the last checkpoint alone and the walk rebuilds every earlier one
+by reverse search.
 
 Every field has a declared width and the total is checked against an
 independent width prediction derived from trace statistics alone, so the
@@ -125,27 +129,44 @@ def choose_split_side(trace: EpochTrace, j: int) -> int:
     full-set accuracy, which is the side the conditional codec compresses
     harder; ties go to the prefix.
     """
+    seen, unseen = _split_divergences(trace, j)
+    return 0 if seen >= unseen else 1
+
+
+def _split_divergences(trace: EpochTrace, j: int) -> tuple[Fraction, Fraction]:
+    """gamma*d_seen^2 and (1-gamma)*d_unseen^2 at split position j, where gamma
+    is the seen share and d_* a set's accuracy minus the full-set accuracy."""
     gamma = Fraction((j - 1) * trace.batch_size, trace.n)
     d_seen = trace.seen(j) - trace.full(j)
     d_unseen = trace.unseen(j) - trace.full(j)
-    return 0 if gamma * d_seen**2 >= (1 - gamma) * d_unseen**2 else 1
+    return gamma * d_seen**2, (1 - gamma) * d_unseen**2
 
 
 @dataclass(frozen=True)
 class SideInfo:
-    """What the decoder is given besides the dataset and the stream."""
+    """The checkpoint source the decoder walks: ``checkpoints`` ends with the
+    epoch's last checkpoint W_{T+1}, and holds the whole chain W_1 .. W_{T+1}
+    in ACCOUNTING but W_{T+1} alone in STRICT."""
 
     mode: str
-    final_weights: Optional[FixedVector] = None
-    checkpoints: Optional[Sequence[FixedVector]] = None
+    checkpoints: tuple[FixedVector, ...]
+
+    @classmethod
+    def of(cls, mode: str, checkpoints: Sequence[FixedVector]) -> "SideInfo":
+        """The side info ``mode`` allows out of an epoch's full chain."""
+        if mode == STRICT:
+            return cls(STRICT, (checkpoints[-1],))
+        if mode == ACCOUNTING:
+            return cls(ACCOUNTING, tuple(checkpoints))
+        raise DomainError(f"unknown mode {mode!r}")
 
     @classmethod
     def strict(cls, final_weights: FixedVector) -> "SideInfo":
-        return cls(STRICT, final_weights=final_weights)
+        return cls(STRICT, (final_weights,))
 
     @classmethod
     def accounting(cls, checkpoints: Sequence[FixedVector]) -> "SideInfo":
-        return cls(ACCOUNTING, checkpoints=tuple(checkpoints))
+        return cls(ACCOUNTING, tuple(checkpoints))
 
 
 @dataclass
@@ -153,14 +174,12 @@ class EpochCode:
     epoch: int
     n: int
     batch_size: int
-    mode: str
     case: str
     split_j: Optional[int]
     side: Optional[int]
     selector: CaseSelector
     stream: BitStream
     segments: tuple[tuple[str, int], ...]
-    target_bits: float
 
     @property
     def measured_bits(self) -> int:
@@ -172,14 +191,21 @@ class EpochCode:
 
 
 def epoch_target_bits(n: int, num_batches: int, beta: Fraction) -> float:
-    """Per-epoch compression target: n*(log2(n/e) - beta^3/512) plus slack.
-
-    The slack term 4*(n/b + 2)*log2(n) absorbs every header, ceiling, and
-    Stirling correction the exact stream carries.
-    """
+    """Per-epoch compression target: n*(log2(n/e) - beta^3/512) plus slack."""
     log2_n = stable_log2(n)
-    main = n * (log2_n - LOG2_E) - float(Fraction(n) * beta**3 / 512)
-    return main + 4.0 * (num_batches + 2) * log2_n
+    main = n * (log2_n - LOG2_E) - float(_model_charge_budget(n, beta))
+    return main + _slack_bits(num_batches, log2_n)
+
+
+def _model_charge_budget(n: int, beta: Fraction) -> Fraction:
+    """n*beta^3/512: the most a SPLIT epoch's checkpoint may be charged."""
+    return Fraction(n) * beta**3 / 512
+
+
+def _slack_bits(num_batches: int, log2_n: float) -> float:
+    """4*(n/b + 2)*log2(n): absorbs every header, ceiling, and Stirling
+    correction the exact stream carries."""
+    return 4.0 * (num_batches + 2) * log2_n
 
 
 def _write_model_field(stream: BitStream, weights: FixedVector) -> int:
@@ -232,14 +258,12 @@ def encode_epoch(
         epoch=trace.epoch,
         n=trace.n,
         batch_size=trace.batch_size,
-        mode=mode,
         case=selector.case,
         split_j=selector.split_j,
         side=side,
         selector=selector,
         stream=stream,
         segments=tuple(segments),
-        target_bits=epoch_target_bits(trace.n, trace.num_batches, beta),
     )
 
 
@@ -354,13 +378,15 @@ def predict_segments(
 
 @dataclass(frozen=True)
 class DecodeResult:
+    """The decoded visit order and the checkpoint chain W_1 .. W_{T+1} walked
+    to decode it: the side info's own list in ACCOUNTING, the chain recovered
+    by reverse search in STRICT."""
+
     order: tuple[int, ...]
-    checkpoints: Optional[tuple[FixedVector, ...]]
+    checkpoints: tuple[FixedVector, ...]
 
     def chain_matches(self, checkpoints: Sequence[FixedVector]) -> bool:
-        """Whether a STRICT decode recovered exactly these checkpoints."""
-        if self.checkpoints is None:
-            return False
+        """Whether the walked chain is exactly these checkpoints."""
         return [w.raws for w in self.checkpoints] == [w.raws for w in checkpoints]
 
 
@@ -372,46 +398,76 @@ def decode_epoch(
 ) -> DecodeResult:
     """Reconstructs the epoch's exact visit order from the stream.
 
-    ACCOUNTING mode reads classifiers off the provided checkpoint list;
-    STRICT mode starts from the final weights alone and reverse-searches
-    every predecessor it needs, returning the full recovered checkpoint
-    chain.
+    Both modes walk the checkpoint chain backward from the side info's last
+    checkpoint, which must hold T+1 checkpoints in ACCOUNTING and one in
+    STRICT.  ACCOUNTING looks each earlier checkpoint up in the list; STRICT
+    recovers it by reverse search, one step at a time or, once a SPLIT
+    order is known, over the whole epoch.
     """
     stream = code.stream if isinstance(code, EpochCode) else code
     stream.reset_cursor()
+    n, b = dataset.n, config.batch_size
+    template = _template(dataset, config)
+    chain = side.checkpoints
     if side.mode == STRICT:
-        check_strict_limits(dataset.n, config.d, config.grid.scale)
-        if side.final_weights is None:
-            raise CodecError("STRICT decode needs the final weights")
+        check_strict_limits(n, config.d, config.grid.scale)
+        expected = 1
+        g_bound = gradient_norm_bound(config, dataset)
+
+        def step_back(j, batch, after):
+            return reverse_step(
+                after, dataset.subset(batch), config, g_bound, template, j
+            )
+
+        def walk(order):
+            batches = [order[k : k + b] for k in range(0, n, b)]
+            return tuple(
+                reverse_epoch(chain[-1], batches, dataset, config, template, g_bound)
+            )
+
     elif side.mode == ACCOUNTING:
-        if side.checkpoints is None:
-            raise CodecError("ACCOUNTING decode needs the checkpoint list")
+        expected = n // b + 1
+
+        def step_back(j, batch, after):
+            return chain[j - 1]
+
+        def walk(order):
+            return chain
+
     else:
         raise DomainError(f"unknown mode {side.mode!r}")
+    if len(chain) != expected:
+        raise CodecError(
+            f"{side.mode} decode needs {expected} checkpoint(s), got {len(chain)}"
+        )
     if stream.read_uint(1):
-        result = _decode_split(stream, dataset, config, side)
+        result = _decode_split(stream, dataset, config, template, side, walk)
     else:
-        result = _decode_backward(stream, dataset, config, side)
+        result = _decode_backward(
+            stream, dataset, config, template, chain[-1], step_back
+        )
     if stream.bits_remaining():
         raise CodecError(f"{stream.bits_remaining()} bit(s) left after the last field")
     return result
 
 
 def _decode_split(
-    stream: BitStream, dataset: Dataset, config: RunConfig, side: SideInfo
+    stream: BitStream,
+    dataset: Dataset,
+    config: RunConfig,
+    template: Model,
+    side: SideInfo,
+    walk: Callable[[tuple[int, ...]], tuple[FixedVector, ...]],
 ) -> DecodeResult:
     n, b = dataset.n, config.batch_size
     t = n // b
     j = stream.read_uint(ceil_log2(t)) + 2
+    if j > t:
+        raise CodecError(f"split position {j} outside [2, {t}]")
     side_bit = stream.read_uint(1)
-    template = _template(dataset, config)
     if side.mode == STRICT:
-        embedded = _read_model_field(stream, config)
-        weights_j = embedded
+        weights_j = _read_model_field(stream, config)
     else:
-        assert side.checkpoints is not None
-        if j - 1 >= len(side.checkpoints):
-            raise CodecError(f"checkpoint {j} missing from side info")
         weights_j = side.checkpoints[j - 1]
     cv = correctness_mask(template.with_weights(weights_j), dataset)
     m = (j - 1) * b
@@ -423,63 +479,40 @@ def _decode_split(
     unseen_sorted = other if side_bit == 0 else chosen
     left_rank = stream.read_uint(ceil_log2(math.factorial(m)))
     right_rank = stream.read_uint(ceil_log2(math.factorial(n - m)))
-    left = perm_unrank(left_rank, seen_sorted)
-    right = perm_unrank(right_rank, unseen_sorted)
-    order = left + right
-    checkpoints: Optional[tuple[FixedVector, ...]] = None
-    if side.mode == STRICT:
-        batches = [order[k : k + b] for k in range(0, n, b)]
-        assert side.final_weights is not None
-        chain = reverse_epoch(
-            side.final_weights, batches, dataset, config, template
+    order = perm_unrank(left_rank, seen_sorted) + perm_unrank(right_rank, unseen_sorted)
+    chain = walk(order)
+    if chain[j - 1].raws != weights_j.raws:
+        raise CodecError(
+            f"embedded checkpoint at split position {j} disagrees with "
+            f"the reverse chain"
         )
-        if chain[j - 1].raws != weights_j.raws:
-            raise CodecError(
-                f"embedded checkpoint at split position {j} disagrees with "
-                f"the reverse chain"
-            )
-        checkpoints = tuple(chain)
-    return DecodeResult(order, checkpoints)
+    return DecodeResult(order, chain)
 
 
 def _decode_backward(
-    stream: BitStream, dataset: Dataset, config: RunConfig, side: SideInfo
+    stream: BitStream,
+    dataset: Dataset,
+    config: RunConfig,
+    template: Model,
+    last: FixedVector,
+    step_back: Callable[[int, Sequence[int], FixedVector], FixedVector],
 ) -> DecodeResult:
     n, b = dataset.n, config.batch_size
-    t = n // b
-    template = _template(dataset, config)
     pool = list(dataset.ids)
     perm_w = ceil_log2(math.factorial(b))
     batches_rev: list[tuple[int, ...]] = []
-    strict = side.mode == STRICT
-    current = side.final_weights if strict else None
-    chain_rev: list[FixedVector] = [current] if strict else []
-    g_bound = gradient_norm_bound(config, dataset) if strict else None
-    for j in range(t, 0, -1):
-        if strict:
-            weights_next = current
-        else:
-            assert side.checkpoints is not None
-            if j >= len(side.checkpoints):
-                raise CodecError(f"checkpoint {j + 1} missing from side info")
-            weights_next = side.checkpoints[j]
-        cv = correctness_mask(template.with_weights(weights_next), dataset)
+    chain_rev = [last]
+    for j in range(n // b, 0, -1):
+        cv = correctness_mask(template.with_weights(chain_rev[-1]), dataset)
         batch_sorted = decode_set_conditional(
             stream, tuple(pool), _classifier(cv), b
         )
-        seq = perm_unrank(stream.read_uint(perm_w), batch_sorted)
-        batches_rev.append(seq)
-        if strict:
-            assert current is not None and g_bound is not None
-            current = reverse_step(
-                current, dataset.subset(batch_sorted), config, g_bound, template, j
-            )
-            chain_rev.append(current)
+        batches_rev.append(perm_unrank(stream.read_uint(perm_w), batch_sorted))
+        chain_rev.append(step_back(j, batch_sorted, chain_rev[-1]))
         batch_set = set(batch_sorted)
         pool = [e for e in pool if e not in batch_set]
     order = tuple(e for batch in reversed(batches_rev) for e in batch)
-    checkpoints = tuple(reversed(chain_rev)) if strict else None
-    return DecodeResult(order, checkpoints)
+    return DecodeResult(order, tuple(reversed(chain_rev)))
 
 
 def model_description_bits(config: RunConfig) -> int:
@@ -602,11 +635,11 @@ def epoch_accounting(
     beta_hat = trace.progress()
     progress_ok = beta_hat >= beta
     charge = model_charge_bits if code.case == SPLIT else 0
-    charge_budget = Fraction(n) * beta**3 / 512
+    charge_budget = _model_charge_budget(n, beta)
     model_charge_ok = code.case != SPLIT or Fraction(charge) <= charge_budget
     good = progress_ok and model_charge_ok
     charged = payload + charge if good else baseline
-    slack = 4.0 * (t + 2) * stable_log2(n)
+    slack = _slack_bits(t, stable_log2(n))
 
     split_gap = None
     split_bound = None
@@ -617,10 +650,7 @@ def epoch_accounting(
         assert code.split_j is not None
         j = code.split_j
         split_gap = abs(trace.seen(j) - trace.unseen(j))
-        gamma = Fraction((j - 1) * b, n)
-        d_seen = trace.seen(j) - trace.full(j)
-        d_unseen = trace.unseen(j) - trace.full(j)
-        bonus = max(gamma * d_seen**2, (1 - gamma) * d_unseen**2)
+        bonus = max(_split_divergences(trace, j))
         split_bound = _stable_log2_factorial(n) - float(2 * n * bonus) + slack
         split_ok = payload <= split_bound
     else:

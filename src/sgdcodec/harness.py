@@ -230,12 +230,13 @@ def _json_bytes(obj: dict) -> str:
 def run_experiment(spec: ExperimentSpec, outdir: Optional[str] = None) -> ExperimentResult:
     """Runs, encodes, decodes, accounts, and (optionally) writes artifacts.
 
-    Every epoch is round-tripped inline; a mismatch raises immediately.  In
-    STRICT mode the decoder starts from the epoch's last checkpoint alone,
-    and the whole recovered chain must equal the trained one.  Completed
-    epochs are contiguous (epoch e starts where epoch e-1 ends), so by
-    induction from the last checkpoint these per-epoch checks are exactly
-    the backward walk from the final weights across all completed epochs.
+    Every epoch is round-tripped inline; a mismatch raises immediately.  The
+    decoder walks the chain from the side info ``SideInfo.of`` gives it (in
+    STRICT mode the epoch's last checkpoint alone), and both the order and
+    the walked chain must equal the trained ones.  Completed epochs are
+    contiguous (epoch e starts where epoch e-1 ends), so by induction from
+    the last checkpoint the STRICT checks are exactly the backward walk from
+    the final weights across all completed epochs.
     """
     dataset = generate_dataset(spec.config.generator, spec.config.grid)
     if outdir is not None:
@@ -253,18 +254,13 @@ def run_experiment(spec: ExperimentSpec, outdir: Optional[str] = None) -> Experi
         ceilings: list[CeilingVerdict] = []
         for trace in run.completed_traces:
             code = encode_epoch(trace, dataset, config, spec.mode)
-            side = (
-                SideInfo.strict(trace.checkpoints[-1])
-                if spec.mode == STRICT
-                else SideInfo.accounting(trace.checkpoints)
-            )
+            side = SideInfo.of(spec.mode, trace.checkpoints)
             decoded = decode_epoch(code, dataset, config, side)
             if decoded.order != trace.order:
                 raise DomainError(f"epoch {trace.epoch} failed its round trip")
-            if spec.mode == STRICT and not decoded.chain_matches(trace.checkpoints):
+            if not decoded.chain_matches(trace.checkpoints):
                 raise DomainError(
-                    f"epoch {trace.epoch} STRICT decode recovered a wrong "
-                    f"checkpoint chain"
+                    f"epoch {trace.epoch} decode walked a wrong checkpoint chain"
                 )
             predicted = predict_segments(trace, config, code.selector, spec.mode)
             if predicted != code.segments:

@@ -9,8 +9,13 @@ from __future__ import annotations
 
 import importlib.util
 import os
+from fractions import Fraction
 
-from sgdcodec import model, numerics
+from sgdcodec import harness, model, numerics
+from sgdcodec.harness import ExperimentSpec
+from sgdcodec.model import GeneratorSpec
+from sgdcodec.numerics import GridSpec
+from sgdcodec.sgd_engine import RunConfig
 
 TRACER_PATH = os.path.join(os.path.dirname(__file__), os.pardir, "bench", "tracer.py")
 
@@ -35,3 +40,25 @@ def test_tracer_installs_every_required_hook_and_uninstalls():
         tracer.uninstall()
     assert model.correctness_vector is original_sweep
     assert numerics.FixedVector.gd_update is original_update
+
+
+def test_traced_strict_decode_goes_through_the_reverse_walkers():
+    # Acceptance criterion 2's STRICT run: seed 3, every epoch SPLIT.  Its
+    # decoder must reach reverse_step through reverse_epoch, or the
+    # benchmark's sgd_engine.reverse_epoch.s metric silently reads zero.
+    gen = GeneratorSpec(family="two-gaussians", n=32, dim=1, seed=3,
+                        sigma=Fraction(1, 2), center_dist=Fraction(2))
+    cfg = RunConfig(generator=gen, batch_size=4, step_raw=8, eps=Fraction(1, 100),
+                    progress_coeff=Fraction(1), seed=3, max_epochs=4,
+                    grid=GridSpec(scale=6, clip=4))
+    tracer = _load_tracer().Tracer()
+    tracer.install()
+    try:
+        result = harness.run_experiment(ExperimentSpec(config=cfg, mode="STRICT"))
+    finally:
+        tracer.uninstall()
+    rows = result.replications[0].report.rows
+    assert [r.case for r in rows] == ["SPLIT"] * 4
+    assert tracer.calls["epoch_codec.decode_epoch"] == 4
+    assert tracer.calls["sgd_engine.reverse_epoch"] == 4
+    assert tracer.calls["sgd_engine.reverse_step"] == 4 * 8

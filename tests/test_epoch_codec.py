@@ -224,6 +224,57 @@ def test_strict_backward_round_trip_recovers_chain():
         assert [w.raws for w in dec.checkpoints] == [w.raws for w in tr.checkpoints]
 
 
+def test_side_info_of_hands_strict_the_last_checkpoint_alone():
+    _, run = gaussians_run()
+    trace = run.completed_traces[0]
+    strict = SideInfo.of(STRICT, trace.checkpoints)
+    assert strict.checkpoints == (trace.checkpoints[-1],)
+    assert strict == SideInfo.strict(trace.checkpoints[-1])
+    accounting = SideInfo.of(ACCOUNTING, trace.checkpoints)
+    assert accounting.checkpoints == tuple(trace.checkpoints)
+    assert accounting == SideInfo.accounting(trace.checkpoints)
+    with pytest.raises(DomainError):
+        SideInfo.of("FAST", trace.checkpoints)
+
+
+def test_decode_rejects_a_checkpoint_source_of_the_wrong_length():
+    cfg, run = gaussians_run()
+    tr = run.completed_traces[0]
+    strict = encode_epoch(tr, run.dataset, cfg, mode=STRICT)
+    accounting = encode_epoch(tr, run.dataset, cfg, mode=ACCOUNTING)
+    assert strict.case == accounting.case == SPLIT
+    short = SideInfo.accounting(tr.checkpoints[:-1])
+    with pytest.raises(CodecError, match="checkpoint"):
+        decode_epoch(accounting, run.dataset, cfg, short)
+    two = SideInfo(STRICT, tuple(tr.checkpoints[-2:]))
+    with pytest.raises(CodecError, match="checkpoint"):
+        decode_epoch(strict, run.dataset, cfg, two)
+
+
+def test_accounting_decode_returns_the_chain_it_was_given():
+    cfg, run = labels_run(seed=5)
+    cases = set()
+    for tr in run.completed_traces:
+        code = encode_epoch(tr, run.dataset, cfg, mode=ACCOUNTING)
+        cases.add(code.case)
+        side = SideInfo.accounting(tr.checkpoints)
+        dec = decode_epoch(code, run.dataset, cfg, side)
+        assert dec.checkpoints == side.checkpoints == tuple(tr.checkpoints)
+    assert cases == {SPLIT, BACKWARD}
+
+
+@pytest.mark.parametrize("mode", [ACCOUNTING, STRICT])
+def test_decode_rejects_a_split_position_past_the_epoch(mode):
+    cfg, run = gaussians_run()
+    tr = run.completed_traces[0]
+    width = ceil_log2(tr.num_batches)
+    stream = BitStream()
+    stream.write_uint(1, 1)
+    stream.write_uint((1 << width) - 1, width)  # split position 2**width + 1
+    with pytest.raises(CodecError, match="split position"):
+        decode_epoch(stream, run.dataset, cfg, SideInfo.of(mode, tr.checkpoints))
+
+
 def test_accounting_mode_never_embeds_the_model():
     cfg, run = gaussians_run()
     tr = run.completed_traces[0]

@@ -129,12 +129,10 @@ def test_strict_experiment_verifies_chain():
 
 
 def shift_first_checkpoint(decode):
-    """Wraps a decoder so a STRICT result's first checkpoint is one raw off."""
+    """Wraps a decoder so a result's first checkpoint is one raw off."""
 
     def shifted(*args, **kwargs):
         result = decode(*args, **kwargs)
-        if result.checkpoints is None:
-            return result
         first = result.checkpoints[0]
         wrong = FixedVector((first.raws[0] + 1,) + first.raws[1:], first.grid)
         return replace(result, checkpoints=(wrong,) + result.checkpoints[1:])
@@ -149,6 +147,23 @@ def test_strict_round_trip_checks_the_recovered_chain(monkeypatch):
     )
     with pytest.raises(DomainError, match="checkpoint chain"):
         run_experiment(strict_spec(), None)
+
+
+def test_strict_round_trip_decodes_from_the_last_checkpoint_alone(monkeypatch):
+    real_decode = harness.decode_epoch
+    sides = []
+
+    def recorded(code, dataset, config, side):
+        sides.append(side)
+        return real_decode(code, dataset, config, side)
+
+    monkeypatch.setattr(harness, "decode_epoch", recorded)
+    result = run_experiment(strict_spec(), None)
+    traces = result.replications[0].run.completed_traces
+    assert len(sides) == len(traces) == 4
+    for side, trace in zip(sides, traces):
+        assert side.mode == "STRICT"
+        assert side.checkpoints == (trace.checkpoints[-1],)
 
 
 def test_replications_shift_the_run_seed(tmp_path):
