@@ -209,8 +209,9 @@ def cmd_decode(args: argparse.Namespace) -> int:
     the decoder walked (in STRICT mode, recovered from the rerun's last
     checkpoint alone) must equal the rerun's.  Each replication's
     ``final_model.bin`` must hold the rerun's final weights.
-    Returns 1 on any mismatch; unreadable or undecodable files raise, and
-    ``main`` reports them with exit code 2.
+    An ``.epc`` file that names no completed epoch of the rerun is a failure
+    too.  Returns 1 on any mismatch; unreadable or undecodable files raise,
+    and ``main`` reports them with exit code 2.
     """
     outdir = args.dir or _resolve_out(args)
     if not outdir:
@@ -223,8 +224,14 @@ def cmd_decode(args: argparse.Namespace) -> int:
         config = replace(spec.config, seed=spec.config.seed + r)
         run = run_training(config, dataset)
         rep_dir = os.path.join(outdir, f"rep_{r:02d}")
+        epoch_dir = os.path.join(rep_dir, "epochs")
+        rerun_files = {f"epoch_{t.epoch:03d}.epc" for t in run.completed_traces}
+        for name in sorted(os.listdir(epoch_dir)):
+            if name.endswith(".epc") and name not in rerun_files:
+                print(f"{os.path.join(epoch_dir, name)}: no such epoch in the rerun")
+                failures += 1
         for trace in run.completed_traces:
-            path = os.path.join(rep_dir, "epochs", f"epoch_{trace.epoch:03d}.epc")
+            path = os.path.join(epoch_dir, f"epoch_{trace.epoch:03d}.epc")
             n, b, epoch, stream = read_epoch_file(path)
             if (n, b, epoch) != (trace.n, trace.batch_size, trace.epoch):
                 print(f"{path}: header mismatch")
@@ -258,15 +265,19 @@ def cmd_report(args: argparse.Namespace) -> int:
         path = os.path.join(outdir, f"rep_{r:02d}", "summary.json")
         with open(path, "r", encoding="ascii") as fh:
             summary = json.load(fh)
-        print(
-            f"rep {r:02d}: epochs={summary['epochs']}"
-            f" good={summary['good_epochs']}/{summary['epochs']}"
-            f" charged={summary['total_charged_bits']}"
-            f" baseline={summary['total_baseline_bits']}"
-            f" savings={summary['total_savings_bits']}"
-            f" t*={summary['projected_epoch_bound']}"
-            f" conservation={'ok' if summary['conservation_ok'] else 'VIOLATED'}"
-        )
+        try:
+            line = (
+                f"rep {r:02d}: epochs={summary['epochs']}"
+                f" good={summary['good_epochs']}/{summary['epochs']}"
+                f" charged={summary['total_charged_bits']}"
+                f" baseline={summary['total_baseline_bits']}"
+                f" savings={summary['total_savings_bits']}"
+                f" t*={summary['projected_epoch_bound']}"
+                f" conservation={'ok' if summary['conservation_ok'] else 'VIOLATED'}"
+            )
+        except (KeyError, TypeError) as exc:
+            raise DomainError(f"{path}: malformed summary: {exc!r}") from exc
+        print(line)
     return 0
 
 

@@ -7,6 +7,10 @@ subset by a shared binary classifier and transmits the two halves separately;
 when the classifier correlates with membership the combined width drops below
 the unconditional subset code.
 
+Every set is an int bitmask over element ids (bit e set iff e is in the
+set): subsets, their pools and the classifier alike, so the set algebra is
+``&``, ``|`` and ``^``, and a set has no order to check.
+
 All widths are exact: a rank r of a space with N codewords is written in
 ceil(log2(N)) bits, and stream length always equals the sum of declared
 widths.
@@ -15,9 +19,10 @@ widths.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .numerics import DomainError, binary_entropy
 
@@ -116,36 +121,33 @@ class BitStream:
         return f"BitStream(len={self._len})"
 
 
-def _check_sorted_unique(ids: Sequence[int], name: str) -> None:
-    for a, b in zip(ids, ids[1:]):
-        if a >= b:
-            raise CodecError(f"{name} must be strictly increasing")
+def _ids(mask: int) -> list[int]:
+    """The ids of a set mask, ascending."""
+    if mask < 0:
+        raise CodecError("a set mask cannot be negative")
+    return [e for e, bit in enumerate(reversed(bin(mask))) if bit == "1"]
 
 
-def subset_rank(a_ids: Sequence[int], b_ids: Sequence[int]) -> int:
-    """Colexicographic rank of subset A within sorted pool B, in [0, C(|B|, |A|)).
+def subset_rank(a: int, pool: int) -> int:
+    """Colexicographic rank of subset mask ``a`` within ``pool``, in
+    [0, C(|pool|, |a|)).
 
-    The empty subset and A = first |A| elements of B both rank 0.  Runs in
-    O(|B|) big-integer operations via incremental binomial updates.
+    The empty subset and the |a| lowest ids of the pool both rank 0.  Runs in
+    O(|pool|) big-integer operations via incremental binomial updates.
     """
-    _check_sorted_unique(b_ids, "pool")
-    _check_sorted_unique(a_ids, "subset")
-    pos_of = {e: i for i, e in enumerate(b_ids)}
-    try:
-        positions = [pos_of[e] for e in a_ids]
-    except KeyError as exc:
-        raise CodecError(f"element {exc.args[0]} not in pool") from exc
-    k = len(positions)
-    m = len(b_ids)
+    if a & ~pool:
+        raise CodecError("subset holds ids outside the pool")
+    ids = _ids(pool)
+    k = a.bit_count()
+    m = len(ids)
     if k == 0:
         return 0
     rank = 0
-    want = set(positions)
     r = k
     v = binomial(m - 1, r)
-    # Scan positions from the top; rank accumulates C(position, index-within-A).
+    # Scan pool positions from the top; rank accumulates C(position, index-within-A).
     for i in range(m - 1, -1, -1):
-        if i in want:
+        if a >> ids[i] & 1:
             rank += v
             r -= 1
             if r == 0:
@@ -158,81 +160,57 @@ def subset_rank(a_ids: Sequence[int], b_ids: Sequence[int]) -> int:
     return rank
 
 
-def subset_unrank(rank: int, b_ids: Sequence[int], size: int) -> tuple[int, ...]:
-    """Inverse of subset_rank."""
-    _check_sorted_unique(b_ids, "pool")
-    m = len(b_ids)
+def subset_unrank(rank: int, pool: int, size: int) -> int:
+    """Inverse of subset_rank: the mask of the ``size``-subset of ``pool``
+    with this rank."""
+    ids = _ids(pool)
+    m = len(ids)
     if size < 0 or size > m:
         raise CodecError(f"subset size {size} invalid for pool of {m}")
     total = binomial(m, size)
     if rank < 0 or rank >= total:
         raise CodecError(f"rank {rank} outside [0, {total})")
+    a = 0
     if size == 0:
-        return ()
-    positions = []
+        return a
     r = size
     v = binomial(m - 1, r)
     for i in range(m - 1, -1, -1):
         if v <= rank:
             rank -= v
-            positions.append(i)
+            a |= 1 << ids[i]
             r -= 1
             if r == 0:
                 break
             v = v * (r + 1) // (i - r) if v else binomial(i, r)
         if i > 0:
             v = v * (i - r) // i
-    positions.reverse()
-    return tuple(b_ids[p] for p in positions)
+    return a
 
 
-def perm_rank(order: Sequence[int], base_ids: Sequence[int]) -> int:
-    """Lehmer-code rank of ``order`` as a permutation of sorted ``base_ids``, in [0, k!)."""
-    _check_sorted_unique(base_ids, "base")
-    if sorted(order) != list(base_ids):
-        raise CodecError("order is not a permutation of the base ids")
-    k = len(order)
-    index_of = {e: i for i, e in enumerate(base_ids)}
-    seq = [index_of[e] for e in order]
+def perm_rank(order: Sequence[int]) -> int:
+    """Lehmer-code rank of ``order`` among the orderings of its own ids, in [0, k!)."""
+    remaining = sorted(order)
+    if any(x == y for x, y in zip(remaining, remaining[1:])):
+        raise CodecError("order repeats an id")
     rank = 0
-    fact = math.factorial(k - 1) if k else 1
-    remaining = list(range(k))
-    for pos, s in enumerate(seq):
-        smaller = remaining.index(s)
-        rank += smaller * fact
+    for e in order:
+        smaller = bisect_left(remaining, e)
+        rank = rank * len(remaining) + smaller
         remaining.pop(smaller)
-        if k - pos - 1 > 0:
-            fact //= k - pos - 1
     return rank
 
 
-def perm_unrank(rank: int, base_ids: Sequence[int]) -> tuple[int, ...]:
-    """Inverse of perm_rank."""
-    _check_sorted_unique(base_ids, "base")
-    k = len(base_ids)
-    total = math.factorial(k)
-    if rank < 0 or rank >= total:
-        raise CodecError(f"rank {rank} outside [0, {total})")
-    remaining = list(base_ids)
-    out = []
-    fact = math.factorial(k - 1) if k else 1
-    for pos in range(k):
-        idx, rank = divmod(rank, fact)
-        out.append(remaining.pop(idx))
-        if k - pos - 1 > 0:
-            fact //= k - pos - 1
-    return tuple(out)
-
-
-def _split_by_classifier(
-    b_ids: Sequence[int], g: Callable[[int], int]
-) -> tuple[list[int], list[int]]:
-    """Pool B partitioned by a binary classifier: (ones, zeros), each ascending."""
-    _check_sorted_unique(b_ids, "pool")
-    ones, zeros = [], []
-    for e in b_ids:
-        (ones if g(e) else zeros).append(e)
-    return ones, zeros
+def perm_unrank(rank: int, ids: int) -> tuple[int, ...]:
+    """Inverse of perm_rank: the ordering of the ids in mask ``ids`` with this rank."""
+    remaining = _ids(ids)
+    digits = []
+    for radix in range(1, len(remaining) + 1):
+        rank, digit = divmod(rank, radix)
+        digits.append(digit)
+    if rank:
+        raise CodecError(f"rank outside [0, {len(remaining)}!)")
+    return tuple(remaining.pop(digit) for digit in reversed(digits))
 
 
 @dataclass(frozen=True)
@@ -249,58 +227,46 @@ class SetCodeInfo:
 
 
 def encode_set_conditional(
-    stream: BitStream,
-    a_ids: Sequence[int],
-    b_ids: Sequence[int],
-    g: Callable[[int], int],
+    stream: BitStream, a: int, pool: int, ones: int
 ) -> SetCodeInfo:
-    """Encode subset A of pool B using classifier g as shared side information.
+    """Encode subset mask ``a`` of ``pool``, with the classifier mask ``ones``
+    as shared side information.
 
-    Layout: |A intersect ones| and |A intersect zeros|, each in
-    ceil(log2(|A|+1)) bits, then the colex rank of each half within its pool
-    half, each in its exact ceil(log2 C(...)) width.  The decoder must know B,
-    g and |A|.
+    Layout: |A & ones| and |A & ~ones|, each in ceil(log2(|A|+1)) bits, then
+    the colex rank of each half within the same half of the pool, each in its
+    exact ceil(log2 C(...)) width.  The decoder must know the pool, ``ones``
+    and |A|.
     """
-    ones, zeros = _split_by_classifier(b_ids, g)
-    ones_set = set(ones)
-    a1 = tuple(e for e in a_ids if e in ones_set)
-    a0 = tuple(e for e in a_ids if e not in ones_set)
-    if len(a1) + len(a0) != len(a_ids):
-        raise CodecError("subset ids not distinct")
-    wh = ceil_log2(len(a_ids) + 1)
-    r1 = subset_rank(a1, ones)
-    r0 = subset_rank(a0, zeros)
-    w1 = ceil_log2(binomial(len(ones), len(a1)))
-    w0 = ceil_log2(binomial(len(zeros), len(a0)))
-    stream.write_uint(len(a1), wh)
-    stream.write_uint(len(a0), wh)
+    pool1, pool0 = pool & ones, pool & ~ones
+    a1, a0 = a & ones, a & ~ones
+    r1, r0 = subset_rank(a1, pool1), subset_rank(a0, pool0)
+    k1, k0 = a1.bit_count(), a0.bit_count()
+    wh = ceil_log2(k1 + k0 + 1)
+    w1 = ceil_log2(binomial(pool1.bit_count(), k1))
+    w0 = ceil_log2(binomial(pool0.bit_count(), k0))
+    stream.write_uint(k1, wh)
+    stream.write_uint(k0, wh)
     stream.write_uint(r1, w1)
     stream.write_uint(r0, w0)
     return SetCodeInfo(size_header_bits=wh, rank_ones_bits=w1, rank_zeros_bits=w0)
 
 
 def decode_set_conditional(
-    stream: BitStream,
-    b_ids: Sequence[int],
-    g: Callable[[int], int],
-    size: int,
-) -> tuple[int, ...]:
-    """Inverse of encode_set_conditional; returns the subset in ascending id order."""
-    ones, zeros = _split_by_classifier(b_ids, g)
+    stream: BitStream, pool: int, ones: int, size: int
+) -> int:
+    """Inverse of encode_set_conditional; returns the subset mask."""
+    pool1, pool0 = pool & ones, pool & ~ones
     wh = ceil_log2(size + 1)
     n1 = stream.read_uint(wh)
     n0 = stream.read_uint(wh)
     if n1 + n0 != size:
         raise CodecError(f"size headers {n1}+{n0} != {size}")
-    if n1 > len(ones) or n0 > len(zeros):
+    m1, m0 = pool1.bit_count(), pool0.bit_count()
+    if n1 > m1 or n0 > m0:
         raise CodecError("size header exceeds pool half")
-    w1 = ceil_log2(binomial(len(ones), n1))
-    w0 = ceil_log2(binomial(len(zeros), n0))
-    r1 = stream.read_uint(w1)
-    r0 = stream.read_uint(w0)
-    a1 = subset_unrank(r1, ones, n1)
-    a0 = subset_unrank(r0, zeros, n0)
-    return tuple(sorted(a1 + a0))
+    r1 = stream.read_uint(ceil_log2(binomial(m1, n1)))
+    r0 = stream.read_uint(ceil_log2(binomial(m0, n0)))
+    return subset_unrank(r1, pool1, n1) | subset_unrank(r0, pool0, n0)
 
 
 def theoretical_set_bound(

@@ -5,6 +5,9 @@ some prefix/suffix statistic diverges (seen vs unseen accuracy), the order is
 split at that point and the two halves are coded through the mid-epoch
 checkpoint classifier.  Otherwise the batches are coded last to first, each
 conditioned on the accuracy pattern of the model that had just stepped on it.
+Every set here is an int bitmask over element ids: the encoder reads pools
+and batches off ``EpochTrace.prefix_masks`` and classifiers off
+``EpochTrace.masks``, and the decoder peels each batch off its pool with XOR.
 
 The decoder walks the epoch's checkpoint chain backward from one source, a
 ``SideInfo`` whose checkpoints end with the epoch's last one.  ACCOUNTING
@@ -65,10 +68,6 @@ def _exact_count(rate: Fraction, total: int) -> int:
     if v.denominator != 1:
         raise CodecError(f"rate {rate} over {total} elements is not a count")
     return v.numerator
-
-
-def _classifier(mask: int) -> Callable[[int], int]:
-    return lambda eid: (mask >> eid) & 1
 
 
 def _template(dataset: Dataset, config: RunConfig) -> Model:
@@ -245,7 +244,7 @@ def encode_epoch(
     if selector.case == SPLIT:
         assert selector.split_j is not None
         side = choose_split_side(trace, selector.split_j)
-        _encode_split(stream, segments, trace, dataset, selector.split_j, side, mode)
+        _encode_split(stream, segments, trace, selector.split_j, side, mode)
     else:
         side = None
         _encode_backward(stream, segments, trace)
@@ -271,7 +270,6 @@ def _encode_split(
     stream: BitStream,
     segments: list[tuple[str, int]],
     trace: EpochTrace,
-    dataset: Dataset,
     j: int,
     side: int,
     mode: str,
@@ -287,20 +285,17 @@ def _encode_split(
     if mode == STRICT:
         segments.append(("model", _write_model_field(stream, trace.checkpoints[j - 1])))
     m = (j - 1) * b
-    seen_sorted = tuple(sorted(trace.order[:m]))
-    unseen_sorted = tuple(sorted(trace.order[m:]))
-    target = seen_sorted if side == 0 else unseen_sorted
-    info = encode_set_conditional(
-        stream, target, dataset.ids, _classifier(trace.masks[j - 1])
-    )
+    everything, seen = trace.prefix_masks[-1], trace.prefix_masks[j - 1]
+    target = seen if side == 0 else everything ^ seen
+    info = encode_set_conditional(stream, target, everything, trace.masks[j - 1])
     segments.append(("set_sizes", 2 * info.size_header_bits))
     segments.append(("set_rank_pos", info.rank_ones_bits))
     segments.append(("set_rank_neg", info.rank_zeros_bits))
     left_w = ceil_log2(math.factorial(m))
-    stream.write_uint(perm_rank(trace.order[:m], seen_sorted), left_w)
+    stream.write_uint(perm_rank(trace.order[:m]), left_w)
     segments.append(("perm_left", left_w))
     right_w = ceil_log2(math.factorial(n - m))
-    stream.write_uint(perm_rank(trace.order[m:], unseen_sorted), right_w)
+    stream.write_uint(perm_rank(trace.order[m:]), right_w)
     segments.append(("perm_right", right_w))
 
 
@@ -310,19 +305,16 @@ def _encode_backward(
     b, t = trace.batch_size, trace.num_batches
     stream.write_uint(0, 1)
     segments.append(("case", 1))
-    batches = trace.batches
+    batches, prefix = trace.batches, trace.prefix_masks
     perm_w = ceil_log2(math.factorial(b))
     for j in range(t, 0, -1):
-        pool = tuple(sorted(trace.order[: j * b]))
-        batch_sorted = tuple(sorted(batches[j - 1]))
-        info = encode_set_conditional(
-            stream, batch_sorted, pool, _classifier(trace.masks[j])
-        )
+        batch, pool = prefix[j] ^ prefix[j - 1], prefix[j]
+        info = encode_set_conditional(stream, batch, pool, trace.masks[j])
         tag = f"b{j:03d}"
         segments.append((f"{tag}_sizes", 2 * info.size_header_bits))
         segments.append((f"{tag}_rank_pos", info.rank_ones_bits))
         segments.append((f"{tag}_rank_neg", info.rank_zeros_bits))
-        stream.write_uint(perm_rank(batches[j - 1], batch_sorted), perm_w)
+        stream.write_uint(perm_rank(batches[j - 1]), perm_w)
         segments.append((f"{tag}_perm", perm_w))
 
 
@@ -471,15 +463,14 @@ def _decode_split(
         weights_j = side.checkpoints[j - 1]
     cv = correctness_mask(template.with_weights(weights_j), dataset)
     m = (j - 1) * b
-    size = m if side_bit == 0 else n - m
-    chosen = decode_set_conditional(stream, dataset.ids, _classifier(cv), size)
-    chosen_set = set(chosen)
-    other = tuple(e for e in dataset.ids if e not in chosen_set)
-    seen_sorted = chosen if side_bit == 0 else other
-    unseen_sorted = other if side_bit == 0 else chosen
+    everything = (1 << n) - 1
+    chosen = decode_set_conditional(
+        stream, everything, cv, m if side_bit == 0 else n - m
+    )
+    seen = chosen if side_bit == 0 else everything ^ chosen
     left_rank = stream.read_uint(ceil_log2(math.factorial(m)))
     right_rank = stream.read_uint(ceil_log2(math.factorial(n - m)))
-    order = perm_unrank(left_rank, seen_sorted) + perm_unrank(right_rank, unseen_sorted)
+    order = perm_unrank(left_rank, seen) + perm_unrank(right_rank, everything ^ seen)
     chain = walk(order)
     if chain[j - 1].raws != weights_j.raws:
         raise CodecError(
@@ -498,19 +489,16 @@ def _decode_backward(
     step_back: Callable[[int, Sequence[int], FixedVector], FixedVector],
 ) -> DecodeResult:
     n, b = dataset.n, config.batch_size
-    pool = list(dataset.ids)
+    pool = (1 << n) - 1
     perm_w = ceil_log2(math.factorial(b))
     batches_rev: list[tuple[int, ...]] = []
     chain_rev = [last]
     for j in range(n // b, 0, -1):
         cv = correctness_mask(template.with_weights(chain_rev[-1]), dataset)
-        batch_sorted = decode_set_conditional(
-            stream, tuple(pool), _classifier(cv), b
-        )
-        batches_rev.append(perm_unrank(stream.read_uint(perm_w), batch_sorted))
-        chain_rev.append(step_back(j, batch_sorted, chain_rev[-1]))
-        batch_set = set(batch_sorted)
-        pool = [e for e in pool if e not in batch_set]
+        batch = decode_set_conditional(stream, pool, cv, b)
+        batches_rev.append(perm_unrank(stream.read_uint(perm_w), batch))
+        chain_rev.append(step_back(j, batches_rev[-1], chain_rev[-1]))
+        pool ^= batch
     order = tuple(e for batch in reversed(batches_rev) for e in batch)
     return DecodeResult(order, tuple(reversed(chain_rev)))
 

@@ -91,13 +91,20 @@ class ExperimentSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentSpec":
+        """The spec a manifest holds; a missing key or a value of the wrong
+        type is a ``DomainError``."""
+        if not isinstance(d, dict):
+            raise DomainError("manifest is not a JSON object")
         if d.get("format") != MANIFEST_FORMAT:
             raise DomainError(f"unsupported manifest format {d.get('format')!r}")
-        return cls(
-            config=RunConfig.from_dict(d["config"]),
-            replications=int(d["replications"]),
-            mode=d["mode"],
-        )
+        try:
+            return cls(
+                config=RunConfig.from_dict(d["config"]),
+                replications=int(d["replications"]),
+                mode=d["mode"],
+            )
+        except (KeyError, AttributeError, TypeError) as exc:
+            raise DomainError(f"malformed manifest: {exc!r}") from exc
 
 
 def dataset_description_bits(dataset: Dataset) -> int:
@@ -499,11 +506,10 @@ def _sweep_conditional_overhead(instances: int, seed: int) -> SuiteRow:
     for _ in range(instances):
         m = rng.randrange(4, 200)
         k = rng.randrange(1, m + 1)
-        pool = tuple(range(m))
-        labels = [rng.getrandbits(1) for _ in range(m)]
+        pool = (1 << m) - 1
+        ones = sum(rng.getrandbits(1) << e for e in range(m))
         picked = subset_unrank(rng.randrange(binomial(m, k)), pool, k)
-        stream = BitStream()
-        info = encode_set_conditional(stream, picked, pool, lambda e: labels[e])
+        info = encode_set_conditional(BitStream(), picked, pool, ones)
         overhead = info.total_bits - ceil_log2(binomial(m, k)) - 2 * info.size_header_bits
         worst = max(worst, overhead)
     return SuiteRow(

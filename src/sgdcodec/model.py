@@ -142,10 +142,6 @@ class Dataset:
     def dim(self) -> int:
         return len(self.elements[0].features) if self.elements else 0
 
-    @property
-    def ids(self) -> tuple[int, ...]:
-        return tuple(range(self.n))
-
     def subset(self, ids: Iterable[int]) -> tuple[Element, ...]:
         """Elements for the given ids, ascending by id."""
         return tuple(self.elements[e] for e in sorted(ids))

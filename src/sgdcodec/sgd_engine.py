@@ -302,7 +302,7 @@ class EpochTrace:
         return [Fraction(mask.bit_count(), self.n) for mask in self.masks]
 
     @cached_property
-    def _prefix_masks(self) -> tuple[int, ...]:
+    def prefix_masks(self) -> tuple[int, ...]:
         """Mask of the first k batches of the visit order, for k = 0..num_batches."""
         out = [0]
         for batch in self.batches:
@@ -311,7 +311,7 @@ class EpochTrace:
 
     def _rate(self, i: int, lo: int, hi: int) -> Fraction:
         """Accuracy at checkpoint i over batches lo..hi-1 of the visit order."""
-        prefix = self._prefix_masks
+        prefix = self.prefix_masks
         hits = self.masks[i] & (prefix[hi] ^ prefix[lo])
         return Fraction(hits.bit_count(), (hi - lo) * self.batch_size)
 

@@ -16,6 +16,11 @@ from sgdcodec.numerics import FixedVector, GridSpec
 from sgdcodec.sgd_engine import EpochTrace
 
 
+def mask_of(ids) -> int:
+    """The set mask of these element ids."""
+    return sum(1 << e for e in ids)
+
+
 def manual_dataset(grid: GridSpec, rows, family: str = "random-labels") -> Dataset:
     """Builds a dataset from (raw_feature_tuple, label) rows."""
     spec = GeneratorSpec(

@@ -16,7 +16,7 @@ import random
 import time
 from fractions import Fraction
 
-from conftest import band_dataset, split_trace
+from conftest import band_dataset, mask_of, split_trace
 from sgdcodec.codec import (
     BitStream,
     binomial,
@@ -183,8 +183,7 @@ def test_criterion_04_conditional_width_respects_set_bound(capsys):
         zeros = [e for e in pool if e not in ones]
         picked = rng.sample(sorted(ones), k1) + rng.sample(zeros, k - k1)
         info = encode_set_conditional(
-            BitStream(), tuple(sorted(picked)), pool,
-            lambda e: 1 if e in ones else 0,
+            BitStream(), mask_of(picked), (1 << m) - 1, mask_of(ones)
         )
         bound = theoretical_set_bound(m, Fraction(k, m), Fraction(n1, m), Fraction(k1, k))
         allowance = bound + 4 * math.log2(m) + 2 * ceil_log2(k + 1)
@@ -238,13 +237,12 @@ def test_criterion_07_favorable_epochs_show_real_savings(capsys):
     assert dec.order == tr.order
     # (b) batches drawn inside a 90 percent-correct pool save bits each step
     m, ones_count, b = 1600, 1440, 160
-    pool = tuple(range(m))
     unconditional = ceil_log2(binomial(m, b))
     rng = random.Random(5)
     for _ in range(10):
-        batch = tuple(sorted(rng.sample(range(ones_count), b)))
+        batch = mask_of(rng.sample(range(ones_count), b))
         info = encode_set_conditional(
-            BitStream(), batch, pool, lambda e: 1 if e < ones_count else 0
+            BitStream(), batch, (1 << m) - 1, (1 << ones_count) - 1
         )
         assert unconditional - info.total_bits > 0
     announce(capsys, 7)

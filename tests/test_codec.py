@@ -1,4 +1,6 @@
-"""Exact combinatorial codes: bit streams, subset/permutation ranks, set codec."""
+"""Exact combinatorial codes: bit streams, subset/permutation ranks, set codec.
+
+Sets are int bitmasks over element ids, as the codec takes them."""
 
 from __future__ import annotations
 
@@ -11,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+from conftest import mask_of
 from sgdcodec.codec import (
     BitStream,
     CodecError,
@@ -110,10 +113,10 @@ def test_subset_rank_matches_brute_force():
     pool = (2, 3, 5, 8, 13, 21, 34)
     for k in range(0, len(pool) + 1):
         for comb in itertools.combinations(pool, k):
-            r = subset_rank(comb, pool)
+            r = subset_rank(mask_of(comb), mask_of(pool))
             assert 0 <= r < binomial(len(pool), k)
             assert r == brute_colex_rank(comb, pool)
-            assert subset_unrank(r, pool, k) == comb
+            assert subset_unrank(r, mask_of(pool), k) == mask_of(comb)
 
 
 def test_subset_rank_random_round_trip():
@@ -122,50 +125,55 @@ def test_subset_rank_random_round_trip():
         n = rng.randint(1, 180)
         k = rng.randint(0, n)
         pool = tuple(sorted(rng.sample(range(10 * n), n)))
-        sub = tuple(sorted(rng.sample(pool, k)))
-        r = subset_rank(sub, pool)
+        sub = mask_of(rng.sample(pool, k))
+        r = subset_rank(sub, mask_of(pool))
         assert r < binomial(n, k)
-        assert subset_unrank(r, pool, k) == sub
+        assert subset_unrank(r, mask_of(pool), k) == sub
 
 
 def test_subset_rank_extremes():
-    pool = tuple(range(10))
-    assert subset_rank((), pool) == 0
+    pool = (1 << 10) - 1
+    assert subset_rank(0, pool) == 0
     assert subset_rank(pool, pool) == 0
-    assert subset_rank((0, 1, 2), pool) == 0
-    assert subset_rank((7, 8, 9), pool) == binomial(10, 3) - 1
+    assert subset_rank(0b111, pool) == 0
+    assert subset_rank(0b111 << 7, pool) == binomial(10, 3) - 1
 
 
 def test_subset_rank_rejects_bad_input():
+    pool = mask_of((1, 2, 3))
     with pytest.raises(CodecError):
-        subset_rank((3, 1), (1, 2, 3))  # not sorted
+        subset_rank(mask_of((1, 4)), pool)  # 4 not in pool
     with pytest.raises(CodecError):
-        subset_rank((4,), (1, 2, 3))  # not in pool
+        encode_set_conditional(BitStream(), mask_of((1, 4)), pool, mask_of((1,)))
+    with pytest.raises(CodecError):
+        subset_unrank(0, -1, 1)  # a negative int is no set
 
 
 def test_perm_rank_matches_lexicographic():
     base = (10, 20, 30, 40)
     ordered = sorted(itertools.permutations(base))
     for i, p in enumerate(ordered):
-        assert perm_rank(p, base) == i
-        assert perm_unrank(i, base) == p
+        assert perm_rank(p) == i
+        assert perm_unrank(i, mask_of(base)) == p
 
 
 def test_perm_rank_random_round_trip():
     rng = random.Random(3)
     for _ in range(200):
         n = rng.randint(1, 60)
-        base = tuple(sorted(rng.sample(range(500), n)))
-        p = list(base)
-        rng.shuffle(p)
-        r = perm_rank(p, base)
+        p = rng.sample(range(500), n)
+        r = perm_rank(p)
         assert 0 <= r < math.factorial(n)
-        assert perm_unrank(r, base) == tuple(p)
+        assert perm_unrank(r, mask_of(p)) == tuple(p)
 
 
 def test_perm_rank_rejects_non_permutation():
     with pytest.raises(CodecError):
-        perm_rank((1, 1, 2), (1, 2, 3))
+        perm_rank((1, 2, 1))  # repeated id
+    with pytest.raises(CodecError):
+        perm_unrank(math.factorial(3), mask_of((1, 2, 3)))
+    with pytest.raises(CodecError):
+        perm_unrank(-1, mask_of((1, 2, 3)))
 
 
 @given(st.integers(0, 2**120), st.integers(121, 140))
@@ -179,16 +187,10 @@ def test_bitstream_uint_round_trip(value, width):
 @settings(max_examples=120)
 @given(st.sets(st.integers(0, 120), max_size=40), st.data())
 def test_subset_round_trip_property(pool_set, data):
-    pool = tuple(sorted(pool_set))
-    k = data.draw(st.integers(0, len(pool)))
-    sub = tuple(sorted(data.draw(st.permutations(pool))[:k]))
-    r = subset_rank(sub, pool)
-    assert subset_unrank(r, pool, k) == sub
-
-
-def classifier_from(ones):
-    ones = set(ones)
-    return lambda e: 1 if e in ones else 0
+    k = data.draw(st.integers(0, len(pool_set)))
+    sub = mask_of(data.draw(st.permutations(sorted(pool_set)))[:k])
+    r = subset_rank(sub, mask_of(pool_set))
+    assert subset_unrank(r, mask_of(pool_set), k) == sub
 
 
 def test_conditional_set_round_trip():
@@ -196,31 +198,58 @@ def test_conditional_set_round_trip():
     for _ in range(300):
         m = rng.randint(1, 60)
         pool = tuple(sorted(rng.sample(range(300), m)))
-        a = tuple(sorted(rng.sample(pool, rng.randint(0, m))))
-        ones = rng.sample(pool, rng.randint(0, m))
-        g = classifier_from(ones)
+        a = mask_of(rng.sample(pool, rng.randint(0, m)))
+        ones = mask_of(rng.sample(pool, rng.randint(0, m)))
         s = BitStream()
-        info = encode_set_conditional(s, a, pool, g)
+        info = encode_set_conditional(s, a, mask_of(pool), ones)
         assert len(s) == info.total_bits
         s.reset_cursor()
-        assert decode_set_conditional(s, pool, g, len(a)) == a
+        assert decode_set_conditional(s, mask_of(pool), ones, a.bit_count()) == a
+
+
+@settings(max_examples=300)
+@given(st.randoms(use_true_random=False), st.booleans())
+def test_decode_of_arbitrary_streams_is_a_subset_or_an_error(rng, headers_add_up):
+    # no encoder wrote these bits: decoding must fail cleanly or return a
+    # set of the asked size inside the pool whose encoding is exactly the
+    # bits it read.  Half the streams open with size headers that add up,
+    # each within its pool half, so that the rank fields get read too.
+    pool, ones = rng.getrandbits(48), rng.getrandbits(48)
+    m1, m0 = (pool & ones).bit_count(), (pool & ~ones).bit_count()
+    size = rng.randint(1, m1 + m0 + 2)
+    s = BitStream()
+    if headers_add_up and size <= m1 + m0:
+        n1 = rng.randint(max(0, size - m0), min(size, m1))
+        s.write_uint(n1, ceil_log2(size + 1))
+        s.write_uint(size - n1, ceil_log2(size + 1))
+    width = rng.randint(0, 128)
+    s.write_uint(rng.getrandbits(width), width)
+    s.reset_cursor()
+    try:
+        a = decode_set_conditional(s, pool, ones, size)
+    except CodecError:
+        return
+    assert a & ~pool == 0 and a.bit_count() == size
+    read = len(s) - s.bits_remaining()
+    again = BitStream()
+    encode_set_conditional(again, a, pool, ones)
+    s.reset_cursor()
+    again.reset_cursor()
+    assert len(again) == read and again.read_uint(read) == s.read_uint(read)
 
 
 def test_conditional_set_header_width_uses_subset_size():
-    pool = tuple(range(256))
-    a = tuple(range(128))
-    g = classifier_from(range(0, 256, 2))
     s = BitStream()
-    info = encode_set_conditional(s, a, pool, g)
+    info = encode_set_conditional(
+        s, (1 << 128) - 1, (1 << 256) - 1, mask_of(range(0, 256, 2))
+    )
     assert info.size_header_bits == ceil_log2(129) == 8
 
 
 def test_conditional_set_perfect_classifier_costs_headers_only():
-    pool = tuple(range(64))
-    a = tuple(range(16))
-    g = classifier_from(a)
+    a = (1 << 16) - 1
     s = BitStream()
-    info = encode_set_conditional(s, a, pool, g)
+    info = encode_set_conditional(s, a, (1 << 64) - 1, a)
     assert info.rank_ones_bits == 0 and info.rank_zeros_bits == 0
     assert info.total_bits == 2 * ceil_log2(17)
 
@@ -230,12 +259,12 @@ def test_conditional_rank_bits_never_far_above_unconditional():
     rng = random.Random(13)
     for _ in range(200):
         m = rng.randint(1, 80)
-        pool = tuple(range(m))
-        a = tuple(sorted(rng.sample(pool, rng.randint(0, m))))
-        g = classifier_from(rng.sample(pool, rng.randint(0, m)))
+        ids = range(m)
+        a = mask_of(rng.sample(ids, rng.randint(0, m)))
+        ones = mask_of(rng.sample(ids, rng.randint(0, m)))
         s = BitStream()
-        info = encode_set_conditional(s, a, pool, g)
-        uncond = ceil_log2(binomial(m, len(a)))
+        info = encode_set_conditional(s, a, (1 << m) - 1, ones)
+        uncond = ceil_log2(binomial(m, a.bit_count()))
         assert info.rank_ones_bits + info.rank_zeros_bits <= uncond + 2
 
 
@@ -253,10 +282,8 @@ def test_theoretical_set_bound_rejects_unrealizable():
 
 
 def test_decode_rejects_inconsistent_headers():
-    pool = tuple(range(8))
-    g = classifier_from(range(4))
     s = BitStream()
-    encode_set_conditional(s, (0, 1), pool, g)
+    encode_set_conditional(s, 0b11, 0xFF, 0x0F)
     s.reset_cursor()
     with pytest.raises(CodecError):
-        decode_set_conditional(s, pool, g, 3)
+        decode_set_conditional(s, 0xFF, 0x0F, 3)

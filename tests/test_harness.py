@@ -272,6 +272,56 @@ def test_cli_report_reads_artifacts_only(tmp_path, capsys):
     assert err.startswith("error:") and "summary.json" in err
 
 
+def manifest_with(**config):
+    d = plateau_spec().to_dict()
+    d["config"].update(config)
+    return d
+
+
+@pytest.mark.parametrize("command", ["decode", "report"])
+@pytest.mark.parametrize(
+    "manifest",
+    [
+        {"format": "sgdcodec-run-v1"},
+        [],
+        {"format": "sgdcodec-run-v1", "config": [], "replications": 1,
+         "mode": "ACCOUNTING"},
+        manifest_with(generator=7),
+        manifest_with(batch_size=None),
+    ],
+    ids=["no-config", "list", "config-list", "generator-int", "batch-size-null"],
+)
+def test_cli_rejects_a_malformed_manifest(tmp_path, capsys, command, manifest):
+    # valid JSON of the wrong shape is an error: exit 2, not a traceback
+    (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+    assert main([command, "--dir", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "manifest" in err
+
+
+@pytest.mark.parametrize("summary", [{}, [], {"epochs": 1}])
+def test_cli_report_rejects_a_malformed_summary(tmp_path, capsys, summary):
+    (tmp_path / "manifest.json").write_text(json.dumps(plateau_spec().to_dict()))
+    (tmp_path / "rep_00").mkdir()
+    (tmp_path / "rep_00" / "summary.json").write_text(json.dumps(summary))
+    assert main(["report", "--dir", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "summary.json" in err
+
+
+def test_cli_decode_fails_a_stray_epoch_file(tmp_path, capsys):
+    out = tmp_path / "exp"
+    run_experiment(plateau_spec(max_epochs=1), str(out))
+    epochs = out / "rep_00" / "epochs"
+    assert sorted(os.listdir(epochs)) == ["epoch_001.epc"]
+    (epochs / "epoch_007.epc").write_bytes((epochs / "epoch_001.epc").read_bytes())
+    capsys.readouterr()
+    assert main(["decode", "--dir", str(out)]) == 1
+    text = capsys.readouterr().out
+    assert f"{epochs / 'epoch_007.epc'}: no such epoch in the rerun" in text
+    assert "rep 00 epoch 1: ok" in text
+
+
 def test_cli_decode_detects_tampering(tmp_path, capsys):
     out = str(tmp_path / "exp")
     args = ["--family", "two-gaussians", "--n", "32", "--dim", "2",
