@@ -70,7 +70,6 @@ from .sgd_engine import (
     EpochTrace,
     MultiplePreimage,
     PreimageNotFound,
-    ReverseSearchInfeasible,
     RunConfig,
     TrainingRun,
     draw_epoch_permutation,

@@ -59,8 +59,6 @@ _DEFAULTS = {
     "hidden_width": "0",
     "scale": "16",
     "clip": "64",
-    "g_bound": "",
-    "ball_cap": "5000000",
     "replications": "1",
     "mode": ACCOUNTING,
 }
@@ -122,8 +120,6 @@ def build_spec(values: dict[str, str]) -> ExperimentSpec:
         model_kind=values["model_kind"],
         hidden_width=int(values["hidden_width"]),
         grid=grid,
-        g_bound=Fraction(values["g_bound"]) if values["g_bound"] else None,
-        ball_cap=int(values["ball_cap"]),
     )
     return ExperimentSpec(
         config=config,
@@ -156,8 +152,6 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--hidden-width", dest="hidden_width", type=int)
     p.add_argument("--scale", type=int)
     p.add_argument("--clip", type=int)
-    p.add_argument("--g-bound", dest="g_bound")
-    p.add_argument("--ball-cap", dest="ball_cap", type=int)
     p.add_argument("--replications", type=int)
     p.add_argument("--mode", choices=(ACCOUNTING, STRICT))
     p.add_argument("--out", help="artifact directory")
@@ -209,9 +203,10 @@ def cmd_decode(args: argparse.Namespace) -> int:
     the decoder walked (in STRICT mode, recovered from the rerun's last
     checkpoint alone) must equal the rerun's.  Each replication's
     ``final_model.bin`` must hold the rerun's final weights.
-    An ``.epc`` file that names no completed epoch of the rerun is a failure
-    too.  Returns 1 on any mismatch; unreadable or undecodable files raise,
-    and ``main`` reports them with exit code 2.
+    An ``.epc`` file that names no completed epoch of the rerun, or a
+    ``rep_NN`` directory that names no replication of the manifest, is a
+    failure too.  Returns 1 on any mismatch; unreadable or undecodable
+    files raise, and ``main`` reports them with exit code 2.
     """
     outdir = args.dir or _resolve_out(args)
     if not outdir:
@@ -220,6 +215,11 @@ def cmd_decode(args: argparse.Namespace) -> int:
     spec = load_manifest(os.path.join(outdir, "manifest.json"))
     dataset = generate_dataset(spec.config.generator, spec.config.grid)
     failures = 0
+    reps = {f"rep_{r:02d}" for r in range(spec.replications)}
+    for name in sorted(os.listdir(outdir)):
+        if name.startswith("rep_") and name[4:].isdigit() and name not in reps:
+            print(f"{os.path.join(outdir, name)}: no such replication in the manifest")
+            failures += 1
     for r in range(spec.replications):
         config = replace(spec.config, seed=spec.config.seed + r)
         run = run_training(config, dataset)

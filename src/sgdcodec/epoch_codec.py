@@ -43,7 +43,6 @@ from .numerics import DomainError, FixedVector
 from .sgd_engine import (
     EpochTrace,
     RunConfig,
-    gradient_norm_bound,
     reverse_epoch,
     reverse_step,
 )
@@ -54,8 +53,10 @@ STRICT = "STRICT"
 SPLIT = "SPLIT"
 BACKWARD = "BACKWARD"
 
-# STRICT mode embeds checkpoints and runs the exponential reverse search, so
-# it is only permitted at desk scale.
+# STRICT mode embeds checkpoints and unwinds every step by reverse search, so
+# it is only permitted at desk scale.  The scale cap also keeps the search's
+# premise: up to scale 10 the sigmoid table ends on exact 0 and 1 knots, so
+# its largest knot slope is a true Lipschitz bound.
 STRICT_MAX_N = 64
 STRICT_MAX_D = 2
 STRICT_MAX_SCALE = 8
@@ -74,10 +75,16 @@ def _template(dataset: Dataset, config: RunConfig) -> Model:
     return zero_model(config.model_kind, dataset.dim, config.grid, config.hidden_width)
 
 
-def check_strict_limits(
-    n: int, d: int, scale: int, error: type[Exception] = CodecError
-) -> None:
-    """Raises ``error`` unless the STRICT reverse search fits this shape."""
+def check_strict_limits(config: RunConfig, error: type[Exception] = CodecError) -> None:
+    """Raises ``error`` unless the STRICT reverse search fits this config.
+
+    The search rests on step * L < 1, and only logistic-linear has a proven L.
+    """
+    if config.model_kind != "logistic-linear":
+        raise error(
+            f"STRICT mode refused for {config.model_kind}: no proven smoothness bound"
+        )
+    n, d, scale = config.n, config.d, config.grid.scale
     if n > STRICT_MAX_N or d > STRICT_MAX_D or scale > STRICT_MAX_SCALE:
         raise error(
             f"STRICT mode refused at n={n}, d={d}, scale={scale}: reverse "
@@ -235,7 +242,7 @@ def encode_epoch(
     if not trace.completed:
         raise CodecError("cannot encode an incomplete epoch")
     if mode == STRICT:
-        check_strict_limits(dataset.n, config.d, config.grid.scale)
+        check_strict_limits(config)
     if beta is None:
         beta = config.progress_floor
     selector = select_case(trace, beta)
@@ -402,20 +409,15 @@ def decode_epoch(
     template = _template(dataset, config)
     chain = side.checkpoints
     if side.mode == STRICT:
-        check_strict_limits(n, config.d, config.grid.scale)
+        check_strict_limits(config)
         expected = 1
-        g_bound = gradient_norm_bound(config, dataset)
 
         def step_back(j, batch, after):
-            return reverse_step(
-                after, dataset.subset(batch), config, g_bound, template, j
-            )
+            return reverse_step(after, dataset.subset(batch), config, template, j)
 
         def walk(order):
             batches = [order[k : k + b] for k in range(0, n, b)]
-            return tuple(
-                reverse_epoch(chain[-1], batches, dataset, config, template, g_bound)
-            )
+            return tuple(reverse_epoch(chain[-1], batches, dataset, config, template))
 
     elif side.mode == ACCOUNTING:
         expected = n // b + 1

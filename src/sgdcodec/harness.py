@@ -44,7 +44,7 @@ from .epoch_codec import (
     predict_segments,
     write_epoch_file,
 )
-from .model import Dataset, generate_dataset
+from .model import Dataset, generate_dataset, manifest_int
 from .numerics import (
     DomainError,
     PreconditionError,
@@ -78,8 +78,7 @@ class ExperimentSpec:
         if self.mode not in (ACCOUNTING, STRICT):
             raise DomainError(f"unknown mode {self.mode!r}")
         if self.mode == STRICT:
-            c = self.config
-            check_strict_limits(c.n, c.d, c.grid.scale, DomainError)
+            check_strict_limits(self.config, DomainError)
 
     def to_dict(self) -> dict:
         return {
@@ -100,7 +99,7 @@ class ExperimentSpec:
         try:
             return cls(
                 config=RunConfig.from_dict(d["config"]),
-                replications=int(d["replications"]),
+                replications=manifest_int(d, "replications"),
                 mode=d["mode"],
             )
         except (KeyError, AttributeError, TypeError) as exc:

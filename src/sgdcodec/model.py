@@ -52,6 +52,17 @@ class Element:
             raise DomainError(f"label must be 0/1, got {self.label}")
 
 
+def manifest_int(d: dict, key: str, default: Optional[int] = None) -> int:
+    """The JSON integer under key, or the default when the key is absent.
+
+    A bool, float or string there is a DomainError, not a value to coerce.
+    """
+    value = d[key] if default is None else d.get(key, default)
+    if type(value) is not int:
+        raise DomainError(f"manifest key {key!r} is not a JSON integer: {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class GeneratorSpec:
     """Parameters of one synthetic dataset family.
@@ -109,13 +120,13 @@ class GeneratorSpec:
     def from_dict(cls, d: dict) -> "GeneratorSpec":
         return cls(
             family=d["family"],
-            n=int(d["n"]),
-            dim=int(d["dim"]),
-            seed=int(d["seed"]),
+            n=manifest_int(d, "n"),
+            dim=manifest_int(d, "dim"),
+            seed=manifest_int(d, "seed"),
             margin=Fraction(d.get("margin", "1/2")),
             sigma=Fraction(d.get("sigma", "1/2")),
             center_dist=Fraction(d.get("center_dist", "2")),
-            feature_scale=int(d.get("feature_scale", 2)),
+            feature_scale=manifest_int(d, "feature_scale", 2),
         )
 
 
@@ -434,6 +445,13 @@ def gradient_exact(model: Model, batch: Sequence[Element]) -> tuple[Fraction, ..
     return tuple(Fraction(t, den) for t in total)
 
 
+def rounded_gradient(model: Model, batch: Sequence[Element]) -> tuple[int, ...]:
+    """Mean batch gradient mantissas, rounded half to even and not clipped."""
+    total, exp = _gradient_sum(model, batch)
+    den = len(batch) << (exp - model.grid.scale)
+    return tuple(div_round_half_even(t, den) for t in total)
+
+
 def loss_gradient(model: Model, batch: Sequence[Element]) -> FixedVector:
     """Mean batch gradient quantized once to the grid, round half to even.
 
@@ -442,10 +460,8 @@ def loss_gradient(model: Model, batch: Sequence[Element]) -> FixedVector:
     """
     if model.weights.saturated:
         raise SaturationError("model weights carry a saturation flag")
-    total, exp = _gradient_sum(model, batch)
+    raws = rounded_gradient(model, batch)
     grid = model.grid
-    den = len(batch) << (exp - grid.scale)
-    raws = tuple(div_round_half_even(t, den) for t in total)
     lo, hi = grid.raw_min, grid.raw_max
     if any(r < lo or r > hi for r in raws):
         raise SaturationError("gradient coordinate clipped during quantization")
@@ -470,11 +486,10 @@ def correctness_mask(model: Model, dataset: Dataset) -> int:
     return sum(1 << e for e, ok in enumerate(correctness_vector(model, dataset)) if ok)
 
 
-def analytic_logistic_smoothness(dataset: Dataset) -> tuple[Fraction, float]:
-    """(L, G) bounds for the logistic-linear loss: L <= max |x|^2 / 4, G <= max |x|."""
-    unit2 = dataset.grid.unit * dataset.grid.unit
-    worst = max(
-        (Fraction(_dot(el.features.raws, el.features.raws), unit2) for el in dataset.elements),
-        default=Fraction(0),
-    )
-    return worst / 4, math.sqrt(float(worst))
+def analytic_logistic_smoothness(elements: Iterable[Element]) -> Fraction:
+    """max |x|^2 / 4: the smoothness of the exact-sigmoid logistic-linear loss."""
+    worst = Fraction(0)
+    for el in elements:
+        x = el.features
+        worst = max(worst, Fraction(_dot(x.raws, x.raws), x.grid.unit**2))
+    return worst / 4

@@ -3,7 +3,9 @@
 Each epoch's visit order is a Fisher-Yates permutation drawn from a
 splitmix64 stream keyed by (seed, epoch), so a run config pins down every
 random choice.  The reverse oracle recovers the unique predecessor of a step
-by exhaustive search over the grid ball that the update rule can reach.
+from the contraction that step * L < 1 gives the logistic-linear update: a
+fixed-point iteration lands near every predecessor, and a scan of the grid
+ball whose radius that premise bounds collects them all.
 """
 
 from __future__ import annotations
@@ -13,15 +15,18 @@ import struct
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .model import (
     Dataset,
+    Element,
     GeneratorSpec,
     Model,
     analytic_logistic_smoothness,
     correctness_mask,
     loss_gradient,
+    manifest_int,
+    rounded_gradient,
     sigmoid_table_max_slope,
     zero_model,
     MODEL_KINDS,
@@ -32,6 +37,7 @@ from .numerics import (
     GridSpec,
     PreconditionError,
     SaturationError,
+    div_round_half_even,
 )
 
 MASK64 = (1 << 64) - 1
@@ -52,10 +58,6 @@ class PreimageNotFound(ReverseError):
 
 class MultiplePreimage(ReverseError):
     """Two or more preimages found: a smoothness or quantization premise broke."""
-
-
-class ReverseSearchInfeasible(ReverseError):
-    """The search ball holds more candidates than the configured cap."""
 
 
 def splitmix64(state: int) -> tuple[int, int]:
@@ -126,8 +128,6 @@ class RunConfig:
     model_kind: str = "logistic-linear"
     hidden_width: int = 0
     grid: GridSpec = field(default_factory=GridSpec)
-    g_bound: Optional[Fraction] = None
-    ball_cap: int = 5_000_000
 
     def __post_init__(self) -> None:
         if self.model_kind not in MODEL_KINDS:
@@ -185,64 +185,47 @@ class RunConfig:
             "hidden_width": self.hidden_width,
             "scale": self.grid.scale,
             "clip": self.grid.clip,
-            "g_bound": None if self.g_bound is None else str(self.g_bound),
-            "ball_cap": self.ball_cap,
         }
 
     @classmethod
     def from_dict(cls, d: dict) -> "RunConfig":
         return cls(
             generator=GeneratorSpec.from_dict(d["generator"]),
-            batch_size=int(d["batch_size"]),
-            step_raw=int(d["step_raw"]),
+            batch_size=manifest_int(d, "batch_size"),
+            step_raw=manifest_int(d, "step_raw"),
             eps=Fraction(d["eps"]),
             progress_coeff=Fraction(d["progress_coeff"]),
-            seed=int(d["seed"]),
-            max_epochs=int(d["max_epochs"]),
+            seed=manifest_int(d, "seed"),
+            max_epochs=manifest_int(d, "max_epochs"),
             model_kind=d.get("model_kind", "logistic-linear"),
-            hidden_width=int(d.get("hidden_width", 0)),
-            grid=GridSpec(int(d["scale"]), int(d["clip"])),
-            g_bound=None if d.get("g_bound") is None else Fraction(d["g_bound"]),
-            ball_cap=int(d.get("ball_cap", 5_000_000)),
+            hidden_width=manifest_int(d, "hidden_width", 0),
+            grid=GridSpec(manifest_int(d, "scale"), manifest_int(d, "clip")),
         )
 
 
-def gradient_norm_bound(config: RunConfig, dataset: Dataset) -> Fraction:
-    """Gradient norm bound G, rounded up to the next grid step.
+def step_smoothness(
+    step_raw: int, grid: GridSpec, elements: Iterable[Element]
+) -> Fraction:
+    """step * L for the logistic-linear loss over these elements.
 
-    Logistic-linear admits the analytic bound max |x| since the residual
-    magnitude never exceeds one.  Other kinds must supply config.g_bound.
+    The loss is max|x|^2 * S smooth, where S bounds the slope of the sigmoid
+    that training actually uses: the table's largest knot-to-knot slope at
+    the grid scale, which exceeds the exact sigmoid's 1/4 below scale 8.
     """
-    if config.g_bound is not None:
-        g = config.g_bound
-    elif config.model_kind == "logistic-linear":
-        worst = 0
-        for el in dataset.elements:
-            worst = max(worst, sum(r * r for r in el.features.raws))
-        root = math.isqrt(worst)
-        if root * root < worst:
-            root += 1
-        return Fraction(root, config.grid.unit)
-    else:
-        raise PreconditionError("g_bound required for this model kind")
-    unit = config.grid.unit
-    return Fraction(math.ceil(g * unit), unit)
+    slope = sigmoid_table_max_slope(grid.scale)
+    l_bound = 4 * analytic_logistic_smoothness(elements) * slope
+    return Fraction(step_raw, grid.unit) * l_bound
 
 
 def check_step_smoothness(config: RunConfig, dataset: Dataset) -> Fraction:
-    """Validates step * smoothness < 1 and returns the product.
+    """Validates step * smoothness < 1 over the whole dataset and returns it.
 
-    The logistic loss is max|x|^2 * S smooth, where S bounds the slope of the
-    sigmoid that training actually uses: the table's largest knot-to-knot
-    slope at the grid scale, which exceeds the exact sigmoid's 1/4 below
-    scale 8.  Other model kinds are accepted as-is because no closed-form
-    constant is available for them here.
+    Other model kinds are accepted as-is because no closed-form constant is
+    available for them here; STRICT mode refuses them.
     """
     if config.model_kind != "logistic-linear":
         return Fraction(0)
-    quarter_l, _ = analytic_logistic_smoothness(dataset)
-    l_bound = 4 * quarter_l * sigmoid_table_max_slope(config.grid.scale)
-    product = Fraction(config.step_raw, config.grid.unit) * l_bound
+    product = step_smoothness(config.step_raw, config.grid, dataset.elements)
     if product >= 1:
         raise PreconditionError(
             f"step*smoothness = {product} >= 1; reverse uniqueness not guaranteed"
@@ -453,27 +436,8 @@ def run_training(config: RunConfig, dataset: Optional[Dataset] = None) -> Traini
     return TrainingRun(config, dataset, initial, traces, model, terminated, product)
 
 
-def _sqrt_upper(d: int) -> Fraction:
-    """A rational upper bound on sqrt(d), tight to 1e-6."""
-    scale = 10**6
-    root = math.isqrt(d * scale * scale)
-    return Fraction(root + 1, scale)
-
-
-def reverse_radius_raw(step_raw: int, unit: int, g_bound: Fraction, d: int) -> int:
-    """Search ball radius in raw grid units around the post-step point.
-
-    Covers step*G plus the half-step wobble that gradient quantization and
-    the update rounding can each add per coordinate.
-    """
-    half = _sqrt_upper(d) / 2
-    reach = Fraction(step_raw, unit) * (g_bound * unit + half) + half
-    return math.ceil(reach)
-
-
-def _ball_offsets(d: int, radius: int) -> Iterator[tuple[int, ...]]:
-    """Integer points with squared norm <= radius**2, ascending lexicographic."""
-    r2 = radius * radius
+def _ball_offsets(d: int, r2: int) -> Iterator[tuple[int, ...]]:
+    """Integer points with squared norm <= r2, ascending lexicographic."""
 
     def rec(prefix: list[int], budget: int) -> Iterator[tuple[int, ...]]:
         if len(prefix) == d:
@@ -488,54 +452,73 @@ def _ball_offsets(d: int, radius: int) -> Iterator[tuple[int, ...]]:
     yield from rec([], r2)
 
 
-def ball_candidate_count(d: int, radius: int) -> int:
-    """Upper bound on search candidates: the bounding cube."""
-    return (2 * radius + 1) ** d
-
-
 def reverse_step(
     target: FixedVector,
-    batch,
+    batch: Sequence[Element],
     config: RunConfig,
-    g_bound: Fraction,
     model_template: Model,
     step_index: Optional[int] = None,
 ) -> FixedVector:
     """Finds the unique predecessor weights mapping onto target via one step.
 
-    Scans the grid ball around target in ascending lexicographic raw order,
+    Every predecessor w is a fixed point of Phi(w) = target + round(step *
+    g_q(w)).  With q = step * L < 1 over the batch, Phi contracts by q up to
+    a rounding wobble of delta = (step + 1) / 2 raw units per coordinate, so
+    any two fixed points lie within rho = 2 delta sqrt(d) / (1 - q) of each
+    other.  The search iterates Phi from the target until it meets a fixed
+    point, or until q**k * step * max|x| <= 1 raw unit, which puts every
+    predecessor within rho + 1 of the last iterate.  It then scans that ball
+    (radius rho around a fixed point) in ascending lexicographic raw order,
     running the forward step for each candidate.  Exactly one hit is
-    required; zero or several raise.
+    required; zero or several raise.  Only logistic-linear has a proven L.
     """
+    if model_template.kind != "logistic-linear":
+        raise PreconditionError(f"no smoothness bound for {model_template.kind}")
     grid = target.grid
-    radius = reverse_radius_raw(config.step_raw, grid.unit, g_bound, len(target))
-    if ball_candidate_count(len(target), radius) > config.ball_cap:
-        raise ReverseSearchInfeasible(
-            f"search cube holds more than {config.ball_cap} candidates",
-            step_index,
-        )
-    hits: list[FixedVector] = []
+    step_raw = config.step_raw
+    q = step_smoothness(step_raw, grid, batch)
+    if q >= 1:
+        raise PreconditionError(f"step*smoothness = {q} >= 1 on this batch")
+    # squared radii in raw units: rho, and q**k * step * max|x| at k = 0
+    rho2 = (Fraction(step_raw, grid.unit) + 1) ** 2 * len(target) / (1 - q) ** 2
+    reach2 = 4 * step_raw**2 * analytic_logistic_smoothness(batch)
     base = target.raws
-    for off in _ball_offsets(len(target), radius):
-        raws = tuple(w + o for w, o in zip(base, off))
+    w = base
+    while True:
+        model = model_template.with_weights(FixedVector(w, grid))
+        pulled = tuple(
+            t + div_round_half_even(step_raw * g, grid.unit)
+            for t, g in zip(base, rounded_gradient(model, batch))
+        )
+        if pulled == w:
+            r2 = math.floor(rho2)
+            break
+        if reach2 <= 1:
+            r2 = (math.isqrt(math.floor(rho2)) + 2) ** 2  # > (rho + 1)**2
+            break
+        w = pulled
+        reach2 *= q * q
+    hits: list[FixedVector] = []
+    for off in _ball_offsets(len(target), r2):
+        raws = tuple(c + o for c, o in zip(w, off))
         if any(r < grid.raw_min or r > grid.raw_max for r in raws):
             continue
         candidate = FixedVector(raws, grid)
         try:
             stepped, _ = forward_step(
-                model_template.with_weights(candidate), batch, config.step_raw
+                model_template.with_weights(candidate), batch, step_raw
             )
         except SaturationError:
             continue
         if stepped.weights.raws == base:
             hits.append(candidate)
-            if len(hits) > 1:
-                raise MultiplePreimage(
-                    f"two preimages found: {hits[0].raws} and {hits[1].raws}",
-                    step_index,
-                )
     if not hits:
         raise PreimageNotFound("no grid point maps onto the target", step_index)
+    if len(hits) > 1:
+        raise MultiplePreimage(
+            f"{len(hits)} preimages found: {hits[0].raws} and {hits[1].raws}",
+            step_index,
+        )
     return hits[0]
 
 
@@ -545,19 +528,18 @@ def reverse_epoch(
     dataset: Dataset,
     config: RunConfig,
     model_template: Model,
-    g_bound: Optional[Fraction] = None,
 ) -> list[FixedVector]:
     """Recovers all checkpoints of an epoch from its final weights.
 
     Returns [W_1 .. W_{T+1}] where W_{T+1} equals final_weights and batches
-    is the epoch's ordered batch list (batch j at index j-1).
+    is the epoch's ordered batch list (batch j at index j-1).  Each step back
+    is one ``reverse_step``, so its errors carry the 1-based step index.
     """
-    g = gradient_norm_bound(config, dataset) if g_bound is None else g_bound
     current = final_weights
     out = [current]
     for j in range(len(batches), 0, -1):
         batch = dataset.subset(batches[j - 1])
-        current = reverse_step(current, batch, config, g, model_template, j)
+        current = reverse_step(current, batch, config, model_template, j)
         out.append(current)
     out.reverse()
     return out

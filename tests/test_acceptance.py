@@ -55,7 +55,6 @@ from sgdcodec.sgd_engine import (
     SaturationError,
     check_step_smoothness,
     forward_step,
-    gradient_norm_bound,
     reverse_step,
     run_training,
 )
@@ -135,7 +134,6 @@ def test_criterion_03_reverse_step_unique_over_full_grid(capsys):
                     eps=Fraction(1, 100), progress_coeff=Fraction(1),
                     seed=1, max_epochs=1, grid=grid)
     assert check_step_smoothness(cfg, ds) < 1
-    g = gradient_norm_bound(cfg, ds)
     template = zero_model("logistic-linear", 1, grid)
     rng = random.Random(20260814)
     multiple_preimages = 0
@@ -159,7 +157,7 @@ def test_criterion_03_reverse_step_unique_over_full_grid(capsys):
         assert len(images) == grid.raw_max - grid.raw_min + 1 - saturated
         for img, w in images.items():
             try:
-                back = reverse_step(FixedVector(img, grid), batch, cfg, g, template)
+                back = reverse_step(FixedVector(img, grid), batch, cfg, template)
             except MultiplePreimage:
                 multiple_preimages += 1
                 continue

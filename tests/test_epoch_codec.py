@@ -21,7 +21,6 @@ from sgdcodec.numerics import DomainError, GridSpec
 from sgdcodec.sgd_engine import (
     MultiplePreimage,
     PreimageNotFound,
-    ReverseSearchInfeasible,
     RunConfig,
     run_training,
 )
@@ -52,7 +51,6 @@ DECODE_ERRORS = (
     DomainError,
     MultiplePreimage,
     PreimageNotFound,
-    ReverseSearchInfeasible,
 )
 
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import shutil
 from dataclasses import replace
 from fractions import Fraction
 
@@ -278,6 +279,18 @@ def manifest_with(**config):
     return d
 
 
+def manifest_keyed(**top):
+    d = plateau_spec().to_dict()
+    d.update(top)
+    return d
+
+
+def manifest_generator_with(**generator):
+    d = plateau_spec().to_dict()
+    d["config"]["generator"].update(generator)
+    return d
+
+
 @pytest.mark.parametrize("command", ["decode", "report"])
 @pytest.mark.parametrize(
     "manifest",
@@ -288,14 +301,21 @@ def manifest_with(**config):
          "mode": "ACCOUNTING"},
         manifest_with(generator=7),
         manifest_with(batch_size=None),
+        manifest_keyed(replications=1.9),
+        manifest_keyed(replications=True),
+        manifest_with(max_epochs="3"),
+        manifest_generator_with(n=64.0),
     ],
-    ids=["no-config", "list", "config-list", "generator-int", "batch-size-null"],
+    ids=["no-config", "list", "config-list", "generator-int", "batch-size-null",
+         "replications-float", "replications-bool", "config-int-string",
+         "generator-int-float"],
 )
 def test_cli_rejects_a_malformed_manifest(tmp_path, capsys, command, manifest):
-    # valid JSON of the wrong shape is an error: exit 2, not a traceback
+    # valid JSON of the wrong shape is an error: exit 2, not a traceback; an
+    # integer field takes a JSON integer only, never a bool, float or string
     (tmp_path / "manifest.json").write_text(json.dumps(manifest))
     assert main([command, "--dir", str(tmp_path)]) == 2
-    err = capsys.readouterr().err
+    err = capsys.readouterr().err.replace(str(tmp_path), "")
     assert err.startswith("error:") and "manifest" in err
 
 
@@ -319,6 +339,17 @@ def test_cli_decode_fails_a_stray_epoch_file(tmp_path, capsys):
     assert main(["decode", "--dir", str(out)]) == 1
     text = capsys.readouterr().out
     assert f"{epochs / 'epoch_007.epc'}: no such epoch in the rerun" in text
+    assert "rep 00 epoch 1: ok" in text
+
+
+def test_cli_decode_fails_a_stray_replication(tmp_path, capsys):
+    out = tmp_path / "exp"
+    run_experiment(plateau_spec(max_epochs=1), str(out))
+    shutil.copytree(out / "rep_00", out / "rep_03")
+    capsys.readouterr()
+    assert main(["decode", "--dir", str(out)]) == 1
+    text = capsys.readouterr().out
+    assert f"{out / 'rep_03'}: no such replication in the manifest" in text
     assert "rep 00 epoch 1: ok" in text
 
 
@@ -384,6 +415,36 @@ def test_cli_rejects_unknown_config_key(tmp_path, capsys):
     cfg.write_text("learning_rate = 0.1\n")
     assert main(["run", "--config", str(cfg)]) == 2
     assert "unknown key" in capsys.readouterr().err
+
+
+def test_cli_rejects_the_retired_search_knobs(tmp_path, capsys):
+    cfg = tmp_path / "old.cfg"
+    cfg.write_text("ball_cap = 5000000\n")
+    assert main(["run", "--config", str(cfg)]) == 2
+    assert "unknown key 'ball_cap'" in capsys.readouterr().err
+    with pytest.raises(SystemExit):
+        main(["run", "--g-bound", "5"])
+
+
+def test_cli_refuses_strict_for_the_hidden_kind(tmp_path, capsys):
+    out = str(tmp_path / "exp")
+    hidden = ["--model-kind", "one-hidden-layer", "--hidden-width", "1"]
+    assert main(["run", "--out", out] + STRICT_FLAGS + hidden) == 2
+    assert "no proven smoothness bound" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
+def test_cli_decodes_a_manifest_with_the_retired_search_knobs(tmp_path, capsys):
+    out = tmp_path / "exp"
+    run_experiment(strict_spec(), str(out))
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert "ball_cap" not in manifest["config"]
+    manifest["config"].update({"g_bound": None, "ball_cap": 5000000})
+    (out / "manifest.json").write_text(json.dumps(manifest))
+    assert load_manifest(str(out / "manifest.json")) == strict_spec()
+    capsys.readouterr()
+    assert main(["decode", "--dir", str(out)]) == 0
+    assert "MISMATCH" not in capsys.readouterr().out
 
 
 def test_cli_decode_requires_directory(capsys, monkeypatch):

@@ -251,6 +251,6 @@ def test_hidden_model_gradient_shape():
 def test_analytic_smoothness_bounds():
     rows = [((3, 4), 1), ((0, 2), 0)]
     ds = manual_dataset(GridSpec(scale=0, clip=64), rows)
-    l_bound, g_bound = analytic_logistic_smoothness(ds)
-    assert l_bound == Fraction(25, 4)  # max |x|^2 = 25 at scale 0
-    assert g_bound == pytest.approx(5.0, abs=1e-12)
+    assert analytic_logistic_smoothness(ds.elements) == Fraction(25, 4)  # max |x|^2 = 25
+    assert analytic_logistic_smoothness(ds.elements[1:]) == 1
+    assert analytic_logistic_smoothness(()) == 0

@@ -18,30 +18,27 @@ from sgdcodec.numerics import (
     FixedVector,
     GridSpec,
     PreconditionError,
+    SaturationError,
 )
 from sgdcodec.sgd_engine import (
     BitTape,
     GOLDEN64,
     MultiplePreimage,
     PreimageNotFound,
-    ReverseSearchInfeasible,
     RunConfig,
-    ball_candidate_count,
     check_step_smoothness,
     draw_epoch_permutation,
     draw_permutation,
     forward_step,
-    gradient_norm_bound,
     reverse_epoch,
-    reverse_radius_raw,
     reverse_step,
     run_epoch,
     run_training,
     splitmix64,
+    step_smoothness,
     vector_from_bytes,
     vector_to_bytes,
     write_trace_csv,
-    _sqrt_upper,
 )
 
 GRID = GridSpec()
@@ -208,70 +205,33 @@ def test_check_step_smoothness_uses_the_table_slope():
     rows = [((2 * GRID6.unit,), 1), ((GRID6.unit,), 0)]
     ds = manual_dataset(GRID6, rows)
     cfg = band_config(ds, step_raw=GRID6.unit // 2, batch_size=2)
-    quarter_l, _ = analytic_logistic_smoothness(ds)
+    quarter_l = analytic_logistic_smoothness(ds.elements)
     assert Fraction(cfg.step_raw, GRID6.unit) * quarter_l < 1
     with pytest.raises(PreconditionError):
         check_step_smoothness(cfg, ds)
-
-
-def test_gradient_norm_bound_logistic():
-    rows = [((3, 4), 1), ((0, 1), 0)]
-    ds = manual_dataset(GridSpec(scale=0, clip=64), rows)
-    cfg = band_config(ds, step_raw=0, batch_size=2)
-    assert gradient_norm_bound(cfg, ds) == Fraction(5)
-
-
-def test_gradient_norm_bound_requires_g_for_hidden():
-    ds = generate_dataset(GeneratorSpec(family="random-labels", n=8, dim=2, seed=0), GRID)
-    cfg = band_config(ds, step_raw=1, batch_size=4, model_kind="one-hidden-layer",
-                      hidden_width=2)
-    with pytest.raises(PreconditionError):
-        gradient_norm_bound(cfg, ds)
-    cfg2 = band_config(ds, step_raw=1, batch_size=4, model_kind="one-hidden-layer",
-                       hidden_width=2, g_bound=Fraction(7, 2))
-    assert gradient_norm_bound(cfg2, ds) == Fraction(7, 2)
-
-
-def test_sqrt_upper_is_an_upper_bound():
-    for d in (1, 2, 3, 7, 64, 1000):
-        u = _sqrt_upper(d)
-        assert u * u > d
-        assert (u - Fraction(1, 10**5)) ** 2 < d
-
-
-def test_reverse_radius_monotone_in_g():
-    step_raw = GRID.unit // 4
-    radii = [reverse_radius_raw(step_raw, GRID.unit, Fraction(g), 3) for g in (1, 2, 5, 9)]
-    assert radii == sorted(radii)
-    assert all(r >= 1 for r in radii)
-
-
-def test_ball_candidate_count_is_cube():
-    assert ball_candidate_count(2, 3) == 49
-    assert ball_candidate_count(3, 1) == 27
 
 
 def test_reverse_step_inverts_forward_on_band():
     # constant-update band: every forward step is well inside the ball
     ds = band_dataset(GRID6, 16, lo_raw=22, hi_raw=29, seed=5)
     cfg = band_config(ds, step_raw=4, batch_size=4)
-    g = gradient_norm_bound(cfg, ds)
     template = zero_model("logistic-linear", 1, GRID6)
     batch = ds.subset((0, 3, 7, 11))
     for w_raw in (-60, -10, 0, 17, 63):
         start = FixedVector((w_raw,), GRID6)
         stepped, _ = forward_step(template.with_weights(start), batch, cfg.step_raw)
-        back = reverse_step(stepped.weights, batch, cfg, g, template)
+        back = reverse_step(stepped.weights, batch, cfg, template)
         assert back.raws == start.raws
 
 
 def test_reverse_step_detects_multiple_preimages():
-    # wide feature spread at a coarse grid: the rounded update map collides
-    ds = band_dataset(GRID6, 8, lo_raw=100, hi_raw=250, seed=3)
-    cfg = band_config(ds, step_raw=16, batch_size=4)
-    g = gradient_norm_bound(cfg, ds)
+    # criterion 2's grid and step, where step*L < 1 on the batch: rounding
+    # the update still merges two neighbouring weights onto one image
+    ds = band_dataset(GRID6, 8, lo_raw=100, hi_raw=120, seed=3)
+    cfg = band_config(ds, step_raw=8, batch_size=4)
     template = zero_model("logistic-linear", 1, GRID6)
     batch = ds.subset((0, 1, 2, 3))
+    assert step_smoothness(cfg.step_raw, GRID6, batch) < 1
     images = {}
     collision = None
     for w_raw in range(GRID6.raw_min + 8, GRID6.raw_max - 8):
@@ -283,23 +243,74 @@ def test_reverse_step_detects_multiple_preimages():
         images[img] = w_raw
     assert collision is not None, "expected a rounding collision on this band"
     with pytest.raises(MultiplePreimage):
-        reverse_step(FixedVector(collision, GRID6), batch, cfg, g, template)
+        reverse_step(FixedVector(collision, GRID6), batch, cfg, template)
 
 
 def test_reverse_step_not_found_and_infeasible():
     ds = band_dataset(GRID6, 8, lo_raw=22, hi_raw=29, seed=6)
     cfg = band_config(ds, step_raw=4, batch_size=4)
-    g = gradient_norm_bound(cfg, ds)
     template = zero_model("logistic-linear", 1, GRID6)
     batch = ds.subset((0, 1, 2, 3))
     # the update is nonnegative on this band, so nothing maps to the top
     # corner of the grid
     lonely = FixedVector((GRID6.raw_max,), GRID6)
     with pytest.raises(PreimageNotFound):
-        reverse_step(lonely, batch, cfg, g, template)
-    tiny_cap = band_config(ds, step_raw=4, batch_size=4, ball_cap=2)
-    with pytest.raises(ReverseSearchInfeasible):
-        reverse_step(lonely, batch, tiny_cap, g, template)
+        reverse_step(lonely, batch, cfg, template)
+    # without a contraction the search has no derived radius: a wide feature
+    # spread puts step*L near 3.5 on the batch
+    wide = band_dataset(GRID6, 8, lo_raw=100, hi_raw=250, seed=3)
+    steep = band_config(wide, step_raw=16, batch_size=4)
+    wide_batch = wide.subset((0, 1, 2, 3))
+    assert step_smoothness(steep.step_raw, GRID6, wide_batch) > 3
+    with pytest.raises(PreconditionError):
+        reverse_step(lonely, wide_batch, steep, template)
+    # and only logistic-linear has a proven smoothness bound
+    hidden = zero_model("one-hidden-layer", 1, GRID6, width=1)
+    with pytest.raises(PreconditionError):
+        reverse_step(FixedVector((0, 0), GRID6), batch, cfg, hidden)
+
+
+def test_reverse_step_matches_a_full_grid_scan():
+    # every step of criterion 2's config over run seeds 1-8, against every
+    # preimage on the whole grid; the targets are the step's endpoint, its two
+    # grid neighbours and the nearest grid point that nothing maps onto
+    gen = GeneratorSpec(family="two-gaussians", n=32, dim=1, seed=3,
+                        sigma=Fraction(1, 2), center_dist=Fraction(2))
+    template = zero_model("logistic-linear", 1, GRID6)
+    grid_points = range(GRID6.raw_min, GRID6.raw_max + 1)
+    outcomes = {"unique": 0, "multiple": 0, "none": 0}
+    for seed in range(1, 9):
+        cfg = RunConfig(generator=gen, batch_size=4, step_raw=8, eps=Fraction(1, 100),
+                        progress_coeff=Fraction(1), seed=seed, max_epochs=4, grid=GRID6)
+        run = run_training(cfg)
+        for tr in run.traces:
+            for j in range(1, tr.steps_done + 1):
+                batch = run.dataset.subset(tr.batches[j - 1])
+                preimages = {}
+                for w in grid_points:
+                    start = template.with_weights(FixedVector((w,), GRID6))
+                    try:
+                        img = forward_step(start, batch, cfg.step_raw)[0].weights.raws
+                    except SaturationError:
+                        continue
+                    preimages.setdefault(img[0], []).append(w)
+                (t,) = tr.checkpoints[j].raws
+                gap = min((w for w in grid_points if w not in preimages),
+                          key=lambda w: abs(w - t))
+                for target in (t - 1, t, t + 1, gap):
+                    want = preimages.get(target, [])
+                    try:
+                        got = reverse_step(FixedVector((target,), GRID6), batch, cfg,
+                                           template, j)
+                        assert [got.raws[0]] == want
+                        outcomes["unique"] += 1
+                    except MultiplePreimage:
+                        assert len(want) >= 2
+                        outcomes["multiple"] += 1
+                    except PreimageNotFound:
+                        assert want == []
+                        outcomes["none"] += 1
+    assert all(outcomes.values()), outcomes
 
 
 def test_reverse_epoch_recovers_checkpoint_chain():
