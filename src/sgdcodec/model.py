@@ -8,9 +8,9 @@ power-of-two denominators fixed by the grid scale (the batch mean adds a
 factor of the batch size), so a gradient is a deterministic function of
 (weights, batch) with a single round-half-even division at the end of each
 step.  The Fraction-valued functions are views of the same numerators.
-Classification goes through one sweep, ``correctness_vector`` (packed into an
-int by ``correctness_mask``), with the prediction rule score > 0 -> label 1;
-accuracies are popcounts of those masks.
+Classification goes through one sweep, ``correctness_mask`` (for logistic-linear
+models one big-int pass over lane-packed feature columns), with the prediction
+rule score > 0 -> label 1; accuracies are popcounts of its masks.
 """
 
 from __future__ import annotations
@@ -18,9 +18,10 @@ from __future__ import annotations
 import math
 import operator
 import random
+import re
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterable, Optional, Sequence
 
 from .numerics import (
@@ -61,6 +62,14 @@ def manifest_int(d: dict, key: str, default: Optional[int] = None) -> int:
     if type(value) is not int:
         raise DomainError(f"manifest key {key!r} is not a JSON integer: {value!r}")
     return value
+
+
+def manifest_fraction(d: dict, key: str, default: Optional[str] = None) -> Fraction:
+    """The str(Fraction) under key, as to_dict writes it; anything else is a DomainError."""
+    value = d[key] if default is None else d.get(key, default)
+    if type(value) is not str or not re.fullmatch(r"-?[0-9]+(/[1-9][0-9]*)?", value):
+        raise DomainError(f"manifest key {key!r} is not a rational string: {value!r}")
+    return Fraction(value)
 
 
 @dataclass(frozen=True)
@@ -123,9 +132,9 @@ class GeneratorSpec:
             n=manifest_int(d, "n"),
             dim=manifest_int(d, "dim"),
             seed=manifest_int(d, "seed"),
-            margin=Fraction(d.get("margin", "1/2")),
-            sigma=Fraction(d.get("sigma", "1/2")),
-            center_dist=Fraction(d.get("center_dist", "2")),
+            margin=manifest_fraction(d, "margin", "1/2"),
+            sigma=manifest_fraction(d, "sigma", "1/2"),
+            center_dist=manifest_fraction(d, "center_dist", "2"),
             feature_scale=manifest_int(d, "feature_scale", 2),
         )
 
@@ -152,6 +161,28 @@ class Dataset:
     @property
     def dim(self) -> int:
         return len(self.elements[0].features) if self.elements else 0
+
+    @cached_property
+    def _lanes(self) -> tuple[int, tuple[int, ...], int, int, int]:
+        """The operands of ``correctness_mask``, one L-bit lane per element e.
+
+        L = 8*size >= bitlen(dim * max|x| * clip * 2**scale) + 2.  Returns size,
+        per column c the int sum_e x_ec * 2**(L*e), and ints holding 2**(L-1) - 1,
+        the top bit, and the top bit iff label 0, in every lane."""
+        n, rows = self.n, [el.features.raws for el in self.elements]
+        bound = self.dim * max((abs(x) for r in rows for x in r), default=0)
+        size = ((bound * -self.grid.raw_min).bit_length() + 9) // 8
+        zero, top = bytes(size), (1 << 8 * size - 1).to_bytes(size, "little")
+        tops = int.from_bytes(top * n, "little")
+        columns = []
+        for col in zip(*rows):
+            # read unsigned, each negative lane overshoots by 2**L: twice its top bit
+            lanes = [x.to_bytes(size, "little", signed=True) if x else zero for x in col]
+            packed = int.from_bytes(b"".join(lanes), "little")
+            columns.append(packed - ((packed & tops) << 1))
+        label0 = b"".join(zero if el.label else top for el in self.elements)
+        bias = tops - (tops >> 8 * size - 1)
+        return size, tuple(columns), bias, tops, int.from_bytes(label0, "little")
 
     def subset(self, ids: Iterable[int]) -> tuple[Element, ...]:
         """Elements for the given ids, ascending by id."""
@@ -386,14 +417,6 @@ class Model:
         pre = [_dot(w[r * dim : (r + 1) * dim], x) for r in range(self.width)]
         return pre, [_sigmoid_num(p, 2 * s, s) for p in pre]
 
-    def _scores(self, xs: Iterable[Sequence[int]]) -> list[int]:
-        """Output pre-activation numerators, over 2**(2s) or 2**(4s) (hidden)."""
-        w = self.weights.raws
-        if self.kind == "logistic-linear":
-            return [_dot(w, x) for x in xs]
-        v = w[self.width * self.dim :]
-        return [_dot(v, self._hidden(x)[1]) for x in xs]
-
 
 def zero_model(kind: str, dim: int, grid: GridSpec, width: int = 0) -> Model:
     d = dim if kind == "logistic-linear" else width * dim + width
@@ -469,27 +492,35 @@ def loss_gradient(model: Model, batch: Sequence[Element]) -> FixedVector:
 
 
 def correctness_vector(model: Model, dataset: Dataset) -> list[int]:
-    """Per-element correctness indexed by id, computed in one sweep.
-
-    Correct means the sign of the score numerator agrees with the label:
-    positive for label 1, zero or negative for label 0.
-    """
-    if dataset.grid != model.grid:
-        raise DomainError("dataset and model live on different grids")
-    elements = dataset.elements
-    scores = model._scores(el.features.raws for el in elements)
-    return [int((z > 0) == el.label) for z, el in zip(scores, elements)]
+    """``correctness_mask`` as a 0/1 list indexed by element id."""
+    mask = correctness_mask(model, dataset)
+    return [mask >> e & 1 for e in range(dataset.n)]
 
 
 def correctness_mask(model: Model, dataset: Dataset) -> int:
-    """The correctness sweep as one int: bit e is set iff element e is correct."""
-    return sum(1 << e for e, ok in enumerate(correctness_vector(model, dataset)) if ok)
+    """The correctness sweep as one int: bit e is set iff element e is correct.
+
+    Correct means the sign of the score numerator agrees with the label:
+    positive for label 1, zero or negative for label 0.  Packed lane e holds
+    score_e + 2**(L-1) - 1, whose top bit is set iff score_e > 0.
+    """
+    if dataset.grid != model.grid:
+        raise DomainError("dataset and model live on different grids")
+    w, grid, elements = model.weights.raws, model.grid, dataset.elements
+    if model.kind != "logistic-linear":  # per element, output scores over 2**(4s)
+        v = w[model.width * model.dim :]
+        scores = (_dot(v, model._hidden(el.features.raws)[1]) for el in elements)
+        return sum(1 << el.eid for z, el in zip(scores, elements) if (z > 0) == el.label)
+    if w and (min(w) < grid.raw_min or max(w) > grid.raw_max):
+        raise DomainError("a weight lies outside the grid's clip range")
+    size, columns, bias, tops, label0 = dataset._lanes
+    acc = sum((wc * column for wc, column in zip(w, columns) if wc), bias)
+    top_bytes = ((acc & tops) ^ label0).to_bytes(len(elements) * size, "big")[::size]
+    return int(top_bytes.translate(bytes.maketrans(b"\x00\x80", b"01")) or b"0", 2)
 
 
 def analytic_logistic_smoothness(elements: Iterable[Element]) -> Fraction:
     """max |x|^2 / 4: the smoothness of the exact-sigmoid logistic-linear loss."""
-    worst = Fraction(0)
-    for el in elements:
-        x = el.features
-        worst = max(worst, Fraction(_dot(x.raws, x.raws), x.grid.unit**2))
-    return worst / 4
+    xs = [el.features for el in elements]
+    worst = max((_dot(x.raws, x.raws) for x in xs), default=0)
+    return Fraction(worst, xs[0].grid.unit ** 2 if xs else 1) / 4

@@ -25,6 +25,7 @@ from .model import (
     analytic_logistic_smoothness,
     correctness_mask,
     loss_gradient,
+    manifest_fraction,
     manifest_int,
     rounded_gradient,
     sigmoid_table_max_slope,
@@ -193,8 +194,8 @@ class RunConfig:
             generator=GeneratorSpec.from_dict(d["generator"]),
             batch_size=manifest_int(d, "batch_size"),
             step_raw=manifest_int(d, "step_raw"),
-            eps=Fraction(d["eps"]),
-            progress_coeff=Fraction(d["progress_coeff"]),
+            eps=manifest_fraction(d, "eps"),
+            progress_coeff=manifest_fraction(d, "progress_coeff"),
             seed=manifest_int(d, "seed"),
             max_epochs=manifest_int(d, "max_epochs"),
             model_kind=d.get("model_kind", "logistic-linear"),

@@ -305,14 +305,21 @@ def manifest_generator_with(**generator):
         manifest_keyed(replications=True),
         manifest_with(max_epochs="3"),
         manifest_generator_with(n=64.0),
+        manifest_with(eps=0.01),
+        manifest_generator_with(sigma=True),
+        manifest_generator_with(margin=1),
+        manifest_with(progress_coeff="four"),
+        manifest_generator_with(center_dist="1/0"),
     ],
     ids=["no-config", "list", "config-list", "generator-int", "batch-size-null",
          "replications-float", "replications-bool", "config-int-string",
-         "generator-int-float"],
+         "generator-int-float", "eps-float", "sigma-bool", "margin-int",
+         "coeff-unparsable", "center-zero-denominator"],
 )
 def test_cli_rejects_a_malformed_manifest(tmp_path, capsys, command, manifest):
     # valid JSON of the wrong shape is an error: exit 2, not a traceback; an
-    # integer field takes a JSON integer only, never a bool, float or string
+    # integer field takes a JSON integer only, never a bool, float or string,
+    # and a rational field only the "num/den" string that to_dict writes
     (tmp_path / "manifest.json").write_text(json.dumps(manifest))
     assert main([command, "--dir", str(tmp_path)]) == 2
     err = capsys.readouterr().err.replace(str(tmp_path), "")

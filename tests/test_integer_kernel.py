@@ -10,6 +10,7 @@ the table ends, and round-half-even ties.
 from __future__ import annotations
 
 import math
+import random
 from fractions import Fraction
 
 import hypothesis.strategies as st
@@ -23,13 +24,15 @@ from sgdcodec.model import (
     Z_MAX,
     GeneratorSpec,
     _sigmoid_knots,
+    correctness_mask,
     correctness_vector,
     generate_dataset,
     loss_gradient,
     model_from_weights,
     zero_model,
 )
-from sgdcodec.numerics import FixedVector, GridSpec, SaturationError
+from sgdcodec.numerics import DomainError, FixedVector, GridSpec, SaturationError
+from sgdcodec.sgd_engine import RunConfig, run_training
 
 SCALES = (4, 6, 16)
 FAMILIES = ("random-labels", "two-gaussians", "one-hot")
@@ -225,3 +228,96 @@ def test_half_even_ties(scale):
     step_raw = grid.unit // 2
     assert w.gd_update(step_raw, grad).raws == (0, 0, -2, 2)
     assert w.gd_update(step_raw, grad).raws == oracle_update(w.raws, step_raw, grad.raws, grid)[0]
+
+
+def oracle_mask(model, dataset) -> int:
+    return sum(oracle_correct(model, el) << el.eid for el in dataset.elements)
+
+
+def _near_zero_or_ends(grid: GridSpec):
+    # small raws hit scores of exactly 0 and +/-1; the ends fill the lanes
+    return st.one_of(
+        st.integers(max(-2, grid.raw_min), min(2, grid.raw_max)),
+        st.sampled_from((grid.raw_min, grid.raw_max)),
+        st.integers(grid.raw_min, grid.raw_max),
+    )
+
+
+@st.composite
+def sweep_cases(draw):
+    grid = GridSpec(scale=draw(st.sampled_from((0,) + SCALES)), clip=draw(st.integers(1, 64)))
+    n, dim = draw(st.integers(1, 12)), draw(st.integers(1, 4))
+    coord = _near_zero_or_ends(grid)
+    rows = draw(st.lists(
+        st.tuples(st.lists(coord, min_size=dim, max_size=dim), st.integers(0, 1)),
+        min_size=n, max_size=n,
+    ))
+    weights = tuple(draw(st.lists(coord, min_size=dim, max_size=dim)))
+    dataset = manual_dataset(grid, rows)
+    return model_from_weights("logistic-linear", FixedVector(weights, grid), dim), dataset
+
+
+@settings(max_examples=200, deadline=None)
+@given(sweep_cases())
+def test_packed_sweep_matches_the_per_element_oracle(case):
+    model, dataset = case
+    assert correctness_mask(model, dataset) == oracle_mask(model, dataset)
+    assert correctness_vector(model, dataset) == [
+        oracle_correct(model, el) for el in dataset.elements
+    ]
+
+
+@pytest.mark.parametrize("scale", SCALES)
+def test_packed_sweep_scores_zero_and_one(scale):
+    grid = GridSpec(scale=scale, clip=4)
+    top = grid.raw_max
+    # scores 0, 0, +1, +1, -1, -1: a score of 0 is correct only for label 0
+    rows = [((top, top), 0), ((top, top), 1), ((top, top - 1), 0),
+            ((top, top - 1), 1), ((top - 1, top), 0), ((top - 1, top), 1)]
+    ds = manual_dataset(grid, rows)
+    model = model_from_weights("logistic-linear", FixedVector((1, -1), grid), 2)
+    assert correctness_vector(model, ds) == [1, 0, 0, 1, 1, 0]
+
+
+def test_packed_sweep_one_hot():
+    grid = GridSpec()
+    ds = generate_dataset(GeneratorSpec(family="one-hot", n=64, dim=64, seed=0), grid)
+    rng = random.Random(5)
+    for _ in range(4):
+        raws = tuple(rng.choice((grid.raw_min, -1, 0, 0, 1, grid.raw_max)) for _ in range(64))
+        model = model_from_weights("logistic-linear", FixedVector(raws, grid), 64)
+        # one-hot labels are all 1: element e is correct iff its weight is positive
+        assert correctness_mask(model, ds) == oracle_mask(model, ds)
+        assert correctness_mask(model, ds) == sum(1 << e for e, w in enumerate(raws) if w > 0)
+
+
+@pytest.mark.parametrize("bad", ("below", "above"))
+def test_packed_sweep_rejects_a_weight_off_the_grid(bad):
+    grid = GridSpec(scale=6, clip=4)
+    ds = generate_dataset(GeneratorSpec(family="random-labels", n=8, dim=2, seed=1), grid)
+    off = grid.raw_min - 1 if bad == "below" else grid.raw_max + 1
+    model = model_from_weights("logistic-linear", FixedVector((0, off), grid), 2)
+    with pytest.raises(DomainError):
+        correctness_mask(model, ds)
+
+
+def test_hidden_model_sweep_is_per_element():
+    grid = GridSpec(scale=6, clip=4)
+    ds = generate_dataset(GeneratorSpec(family="two-gaussians", n=24, dim=2, seed=4), grid)
+    rng = random.Random(2)
+    for _ in range(4):
+        raws = tuple(rng.randint(-2 * grid.unit, 2 * grid.unit) for _ in range(3 * 2 + 3))
+        model = model_from_weights("one-hidden-layer", FixedVector(raws, grid), 2, 3)
+        assert correctness_mask(model, ds) == oracle_mask(model, ds)
+
+
+def test_packed_sweep_on_checkpoints_of_a_large_random_labels_run():
+    gen = GeneratorSpec(family="random-labels", n=4096, dim=2, seed=1)
+    cfg = RunConfig(generator=gen, batch_size=16, step_raw=1 << 13, eps=Fraction(1, 4),
+                    progress_coeff=Fraction(4), seed=1, max_epochs=2, grid=GridSpec())
+    run = run_training(cfg)
+    trace = run.traces[-1]
+    assert len(trace.masks) == 4096 // 16 + 1
+    for k in (0, 1, 128, 256):
+        model = model_from_weights("logistic-linear", trace.checkpoints[k], 2)
+        assert trace.masks[k] == oracle_mask(model, run.dataset)

@@ -5,12 +5,15 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+import hypothesis.strategies as st
 import mpmath
 import pytest
+from hypothesis import given, settings
 
 from conftest import manual_dataset, one_hot_dataset
 from sgdcodec.model import (
     Dataset,
+    Element,
     GeneratorSpec,
     KNOT_BITS,
     Z_MAX,
@@ -254,3 +257,22 @@ def test_analytic_smoothness_bounds():
     assert analytic_logistic_smoothness(ds.elements) == Fraction(25, 4)  # max |x|^2 = 25
     assert analytic_logistic_smoothness(ds.elements[1:]) == 1
     assert analytic_logistic_smoothness(()) == 0
+
+
+@st.composite
+def feature_batches(draw):
+    grid = GridSpec(scale=draw(st.sampled_from((0, 6, 16))), clip=draw(st.integers(1, 64)))
+    dim = draw(st.integers(1, 4))
+    raw = st.integers(grid.raw_min, grid.raw_max)
+    rows = draw(st.lists(st.lists(raw, min_size=dim, max_size=dim), max_size=6))
+    return [Element(e, FixedVector(tuple(r), grid), 0) for e, r in enumerate(rows)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(feature_batches())
+def test_analytic_smoothness_matches_the_per_element_formula(batch):
+    worst = Fraction(0)
+    for el in batch:
+        x = el.features
+        worst = max(worst, Fraction(sum(r * r for r in x.raws), x.grid.unit**2))
+    assert analytic_logistic_smoothness(batch) == worst / 4
