@@ -9,7 +9,9 @@ the unconditional subset code.
 
 Every set is an int bitmask over element ids (bit e set iff e is in the
 set): subsets, their pools and the classifier alike, so the set algebra is
-``&``, ``|`` and ``^``, and a set has no order to check.
+``&``, ``|`` and ``^``, and a set has no order to check.  The subset and
+permutation codes cost O(k) exact big-integer steps for k members, however
+large the pool.
 
 All widths are exact: a rank r of a space with N codewords is written in
 ceil(log2(N)) bits, and stream length always equals the sum of declared
@@ -18,8 +20,9 @@ widths.
 
 from __future__ import annotations
 
+import itertools
 import math
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -125,44 +128,47 @@ def _ids(mask: int) -> list[int]:
     """The ids of a set mask, ascending."""
     if mask < 0:
         raise CodecError("a set mask cannot be negative")
-    return [e for e, bit in enumerate(reversed(bin(mask))) if bit == "1"]
+    bits = bin(mask)[:1:-1].encode().translate(bytes.maketrans(b"01", b"\0\1"))
+    return list(itertools.compress(range(len(bits)), bits))
 
 
 def subset_rank(a: int, pool: int) -> int:
     """Colexicographic rank of subset mask ``a`` within ``pool``, in
-    [0, C(|pool|, |a|)).
+    [0, C(|pool|, |a|)): the sum of C(c_j, j) over the members of ``a`` in
+    ascending order, c_j the j-th member's position in the pool (j from 1).
 
     The empty subset and the |a| lowest ids of the pool both rank 0.  Runs in
-    O(|pool|) big-integer operations via incremental binomial updates.
+    O(|a|) big-integer steps: each binomial is the previous one times a ratio
+    of two short products, or one ``math.comb`` after a gap of j or more.
     """
-    if a & ~pool:
+    if pool < 0 or a & ~pool:
         raise CodecError("subset holds ids outside the pool")
-    ids = _ids(pool)
-    k = a.bit_count()
-    m = len(ids)
-    if k == 0:
-        return 0
-    rank = 0
-    r = k
-    v = binomial(m - 1, r)
-    # Scan pool positions from the top; rank accumulates C(position, index-within-A).
-    for i in range(m - 1, -1, -1):
-        if a >> ids[i] & 1:
-            rank += v
-            r -= 1
-            if r == 0:
-                break
-            # C(i, r) from C(i, r+1); ratio form needs the old value nonzero.
-            v = v * (r + 1) // (i - r) if v else binomial(i, r)
-        if i > 0:
-            # C(i-1, r) = C(i, r) * (i - r) / i
-            v = v * (i - r) // i
+    rank, v, j, p = 0, 0, 0, -1
+    while a:
+        low = a & -a
+        a ^= low
+        c = (pool & (low - 1)).bit_count()
+        j += 1
+        # C(c, j) = C(p, j-1) * c!/p! * (p-j+1)!/(c-j)! / j, and v = C(p, j-1)
+        # is nonzero iff p >= j-1, which keeps both products off zero
+        if v and c - p < j:
+            v = v * math.prod(range(p + 1, c + 1))
+            v //= j * math.prod(range(p - j + 2, c - j + 1))
+        else:
+            v = math.comb(c, j)
+        rank += v
+        p = c
     return rank
 
 
 def subset_unrank(rank: int, pool: int, size: int) -> int:
     """Inverse of subset_rank: the mask of the ``size``-subset of ``pool``
-    with this rank."""
+    with this rank.
+
+    For r = size down to 1 the r-th member sits at the largest position c
+    with C(c, r) <= rank: up to r ratio steps down from the previous
+    member's position, then a binary search over ``math.comb``.
+    """
     ids = _ids(pool)
     m = len(ids)
     if size < 0 or size > m:
@@ -170,21 +176,20 @@ def subset_unrank(rank: int, pool: int, size: int) -> int:
     total = binomial(m, size)
     if rank < 0 or rank >= total:
         raise CodecError(f"rank {rank} outside [0, {total})")
-    a = 0
     if size == 0:
-        return a
-    r = size
-    v = binomial(m - 1, r)
-    for i in range(m - 1, -1, -1):
-        if v <= rank:
-            rank -= v
-            a |= 1 << ids[i]
-            r -= 1
-            if r == 0:
-                break
-            v = v * (r + 1) // (i - r) if v else binomial(i, r)
-        if i > 0:
-            v = v * (i - r) // i
+        return 0
+    a, c, v = 0, m - 1, total * (m - size) // m  # v = C(c, r) throughout
+    for r in range(size, 0, -1):
+        stop = c - r
+        while v > rank and c > stop:
+            c, v = c - 1, v * (c - r) // c
+        if v > rank:  # C(r-1, r) = 0 <= rank < C(c, r)
+            c = bisect_right(range(r - 1, c), rank, key=lambda x: math.comb(x, r)) + r - 2
+            v = math.comb(c, r)
+        rank -= v
+        a |= 1 << ids[c]
+        if r > 1:
+            c, v = c - 1, v * r // c  # C(c-1, r-1) = C(c, r) * r / c
     return a
 
 

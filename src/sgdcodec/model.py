@@ -347,6 +347,7 @@ def sigmoid_table_slope(z: Rational, scale: int) -> Fraction:
     return Fraction(_sigmoid_slope_num(num, exp, scale), 1 << scale)
 
 
+@lru_cache(maxsize=None)
 def sigmoid_table_max_slope(scale: int) -> Fraction:
     """Largest knot-to-knot slope of the table at this scale.
 
@@ -409,6 +410,8 @@ class Model:
         grid = el.features.grid
         if grid is not self.weights.grid and grid != self.weights.grid:
             raise DomainError("element and model live on different grids")
+        if len(el.features) != self.dim:
+            raise DomainError(f"element {el.eid} and the model differ in dim")
         return el.features.raws
 
     def _hidden(self, x: Sequence[int]) -> tuple[list[int], list[int]]:
@@ -506,6 +509,8 @@ def correctness_mask(model: Model, dataset: Dataset) -> int:
     """
     if dataset.grid != model.grid:
         raise DomainError("dataset and model live on different grids")
+    if dataset.n and dataset.dim != model.dim:
+        raise DomainError(f"dataset dim {dataset.dim}, model dim {model.dim}")
     w, grid, elements = model.weights.raws, model.grid, dataset.elements
     if model.kind != "logistic-linear":  # per element, output scores over 2**(4s)
         v = w[model.width * model.dim :]

@@ -12,8 +12,13 @@ from fractions import Fraction
 from typing import Union
 
 import mpmath
+from mpmath import libmp
 
 _PREC_DPS = 40
+# stable_log2 is mpmath.log(x, 2) under workdps(_PREC_DPS) on raw libmp values:
+# ln x and ln 2 at 20 guard bits, their quotient at _PREC, rounded to nearest.
+_PREC = libmp.dps_to_prec(_PREC_DPS)
+_LN2 = libmp.mpf_log(libmp.from_int(2), _PREC + 20, "n")
 
 Number = Union[int, Fraction]
 
@@ -28,8 +33,9 @@ def stable_log2(x: Number) -> float:
     f = Fraction(x)
     if f <= 0:
         raise ValueError("argument must be positive")
-    with mpmath.workdps(_PREC_DPS):
-        return float(mpmath.log(_to_mp(f), 2))
+    num, den = (libmp.from_int(v, _PREC, "n") for v in (f.numerator, f.denominator))
+    ln_x = libmp.mpf_log(libmp.mpf_div(num, den, _PREC, "n"), _PREC + 20, "n")
+    return libmp.to_float(libmp.mpf_div(ln_x, _LN2, _PREC, "n"), rnd="n")
 
 
 def stable_entropy(p: Number) -> float:

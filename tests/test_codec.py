@@ -4,6 +4,7 @@ Sets are int bitmasks over element ids, as the codec takes them."""
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import math
 import random
@@ -27,7 +28,10 @@ from sgdcodec.codec import (
     subset_unrank,
     theoretical_set_bound,
 )
-from sgdcodec.numerics import DomainError
+from sgdcodec.epoch_codec import ACCOUNTING, BACKWARD, SideInfo, decode_epoch, encode_epoch
+from sgdcodec.model import GeneratorSpec
+from sgdcodec.numerics import DomainError, GridSpec
+from sgdcodec.sgd_engine import RunConfig, run_training
 
 
 def test_ceil_log2_edges():
@@ -137,6 +141,130 @@ def test_subset_rank_extremes():
     assert subset_rank(pool, pool) == 0
     assert subset_rank(0b111, pool) == 0
     assert subset_rank(0b111 << 7, pool) == binomial(10, 3) - 1
+
+
+def scan_subset_rank(a, pool):
+    """Oracle: the colex rank by one incremental-binomial step per pool position."""
+    ids = [e for e, bit in enumerate(reversed(bin(pool))) if bit == "1"]
+    k = a.bit_count()
+    m = len(ids)
+    if k == 0:
+        return 0
+    rank = 0
+    r = k
+    v = binomial(m - 1, r)
+    for i in range(m - 1, -1, -1):
+        if a >> ids[i] & 1:
+            rank += v
+            r -= 1
+            if r == 0:
+                break
+            v = v * (r + 1) // (i - r) if v else binomial(i, r)
+        if i > 0:
+            v = v * (i - r) // i
+    return rank
+
+
+def scan_subset_unrank(rank, pool, size):
+    """Oracle: the inverse of scan_subset_rank, by the same pool scan."""
+    ids = [e for e, bit in enumerate(reversed(bin(pool))) if bit == "1"]
+    m = len(ids)
+    a = 0
+    if size == 0:
+        return a
+    r = size
+    v = binomial(m - 1, r)
+    for i in range(m - 1, -1, -1):
+        if v <= rank:
+            rank -= v
+            a |= 1 << ids[i]
+            r -= 1
+            if r == 0:
+                break
+            v = v * (r + 1) // (i - r) if v else binomial(i, r)
+        if i > 0:
+            v = v * (i - r) // i
+    return a
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.randoms(use_true_random=False), st.integers(0, 5000), st.integers(0, 3), st.booleans())
+def test_subset_codec_matches_the_pool_scan(rng, top, thin, dense):
+    # pools with ids up to 5000, one to four random words ANDed (density
+    # 1/2 .. 1/16), subsets of at most 16 members or about half the pool
+    pool = rng.getrandbits(top)
+    for _ in range(thin):
+        pool &= rng.getrandbits(top)
+    pool |= 1 << top
+    ids = [e for e in range(top + 1) if pool >> e & 1]
+    m = len(ids)
+    k = min(m, max(0, m // 2 + rng.randint(-2, 2))) if dense else rng.randint(0, min(m, 16))
+    a = mask_of(rng.sample(ids, k))
+    r = subset_rank(a, pool)
+    assert r == scan_subset_rank(a, pool)
+    assert subset_unrank(r, pool, k) == a
+    other = rng.randrange(binomial(m, k))
+    assert subset_unrank(other, pool, k) == scan_subset_unrank(other, pool, k)
+
+
+def test_subset_codec_edges_match_the_pool_scan():
+    rng = random.Random(17)
+    for pool in (mask_of((3, 17, 64, 65, 900, 4999)), rng.getrandbits(5000) | 1):
+        ids = [e for e in range(pool.bit_length()) if pool >> e & 1]
+        m = len(ids)
+        for k in sorted({0, 1, 2, 3, m // 2, m - 1, m}):
+            lowest, highest = mask_of(ids[:k]), mask_of(ids[m - k :])
+            last = binomial(m, k) - 1
+            # the lowest positions: every C(c_j, j) is 0
+            assert subset_rank(lowest, pool) == scan_subset_rank(lowest, pool) == 0
+            assert subset_rank(highest, pool) == scan_subset_rank(highest, pool) == last
+            assert subset_unrank(0, pool, k) == lowest
+            assert subset_unrank(last, pool, k) == highest
+            if 0 < k < m:
+                # members on the lowest positions, then one far up: the
+                # binomial after a run of zeros
+                a = mask_of(ids[: k - 1] + [ids[-1]])
+                assert subset_rank(a, pool) == scan_subset_rank(a, pool) == binomial(m - 1, k)
+                assert subset_unrank(binomial(m - 1, k), pool, k) == a
+    one = 1 << 4321
+    assert subset_rank(0, one) == subset_rank(one, one) == 0
+    assert subset_unrank(0, one, 0) == 0 and subset_unrank(0, one, 1) == one
+    with pytest.raises(CodecError):
+        subset_unrank(1, one, 1)
+    assert subset_rank(0, 0) == 0 and subset_unrank(0, 0, 0) == 0
+
+
+def test_perm_unrank_over_sparse_high_id_masks():
+    rng = random.Random(19)
+    for ids in ((10_000,), (4095, 4096, 8191), (1 << 16, (1 << 16) + 1, 70_000)):
+        mask = mask_of(ids)
+        assert perm_unrank(0, mask) == ids
+        assert perm_unrank(math.factorial(len(ids)) - 1, mask) == ids[::-1]
+    for _ in range(100):
+        p = rng.sample(range(4000, 20_000), rng.randint(1, 20))
+        assert perm_unrank(perm_rank(p), mask_of(p)) == tuple(p)
+
+
+# sha256 of both BACKWARD epoch streams of an n=4096 random-labels run, as
+# the O(|pool|) pool scan wrote them: the ranks are colex numbers whichever
+# way they are computed.
+N4096_STREAMS_SHA256 = "8a2c1286304982011d1c9976c5c5e90ccccf4d5b26295378761d6b8691a0dc7d"
+
+
+def test_n4096_accounting_round_trip_keeps_its_streams():
+    gen = GeneratorSpec(family="random-labels", n=4096, dim=2, seed=1)
+    cfg = RunConfig(generator=gen, batch_size=16, step_raw=1 << 13, eps=Fraction(1, 4),
+                    progress_coeff=Fraction(4), seed=1, max_epochs=2, grid=GridSpec())
+    run = run_training(cfg)
+    digest = hashlib.sha256()
+    for tr in run.completed_traces:
+        code = encode_epoch(tr, run.dataset, cfg, mode=ACCOUNTING)
+        assert code.case == BACKWARD
+        digest.update(code.stream.to_bytes())
+        dec = decode_epoch(code, run.dataset, cfg, SideInfo.accounting(tr.checkpoints))
+        assert dec.order == tuple(tr.order)
+    assert len(run.completed_traces) == 2
+    assert digest.hexdigest() == N4096_STREAMS_SHA256
 
 
 def test_subset_rank_rejects_bad_input():

@@ -18,6 +18,7 @@ from sgdcodec.model import (
     KNOT_BITS,
     Z_MAX,
     analytic_logistic_smoothness,
+    correctness_mask,
     generate_dataset,
     gradient_exact,
     loss_gradient,
@@ -221,6 +222,19 @@ def test_gradient_rejects_empty_batch():
     model = zero_model("logistic-linear", 2, GRID)
     with pytest.raises(DomainError):
         gradient_exact(model, [])
+
+
+@pytest.mark.parametrize("kind, width", [("logistic-linear", 0), ("one-hidden-layer", 2)])
+def test_a_model_of_another_dim_than_the_data_is_rejected(kind, width):
+    # zip would pair 3 weights with 2 features and drop the third silently
+    ds = generate_dataset(GeneratorSpec(family="random-labels", n=8, dim=2, seed=1), GRID)
+    model = zero_model(kind, 3, GRID, width)
+    with pytest.raises(DomainError):
+        correctness_mask(model, ds)
+    with pytest.raises(DomainError):
+        loss_gradient(model, ds.elements[:4])
+    with pytest.raises(DomainError):
+        gradient_exact(model, ds.elements[:1])
 
 
 def test_loss_gradient_quantizes_half_even():

@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
@@ -158,6 +159,32 @@ def test_log2_of_int_and_factorial():
     assert stable_log2(1024) == 10.0
     assert stable_log2(1) == 0.0
     assert stable_log2(math.factorial(52)) == pytest.approx(LOG2_FACT_52, abs=1e-9)
+
+
+def _stable_log2_oracle(x):
+    """stable_log2 as the mpmath front end computes it, for comparison."""
+    f = Fraction(x)
+    with mpmath.workdps(40):
+        return float(mpmath.log(mpmath.mpf(f.numerator) / mpmath.mpf(f.denominator), 2))
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.one_of(
+        st.integers(1, 1 << 600),
+        st.integers(0, 4096).map(math.factorial),
+        st.fractions(min_value=Fraction(1, 1 << 200), max_value=1 << 200),
+        st.builds(Fraction, st.integers(1, 1 << 300), st.integers(1, 1 << 300)),
+    )
+)
+def test_stable_log2_is_bit_equal_to_the_mpmath_front_end(x):
+    assert stable_log2(x) == _stable_log2_oracle(x)
+
+
+def test_stable_log2_rejects_nonpositive():
+    for x in (0, -1, Fraction(-1, 3)):
+        with pytest.raises(ValueError):
+            stable_log2(x)
 
 
 def test_entropy_upper_check():
