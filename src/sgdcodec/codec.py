@@ -80,12 +80,6 @@ class BitStream:
     def bits_remaining(self) -> int:
         return self._len - self._cursor
 
-    def copy(self) -> "BitStream":
-        out = BitStream()
-        out._acc = self._acc
-        out._len = self._len
-        return out
-
     def __len__(self) -> int:
         return self._len
 

@@ -598,10 +598,6 @@ def account_row_csv(row: AccountRow) -> str:
     return ",".join(_cell(values[f]) for f in CSV_FIELDS)
 
 
-def _stable_log2_factorial(k: int) -> float:
-    return stable_log2(math.factorial(k)) if k > 1 else 0.0
-
-
 def epoch_accounting(
     code: EpochCode,
     trace: EpochTrace,
@@ -641,7 +637,7 @@ def epoch_accounting(
         j = code.split_j
         split_gap = abs(trace.seen(j) - trace.unseen(j))
         bonus = max(_split_divergences(trace, j))
-        split_bound = _stable_log2_factorial(n) - float(2 * n * bonus) + slack
+        split_bound = stable_log2(math.factorial(n)) - float(2 * n * bonus) + slack
         split_ok = payload <= split_bound
     else:
         total = 1.0

@@ -7,7 +7,7 @@ Scores, table values, slopes and gradients are integer numerators over
 power-of-two denominators fixed by the grid scale (the batch mean adds a
 factor of the batch size), so a gradient is a deterministic function of
 (weights, batch) with a single round-half-even division at the end of each
-step.  The Fraction-valued functions are views of the same numerators.
+step.
 Classification goes through one sweep, ``correctness_mask`` (for logistic-linear
 models one big-int pass over lane-packed feature columns), with the prediction
 rule score > 0 -> label 1; accuracies are popcounts of its masks.
@@ -28,13 +28,12 @@ from .numerics import (
     DomainError,
     FixedVector,
     GridSpec,
-    Rational,
     SaturationError,
     div_round_half_even,
     round_half_even,
     zero_vector,
 )
-from .stable import stable_sigmoid_float
+from .stable import stable_sigmoid_knots
 
 MODEL_KINDS = ("logistic-linear", "one-hidden-layer")
 FAMILIES = ("separable-margin", "two-gaussians", "random-labels", "one-hot")
@@ -288,20 +287,16 @@ def generate_dataset(spec: GeneratorSpec, grid: GridSpec) -> Dataset:
 
 # Sigmoid lookup table: knots every 2**-KNOT_BITS over [-Z_MAX, Z_MAX], values
 # quantized to the working grid scale, exact 0/1 beyond the ends.  Knot values
-# are computed with mpmath so the table is identical on every platform.
+# are correctly rounded doubles from exact integer arithmetic
+# (stable.stable_sigmoid_knots), so the table is identical on every platform.
 KNOT_BITS = 6
 Z_MAX = 8
 
 
 @lru_cache(maxsize=None)
 def _sigmoid_knots(scale: int) -> tuple[int, ...]:
-    unit = 1 << scale
-    knots = []
-    for k in range(-(Z_MAX << KNOT_BITS), (Z_MAX << KNOT_BITS) + 1):
-        z = Fraction(k, 1 << KNOT_BITS)
-        v = Fraction(stable_sigmoid_float(z))
-        knots.append(round_half_even(v * unit))
-    return tuple(knots)
+    ratios = map(float.as_integer_ratio, stable_sigmoid_knots(KNOT_BITS, Z_MAX))
+    return tuple(div_round_half_even(n << scale, d) for n, d in ratios)
 
 
 def _sigmoid_num(num: int, exp: int, scale: int) -> int:
@@ -325,26 +320,6 @@ def _sigmoid_slope_num(num: int, exp: int, scale: int) -> int:
     knots = _sigmoid_knots(scale)
     base = ((num << KNOT_BITS) >> exp) + (Z_MAX << KNOT_BITS)
     return (knots[base + 1] - knots[base]) << KNOT_BITS
-
-
-def _dyadic(z: Rational) -> tuple[int, int]:
-    zf = Fraction(z)
-    exp = zf.denominator.bit_length() - 1
-    if zf.denominator != 1 << exp:
-        raise DomainError(f"table sigmoid argument {zf} is not dyadic")
-    return zf.numerator, exp
-
-
-def sigmoid_table_value(z: Rational, scale: int) -> Fraction:
-    """Interpolated table sigmoid at a dyadic z, exact rational in [0, 1]."""
-    num, exp = _dyadic(z)
-    return Fraction(_sigmoid_num(num, exp, scale), 1 << (scale + exp))
-
-
-def sigmoid_table_slope(z: Rational, scale: int) -> Fraction:
-    """Right-segment slope of the table sigmoid at a dyadic z (zero beyond the ends)."""
-    num, exp = _dyadic(z)
-    return Fraction(_sigmoid_slope_num(num, exp, scale), 1 << scale)
 
 
 @lru_cache(maxsize=None)
@@ -462,13 +437,6 @@ def _gradient_sum(model: Model, batch: Sequence[Element]) -> tuple[list[int], in
                 total[r * dim + c] += coef * x[c]
             total[width * dim + r] += resid * act[r]
     return total, 8 * s
-
-
-def gradient_exact(model: Model, batch: Sequence[Element]) -> tuple[Fraction, ...]:
-    """Exact rational mean gradient of the table-defined logistic loss over a batch."""
-    total, exp = _gradient_sum(model, batch)
-    den = len(batch) << exp
-    return tuple(Fraction(t, den) for t in total)
 
 
 def rounded_gradient(model: Model, batch: Sequence[Element]) -> tuple[int, ...]:

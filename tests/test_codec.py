@@ -98,9 +98,10 @@ def test_bitstream_bytes_round_trip_all_tail_lengths():
 
 
 def test_bitstream_copy_is_independent():
+    # a copy is the stream rebuilt from its bytes
     s = BitStream()
     s.write_uint(9, 5)
-    c = s.copy()
+    c = BitStream.from_bytes(s.to_bytes())
     c.write_uint(1, 1)
     assert len(s) == 5 and len(c) == 6
     assert s != c

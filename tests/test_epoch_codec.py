@@ -77,8 +77,7 @@ def labels_run(seed=5):
 
 
 def flip_bit(stream: BitStream, k: int) -> BitStream:
-    s = stream.copy()
-    s.reset_cursor()
+    s = BitStream.from_bytes(stream.to_bytes())
     out = BitStream()
     for i in range(len(s)):
         out.write_uint(s.read_uint(1) ^ (1 if i == k else 0), 1)
@@ -306,7 +305,7 @@ def test_decode_rejects_trailing_bits(tmp_path):
         side = SideInfo.accounting(tr.checkpoints)
         for extra in range(1, 8):
             for fill in (0, (1 << extra) - 1):
-                padded = code.stream.copy()
+                padded = BitStream.from_bytes(code.stream.to_bytes())
                 padded.write_uint(fill, extra)
                 with pytest.raises(CodecError):
                     decode_epoch(padded, run.dataset, cfg, side)

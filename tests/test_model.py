@@ -17,15 +17,16 @@ from sgdcodec.model import (
     GeneratorSpec,
     KNOT_BITS,
     Z_MAX,
+    _gradient_sum,
+    _sigmoid_knots,
+    _sigmoid_num,
+    _sigmoid_slope_num,
     analytic_logistic_smoothness,
     correctness_mask,
     generate_dataset,
-    gradient_exact,
     loss_gradient,
     model_from_weights,
     sigmoid_table_max_slope,
-    sigmoid_table_slope,
-    sigmoid_table_value,
     zero_model,
 )
 from sgdcodec.numerics import (
@@ -35,9 +36,35 @@ from sgdcodec.numerics import (
     SaturationError,
     round_half_even,
 )
+from sgdcodec.stable import stable_sigmoid_float
 
 GRID = GridSpec()
 SMALL = GridSpec(scale=6, clip=4)
+
+
+def _dyadic(z):
+    zf = Fraction(z)
+    exp = zf.denominator.bit_length() - 1
+    assert zf.denominator == 1 << exp
+    return zf.numerator, exp
+
+
+def sigmoid_table_value(z, scale):
+    """Interpolated table sigmoid at a dyadic z, exact rational in [0, 1]."""
+    num, exp = _dyadic(z)
+    return Fraction(_sigmoid_num(num, exp, scale), 1 << (scale + exp))
+
+
+def sigmoid_table_slope(z, scale):
+    """Right-segment slope of the table sigmoid at a dyadic z (zero beyond the ends)."""
+    num, exp = _dyadic(z)
+    return Fraction(_sigmoid_slope_num(num, exp, scale), 1 << scale)
+
+
+def gradient_exact(model, batch):
+    """Exact rational mean gradient of the table-defined logistic loss over a batch."""
+    total, exp = _gradient_sum(model, batch)
+    return tuple(Fraction(t, len(batch) << exp) for t in total)
 
 
 def test_generator_is_deterministic():
@@ -147,17 +174,30 @@ def test_sigmoid_table_fixed_points():
     assert sigmoid_table_value(Fraction(-100), 16) == 0
 
 
+def _mpmath_knot_floats():
+    """sigma at every knot as mpmath gave it: 40 digits, then one float."""
+    with mpmath.workdps(40):
+        return [
+            float(1 / (1 + mpmath.exp(-mpmath.mpf(k) / mpmath.mpf(1 << KNOT_BITS))))
+            for k in range(-(Z_MAX << KNOT_BITS), (Z_MAX << KNOT_BITS) + 1)
+        ]
+
+
 def test_sigmoid_knots_match_reference():
+    # every knot at every scale 0-40 equals the table mpmath built
+    floats = _mpmath_knot_floats()
+    for scale in range(41):
+        expect = tuple(round_half_even(Fraction(v) * (1 << scale)) for v in floats)
+        assert _sigmoid_knots(scale) == expect, scale
+
+
+def test_sigmoid_knot_is_the_stable_sigmoid_float_on_the_grid():
     # knot k sits at z = k / 2^KNOT_BITS, rounded half-even at the scale
-    mpmath.mp.dps = 40
-    unit = 1 << 16
-    for k in (-511, -300, -64, -1, 0, 1, 77, 256, 511):
-        z = mpmath.mpf(k) / (1 << KNOT_BITS)
-        expect = round_half_even(
-            Fraction(str(mpmath.nstr(1 / (1 + mpmath.exp(-z)), 30))) * unit
-        )
-        got = sigmoid_table_value(Fraction(k, 1 << KNOT_BITS), 16) * unit
-        assert got == expect
+    for k in (-512, -511, -300, -64, -1, 0, 1, 77, 256, 511, 512):
+        v = stable_sigmoid_float(Fraction(k, 1 << KNOT_BITS))
+        for scale in (0, 16, 40):
+            knots = _sigmoid_knots(scale)
+            assert knots[k + (Z_MAX << KNOT_BITS)] == round_half_even(Fraction(v) * (1 << scale))
 
 
 def test_sigmoid_interpolation_is_linear():

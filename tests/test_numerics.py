@@ -23,7 +23,14 @@ from sgdcodec.numerics import (
     verify_split_entropy,
     zero_vector,
 )
-from sgdcodec.stable import stable_log2
+from sgdcodec import stable
+from sgdcodec.stable import (
+    stable_entropy,
+    stable_exp,
+    stable_ln,
+    stable_log2,
+    stable_sigmoid_float,
+)
 
 
 # Frozen oracle values, computed once with mpmath at 50 digits.
@@ -161,24 +168,148 @@ def test_log2_of_int_and_factorial():
     assert stable_log2(math.factorial(52)) == pytest.approx(LOG2_FACT_52, abs=1e-9)
 
 
-def _stable_log2_oracle(x):
-    """stable_log2 as the mpmath front end computes it, for comparison."""
+# The mpmath front ends the stable functions replaced, kept as their oracles:
+# each argument is mpf(num) / mpf(den) under workdps(40), rounded once to float.
+def _mpf(x):
     f = Fraction(x)
+    return mpmath.mpf(f.numerator) / mpmath.mpf(f.denominator)
+
+
+def _stable_log2_oracle(x):
     with mpmath.workdps(40):
-        return float(mpmath.log(mpmath.mpf(f.numerator) / mpmath.mpf(f.denominator), 2))
+        return float(mpmath.log(_mpf(x), 2))
+
+
+def _stable_ln_oracle(x):
+    with mpmath.workdps(40):
+        return float(mpmath.log(_mpf(x)))
+
+
+def _stable_exp_oracle(x):
+    with mpmath.workdps(40):
+        return float(mpmath.exp(_mpf(x)))
+
+
+def _stable_sigmoid_oracle(z):
+    with mpmath.workdps(40):
+        return float(1 / (1 + mpmath.exp(-_mpf(z))))
+
+
+def _stable_entropy_oracle(p):
+    if p == 0 or p == 1:
+        return 0.0
+    with mpmath.workdps(40):
+        x = _mpf(p)
+        return float(-(x * mpmath.log(x, 2) + (1 - x) * mpmath.log(1 - x, 2)))
+
+
+POSITIVE_RATIONALS = st.one_of(
+    st.integers(1, 1 << 600),
+    st.integers(0, 4096).map(math.factorial),
+    st.fractions(min_value=Fraction(1, 1 << 200), max_value=1 << 200),
+    st.builds(Fraction, st.integers(1, 1 << 300), st.integers(1, 1 << 300)),
+    st.integers(1, 1 << 160).map(lambda k: 1 + Fraction(k, 1 << 160)),
+    st.integers(1, 1 << 160).map(lambda k: 1 - Fraction(k, 1 << 161)),
+)
+
+# exp arguments: the double range and past it, subnormal results included
+EXP_ARGUMENTS = st.one_of(
+    st.fractions(min_value=-760, max_value=720, max_denominator=1 << 40),
+    st.integers(-800, 800),
+    st.builds(Fraction, st.integers(-(1 << 80), 1 << 80), st.integers(1, 1 << 70)),
+    st.fractions(min_value=-(10**6), max_value=10**6),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(POSITIVE_RATIONALS)
+def test_stable_log2_is_bit_equal_to_the_mpmath_front_end(x):
+    assert stable_log2(x) == _stable_log2_oracle(x)
+
+
+@settings(max_examples=400, deadline=None)
+@given(POSITIVE_RATIONALS)
+def test_stable_ln_is_bit_equal_to_the_mpmath_front_end(x):
+    assert stable_ln(x) == _stable_ln_oracle(x)
+
+
+@settings(max_examples=400, deadline=None)
+@given(EXP_ARGUMENTS)
+def test_stable_exp_is_bit_equal_to_the_mpmath_front_end(x):
+    assert stable_exp(x) == _stable_exp_oracle(x)
+
+
+@settings(max_examples=400, deadline=None)
+@given(EXP_ARGUMENTS)
+def test_stable_sigmoid_float_is_bit_equal_to_the_mpmath_front_end(z):
+    assert stable_sigmoid_float(z) == _stable_sigmoid_oracle(z)
 
 
 @settings(max_examples=400, deadline=None)
 @given(
     st.one_of(
-        st.integers(1, 1 << 600),
-        st.integers(0, 4096).map(math.factorial),
-        st.fractions(min_value=Fraction(1, 1 << 200), max_value=1 << 200),
-        st.builds(Fraction, st.integers(1, 1 << 300), st.integers(1, 1 << 300)),
+        st.integers(1, 1 << 20).flatmap(
+            lambda m: st.builds(Fraction, st.integers(0, m), st.just(m))
+        ),
+        st.fractions(min_value=0, max_value=1, max_denominator=1 << 64),
+        st.integers(1, 1100).map(lambda k: Fraction(1, 1 << k)),
+        st.integers(1, 120).map(lambda k: 1 - Fraction(1, 1 << k)),
     )
 )
-def test_stable_log2_is_bit_equal_to_the_mpmath_front_end(x):
-    assert stable_log2(x) == _stable_log2_oracle(x)
+def test_stable_entropy_is_bit_equal_to_the_mpmath_front_end(p):
+    assert stable_entropy(p) == _stable_entropy_oracle(p)
+
+
+def test_stable_exact_values():
+    assert [stable_log2(2**k) for k in (0, 1, 52, 1000)] == [0.0, 1.0, 52.0, 1000.0]
+    assert stable_log2(Fraction(1, 2**60)) == -60.0
+    assert stable_exp(0) == 1.0
+    assert stable_entropy(Fraction(1, 2)) == 1.0
+    assert stable_ln(1) == 0.0
+    assert stable.LOG2_E == 1.4426950408889634
+
+
+def test_stable_exp_underflow_and_overflow():
+    # libmp's to_float: subnormals rounded twice, inf and 0.0 past the range
+    assert stable_exp(-745) == 5e-324
+    # exp(x) lies just below 1.5 * 2**-1074: 53 bits make it the midpoint,
+    # which then rounds to even, where one correct rounding gives 5e-324
+    x = Fraction(-494495814604512456114621990794542187315, 2**119)
+    assert stable_exp(x) == _stable_exp_oracle(x) == 1e-323
+    assert stable_exp(-1000) == 0.0
+    assert stable_exp(710) == math.inf
+    assert stable_exp(-(10**9)) == 0.0 and stable_exp(10**9) == math.inf
+    assert stable_sigmoid_float(-1000) == 0.0 and stable_sigmoid_float(1000) == 1.0
+
+
+def test_stable_rounds_each_argument_to_136_bits_first():
+    # as mpmath.mpf(num) / mpmath.mpf(den) did at 40 digits: a numerator
+    # 2**136 + 1 rounds to 2**136, and near 1 the rounded quotient shows
+    assert stable_log2(Fraction(2**136 + 1, 2**136)) == 0.0
+    assert stable_ln(Fraction(2**136 + 1, 2**136)) == 0.0
+    x = Fraction(3**63 + 1, 3**63)
+    assert stable_log2(x) == _stable_log2_oracle(x) == 1.2604786431138176e-30
+
+
+def test_stable_log2_of_huge_arguments():
+    for x in (math.factorial(4096), Fraction(1, 10**400)):
+        assert stable_log2(x) == _stable_log2_oracle(x)
+    assert stable_log2(math.factorial(4096)) == pytest.approx(43250.04688993525, rel=1e-15)
+
+
+def test_ziv_precision_cap_raises_instead_of_spinning(monkeypatch):
+    # Both need a second working precision: a log2 near 0, whose fixed-point
+    # bracket is too coarse at first, and an entropy whose 1 - p term is tiny.
+    hard = (
+        (stable_log2, _stable_log2_oracle, Fraction(2**135 + 1, 2**135)),
+        (stable_entropy, _stable_entropy_oracle, Fraction(1, 2**100)),
+    )
+    for f, oracle, x in hard:
+        assert f(x) == oracle(x)
+    monkeypatch.setattr(stable, "_WORK_CAP", stable._WORK)
+    for f, _, x in hard:
+        with pytest.raises(ArithmeticError):
+            f(x)
 
 
 def test_stable_log2_rejects_nonpositive():
