@@ -1,10 +1,10 @@
 """Command line front end.
 
 Subcommands: run (train + encode + account + artifacts), verify (inequality
-and tail-bound suites), encode (manifest + epoch codes only), decode (decode
-each epoch code file on disk once and check it, and final_model.bin, against
-a rerun of training), report (print the summaries of an artifact directory,
-reading its files only).
+and tail-bound suites), encode (the same artifacts as run, but --out or
+SGDCODEC_OUT is required), decode (decode each epoch code file on disk once
+and check it, and final_model.bin, against a rerun of training), report
+(print the summaries of an artifact directory, reading its files only).
 A flat key=value file can provide any flag's default; explicit flags win.
 SGDCODEC_OUT overrides the output directory.
 """
@@ -15,7 +15,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import replace
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -29,7 +28,11 @@ from .epoch_codec import (
 from .harness import (
     ExperimentSpec,
     HoeffdingCheck,
+    epoch_code_dir,
+    epoch_code_path,
     load_manifest,
+    replication_config,
+    replication_dir,
     run_experiment,
     run_inequality_suite,
     verify_hoeffding,
@@ -215,23 +218,25 @@ def cmd_decode(args: argparse.Namespace) -> int:
     spec = load_manifest(os.path.join(outdir, "manifest.json"))
     dataset = generate_dataset(spec.config.generator, spec.config.grid)
     failures = 0
-    reps = {f"rep_{r:02d}" for r in range(spec.replications)}
+    reps = {replication_dir(outdir, r) for r in range(spec.replications)}
     for name in sorted(os.listdir(outdir)):
-        if name.startswith("rep_") and name[4:].isdigit() and name not in reps:
-            print(f"{os.path.join(outdir, name)}: no such replication in the manifest")
+        path = os.path.join(outdir, name)
+        if name.startswith("rep_") and name[4:].isdigit() and path not in reps:
+            print(f"{path}: no such replication in the manifest")
             failures += 1
     for r in range(spec.replications):
-        config = replace(spec.config, seed=spec.config.seed + r)
+        config = replication_config(spec.config, r)
         run = run_training(config, dataset)
-        rep_dir = os.path.join(outdir, f"rep_{r:02d}")
-        epoch_dir = os.path.join(rep_dir, "epochs")
-        rerun_files = {f"epoch_{t.epoch:03d}.epc" for t in run.completed_traces}
+        rep_dir = replication_dir(outdir, r)
+        epoch_dir = epoch_code_dir(rep_dir)
+        rerun_files = {epoch_code_path(rep_dir, t.epoch) for t in run.completed_traces}
         for name in sorted(os.listdir(epoch_dir)):
-            if name.endswith(".epc") and name not in rerun_files:
-                print(f"{os.path.join(epoch_dir, name)}: no such epoch in the rerun")
+            path = os.path.join(epoch_dir, name)
+            if name.endswith(".epc") and path not in rerun_files:
+                print(f"{path}: no such epoch in the rerun")
                 failures += 1
         for trace in run.completed_traces:
-            path = os.path.join(epoch_dir, f"epoch_{trace.epoch:03d}.epc")
+            path = epoch_code_path(rep_dir, trace.epoch)
             n, b, epoch, stream = read_epoch_file(path)
             if (n, b, epoch) != (trace.n, trace.batch_size, trace.epoch):
                 print(f"{path}: header mismatch")
@@ -262,7 +267,7 @@ def cmd_report(args: argparse.Namespace) -> int:
     spec = load_manifest(manifest_path)
     print(f"manifest: {manifest_path} mode={spec.mode} replications={spec.replications}")
     for r in range(spec.replications):
-        path = os.path.join(outdir, f"rep_{r:02d}", "summary.json")
+        path = os.path.join(replication_dir(outdir, r), "summary.json")
         with open(path, "r", encoding="ascii") as fh:
             summary = json.load(fh)
         try:

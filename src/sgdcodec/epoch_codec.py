@@ -17,7 +17,8 @@ by reverse search.
 
 Every field has a declared width and the total is checked against an
 independent width prediction derived from trace statistics alone, so the
-reported bit counts cannot drift from the actual streams.
+reported bit counts cannot drift from the actual streams.  ``epoch_accounting``
+measures an epoch as an ``AccountRow``, which ``harness`` writes to ``report.csv``.
 """
 
 from __future__ import annotations
@@ -166,14 +167,6 @@ class SideInfo:
             return cls(ACCOUNTING, tuple(checkpoints))
         raise DomainError(f"unknown mode {mode!r}")
 
-    @classmethod
-    def strict(cls, final_weights: FixedVector) -> "SideInfo":
-        return cls(STRICT, (final_weights,))
-
-    @classmethod
-    def accounting(cls, checkpoints: Sequence[FixedVector]) -> "SideInfo":
-        return cls(ACCOUNTING, tuple(checkpoints))
-
 
 @dataclass
 class EpochCode:
@@ -234,7 +227,6 @@ def encode_epoch(
     dataset: Dataset,
     config: RunConfig,
     mode: str = ACCOUNTING,
-    beta: Optional[Fraction] = None,
 ) -> EpochCode:
     """Encodes one completed epoch's permutation as a self-delimiting stream."""
     if mode not in (ACCOUNTING, STRICT):
@@ -243,9 +235,7 @@ def encode_epoch(
         raise CodecError("cannot encode an incomplete epoch")
     if mode == STRICT:
         check_strict_limits(config)
-    if beta is None:
-        beta = config.progress_floor
-    selector = select_case(trace, beta)
+    selector = select_case(trace, config.progress_floor)
     stream = BitStream()
     segments: list[tuple[str, int]] = []
     if selector.case == SPLIT:
@@ -512,7 +502,8 @@ def model_description_bits(config: RunConfig) -> int:
 
 @dataclass
 class AccountRow:
-    """Everything the per-epoch compression report records."""
+    """Everything the per-epoch compression report records; the field order
+    is the ``report.csv`` column order."""
 
     epoch: int
     case: str
@@ -521,12 +512,13 @@ class AccountRow:
     measured_bits: int
     stream_model_bits: int
     baseline_bits: int
+    charged_bits: int
+    savings_bits: int
     beta_hat: Fraction
     progress_ok: bool
     model_charge_bits: int
     model_charge_ok: bool
     good: bool
-    charged_bits: int
     split_gap: Optional[Fraction]
     split_bound_bits: Optional[float]
     split_bound_ok: Optional[bool]
@@ -541,101 +533,35 @@ class AccountRow:
     divergence_precond_ok: bool
 
     @property
-    def savings_bits(self) -> int:
-        return self.baseline_bits - self.charged_bits
-
-    @property
     def payload_bits(self) -> int:
         """Stream length excluding any embedded STRICT model field."""
         return self.measured_bits - self.stream_model_bits
 
 
-CSV_FIELDS = (
-    "epoch",
-    "case",
-    "split_j",
-    "degenerate_window",
-    "measured_bits",
-    "stream_model_bits",
-    "baseline_bits",
-    "charged_bits",
-    "savings_bits",
-    "beta_hat",
-    "progress_ok",
-    "model_charge_bits",
-    "model_charge_ok",
-    "good",
-    "split_gap",
-    "split_bound_bits",
-    "split_bound_ok",
-    "backward_bound_bits",
-    "backward_bound_ok",
-    "epoch_bound_bits",
-    "epoch_bound_ok",
-    "batch_lag_ok",
-    "divergence_sum",
-    "divergence_floor",
-    "divergence_ok",
-    "divergence_precond_ok",
-)
-
-
-def _cell(v) -> str:
-    if v is None:
-        return ""
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if isinstance(v, Fraction):
-        return f"{v.numerator}/{v.denominator}"
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
-
-
-def account_row_csv(row: AccountRow) -> str:
-    values = {f: getattr(row, f) for f in CSV_FIELDS if f not in ("savings_bits",)}
-    values["savings_bits"] = row.savings_bits
-    return ",".join(_cell(values[f]) for f in CSV_FIELDS)
-
-
-def epoch_accounting(
-    code: EpochCode,
-    trace: EpochTrace,
-    config: RunConfig,
-    beta: Optional[Fraction] = None,
-    model_charge_bits: Optional[int] = None,
-) -> AccountRow:
+def epoch_accounting(code: EpochCode, trace: EpochTrace, config: RunConfig) -> AccountRow:
     """Measures one epoch's stream against every bound the argument uses.
 
     Bad epochs (no measured progress, or a checkpoint charge that exceeds its
     budget) are charged the raw permutation baseline instead of their stream.
     """
-    if beta is None:
-        beta = config.progress_floor
-    if model_charge_bits is None:
-        model_charge_bits = model_description_bits(config)
+    beta = config.progress_floor
     n, b, t = trace.n, trace.batch_size, trace.num_batches
     measured = code.measured_bits
     payload = measured - code.stream_model_bits
     baseline = ceil_log2(math.factorial(n))
     beta_hat = trace.progress()
     progress_ok = beta_hat >= beta
-    charge = model_charge_bits if code.case == SPLIT else 0
+    charge = model_description_bits(config) if code.case == SPLIT else 0
     charge_budget = _model_charge_budget(n, beta)
     model_charge_ok = code.case != SPLIT or Fraction(charge) <= charge_budget
     good = progress_ok and model_charge_ok
     charged = payload + charge if good else baseline
     slack = _slack_bits(t, stable_log2(n))
 
-    split_gap = None
-    split_bound = None
-    split_ok = None
-    backward_bound = None
-    backward_ok = None
+    split_bound = split_ok = backward_bound = backward_ok = None
     if code.case == SPLIT:
         assert code.split_j is not None
         j = code.split_j
-        split_gap = abs(trace.seen(j) - trace.unseen(j))
         bonus = max(_split_divergences(trace, j))
         split_bound = stable_log2(math.factorial(n)) - float(2 * n * bonus) + slack
         split_ok = payload <= split_bound
@@ -678,13 +604,14 @@ def epoch_accounting(
         measured_bits=measured,
         stream_model_bits=code.stream_model_bits,
         baseline_bits=baseline,
+        charged_bits=charged,
+        savings_bits=baseline - charged,
         beta_hat=beta_hat,
         progress_ok=progress_ok,
         model_charge_bits=charge,
         model_charge_ok=model_charge_ok,
         good=good,
-        charged_bits=charged,
-        split_gap=split_gap,
+        split_gap=code.selector.witness_gap,
         split_bound_bits=split_bound,
         split_bound_ok=split_ok,
         backward_bound_bits=backward_bound,

@@ -3,10 +3,12 @@
 A run is fully pinned by its manifest (config plus replication count and
 mode): datasets, shuffles, streams, and reports are all deterministic
 functions of it, and re-running a manifest reproduces every artifact byte for
-byte.  Alongside the compression pipeline this module hosts the two
-statistical verifiers: a Monte Carlo check of the without-replacement tail
-bound against the exact hypergeometric law, and grid sweeps of the entropy
-and coding inequalities the bit accounting relies on.
+byte.  This module owns the artifact directory: its layout, and the text
+artifacts ``trace.csv``, ``report.csv`` and ``summary.json``, whose every
+cell goes through one renderer, ``_cell``.  Alongside the compression
+pipeline it hosts the two statistical verifiers: a Monte Carlo check of the
+without-replacement tail bound against the exact hypergeometric law, and grid
+sweeps of the entropy and coding inequalities the bit accounting relies on.
 """
 
 from __future__ import annotations
@@ -15,9 +17,10 @@ import json
 import math
 import os
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
+from operator import attrgetter
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .codec import (
     BitStream,
@@ -31,10 +34,8 @@ from .epoch_codec import (
     STRICT,
     AccountRow,
     CeilingVerdict,
-    CSV_FIELDS,
     EpochCode,
     SideInfo,
-    account_row_csv,
     check_eps_beta_ceiling,
     check_strict_limits,
     decode_epoch,
@@ -53,11 +54,11 @@ from .numerics import (
     _split_slack,
 )
 from .sgd_engine import (
+    EpochTrace,
     RunConfig,
     TrainingRun,
     run_training,
     vector_to_bytes,
-    write_trace_csv,
 )
 from .stable import LOG2_E, stable_entropy, stable_exp, stable_log2
 
@@ -177,7 +178,7 @@ class CompressionReport:
         return {
             "epochs": self.epochs,
             "good_epochs": self.good_epochs,
-            "good_fraction": _frac_str(self.good_fraction),
+            "good_fraction": _cell(self.good_fraction),
             "total_measured_bits": self.total_measured_bits,
             "total_charged_bits": self.total_charged_bits,
             "total_baseline_bits": self.total_baseline_bits,
@@ -185,32 +186,50 @@ class CompressionReport:
             "dataset_bits": self.dataset_bits,
             "model_bits": self.model_bits,
             "side_charge_bits": self.side_charge_bits,
-            "mean_savings_bits": None if mean is None else _frac_str(mean),
+            "mean_savings_bits": None if mean is None else _cell(mean),
             "projected_epoch_bound": self.projected_epoch_bound,
             "conservation_ok": self.check_conservation(),
             "ceilings": [
-                {
-                    "applicable": c.applicable,
-                    "note": c.note,
-                    "beta_hat": None if c.beta_hat is None else _frac_str(c.beta_hat),
-                    "ceiling": c.ceiling,
-                    "ok": c.ok,
-                    "margin": c.margin,
-                }
+                dict(vars(c), beta_hat=None if c.beta_hat is None else _cell(c.beta_hat))
                 for c in self.ceilings
             ],
         }
 
 
-def _frac_str(v: Fraction) -> str:
-    return f"{v.numerator}/{v.denominator}"
+def _cell(v) -> str:
+    """A text-artifact cell: None empty, bools lower case, Fractions num/den."""
+    if v is None:
+        return ""
+    if isinstance(v, bool):
+        return "true" if v else "false"
+    if isinstance(v, Fraction):
+        return f"{v.numerator}/{v.denominator}"
+    if isinstance(v, float):
+        return repr(v)
+    return str(v)
+
+
+def _write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    lines = [",".join(header)]
+    lines.extend(",".join(map(_cell, row)) for row in rows)
+    with open(path, "w", encoding="ascii") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+def write_trace_csv(traces: Sequence[EpochTrace], path: str) -> None:
+    """One row per checkpoint: its ``EpochTrace.rates``, then whether the epoch
+    stopped early."""
+    header = ("epoch", "j", "lambda", "lambda_prime", "lambda_doubleprime", "phi",
+              "batch_acc_before", "terminated")
+    rows = ((t.epoch, i + 1, *t.rates(i), t.terminated or t.saturated)
+            for t in traces for i in range(t.steps_done + 1))
+    _write_csv(path, header, rows)
 
 
 def write_report_csv(rows: Sequence[AccountRow], path: str) -> None:
-    lines = [",".join(CSV_FIELDS)]
-    lines.extend(account_row_csv(r) for r in rows)
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("\n".join(lines) + "\n")
+    """One row per accounted epoch; the columns are ``AccountRow``'s fields."""
+    columns = [f.name for f in fields(AccountRow)]
+    _write_csv(path, columns, map(attrgetter(*columns), rows))
 
 
 @dataclass
@@ -233,6 +252,26 @@ def _json_bytes(obj: dict) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
+def replication_config(config: RunConfig, index: int) -> RunConfig:
+    """Replication ``index`` trains ``config`` with its seed shifted by index."""
+    return replace(config, seed=config.seed + index)
+
+
+def replication_dir(outdir: str, index: int) -> str:
+    """Replication ``index`` keeps its artifacts in ``rep_NN`` under outdir."""
+    return os.path.join(outdir, f"rep_{index:02d}")
+
+
+def epoch_code_dir(rep_dir: str) -> str:
+    """A replication keeps its epoch code files in ``epochs``."""
+    return os.path.join(rep_dir, "epochs")
+
+
+def epoch_code_path(rep_dir: str, epoch: int) -> str:
+    """Where a replication keeps one epoch's code: ``epochs/epoch_NNN.epc``."""
+    return os.path.join(epoch_code_dir(rep_dir), f"epoch_{epoch:03d}.epc")
+
+
 def run_experiment(spec: ExperimentSpec, outdir: Optional[str] = None) -> ExperimentResult:
     """Runs, encodes, decodes, accounts, and (optionally) writes artifacts.
 
@@ -253,7 +292,7 @@ def run_experiment(spec: ExperimentSpec, outdir: Optional[str] = None) -> Experi
             fh.write(dataset.to_text())
     reps: list[ReplicationResult] = []
     for r in range(spec.replications):
-        config = replace(spec.config, seed=spec.config.seed + r)
+        config = replication_config(spec.config, r)
         run = run_training(config, dataset)
         rows: list[AccountRow] = []
         epoch_codes: list[EpochCode] = []
@@ -298,20 +337,17 @@ def _write_replication(
     codes: Sequence[EpochCode],
     report: CompressionReport,
 ) -> None:
-    rep_dir = os.path.join(outdir, f"rep_{index:02d}")
-    os.makedirs(rep_dir, exist_ok=True)
-    os.makedirs(os.path.join(rep_dir, "epochs"), exist_ok=True)
+    rep_dir = replication_dir(outdir, index)
+    os.makedirs(epoch_code_dir(rep_dir), exist_ok=True)
     write_trace_csv(run.traces, os.path.join(rep_dir, "trace.csv"))
     for code in codes:
-        write_epoch_file(
-            os.path.join(rep_dir, "epochs", f"epoch_{code.epoch:03d}.epc"), code
-        )
+        write_epoch_file(epoch_code_path(rep_dir, code.epoch), code)
     with open(os.path.join(rep_dir, "final_model.bin"), "wb") as fh:
         fh.write(vector_to_bytes(run.final_model.weights))
     write_report_csv(report.rows, os.path.join(rep_dir, "report.csv"))
     summary = report.summary_dict()
     summary["terminated"] = run.terminated
-    summary["final_accuracy"] = _frac_str(run.final_accuracy)
+    summary["final_accuracy"] = _cell(run.final_accuracy)
     with open(os.path.join(rep_dir, "summary.json"), "w", encoding="ascii") as fh:
         fh.write(_json_bytes(summary))
 

@@ -211,9 +211,8 @@ class Dataset:
             raws = tuple(int(x) for x in feats_s.split(",")) if feats_s else ()
             if len(raws) != dim:
                 raise DomainError("feature dimension mismatch")
-            for r in raws:
-                if r < grid.raw_min or r > grid.raw_max:
-                    raise DomainError("feature mantissa outside clip range")
+            if not grid.holds(raws):
+                raise DomainError("feature mantissa outside clip range")
             elements.append(Element(int(eid_s), FixedVector(raws, grid), int(label_s)))
         return cls(tuple(elements), grid)
 
@@ -334,6 +333,11 @@ def sigmoid_table_max_slope(scale: int) -> Fraction:
     return Fraction(step << KNOT_BITS, 1 << scale)
 
 
+def weight_count(kind: str, dim: int, width: int) -> int:
+    """Weight count: dim for logistic-linear, width*dim + width with a hidden layer."""
+    return dim if kind == "logistic-linear" else width * dim + width
+
+
 def _dot(a: Sequence[int], b: Sequence[int]) -> int:
     return sum(map(operator.mul, a, b))
 
@@ -358,12 +362,9 @@ class Model:
     def __post_init__(self) -> None:
         if self.kind not in MODEL_KINDS:
             raise DomainError(f"unknown model kind {self.kind!r}")
-        if self.kind == "logistic-linear":
-            expect = self.dim
-        else:
-            if self.width < 1:
-                raise DomainError("one-hidden-layer needs width >= 1")
-            expect = self.width * self.dim + self.width
+        if self.kind == "one-hidden-layer" and self.width < 1:
+            raise DomainError("one-hidden-layer needs width >= 1")
+        expect = weight_count(self.kind, self.dim, self.width)
         if len(self.weights) != expect:
             raise DomainError(
                 f"{self.kind} with dim={self.dim} width={self.width} "
@@ -397,12 +398,7 @@ class Model:
 
 
 def zero_model(kind: str, dim: int, grid: GridSpec, width: int = 0) -> Model:
-    d = dim if kind == "logistic-linear" else width * dim + width
-    return Model(kind, zero_vector(d, grid), dim, width)
-
-
-def model_from_weights(kind: str, weights: FixedVector, dim: int, width: int = 0) -> Model:
-    return Model(kind, weights, dim, width)
+    return Model(kind, zero_vector(weight_count(kind, dim, width), grid), dim, width)
 
 
 def _gradient_sum(model: Model, batch: Sequence[Element]) -> tuple[list[int], int]:
@@ -456,8 +452,7 @@ def loss_gradient(model: Model, batch: Sequence[Element]) -> FixedVector:
         raise SaturationError("model weights carry a saturation flag")
     raws = rounded_gradient(model, batch)
     grid = model.grid
-    lo, hi = grid.raw_min, grid.raw_max
-    if any(r < lo or r > hi for r in raws):
+    if not grid.holds(raws):
         raise SaturationError("gradient coordinate clipped during quantization")
     return FixedVector(raws, grid)
 
@@ -484,7 +479,7 @@ def correctness_mask(model: Model, dataset: Dataset) -> int:
         v = w[model.width * model.dim :]
         scores = (_dot(v, model._hidden(el.features.raws)[1]) for el in elements)
         return sum(1 << el.eid for z, el in zip(scores, elements) if (z > 0) == el.label)
-    if w and (min(w) < grid.raw_min or max(w) > grid.raw_max):
+    if not grid.holds(w):
         raise DomainError("a weight lies outside the grid's clip range")
     size, columns, bias, tops, label0 = dataset._lanes
     acc = sum((wc * column for wc, column in zip(w, columns) if wc), bias)

@@ -91,6 +91,10 @@ class GridSpec:
         count = self.raw_max - self.raw_min + 1
         return (count - 1).bit_length()
 
+    def holds(self, raws: Sequence[int]) -> bool:
+        """Whether every raw lies in [raw_min, raw_max]."""
+        return not raws or (self.raw_min <= min(raws) and max(raws) <= self.raw_max)
+
     def clamp_raw(self, raw: int) -> tuple[int, bool]:
         if raw < self.raw_min:
             return self.raw_min, True

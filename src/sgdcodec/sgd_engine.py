@@ -29,6 +29,7 @@ from .model import (
     manifest_int,
     rounded_gradient,
     sigmoid_table_max_slope,
+    weight_count,
     zero_model,
     MODEL_KINDS,
 )
@@ -160,9 +161,7 @@ class RunConfig:
 
     @property
     def d(self) -> int:
-        if self.model_kind == "logistic-linear":
-            return self.dim
-        return self.hidden_width * self.dim + self.hidden_width
+        return weight_count(self.model_kind, self.dim, self.hidden_width)
 
     @property
     def num_batches(self) -> int:
@@ -502,7 +501,7 @@ def reverse_step(
     hits: list[FixedVector] = []
     for off in _ball_offsets(len(target), r2):
         raws = tuple(c + o for c, o in zip(w, off))
-        if any(r < grid.raw_min or r > grid.raw_max for r in raws):
+        if not grid.holds(raws):
             continue
         candidate = FixedVector(raws, grid)
         try:
@@ -546,24 +545,6 @@ def reverse_epoch(
     return out
 
 
-def write_trace_csv(traces: Sequence[EpochTrace], path: str) -> None:
-    """CSV export; accuracies are exact rationals rendered as num/den."""
-
-    def cell(v: Optional[Fraction]) -> str:
-        if v is None:
-            return ""
-        return f"{v.numerator}/{v.denominator}"
-
-    lines = ["epoch,j,lambda,lambda_prime,lambda_doubleprime,phi,batch_acc_before,terminated"]
-    for tr in traces:
-        flag = "true" if (tr.terminated or tr.saturated) else "false"
-        for i in range(tr.steps_done + 1):
-            cells = [cell(v) for v in tr.rates(i)]
-            lines.append(",".join([str(tr.epoch), str(i + 1), *cells, flag]))
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
 def vector_to_bytes(vec: FixedVector) -> bytes:
     """Binary checkpoint: header (d, scale) as little-endian u32, then int64 raws."""
     head = struct.pack("<II", len(vec), vec.grid.scale)
@@ -580,7 +561,6 @@ def vector_from_bytes(data: bytes, grid: GridSpec) -> FixedVector:
     if len(data) != 8 + 8 * d:
         raise DomainError("checkpoint blob length mismatch")
     raws = struct.unpack_from(f"<{d}q", data, 8)
-    for r in raws:
-        if r < grid.raw_min or r > grid.raw_max:
-            raise DomainError("checkpoint mantissa outside clip range")
+    if not grid.holds(raws):
+        raise DomainError("checkpoint mantissa outside clip range")
     return FixedVector(tuple(raws), grid)

@@ -9,8 +9,8 @@ from sgdcodec.model import (
     Dataset,
     Element,
     GeneratorSpec,
+    Model,
     correctness_mask,
-    model_from_weights,
 )
 from sgdcodec.numerics import FixedVector, GridSpec
 from sgdcodec.sgd_engine import EpochTrace
@@ -74,7 +74,7 @@ def synthesize_trace(
     """
     trace = EpochTrace(epoch=epoch, batch_size=batch_size, order=tuple(order))
     for weights in weight_rows:
-        model = model_from_weights("logistic-linear", weights, dataset.dim)
+        model = Model("logistic-linear", weights, dataset.dim)
         trace.checkpoints.append(weights)
         trace.masks.append(correctness_mask(model, dataset))
     return trace
@@ -117,6 +117,6 @@ def staircase_report_inputs():
         generator=ds.spec, batch_size=4, step_raw=0, eps=Fraction(1, 4),
         progress_coeff=Fraction(4), seed=0, max_epochs=1, grid=ds.grid,
     )
-    code = encode_epoch(tr, ds, cfg, mode=ACCOUNTING, beta=Fraction(1))
-    row = epoch_accounting(code, tr, cfg, beta=Fraction(1))
+    code = encode_epoch(tr, ds, cfg, mode=ACCOUNTING)
+    row = epoch_accounting(code, tr, cfg)
     return ds, [row], [check_eps_beta_ceiling(tr, cfg.eps)]

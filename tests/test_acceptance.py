@@ -44,8 +44,8 @@ from sgdcodec.harness import (
 )
 from sgdcodec.model import (
     GeneratorSpec,
+    Model,
     correctness_vector,
-    model_from_weights,
     zero_model,
 )
 from sgdcodec.numerics import FixedVector, GridSpec
@@ -87,7 +87,7 @@ def test_criterion_01_accounting_round_trips_at_scale(capsys):
                 for tr in run.completed_traces:
                     code = encode_epoch(tr, run.dataset, cfg, mode=ACCOUNTING)
                     dec = decode_epoch(
-                        code, run.dataset, cfg, SideInfo.accounting(tr.checkpoints)
+                        code, run.dataset, cfg, SideInfo.of(ACCOUNTING, tr.checkpoints)
                     )
                     assert dec.order == tr.order
                     row = epoch_accounting(code, tr, cfg)
@@ -117,7 +117,7 @@ def test_criterion_02_strict_chain_from_final_weights_alone(capsys):
     current = run.final_model.weights
     for tr, code in zip(reversed(run.completed_traces), reversed(codes)):
         # hand the decoder the raw stream, not the encoder's code object
-        dec = decode_epoch(code.stream, run.dataset, cfg, SideInfo.strict(current))
+        dec = decode_epoch(code.stream, run.dataset, cfg, SideInfo.of(STRICT, [current]))
         assert dec.order == tr.order
         assert [w.raws for w in dec.checkpoints] == [w.raws for w in tr.checkpoints]
         current = dec.checkpoints[0]
@@ -143,7 +143,7 @@ def test_criterion_03_reverse_step_unique_over_full_grid(capsys):
         images: dict[tuple[int, ...], int] = {}
         saturated = 0
         for w in range(grid.raw_min, grid.raw_max + 1):
-            start = model_from_weights("logistic-linear", FixedVector((w,), grid), 1)
+            start = Model("logistic-linear", FixedVector((w,), grid), 1)
             try:
                 nxt, _ = forward_step(start, batch, cfg.step_raw)
             except SaturationError:
@@ -226,12 +226,12 @@ def test_criterion_07_favorable_epochs_show_real_savings(capsys):
     cfg = RunConfig(generator=ds.spec, batch_size=128, step_raw=0,
                     eps=Fraction(1, 4), progress_coeff=Fraction(4),
                     seed=0, max_epochs=1, grid=ds.grid)
-    code = encode_epoch(tr, ds, cfg, mode=ACCOUNTING, beta=Fraction(1))
+    code = encode_epoch(tr, ds, cfg, mode=ACCOUNTING)
     assert code.case == SPLIT
     baseline = ceil_log2(math.factorial(256))
     assert baseline == 1684
     assert baseline - code.measured_bits >= 0.9 * 256
-    dec = decode_epoch(code, ds, cfg, SideInfo.accounting(tr.checkpoints))
+    dec = decode_epoch(code, ds, cfg, SideInfo.of(ACCOUNTING, tr.checkpoints))
     assert dec.order == tr.order
     # (b) batches drawn inside a 90 percent-correct pool save bits each step
     m, ones_count, b = 1600, 1440, 160
@@ -255,7 +255,7 @@ def test_criterion_08_full_run_stays_below_permutation_cost(capsys):
     run = run_training(cfg)
     assert check_step_smoothness(cfg, run.dataset) < 1
     # the all-ones weight vector classifies every element correctly
-    witness = model_from_weights(
+    witness = Model(
         "logistic-linear",
         FixedVector((run.dataset.grid.unit,) * 256, run.dataset.grid),
         256,
@@ -266,7 +266,7 @@ def test_criterion_08_full_run_stays_below_permutation_cost(capsys):
     baseline = ceil_log2(math.factorial(256))
     for tr in run.completed_traces:
         code = encode_epoch(tr, run.dataset, cfg, mode=ACCOUNTING)
-        dec = decode_epoch(code, run.dataset, cfg, SideInfo.accounting(tr.checkpoints))
+        dec = decode_epoch(code, run.dataset, cfg, SideInfo.of(ACCOUNTING, tr.checkpoints))
         assert dec.order == tr.order
         row = epoch_accounting(code, tr, cfg)
         assert row.beta_hat > 0

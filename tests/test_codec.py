@@ -262,7 +262,7 @@ def test_n4096_accounting_round_trip_keeps_its_streams():
         code = encode_epoch(tr, run.dataset, cfg, mode=ACCOUNTING)
         assert code.case == BACKWARD
         digest.update(code.stream.to_bytes())
-        dec = decode_epoch(code, run.dataset, cfg, SideInfo.accounting(tr.checkpoints))
+        dec = decode_epoch(code, run.dataset, cfg, SideInfo.of(ACCOUNTING, tr.checkpoints))
         assert dec.order == tuple(tr.order)
     assert len(run.completed_traces) == 2
     assert digest.hexdigest() == N4096_STREAMS_SHA256

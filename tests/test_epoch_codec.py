@@ -142,7 +142,7 @@ def test_split_stream_width_is_fully_predictable():
     # stream is two permutation ranks plus a fixed header
     ds, tr = split_trace(256, 128)
     cfg = one_hot_config(ds, 128)
-    code = encode_epoch(tr, ds, cfg, mode=ACCOUNTING, beta=Fraction(1))
+    code = encode_epoch(tr, ds, cfg, mode=ACCOUNTING)
     assert code.case == SPLIT and code.split_j == 2 and code.side == 0
     widths = dict(code.segments)
     assert widths["case"] == 1
@@ -155,7 +155,7 @@ def test_split_stream_width_is_fully_predictable():
     assert widths["perm_right"] == 717
     assert code.measured_bits == 1453
     assert ceil_log2(math.factorial(256)) - code.measured_bits == 231
-    dec = decode_epoch(code, ds, cfg, SideInfo.accounting(tr.checkpoints))
+    dec = decode_epoch(code, ds, cfg, SideInfo.of(ACCOUNTING, tr.checkpoints))
     assert dec.order == tr.order
 
 
@@ -164,18 +164,18 @@ def test_staircase_backward_stream_beats_baseline():
     # ranks vanish and the whole epoch costs headers plus tiny perm ranks
     ds, tr = staircase_trace(160, 4)
     cfg = one_hot_config(ds, 4)
-    code = encode_epoch(tr, ds, cfg, mode=ACCOUNTING, beta=Fraction(1))
+    code = encode_epoch(tr, ds, cfg, mode=ACCOUNTING)
     assert code.case == BACKWARD
     assert code.measured_bits == 441
     assert ceil_log2(math.factorial(160)) == 946
-    dec = decode_epoch(code, ds, cfg, SideInfo.accounting(tr.checkpoints))
+    dec = decode_epoch(code, ds, cfg, SideInfo.of(ACCOUNTING, tr.checkpoints))
     assert dec.order == tr.order
 
 
 def test_declared_segments_sum_to_stream_length():
     ds, tr = staircase_trace(32, 4)
     cfg = one_hot_config(ds, 4)
-    code = encode_epoch(tr, ds, cfg, mode=ACCOUNTING, beta=Fraction(1))
+    code = encode_epoch(tr, ds, cfg, mode=ACCOUNTING)
     assert sum(w for _, w in code.segments) == len(code.stream)
 
 
@@ -192,7 +192,7 @@ def test_predict_segments_matches_encoder_on_real_runs():
             code = encode_epoch(tr, run.dataset, cfg, mode=ACCOUNTING)
             cases.add(code.case)
             assert predict_segments(tr, cfg, code.selector, ACCOUNTING) == code.segments
-            dec = decode_epoch(code, run.dataset, cfg, SideInfo.accounting(tr.checkpoints))
+            dec = decode_epoch(code, run.dataset, cfg, SideInfo.of(ACCOUNTING, tr.checkpoints))
             assert dec.order == tr.order
     assert cases == {SPLIT, BACKWARD}
 
@@ -205,7 +205,7 @@ def test_strict_split_round_trip_recovers_chain():
         assert code.case == SPLIT
         assert code.stream_model_bits == cfg.grid.coord_bits
         assert predict_segments(tr, cfg, code.selector, STRICT) == code.segments
-        dec = decode_epoch(code, run.dataset, cfg, SideInfo.strict(tr.checkpoints[-1]))
+        dec = decode_epoch(code, run.dataset, cfg, SideInfo.of(STRICT, tr.checkpoints))
         assert dec.order == tr.order
         assert [w.raws for w in dec.checkpoints] == [w.raws for w in tr.checkpoints]
 
@@ -216,7 +216,7 @@ def test_strict_backward_round_trip_recovers_chain():
              for tr in run.completed_traces]
     assert [c.case for c in codes] == [BACKWARD, SPLIT, SPLIT]
     for tr, code in zip(run.completed_traces, codes):
-        dec = decode_epoch(code, run.dataset, cfg, SideInfo.strict(tr.checkpoints[-1]))
+        dec = decode_epoch(code, run.dataset, cfg, SideInfo.of(STRICT, tr.checkpoints))
         assert dec.order == tr.order
         assert [w.raws for w in dec.checkpoints] == [w.raws for w in tr.checkpoints]
 
@@ -225,11 +225,10 @@ def test_side_info_of_hands_strict_the_last_checkpoint_alone():
     _, run = gaussians_run()
     trace = run.completed_traces[0]
     strict = SideInfo.of(STRICT, trace.checkpoints)
-    assert strict.checkpoints == (trace.checkpoints[-1],)
-    assert strict == SideInfo.strict(trace.checkpoints[-1])
+    assert strict.mode == STRICT and strict.checkpoints == (trace.checkpoints[-1],)
     accounting = SideInfo.of(ACCOUNTING, trace.checkpoints)
+    assert accounting.mode == ACCOUNTING
     assert accounting.checkpoints == tuple(trace.checkpoints)
-    assert accounting == SideInfo.accounting(trace.checkpoints)
     with pytest.raises(DomainError):
         SideInfo.of("FAST", trace.checkpoints)
 
@@ -240,7 +239,7 @@ def test_decode_rejects_a_checkpoint_source_of_the_wrong_length():
     strict = encode_epoch(tr, run.dataset, cfg, mode=STRICT)
     accounting = encode_epoch(tr, run.dataset, cfg, mode=ACCOUNTING)
     assert strict.case == accounting.case == SPLIT
-    short = SideInfo.accounting(tr.checkpoints[:-1])
+    short = SideInfo.of(ACCOUNTING, tr.checkpoints[:-1])
     with pytest.raises(CodecError, match="checkpoint"):
         decode_epoch(accounting, run.dataset, cfg, short)
     two = SideInfo(STRICT, tuple(tr.checkpoints[-2:]))
@@ -254,7 +253,7 @@ def test_accounting_decode_returns_the_chain_it_was_given():
     for tr in run.completed_traces:
         code = encode_epoch(tr, run.dataset, cfg, mode=ACCOUNTING)
         cases.add(code.case)
-        side = SideInfo.accounting(tr.checkpoints)
+        side = SideInfo.of(ACCOUNTING, tr.checkpoints)
         dec = decode_epoch(code, run.dataset, cfg, side)
         assert dec.checkpoints == side.checkpoints == tuple(tr.checkpoints)
     assert cases == {SPLIT, BACKWARD}
@@ -285,7 +284,7 @@ def test_tampered_stream_never_decodes_silently():
     cfg, run = gaussians_run()
     tr = run.completed_traces[0]
     code = encode_epoch(tr, run.dataset, cfg, mode=STRICT)
-    side = SideInfo.strict(tr.checkpoints[-1])
+    side = SideInfo.of(STRICT, tr.checkpoints)
     for k in (0, 1, 2, 40, len(code.stream) - 1):
         bad = flip_bit(code.stream, k)
         try:
@@ -302,7 +301,7 @@ def test_decode_rejects_trailing_bits(tmp_path):
     assert [c.case for c in codes] == [BACKWARD, SPLIT]
     path = str(tmp_path / "epoch.epc")
     for tr, code in zip(traces, codes):
-        side = SideInfo.accounting(tr.checkpoints)
+        side = SideInfo.of(ACCOUNTING, tr.checkpoints)
         for extra in range(1, 8):
             for fill in (0, (1 << extra) - 1):
                 padded = BitStream.from_bytes(code.stream.to_bytes())
@@ -353,8 +352,8 @@ def test_model_description_bits():
 def test_accounting_good_backward_epoch():
     ds, tr = staircase_trace(160, 4)
     cfg = one_hot_config(ds, 4)
-    code = encode_epoch(tr, ds, cfg, mode=ACCOUNTING, beta=Fraction(1))
-    row = epoch_accounting(code, tr, cfg, beta=Fraction(1))
+    code = encode_epoch(tr, ds, cfg, mode=ACCOUNTING)
+    row = epoch_accounting(code, tr, cfg)
     assert row.beta_hat == 1 and row.progress_ok
     assert row.model_charge_bits == 0 and row.good
     assert row.charged_bits == row.measured_bits == row.payload_bits
@@ -367,8 +366,8 @@ def test_accounting_good_backward_epoch():
 def test_accounting_split_epoch_pays_model_charge():
     ds, tr = split_trace(256, 128)
     cfg = one_hot_config(ds, 128)
-    code = encode_epoch(tr, ds, cfg, mode=ACCOUNTING, beta=Fraction(1))
-    row = epoch_accounting(code, tr, cfg, beta=Fraction(1))
+    code = encode_epoch(tr, ds, cfg, mode=ACCOUNTING)
+    row = epoch_accounting(code, tr, cfg)
     assert row.case == SPLIT and row.progress_ok
     # the flat per-checkpoint charge dwarfs the n*beta^3/512 budget here
     assert row.model_charge_bits == model_description_bits(cfg)
@@ -393,15 +392,14 @@ def test_accounting_no_progress_epoch_charged_baseline():
 def test_accounting_beta_override_changes_gating():
     ds, tr = staircase_trace(160, 4)
     cfg = one_hot_config(ds, 4)
-    code = encode_epoch(tr, ds, cfg, mode=ACCOUNTING, beta=Fraction(1))
-    strict_row = epoch_accounting(code, tr, cfg, beta=Fraction(1))
-    assert strict_row.good
-    # a config whose floor exceeds the measured progress flips the verdict
-    harsher = epoch_accounting(code, tr, cfg, beta=Fraction(1),
-                               model_charge_bits=10**6)
-    assert harsher.good  # backward epochs never pay the model charge
-    lower = epoch_accounting(code, tr, cfg, beta=Fraction(1, 2))
+    code = encode_epoch(tr, ds, cfg, mode=ACCOUNTING)
+    floor_one = epoch_accounting(code, tr, cfg)
+    assert floor_one.good
+    # the same stream accounted under a config whose floor is 1/2
+    lower = epoch_accounting(code, tr, one_hot_config(ds, 4, coeff=Fraction(2)))
     assert lower.good and lower.divergence_ok
+    assert lower.divergence_floor == floor_one.divergence_floor
+    assert lower.epoch_bound_bits > floor_one.epoch_bound_bits
 
 
 def test_ceiling_inapplicable_cases():
@@ -437,7 +435,7 @@ def test_epoch_file_round_trip(tmp_path):
     write_epoch_file(path, code)
     n, b, epoch, stream = read_epoch_file(path)
     assert (n, b, epoch) == (code.n, code.batch_size, code.epoch)
-    dec = decode_epoch(stream, run.dataset, cfg, SideInfo.accounting(tr.checkpoints))
+    dec = decode_epoch(stream, run.dataset, cfg, SideInfo.of(ACCOUNTING, tr.checkpoints))
     assert dec.order == tr.order
 
 

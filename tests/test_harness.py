@@ -460,6 +460,30 @@ def test_cli_decode_requires_directory(capsys, monkeypatch):
     assert "requires" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [["encode", "--n", "16"], ["report"]])
+def test_cli_encode_and_report_require_a_directory(argv, tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv("SGDCODEC_OUT", raising=False)
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 2
+    assert f"{argv[0]} requires" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []
+
+
+def test_cli_decode_fails_a_rewritten_header(tmp_path, capsys):
+    out = tmp_path / "exp"
+    run_experiment(plateau_spec(max_epochs=1), str(out))
+    victim = out / "rep_00" / "epochs" / "epoch_001.epc"
+    blob = bytearray(victim.read_bytes())
+    blob[12:16] = (7).to_bytes(4, "big")  # the epoch field of the header
+    victim.write_bytes(bytes(blob))
+    capsys.readouterr()
+    assert main(["decode", "--dir", str(out)]) == 1
+    text = capsys.readouterr().out
+    assert f"{victim}: header mismatch" in text
+    assert "rep 00 epoch 1" not in text
+    assert "rep 00 final_model.bin: ok" in text
+
+
 STRICT_FLAGS = [
     "--family", "two-gaussians", "--n", "32", "--dim", "1", "--data-seed", "3",
     "--sigma", "1/2", "--center-dist", "2", "--batch-size", "4",

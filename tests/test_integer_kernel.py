@@ -22,13 +22,13 @@ from sgdcodec.model import (
     KNOT_BITS,
     MODEL_KINDS,
     Z_MAX,
+    Model,
     GeneratorSpec,
     _sigmoid_knots,
     correctness_mask,
     correctness_vector,
     generate_dataset,
     loss_gradient,
-    model_from_weights,
     zero_model,
 )
 from sgdcodec.numerics import DomainError, FixedVector, GridSpec, SaturationError
@@ -160,7 +160,7 @@ def kernel_cases(draw):
         st.integers(-grid.unit, grid.unit), st.integers(grid.raw_min, grid.raw_max)
     )
     raws = tuple(draw(st.lists(coord, min_size=d, max_size=d)))
-    model = model_from_weights(kind, FixedVector(raws, grid), dim, width)
+    model = Model(kind, FixedVector(raws, grid), dim, width)
     ids = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True))
     grad = tuple(draw(st.lists(coord, min_size=d, max_size=d)))
     step_raw = draw(st.integers(0, 2 * grid.unit))
@@ -187,7 +187,7 @@ def test_negative_dots_floor_inside_a_segment(scale):
         ("logistic-linear", 0, (-1, 0)),
         ("one-hidden-layer", 1, (-1, 0, grid.unit)),
     ):
-        model = model_from_weights(kind, FixedVector(raws, grid), 2, width)
+        model = Model(kind, FixedVector(raws, grid), 2, width)
         # z = dot / 2^(2s) is negative and off the knots: floor != truncation
         dot = sum(w * x for w, x in zip(raws, ds.elements[0].features.raws))
         assert dot < 0 and (dot << KNOT_BITS) % (1 << 2 * scale) != 0
@@ -200,10 +200,10 @@ def test_scores_exactly_at_the_table_ends(scale, sign):
     grid = GridSpec(scale=scale, clip=16)
     ds = manual_dataset(grid, [((grid.unit,), 1), ((grid.unit,), 0)])
     at_end = sign * Z_MAX * grid.unit
-    logistic = model_from_weights("logistic-linear", FixedVector((at_end,), grid), 1)
+    logistic = Model("logistic-linear", FixedVector((at_end,), grid), 1)
     # hidden pre-activation exactly at +/-Z_MAX, where the activation takes
     # its end value and the slope its end rule
-    hidden = model_from_weights(
+    hidden = Model(
         "one-hidden-layer", FixedVector((at_end, grid.unit), grid), 1, 1
     )
     assert oracle_forward(logistic, [Fraction(1)])[0] == sign * Z_MAX
@@ -254,7 +254,7 @@ def sweep_cases(draw):
     ))
     weights = tuple(draw(st.lists(coord, min_size=dim, max_size=dim)))
     dataset = manual_dataset(grid, rows)
-    return model_from_weights("logistic-linear", FixedVector(weights, grid), dim), dataset
+    return Model("logistic-linear", FixedVector(weights, grid), dim), dataset
 
 
 @settings(max_examples=200, deadline=None)
@@ -275,7 +275,7 @@ def test_packed_sweep_scores_zero_and_one(scale):
     rows = [((top, top), 0), ((top, top), 1), ((top, top - 1), 0),
             ((top, top - 1), 1), ((top - 1, top), 0), ((top - 1, top), 1)]
     ds = manual_dataset(grid, rows)
-    model = model_from_weights("logistic-linear", FixedVector((1, -1), grid), 2)
+    model = Model("logistic-linear", FixedVector((1, -1), grid), 2)
     assert correctness_vector(model, ds) == [1, 0, 0, 1, 1, 0]
 
 
@@ -285,7 +285,7 @@ def test_packed_sweep_one_hot():
     rng = random.Random(5)
     for _ in range(4):
         raws = tuple(rng.choice((grid.raw_min, -1, 0, 0, 1, grid.raw_max)) for _ in range(64))
-        model = model_from_weights("logistic-linear", FixedVector(raws, grid), 64)
+        model = Model("logistic-linear", FixedVector(raws, grid), 64)
         # one-hot labels are all 1: element e is correct iff its weight is positive
         assert correctness_mask(model, ds) == oracle_mask(model, ds)
         assert correctness_mask(model, ds) == sum(1 << e for e, w in enumerate(raws) if w > 0)
@@ -296,7 +296,7 @@ def test_packed_sweep_rejects_a_weight_off_the_grid(bad):
     grid = GridSpec(scale=6, clip=4)
     ds = generate_dataset(GeneratorSpec(family="random-labels", n=8, dim=2, seed=1), grid)
     off = grid.raw_min - 1 if bad == "below" else grid.raw_max + 1
-    model = model_from_weights("logistic-linear", FixedVector((0, off), grid), 2)
+    model = Model("logistic-linear", FixedVector((0, off), grid), 2)
     with pytest.raises(DomainError):
         correctness_mask(model, ds)
 
@@ -307,7 +307,7 @@ def test_hidden_model_sweep_is_per_element():
     rng = random.Random(2)
     for _ in range(4):
         raws = tuple(rng.randint(-2 * grid.unit, 2 * grid.unit) for _ in range(3 * 2 + 3))
-        model = model_from_weights("one-hidden-layer", FixedVector(raws, grid), 2, 3)
+        model = Model("one-hidden-layer", FixedVector(raws, grid), 2, 3)
         assert correctness_mask(model, ds) == oracle_mask(model, ds)
 
 
@@ -319,5 +319,5 @@ def test_packed_sweep_on_checkpoints_of_a_large_random_labels_run():
     trace = run.traces[-1]
     assert len(trace.masks) == 4096 // 16 + 1
     for k in (0, 1, 128, 256):
-        model = model_from_weights("logistic-linear", trace.checkpoints[k], 2)
+        model = Model("logistic-linear", trace.checkpoints[k], 2)
         assert trace.masks[k] == oracle_mask(model, run.dataset)

@@ -16,6 +16,7 @@ from sgdcodec.model import (
     Element,
     GeneratorSpec,
     KNOT_BITS,
+    Model,
     Z_MAX,
     _gradient_sum,
     _sigmoid_knots,
@@ -25,7 +26,6 @@ from sgdcodec.model import (
     correctness_mask,
     generate_dataset,
     loss_gradient,
-    model_from_weights,
     sigmoid_table_max_slope,
     zero_model,
 )
@@ -246,7 +246,7 @@ def test_zero_model_gradient_formula():
 def test_gradient_matches_independent_recompute():
     ds = generate_dataset(GeneratorSpec(family="two-gaussians", n=12, dim=2, seed=8), GRID)
     w = FixedVector((GRID.unit // 3, -GRID.unit // 5), GRID)
-    model = model_from_weights("logistic-linear", w, 2)
+    model = Model("logistic-linear", w, 2)
     batch = ds.elements[2:9]
     grad = gradient_exact(model, batch)
     total = [Fraction(0), Fraction(0)]
@@ -289,7 +289,7 @@ def test_loss_gradient_saturation():
     rows = [((SMALL.raw_max,), 0)]
     ds = manual_dataset(SMALL, rows)
     # gradient magnitude ~ x/2 stays on grid; saturated model flag must raise
-    model = model_from_weights(
+    model = Model(
         "logistic-linear", FixedVector((0,), SMALL, saturated=True), 1
     )
     with pytest.raises(SaturationError):

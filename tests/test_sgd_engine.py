@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import band_dataset, manual_dataset, one_hot_dataset
+from sgdcodec.harness import write_trace_csv
 from sgdcodec.model import (
     GeneratorSpec,
     analytic_logistic_smoothness,
@@ -38,7 +39,6 @@ from sgdcodec.sgd_engine import (
     step_smoothness,
     vector_from_bytes,
     vector_to_bytes,
-    write_trace_csv,
 )
 
 GRID = GridSpec()
