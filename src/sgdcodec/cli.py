@@ -28,6 +28,7 @@ from .epoch_codec import (
 from .harness import (
     ExperimentSpec,
     HoeffdingCheck,
+    _cell,
     epoch_code_dir,
     epoch_code_path,
     load_manifest,
@@ -164,7 +165,6 @@ def _print_run_result(result) -> None:
     for rep in result.replications:
         rpt = rep.report
         t_star = rpt.projected_epoch_bound
-        acc = rep.run.final_accuracy
         print(
             f"rep {rep.index:02d}: epochs={rpt.epochs} good={rpt.good_epochs}"
             f"/{rpt.epochs} measured={rpt.total_measured_bits}"
@@ -172,7 +172,7 @@ def _print_run_result(result) -> None:
             f" savings={rpt.total_savings_bits}"
             f" t*={'-' if t_star is None else t_star}"
             f" terminated={rep.run.terminated}"
-            f" acc={acc.numerator}/{acc.denominator}"
+            f" acc={_cell(rep.run.final_accuracy)}"
         )
 
 

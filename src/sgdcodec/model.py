@@ -19,7 +19,7 @@ import math
 import operator
 import random
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import Iterable, Optional, Sequence
@@ -140,18 +140,21 @@ class GeneratorSpec:
 
 @dataclass(frozen=True)
 class Dataset:
-    """Elements sorted by id; ids are exactly 0..n-1, all features on ``grid``."""
+    """Elements sorted by id; ids are exactly 0..n-1, features of one length on ``grid``."""
 
     elements: tuple[Element, ...]
     grid: GridSpec
     spec: Optional[GeneratorSpec] = None
 
     def __post_init__(self) -> None:
+        dim = self.dim
         for i, el in enumerate(self.elements):
             if el.eid != i:
                 raise DomainError("element ids must be exactly 0..n-1 in order")
             if el.features.grid != self.grid:
                 raise DomainError("element features live on another grid")
+            if len(el.features) != dim:
+                raise DomainError(f"element {i} has {len(el.features)} features, not {dim}")
 
     @property
     def n(self) -> int:
@@ -169,7 +172,8 @@ class Dataset:
         per column c the int sum_e x_ec * 2**(L*e), and ints holding 2**(L-1) - 1,
         the top bit, and the top bit iff label 0, in every lane."""
         n, rows = self.n, [el.features.raws for el in self.elements]
-        bound = self.dim * max((abs(x) for r in rows for x in r), default=0)
+        peak = max(max(map(max, rows)), -min(map(min, rows))) if n and self.dim else 0
+        bound = self.dim * peak
         size = ((bound * -self.grid.raw_min).bit_length() + 9) // 8
         zero, top = bytes(size), (1 << 8 * size - 1).to_bytes(size, "little")
         tops = int.from_bytes(top * n, "little")
@@ -191,7 +195,7 @@ class Dataset:
         """Header 'n<TAB>p<TAB>scale', then one 'id<TAB>label<TAB>raw,raw,...' line each."""
         lines = [f"{self.n}\t{self.dim}\t{self.grid.scale}"]
         for el in self.elements:
-            feats = ",".join(str(r) for r in el.features.raws)
+            feats = ",".join(map(str, el.features.raws))
             lines.append(f"{el.eid}\t{el.label}\t{feats}")
         return "\n".join(lines) + "\n"
 
@@ -276,9 +280,9 @@ def generate_dataset(spec: GeneratorSpec, grid: GridSpec) -> Dataset:
             elements.append(Element(eid, FixedVector(raws, grid), rng.getrandbits(1)))
 
     elif spec.family == "one-hot":
-        on = spec.feature_scale * unit
+        on, zeros = (spec.feature_scale * unit,), (0,) * spec.dim
         for eid in range(spec.n):
-            raws = tuple(on if c == eid else 0 for c in range(spec.dim))
+            raws = zeros[:eid] + on + zeros[eid + 1 :]
             elements.append(Element(eid, FixedVector(raws, grid), 1))
 
     return Dataset(tuple(elements), grid, spec)
@@ -380,7 +384,7 @@ class Model:
         return self.weights.grid
 
     def with_weights(self, weights: FixedVector) -> "Model":
-        return replace(self, weights=weights)
+        return Model(self.kind, weights, self.dim, self.width)
 
     def _features(self, el: Element) -> tuple[int, ...]:
         grid = el.features.grid
@@ -407,19 +411,26 @@ def _gradient_sum(model: Model, batch: Sequence[Element]) -> tuple[list[int], in
     The mean gradient is numerator / (len(batch) * 2**e): e = 4s for
     logistic-linear (residual over 2**(3s) times a feature over 2**s), 8s for
     one hidden layer.  Integer sums are exact, so batch order does not matter.
+    Logistic-linear coordinate c is one column sum: the dot product of the
+    nonzero residuals with column c of their elements' features.  Elements
+    with a zero residual and all-zero columns add nothing and are skipped.
     """
     if not batch:
         raise DomainError("empty batch")
     s = model.grid.scale
     w = model.weights.raws
-    total = [0] * model.d
     if model.kind == "logistic-linear":
+        resids, rows = [], []
         for el in batch:
             x = model._features(el)
             resid = _sigmoid_num(_dot(w, x), 2 * s, s) - (el.label << 3 * s)
             if resid:
-                total = [t + resid * xc for t, xc in zip(total, x)]
-        return total, 4 * s
+                resids.append(resid)
+                rows.append(x)
+        if not rows:
+            return [0] * model.d, 4 * s
+        return [_dot(resids, col) if any(col) else 0 for col in zip(*rows)], 4 * s
+    total = [0] * model.d
     dim, width = model.dim, model.width
     v = w[width * dim :]
     for el in batch:
@@ -439,7 +450,7 @@ def rounded_gradient(model: Model, batch: Sequence[Element]) -> tuple[int, ...]:
     """Mean batch gradient mantissas, rounded half to even and not clipped."""
     total, exp = _gradient_sum(model, batch)
     den = len(batch) << (exp - model.grid.scale)
-    return tuple(div_round_half_even(t, den) for t in total)
+    return tuple(div_round_half_even(t, den) if t else 0 for t in total)
 
 
 def loss_gradient(model: Model, batch: Sequence[Element]) -> FixedVector:

@@ -122,21 +122,23 @@ class FixedVector:
         """One descent update: self - step * gradient, step = step_raw * 2**-scale.
 
         Each product step_raw * g_raw is a numerator over 2**(2*scale), put
-        back onto the grid by one round-half-even division by 2**scale.
+        back onto the grid by one round-half-even division by 2**scale; a zero
+        gradient coordinate leaves its weight as it is.  Coordinates outside
+        the clip range are clamped to it and set the saturation flag.
         """
         if gradient.grid != self.grid:
             raise DomainError("operands live on different grids")
         if len(gradient) != len(self):
             raise DomainError("dimension mismatch")
-        grid = self.grid
-        unit, lo, hi = grid.unit, grid.raw_min, grid.raw_max
+        grid, unit = self.grid, self.grid.unit
         raws = tuple(
-            w - div_round_half_even(step_raw * g, unit)
+            w - div_round_half_even(step_raw * g, unit) if g else w
             for w, g in zip(self.raws, gradient.raws)
         )
-        clipped = tuple(min(max(r, lo), hi) for r in raws)
-        sat = self.saturated or gradient.saturated or clipped != raws
-        return FixedVector(clipped, grid, sat)
+        if grid.holds(raws):
+            return FixedVector(raws, grid, self.saturated or gradient.saturated)
+        lo, hi = grid.raw_min, grid.raw_max
+        return FixedVector(tuple(min(max(r, lo), hi) for r in raws), grid, True)
 
 
 def quantize_vector(values: Sequence[Rational], grid: GridSpec) -> FixedVector:

@@ -263,6 +263,18 @@ def test_cli_run_and_report(tmp_path, capsys):
     assert "conservation=ok" in capsys.readouterr().out
 
 
+def test_cli_run_prints_the_final_accuracy_as_a_fraction(capsys):
+    assert main(["run", "--n", "16"]) == 0
+    assert capsys.readouterr().out == (
+        "rep 00: epochs=1 good=1/1 measured=56 charged=56 baseline=45"
+        " savings=-11 t*=- terminated=True acc=1/1\n"
+    )
+    assert main(["run", "--family", "two-gaussians", "--n", "32", "--dim", "2",
+                 "--sigma", "1", "--center-dist", "1", "--step-raw", "8192",
+                 "--max-epochs", "1"]) == 0
+    assert capsys.readouterr().out.endswith(" terminated=False acc=25/32\n")
+
+
 def test_cli_report_reads_artifacts_only(tmp_path, capsys):
     # a manifest without any rep_NN/summary.json is an error, not a rerun
     out = tmp_path / "exp"

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import hypothesis.strategies as st
@@ -24,15 +25,24 @@ from sgdcodec.model import (
     Z_MAX,
     Model,
     GeneratorSpec,
+    _dot,
     _sigmoid_knots,
+    _sigmoid_num,
     correctness_mask,
     correctness_vector,
     generate_dataset,
     loss_gradient,
     zero_model,
 )
-from sgdcodec.numerics import DomainError, FixedVector, GridSpec, SaturationError
-from sgdcodec.sgd_engine import RunConfig, run_training
+from sgdcodec.numerics import (
+    DomainError,
+    FixedVector,
+    GridSpec,
+    SaturationError,
+    div_round_half_even,
+    round_half_even,
+)
+from sgdcodec.sgd_engine import RunConfig, forward_step, run_training
 
 SCALES = (4, 6, 16)
 FAMILIES = ("random-labels", "two-gaussians", "one-hot")
@@ -321,3 +331,151 @@ def test_packed_sweep_on_checkpoints_of_a_large_random_labels_run():
     for k in (0, 1, 128, 256):
         model = Model("logistic-linear", trace.checkpoints[k], 2)
         assert trace.masks[k] == oracle_mask(model, run.dataset)
+
+
+def reference_step(model, batch, step_raw: int):
+    """The step kernel as first written: row-wise accumulate, one division per
+    coordinate, then the Fraction oracle's update.
+
+    Returns (gradient raws, updated raws, saturated flag) or, where
+    loss_gradient must raise, the exception type.
+    """
+    grid, s, w = model.grid, model.grid.scale, model.weights.raws
+    if model.weights.saturated:
+        return SaturationError
+    total = [0] * len(w)
+    for el in batch:
+        x = el.features.raws
+        z = sum(a * b for a, b in zip(w, x))
+        resid = _sigmoid_num(z, 2 * s, s) - (el.label << 3 * s)
+        for c in range(len(x)):
+            total[c] += resid * x[c]
+    den = len(batch) << 3 * s
+    grad = tuple(div_round_half_even(t, den) for t in total)
+    if any(g < grid.raw_min or g > grid.raw_max for g in grad):
+        return SaturationError
+    return (grad, *oracle_update(w, step_raw, grad, grid))
+
+
+def assert_step_matches_reference(model, batch, step_raw: int):
+    """loss_gradient, gd_update and forward_step against reference_step; returns it."""
+    expect = reference_step(model, batch, step_raw)
+    if expect is SaturationError:
+        with pytest.raises(SaturationError):
+            loss_gradient(model, batch)
+        with pytest.raises(SaturationError):
+            forward_step(model, batch, step_raw)
+        return expect
+    grad_raws, raws, saturated = expect
+    grad = loss_gradient(model, batch)
+    assert (grad.raws, grad.saturated) == (grad_raws, False)
+    updated = model.weights.gd_update(step_raw, grad)
+    assert (updated.raws, updated.saturated) == (raws, saturated)
+    # a saturated operand flags the result whether or not a coordinate clips
+    for w, g in ((replace(model.weights, saturated=True), grad),
+                 (model.weights, replace(grad, saturated=True))):
+        flagged = w.gd_update(step_raw, g)
+        assert (flagged.raws, flagged.saturated) == (raws, True)
+    if saturated:
+        with pytest.raises(SaturationError):
+            forward_step(model, batch, step_raw)
+    else:
+        stepped, applied = forward_step(model, batch, step_raw)
+        assert (stepped.weights.raws, stepped.weights.saturated) == (raws, False)
+        assert applied == grad
+    return expect
+
+
+@st.composite
+def step_cases(draw):
+    grid = GridSpec(scale=draw(st.sampled_from(SCALES)), clip=draw(st.integers(1, 8)))
+    dim = draw(st.integers(1, 130))
+    n = draw(st.integers(1, 6))
+    coord = _near_zero_or_ends(grid)
+    rows = []
+    for _ in range(n):
+        if draw(st.booleans()):  # a one-hot row
+            raws = [0] * dim
+            raws[draw(st.integers(0, dim - 1))] = draw(coord)
+        else:
+            raws = draw(st.lists(coord, min_size=dim, max_size=dim))
+        rows.append((raws, draw(st.integers(0, 1))))
+    dataset = manual_dataset(grid, rows)
+    weights = draw(st.one_of(
+        st.just([0] * dim),  # residuals of exactly +/-1/2: ties for odd features
+        st.lists(coord, min_size=dim, max_size=dim),
+    ))
+    model = Model("logistic-linear", FixedVector(tuple(weights), grid), dim)
+    step_raw = draw(st.one_of(st.integers(0, 2 * grid.unit), st.just(grid.unit // 2)))
+    return model, dataset.elements, step_raw
+
+
+@settings(max_examples=200, deadline=None)
+@given(step_cases())
+def test_step_kernel_matches_the_row_wise_reference(case):
+    model, batch, step_raw = case
+    assert_step_matches_reference(model, batch, step_raw)
+    flagged = model.with_weights(replace(model.weights, saturated=True))
+    assert_step_matches_reference(flagged, batch, step_raw)
+
+
+def test_step_kernel_named_cases():
+    grid = GridSpec(scale=4, clip=4)
+    lo, hi, unit = grid.raw_min, grid.raw_max, grid.unit
+    one_hot = [([0] * c + [2 * unit] + [0] * (129 - c), 1) for c in (0, 64, 129)]
+    cases = {
+        # zero weights: residual -1/2 times features of 1 and 3 raws gives
+        # gradients of -1/2 and -3/2 raws; a quarter step of -2 is -1/2 again
+        "ties": ([([1, 3] + [0] * 128, 1)], [0] * 130, unit // 4),
+        # the first element's score is past the table end: residual exactly 0
+        "zero residual": ([([hi], 1), ([1], 0)], [hi], unit),
+        "one-hot": (one_hot, [0] * 130, unit),
+        # residual -1 times a feature of -clip is a gradient of +clip: one past raw_max
+        "gradient clip": ([([lo], 1)], [unit * 2], unit),
+        # residual near 1 times -1: the update pushes w_0 past raw_max
+        "weight clip": ([([-unit, 2 * unit], 0)], [hi, hi], unit),
+    }
+    results = {}
+    for name, (rows, weights, step_raw) in cases.items():
+        ds = manual_dataset(grid, rows)
+        model = Model("logistic-linear", FixedVector(tuple(weights), grid), ds.dim)
+        results[name] = assert_step_matches_reference(model, ds.elements, step_raw)
+    assert results["ties"][0][:2] == (0, -2) and results["ties"][1][:2] == (0, 0)
+    assert results["gradient clip"] is SaturationError
+    assert results["weight clip"][2] is True
+    assert results["one-hot"][0] == tuple(
+        -round_half_even(Fraction(unit, 3)) if c in (0, 64, 129) else 0 for c in range(130)
+    )
+    assert _sigmoid_num(hi * hi, 2 * grid.scale, grid.scale) == 1 << 3 * grid.scale
+
+
+def test_with_weights_rejects_a_wrong_weight_count():
+    grid = GridSpec(scale=4, clip=4)
+    model = zero_model("logistic-linear", 3, grid)
+    with pytest.raises(DomainError):
+        model.with_weights(FixedVector((0, 0), grid))
+    hidden = zero_model("one-hidden-layer", 2, grid, width=2)
+    with pytest.raises(DomainError):
+        hidden.with_weights(FixedVector((0,) * 7, grid))
+
+
+@pytest.mark.parametrize("scale,clip", ((0, 1), (4, 4), (16, 64)))
+@pytest.mark.parametrize("dim", (1, 2, 63, 64, 65, 129, 130))
+def test_lane_width_holds_the_extreme_scores(scale, clip, dim):
+    grid = GridSpec(scale=scale, clip=clip)
+    lo, hi = grid.raw_min, grid.raw_max
+    patterns = (
+        [lo] * dim, [hi] * dim, [lo, hi] * (dim // 2) + [lo] * (dim % 2), [0] * dim,
+    )
+    datasets = [
+        manual_dataset(grid, [(raws, label) for raws in patterns for label in (0, 1)]),
+        manual_dataset(grid, [([hi] * dim, 1), ([hi] * dim, 0)]),
+        manual_dataset(grid, [([0] * dim, label) for label in (0, 1, 1, 0, 1)]),
+    ]
+    for weights in ([lo] * dim, [hi] * dim, [lo, hi] * (dim // 2) + [hi] * (dim % 2)):
+        w = tuple(weights)
+        model = Model("logistic-linear", FixedVector(w, grid), dim)
+        for ds in datasets:
+            expect = [int((_dot(w, el.features.raws) > 0) == el.label) for el in ds.elements]
+            assert correctness_vector(model, ds) == expect
+            assert correctness_mask(model, ds) == sum(b << e for e, b in enumerate(expect))

@@ -166,6 +166,17 @@ def test_dataset_ids_must_be_dense():
         Dataset(ds.elements[1:], GRID)
 
 
+def test_dataset_rejects_ragged_features():
+    # once accepted: correctness_mask then truncated row 1 through zip(*rows)
+    # and marked it wrong, while loss_gradient raised on the same data
+    elements = (
+        Element(0, FixedVector((1, 0), GRID), 0),
+        Element(1, FixedVector((0, 0, 16), GRID), 1),
+    )
+    with pytest.raises(DomainError, match="element 1 has 3 features, not 2"):
+        Dataset(elements, GRID)
+
+
 def test_sigmoid_table_fixed_points():
     assert sigmoid_table_value(0, 16) == Fraction(1, 2)
     assert sigmoid_table_value(Z_MAX, 16) == 1
