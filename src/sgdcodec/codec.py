@@ -10,8 +10,8 @@ the unconditional subset code.
 Every set is an int bitmask over element ids (bit e set iff e is in the
 set): subsets, their pools and the classifier alike, so the set algebra is
 ``&``, ``|`` and ``^``, and a set has no order to check.  The subset and
-permutation codes cost O(k) exact big-integer steps for k members, however
-large the pool.
+permutation codes cost O(k) exact big-integer steps for k members plus one
+C-level pass over the bytes of the pool, and never list the pool's ids.
 
 All widths are exact: a rank r of a space with N codewords is written in
 ceil(log2(N)) bits, and stream length always equals the sum of declared
@@ -118,14 +118,6 @@ class BitStream:
         return f"BitStream(len={self._len})"
 
 
-def _ids(mask: int) -> list[int]:
-    """The ids of a set mask, ascending."""
-    if mask < 0:
-        raise CodecError("a set mask cannot be negative")
-    bits = bin(mask)[:1:-1].encode().translate(bytes.maketrans(b"01", b"\0\1"))
-    return list(itertools.compress(range(len(bits)), bits))
-
-
 def subset_rank(a: int, pool: int) -> int:
     """Colexicographic rank of subset mask ``a`` within ``pool``, in
     [0, C(|pool|, |a|)): the sum of C(c_j, j) over the members of ``a`` in
@@ -155,36 +147,105 @@ def subset_rank(a: int, pool: int) -> int:
     return rank
 
 
+def _byte_ids() -> tuple[bytes, ...]:
+    """Per byte value, the offsets of its set bits, ascending."""
+    ids = (b"",)
+    for e in range(8):  # a value in [2**e, 2**(e+1)) is one below 2**e plus bit e
+        top = bytes((e,))
+        ids += tuple([low + top for low in ids])
+    return ids
+
+
+_BYTE_IDS = _byte_ids()
+_BYTE_COUNTS = bytes(map(len, _BYTE_IDS))
+
+
+def _position(rank: int, r: int, c: int) -> tuple[int, int]:
+    """The largest position g < c with C(g, r) <= rank, and C(g, r), for
+    r >= 3 and 0 <= rank < C(c, r).
+
+    The guess inverts C(g, r) ~ (g - (r-1)/2)^r / r!; it only seeds the
+    search, whose accept test is the exact C(g, r) <= rank < C(g+1, r).
+    """
+    if not rank:
+        return r - 1, 0
+    # C(r, r) = 1 <= rank < C(c, r), so g lies in [r, c-1]
+    g = int(math.exp((math.log(rank) + math.lgamma(r + 1)) / r) + (r - 1) / 2)
+    g = r if g < r else c - 1 if g >= c else g
+    v = math.comb(g, r)
+    if v > rank:
+        while v > rank:  # C(g-1, r) = C(g, r) * (g-r) / g
+            g, v = g - 1, v * (g - r) // g
+        return g, v
+    up = v * (g + 1) // (g + 1 - r)  # C(g+1, r)
+    while up <= rank:
+        g, v = g + 1, up
+        up = v * (g + 1) // (g + 1 - r)
+    return g, v
+
+
 def subset_unrank(rank: int, pool: int, size: int) -> int:
     """Inverse of subset_rank: the mask of the ``size``-subset of ``pool``
     with this rank.
 
     For r = size down to 1 the r-th member sits at the largest position c
-    with C(c, r) <= rank: up to r ratio steps down from the previous
-    member's position, then a binary search over ``math.comb``.
+    with C(c, r) <= rank (the combinatorial number system, Knuth TAOCP 4A
+    7.2.1.3).  For r >= 3 that is up to r ratio steps down from the previous
+    member's position, then a search seeded by the inverse of
+    C(c, r) ~ (c - (r-1)/2)^r / r!; r = 2 and r = 1 have closed forms.  Each
+    position maps to its id through cumulative byte popcounts of the pool,
+    built in one C-level pass, so the cost is O(size) big-integer steps plus
+    that pass, however many ids the pool holds.
     """
-    ids = _ids(pool)
-    m = len(ids)
+    if pool < 0:
+        raise CodecError("a set mask cannot be negative")
+    m = pool.bit_count()
     if size < 0 or size > m:
         raise CodecError(f"subset size {size} invalid for pool of {m}")
-    total = binomial(m, size)
+    total = math.comb(m, size)
     if rank < 0 or rank >= total:
         raise CodecError(f"rank {rank} outside [0, {total})")
     if size == 0:
         return 0
-    a, c, v = 0, m - 1, total * (m - size) // m  # v = C(c, r) throughout
-    for r in range(size, 0, -1):
+    positions = []
+    c, v = m - 1, total * (m - size) // m  # v = C(c, r) throughout
+    for r in range(size, 2, -1):
         stop = c - r
         while v > rank and c > stop:
             c, v = c - 1, v * (c - r) // c
-        if v > rank:  # C(r-1, r) = 0 <= rank < C(c, r)
-            c = bisect_right(range(r - 1, c), rank, key=lambda x: math.comb(x, r)) + r - 2
-            v = math.comb(c, r)
+        if v > rank:
+            c, v = _position(rank, r, c)
         rank -= v
-        a |= 1 << ids[c]
-        if r > 1:
-            c, v = c - 1, v * r // c  # C(c-1, r-1) = C(c, r) * r / c
-    return a
+        positions.append(c)
+        c, v = c - 1, v * r // c  # C(c-1, r-1) = C(c, r) * r / c
+    if size >= 2:
+        c = (1 + math.isqrt(1 + 8 * rank)) // 2
+        rank -= c * (c - 1) // 2
+        positions.append(c)
+    positions.append(rank)
+    return _select(pool, positions)
+
+
+def _select(pool: int, positions: list[int]) -> int:
+    """The mask of the pool's members at these positions, given descending.
+
+    One C-level pass counts the members below each byte of the pool; each
+    position then finds its byte in the byte below the last one or by a
+    bisect under it, and its bit in a 256-entry table.
+    """
+    data = pool.to_bytes((pool.bit_length() + 7) // 8, "little")
+    starts = list(itertools.accumulate(data.translate(_BYTE_COUNTS), initial=0))
+    out = bytearray(len(data))
+    i = len(data)
+    base = starts[i]
+    for c in positions:
+        if c < base:
+            i -= 1
+            if starts[i] > c:
+                i = bisect_right(starts, c, 0, i) - 1
+            base, ids = starts[i], _BYTE_IDS[data[i]]
+        out[i] |= 1 << ids[c - base]
+    return int.from_bytes(out, "little")
 
 
 def perm_rank(order: Sequence[int]) -> int:
@@ -201,15 +262,25 @@ def perm_rank(order: Sequence[int]) -> int:
 
 
 def perm_unrank(rank: int, ids: int) -> tuple[int, ...]:
-    """Inverse of perm_rank: the ordering of the ids in mask ``ids`` with this rank."""
-    remaining = _ids(ids)
+    """Inverse of perm_rank: the ordering of the ids in mask ``ids`` with this rank.
+
+    Lists the k ids from the mask's nonzero bytes, one C-level pass over its
+    bytes plus O(k) steps, then reads the k Lehmer digits off ``rank``.
+    """
+    if ids < 0:
+        raise CodecError("a set mask cannot be negative")
+    data = ids.to_bytes((ids.bit_length() + 7) // 8, "little")
+    remaining = [
+        8 * i + e for i in itertools.compress(range(len(data)), data) for e in _BYTE_IDS[data[i]]
+    ]
     digits = []
     for radix in range(1, len(remaining) + 1):
-        rank, digit = divmod(rank, radix)
-        digits.append(digit)
+        digits.append(rank % radix)
+        rank //= radix
     if rank:
         raise CodecError(f"rank outside [0, {len(remaining)}!)")
-    return tuple(remaining.pop(digit) for digit in reversed(digits))
+    digits.reverse()
+    return tuple(map(remaining.pop, digits))
 
 
 @dataclass(frozen=True)

@@ -566,14 +566,16 @@ def epoch_accounting(code: EpochCode, trace: EpochTrace, config: RunConfig) -> A
         split_bound = stable_log2(math.factorial(n)) - float(2 * n * bonus) + slack
         split_ok = payload <= split_bound
     else:
+        # per-batch constants (size headers, and the order field's excess
+        # over b*log2(b/e)), each added as its own term of the float sum
+        headers = 2 * ceil_log2(b + 1) + 2
+        order_excess = ceil_log2(math.factorial(b)) - (b * (stable_log2(b) - LOG2_E))
         total = 1.0
         for j in range(1, t + 1):
             delta = trace.batch_after(j + 1) - trace.seen(j + 1)
             total += b * stable_log2(j * b) - float(2 * b * delta**2)
-            total += 2 * ceil_log2(b + 1) + 2
-            total += ceil_log2(math.factorial(b)) - (
-                b * (stable_log2(b) - LOG2_E)
-            )
+            total += headers
+            total += order_excess
         backward_bound = total
         backward_ok = payload <= backward_bound
 

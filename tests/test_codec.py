@@ -235,6 +235,55 @@ def test_subset_codec_edges_match_the_pool_scan():
     assert subset_rank(0, 0) == 0 and subset_unrank(0, 0, 0) == 0
 
 
+def test_unrankers_reject_negative_masks():
+    # a negative int has no lowest or highest member to stop at
+    for mask in (-1, -(1 << 70)):
+        with pytest.raises(CodecError):
+            perm_unrank(0, mask)
+    with pytest.raises(CodecError):
+        subset_unrank(0, -1, 1)
+
+
+BOUNDARY_POOLS = (
+    # members on both sides of every byte boundary: ids 8j-1 and 8j
+    mask_of(x for j in range(1, 13) for x in (8 * j - 1, 8 * j)),
+    # a run of full 0xFF bytes between sparse members
+    mask_of((2, 5)) | mask_of(range(16, 72)) | mask_of((75, 101)),
+    # a dense low part, then zero bytes, then a lone member in the top byte
+    mask_of(range(0, 40, 3)) | 1 << 1001,
+    # ids past 2**16, on and off byte boundaries
+    mask_of((7, 65535, 65536, 65537, 65543, 65544, 70000, 70007, 70008, 100_001)),
+)
+
+
+def test_subset_unrank_at_binomial_boundaries_matches_the_pool_scan():
+    # ranks C(c, r) - 1 and C(c, r) for subset sizes 1, 2 and 3 (the closed
+    # forms and the smallest seeded search) and larger sizes: the last rank
+    # whose top member sits at position c-1, and the first at c
+    for pool in BOUNDARY_POOLS:
+        m = pool.bit_count()
+        for size in sorted({1, 2, 3, 8, m // 2, m - 1, m} & set(range(1, m + 1))):
+            for c in range(size, m):
+                for rank in (binomial(c, size) - 1, binomial(c, size)):
+                    got = subset_unrank(rank, pool, size)
+                    assert got == scan_subset_unrank(rank, pool, size)
+                    assert subset_rank(got, pool) == rank
+            last = binomial(m, size) - 1
+            assert subset_unrank(last, pool, size) == scan_subset_unrank(last, pool, size)
+            with pytest.raises(CodecError):
+                subset_unrank(last + 1, pool, size)
+
+
+def test_subset_codec_dense_round_trip_at_m4096_k2048():
+    rng = random.Random(23)
+    pool = mask_of(rng.sample(range(8192), 4096))
+    ids = [e for e in range(8192) if pool >> e & 1]
+    a = mask_of(rng.sample(ids, 2048))
+    r = subset_rank(a, pool)
+    assert r == scan_subset_rank(a, pool)
+    assert subset_unrank(r, pool, 2048) == a
+
+
 def test_perm_unrank_over_sparse_high_id_masks():
     rng = random.Random(19)
     for ids in ((10_000,), (4095, 4096, 8191), (1 << 16, (1 << 16) + 1, 70_000)):
