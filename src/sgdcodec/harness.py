@@ -17,6 +17,7 @@ import json
 import math
 import os
 import random
+import struct
 from dataclasses import dataclass, fields, replace
 from operator import attrgetter
 from fractions import Fraction
@@ -48,9 +49,9 @@ from .epoch_codec import (
 from .model import Dataset, generate_dataset, manifest_int
 from .numerics import (
     DomainError,
-    PreconditionError,
     _entropy,
     _kl,
+    _realizable_q,
     _split_slack,
 )
 from .sgd_engine import (
@@ -359,7 +360,11 @@ def load_manifest(path: str) -> ExperimentSpec:
 
 @dataclass(frozen=True)
 class HoeffdingCheck:
-    """Tail check spec: k draws without replacement from a binary population."""
+    """Tail check spec: k draws without replacement from a binary population.
+
+    ``delta`` is an exact rational (an int or a Fraction) and every other
+    field an int, so a check always names one reproducible verdict.
+    """
 
     population_size: int
     population_ones: int
@@ -369,6 +374,12 @@ class HoeffdingCheck:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        if not (type(self.delta) is int or isinstance(self.delta, Fraction)):
+            raise DomainError(f"delta must be an int or a Fraction, got {self.delta!r}")
+        for name in ("population_size", "population_ones", "sample_size", "trials",
+                     "seed"):
+            if type(getattr(self, name)) is not int:
+                raise DomainError(f"{name} must be an int, got {getattr(self, name)!r}")
         if not (0 < self.sample_size <= self.population_size):
             raise DomainError("sample size outside population")
         if not (0 <= self.population_ones <= self.population_size):
@@ -396,36 +407,30 @@ class HoeffdingResult:
     ok_exact: bool
 
 
-def hypergeometric_pmf(
-    population: int, ones: int, sample: int
-) -> list[Fraction]:
-    """P[ones in sample = c] for c in 0..sample, exact."""
-    total = binomial(population, sample)
-    return [
-        Fraction(binomial(ones, c) * binomial(population - ones, sample - c), total)
-        for c in range(sample + 1)
-    ]
-
-
 def verify_hoeffding(check: HoeffdingCheck) -> HoeffdingResult:
     """Monte Carlo plus exact verification of the without-replacement tail.
 
-    Each trial draws u = rng.random() and counts a hit when u < float(exact),
-    one comparison per trial.  This is inversion of the exact hypergeometric
+    The exact tail is one Fraction of integer sums, the hypergeometric
+    probability of at most ``threshold`` ones in the sample.  Each trial
+    counts a hit when u = rng.random() falls below float(exact), one
+    comparison per trial.  This is inversion of the exact hypergeometric
     CDF: the sampled count, the number of float CDF entries <= u, is at most
     the threshold exactly when the CDF entry at the threshold, which is
     float(exact), exceeds u, because the CDF is non-decreasing.  So the
     simulation and the closed-form probability describe the same
-    distribution.  The verdict allows three binomial standard deviations of
-    Monte Carlo noise on top of the e^(-2k delta^2) bound.
+    distribution.  The uniforms are read in bulk from the generator's word
+    stream (``_draws_below``); the hit count and the generator's final
+    state are those of one ``rng.random()`` call per trial.  The verdict
+    allows three binomial standard deviations of Monte Carlo noise on top
+    of the e^(-2k delta^2) bound.
     """
-    k = check.sample_size
-    pmf = hypergeometric_pmf(check.population_size, check.population_ones, k)
+    n, ones, k = check.population_size, check.population_ones, check.sample_size
     threshold = math.floor(k * (check.mu - check.delta))
-    exact = sum(pmf[: threshold + 1], Fraction(0))
-    cut = float(exact)
-    rng = random.Random(check.seed)
-    hits = sum(rng.random() < cut for _ in range(check.trials))
+    tail = sum(
+        math.comb(ones, c) * math.comb(n - ones, k - c) for c in range(threshold + 1)
+    )
+    exact = Fraction(tail, math.comb(n, k))
+    hits = _draws_below(random.Random(check.seed), check.trials, float(exact))
     freq = Fraction(hits, check.trials)
     bound = stable_exp(-2 * k * check.delta**2)
     sigma = math.sqrt(max(bound * (1.0 - bound), 0.0) / check.trials)
@@ -439,6 +444,39 @@ def verify_hoeffding(check: HoeffdingCheck) -> HoeffdingResult:
         ok_empirical=float(freq) <= bound + 3 * sigma,
         ok_exact=float(exact) <= bound + 1e-12,
     )
+
+
+# Trials read per randbytes call: 32 KiB of Mersenne Twister words.
+_CHUNK_TRIALS = 1 << 12
+
+
+def _draws_below(rng: random.Random, trials: int, cut: float) -> int:
+    """``sum(rng.random() < cut for _ in range(trials))``, read in bulk.
+
+    CPython's ``random()`` is N / 2^53 with N = (a >> 5) * 2^26 + (b >> 6),
+    where a and b are the next two 32-bit Mersenne Twister words, and
+    ``randbytes(8 * t)`` returns the next 2t words in that order,
+    little-endian, leaving the generator where t ``random()`` calls would.
+    So u < cut exactly when N < m = ceil(cut * 2^53), a product that is exact
+    for a float cut in [0, 1].  N's top 8 bits are a's top byte: a trial
+    whose top byte is below m >> 45 is a hit and one above it a miss, and
+    only a trial at that byte (1 in 256) is decoded in full.  With cut = 1,
+    m = 2^53 and the byte is capped at 255, whose trials all decode as hits.
+    """
+    m = math.ceil(cut * 2.0**53)
+    top = min(m >> 45, 255)
+    below = b"\x01" * top + b"\x00" * (256 - top)
+    hits = 0
+    for start in range(0, trials, _CHUNK_TRIALS):
+        raw = rng.randbytes(8 * min(_CHUNK_TRIALS, trials - start))
+        tops = raw[3::8]
+        hits += tops.translate(below).count(1)
+        j = tops.find(top)
+        while j >= 0:
+            a, b = struct.unpack_from("<II", raw, 8 * j)
+            hits += (a >> 5 << 26 | b >> 6) < m
+            j = tops.find(top, j + 1)
+    return hits
 
 
 @dataclass(frozen=True)
@@ -472,22 +510,17 @@ def _sweep_entropy_upper(points: int) -> SuiteRow:
 
 def _sweep_split_entropy(side: int) -> SuiteRow:
     worst = math.inf
-    skipped = 0
     cases = 0
-    # p, gamma, q range over k/side for k = 1..side
+    # p, gamma, q range over k/side for k = 1..side; only realizable q are
+    # evaluated, and for a, g >= 1 those already start at k >= 1
     ks = range(1, side + 1)
     for a in ks:
         for g in ks:
-            for c in ks:
-                try:
-                    slack = _split_slack(a, g, c, side)
-                except PreconditionError:
-                    skipped += 1
-                    continue
+            for c in _realizable_q(a, g, side):
                 cases += 1
-                worst = min(worst, slack)
+                worst = min(worst, _split_slack(a, g, c, side))
     return SuiteRow(
-        "split-entropy-drop", cases, skipped, worst, -1e-12, worst >= -1e-12
+        "split-entropy-drop", cases, side**3 - cases, worst, -1e-12, worst >= -1e-12
     )
 
 

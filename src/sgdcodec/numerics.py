@@ -13,7 +13,9 @@ common denominator once and call private kernels (``_entropy``, ``_kl``,
 ``_split_slack``) that compare integers and form each float by one
 correctly rounded ``int / int``, so a value gets the same bits whatever
 denominator it is written over.  The inequality sweeps call the kernels
-directly.
+directly.  ``_realizable_q`` alone states when a two-block entropy split is
+realizable, for ``_split_slack`` and for the sweep that visits only those
+splits.
 """
 
 from __future__ import annotations
@@ -184,9 +186,16 @@ def _kl(a: int, c: int, n: int) -> float:
     return total
 
 
+def _realizable_q(a: int, g: int, n: int) -> range:
+    """The numerators c in [0, n] for which the split of gamma = g/n over
+    p = a/n is realizable at q = c/n: p*gamma <= q and (1-p)*gamma <= 1-q,
+    that is ceil(a*g/n) <= c <= n - ceil((n-a)*g/n)."""
+    return range(-(-a * g // n), n + (-(n - a) * g // n) + 1)
+
+
 def _split_slack(a: int, g: int, c: int, n: int) -> float:
     """verify_split_entropy(a/n, g/n, c/n) for numerators in [0, n]."""
-    if a * g > c * n or (n - a) * g > (n - c) * n:
+    if c not in _realizable_q(a, g, n):
         nn = n * n
         raise PreconditionError(
             f"split not realizable: p*gamma={a * g}/{nn} vs q={c}/{n}, "

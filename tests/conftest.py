@@ -1,7 +1,9 @@
-"""Shared builders for handcrafted datasets, models, and epoch traces."""
+"""Shared builders for handcrafted datasets, models, and epoch traces, and the
+exact hypergeometric law the Hoeffding verifier is checked against."""
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
@@ -14,6 +16,15 @@ from sgdcodec.model import (
 )
 from sgdcodec.numerics import FixedVector, GridSpec
 from sgdcodec.sgd_engine import EpochTrace
+
+
+def hypergeometric_pmf(population: int, ones: int, sample: int) -> list[Fraction]:
+    """P[ones in sample = c] for c in 0..sample, exact."""
+    total = math.comb(population, sample)
+    return [
+        Fraction(math.comb(ones, c) * math.comb(population - ones, sample - c), total)
+        for c in range(sample + 1)
+    ]
 
 
 def mask_of(ids) -> int:

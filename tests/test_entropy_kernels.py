@@ -1,10 +1,12 @@
 """The integer-numerator entropy kernels and the Hoeffding sampler against oracles.
 
 The oracles below are the Fraction-based ``binary_entropy``, ``kl_bernoulli``
-and ``verify_split_entropy`` and the CDF-inversion Hoeffding sampler that the
-kernels replaced.  The public functions must return the very same float bits,
-or raise the same exception type, over mixed denominators, the boundary
-values 0 and 1, infeasible splits and out-of-range arguments.
+and ``verify_split_entropy``, the CDF-inversion Hoeffding sampler and the
+per-trial ``rng.random()`` loop that the kernels replaced.  The public
+functions must return the very same float bits, or raise the same exception
+type, over mixed denominators, the boundary values 0 and 1, infeasible
+splits and out-of-range arguments; the bulk sampler must count the same hits
+and leave the generator in the same state.
 """
 
 from __future__ import annotations
@@ -12,16 +14,19 @@ from __future__ import annotations
 import bisect
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from sgdcodec.harness import HoeffdingCheck, hypergeometric_pmf, verify_hoeffding
+from conftest import hypergeometric_pmf
+from sgdcodec.harness import HoeffdingCheck, _draws_below, verify_hoeffding
 from sgdcodec.numerics import (
     DomainError,
     PreconditionError,
+    _realizable_q,
     binary_entropy,
     kl_bernoulli,
     verify_split_entropy,
@@ -167,19 +172,94 @@ def test_split_precondition_message_names_both_sides():
     )
 
 
-@pytest.mark.parametrize(
-    "population, ones, k, delta, seed",
-    [
-        (64, 32, 16, Fraction(1, 8), 0),
-        (64, 32, 16, Fraction(0), 3),
-        (100, 37, 20, Fraction(1, 10), 5),
-        (1024, 512, 64, Fraction(1, 10), 11),
-        (50, 50, 10, Fraction(1, 2), 2),
-        (40, 0, 8, Fraction(0), 9),
-        (30, 12, 30, Fraction(1, 5), 4),
-    ],
-)
+@pytest.mark.parametrize("n", range(1, 13))
+def test_realizable_q_is_exactly_the_two_split_inequalities(n):
+    for a in range(n + 1):
+        for g in range(n + 1):
+            q = _realizable_q(a, g, n)
+            for c in range(n + 1):
+                realizable = a * g <= c * n and (n - a) * g <= (n - c) * n
+                assert (c in q) == realizable, (a, g, c, n)
+
+
+HOEFFDING_CASES = [
+    (64, 32, 16, Fraction(1, 8), 0),
+    (64, 32, 16, Fraction(0), 3),
+    (100, 37, 20, Fraction(1, 10), 5),
+    (1024, 512, 64, Fraction(1, 10), 11),
+    (50, 50, 10, Fraction(1, 2), 2),
+    (40, 0, 8, Fraction(0), 9),
+    (30, 12, 30, Fraction(1, 5), 4),
+]
+
+
+@pytest.mark.parametrize("population, ones, k, delta, seed", HOEFFDING_CASES)
 def test_hoeffding_hits_match_cdf_inversion(population, ones, k, delta, seed):
     check = HoeffdingCheck(population, ones, k, delta, trials=10**4, seed=seed)
     res = verify_hoeffding(check)
     assert res.empirical_freq * check.trials == oracle_hoeffding_hits(check)
+
+
+@pytest.mark.parametrize("population, ones, k, delta, seed", HOEFFDING_CASES)
+def test_hoeffding_exact_tail_is_the_pmf_prefix_sum(population, ones, k, delta, seed):
+    check = HoeffdingCheck(population, ones, k, delta, trials=10**4, seed=seed)
+    res = verify_hoeffding(check)
+    pmf = hypergeometric_pmf(population, ones, k)
+    assert res.exact_prob == sum(pmf[: res.threshold_count + 1], Fraction(0))
+
+
+def verify_tail_floats() -> list[float]:
+    """float(exact) of the four ``sgdcodec verify`` Hoeffding settings."""
+    out = []
+    for k in (64, 256):
+        pmf = hypergeometric_pmf(1024, 512, k)
+        for delta in (Fraction(1, 10), Fraction(1, 5)):
+            threshold = math.floor(k * (Fraction(1, 2) - delta))
+            out.append(float(sum(pmf[: threshold + 1], Fraction(0))))
+    return out
+
+
+SAMPLER_SEED = 21
+# N of the first draw, u = N / 2^53 (0.165 for this seed): cuts at N, N + 1/2
+# and N + 1 (times 2^-53) put that u on the cut, half a step below it and one
+# step below it, all at the byte that is decoded in full; the middle one tells
+# ceil(cut * 2^53) from floor
+FIRST_N = int(random.Random(SAMPLER_SEED).random() * 2**53)
+SAMPLER_CUTS = [
+    0.0,
+    1.0,
+    0.5,
+    math.ldexp(3, -45),
+    math.ldexp(FIRST_N >> 45, -8),
+    math.ldexp(5, -53),
+    math.ldexp(FIRST_N, -53),
+    math.ldexp(2 * FIRST_N + 1, -54),
+    math.ldexp(FIRST_N + 1, -53),
+    math.ulp(0.0),
+    *(
+        x
+        for tail in verify_tail_floats()
+        for x in (math.nextafter(tail, 0.0), tail, math.nextafter(tail, 1.0))
+    ),
+]
+
+
+@pytest.mark.parametrize("cut", SAMPLER_CUTS, ids=float.hex)
+def test_bulk_sampler_matches_one_random_call_per_trial(cut):
+    for trials in (1, 2**12 - 1, 2**12, 2**12 + 1, 10**4 + 3):
+        bulk, loop = random.Random(SAMPLER_SEED), random.Random(SAMPLER_SEED)
+        assert _draws_below(bulk, trials, cut) == sum(
+            loop.random() < cut for _ in range(trials)
+        ), trials
+        assert bulk.random() == loop.random(), trials
+
+
+def test_bulk_sampler_reads_the_stream_in_bounded_chunks():
+    rng = random.Random(SAMPLER_SEED)
+    tracemalloc.start()
+    try:
+        _draws_below(rng, 10**6, 0.25)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 256 * 1024

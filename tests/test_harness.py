@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import staircase_report_inputs
+from conftest import hypergeometric_pmf, staircase_report_inputs
 from sgdcodec import cli, harness
 from sgdcodec.cli import main, read_config_file
 from sgdcodec.codec import binomial
@@ -20,7 +20,6 @@ from sgdcodec.harness import (
     ExperimentSpec,
     HoeffdingCheck,
     dataset_description_bits,
-    hypergeometric_pmf,
     load_manifest,
     run_experiment,
     run_inequality_suite,
@@ -228,6 +227,35 @@ def test_hoeffding_check_validation():
         HoeffdingCheck(64, 32, 16, Fraction(3, 4), 20_000)
     with pytest.raises(DomainError):
         HoeffdingCheck(64, 32, 16, Fraction(1, 8), 100)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("delta", 0.125),
+        ("delta", "1/8"),
+        ("delta", False),
+        ("population_size", 64.5),
+        ("population_ones", 32.0),
+        ("sample_size", True),
+        ("trials", 20_000.0),
+        ("trials", True),
+        ("trials", None),
+        ("seed", None),
+        ("seed", 1.5),
+        ("seed", True),
+        ("seed", "0"),
+    ],
+)
+def test_hoeffding_check_rejects_inputs_of_the_wrong_type(field, value):
+    # a float delta used to fail later inside stable_exp, a float population
+    # inside math.comb, and seed=None drew from OS entropy, so the verdict
+    # could not be reproduced
+    args = dict(population_size=64, population_ones=32, sample_size=16,
+                delta=Fraction(1, 8), trials=20_000, seed=0)
+    args[field] = value
+    with pytest.raises(DomainError):
+        HoeffdingCheck(**args)
 
 
 def test_inequality_suite_passes():
