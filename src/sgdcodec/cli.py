@@ -208,8 +208,9 @@ def cmd_decode(args: argparse.Namespace) -> int:
     ``final_model.bin`` must hold the rerun's final weights.
     An ``.epc`` file that names no completed epoch of the rerun, or a
     ``rep_NN`` directory that names no replication of the manifest, is a
-    failure too.  Returns 1 on any mismatch; unreadable or undecodable
-    files raise, and ``main`` reports them with exit code 2.
+    failure too.  Returns 1 on any mismatch; a missing replication
+    directory, unreadable or undecodable files raise, and ``main`` reports
+    them with exit code 2.
     """
     outdir = args.dir or _resolve_out(args)
     if not outdir:
@@ -218,16 +219,21 @@ def cmd_decode(args: argparse.Namespace) -> int:
     spec = load_manifest(os.path.join(outdir, "manifest.json"))
     dataset = generate_dataset(spec.config.generator, spec.config.grid)
     failures = 0
-    reps = {replication_dir(outdir, r) for r in range(spec.replications)}
     for name in sorted(os.listdir(outdir)):
         path = os.path.join(outdir, name)
-        if name.startswith("rep_") and name[4:].isdigit() and path not in reps:
+        if not (name.startswith("rep_") and name[4:].isdecimal()):
+            continue
+        # matched by index: the manifest's count may be far too large to list
+        index = int(name[4:])
+        if index >= spec.replications or path != replication_dir(outdir, index):
             print(f"{path}: no such replication in the manifest")
             failures += 1
     for r in range(spec.replications):
+        rep_dir = replication_dir(outdir, r)
+        if not os.path.isdir(rep_dir):
+            raise DomainError(f"{rep_dir}: replication {r} of the manifest is missing")
         config = replication_config(spec.config, r)
         run = run_training(config, dataset)
-        rep_dir = replication_dir(outdir, r)
         epoch_dir = epoch_code_dir(rep_dir)
         rerun_files = {epoch_code_path(rep_dir, t.epoch) for t in run.completed_traces}
         for name in sorted(os.listdir(epoch_dir)):

@@ -92,6 +92,7 @@ class BitStream:
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "BitStream":
+        """Inverse of ``to_bytes``; pad bits must be zero, as ``to_bytes`` writes them."""
         if len(data) < 1:
             raise CodecError("missing trailer byte")
         rem = data[-1]
@@ -105,7 +106,10 @@ class BitStream:
             bits -= 8 - rem
         out = cls()
         if payload:
-            out._acc = int.from_bytes(payload, "big") >> (len(payload) * 8 - bits)
+            acc, pad = int.from_bytes(payload, "big"), len(payload) * 8 - bits
+            if acc & ((1 << pad) - 1):
+                raise CodecError("nonzero pad bits after the last payload bit")
+            out._acc = acc >> pad
         out._len = bits
         return out
 

@@ -11,6 +11,13 @@ step.
 Classification goes through one sweep, ``correctness_mask`` (for logistic-linear
 models one big-int pass over lane-packed feature columns), with the prediction
 rule score > 0 -> label 1; accuracies are popcounts of its masks.
+
+Sparse rows, such as one-hot data, cost O(nonzeros): each element caches its
+nonzero (coordinate, raw) pairs, and the logistic-linear gradient, the lane
+packing, the smoothness bound and the dataset text are driven from them.  The
+density rule (``_sparse_pairs``) is decided once per kernel call over all its
+rows, never per element; rows shorter than ``_SPARSE_DIM`` take the column
+kernels without being scanned.  Both paths give the same integers.
 """
 
 from __future__ import annotations
@@ -22,6 +29,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from itertools import compress
 from typing import Iterable, Optional, Sequence
 
 from .numerics import (
@@ -38,6 +46,17 @@ from .stable import stable_sigmoid_knots
 MODEL_KINDS = ("logistic-linear", "one-hidden-layer")
 FAMILIES = ("separable-margin", "two-gaussians", "random-labels", "one-hot")
 
+# Density cutoff of ``_sparse_pairs``.  The pair path of ``_lanes`` falls
+# behind the bytes path near one nonzero in four (its column sums grow as
+# they add), the gradient's near one in two; 1/8 keeps both ahead.
+_SPARSE_DIM = 8
+
+
+def _nonzeros(raws: Sequence[int]) -> tuple[tuple[int, int], ...]:
+    """The (coordinate, raw) pairs of the nonzero entries, ascending."""
+    coords = tuple(compress(range(len(raws)), raws))
+    return tuple(zip(coords, map(raws.__getitem__, coords)))
+
 
 @dataclass(frozen=True)
 class Element:
@@ -50,6 +69,25 @@ class Element:
     def __post_init__(self) -> None:
         if self.label not in (0, 1):
             raise DomainError(f"label must be 0/1, got {self.label}")
+
+    @cached_property
+    def _pairs(self) -> tuple[tuple[int, int], ...]:
+        return _nonzeros(self.features.raws)
+
+
+def _sparse_pairs(
+    elements: Sequence[Element], dim: int
+) -> Optional[list[tuple[tuple[int, int], ...]]]:
+    """Each element's nonzero pairs if the rows are sparse, else None.
+
+    Sparse means dim >= _SPARSE_DIM and at most one entry in _SPARSE_DIM of
+    all the rows is nonzero.  It is one decision for all the rows, so a
+    kernel runs either its pair path or its column path, never a mix.
+    """
+    if dim < _SPARSE_DIM:
+        return None
+    pairs = [el._pairs for el in elements]
+    return pairs if sum(map(len, pairs)) * _SPARSE_DIM <= len(pairs) * dim else None
 
 
 def manifest_int(d: dict, key: str, default: Optional[int] = None) -> int:
@@ -170,19 +208,30 @@ class Dataset:
 
         L = 8*size >= bitlen(dim * max|x| * clip * 2**scale) + 2.  Returns size,
         per column c the int sum_e x_ec * 2**(L*e), and ints holding 2**(L-1) - 1,
-        the top bit, and the top bit iff label 0, in every lane."""
-        n, rows = self.n, [el.features.raws for el in self.elements]
-        peak = max(max(map(max, rows)), -min(map(min, rows))) if n and self.dim else 0
-        bound = self.dim * peak
-        size = ((bound * -self.grid.raw_min).bit_length() + 9) // 8
+        the top bit, and the top bit iff label 0, in every lane.  Sparse rows
+        add each nonzero's shifted value into its column; dense rows pack
+        every entry's bytes."""
+        n, dim, rows = self.n, self.dim, [el.features.raws for el in self.elements]
+        pairs = _sparse_pairs(self.elements, dim)
+        if pairs is None:
+            peak = max(max(map(max, rows)), -min(map(min, rows))) if n and dim else 0
+        else:
+            peak = max((abs(x) for row in pairs for _, x in row), default=0)
+        size = ((dim * peak * -self.grid.raw_min).bit_length() + 9) // 8
         zero, top = bytes(size), (1 << 8 * size - 1).to_bytes(size, "little")
         tops = int.from_bytes(top * n, "little")
-        columns = []
-        for col in zip(*rows):
-            # read unsigned, each negative lane overshoots by 2**L: twice its top bit
-            lanes = [x.to_bytes(size, "little", signed=True) if x else zero for x in col]
-            packed = int.from_bytes(b"".join(lanes), "little")
-            columns.append(packed - ((packed & tops) << 1))
+        if pairs is None:
+            columns = []
+            for col in zip(*rows):
+                # read unsigned, each negative lane overshoots by 2**L: twice its top bit
+                lanes = [x.to_bytes(size, "little", signed=True) if x else zero for x in col]
+                packed = int.from_bytes(b"".join(lanes), "little")
+                columns.append(packed - ((packed & tops) << 1))
+        else:
+            columns = [0] * dim
+            for e, row in enumerate(pairs):
+                for c, x in row:
+                    columns[c] += x << 8 * size * e
         label0 = b"".join(zero if el.label else top for el in self.elements)
         bias = tops - (tops >> 8 * size - 1)
         return size, tuple(columns), bias, tops, int.from_bytes(label0, "little")
@@ -194,9 +243,17 @@ class Dataset:
     def to_text(self) -> str:
         """Header 'n<TAB>p<TAB>scale', then one 'id<TAB>label<TAB>raw,raw,...' line each."""
         lines = [f"{self.n}\t{self.dim}\t{self.grid.scale}"]
-        for el in self.elements:
-            feats = ",".join(map(str, el.features.raws))
-            lines.append(f"{el.eid}\t{el.label}\t{feats}")
+        pairs = _sparse_pairs(self.elements, self.dim)
+        if pairs is None:
+            feats = [",".join(map(str, el.features.raws)) for el in self.elements]
+        else:
+            feats = []
+            for row in pairs:
+                cells = ["0"] * self.dim
+                for c, x in row:
+                    cells[c] = str(x)
+                feats.append(",".join(cells))
+        lines.extend(f"{el.eid}\t{el.label}\t{f}" for el, f in zip(self.elements, feats))
         return "\n".join(lines) + "\n"
 
     @classmethod
@@ -411,25 +468,40 @@ def _gradient_sum(model: Model, batch: Sequence[Element]) -> tuple[list[int], in
     The mean gradient is numerator / (len(batch) * 2**e): e = 4s for
     logistic-linear (residual over 2**(3s) times a feature over 2**s), 8s for
     one hidden layer.  Integer sums are exact, so batch order does not matter.
-    Logistic-linear coordinate c is one column sum: the dot product of the
-    nonzero residuals with column c of their elements' features.  Elements
-    with a zero residual and all-zero columns add nothing and are skipped.
+    Logistic-linear coordinate c is the dot product of the nonzero residuals
+    with column c of their elements' features.  On sparse rows (see
+    ``_sparse_pairs``) each element's score and its residual's share come
+    from its nonzero pairs alone; on dense rows the sum runs column by
+    column.  Elements with a zero residual and all-zero columns add nothing
+    and are skipped.
     """
     if not batch:
         raise DomainError("empty batch")
     s = model.grid.scale
     w = model.weights.raws
     if model.kind == "logistic-linear":
-        resids, rows = [], []
-        for el in batch:
-            x = model._features(el)
+        rows = [model._features(el) for el in batch]
+        pairs = _sparse_pairs(batch, model.dim)
+        if pairs is not None:
+            total = [0] * model.d
+            for el, row in zip(batch, pairs):
+                score = 0
+                for c, x in row:
+                    score += w[c] * x
+                resid = _sigmoid_num(score, 2 * s, s) - (el.label << 3 * s)
+                if resid:
+                    for c, x in row:
+                        total[c] += resid * x
+            return total, 4 * s
+        resids, kept = [], []
+        for el, x in zip(batch, rows):
             resid = _sigmoid_num(_dot(w, x), 2 * s, s) - (el.label << 3 * s)
             if resid:
                 resids.append(resid)
-                rows.append(x)
-        if not rows:
+                kept.append(x)
+        if not kept:
             return [0] * model.d, 4 * s
-        return [_dot(resids, col) if any(col) else 0 for col in zip(*rows)], 4 * s
+        return [_dot(resids, col) if any(col) else 0 for col in zip(*kept)], 4 * s
     total = [0] * model.d
     dim, width = model.dim, model.width
     v = w[width * dim :]
@@ -499,7 +571,15 @@ def correctness_mask(model: Model, dataset: Dataset) -> int:
 
 
 def analytic_logistic_smoothness(elements: Iterable[Element]) -> Fraction:
-    """max |x|^2 / 4: the smoothness of the exact-sigmoid logistic-linear loss."""
-    xs = [el.features for el in elements]
-    worst = max((_dot(x.raws, x.raws) for x in xs), default=0)
-    return Fraction(worst, xs[0].grid.unit ** 2 if xs else 1) / 4
+    """max |x|^2 / 4: the smoothness of the exact-sigmoid logistic-linear loss.
+
+    Sparse rows sum the squares of their nonzero pairs only."""
+    elements = tuple(elements)
+    if not elements:
+        return Fraction(0)
+    pairs = _sparse_pairs(elements, len(elements[0].features))
+    if pairs is None:
+        worst = max(_dot(el.features.raws, el.features.raws) for el in elements)
+    else:
+        worst = max(sum(x * x for _, x in row) for row in pairs)
+    return Fraction(worst, elements[0].features.grid.unit ** 2) / 4

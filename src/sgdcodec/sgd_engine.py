@@ -150,6 +150,8 @@ class RunConfig:
             raise DomainError("max_epochs must be >= 1")
         if self.model_kind == "one-hidden-layer" and self.hidden_width < 1:
             raise DomainError("one-hidden-layer needs hidden_width >= 1")
+        if self.model_kind == "logistic-linear" and self.hidden_width:
+            raise DomainError("logistic-linear has no hidden layer: hidden_width must be 0")
 
     @property
     def n(self) -> int:

@@ -97,6 +97,20 @@ def test_bitstream_bytes_round_trip_all_tail_lengths():
         assert len(back) == nbits
 
 
+def test_bitstream_from_bytes_rejects_nonzero_pad_bits():
+    rng = random.Random(12)
+    for nbits in range(1, 26):
+        s = BitStream()
+        for _ in range(nbits):
+            s.write_uint(rng.randint(0, 1), 1)
+        blob = s.to_bytes()
+        for bit in range(-nbits % 8):  # the pad bits sit below the last payload bit
+            bad = bytearray(blob)
+            bad[-2] ^= 1 << bit
+            with pytest.raises(CodecError, match="nonzero pad bits"):
+                BitStream.from_bytes(bytes(bad))
+
+
 def test_bitstream_copy_is_independent():
     # a copy is the stream rebuilt from its bytes
     s = BitStream()

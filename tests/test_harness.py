@@ -6,13 +6,14 @@ import json
 import math
 import os
 import shutil
+import signal
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
 from conftest import hypergeometric_pmf, staircase_report_inputs
-from sgdcodec import cli, harness
+from sgdcodec import cli, harness, model
 from sgdcodec.cli import main, read_config_file
 from sgdcodec.codec import binomial
 from sgdcodec.harness import (
@@ -597,3 +598,83 @@ def test_cli_decode_reports_corrupt_strict_payloads(tmp_path, capsys):
         fh.write(original)
     capsys.readouterr()
     assert main(["decode", "--dir", out]) == 0
+
+
+def random_labels_spec():
+    """Random labels at d = 2: both epochs run and are coded BACKWARD."""
+    gen = GeneratorSpec(family="random-labels", n=64, dim=2, seed=1)
+    cfg = RunConfig(generator=gen, batch_size=16, step_raw=1 << 13, eps=Fraction(1, 4),
+                    progress_coeff=Fraction(4), seed=1, max_epochs=2, grid=GRID)
+    return ExperimentSpec(config=cfg)
+
+
+def one_hot_spec():
+    gen = GeneratorSpec(family="one-hot", n=32, dim=32, seed=1)
+    cfg = RunConfig(generator=gen, batch_size=8, step_raw=58982, eps=Fraction(1, 100),
+                    progress_coeff=Fraction(20), seed=1, max_epochs=4, grid=GRID)
+    return ExperimentSpec(config=cfg)
+
+
+@pytest.mark.parametrize(
+    "spec", [random_labels_spec(), strict_spec(), one_hot_spec()],
+    ids=["random-labels", "strict", "one-hot"],
+)
+def test_only_sparse_rows_build_their_nonzero_pairs(tmp_path, capsys, monkeypatch, spec):
+    real, calls = model._nonzeros, []
+
+    def counted(raws):
+        calls.append(len(raws))
+        return real(raws)
+
+    monkeypatch.setattr(model, "_nonzeros", counted)
+    out = str(tmp_path / "exp")
+    run_experiment(spec, out)
+    built = len(calls)
+    assert main(["decode", "--dir", out]) == 0
+    n, dim = spec.config.n, spec.config.dim
+    if spec.config.generator.family == "one-hot":
+        # once per element of the run's dataset, once more for decode's
+        assert built == n and calls == [dim] * (2 * n)
+    else:  # dense rows keep the column kernels and never scan for nonzeros
+        assert calls == []
+
+
+def test_cli_decode_rejects_nonzero_pad_bits(tmp_path, capsys):
+    out = str(tmp_path / "exp")
+    run_experiment(plateau_spec(max_epochs=1), out)
+    victim = os.path.join(out, "rep_00", "epochs", "epoch_001.epc")
+    blob = bytearray(open(victim, "rb").read())
+    assert blob[-1] != 0  # the trailer: the last payload byte has 8 - rem pad bits
+    blob[-2] ^= 1  # the lowest pad bit
+    with open(victim, "wb") as fh:
+        fh.write(bytes(blob))
+    capsys.readouterr()
+    assert main(["decode", "--dir", out]) == 2
+    assert "nonzero pad bits" in capsys.readouterr().err
+
+
+class Expired(Exception):
+    """Raised by the alarm; no subclass of what ``cli.main`` turns into exit 2."""
+
+
+def test_cli_decode_of_a_huge_replication_count_exits_2_at_once(tmp_path, capsys):
+    out = tmp_path / "exp"
+    run_experiment(plateau_spec(max_epochs=1), str(out))
+    manifest = json.loads((out / "manifest.json").read_text())
+    manifest["replications"] = 2**31
+    (out / "manifest.json").write_text(json.dumps(manifest))
+
+    def expire(signum, frame):
+        raise Expired("decode did not return within 1 s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(1)
+    try:
+        rc = main(["decode", "--dir", str(out)])
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert "rep 00 epoch 1: ok" in captured.out
+    assert f"{out / 'rep_01'}: replication 1 of the manifest is missing" in captured.err

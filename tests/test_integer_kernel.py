@@ -19,6 +19,7 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import manual_dataset
+from sgdcodec import model as model_module
 from sgdcodec.model import (
     KNOT_BITS,
     MODEL_KINDS,
@@ -28,6 +29,7 @@ from sgdcodec.model import (
     _dot,
     _sigmoid_knots,
     _sigmoid_num,
+    _sparse_pairs,
     correctness_mask,
     correctness_vector,
     generate_dataset,
@@ -423,6 +425,12 @@ def test_step_kernel_named_cases():
     grid = GridSpec(scale=4, clip=4)
     lo, hi, unit = grid.raw_min, grid.raw_max, grid.unit
     one_hot = [([0] * c + [2 * unit] + [0] * (129 - c), 1) for c in (0, 64, 129)]
+    # one to three nonzeros a row, clip ends and -1 among them: the pair path
+    sparse = [([0] * c + [x] + [0] * (129 - c), c % 2) for c, x in
+              ((0, lo), (1, hi), (1, -1), (129, 3), (64, -unit))]
+    sparse += [([lo] + [0] * 64 + [-1] + [0] * 63 + [hi], 0), ([0] * 127 + [1, 2, 3], 1)]
+    # dense rows among one-hot ones push the batch past the cutoff: the column path
+    mixed = one_hot + [([(-1) ** c * (c % 5) for c in range(130)], 0), ([hi] * 130, 1)]
     cases = {
         # zero weights: residual -1/2 times features of 1 and 3 raws gives
         # gradients of -1/2 and -3/2 raws; a quarter step of -2 is -1/2 again
@@ -430,16 +438,23 @@ def test_step_kernel_named_cases():
         # the first element's score is past the table end: residual exactly 0
         "zero residual": ([([hi], 1), ([1], 0)], [hi], unit),
         "one-hot": (one_hot, [0] * 130, unit),
+        "all-sparse": (sparse, [(c % 7 - 3) * unit // 2 for c in range(130)], unit),
+        "mixed-density": (mixed, [(3 - c % 7) for c in range(130)], unit // 2),
         # residual -1 times a feature of -clip is a gradient of +clip: one past raw_max
         "gradient clip": ([([lo], 1)], [unit * 2], unit),
         # residual near 1 times -1: the update pushes w_0 past raw_max
         "weight clip": ([([-unit, 2 * unit], 0)], [hi, hi], unit),
     }
-    results = {}
+    results, paths = {}, {}
     for name, (rows, weights, step_raw) in cases.items():
         ds = manual_dataset(grid, rows)
         model = Model("logistic-linear", FixedVector(tuple(weights), grid), ds.dim)
         results[name] = assert_step_matches_reference(model, ds.elements, step_raw)
+        paths[name] = "pairs" if _sparse_pairs(ds.elements, ds.dim) else "columns"
+    assert paths["all-sparse"] == paths["one-hot"] == "pairs"
+    assert paths["mixed-density"] == "columns"
+    assert results["all-sparse"] is not SaturationError and any(results["all-sparse"][0])
+    assert results["mixed-density"] is not SaturationError and any(results["mixed-density"][0])
     assert results["ties"][0][:2] == (0, -2) and results["ties"][1][:2] == (0, 0)
     assert results["gradient clip"] is SaturationError
     assert results["weight clip"][2] is True
@@ -479,3 +494,30 @@ def test_lane_width_holds_the_extreme_scores(scale, clip, dim):
             expect = [int((_dot(w, el.features.raws) > 0) == el.label) for el in ds.elements]
             assert correctness_vector(model, ds) == expect
             assert correctness_mask(model, ds) == sum(b << e for e, b in enumerate(expect))
+
+
+@pytest.mark.parametrize("scale,clip", ((0, 1), (4, 4), (16, 64)))
+@pytest.mark.parametrize("dim", (63, 64, 65, 129, 130))
+def test_sparse_lanes_equal_the_packed_bytes(monkeypatch, scale, clip, dim):
+    grid = GridSpec(scale=scale, clip=clip)
+    values = (grid.raw_min, grid.raw_max, -1)
+    # one-hot rows cycling through the clip ends and -1, labels mixed; past
+    # dim the coordinates wrap, so some columns hold two lanes, a negative
+    # one among them; two all-zero rows close the dataset
+    rows = [([0] * (e % dim) + [values[e % 3]] + [0] * (dim - 1 - e % dim), e % 2)
+            for e in range(dim + 4)]
+    rows += [([0] * dim, 1), ([0] * dim, 0)]
+    # negative entries only: the lane width must come from |raw_min|
+    negative = [(raws, label) for raws, label in rows if max(raws) <= 0]
+    sparse = [manual_dataset(grid, r) for r in (rows, negative)]
+    assert all(_sparse_pairs(ds.elements, dim) is not None for ds in sparse)
+    lanes = [ds._lanes for ds in sparse]
+    monkeypatch.setattr(model_module, "_SPARSE_DIM", dim + 1)
+    dense = [manual_dataset(grid, r) for r in (rows, negative)]
+    assert all(_sparse_pairs(ds.elements, dim) is None for ds in dense)
+    assert lanes == [ds._lanes for ds in dense]
+    w = tuple(values[c % 3] for c in range(dim))
+    m = Model("logistic-linear", FixedVector(w, grid), dim)
+    for s, d in zip(sparse, dense):
+        expect = sum(((_dot(w, el.features.raws) > 0) == el.label) << el.eid for el in d.elements)
+        assert correctness_mask(m, s) == correctness_mask(m, d) == expect

@@ -22,6 +22,7 @@ from sgdcodec.model import (
     _sigmoid_knots,
     _sigmoid_num,
     _sigmoid_slope_num,
+    _sparse_pairs,
     analytic_logistic_smoothness,
     correctness_mask,
     generate_dataset,
@@ -152,6 +153,39 @@ def test_dataset_text_round_trip():
     assert [el.features.raws for el in back.elements] == [
         el.features.raws for el in ds.elements
     ]
+
+
+def dense_text(ds: Dataset) -> str:
+    """The dataset text rendered entry by entry, as every row once was."""
+    lines = [f"{ds.n}\t{ds.dim}\t{ds.grid.scale}"]
+    for el in ds.elements:
+        lines.append(f"{el.eid}\t{el.label}\t{','.join(map(str, el.features.raws))}")
+    return "\n".join(lines) + "\n"
+
+
+def sparse_row_datasets() -> dict[str, Dataset]:
+    lo, hi = SMALL.raw_min, SMALL.raw_max
+    one_hot = generate_dataset(GeneratorSpec(family="one-hot", n=64, dim=64, seed=0), GRID)
+    mixed = [([0] * c + [c + 1] + [0] * (39 - c), c % 2) for c in range(39)]
+    mixed += [([(-1) ** c * c for c in range(40)], 1), ([0] * 40, 0)]
+    negative = [([0] * (e % 16) + [(lo, -1, hi, -7)[e % 4]] + [0] * (15 - e % 16), 1)
+                for e in range(20)]
+    return {
+        "one-hot": one_hot,
+        "mixed": manual_dataset(SMALL, mixed),
+        "negative": manual_dataset(SMALL, negative),
+    }
+
+
+@pytest.mark.parametrize("name", ("one-hot", "mixed", "negative"))
+def test_sparse_rows_render_and_bound_like_dense_rows(name):
+    ds = sparse_row_datasets()[name]
+    assert _sparse_pairs(ds.elements, ds.dim) is not None
+    assert ds.to_text() == dense_text(ds)
+    assert Dataset.from_text(ds.to_text(), ds.grid).elements == ds.elements
+    worst = max(sum(r * r for r in el.features.raws) for el in ds.elements)
+    assert analytic_logistic_smoothness(ds.elements) == Fraction(worst, ds.grid.unit**2) / 4
+    assert analytic_logistic_smoothness(iter(ds.elements)) == Fraction(worst, ds.grid.unit**2) / 4
 
 
 def test_dataset_text_rejects_scale_mismatch():

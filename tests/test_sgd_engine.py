@@ -135,6 +135,15 @@ def test_run_config_validation():
                   progress_coeff=Fraction(1), seed=0, max_epochs=1, grid=GRID)
 
 
+@pytest.mark.parametrize("width", (-1, 2))
+def test_run_config_rejects_a_hidden_width_for_logistic_linear(width):
+    gen = GeneratorSpec(family="random-labels", n=16, dim=2, seed=0)
+    with pytest.raises(DomainError, match="hidden_width"):
+        RunConfig(generator=gen, batch_size=4, step_raw=1, eps=Fraction(1, 4),
+                  progress_coeff=Fraction(1), seed=0, max_epochs=1, grid=GRID,
+                  hidden_width=width)
+
+
 def test_zero_step_epoch_keeps_model_frozen():
     ds = generate_dataset(GeneratorSpec(family="random-labels", n=16, dim=2, seed=3), GRID)
     cfg = band_config(ds, step_raw=0, eps=Fraction(1, 100), max_epochs=2)
