@@ -65,13 +65,6 @@ STRICT_MAX_SCALE = 8
 EPC_MAGIC = b"EPC1"
 
 
-def _exact_count(rate: Fraction, total: int) -> int:
-    v = rate * total
-    if v.denominator != 1:
-        raise CodecError(f"rate {rate} over {total} elements is not a count")
-    return v.numerator
-
-
 def _template(dataset: Dataset, config: RunConfig) -> Model:
     return zero_model(config.model_kind, dataset.dim, config.grid, config.hidden_width)
 
@@ -122,10 +115,10 @@ def select_case(trace: EpochTrace, beta: Fraction) -> CaseSelector:
     hi = min(j_final, t)
     if lo > hi:
         return CaseSelector(j_start, j_final, True, BACKWARD, None, None)
-    for j in range(lo, hi + 1):
-        gap = abs(trace.seen(j) - trace.unseen(j))
+    for i in range(lo - 1, hi):
+        gap = abs(trace.rate(i, 0, i) - trace.rate(i, i, t))
         if gap >= beta / 4:
-            return CaseSelector(j_start, j_final, False, SPLIT, j, gap)
+            return CaseSelector(j_start, j_final, False, SPLIT, i + 1, gap)
     return CaseSelector(j_start, j_final, False, BACKWARD, None, None)
 
 
@@ -136,16 +129,18 @@ def choose_split_side(trace: EpochTrace, j: int) -> int:
     full-set accuracy, which is the side the conditional codec compresses
     harder; ties go to the prefix.
     """
-    seen, unseen = _split_divergences(trace, j)
+    seen, unseen = _split_divergences(trace, j - 1)
     return 0 if seen >= unseen else 1
 
 
-def _split_divergences(trace: EpochTrace, j: int) -> tuple[Fraction, Fraction]:
-    """gamma*d_seen^2 and (1-gamma)*d_unseen^2 at split position j, where gamma
-    is the seen share and d_* a set's accuracy minus the full-set accuracy."""
-    gamma = Fraction((j - 1) * trace.batch_size, trace.n)
-    d_seen = trace.seen(j) - trace.full(j)
-    d_unseen = trace.unseen(j) - trace.full(j)
+def _split_divergences(trace: EpochTrace, i: int) -> tuple[Fraction, Fraction]:
+    """gamma*d_seen^2 and (1-gamma)*d_unseen^2 at checkpoint i, where gamma is
+    the seen share and d_* a set's accuracy minus the full-set accuracy."""
+    t = trace.num_batches
+    gamma = Fraction(i, t)
+    full = trace.rate(i, 0, t)
+    d_seen = trace.rate(i, 0, i) - full
+    d_unseen = trace.rate(i, i, t) - full
     return gamma * d_seen**2, (1 - gamma) * d_unseen**2
 
 
@@ -325,7 +320,7 @@ def predict_segments(
 
     Must equal the encoder's declared segments; the accounting identity test
     relies on this being an independent derivation (counts come from the
-    recorded accuracies, never from the stream).
+    recorded correctness masks, never from the stream).
     """
     n, b, t = trace.n, trace.batch_size, trace.num_batches
     segs: list[tuple[str, int]] = [("case", 1)]
@@ -336,12 +331,13 @@ def predict_segments(
         segs.append(("side", 1))
         if mode == STRICT:
             segs.append(("model", config.d * config.grid.coord_bits))
-        m = (j - 1) * b
-        ones_total = _exact_count(trace.full(j), n)
+        i = j - 1
+        m = i * b
+        ones_total = trace.hits(i, 0, t)
         if choose_split_side(trace, j) == 0:
-            size, k1 = m, _exact_count(trace.seen(j), m)
+            size, k1 = m, trace.hits(i, 0, i)
         else:
-            size, k1 = n - m, _exact_count(trace.unseen(j), n - m)
+            size, k1 = n - m, trace.hits(i, i, t)
         wh = ceil_log2(size + 1)
         segs.append(("set_sizes", 2 * wh))
         segs.append(("set_rank_pos", ceil_log2(binomial(ones_total, k1))))
@@ -355,8 +351,8 @@ def predict_segments(
         pw = ceil_log2(math.factorial(b))
         for j in range(t, 0, -1):
             pool = j * b
-            n1 = _exact_count(trace.seen(j + 1), pool)
-            k1 = _exact_count(trace.batch_after(j + 1), b)
+            n1 = trace.hits(j, 0, j)
+            k1 = trace.hits(j, j - 1, j)
             tag = f"b{j:03d}"
             segs.append((f"{tag}_sizes", 2 * wh))
             segs.append((f"{tag}_rank_pos", ceil_log2(binomial(n1, k1))))
@@ -558,11 +554,12 @@ def epoch_accounting(code: EpochCode, trace: EpochTrace, config: RunConfig) -> A
     charged = payload + charge if good else baseline
     slack = _slack_bits(t, stable_log2(n))
 
+    # per step i = 1..t: batch-after accuracy minus seen accuracy at checkpoint i
+    deltas = [trace.rate(i, i - 1, i) - trace.rate(i, 0, i) for i in range(1, t + 1)]
     split_bound = split_ok = backward_bound = backward_ok = None
     if code.case == SPLIT:
         assert code.split_j is not None
-        j = code.split_j
-        bonus = max(_split_divergences(trace, j))
+        bonus = max(_split_divergences(trace, code.split_j - 1))
         split_bound = stable_log2(math.factorial(n)) - float(2 * n * bonus) + slack
         split_ok = payload <= split_bound
     else:
@@ -571,9 +568,8 @@ def epoch_accounting(code: EpochCode, trace: EpochTrace, config: RunConfig) -> A
         headers = 2 * ceil_log2(b + 1) + 2
         order_excess = ceil_log2(math.factorial(b)) - (b * (stable_log2(b) - LOG2_E))
         total = 1.0
-        for j in range(1, t + 1):
-            delta = trace.batch_after(j + 1) - trace.seen(j + 1)
-            total += b * stable_log2(j * b) - float(2 * b * delta**2)
+        for i, delta in enumerate(deltas, 1):
+            total += b * stable_log2(i * b) - float(2 * b * delta**2)
             total += headers
             total += order_excess
         backward_bound = total
@@ -584,12 +580,9 @@ def epoch_accounting(code: EpochCode, trace: EpochTrace, config: RunConfig) -> A
 
     quarter = beta / 4
     batch_lag_ok = all(
-        trace.batch_before(j) >= trace.unseen(j) - quarter for j in range(1, t + 1)
+        trace.rate(i, i, i + 1) >= trace.rate(i, i, t) - quarter for i in range(t)
     )
-    divergence_sum = sum(
-        ((trace.batch_after(j) - trace.seen(j)) ** 2 for j in range(2, t + 2)),
-        Fraction(0),
-    )
+    divergence_sum = sum((delta**2 for delta in deltas), Fraction(0))
     divergence_floor = Fraction(n) * beta_hat**2 / (25 * b)
     divergence_ok = divergence_sum >= divergence_floor
     divergence_precond_ok = (
@@ -645,8 +638,7 @@ def check_eps_beta_ceiling(trace: EpochTrace, eps: Fraction) -> CeilingVerdict:
     capped by (4/3)*eps*(1 + ln(n/b)); reports the margin."""
     if not trace.completed:
         return CeilingVerdict(False, "epoch incomplete")
-    floor = 1 - eps
-    if any(a < floor for a in trace.full_acc):
+    if min(mask.bit_count() for mask in trace.masks) < (1 - eps) * trace.n:
         return CeilingVerdict(False, "some checkpoint below 1-eps")
     beta_hat = trace.progress()
     ceiling = (4.0 / 3.0) * float(eps) * (1.0 + stable_ln(Fraction(trace.n, trace.batch_size)))

@@ -74,6 +74,10 @@ class GridSpec:
             raise DomainError(f"scale must be >= 0, got {self.scale}")
         if self.clip < 1:
             raise DomainError(f"clip must be >= 1, got {self.clip}")
+        # every raw must fit a checkpoint blob's int64; a huge scale must
+        # fail before the shift builds a huge int
+        if self.scale > 63 or self.clip << self.scale > 1 << 63:
+            raise DomainError(f"clip * 2**scale must be <= 2**63, got {self}")
 
     @property
     def unit(self) -> int:

@@ -241,12 +241,10 @@ class EpochTrace:
 
     Checkpoint i (0-based) is the model before step i+1; ``masks[i]`` is its
     correctness over the dataset, bit e set iff element e is classified
-    correctly.  Accuracies are derived from the masks by popcount over
-    prefixes of the visit order.  Accessors take the 1-based step index j
-    used throughout the accounting: full(j) is defined for j in [1, steps+1],
-    seen(j) for j in [2, steps+1], unseen(j) for j in [1, steps] when the
-    epoch completed, batch_after(j) for j in [2, steps+1], batch_before(j)
-    for j in [1, steps].
+    correctly.  Every statistic is a count, ``hits(i, lo, hi)``: the popcount
+    of ``masks[i]`` over batches lo..hi-1 of the visit order.  Checkpoint i
+    has seen batches 0..i-1, stepped last on batch i-1 and steps next on
+    batch i.
     """
 
     epoch: int
@@ -281,11 +279,6 @@ class EpochTrace:
             tuple(self.order[k : k + b]) for k in range(0, self.n, b)
         )
 
-    @property
-    def full_acc(self) -> list[Fraction]:
-        """Full-dataset accuracy at every checkpoint."""
-        return [Fraction(mask.bit_count(), self.n) for mask in self.masks]
-
     @cached_property
     def prefix_masks(self) -> tuple[int, ...]:
         """Mask of the first k batches of the visit order, for k = 0..num_batches."""
@@ -294,11 +287,20 @@ class EpochTrace:
             out.append(out[-1] | sum(1 << e for e in batch))
         return tuple(out)
 
-    def _rate(self, i: int, lo: int, hi: int) -> Fraction:
-        """Accuracy at checkpoint i over batches lo..hi-1 of the visit order."""
+    def hits(self, i: int, lo: int, hi: int) -> int:
+        """How many elements of batches lo..hi-1 of the visit order checkpoint
+        i classifies correctly."""
+        if not (0 <= i < len(self.masks) and 0 <= lo <= hi <= self.num_batches):
+            raise DomainError(f"hits({i}, {lo}, {hi}) outside the trace")
         prefix = self.prefix_masks
-        hits = self.masks[i] & (prefix[hi] ^ prefix[lo])
-        return Fraction(hits.bit_count(), (hi - lo) * self.batch_size)
+        return (self.masks[i] & (prefix[hi] ^ prefix[lo])).bit_count()
+
+    def rate(self, i: int, lo: int, hi: int) -> Optional[Fraction]:
+        """Accuracy at checkpoint i over batches lo..hi-1 of the visit order;
+        None for an empty span or one outside [0, num_batches]."""
+        if not (0 <= lo < hi <= self.num_batches):
+            return None
+        return Fraction(self.hits(i, lo, hi), (hi - lo) * self.batch_size)
 
     def rates(self, i: int) -> tuple[Optional[Fraction], ...]:
         """(full, seen, unseen, batch after, batch before) at checkpoint i.
@@ -307,47 +309,17 @@ class EpochTrace:
         once the whole order is seen.
         """
         t = self.num_batches
-        return (
-            Fraction(self.masks[i].bit_count(), self.n),
-            self._rate(i, 0, i) if i else None,
-            self._rate(i, i, t) if i < t else None,
-            self._rate(i, i - 1, i) if i else None,
-            self._rate(i, i, i + 1) if i < t else None,
-        )
-
-    def _checked(self, j: int, lo: int, hi: int, name: str) -> int:
-        if not (lo <= j <= hi):
-            raise DomainError(f"{name}({j}) outside [{lo}, {hi}]")
-        return j - 1
-
-    def full(self, j: int) -> Fraction:
-        i = self._checked(j, 1, self.steps_done + 1, "full")
-        return Fraction(self.masks[i].bit_count(), self.n)
-
-    def seen(self, j: int) -> Fraction:
-        i = self._checked(j, 2, self.steps_done + 1, "seen")
-        return self._rate(i, 0, i)
-
-    def unseen(self, j: int) -> Fraction:
-        i = self._checked(j, 1, self.steps_done + 1, "unseen")
-        if i >= self.num_batches:
-            raise DomainError(f"unseen({j}) undefined: nothing left unseen")
-        return self._rate(i, i, self.num_batches)
-
-    def batch_after(self, j: int) -> Fraction:
-        i = self._checked(j, 2, self.steps_done + 1, "batch_after")
-        return self._rate(i, i - 1, i)
-
-    def batch_before(self, j: int) -> Fraction:
-        i = self._checked(j, 1, self.steps_done, "batch_before")
-        return self._rate(i, i, i + 1)
+        spans = ((0, t), (0, i), (i, t), (i - 1, i), (i, i + 1))
+        return tuple(self.rate(i, lo, hi) for lo, hi in spans)
 
     def progress(self) -> Fraction:
-        """Measured epoch progress: batch-size-weighted sum of per-step gains."""
-        total = Fraction(0)
-        for i in range(1, self.steps_done + 1):
-            total += self.batch_after(i + 1) - self.batch_before(i)
-        return Fraction(self.batch_size, self.n) * total
+        """Measured epoch progress: the net count of batch elements each step
+        turned correct, over n."""
+        gained = sum(
+            self.hits(i, i - 1, i) - self.hits(i - 1, i - 1, i)
+            for i in range(1, self.steps_done + 1)
+        )
+        return Fraction(gained, self.n)
 
 
 def _record_checkpoint(trace: EpochTrace, model: Model, dataset: Dataset) -> Fraction:
@@ -413,7 +385,8 @@ class TrainingRun:
 
     @property
     def final_accuracy(self) -> Fraction:
-        return self.traces[-1].full_acc[-1] if self.traces else Fraction(0)
+        last = self.traces[-1]
+        return Fraction(last.masks[-1].bit_count(), last.n)
 
 
 def run_training(config: RunConfig, dataset: Optional[Dataset] = None) -> TrainingRun:

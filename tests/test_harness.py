@@ -657,12 +657,8 @@ class Expired(Exception):
     """Raised by the alarm; no subclass of what ``cli.main`` turns into exit 2."""
 
 
-def test_cli_decode_of_a_huge_replication_count_exits_2_at_once(tmp_path, capsys):
-    out = tmp_path / "exp"
-    run_experiment(plateau_spec(max_epochs=1), str(out))
-    manifest = json.loads((out / "manifest.json").read_text())
-    manifest["replications"] = 2**31
-    (out / "manifest.json").write_text(json.dumps(manifest))
+def decode_within_a_second(out):
+    """``sgdcodec decode --dir out``, failing the test if it runs past 1 s."""
 
     def expire(signum, frame):
         raise Expired("decode did not return within 1 s")
@@ -670,11 +666,34 @@ def test_cli_decode_of_a_huge_replication_count_exits_2_at_once(tmp_path, capsys
     previous = signal.signal(signal.SIGALRM, expire)
     signal.alarm(1)
     try:
-        rc = main(["decode", "--dir", str(out)])
+        return main(["decode", "--dir", str(out)])
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
-    assert rc == 2
+
+
+def test_cli_decode_of_a_huge_replication_count_exits_2_at_once(tmp_path, capsys):
+    out = tmp_path / "exp"
+    run_experiment(plateau_spec(max_epochs=1), str(out))
+    manifest = json.loads((out / "manifest.json").read_text())
+    manifest["replications"] = 2**31
+    (out / "manifest.json").write_text(json.dumps(manifest))
+    assert decode_within_a_second(out) == 2
     captured = capsys.readouterr()
     assert "rep 00 epoch 1: ok" in captured.out
     assert f"{out / 'rep_01'}: replication 1 of the manifest is missing" in captured.err
+
+
+@pytest.mark.parametrize(
+    "key,value", [("scale", 10**6), ("scale", 2**62), ("clip", 2**62)],
+    ids=["scale-1e6", "scale-2^62", "clip-2^62"],
+)
+def test_cli_decode_of_a_grid_past_int64_exits_2_at_once(tmp_path, capsys, key, value):
+    out = tmp_path / "exp"
+    run_experiment(plateau_spec(max_epochs=1), str(out))
+    manifest = json.loads((out / "manifest.json").read_text())
+    manifest["config"][key] = value
+    (out / "manifest.json").write_text(json.dumps(manifest))
+    capsys.readouterr()
+    assert decode_within_a_second(out) == 2
+    assert "clip * 2**scale must be <= 2**63" in capsys.readouterr().err

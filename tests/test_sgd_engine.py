@@ -152,23 +152,80 @@ def test_zero_step_epoch_keeps_model_frozen():
     for tr in run.completed_traces:
         first = tr.checkpoints[0].raws
         assert all(w.raws == first for w in tr.checkpoints)
-        assert len(set(tr.full_acc)) == 1
+        assert len(set(tr.masks)) == 1
+
+
+def two_gaussians_traces(eps):
+    ds = generate_dataset(GeneratorSpec(family="two-gaussians", n=24, dim=2, seed=4), GRID)
+    cfg = band_config(ds, step_raw=GRID.unit // 8, batch_size=4, max_epochs=2, eps=eps)
+    return run_training(cfg, ds).traces
+
+
+def saturated_trace():
+    """Random labels on a clip-2 grid: the seventh step leaves the grid."""
+    grid = GridSpec(scale=4, clip=2)
+    gen = GeneratorSpec(family="random-labels", n=16, dim=2, seed=1, feature_scale=1)
+    ds = generate_dataset(gen, grid)
+    cfg = band_config(ds, step_raw=4 * grid.unit, batch_size=2, max_epochs=1)
+    trace, _ = run_epoch(zero_model("logistic-linear", 2, grid), ds, cfg, epoch=1)
+    assert trace.saturated and trace.steps_done == 7
+    return trace
 
 
 def test_trace_accuracy_identity():
-    # n*lambda == |seen|*lambda' + |unseen|*lambda'' at every checkpoint
-    ds = generate_dataset(GeneratorSpec(family="two-gaussians", n=24, dim=2, seed=4), GRID)
-    cfg = band_config(ds, step_raw=GRID.unit // 8, batch_size=4, max_epochs=2,
-                      eps=Fraction(1, 1000))
-    run = run_training(cfg, ds)
-    assert run.traces, "no epochs ran"
-    for tr in run.traces:
-        n, b = tr.n, tr.batch_size
-        for j in range(2, tr.steps_done + 1):
-            seen_count = (j - 1) * b
-            lhs = n * tr.full(j)
-            rhs = seen_count * tr.seen(j) + (n - seen_count) * tr.unseen(j)
-            assert lhs == rhs
+    # full hits == seen hits + unseen hits == the sum over single batches
+    traces = two_gaussians_traces(Fraction(1, 1000))
+    assert traces, "no epochs ran"
+    for tr in traces:
+        t = tr.num_batches
+        for i in range(len(tr.masks)):
+            full = tr.hits(i, 0, t)
+            assert full == tr.masks[i].bit_count()
+            assert full == tr.hits(i, 0, i) + tr.hits(i, i, t)
+            assert full == sum(tr.hits(i, k, k + 1) for k in range(t))
+
+
+def test_hits_rejects_spans_outside_the_trace():
+    tr = two_gaussians_traces(Fraction(1, 1000))[0]
+    t = tr.num_batches
+    assert tr.completed and len(tr.masks) == t + 1
+    assert tr.hits(t, 0, 0) == tr.hits(0, t, t) == 0
+    for i, lo, hi in ((1, 3, 2), (1, -1, 2), (1, 0, t + 1), (-1, 0, t), (t + 1, 0, t)):
+        with pytest.raises(DomainError):
+            tr.hits(i, lo, hi)
+
+
+def test_rate_is_none_where_trace_csv_leaves_a_cell_blank():
+    tr = two_gaussians_traces(Fraction(1, 1000))[0]
+    t = tr.num_batches
+    # (full, seen, unseen, batch after, batch before): nothing seen at i = 0,
+    # nothing left at i = t
+    blank = [tuple(k for k, r in enumerate(tr.rates(i)) if r is None) for i in (0, 1, t)]
+    assert blank == [(1, 3), (), (2, 4)]
+    assert tr.rate(1, 1, 1) is None and tr.rate(1, 2, 1) is None
+    assert tr.rate(1, 0, t) == Fraction(tr.masks[1].bit_count(), tr.n)
+
+
+def progress_oracle(tr):
+    """b/n times the sum over steps of batch accuracy after minus before."""
+    b, total = tr.batch_size, Fraction(0)
+    for i in range(1, tr.steps_done + 1):
+        batch = sum(1 << e for e in tr.order[(i - 1) * b : i * b])
+        after = Fraction((tr.masks[i] & batch).bit_count(), b)
+        before = Fraction((tr.masks[i - 1] & batch).bit_count(), b)
+        total += after - before
+    return Fraction(b, tr.n) * total
+
+
+def test_progress_matches_the_rate_formula():
+    completed = two_gaussians_traces(Fraction(1, 1000))[0]
+    terminated = two_gaussians_traces(Fraction(1, 10))[-1]
+    saturated = saturated_trace()
+    assert completed.completed and terminated.terminated
+    assert terminated.steps_done == 2
+    for tr in (completed, terminated, saturated):
+        assert tr.progress() == progress_oracle(tr)
+    assert saturated.progress() == Fraction(3, 16)
 
 
 def test_termination_happens_before_any_step():
@@ -345,6 +402,15 @@ def test_vector_bytes_round_trip():
         vector_from_bytes(vector_to_bytes(v), GRID6)
     with pytest.raises(DomainError):
         vector_from_bytes(b"\x00" * 4, GRID)
+
+
+def test_grid_bound_keeps_every_raw_in_int64():
+    grid = GridSpec(scale=57, clip=64)
+    assert (grid.raw_min, grid.raw_max) == (-(2**63), 2**63 - 1)
+    v = FixedVector((grid.raw_min, grid.raw_max), grid)
+    assert vector_from_bytes(vector_to_bytes(v), grid).raws == v.raws
+    with pytest.raises(DomainError):
+        GridSpec(scale=58, clip=64)
 
 
 def test_write_trace_csv_shape(tmp_path):
