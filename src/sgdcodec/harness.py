@@ -52,7 +52,7 @@ from .numerics import (
     _entropy,
     _kl,
     _realizable_q,
-    _split_slack,
+    _realized_slack,
 )
 from .sgd_engine import (
     EpochTrace,
@@ -61,7 +61,7 @@ from .sgd_engine import (
     run_training,
     vector_to_bytes,
 )
-from .stable import LOG2_E, stable_entropy, stable_exp, stable_log2
+from .stable import LOG2_E, _log2_ratios, stable_entropy, stable_exp, stable_log2
 
 MANIFEST_FORMAT = "sgdcodec-run-v1"
 
@@ -490,6 +490,10 @@ class SuiteRow:
     threshold: float
     passed: bool
 
+    def __post_init__(self) -> None:
+        if self.cases < 1:  # a sweep of no case would pass vacuously
+            raise DomainError(f"{self.name}: the sizes leave no case to evaluate")
+
     def line(self) -> str:
         flag = "pass" if self.passed else "FAIL"
         return (
@@ -501,10 +505,9 @@ class SuiteRow:
 def _sweep_entropy_upper(points: int) -> SuiteRow:
     # h(p) <= p*log2(e/p); worst positive excess should be numeric noise only.
     worst = -1.0
-    for k in range(1, points + 1):
-        lhs = _entropy(k, points)
-        rhs = k / points * (stable_log2(Fraction(points, k)) + LOG2_E)
-        worst = max(worst, lhs - rhs)
+    for k, log2 in enumerate(_log2_ratios(points), 1):
+        rhs = k / points * (log2 + LOG2_E)
+        worst = max(worst, _entropy(k, points) - rhs)
     return SuiteRow("entropy-vs-plog2ep", points, 0, worst, 1e-9, worst <= 1e-9)
 
 
@@ -518,7 +521,7 @@ def _sweep_split_entropy(side: int) -> SuiteRow:
         for g in ks:
             for c in _realizable_q(a, g, side):
                 cases += 1
-                worst = min(worst, _split_slack(a, g, c, side))
+                worst = min(worst, _realized_slack(a, g, c, side))
     return SuiteRow(
         "split-entropy-drop", cases, side**3 - cases, worst, -1e-12, worst >= -1e-12
     )
@@ -549,18 +552,15 @@ def _sweep_stirling(sizes: Sequence[int]) -> SuiteRow:
 
 
 def _sweep_entropy_binomial(max_m: int) -> SuiteRow:
+    # m = 16 * 2**i, so k = num * m / 16 is exact and k / m is num / 16
+    entropies = [stable_entropy(Fraction(num, 16)) for num in range(1, 16)]
     worst = -math.inf
     cases = 0
     m = 16
     while m <= max_m:
-        for num in range(1, 16):
-            gamma = Fraction(num, 16)
-            k = int(gamma * m)
-            if k == 0 or k == m:
-                continue
-            lhs = ceil_log2(binomial(m, k))
-            rhs = m * stable_entropy(Fraction(k, m)) + 1
-            worst = max(worst, lhs - rhs)
+        for num, h in enumerate(entropies, 1):
+            lhs = ceil_log2(binomial(m, num * m // 16))
+            worst = max(worst, lhs - (m * h + 1))
             cases += 1
         m *= 2
     return SuiteRow("binomial-vs-entropy", cases, 0, worst, 0.0, worst <= 0.0)

@@ -15,7 +15,7 @@ correctly rounded ``int / int``, so a value gets the same bits whatever
 denominator it is written over.  The inequality sweeps call the kernels
 directly.  ``_realizable_q`` alone states when a two-block entropy split is
 realizable, for ``_split_slack`` and for the sweep that visits only those
-splits.
+splits; both then call the unchecked ``_realized_slack``.
 """
 
 from __future__ import annotations
@@ -205,6 +205,11 @@ def _split_slack(a: int, g: int, c: int, n: int) -> float:
             f"split not realizable: p*gamma={a * g}/{nn} vs q={c}/{n}, "
             f"(1-p)*gamma={(n - a) * g}/{nn} vs 1-q={n - c}/{n}"
         )
+    return _realized_slack(a, g, c, n)
+
+
+def _realized_slack(a: int, g: int, c: int, n: int) -> float:
+    """_split_slack for a c that _realizable_q(a, g, n) yields, unchecked."""
     if g == 0:
         return 0.0
     lhs = 0.0

@@ -6,6 +6,9 @@ argument is first rounded to 136 bits, as mpmath's 40 digits did.  The result is
 bracketed in fixed point, and the working precision raised until both ends round
 to one double (Ziv's test) by libmp's to_float rule.  See Brent & Zimmermann,
 *Modern Computer Arithmetic*, ch. 4, and Ziv, ACM TOMS 17(3), 1991.
+The entropy sweep's batch path, ``_log2_ratios``, reads stable_log2(num / k)
+for all k <= num off a sieve table of fixed-point log2(k), and sends the rare
+bracket whose ends round to two doubles to stable_log2.
 """
 
 from __future__ import annotations
@@ -117,6 +120,42 @@ def stable_log2(x: int | Fraction) -> float:
     """log2 of a positive rational, correctly rounded well past double precision."""
     m, e = _arg(x, positive=True)
     return _ziv(lambda w: _ends(*_log(m, e, w, True), -w))
+
+
+def _log2_table(top: int, w: int) -> list[tuple[int, int]]:
+    """(a, err) with log2(k) = (a ± err) / 2**w, at index k for 1 <= k <= top.
+
+    A prime's entry is one _log series.  The sieve marks each composite with its
+    largest prime factor p, and its entry is the sum of those of p and k // p.
+    """
+    factor, table = [0] * (top + 1), [(0, 0)] * (top + 1)
+    for k in range(2, top + 1):
+        p = factor[k]
+        if p:
+            (a, ea), (b, eb) = table[p], table[k // p]
+            table[k] = a + b, ea + eb
+        else:
+            factor[k::k] = [k] * (top // k)
+            table[k] = _log(k, 0, w, True)
+    return table
+
+
+def _log2_ratios(num: int) -> list[float]:
+    """stable_log2(Fraction(num, k)) for k = 1..num, from one log2 table.
+
+    The bracket of log2(num) - log2(k) at _WORK bits widens by one unit for the
+    136-bit rounding of num / k in _arg, which moves its log2 by under 2**-135.
+    Where the two ends round to different doubles (k = num among them),
+    stable_log2 decides.
+    """
+    table, one = _log2_table(num, _WORK), 1 << _WORK
+    an, en = table[num] if num > 0 else (0, 0)
+    out = []
+    for k, (a, e) in enumerate(table[1:], 1):
+        d, r = an - a, en + e + 1
+        lo, hi = _float(d - r, one), _float(d + r, one)
+        out.append(hi if lo == hi else stable_log2(Fraction(num, k)))
+    return out
 
 
 def stable_entropy(p: int | Fraction) -> float:

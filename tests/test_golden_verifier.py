@@ -1,7 +1,8 @@
 """Golden verifier output: the shipped sweeps and tail checks must reproduce every bit.
 
 ``golden_verifier.json`` holds, for ``run_inequality_suite()`` at its shipped
-sizes, each row as (name, cases, skipped, worst.hex(), passed); for the four
+sizes and at the benchmark's smaller ones, each row as (name, cases, skipped,
+worst.hex(), passed); for the four
 ``sgdcodec verify`` Hoeffding settings at 10^5 trials, the hit count and the
 exact tail probability; and the sha256 of the full ``sgdcodec verify`` stdout.
 ``float.hex`` makes "same bits" exact rather than approximate.  The values
@@ -26,12 +27,16 @@ GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "golden_verifier.json")
 # The settings cmd_verify runs.
 HOEFFDING_SETTINGS = [(k, delta) for k in (64, 256) for delta in ("1/10", "1/5")]
 TRIALS = 10**5
+# The sizes bench/workloads.py runs the suite at.
+SMALL_SIZES = dict(
+    entropy_points=2000, split_side=20, pinsker_side=100, codec_instances=50
+)
 
 
-def suite_rows() -> list[list]:
+def suite_rows(**sizes) -> list[list]:
     return [
         [r.name, r.cases, r.skipped, r.worst.hex(), r.passed]
-        for r in run_inequality_suite()
+        for r in run_inequality_suite(**sizes)
     ]
 
 
@@ -63,6 +68,10 @@ def test_inequality_suite_matches_golden_rows():
     assert suite_rows() == _recorded()["suite_rows"]
 
 
+def test_benchmark_size_suite_matches_golden_rows():
+    assert suite_rows(**SMALL_SIZES) == _recorded()["small_suite_rows"]
+
+
 def test_hoeffding_hits_match_golden():
     assert hoeffding_rows() == _recorded()["hoeffding"]
 
@@ -74,6 +83,7 @@ def test_cli_verify_stdout_matches_golden():
 if __name__ == "__main__":
     golden = {
         "suite_rows": suite_rows(),
+        "small_suite_rows": suite_rows(**SMALL_SIZES),
         "hoeffding": hoeffding_rows(),
         "verify_stdout_sha256": verify_stdout_sha256(),
     }

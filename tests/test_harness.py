@@ -277,6 +277,20 @@ def test_inequality_suite_passes():
         assert "pass" in row.line()
 
 
+@pytest.mark.parametrize("empty", [
+    dict(entropy_points=0),
+    dict(split_side=0),
+    dict(pinsker_side=1),
+    dict(codec_instances=0),
+], ids=["entropy", "split", "pinsker", "codec"])
+def test_inequality_suite_rejects_sizes_that_leave_a_sweep_no_case(empty):
+    # each of these sizes used to print a pass row with cases=0
+    sizes = dict(entropy_points=8, split_side=4, pinsker_side=4, codec_instances=4)
+    assert all(row.cases > 0 for row in run_inequality_suite(**sizes))
+    with pytest.raises(DomainError):
+        run_inequality_suite(**{**sizes, **empty})
+
+
 def test_cli_run_and_report(tmp_path, capsys):
     out = str(tmp_path / "exp")
     rc = main([

@@ -297,6 +297,30 @@ def test_stable_log2_of_huge_arguments():
     assert stable_log2(math.factorial(4096)) == pytest.approx(43250.04688993525, rel=1e-15)
 
 
+@pytest.mark.parametrize("num", [1, 2000, 4096, 9973, 10000])
+def test_log2_ratios_equal_stable_log2(num, monkeypatch):
+    # the sieve table's brackets give stable_log2's doubles; a bracket whose
+    # ends round apart goes to stable_log2, and at k = num it straddles 0.0
+    fallbacks = []
+    monkeypatch.setattr(
+        stable, "stable_log2", lambda x: fallbacks.append(x) or stable_log2(x)
+    )
+    out = stable._log2_ratios(num)
+    assert out == [stable_log2(Fraction(num, k)) for k in range(1, num + 1)]
+    assert 1 in fallbacks
+    assert out[-1] == 0.0 and math.copysign(1.0, out[-1]) == 1.0
+
+
+def test_log2_table_lies_within_its_declared_error():
+    w, top = stable._WORK, 10**4
+    table = stable._log2_table(top, w)
+    assert len(table) == top + 1
+    with mpmath.workdps(60):
+        for k in range(1, top + 1):
+            a, err = table[k]
+            assert abs(a - mpmath.log(k, 2) * 2**w) <= err, k
+
+
 def test_ziv_precision_cap_raises_instead_of_spinning(monkeypatch):
     # Both need a second working precision: a log2 near 0, whose fixed-point
     # bracket is too coarse at first, and an entropy whose 1 - p term is tiny.
