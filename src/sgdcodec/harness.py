@@ -52,7 +52,7 @@ from .numerics import (
     _entropy,
     _kl,
     _realizable_q,
-    _realized_slack,
+    _realized_slacks,
 )
 from .sgd_engine import (
     EpochTrace,
@@ -504,40 +504,49 @@ class SuiteRow:
 
 def _sweep_entropy_upper(points: int) -> SuiteRow:
     # h(p) <= p*log2(e/p); worst positive excess should be numeric noise only.
-    worst = -1.0
+    worst = -math.inf
     for k, log2 in enumerate(_log2_ratios(points), 1):
         rhs = k / points * (log2 + LOG2_E)
         worst = max(worst, _entropy(k, points) - rhs)
     return SuiteRow("entropy-vs-plog2ep", points, 0, worst, 1e-9, worst <= 1e-9)
 
 
-def _sweep_split_entropy(side: int) -> SuiteRow:
-    worst = math.inf
-    cases = 0
+def _split_margins(side: int) -> list[float]:
     # p, gamma, q range over k/side for k = 1..side; only realizable q are
-    # evaluated, and for a, g >= 1 those already start at k >= 1
+    # evaluated, and for a, g >= 1 those start at k >= 1.  Those at gamma =
+    # 1/side hold those of every larger gamma: one D(p || q) row per p.
+    margins: list[float] = []
     ks = range(1, side + 1)
     for a in ks:
+        kls = {c: _kl(a, c, side) for c in _realizable_q(a, 1, side)}
         for g in ks:
-            for c in _realizable_q(a, g, side):
-                cases += 1
-                worst = min(worst, _realized_slack(a, g, c, side))
+            margins += _realized_slacks(a, g, side, _realizable_q(a, g, side), kls)
+    return margins
+
+
+def _sweep_split_entropy(side: int) -> SuiteRow:
+    margins = _split_margins(side)
+    worst, cases = min(margins, default=math.inf), len(margins)
     return SuiteRow(
         "split-entropy-drop", cases, side**3 - cases, worst, -1e-12, worst >= -1e-12
     )
 
 
-def _sweep_pinsker(side: int) -> SuiteRow:
-    worst = math.inf
-    cases = 0
+def _pinsker_margins(side: int) -> list[float]:
     # p, q range over k/side for k = 1..side; q = 1 is skipped (D(p || 1) is
-    # infinite for p != 1)
-    for a in range(1, side + 1):
-        for c in range(1, side):
-            margin = _kl(a, c, side) - 2.0 * ((a - c) ** 2 / side**2) / math.log(2)
-            worst = min(worst, margin)
-            cases += 1
-    return SuiteRow("pinsker-bernoulli", cases, 0, worst, -1e-12, worst >= -1e-12)
+    # infinite for p != 1).  The penalty depends on |a - c| alone.
+    penalty = [2.0 * (d * d / side**2) / math.log(2) for d in range(side)]
+    return [
+        _kl(a, c, side) - penalty[abs(a - c)]
+        for a in range(1, side + 1)
+        for c in range(1, side)
+    ]
+
+
+def _sweep_pinsker(side: int) -> SuiteRow:
+    margins = _pinsker_margins(side)
+    worst = min(margins, default=math.inf)
+    return SuiteRow("pinsker-bernoulli", len(margins), 0, worst, -1e-12, worst >= -1e-12)
 
 
 def _sweep_stirling(sizes: Sequence[int]) -> SuiteRow:
@@ -551,19 +560,24 @@ def _sweep_stirling(sizes: Sequence[int]) -> SuiteRow:
     return SuiteRow("stirling-log2-factorial", len(sizes), 0, worst, 0.1, worst <= 0.1)
 
 
-def _sweep_entropy_binomial(max_m: int) -> SuiteRow:
-    # m = 16 * 2**i, so k = num * m / 16 is exact and k / m is num / 16
+def _binomial_margins(max_m: int) -> list[float]:
+    # m = 16 * 2**i, so k = num * m / 16 is exact and k / m is num / 16;
+    # C(m, k) = C(m, m - k), so num and 16 - num share one width
     entropies = [stable_entropy(Fraction(num, 16)) for num in range(1, 16)]
-    worst = -math.inf
-    cases = 0
+    margins = []
     m = 16
     while m <= max_m:
-        for num, h in enumerate(entropies, 1):
-            lhs = ceil_log2(binomial(m, num * m // 16))
-            worst = max(worst, lhs - (m * h + 1))
-            cases += 1
+        half = [ceil_log2(binomial(m, num * m // 16)) for num in range(1, 9)]
+        widths = half + half[-2::-1]
+        margins += [lhs - (m * h + 1) for lhs, h in zip(widths, entropies)]
         m *= 2
-    return SuiteRow("binomial-vs-entropy", cases, 0, worst, 0.0, worst <= 0.0)
+    return margins
+
+
+def _sweep_entropy_binomial(max_m: int) -> SuiteRow:
+    margins = _binomial_margins(max_m)
+    worst = max(margins, default=-math.inf)
+    return SuiteRow("binomial-vs-entropy", len(margins), 0, worst, 0.0, worst <= 0.0)
 
 
 def _sweep_conditional_overhead(instances: int, seed: int) -> SuiteRow:
@@ -592,6 +606,9 @@ def run_inequality_suite(
     codec_instances: int = 200,
 ) -> list[SuiteRow]:
     """All inequality sweeps the accounting depends on, with verdict rows."""
+    for size in (entropy_points, split_side, pinsker_side, codec_instances):
+        if type(size) is not int:  # bools too, as HoeffdingCheck
+            raise DomainError(f"suite sizes must be ints, got {size!r}")
     return [
         _sweep_entropy_upper(entropy_points),
         _sweep_split_entropy(split_side),

@@ -522,7 +522,10 @@ def rounded_gradient(model: Model, batch: Sequence[Element]) -> tuple[int, ...]:
     """Mean batch gradient mantissas, rounded half to even and not clipped."""
     total, exp = _gradient_sum(model, batch)
     den = len(batch) << (exp - model.grid.scale)
-    return tuple(div_round_half_even(t, den) if t else 0 for t in total)
+    raws = [0] * len(total)
+    for i in compress(range(len(total)), total):
+        raws[i] = div_round_half_even(total[i], den)
+    return tuple(raws)
 
 
 def loss_gradient(model: Model, batch: Sequence[Element]) -> FixedVector:

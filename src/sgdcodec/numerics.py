@@ -15,7 +15,9 @@ correctly rounded ``int / int``, so a value gets the same bits whatever
 denominator it is written over.  The inequality sweeps call the kernels
 directly.  ``_realizable_q`` alone states when a two-block entropy split is
 realizable, for ``_split_slack`` and for the sweep that visits only those
-splits; both then call the unchecked ``_realized_slack``.
+splits; both then call the unchecked ``_realized_slacks``, which evaluates
+the slack for one (p, gamma) pair at each q it is given and reads
+D(p || q) from the caller's row, so the sweep computes that row once per p.
 """
 
 from __future__ import annotations
@@ -23,7 +25,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence, Union
+from itertools import compress
+from typing import Mapping, Sequence, Union
 
 Rational = Union[int, float, Fraction]
 
@@ -129,18 +132,19 @@ class FixedVector:
 
         Each product step_raw * g_raw is a numerator over 2**(2*scale), put
         back onto the grid by one round-half-even division by 2**scale; a zero
-        gradient coordinate leaves its weight as it is.  Coordinates outside
-        the clip range are clamped to it and set the saturation flag.
+        gradient coordinate leaves its weight as it is, so only the nonzero
+        ones are visited.  Coordinates outside the clip range are clamped to
+        it and set the saturation flag.
         """
         if gradient.grid != self.grid:
             raise DomainError("operands live on different grids")
         if len(gradient) != len(self):
             raise DomainError("dimension mismatch")
-        grid, unit = self.grid, self.grid.unit
-        raws = tuple(
-            w - div_round_half_even(step_raw * g, unit) if g else w
-            for w, g in zip(self.raws, gradient.raws)
-        )
+        grid, unit, g = self.grid, self.grid.unit, gradient.raws
+        moved = list(self.raws)
+        for i in compress(range(len(g)), g):
+            moved[i] -= div_round_half_even(step_raw * g[i], unit)
+        raws = tuple(moved)
         if grid.holds(raws):
             return FixedVector(raws, grid, self.saturated or gradient.saturated)
         lo, hi = grid.raw_min, grid.raw_max
@@ -205,19 +209,27 @@ def _split_slack(a: int, g: int, c: int, n: int) -> float:
             f"split not realizable: p*gamma={a * g}/{nn} vs q={c}/{n}, "
             f"(1-p)*gamma={(n - a) * g}/{nn} vs 1-q={n - c}/{n}"
         )
-    return _realized_slack(a, g, c, n)
+    # at g = 0 the slack is 0 whatever D(p || q) is, and that may be infinite
+    return _realized_slacks(a, g, n, (c,), {c: _kl(a, c, n)} if g else {})[0]
 
 
-def _realized_slack(a: int, g: int, c: int, n: int) -> float:
-    """_split_slack for a c that _realizable_q(a, g, n) yields, unchecked."""
+def _realized_slacks(
+    a: int, g: int, n: int, cs: Sequence[int], kls: Mapping[int, float]
+) -> list[float]:
+    """_split_slack(a, g, c, n) for each c in cs, unchecked: every c must be
+    one that _realizable_q(a, g, n) yields, and kls[c] must be _kl(a, c, n)."""
     if g == 0:
-        return 0.0
-    lhs = 0.0
-    if c > 0:
-        lhs += c / n * _entropy(a * g, c * n)
-    if c < n:
-        lhs += (n - c) / n * _entropy((n - a) * g, (n - c) * n)
-    return _entropy(g, n) - g / n * _kl(a, c, n) - lhs
+        return [0.0] * len(cs)
+    h, share, ag, bg = _entropy(g, n), g / n, a * g, (n - a) * g
+    out = []
+    for c in cs:
+        lhs = 0.0
+        if c > 0:
+            lhs += c / n * _entropy(ag, c * n)
+        if c < n:
+            lhs += (n - c) / n * _entropy(bg, (n - c) * n)
+        out.append(h - share * kls[c] - lhs)
+    return out
 
 
 def binary_entropy(p: Rational) -> float:

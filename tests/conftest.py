@@ -1,5 +1,6 @@
-"""Shared builders for handcrafted datasets, models, and epoch traces, and the
-exact hypergeometric law the Hoeffding verifier is checked against."""
+"""Shared builders for handcrafted datasets, models, and epoch traces; the
+exact hypergeometric law the Hoeffding verifier is checked against; and the
+per-case margins of three inequality sweeps, evaluated case by case."""
 
 from __future__ import annotations
 
@@ -7,6 +8,7 @@ import math
 import random
 from fractions import Fraction
 
+from sgdcodec.codec import binomial, ceil_log2
 from sgdcodec.model import (
     Dataset,
     Element,
@@ -14,8 +16,9 @@ from sgdcodec.model import (
     Model,
     correctness_mask,
 )
-from sgdcodec.numerics import FixedVector, GridSpec
+from sgdcodec.numerics import FixedVector, GridSpec, _entropy, _kl, _realizable_q
 from sgdcodec.sgd_engine import EpochTrace
+from sgdcodec.stable import stable_entropy
 
 
 def hypergeometric_pmf(population: int, ones: int, sample: int) -> list[Fraction]:
@@ -25,6 +28,51 @@ def hypergeometric_pmf(population: int, ones: int, sample: int) -> list[Fraction
         Fraction(math.comb(ones, c) * math.comb(population - ones, sample - c), total)
         for c in range(sample + 1)
     ]
+
+
+def split_slack_oracle(a: int, g: int, c: int, n: int) -> float:
+    """The two-block split slack at numerators a, g, c over n, from scratch."""
+    if g == 0:
+        return 0.0
+    lhs = 0.0
+    if c > 0:
+        lhs += c / n * _entropy(a * g, c * n)
+    if c < n:
+        lhs += (n - c) / n * _entropy((n - a) * g, (n - c) * n)
+    return _entropy(g, n) - g / n * _kl(a, c, n) - lhs
+
+
+def split_margins_oracle(side: int) -> list[float]:
+    """The split-entropy sweep's margins, one slack evaluated per case."""
+    margins = []
+    for a in range(1, side + 1):
+        for g in range(1, side + 1):
+            for c in _realizable_q(a, g, side):
+                margins.append(split_slack_oracle(a, g, c, side))
+    return margins
+
+
+def pinsker_margins_oracle(side: int) -> list[float]:
+    """The Pinsker sweep's margins, the penalty evaluated per case."""
+    margins = []
+    for a in range(1, side + 1):
+        for c in range(1, side):
+            margins.append(
+                _kl(a, c, side) - 2.0 * ((a - c) ** 2 / side**2) / math.log(2)
+            )
+    return margins
+
+
+def binomial_margins_oracle(max_m: int) -> list[float]:
+    """The binomial-vs-entropy sweep's margins, one binomial per case."""
+    entropies = [stable_entropy(Fraction(num, 16)) for num in range(1, 16)]
+    margins = []
+    m = 16
+    while m <= max_m:
+        for num, h in enumerate(entropies, 1):
+            margins.append(ceil_log2(binomial(m, num * m // 16)) - (m * h + 1))
+        m *= 2
+    return margins
 
 
 def mask_of(ids) -> int:

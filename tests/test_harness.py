@@ -291,6 +291,26 @@ def test_inequality_suite_rejects_sizes_that_leave_a_sweep_no_case(empty):
         run_inequality_suite(**{**sizes, **empty})
 
 
+@pytest.mark.parametrize("size", ["entropy_points", "split_side", "pinsker_side",
+                                  "codec_instances"])
+@pytest.mark.parametrize("value", [True, 2.5, 4.0, Fraction(4)],
+                         ids=["bool", "float", "integral-float", "fraction"])
+def test_inequality_suite_rejects_sizes_that_are_not_ints(size, value):
+    # entropy_points=True used to print a row with cases=True, and
+    # pinsker_side=2.5 to raise a bare TypeError from range
+    sizes = dict(entropy_points=8, split_side=4, pinsker_side=4, codec_instances=4)
+    with pytest.raises(DomainError, match="must be ints"):
+        run_inequality_suite(**{**sizes, size: value})
+
+
+def test_entropy_sweep_of_one_point_reports_its_only_margin():
+    # the sweep used to start from a worst of -1 and print it: the one case,
+    # p = 1, has margin h(1) - 1 * log2(e / 1) = -log2(e)
+    row = harness._sweep_entropy_upper(1)
+    assert (row.cases, row.worst, row.passed) == (1, -harness.LOG2_E, True)
+    assert "worst=-1.443e+00" in row.line()
+
+
 def test_cli_run_and_report(tmp_path, capsys):
     out = str(tmp_path / "exp")
     rc = main([
