@@ -31,7 +31,7 @@ def hypergeometric_pmf(population: int, ones: int, sample: int) -> list[Fraction
 
 
 def split_slack_oracle(a: int, g: int, c: int, n: int) -> float:
-    """The two-block split slack at numerators a, g, c over n, from scratch."""
+    """The two-block split slack at numerators a, g, c over n, spelled out."""
     if g == 0:
         return 0.0
     lhs = 0.0

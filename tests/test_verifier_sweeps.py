@@ -2,7 +2,7 @@
 
 Each sweep computes its loop invariants once: a penalty table keyed by
 |a - c|, one D(p || q) row per p, one binomial width per pair {k, m - k}.
-The oracles in ``conftest.py`` evaluate every case from scratch, and every
+The oracles in ``conftest.py`` evaluate every case on its own, and every
 per-case margin must agree to the bit (``float.hex``), not only the worst.
 """
 
