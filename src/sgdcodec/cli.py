@@ -332,38 +332,50 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 0 if all_ok else 1
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _add_dir_flag(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--dir", help="artifact directory")
+
+
+def _add_verify_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--suites", help=f"comma list: {','.join(VERIFY_SUITES)}")
+    p.add_argument("--trials", type=int, default=100_000)
+
+
+# name, help, the flags it takes, the function it runs
+_COMMANDS = (
+    ("run", "train, encode, account, write artifacts", _add_config_flags, cmd_run),
+    ("encode", "write manifest and epoch code files", _add_config_flags, cmd_encode),
+    ("decode", "decode epoch code files and verify", _add_dir_flag, cmd_decode),
+    ("report", "print run summaries", _add_dir_flag, cmd_report),
+    ("verify", "run statistical and inequality suites", _add_verify_flags, cmd_verify),
+)
+
+
+def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
+    """The sgdcodec parser with all five subcommands registered.
+
+    Only ``command``'s subparser gets its flags; with no command, or one
+    that names none of them, every subparser does.  A subcommand's flags
+    show only in its own help and usage messages, so the lean parser parses
+    and prints what the full one does.
+    """
     parser = argparse.ArgumentParser(
         prog="sgdcodec",
         description="Deterministic SGD with exact permutation compression.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_run = sub.add_parser("run", help="train, encode, account, write artifacts")
-    _add_config_flags(p_run)
-    p_run.set_defaults(func=cmd_run)
-
-    p_enc = sub.add_parser("encode", help="write manifest and epoch code files")
-    _add_config_flags(p_enc)
-    p_enc.set_defaults(func=cmd_encode)
-
-    p_dec = sub.add_parser("decode", help="decode epoch code files and verify")
-    p_dec.add_argument("--dir", help="artifact directory")
-    p_dec.set_defaults(func=cmd_decode)
-
-    p_rep = sub.add_parser("report", help="print run summaries")
-    p_rep.add_argument("--dir", help="artifact directory")
-    p_rep.set_defaults(func=cmd_report)
-
-    p_ver = sub.add_parser("verify", help="run statistical and inequality suites")
-    p_ver.add_argument("--suites", help=f"comma list: {','.join(VERIFY_SUITES)}")
-    p_ver.add_argument("--trials", type=int, default=100_000)
-    p_ver.set_defaults(func=cmd_verify)
+    known = command in {name for name, *_ in _COMMANDS}
+    for name, help_text, add_flags, func in _COMMANDS:
+        p = sub.add_parser(name, help=help_text)
+        if not known or name == command:
+            add_flags(p)
+        p.set_defaults(func=func)
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    parser = build_parser(argv[0] if argv else None)
     args = parser.parse_args(argv)
     try:
         return args.func(args)

@@ -580,6 +580,21 @@ def _sweep_entropy_binomial(max_m: int) -> SuiteRow:
     return SuiteRow("binomial-vs-entropy", len(margins), 0, worst, 0.0, worst <= 0.0)
 
 
+_TOP_BIT_DIGITS = bytes(b"01"[b >> 7] for b in range(256))
+
+
+def _random_mask(rng: random.Random, m: int) -> int:
+    """``sum(rng.getrandbits(1) << e for e in range(m))``, read in bulk; m >= 1.
+
+    ``getrandbits(1)`` is the top bit of the next 32-bit Mersenne Twister
+    word, and ``randbytes(4 * m)`` is the next m words, little-endian: bit e
+    is the top bit of byte 4e + 3, and the generator ends where m
+    ``getrandbits(1)`` calls would leave it.
+    """
+    digits = rng.randbytes(4 * m)[3::4].translate(_TOP_BIT_DIGITS)
+    return int(digits[::-1], 2)
+
+
 def _sweep_conditional_overhead(instances: int, seed: int) -> SuiteRow:
     # Conditional payload never exceeds the unconditional subset code by more
     # than its two size headers.
@@ -589,7 +604,7 @@ def _sweep_conditional_overhead(instances: int, seed: int) -> SuiteRow:
         m = rng.randrange(4, 200)
         k = rng.randrange(1, m + 1)
         pool = (1 << m) - 1
-        ones = sum(rng.getrandbits(1) << e for e in range(m))
+        ones = _random_mask(rng, m)
         picked = subset_unrank(rng.randrange(binomial(m, k)), pool, k)
         info = encode_set_conditional(BitStream(), picked, pool, ones)
         overhead = info.total_bits - ceil_log2(binomial(m, k)) - 2 * info.size_header_bits

@@ -189,7 +189,7 @@ class Dataset:
         for i, el in enumerate(self.elements):
             if el.eid != i:
                 raise DomainError("element ids must be exactly 0..n-1 in order")
-            if el.features.grid != self.grid:
+            if el.features.grid is not self.grid and el.features.grid != self.grid:
                 raise DomainError("element features live on another grid")
             if len(el.features) != dim:
                 raise DomainError(f"element {i} has {len(el.features)} features, not {dim}")
@@ -278,22 +278,42 @@ class Dataset:
         return cls(tuple(elements), grid)
 
 
-def _box_raw(rng: random.Random, half_width_raw: int) -> int:
-    return rng.randrange(-half_width_raw, half_width_raw + 1)
+def _uniform_below(getrandbits, n: int, count: int) -> list[int]:
+    """count uniform draws from range(n), n >= 1, on a ``Random.getrandbits``.
+
+    Each draw takes k = n.bit_length() bits and draws again while the value
+    is >= n.  That is the algorithm behind CPython's ``randrange``
+    (3.10-3.13), so the draws and the generator's final state are those of
+    count ``randrange(n)`` calls, but they depend on ``getrandbits`` alone.
+    """
+    k = n.bit_length()
+    out = []
+    for _ in range(count):
+        r = getrandbits(k)
+        while r >= n:
+            r = getrandbits(k)
+        out.append(r)
+    return out
 
 
-def _approx_gauss_raw(rng: random.Random, sigma_raw: int) -> int:
-    # Sum of 12 uniform integers: mean 6*(M-1)/... centered, std ~ M.  Integer
-    # arithmetic only so generation is bit-identical on every platform.
+def _box_raw(getrandbits, half_width_raw: int, count: int) -> list[int]:
+    """count uniform integers from [-half_width_raw, half_width_raw]."""
+    draws = _uniform_below(getrandbits, 2 * half_width_raw + 1, count)
+    return [r - half_width_raw for r in draws]
+
+
+def _approx_gauss_raw(getrandbits, sigma_raw: int) -> int:
+    # Sum of 12 uniform integers from [0, M): mean 6(M-1), variance M**2 - 1,
+    # so std ~ M; centered and scaled by sigma_raw / M.  Integer arithmetic
+    # only, so generation is bit-identical on every platform.
     m = 1 << 20
-    s = sum(rng.randrange(m) for _ in range(12))
-    centered = s - 6 * (m - 1)
-    return round_half_even(Fraction(centered * sigma_raw, m))
+    centered = sum(_uniform_below(getrandbits, m, 12)) - 6 * (m - 1)
+    return div_round_half_even(centered * sigma_raw, m)
 
 
 def generate_dataset(spec: GeneratorSpec, grid: GridSpec) -> Dataset:
     """Deterministic synthetic dataset for the given spec; same seed, same bytes."""
-    rng = random.Random(spec.seed)
+    getrandbits = random.Random(spec.seed).getrandbits
     unit = grid.unit
     half = spec.feature_scale * unit
     if half > grid.raw_max:
@@ -303,12 +323,12 @@ def generate_dataset(spec: GeneratorSpec, grid: GridSpec) -> Dataset:
     if spec.family == "separable-margin":
         normal = [0] * spec.dim
         while all(v == 0 for v in normal):
-            normal = [rng.randrange(-unit, unit + 1) for _ in range(spec.dim)]
+            normal = _box_raw(getrandbits, unit, spec.dim)
         norm = math.sqrt(sum(v * v for v in normal))
         # Normalized margin threshold compared on raw products: |w.x| >= margin*|w|.
         for eid in range(spec.n):
             for _ in range(10000):
-                raws = [_box_raw(rng, half) for _ in range(spec.dim)]
+                raws = _box_raw(getrandbits, half, spec.dim)
                 dot = sum(w * x for w, x in zip(normal, raws))
                 if abs(dot) >= float(spec.margin) * norm * unit:
                     break
@@ -322,19 +342,19 @@ def generate_dataset(spec: GeneratorSpec, grid: GridSpec) -> Dataset:
         center_raw = round_half_even(Fraction(spec.center_dist, 2) * unit)
         sigma_raw = round_half_even(spec.sigma * unit)
         for eid in range(spec.n):
-            label = rng.getrandbits(1)
+            label = getrandbits(1)
             sign = 1 if label else -1
             raws = []
             for c in range(spec.dim):
                 base = sign * center_raw if c == 0 else 0
-                raw, _ = grid.clamp_raw(base + _approx_gauss_raw(rng, sigma_raw))
+                raw, _ = grid.clamp_raw(base + _approx_gauss_raw(getrandbits, sigma_raw))
                 raws.append(raw)
             elements.append(Element(eid, FixedVector(tuple(raws), grid), label))
 
     elif spec.family == "random-labels":
         for eid in range(spec.n):
-            raws = tuple(_box_raw(rng, half) for _ in range(spec.dim))
-            elements.append(Element(eid, FixedVector(raws, grid), rng.getrandbits(1)))
+            raws = tuple(_box_raw(getrandbits, half, spec.dim))
+            elements.append(Element(eid, FixedVector(raws, grid), getrandbits(1)))
 
     elif spec.family == "one-hot":
         on, zeros = (spec.feature_scale * unit,), (0,) * spec.dim

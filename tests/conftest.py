@@ -1,6 +1,7 @@
 """Shared builders for handcrafted datasets, models, and epoch traces; the
-exact hypergeometric law the Hoeffding verifier is checked against; and the
-per-case margins of three inequality sweeps, evaluated case by case."""
+exact hypergeometric law the Hoeffding verifier is checked against; the
+per-case margins of three inequality sweeps, evaluated case by case; and the
+dataset generator spelled out on stdlib ``randrange`` and ``Fraction``."""
 
 from __future__ import annotations
 
@@ -16,7 +17,15 @@ from sgdcodec.model import (
     Model,
     correctness_mask,
 )
-from sgdcodec.numerics import FixedVector, GridSpec, _entropy, _kl, _realizable_q
+from sgdcodec.numerics import (
+    DomainError,
+    FixedVector,
+    GridSpec,
+    _entropy,
+    _kl,
+    _realizable_q,
+    round_half_even,
+)
 from sgdcodec.sgd_engine import EpochTrace
 from sgdcodec.stable import stable_entropy
 
@@ -73,6 +82,64 @@ def binomial_margins_oracle(max_m: int) -> list[float]:
             margins.append(ceil_log2(binomial(m, num * m // 16)) - (m * h + 1))
         m *= 2
     return margins
+
+
+def generate_dataset_oracle(spec: GeneratorSpec, grid: GridSpec) -> Dataset:
+    """``model.generate_dataset`` on ``random.Random.randrange`` and a
+    ``Fraction`` per gaussian coordinate, the element list drawn draw by draw."""
+    rng = random.Random(spec.seed)
+    unit = grid.unit
+    half = spec.feature_scale * unit
+    if half > grid.raw_max:
+        raise DomainError("feature_scale exceeds the grid clip range")
+
+    def box_raw(half_width_raw: int) -> int:
+        return rng.randrange(-half_width_raw, half_width_raw + 1)
+
+    def gauss_raw(sigma_raw: int) -> int:
+        m = 1 << 20
+        centered = sum(rng.randrange(m) for _ in range(12)) - 6 * (m - 1)
+        return round_half_even(Fraction(centered * sigma_raw, m))
+
+    elements: list[Element] = []
+    if spec.family == "separable-margin":
+        normal = [0] * spec.dim
+        while all(v == 0 for v in normal):
+            normal = [rng.randrange(-unit, unit + 1) for _ in range(spec.dim)]
+        norm = math.sqrt(sum(v * v for v in normal))
+        for eid in range(spec.n):
+            for _ in range(10000):
+                raws = [box_raw(half) for _ in range(spec.dim)]
+                dot = sum(w * x for w, x in zip(normal, raws))
+                if abs(dot) >= float(spec.margin) * norm * unit:
+                    break
+            else:
+                raise DomainError("margin too large for the feature box")
+            elements.append(
+                Element(eid, FixedVector(tuple(raws), grid), 1 if dot > 0 else 0)
+            )
+    elif spec.family == "two-gaussians":
+        center_raw = round_half_even(Fraction(spec.center_dist, 2) * unit)
+        sigma_raw = round_half_even(spec.sigma * unit)
+        for eid in range(spec.n):
+            label = rng.getrandbits(1)
+            sign = 1 if label else -1
+            raws = []
+            for c in range(spec.dim):
+                base = sign * center_raw if c == 0 else 0
+                raw, _ = grid.clamp_raw(base + gauss_raw(sigma_raw))
+                raws.append(raw)
+            elements.append(Element(eid, FixedVector(tuple(raws), grid), label))
+    elif spec.family == "random-labels":
+        for eid in range(spec.n):
+            raws = tuple(box_raw(half) for _ in range(spec.dim))
+            elements.append(Element(eid, FixedVector(raws, grid), rng.getrandbits(1)))
+    elif spec.family == "one-hot":
+        for eid in range(spec.n):
+            raws = [0] * spec.dim
+            raws[eid] = spec.feature_scale * unit
+            elements.append(Element(eid, FixedVector(tuple(raws), grid), 1))
+    return Dataset(tuple(elements), grid, spec)
 
 
 def mask_of(ids) -> int:

@@ -470,6 +470,31 @@ def test_cli_verify_rejects_unknown_suites(suites, capsys):
     assert captured.err.startswith("error: unknown suite(s)")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["--help"], *([c, "--help"] for c in ("run", "encode", "decode", "report", "verify")),
+     [], ["bogus"],
+     ["run", "--g-bound", "5"], ["decode", "--x"], ["--dir", "x", "decode"]],
+)
+def test_cli_prints_what_the_parser_with_every_flag_prints(argv, capsys):
+    # main builds flags for the invoked subcommand only; no output may show it
+    def outcome(parse):
+        with pytest.raises(SystemExit) as exc:
+            parse(argv)
+        return exc.value.code, capsys.readouterr()
+
+    assert outcome(main) == outcome(cli.build_parser().parse_args)
+
+
+def test_cli_parser_gives_flags_to_the_invoked_command_only():
+    assert cli.build_parser("decode").parse_args(["decode", "--dir", "d"]).dir == "d"
+    assert cli.build_parser("run").parse_args(["run", "--n", "3"]).n == 3
+    with pytest.raises(SystemExit):
+        cli.build_parser("decode").parse_args(["run", "--n", "3"])
+    for command in (None, "bogus"):
+        assert cli.build_parser(command).parse_args(["run", "--n", "3"]).n == 3
+
+
 def test_cli_config_file_merge(tmp_path, capsys):
     cfg = tmp_path / "demo.cfg"
     cfg.write_text(

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -10,10 +11,11 @@ import mpmath
 import pytest
 from hypothesis import given, settings
 
-from conftest import manual_dataset, one_hot_dataset
+from conftest import generate_dataset_oracle, manual_dataset, one_hot_dataset
 from sgdcodec.model import (
     Dataset,
     Element,
+    FAMILIES,
     GeneratorSpec,
     KNOT_BITS,
     Model,
@@ -75,6 +77,32 @@ def test_generator_is_deterministic():
     assert a.to_text() == b.to_text()
     c = generate_dataset(GeneratorSpec(family="two-gaussians", n=24, dim=3, seed=10), GRID)
     assert a.to_text() != c.to_text()
+
+
+# Every family over seeds, dims, feature scales and grids; two-gaussians also
+# over a sigma (3 on the clip-4 grid) that clamps coordinates.
+_ORACLE_SPECS = [
+    (GeneratorSpec(family, 20, 20 if family == "one-hot" else dim, seed,
+                   sigma=sigma, feature_scale=scale), grid)
+    for family in FAMILIES
+    for sigma in (Fraction(1, 2), Fraction(3))[: 2 if family == "two-gaussians" else 1]
+    for seed, dim, scale, grid in itertools.product(
+        (0, 3, 1234567),
+        (1, 3),
+        (1, 3),
+        (GridSpec(scale=6, clip=4), GridSpec(scale=0, clip=8), GridSpec()),
+    )
+    if scale * grid.unit <= grid.raw_max
+]
+
+
+@pytest.mark.parametrize("spec, grid", _ORACLE_SPECS)
+def test_generator_matches_the_randrange_oracle(spec, grid):
+    got = generate_dataset(spec, grid)
+    want = generate_dataset_oracle(spec, grid)
+    assert got.n == want.n == spec.n
+    for a, b in zip(got.elements, want.elements):
+        assert (a.eid, a.label, a.features) == (b.eid, b.label, b.features)
 
 
 def test_generator_rejects_unknown_family():

@@ -4,9 +4,13 @@ Each sweep computes its loop invariants once: a penalty table keyed by
 |a - c|, one D(p || q) row per p, one binomial width per pair {k, m - k}.
 The oracles in ``conftest.py`` evaluate every case on its own, and every
 per-case margin must agree to the bit (``float.hex``), not only the worst.
+The conditional-codec sweep reads its random masks in bulk; they must equal
+the bit-by-bit masks and leave the generator in the same state.
 """
 
 from __future__ import annotations
+
+import random
 
 import pytest
 
@@ -18,6 +22,7 @@ from conftest import (
 )
 from sgdcodec.harness import (
     _binomial_margins,
+    _random_mask,
     _pinsker_margins,
     _split_margins,
     _sweep_entropy_binomial,
@@ -70,3 +75,13 @@ def test_split_slack_matches_the_oracle_on_every_numerator_triple():
                 else:
                     with pytest.raises(PreconditionError):
                         _split_slack(a, g, c, n)
+
+
+@pytest.mark.parametrize("m", [4, 5, 31, 199])
+@pytest.mark.parametrize("seed", [0, 7, 2024, 987654321])
+def test_bulk_mask_matches_the_bit_by_bit_mask(m, seed):
+    bulk, bitwise = random.Random(seed), random.Random(seed)
+    for _ in range(3):
+        mask = _random_mask(bulk, m)
+        assert mask == sum(bitwise.getrandbits(1) << e for e in range(m))
+        assert bulk.getstate() == bitwise.getstate()
