@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import compress
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from .numerics import (
     DomainError,
@@ -278,7 +278,7 @@ class Dataset:
         return cls(tuple(elements), grid)
 
 
-def _uniform_below(getrandbits, n: int, count: int) -> list[int]:
+def _uniform_below(getrandbits: Callable[[int], int], n: int, count: int) -> list[int]:
     """count uniform draws from range(n), n >= 1, on a ``Random.getrandbits``.
 
     Each draw takes k = n.bit_length() bits and draws again while the value
@@ -296,13 +296,15 @@ def _uniform_below(getrandbits, n: int, count: int) -> list[int]:
     return out
 
 
-def _box_raw(getrandbits, half_width_raw: int, count: int) -> list[int]:
+def _box_raw(
+    getrandbits: Callable[[int], int], half_width_raw: int, count: int
+) -> list[int]:
     """count uniform integers from [-half_width_raw, half_width_raw]."""
     draws = _uniform_below(getrandbits, 2 * half_width_raw + 1, count)
     return [r - half_width_raw for r in draws]
 
 
-def _approx_gauss_raw(getrandbits, sigma_raw: int) -> int:
+def _approx_gauss_raw(getrandbits: Callable[[int], int], sigma_raw: int) -> int:
     # Sum of 12 uniform integers from [0, M): mean 6(M-1), variance M**2 - 1,
     # so std ~ M; centered and scaled by sigma_raw / M.  Integer arithmetic
     # only, so generation is bit-identical on every platform.
