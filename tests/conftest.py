@@ -85,8 +85,9 @@ def binomial_margins_oracle(max_m: int) -> list[float]:
 
 
 def generate_dataset_oracle(spec: GeneratorSpec, grid: GridSpec) -> Dataset:
-    """``model.generate_dataset`` on ``random.Random.randrange`` and a
-    ``Fraction`` per gaussian coordinate, the element list drawn draw by draw."""
+    """``model.generate_dataset`` spelled out on ``random.Random.randrange``,
+    with one ``Fraction`` rounding per gaussian coordinate: the reference its
+    ``getrandbits`` sampler must match draw for draw."""
     rng = random.Random(spec.seed)
     unit = grid.unit
     half = spec.feature_scale * unit

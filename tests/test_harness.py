@@ -472,9 +472,15 @@ def test_cli_verify_rejects_unknown_suites(suites, capsys):
 
 @pytest.mark.parametrize(
     "argv",
-    [["--help"], *([c, "--help"] for c in ("run", "encode", "decode", "report", "verify")),
-     [], ["bogus"],
-     ["run", "--g-bound", "5"], ["decode", "--x"], ["--dir", "x", "decode"]],
+    [
+        ["--help"],
+        *([c, "--help"] for c in ("run", "encode", "decode", "report", "verify")),
+        [],
+        ["bogus"],
+        ["run", "--g-bound", "5"],
+        ["decode", "--x"],
+        ["--dir", "x", "decode"],
+    ],
 )
 def test_cli_prints_what_the_parser_with_every_flag_prints(argv, capsys):
     # main builds flags for the invoked subcommand only; no output may show it
