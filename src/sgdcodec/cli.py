@@ -112,11 +112,10 @@ def build_spec(values: dict[str, str]) -> ExperimentSpec:
         feature_scale=int(values["feature_scale"]),
     )
     grid = GridSpec(int(values["scale"]), int(values["clip"]))
-    step_raw = int(values["step_raw"]) if values["step_raw"] else grid.unit // 4
     config = RunConfig(
         generator=generator,
         batch_size=int(values["batch_size"]),
-        step_raw=step_raw,
+        step_raw=int(values["step_raw"]),
         eps=Fraction(values["eps"]),
         progress_coeff=Fraction(values["progress_coeff"]),
         seed=int(values["seed"]),

@@ -24,10 +24,9 @@ import itertools
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
-from .numerics import DomainError, binary_entropy
+from .numerics import DomainError
 
 
 class CodecError(ValueError):
@@ -342,29 +341,3 @@ def decode_set_conditional(
     r0 = stream.read_uint(ceil_log2(binomial(m0, n0)))
     return subset_unrank(r1, pool1, n1) | subset_unrank(r0, pool0, n0)
 
-
-def theoretical_set_bound(
-    m: int,
-    pick_fraction: Fraction,
-    pool_rate: Fraction,
-    picked_rate: Fraction,
-) -> float:
-    """Width bound m*h(gamma) - 2*gamma*m*(pool_rate - picked_rate)^2 in bits.
-
-    ``pick_fraction`` is |A|/|B|, ``pool_rate`` the classifier's positive rate
-    on B, ``picked_rate`` its positive rate on A.  Requires the split to be
-    realizable: picked_rate*gamma <= pool_rate and
-    (1-picked_rate)*gamma <= 1-pool_rate.
-    """
-    g = Fraction(pick_fraction)
-    q = Fraction(pool_rate)
-    p = Fraction(picked_rate)
-    if m < 0:
-        raise DomainError("m must be nonnegative")
-    for v, name in ((g, "pick_fraction"), (q, "pool_rate"), (p, "picked_rate")):
-        if v < 0 or v > 1:
-            raise DomainError(f"{name}={v} outside [0, 1]")
-    if p * g > q or (1 - p) * g > 1 - q:
-        raise DomainError("split not realizable for these rates")
-    gap = q - p
-    return m * binary_entropy(g) - 2.0 * float(g) * m * float(gap) * float(gap)

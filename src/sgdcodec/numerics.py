@@ -7,16 +7,17 @@ denominator known in advance (a power of two, times the batch size for a
 mean), and a result goes back onto the grid through one
 ``div_round_half_even``, so every platform produces bit-identical mantissas.
 The entropy and divergence functions all use log base 2; code lengths
-elsewhere in the package are therefore in bits throughout.  They evaluate
-over integer numerators: the public ones put their arguments over one
-common denominator once and call private kernels (``_entropy``, ``_kl``,
+elsewhere in the package are therefore in bits throughout.  They are
+private kernels over integer numerators (``_entropy``, ``_kl``,
 ``_split_slack``) that compare integers and form each float by one
 correctly rounded ``int / int``, so a value gets the same bits whatever
-denominator it is written over.  The inequality sweeps call the kernels
-directly.  ``_realizable_q`` alone states when a two-block entropy split is
-realizable, for ``_split_slack`` and for the sweep that visits only those
-splits; both then call the unchecked ``_realized_slacks``, which evaluates
-the slack for one (p, gamma) pair at each q it is given and reads
+denominator it is written over.  The inequality sweeps call them directly.
+The one public wrapper, ``verify_split_entropy``, puts its arguments over
+one common denominator first; it stays because the benchmark's tracer
+hooks it by name.  ``_realizable_q`` alone states when a two-block entropy
+split is realizable, for ``_split_slack`` and for the sweep that visits
+only those splits; both then call the unchecked ``_realized_slacks``, which
+evaluates the slack for one (p, gamma) pair at each q it is given and reads
 D(p || q) from the caller's row, so the sweep computes that row once per p.
 """
 
@@ -123,10 +124,6 @@ class FixedVector:
     def __len__(self) -> int:
         return len(self.raws)
 
-    @property
-    def values(self) -> tuple[Fraction, ...]:
-        return tuple(Fraction(r, self.grid.unit) for r in self.raws)
-
     def gd_update(self, step_raw: int, gradient: "FixedVector") -> "FixedVector":
         """One descent update: self - step * gradient, step = step_raw * 2**-scale.
 
@@ -230,25 +227,6 @@ def _realized_slacks(
             lhs += (n - c) / n * _entropy(bg, (n - c) * n)
         out.append(h - share * kls[c] - lhs)
     return out
-
-
-def binary_entropy(p: Rational) -> float:
-    """Entropy of a Bernoulli(p) in bits; h(0) = h(1) = 0 by convention."""
-    pf = Fraction(p)
-    if pf < 0 or pf > 1:
-        raise DomainError(f"probability {p} outside [0, 1]")
-    return _entropy(pf.numerator, pf.denominator)
-
-
-def kl_bernoulli(p: Rational, q: Rational) -> float:
-    """KL divergence between Bernoulli(p) and Bernoulli(q), in bits."""
-    (a, c), n = _numerators(p, q)
-    for v in (a, c):
-        if v < 0 or v > n:
-            raise DomainError(f"probability {Fraction(v, n)} outside [0, 1]")
-    if a != c and (c == 0 or c == n):
-        raise DomainError("divergence is infinite for q on the boundary with p != q")
-    return _kl(a, c, n)
 
 
 def verify_split_entropy(p: Rational, gamma: Rational, q: Rational) -> float:

@@ -205,18 +205,22 @@ class RunConfig:
         )
 
 
-def step_smoothness(
-    step_raw: int, grid: GridSpec, elements: Iterable[Element]
-) -> Fraction:
-    """step * L for the logistic-linear loss over these elements.
+def _step_l(step_raw: int, grid: GridSpec, sq_norm: Fraction) -> Fraction:
+    """step * L for the logistic-linear loss where max|x|^2 = sq_norm.
 
     The loss is max|x|^2 * S smooth, where S bounds the slope of the sigmoid
     that training actually uses: the table's largest knot-to-knot slope at
     the grid scale, which exceeds the exact sigmoid's 1/4 below scale 8.
     """
     slope = sigmoid_table_max_slope(grid.scale)
-    l_bound = 4 * analytic_logistic_smoothness(elements) * slope
-    return Fraction(step_raw, grid.unit) * l_bound
+    return Fraction(step_raw, grid.unit) * sq_norm * slope
+
+
+def step_smoothness(
+    step_raw: int, grid: GridSpec, elements: Iterable[Element]
+) -> Fraction:
+    """step * L for the logistic-linear loss over these elements."""
+    return _step_l(step_raw, grid, 4 * analytic_logistic_smoothness(elements))
 
 
 def check_step_smoothness(config: RunConfig, dataset: Dataset) -> Fraction:
@@ -369,11 +373,9 @@ def run_epoch(
 class TrainingRun:
     config: RunConfig
     dataset: Dataset
-    initial_model: Model
     traces: list[EpochTrace]
     final_model: Model
     terminated: bool
-    step_smoothness: Fraction
 
     @property
     def completed_traces(self) -> list[EpochTrace]:
@@ -395,9 +397,8 @@ def run_training(config: RunConfig, dataset: Optional[Dataset] = None) -> Traini
         from .model import generate_dataset
 
         dataset = generate_dataset(config.generator, config.grid)
-    product = check_step_smoothness(config, dataset)
+    check_step_smoothness(config, dataset)
     model = zero_model(config.model_kind, dataset.dim, config.grid, config.hidden_width)
-    initial = model
     traces: list[EpochTrace] = []
     terminated = False
     for epoch in range(1, config.max_epochs + 1):
@@ -408,7 +409,7 @@ def run_training(config: RunConfig, dataset: Optional[Dataset] = None) -> Traini
             break
         if trace.saturated:
             break
-    return TrainingRun(config, dataset, initial, traces, model, terminated, product)
+    return TrainingRun(config, dataset, traces, model, terminated)
 
 
 def _ball_offsets(d: int, r2: int) -> Iterator[tuple[int, ...]]:
@@ -451,12 +452,13 @@ def reverse_step(
         raise PreconditionError(f"no smoothness bound for {model_template.kind}")
     grid = target.grid
     step_raw = config.step_raw
-    q = step_smoothness(step_raw, grid, batch)
+    sq_norm = 4 * analytic_logistic_smoothness(batch)
+    q = _step_l(step_raw, grid, sq_norm)
     if q >= 1:
         raise PreconditionError(f"step*smoothness = {q} >= 1 on this batch")
     # squared radii in raw units: rho, and q**k * step * max|x| at k = 0
     rho2 = (Fraction(step_raw, grid.unit) + 1) ** 2 * len(target) / (1 - q) ** 2
-    reach2 = 4 * step_raw**2 * analytic_logistic_smoothness(batch)
+    reach2 = step_raw**2 * sq_norm
     base = target.raws
     w = base
     while True:

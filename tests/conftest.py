@@ -1,7 +1,8 @@
 """Shared builders for handcrafted datasets, models, and epoch traces; the
 exact hypergeometric law the Hoeffding verifier is checked against; the
-per-case margins of three inequality sweeps, evaluated case by case; and the
-dataset generator spelled out on stdlib ``randrange`` and ``Fraction``."""
+per-case margins of three inequality sweeps, evaluated case by case; the
+closed-form width bound of the conditional set codec; and the dataset
+generator spelled out on stdlib ``randrange`` and ``Fraction``."""
 
 from __future__ import annotations
 
@@ -82,6 +83,34 @@ def binomial_margins_oracle(max_m: int) -> list[float]:
             margins.append(ceil_log2(binomial(m, num * m // 16)) - (m * h + 1))
         m *= 2
     return margins
+
+
+def theoretical_set_bound(
+    m: int,
+    pick_fraction: Fraction,
+    pool_rate: Fraction,
+    picked_rate: Fraction,
+) -> float:
+    """Width bound m*h(gamma) - 2*gamma*m*(pool_rate - picked_rate)^2 in bits.
+
+    ``pick_fraction`` is |A|/|B|, ``pool_rate`` the classifier's positive rate
+    on B, ``picked_rate`` its positive rate on A.  Requires the split to be
+    realizable: picked_rate*gamma <= pool_rate and
+    (1-picked_rate)*gamma <= 1-pool_rate.
+    """
+    g = Fraction(pick_fraction)
+    q = Fraction(pool_rate)
+    p = Fraction(picked_rate)
+    if m < 0:
+        raise DomainError("m must be nonnegative")
+    for v, name in ((g, "pick_fraction"), (q, "pool_rate"), (p, "picked_rate")):
+        if v < 0 or v > 1:
+            raise DomainError(f"{name}={v} outside [0, 1]")
+    if p * g > q or (1 - p) * g > 1 - q:
+        raise DomainError("split not realizable for these rates")
+    gap = q - p
+    h = _entropy(g.numerator, g.denominator)
+    return m * h - 2.0 * float(g) * m * float(gap) * float(gap)
 
 
 def generate_dataset_oracle(spec: GeneratorSpec, grid: GridSpec) -> Dataset:

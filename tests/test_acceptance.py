@@ -16,13 +16,12 @@ import random
 import time
 from fractions import Fraction
 
-from conftest import band_dataset, mask_of, split_trace
+from conftest import band_dataset, mask_of, split_trace, theoretical_set_bound
 from sgdcodec.codec import (
     BitStream,
     binomial,
     ceil_log2,
     encode_set_conditional,
-    theoretical_set_bound,
 )
 from sgdcodec.epoch_codec import (
     ACCOUNTING,
@@ -121,7 +120,7 @@ def test_criterion_02_strict_chain_from_final_weights_alone(capsys):
         assert dec.order == tr.order
         assert [w.raws for w in dec.checkpoints] == [w.raws for w in tr.checkpoints]
         current = dec.checkpoints[0]
-    assert current.raws == run.initial_model.weights.raws
+    assert current.raws == zero_model("logistic-linear", gen.dim, GRID6).weights.raws
     assert time.monotonic() - t0 < 600.0
     announce(capsys, 2)
 

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from conftest import mask_of
+from conftest import mask_of, theoretical_set_bound
 from sgdcodec.codec import (
     BitStream,
     CodecError,
@@ -26,7 +26,6 @@ from sgdcodec.codec import (
     perm_unrank,
     subset_rank,
     subset_unrank,
-    theoretical_set_bound,
 )
 from sgdcodec.epoch_codec import ACCOUNTING, BACKWARD, SideInfo, decode_epoch, encode_epoch
 from sgdcodec.model import GeneratorSpec

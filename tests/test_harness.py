@@ -530,6 +530,15 @@ def test_cli_rejects_unknown_config_key(tmp_path, capsys):
     assert "unknown key" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key", ["step_raw", "batch_size", "eps"])
+def test_cli_rejects_an_empty_config_value(tmp_path, capsys, key):
+    # an empty step_raw once fell back to grid.unit // 4 and trained
+    cfg = tmp_path / "empty.cfg"
+    cfg.write_text(f"{key} =\n")
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_rejects_the_retired_search_knobs(tmp_path, capsys):
     cfg = tmp_path / "old.cfg"
     cfg.write_text("ball_cap = 5000000\n")

@@ -125,6 +125,11 @@ def test_one_hot_requires_square_dim():
         GeneratorSpec(family="one-hot", n=12, dim=4, seed=0)
 
 
+def values(vec: FixedVector) -> tuple[Fraction, ...]:
+    """The vector's coordinates as exact rationals."""
+    return tuple(Fraction(r, vec.grid.unit) for r in vec.raws)
+
+
 def perceptron_separates(ds: Dataset, iters: int = 2000) -> bool:
     """Independent separability oracle: exact-rational perceptron."""
     w = [Fraction(0)] * ds.dim
@@ -132,11 +137,11 @@ def perceptron_separates(ds: Dataset, iters: int = 2000) -> bool:
     for _ in range(iters):
         clean = True
         for el in ds.elements:
-            dot = sum(wi * xv for wi, xv in zip(w, el.features.values)) + bias
+            dot = sum(wi * xv for wi, xv in zip(w, values(el.features))) + bias
             pred = 1 if dot > 0 else 0
             if pred != el.label:
                 sign = 1 if el.label == 1 else -1
-                w = [wi + sign * xv for wi, xv in zip(w, el.features.values)]
+                w = [wi + sign * xv for wi, xv in zip(w, values(el.features))]
                 bias += sign
                 clean = False
         if clean:
@@ -311,7 +316,7 @@ def test_zero_model_gradient_formula():
     grad = gradient_exact(model, batch)
     for c in range(3):
         expect = sum(
-            (Fraction(1, 2) - el.label) * el.features.values[c] for el in batch
+            (Fraction(1, 2) - el.label) * values(el.features)[c] for el in batch
         ) / len(batch)
         assert grad[c] == expect
 
@@ -324,10 +329,10 @@ def test_gradient_matches_independent_recompute():
     grad = gradient_exact(model, batch)
     total = [Fraction(0), Fraction(0)]
     for el in batch:
-        z = sum(wv * xv for wv, xv in zip(w.values, el.features.values))
+        z = sum(wv * xv for wv, xv in zip(values(w), values(el.features)))
         resid = sigmoid_table_value(z, GRID.scale) - el.label
         for c in range(2):
-            total[c] += resid * el.features.values[c]
+            total[c] += resid * values(el.features)[c]
     assert grad == tuple(t / len(batch) for t in total)
 
 

@@ -1,4 +1,7 @@
-"""The package runs on the standard library alone: mpmath is a test oracle only."""
+"""The package runs on the standard library alone: mpmath is a test oracle only.
+
+Importing the package itself loads none of its modules; callers import the
+modules they use."""
 
 from __future__ import annotations
 
@@ -12,6 +15,8 @@ SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
 SCRIPT = """
 import sys
 import sgdcodec
+loaded = [m for m in sys.modules if m.startswith("sgdcodec.")]
+assert not loaded, f"import sgdcodec loaded {loaded}"
 assert "mpmath" not in sys.modules, "import sgdcodec"
 from sgdcodec import cli
 run = ["run", "--family", "random-labels", "--n", "64", "--dim", "2",
