@@ -531,8 +531,8 @@ def test_cli_rejects_unknown_config_key(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("key", ["step_raw", "batch_size", "eps"])
-def test_cli_rejects_an_empty_config_value(tmp_path, capsys, key):
-    # an empty step_raw once fell back to grid.unit // 4 and trained
+def test_cli_rejects_an_empty_config_value(tmp_path, key):
+    # an empty value is an error, never a silent default such as a step size
     cfg = tmp_path / "empty.cfg"
     cfg.write_text(f"{key} =\n")
     assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
