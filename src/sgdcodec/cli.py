@@ -98,6 +98,12 @@ def _merge_values(args: argparse.Namespace) -> dict[str, str]:
 
 
 def build_spec(values: dict[str, str]) -> ExperimentSpec:
+    def rational(key: str) -> Fraction:
+        try:
+            return Fraction(values[key])
+        except ZeroDivisionError:
+            raise DomainError(f"{key} = {values[key]} has a zero denominator") from None
+
     n = int(values["n"])
     family = values["family"]
     dim = n if family == "one-hot" else int(values["dim"])
@@ -106,9 +112,9 @@ def build_spec(values: dict[str, str]) -> ExperimentSpec:
         n=n,
         dim=dim,
         seed=int(values["data_seed"]),
-        margin=Fraction(values["margin"]),
-        sigma=Fraction(values["sigma"]),
-        center_dist=Fraction(values["center_dist"]),
+        margin=rational("margin"),
+        sigma=rational("sigma"),
+        center_dist=rational("center_dist"),
         feature_scale=int(values["feature_scale"]),
     )
     grid = GridSpec(int(values["scale"]), int(values["clip"]))
@@ -116,8 +122,8 @@ def build_spec(values: dict[str, str]) -> ExperimentSpec:
         generator=generator,
         batch_size=int(values["batch_size"]),
         step_raw=int(values["step_raw"]),
-        eps=Fraction(values["eps"]),
-        progress_coeff=Fraction(values["progress_coeff"]),
+        eps=rational("eps"),
+        progress_coeff=rational("progress_coeff"),
         seed=int(values["seed"]),
         max_epochs=int(values["max_epochs"]),
         model_kind=values["model_kind"],

@@ -19,6 +19,11 @@ Every field has a declared width and the total is checked against an
 independent width prediction derived from trace statistics alone, so the
 reported bit counts cannot drift from the actual streams.  ``epoch_accounting``
 measures an epoch as an ``AccountRow``, which ``harness`` writes to ``report.csv``.
+Case selection and accounting compare accuracies as ``EpochTrace.hits``
+counts, cross-multiplied, and take each float term as one int / int
+division; ``Fraction`` appears only in the row's rational cells
+(``beta_hat``, ``split_gap``, ``divergence_sum``, ``divergence_floor``),
+built once per epoch.
 """
 
 from __future__ import annotations
@@ -109,16 +114,20 @@ def select_case(trace: EpochTrace, beta: Fraction) -> CaseSelector:
     if not trace.completed:
         raise DomainError("case selection needs a completed epoch")
     n, b, t = trace.n, trace.batch_size, trace.num_batches
-    j_start = math.ceil(beta * Fraction(n, 8 * b)) + 1
-    j_final = math.floor((1 - beta / 8) * Fraction(n, b)) + 1
+    bn, bd = beta.numerator, beta.denominator
+    j_start = -(-bn * n // (8 * b * bd)) + 1
+    j_final = (8 * bd - bn) * n // (8 * b * bd) + 1
     lo = max(j_start, 2)
     hi = min(j_final, t)
     if lo > hi:
         return CaseSelector(j_start, j_final, True, BACKWARD, None, None)
     for i in range(lo - 1, hi):
-        gap = abs(trace.rate(i, 0, i) - trace.rate(i, i, t))
-        if gap >= beta / 4:
-            return CaseSelector(j_start, j_final, False, SPLIT, i + 1, gap)
+        # seen minus unseen accuracy is gap / size, tested against beta / 4
+        gap = abs((t - i) * trace.hits(i, 0, i) - i * trace.hits(i, i, t))
+        size = i * (t - i) * b
+        if 4 * bd * gap >= bn * size:
+            witness = Fraction(gap, size)
+            return CaseSelector(j_start, j_final, False, SPLIT, i + 1, witness)
     return CaseSelector(j_start, j_final, False, BACKWARD, None, None)
 
 
@@ -129,19 +138,19 @@ def choose_split_side(trace: EpochTrace, j: int) -> int:
     full-set accuracy, which is the side the conditional codec compresses
     harder; ties go to the prefix.
     """
-    seen, unseen = _split_divergences(trace, j - 1)
+    seen, unseen, _ = _split_divergences(trace, j - 1)
     return 0 if seen >= unseen else 1
 
 
-def _split_divergences(trace: EpochTrace, i: int) -> tuple[Fraction, Fraction]:
-    """gamma*d_seen^2 and (1-gamma)*d_unseen^2 at checkpoint i, where gamma is
-    the seen share and d_* a set's accuracy minus the full-set accuracy."""
-    t = trace.num_batches
-    gamma = Fraction(i, t)
-    full = trace.rate(i, 0, t)
-    d_seen = trace.rate(i, 0, i) - full
-    d_unseen = trace.rate(i, i, t) - full
-    return gamma * d_seen**2, (1 - gamma) * d_unseen**2
+def _split_divergences(trace: EpochTrace, i: int) -> tuple[int, int, int]:
+    """gamma*d_seen^2 and (1-gamma)*d_unseen^2 at checkpoint i, as two
+    numerators over one denominator, where gamma = i/t is the seen share and
+    d_* a set's accuracy minus the full-set accuracy (0 < i < t)."""
+    t, b = trace.num_batches, trace.batch_size
+    full = trace.hits(i, 0, t)
+    d_seen = t * trace.hits(i, 0, i) - i * full  # over i*t*b
+    d_unseen = t * trace.hits(i, i, t) - (t - i) * full  # over (t-i)*t*b
+    return (t - i) * d_seen**2, i * d_unseen**2, i * (t - i) * t**3 * b**2
 
 
 @dataclass(frozen=True)
@@ -187,13 +196,15 @@ class EpochCode:
 def epoch_target_bits(n: int, num_batches: int, beta: Fraction) -> float:
     """Per-epoch compression target: n*(log2(n/e) - beta^3/512) plus slack."""
     log2_n = stable_log2(n)
-    main = n * (log2_n - LOG2_E) - float(_model_charge_budget(n, beta))
+    budget, den = _model_charge_budget(n, beta)
+    main = n * (log2_n - LOG2_E) - budget / den
     return main + _slack_bits(num_batches, log2_n)
 
 
-def _model_charge_budget(n: int, beta: Fraction) -> Fraction:
-    """n*beta^3/512: the most a SPLIT epoch's checkpoint may be charged."""
-    return Fraction(n) * beta**3 / 512
+def _model_charge_budget(n: int, beta: Fraction) -> tuple[int, int]:
+    """n*beta^3/512, the most a SPLIT epoch's checkpoint may be charged, as
+    (numerator, denominator)."""
+    return n * beta.numerator**3, 512 * beta.denominator**3
 
 
 def _slack_bits(num_batches: int, log2_n: float) -> float:
@@ -541,26 +552,31 @@ def epoch_accounting(code: EpochCode, trace: EpochTrace, config: RunConfig) -> A
     budget) are charged the raw permutation baseline instead of their stream.
     """
     beta = config.progress_floor
+    bn, bd = beta.numerator, beta.denominator
     n, b, t = trace.n, trace.batch_size, trace.num_batches
     measured = code.measured_bits
     payload = measured - code.stream_model_bits
     baseline = ceil_log2(math.factorial(n))
-    beta_hat = trace.progress()
-    progress_ok = beta_hat >= beta
+    gained = trace.gained()  # beta_hat = gained / n
+    progress_ok = gained * bd >= bn * n
     charge = model_description_bits(config) if code.case == SPLIT else 0
-    charge_budget = _model_charge_budget(n, beta)
-    model_charge_ok = code.case != SPLIT or Fraction(charge) <= charge_budget
+    budget, budget_den = _model_charge_budget(n, beta)
+    model_charge_ok = code.case != SPLIT or charge * budget_den <= budget
     good = progress_ok and model_charge_ok
     charged = payload + charge if good else baseline
     slack = _slack_bits(t, stable_log2(n))
 
-    # per step i = 1..t: batch-after accuracy minus seen accuracy at checkpoint i
-    deltas = [trace.rate(i, i - 1, i) - trace.rate(i, 0, i) for i in range(1, t + 1)]
+    # per step i = 1..t: batch-after accuracy minus seen accuracy at
+    # checkpoint i, delta_i = deltas[i - 1] / (i*b)
+    deltas = [
+        i * trace.hits(i, i - 1, i) - trace.hits(i, 0, i) for i in range(1, t + 1)
+    ]
     split_bound = split_ok = backward_bound = backward_ok = None
     if code.case == SPLIT:
         assert code.split_j is not None
-        bonus = max(_split_divergences(trace, code.split_j - 1))
-        split_bound = stable_log2(math.factorial(n)) - float(2 * n * bonus) + slack
+        seen, unseen, den = _split_divergences(trace, code.split_j - 1)
+        bonus = 2 * n * max(seen, unseen) / den
+        split_bound = stable_log2(math.factorial(n)) - bonus + slack
         split_ok = payload <= split_bound
     else:
         # per-batch constants (size headers, and the order field's excess
@@ -569,7 +585,7 @@ def epoch_accounting(code: EpochCode, trace: EpochTrace, config: RunConfig) -> A
         order_excess = ceil_log2(math.factorial(b)) - (b * (stable_log2(b) - LOG2_E))
         total = 1.0
         for i, delta in enumerate(deltas, 1):
-            total += b * stable_log2(i * b) - float(2 * b * delta**2)
+            total += b * stable_log2(i * b) - 2 * b * delta**2 / (i * b) ** 2
             total += headers
             total += order_excess
         backward_bound = total
@@ -578,13 +594,19 @@ def epoch_accounting(code: EpochCode, trace: EpochTrace, config: RunConfig) -> A
     epoch_bound = epoch_target_bits(n, t, beta)
     epoch_bound_ok = (payload + charge <= epoch_bound) if good else None
 
-    quarter = beta / 4
+    # batch accuracy B/b >= unseen accuracy U/((t-i)*b) - beta/4, both sides
+    # times 4*bd*(t-i)*b
     batch_lag_ok = all(
-        trace.rate(i, i, i + 1) >= trace.rate(i, i, t) - quarter for i in range(t)
+        4 * bd * (t - i) * trace.hits(i, i, i + 1)
+        >= 4 * bd * trace.hits(i, i, t) - bn * (t - i) * b
+        for i in range(t)
     )
-    divergence_sum = sum((delta**2 for delta in deltas), Fraction(0))
-    divergence_floor = Fraction(n) * beta_hat**2 / (25 * b)
-    divergence_ok = divergence_sum >= divergence_floor
+    # sum of delta_i^2 over the common denominator (lcm(1..t)*b)^2, against
+    # n*beta_hat^2/(25*b) = gained^2/(25*b*n)
+    lcm = math.lcm(*range(1, t + 1))
+    div_num = sum((delta * (lcm // i)) ** 2 for i, delta in enumerate(deltas, 1))
+    div_den = (lcm * b) ** 2
+    divergence_ok = div_num * 25 * b * n >= gained**2 * div_den
     divergence_precond_ok = (
         code.case == BACKWARD
         and not code.selector.degenerate
@@ -601,7 +623,7 @@ def epoch_accounting(code: EpochCode, trace: EpochTrace, config: RunConfig) -> A
         baseline_bits=baseline,
         charged_bits=charged,
         savings_bits=baseline - charged,
-        beta_hat=beta_hat,
+        beta_hat=Fraction(gained, n),
         progress_ok=progress_ok,
         model_charge_bits=charge,
         model_charge_ok=model_charge_ok,
@@ -614,8 +636,8 @@ def epoch_accounting(code: EpochCode, trace: EpochTrace, config: RunConfig) -> A
         epoch_bound_bits=epoch_bound,
         epoch_bound_ok=epoch_bound_ok,
         batch_lag_ok=batch_lag_ok,
-        divergence_sum=divergence_sum,
-        divergence_floor=divergence_floor,
+        divergence_sum=Fraction(div_num, div_den),
+        divergence_floor=Fraction(gained**2, 25 * b * n),
         divergence_ok=divergence_ok,
         divergence_precond_ok=divergence_precond_ok,
     )
@@ -638,7 +660,8 @@ def check_eps_beta_ceiling(trace: EpochTrace, eps: Fraction) -> CeilingVerdict:
     capped by (4/3)*eps*(1 + ln(n/b)); reports the margin."""
     if not trace.completed:
         return CeilingVerdict(False, "epoch incomplete")
-    if min(mask.bit_count() for mask in trace.masks) < (1 - eps) * trace.n:
+    low = min(mask.bit_count() for mask in trace.masks)
+    if low * eps.denominator < (eps.denominator - eps.numerator) * trace.n:
         return CeilingVerdict(False, "some checkpoint below 1-eps")
     beta_hat = trace.progress()
     ceiling = (4.0 / 3.0) * float(eps) * (1.0 + stable_ln(Fraction(trace.n, trace.batch_size)))

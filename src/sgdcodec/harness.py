@@ -5,10 +5,14 @@ mode): datasets, shuffles, streams, and reports are all deterministic
 functions of it, and re-running a manifest reproduces every artifact byte for
 byte.  This module owns the artifact directory: its layout, and the text
 artifacts ``trace.csv``, ``report.csv`` and ``summary.json``, whose every
-cell goes through one renderer, ``_cell``.  Alongside the compression
-pipeline it hosts the two statistical verifiers: a Monte Carlo check of the
-without-replacement tail bound against the exact hypergeometric law, and grid
-sweeps of the entropy and coding inequalities the bit accounting relies on.
+cell goes through one renderer, ``_cell``.  On the pipeline's side
+``Fraction`` appears only where a manifest is parsed and where a cell is
+rendered: a ``trace.csv`` rate comes from its two counts, put in lowest
+terms by ``_ratio_cell``, so no ``Fraction`` is built per checkpoint.
+Alongside the compression pipeline it hosts the two statistical verifiers: a
+Monte Carlo check of the without-replacement tail bound against the exact
+hypergeometric law, and grid sweeps of the entropy and coding inequalities
+the bit accounting relies on.
 """
 
 from __future__ import annotations
@@ -210,6 +214,16 @@ def _cell(v) -> str:
     return str(v)
 
 
+def _ratio_cell(counts: Optional[tuple[int, int]]) -> str:
+    """``_cell`` of the Fraction hits/size, from the counts: lowest terms by gcd,
+    so 0/1 and 1/1 as a Fraction prints them; None is empty."""
+    if counts is None:
+        return ""
+    hits, size = counts
+    g = math.gcd(hits, size)
+    return f"{hits // g}/{size // g}"
+
+
 def _write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence]) -> None:
     lines = [",".join(header)]
     lines.extend(",".join(map(_cell, row)) for row in rows)
@@ -222,7 +236,7 @@ def write_trace_csv(traces: Sequence[EpochTrace], path: str) -> None:
     stopped early."""
     header = ("epoch", "j", "lambda", "lambda_prime", "lambda_doubleprime", "phi",
               "batch_acc_before", "terminated")
-    rows = ((t.epoch, i + 1, *t.rates(i), t.terminated or t.saturated)
+    rows = ((t.epoch, i + 1, *map(_ratio_cell, t.rates(i)), t.terminated or t.saturated)
             for t in traces for i in range(t.steps_done + 1))
     _write_csv(path, header, rows)
 

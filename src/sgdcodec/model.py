@@ -405,15 +405,19 @@ def _sigmoid_slope_num(num: int, exp: int, scale: int) -> int:
 
 
 @lru_cache(maxsize=None)
+def _table_max_slope(scale: int) -> int:
+    """Largest knot-to-knot slope of the table, as a numerator over 2**scale."""
+    knots = _sigmoid_knots(scale)
+    return max(abs(b - a) for a, b in zip(knots, knots[1:])) << KNOT_BITS
+
+
 def sigmoid_table_max_slope(scale: int) -> Fraction:
     """Largest knot-to-knot slope of the table at this scale.
 
     Rounding the knots to the grid makes the table steeper than the exact
     sigmoid's 1/4 at coarse scales: 4 at scale 4, 1 at scale 6.
     """
-    knots = _sigmoid_knots(scale)
-    step = max(abs(b - a) for a, b in zip(knots, knots[1:]))
-    return Fraction(step << KNOT_BITS, 1 << scale)
+    return Fraction(_table_max_slope(scale), 1 << scale)
 
 
 def weight_count(kind: str, dim: int, width: int) -> int:
@@ -595,16 +599,21 @@ def correctness_mask(model: Model, dataset: Dataset) -> int:
     return int(top_bytes.translate(bytes.maketrans(b"\x00\x80", b"01")) or b"0", 2)
 
 
-def analytic_logistic_smoothness(elements: Iterable[Element]) -> Fraction:
-    """max |x|^2 / 4: the smoothness of the exact-sigmoid logistic-linear loss.
+def _max_sq_norm(elements: Sequence[Element]) -> int:
+    """max |x|^2 over the elements, in raw units squared (0 for none).
 
     Sparse rows sum the squares of their nonzero pairs only."""
+    if not elements:
+        return 0
+    pairs = _sparse_pairs(elements, len(elements[0].features))
+    if pairs is None:
+        return max(_dot(el.features.raws, el.features.raws) for el in elements)
+    return max(sum(x * x for _, x in row) for row in pairs)
+
+
+def analytic_logistic_smoothness(elements: Iterable[Element]) -> Fraction:
+    """max |x|^2 / 4: the smoothness of the exact-sigmoid logistic-linear loss."""
     elements = tuple(elements)
     if not elements:
         return Fraction(0)
-    pairs = _sparse_pairs(elements, len(elements[0].features))
-    if pairs is None:
-        worst = max(_dot(el.features.raws, el.features.raws) for el in elements)
-    else:
-        worst = max(sum(x * x for _, x in row) for row in pairs)
-    return Fraction(worst, elements[0].features.grid.unit ** 2) / 4
+    return Fraction(_max_sq_norm(elements), elements[0].features.grid.unit ** 2) / 4

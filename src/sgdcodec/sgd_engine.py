@@ -6,6 +6,12 @@ random choice.  The reverse oracle recovers the unique predecessor of a step
 from the contraction that step * L < 1 gives the logistic-linear update: a
 fixed-point iteration lands near every predecessor, and a scan of the grid
 ball whose radius that premise bounds collects them all.
+
+The step path counts in integers: the stop test compares correct counts,
+and the reverse search's set-up holds step * L, its radius and its reach
+as numerators over powers of the grid unit.  ``Fraction`` appears only where
+a config is parsed and where a value is reported: ``check_step_smoothness``'s
+product, a trace's progress, a refused step's error text.
 """
 
 from __future__ import annotations
@@ -22,13 +28,13 @@ from .model import (
     Element,
     GeneratorSpec,
     Model,
-    analytic_logistic_smoothness,
+    _max_sq_norm,
+    _table_max_slope,
     correctness_mask,
     loss_gradient,
     manifest_fraction,
     manifest_int,
     rounded_gradient,
-    sigmoid_table_max_slope,
     weight_count,
     zero_model,
     MODEL_KINDS,
@@ -205,22 +211,23 @@ class RunConfig:
         )
 
 
-def _step_l(step_raw: int, grid: GridSpec, sq_norm: Fraction) -> Fraction:
-    """step * L for the logistic-linear loss where max|x|^2 = sq_norm.
+def _step_l(step_raw: int, grid: GridSpec, sq_norm: int) -> int:
+    """step * L for the logistic-linear loss, as a numerator over unit**4,
+    where sq_norm is max|x|^2 in raw units squared.
 
     The loss is max|x|^2 * S smooth, where S bounds the slope of the sigmoid
     that training actually uses: the table's largest knot-to-knot slope at
     the grid scale, which exceeds the exact sigmoid's 1/4 below scale 8.
     """
-    slope = sigmoid_table_max_slope(grid.scale)
-    return Fraction(step_raw, grid.unit) * sq_norm * slope
+    return step_raw * sq_norm * _table_max_slope(grid.scale)
 
 
 def step_smoothness(
     step_raw: int, grid: GridSpec, elements: Iterable[Element]
 ) -> Fraction:
     """step * L for the logistic-linear loss over these elements."""
-    return _step_l(step_raw, grid, 4 * analytic_logistic_smoothness(elements))
+    sq_norm = _max_sq_norm(tuple(elements))
+    return Fraction(_step_l(step_raw, grid, sq_norm), grid.unit**4)
 
 
 def check_step_smoothness(config: RunConfig, dataset: Dataset) -> Fraction:
@@ -299,39 +306,39 @@ class EpochTrace:
         prefix = self.prefix_masks
         return (self.masks[i] & (prefix[hi] ^ prefix[lo])).bit_count()
 
-    def rate(self, i: int, lo: int, hi: int) -> Optional[Fraction]:
-        """Accuracy at checkpoint i over batches lo..hi-1 of the visit order;
-        None for an empty span or one outside [0, num_batches]."""
-        if not (0 <= lo < hi <= self.num_batches):
-            return None
-        return Fraction(self.hits(i, lo, hi), (hi - lo) * self.batch_size)
-
-    def rates(self, i: int) -> tuple[Optional[Fraction], ...]:
-        """(full, seen, unseen, batch after, batch before) at checkpoint i.
+    def rates(self, i: int) -> tuple[Optional[tuple[int, int]], ...]:
+        """(full, seen, unseen, batch after, batch before) at checkpoint i,
+        each accuracy as its (hits, elements) counts.
 
         None marks an empty subset: nothing seen yet at i = 0, nothing left
         once the whole order is seen.
         """
-        t = self.num_batches
+        t, b = self.num_batches, self.batch_size
         spans = ((0, t), (0, i), (i, t), (i - 1, i), (i, i + 1))
-        return tuple(self.rate(i, lo, hi) for lo, hi in spans)
+        return tuple(
+            (self.hits(i, lo, hi), (hi - lo) * b) if 0 <= lo < hi <= t else None
+            for lo, hi in spans
+        )
 
-    def progress(self) -> Fraction:
-        """Measured epoch progress: the net count of batch elements each step
-        turned correct, over n."""
-        gained = sum(
+    def gained(self) -> int:
+        """The net count of batch elements the steps turned correct."""
+        return sum(
             self.hits(i, i - 1, i) - self.hits(i - 1, i - 1, i)
             for i in range(1, self.steps_done + 1)
         )
-        return Fraction(gained, self.n)
+
+    def progress(self) -> Fraction:
+        """Measured epoch progress: ``gained()`` over n."""
+        return Fraction(self.gained(), self.n)
 
 
-def _record_checkpoint(trace: EpochTrace, model: Model, dataset: Dataset) -> Fraction:
-    """Appends one checkpoint and its correctness mask; returns full accuracy."""
+def _record_checkpoint(trace: EpochTrace, model: Model, dataset: Dataset) -> int:
+    """Appends one checkpoint and its correctness mask; returns how many
+    elements it classifies correctly."""
     mask = correctness_mask(model, dataset)
     trace.checkpoints.append(model.weights)
     trace.masks.append(mask)
-    return Fraction(mask.bit_count(), trace.n)
+    return mask.bit_count()
 
 
 def forward_step(model: Model, batch, step_raw: int) -> tuple[Model, FixedVector]:
@@ -352,10 +359,13 @@ def run_epoch(
     """Runs one epoch; the trace stops early on termination or saturation."""
     order = draw_epoch_permutation(dataset.n, config.seed, epoch)
     trace = EpochTrace(epoch, config.batch_size, order)
-    lam = _record_checkpoint(trace, model, dataset)
+    # accuracy correct/n >= 1 - eps, as correct * den >= (den - num) * n
+    den = config.eps.denominator
+    stop = (den - config.eps.numerator) * dataset.n
+    correct = _record_checkpoint(trace, model, dataset)
     batches = trace.batches
     for j in range(1, config.num_batches + 1):
-        if lam >= 1 - config.eps:
+        if correct * den >= stop:
             trace.terminated = True
             trace.terminated_at = j
             break
@@ -365,7 +375,7 @@ def run_epoch(
         except SaturationError:
             trace.saturated = True
             break
-        lam = _record_checkpoint(trace, model, dataset)
+        correct = _record_checkpoint(trace, model, dataset)
     return trace, model
 
 
@@ -428,6 +438,26 @@ def _ball_offsets(d: int, r2: int) -> Iterator[tuple[int, ...]]:
     yield from rec([], r2)
 
 
+def _reverse_setup(
+    step_raw: int, grid: GridSpec, batch: Sequence[Element], d: int
+) -> tuple[int, int, int, int, int]:
+    """The reverse search's bounds over this batch, in integers.
+
+    Returns q = step * L as (q_num, q_den = unit**4), floor(rho**2) in raw
+    units, and (step * max|x|)**2 in raw units as (reach_num, reach_den);
+    each search iteration multiplies the reach by q**2.  Raises unless q < 1.
+    """
+    sq_norm = _max_sq_norm(batch)
+    q_num, q_den = _step_l(step_raw, grid, sq_norm), grid.unit**4
+    if q_num >= q_den:
+        q = Fraction(q_num, q_den)
+        raise PreconditionError(f"step*smoothness = {q} >= 1 on this batch")
+    # rho**2 = ((step_raw + unit) / unit)**2 * d / ((q_den - q_num) / q_den)**2
+    spread = (step_raw + grid.unit) ** 2 * d * grid.unit**6
+    rho2 = spread // (q_den - q_num) ** 2
+    return q_num, q_den, rho2, step_raw**2 * sq_norm, grid.unit**2
+
+
 def reverse_step(
     target: FixedVector,
     batch: Sequence[Element],
@@ -452,13 +482,9 @@ def reverse_step(
         raise PreconditionError(f"no smoothness bound for {model_template.kind}")
     grid = target.grid
     step_raw = config.step_raw
-    sq_norm = 4 * analytic_logistic_smoothness(batch)
-    q = _step_l(step_raw, grid, sq_norm)
-    if q >= 1:
-        raise PreconditionError(f"step*smoothness = {q} >= 1 on this batch")
-    # squared radii in raw units: rho, and q**k * step * max|x| at k = 0
-    rho2 = (Fraction(step_raw, grid.unit) + 1) ** 2 * len(target) / (1 - q) ** 2
-    reach2 = step_raw**2 * sq_norm
+    q_num, q_den, rho2, reach_num, reach_den = _reverse_setup(
+        step_raw, grid, batch, len(target)
+    )
     base = target.raws
     w = base
     while True:
@@ -468,13 +494,14 @@ def reverse_step(
             for t, g in zip(base, rounded_gradient(model, batch))
         )
         if pulled == w:
-            r2 = math.floor(rho2)
+            r2 = rho2
             break
-        if reach2 <= 1:
-            r2 = (math.isqrt(math.floor(rho2)) + 2) ** 2  # > (rho + 1)**2
+        if reach_num <= reach_den:
+            r2 = (math.isqrt(rho2) + 2) ** 2  # > (rho + 1)**2
             break
         w = pulled
-        reach2 *= q * q
+        reach_num *= q_num * q_num
+        reach_den *= q_den * q_den
     hits: list[FixedVector] = []
     for off in _ball_offsets(len(target), r2):
         raws = tuple(c + o for c, o in zip(w, off))

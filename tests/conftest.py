@@ -1,14 +1,17 @@
 """Shared builders for handcrafted datasets, models, and epoch traces; the
 exact hypergeometric law the Hoeffding verifier is checked against; the
 per-case margins of three inequality sweeps, evaluated case by case; the
-closed-form width bound of the conditional set codec; and the dataset
-generator spelled out on stdlib ``randrange`` and ``Fraction``."""
+closed-form width bound of the conditional set codec; the dataset
+generator spelled out on stdlib ``randrange`` and ``Fraction``; and the
+``Fraction`` bookkeeping of the reverse-step set-up, case selection,
+accounting and ``trace.csv`` cells, which the integer code must match."""
 
 from __future__ import annotations
 
 import math
 import random
 from fractions import Fraction
+from functools import partial
 
 from sgdcodec.codec import binomial, ceil_log2
 from sgdcodec.model import (
@@ -17,11 +20,13 @@ from sgdcodec.model import (
     GeneratorSpec,
     Model,
     correctness_mask,
+    sigmoid_table_max_slope,
 )
 from sgdcodec.numerics import (
     DomainError,
     FixedVector,
     GridSpec,
+    PreconditionError,
     _entropy,
     _kl,
     _realizable_q,
@@ -276,3 +281,167 @@ def staircase_report_inputs():
     code = encode_epoch(tr, ds, cfg, mode=ACCOUNTING)
     row = epoch_accounting(code, tr, cfg)
     return ds, [row], [check_eps_beta_ceiling(tr, cfg.eps)]
+
+
+# The bookkeeping the step path did in ``Fraction`` before it counted in
+# integers, kept as the reference the integer code must match exactly.
+
+
+def reverse_setup_oracle(step_raw: int, grid: GridSpec, batch, d: int, steps: int):
+    """(q, floor(rho**2), [reach**2 at k = 0..steps]) of the reverse search,
+    in ``Fraction``; a q >= 1 raises ``PreconditionError`` with its text."""
+    sq_norm = Fraction(
+        max(sum(x * x for x in el.features.raws) for el in batch), grid.unit**2
+    )
+    q = Fraction(step_raw, grid.unit) * sq_norm * sigmoid_table_max_slope(grid.scale)
+    if q >= 1:
+        raise PreconditionError(f"step*smoothness = {q} >= 1 on this batch")
+    rho2 = (Fraction(step_raw, grid.unit) + 1) ** 2 * d / (1 - q) ** 2
+    reach2 = [step_raw**2 * sq_norm]
+    for _ in range(steps):
+        reach2.append(reach2[-1] * q * q)
+    return q, math.floor(rho2), reach2
+
+
+def rate_oracle(trace: EpochTrace, i: int, lo: int, hi: int):
+    """Accuracy at checkpoint i over batches lo..hi-1; None for an empty span."""
+    if not (0 <= lo < hi <= trace.num_batches):
+        return None
+    return Fraction(trace.hits(i, lo, hi), (hi - lo) * trace.batch_size)
+
+
+def trace_cells_oracle(trace: EpochTrace, i: int) -> list[str]:
+    """The five rate cells of checkpoint i's ``trace.csv`` row."""
+    from sgdcodec.harness import _cell
+
+    t = trace.num_batches
+    spans = ((0, t), (0, i), (i, t), (i - 1, i), (i, i + 1))
+    return [_cell(rate_oracle(trace, i, lo, hi)) for lo, hi in spans]
+
+
+def progress_oracle(tr: EpochTrace) -> Fraction:
+    """b/n times the sum over steps of batch accuracy after minus before."""
+    b, total = tr.batch_size, Fraction(0)
+    for i in range(1, tr.steps_done + 1):
+        batch = sum(1 << e for e in tr.order[(i - 1) * b : i * b])
+        after = Fraction((tr.masks[i] & batch).bit_count(), b)
+        before = Fraction((tr.masks[i - 1] & batch).bit_count(), b)
+        total += after - before
+    return Fraction(b, tr.n) * total
+
+
+def select_case_oracle(trace: EpochTrace, beta: Fraction):
+    from sgdcodec.epoch_codec import BACKWARD, SPLIT, CaseSelector
+
+    n, b, t = trace.n, trace.batch_size, trace.num_batches
+    j_start = math.ceil(beta * Fraction(n, 8 * b)) + 1
+    j_final = math.floor((1 - beta / 8) * Fraction(n, b)) + 1
+    lo = max(j_start, 2)
+    hi = min(j_final, t)
+    if lo > hi:
+        return CaseSelector(j_start, j_final, True, BACKWARD, None, None)
+    for i in range(lo - 1, hi):
+        gap = abs(rate_oracle(trace, i, 0, i) - rate_oracle(trace, i, i, t))
+        if gap >= beta / 4:
+            return CaseSelector(j_start, j_final, False, SPLIT, i + 1, gap)
+    return CaseSelector(j_start, j_final, False, BACKWARD, None, None)
+
+
+def split_divergences_oracle(trace: EpochTrace, i: int) -> tuple[Fraction, Fraction]:
+    t = trace.num_batches
+    gamma = Fraction(i, t)
+    full = rate_oracle(trace, i, 0, t)
+    d_seen = rate_oracle(trace, i, 0, i) - full
+    d_unseen = rate_oracle(trace, i, i, t) - full
+    return gamma * d_seen**2, (1 - gamma) * d_unseen**2
+
+
+def choose_split_side_oracle(trace: EpochTrace, j: int) -> int:
+    seen, unseen = split_divergences_oracle(trace, j - 1)
+    return 0 if seen >= unseen else 1
+
+
+def epoch_accounting_oracle(code, trace: EpochTrace, config):
+    """``epoch_accounting`` with every comparison and term in ``Fraction``."""
+    from sgdcodec.epoch_codec import (
+        BACKWARD,
+        SPLIT,
+        AccountRow,
+        _slack_bits,
+        model_description_bits,
+    )
+    from sgdcodec.stable import LOG2_E, stable_log2
+
+    beta = config.progress_floor
+    n, b, t = trace.n, trace.batch_size, trace.num_batches
+    measured = code.measured_bits
+    payload = measured - code.stream_model_bits
+    baseline = ceil_log2(math.factorial(n))
+    beta_hat = progress_oracle(trace)
+    progress_ok = beta_hat >= beta
+    charge = model_description_bits(config) if code.case == SPLIT else 0
+    charge_budget = Fraction(n) * beta**3 / 512
+    model_charge_ok = code.case != SPLIT or Fraction(charge) <= charge_budget
+    good = progress_ok and model_charge_ok
+    charged = payload + charge if good else baseline
+    slack = _slack_bits(t, stable_log2(n))
+
+    rate = partial(rate_oracle, trace)
+    deltas = [rate(i, i - 1, i) - rate(i, 0, i) for i in range(1, t + 1)]
+    split_bound = split_ok = backward_bound = backward_ok = None
+    if code.case == SPLIT:
+        bonus = max(split_divergences_oracle(trace, code.split_j - 1))
+        split_bound = stable_log2(math.factorial(n)) - float(2 * n * bonus) + slack
+        split_ok = payload <= split_bound
+    else:
+        headers = 2 * ceil_log2(b + 1) + 2
+        order_excess = ceil_log2(math.factorial(b)) - (b * (stable_log2(b) - LOG2_E))
+        total = 1.0
+        for i, delta in enumerate(deltas, 1):
+            total += b * stable_log2(i * b) - float(2 * b * delta**2)
+            total += headers
+            total += order_excess
+        backward_bound = total
+        backward_ok = payload <= backward_bound
+
+    log2_n = stable_log2(n)
+    epoch_bound = n * (log2_n - LOG2_E) - float(charge_budget) + _slack_bits(t, log2_n)
+    epoch_bound_ok = (payload + charge <= epoch_bound) if good else None
+
+    quarter = beta / 4
+    batch_lag_ok = all(rate(i, i, i + 1) >= rate(i, i, t) - quarter for i in range(t))
+    divergence_sum = sum((delta**2 for delta in deltas), Fraction(0))
+    divergence_floor = Fraction(n) * beta_hat**2 / (25 * b)
+    return AccountRow(
+        epoch=trace.epoch,
+        case=code.case,
+        split_j=code.split_j,
+        degenerate_window=code.selector.degenerate,
+        measured_bits=measured,
+        stream_model_bits=code.stream_model_bits,
+        baseline_bits=baseline,
+        charged_bits=charged,
+        savings_bits=baseline - charged,
+        beta_hat=beta_hat,
+        progress_ok=progress_ok,
+        model_charge_bits=charge,
+        model_charge_ok=model_charge_ok,
+        good=good,
+        split_gap=code.selector.witness_gap,
+        split_bound_bits=split_bound,
+        split_bound_ok=split_ok,
+        backward_bound_bits=backward_bound,
+        backward_bound_ok=backward_ok,
+        epoch_bound_bits=epoch_bound,
+        epoch_bound_ok=epoch_bound_ok,
+        batch_lag_ok=batch_lag_ok,
+        divergence_sum=divergence_sum,
+        divergence_floor=divergence_floor,
+        divergence_ok=divergence_sum >= divergence_floor,
+        divergence_precond_ok=(
+            code.case == BACKWARD
+            and not code.selector.degenerate
+            and progress_ok
+            and batch_lag_ok
+        ),
+    )

@@ -539,6 +539,28 @@ def test_cli_rejects_an_empty_config_value(tmp_path, key):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--eps", "1/0"), ("--margin", "1/0"), ("--sigma", "0/0"),
+     ("--progress-coeff", "1/0"), ("--center-dist", "2/0")],
+)
+def test_cli_rejects_a_zero_denominator_flag(tmp_path, capsys, flag, value):
+    out = tmp_path / "out"
+    assert main(["run", flag, value, "--out", str(out)]) == 2
+    key = flag[2:].replace("-", "_")
+    assert f"error: {key} = {value} has a zero denominator" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key", ["eps", "progress_coeff", "sigma"])
+def test_cli_rejects_a_zero_denominator_config_value(tmp_path, capsys, key):
+    cfg = tmp_path / "zero.cfg"
+    cfg.write_text(f"{key} = 1/0\n")
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert "zero denominator" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_rejects_the_retired_search_knobs(tmp_path, capsys):
     cfg = tmp_path / "old.cfg"
     cfg.write_text("ball_cap = 5000000\n")

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import band_dataset, manual_dataset, one_hot_dataset
+from conftest import band_dataset, manual_dataset, one_hot_dataset, progress_oracle
 from sgdcodec.harness import write_trace_csv
 from sgdcodec.model import (
     GeneratorSpec,
@@ -202,19 +202,9 @@ def test_rate_is_none_where_trace_csv_leaves_a_cell_blank():
     # nothing left at i = t
     blank = [tuple(k for k, r in enumerate(tr.rates(i)) if r is None) for i in (0, 1, t)]
     assert blank == [(1, 3), (), (2, 4)]
-    assert tr.rate(1, 1, 1) is None and tr.rate(1, 2, 1) is None
-    assert tr.rate(1, 0, t) == Fraction(tr.masks[1].bit_count(), tr.n)
-
-
-def progress_oracle(tr):
-    """b/n times the sum over steps of batch accuracy after minus before."""
-    b, total = tr.batch_size, Fraction(0)
-    for i in range(1, tr.steps_done + 1):
-        batch = sum(1 << e for e in tr.order[(i - 1) * b : i * b])
-        after = Fraction((tr.masks[i] & batch).bit_count(), b)
-        before = Fraction((tr.masks[i - 1] & batch).bit_count(), b)
-        total += after - before
-    return Fraction(b, tr.n) * total
+    # every other cell is (hits, elements) over its span
+    assert tr.rates(1)[0] == (tr.masks[1].bit_count(), tr.n)
+    assert tr.rates(t)[3] == (tr.hits(t, t - 1, t), tr.batch_size)
 
 
 def test_progress_matches_the_rate_formula():
