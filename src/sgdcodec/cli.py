@@ -357,24 +357,25 @@ _COMMANDS = (
 
 
 def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
-    """The sgdcodec parser with all five subcommands registered.
-
-    Only ``command``'s subparser gets its flags; with no command, or one
-    that names none of them, every subparser does.  A subcommand's flags
-    show only in its own help and usage messages, so the lean parser parses
-    and prints what the full one does.
+    """The sgdcodec parser with ``command``'s subparser alone registered, or
+    all five for no command or one that names none of them.  A subcommand
+    shows only in its own help and usage messages, and the usage line lists
+    all five names either way, so the lean parser prints what the full one does.
     """
     parser = argparse.ArgumentParser(
         prog="sgdcodec",
         description="Deterministic SGD with exact permutation compression.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    known = command in {name for name, *_ in _COMMANDS}
+    names = [name for name, *_ in _COMMANDS]
+    known = command in names
+    # only when lean: a metavar renames "argument command:" in error text
+    metavar = "{" + ",".join(names) + "}" if known else None
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
     for name, help_text, add_flags, func in _COMMANDS:
-        p = sub.add_parser(name, help=help_text)
         if not known or name == command:
+            p = sub.add_parser(name, help=help_text)
             add_flags(p)
-        p.set_defaults(func=func)
+            p.set_defaults(func=func)
     return parser
 
 

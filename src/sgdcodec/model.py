@@ -13,11 +13,11 @@ models one big-int pass over lane-packed feature columns), with the prediction
 rule score > 0 -> label 1; accuracies are popcounts of its masks.
 
 Sparse rows, such as one-hot data, cost O(nonzeros): each element caches its
-nonzero (coordinate, raw) pairs, and the logistic-linear gradient, the lane
-packing, the smoothness bound and the dataset text are driven from them.  The
-density rule (``_sparse_pairs``) is decided once per kernel call over all its
-rows, never per element; rows shorter than ``_SPARSE_DIM`` take the column
-kernels without being scanned.  Both paths give the same integers.
+nonzero (coordinate, raw) pairs, which the one-hot generator stores as it builds
+them; the logistic-linear gradient, lane packing, smoothness bound and dataset
+text run from them, and a run's sweep adds only the weights a step moved.  The
+density rule (``_sparse_pairs``) is one decision per kernel call or run, never
+per element; rows shorter than ``_SPARSE_DIM`` go unscanned.  Both paths agree.
 """
 
 from __future__ import annotations
@@ -246,13 +246,14 @@ class Dataset:
         pairs = _sparse_pairs(self.elements, self.dim)
         if pairs is None:
             feats = [",".join(map(str, el.features.raws)) for el in self.elements]
-        else:
+        else:  # runs of zeros around each row's nonzeros
             feats = []
             for row in pairs:
-                cells = ["0"] * self.dim
+                text, at = "", 0
                 for c, x in row:
-                    cells[c] = str(x)
-                feats.append(",".join(cells))
+                    text += "0," * (c - at) + f"{x},"
+                    at = c + 1
+                feats.append((text + "0," * (self.dim - at))[:-1])
         lines.extend(f"{el.eid}\t{el.label}\t{f}" for el, f in zip(self.elements, feats))
         return "\n".join(lines) + "\n"
 
@@ -361,8 +362,9 @@ def generate_dataset(spec: GeneratorSpec, grid: GridSpec) -> Dataset:
     elif spec.family == "one-hot":
         on, zeros = (spec.feature_scale * unit,), (0,) * spec.dim
         for eid in range(spec.n):
-            raws = zeros[:eid] + on + zeros[eid + 1 :]
-            elements.append(Element(eid, FixedVector(raws, grid), 1))
+            el = Element(eid, FixedVector(zeros[:eid] + on + zeros[eid + 1 :], grid), 1)
+            el.__dict__["_pairs"] = ((eid, on[0]),)  # what _nonzeros would find
+            elements.append(el)
 
     return Dataset(tuple(elements), grid, spec)
 
@@ -406,18 +408,13 @@ def _sigmoid_slope_num(num: int, exp: int, scale: int) -> int:
 
 @lru_cache(maxsize=None)
 def _table_max_slope(scale: int) -> int:
-    """Largest knot-to-knot slope of the table, as a numerator over 2**scale."""
-    knots = _sigmoid_knots(scale)
-    return max(abs(b - a) for a, b in zip(knots, knots[1:])) << KNOT_BITS
-
-
-def sigmoid_table_max_slope(scale: int) -> Fraction:
-    """Largest knot-to-knot slope of the table at this scale.
+    """Largest knot-to-knot slope of the table, as a numerator over 2**scale.
 
     Rounding the knots to the grid makes the table steeper than the exact
     sigmoid's 1/4 at coarse scales: 4 at scale 4, 1 at scale 6.
     """
-    return Fraction(_table_max_slope(scale), 1 << scale)
+    knots = _sigmoid_knots(scale)
+    return max(abs(b - a) for a, b in zip(knots, knots[1:])) << KNOT_BITS
 
 
 def weight_count(kind: str, dim: int, width: int) -> int:
@@ -575,28 +572,64 @@ def correctness_vector(model: Model, dataset: Dataset) -> list[int]:
     return [mask >> e & 1 for e in range(dataset.n)]
 
 
-def correctness_mask(model: Model, dataset: Dataset) -> int:
-    """The correctness sweep as one int: bit e is set iff element e is correct.
-
-    Correct means the sign of the score numerator agrees with the label:
-    positive for label 1, zero or negative for label 0.  Packed lane e holds
-    score_e + 2**(L-1) - 1, whose top bit is set iff score_e > 0.
-    """
+def _check_sweep(model: Model, dataset: Dataset) -> None:
+    """Raises unless the model can sweep this dataset."""
     if dataset.grid != model.grid:
         raise DomainError("dataset and model live on different grids")
     if dataset.n and dataset.dim != model.dim:
         raise DomainError(f"dataset dim {dataset.dim}, model dim {model.dim}")
-    w, grid, elements = model.weights.raws, model.grid, dataset.elements
+    if model.kind == "logistic-linear" and not model.grid.holds(model.weights.raws):
+        raise DomainError("a weight lies outside the grid's clip range")
+
+
+def _top_bits(acc: int, dataset: Dataset) -> int:
+    """The mask of packed scores whose lane e holds score_e + 2**(L-1) - 1:
+    bit e is set iff the lane's top bit (score_e > 0) agrees with label e."""
+    size, _, _, tops, label0 = dataset._lanes
+    top_bytes = ((acc & tops) ^ label0).to_bytes(dataset.n * size, "big")[::size]
+    return int(top_bytes.translate(bytes.maketrans(b"\x00\x80", b"01")) or b"0", 2)
+
+
+def correctness_mask(model: Model, dataset: Dataset) -> int:
+    """The correctness sweep as one int: bit e is set iff element e is correct.
+
+    Correct means the sign of the score numerator agrees with the label:
+    positive for label 1, zero or negative for label 0.
+    """
+    _check_sweep(model, dataset)
+    w, elements = model.weights.raws, dataset.elements
     if model.kind != "logistic-linear":  # per element, output scores over 2**(4s)
         v = w[model.width * model.dim :]
         scores = (_dot(v, model._hidden(el.features.raws)[1]) for el in elements)
         return sum(1 << el.eid for z, el in zip(scores, elements) if (z > 0) == el.label)
-    if not grid.holds(w):
-        raise DomainError("a weight lies outside the grid's clip range")
-    size, columns, bias, tops, label0 = dataset._lanes
-    acc = sum((wc * column for wc, column in zip(w, columns) if wc), bias)
-    top_bytes = ((acc & tops) ^ label0).to_bytes(len(elements) * size, "big")[::size]
-    return int(top_bytes.translate(bytes.maketrans(b"\x00\x80", b"01")) or b"0", 2)
+    _, columns, bias, _, _ = dataset._lanes
+    return _top_bits(sum((wc * col for wc, col in zip(w, columns) if wc), bias), dataset)
+
+
+class _Sweep:
+    """``correctness_mask`` at each checkpoint of a run over one dataset.
+
+    On sparse rows (``_sparse_pairs``, decided once) a logistic-linear sweep
+    carries the packed scores and the raws they were built from, starting
+    from zero weights, and adds (new - old) * column only where a raw moved.
+    """
+
+    def __init__(self, dataset: Dataset, kind: str) -> None:
+        self.dataset = dataset
+        sparse = _sparse_pairs(dataset.elements, dataset.dim) is not None
+        self.carry = sparse and kind == "logistic-linear"
+        if self.carry:
+            self.raws, self.acc = (0,) * dataset.dim, dataset._lanes[2]
+
+    def mask(self, model: Model) -> int:
+        if not self.carry:
+            return correctness_mask(model, self.dataset)
+        _check_sweep(model, self.dataset)
+        w, old, columns = model.weights.raws, self.raws, self.dataset._lanes[1]
+        for c in compress(range(len(w)), map(operator.ne, w, old)):
+            self.acc += (w[c] - old[c]) * columns[c]
+        self.raws = w
+        return _top_bits(self.acc, self.dataset)
 
 
 def _max_sq_norm(elements: Sequence[Element]) -> int:
@@ -609,11 +642,3 @@ def _max_sq_norm(elements: Sequence[Element]) -> int:
     if pairs is None:
         return max(_dot(el.features.raws, el.features.raws) for el in elements)
     return max(sum(x * x for _, x in row) for row in pairs)
-
-
-def analytic_logistic_smoothness(elements: Iterable[Element]) -> Fraction:
-    """max |x|^2 / 4: the smoothness of the exact-sigmoid logistic-linear loss."""
-    elements = tuple(elements)
-    if not elements:
-        return Fraction(0)
-    return Fraction(_max_sq_norm(elements), elements[0].features.grid.unit ** 2) / 4

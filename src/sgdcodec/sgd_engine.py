@@ -28,9 +28,9 @@ from .model import (
     Element,
     GeneratorSpec,
     Model,
+    _Sweep,
     _max_sq_norm,
     _table_max_slope,
-    correctness_mask,
     loss_gradient,
     manifest_fraction,
     manifest_int,
@@ -332,10 +332,10 @@ class EpochTrace:
         return Fraction(self.gained(), self.n)
 
 
-def _record_checkpoint(trace: EpochTrace, model: Model, dataset: Dataset) -> int:
+def _record_checkpoint(trace: EpochTrace, model: Model, sweep: _Sweep) -> int:
     """Appends one checkpoint and its correctness mask; returns how many
     elements it classifies correctly."""
-    mask = correctness_mask(model, dataset)
+    mask = sweep.mask(model)
     trace.checkpoints.append(model.weights)
     trace.masks.append(mask)
     return mask.bit_count()
@@ -354,15 +354,18 @@ def forward_step(model: Model, batch, step_raw: int) -> tuple[Model, FixedVector
 
 
 def run_epoch(
-    model: Model, dataset: Dataset, config: RunConfig, epoch: int
+    model: Model, dataset: Dataset, config: RunConfig, epoch: int,
+    sweep: Optional[_Sweep] = None,
 ) -> tuple[EpochTrace, Model]:
-    """Runs one epoch; the trace stops early on termination or saturation."""
+    """Runs one epoch; the trace stops early on termination or saturation.
+    ``sweep`` carries the correctness sweep of earlier epochs on ``dataset``."""
+    sweep = sweep or _Sweep(dataset, model.kind)
     order = draw_epoch_permutation(dataset.n, config.seed, epoch)
     trace = EpochTrace(epoch, config.batch_size, order)
     # accuracy correct/n >= 1 - eps, as correct * den >= (den - num) * n
     den = config.eps.denominator
     stop = (den - config.eps.numerator) * dataset.n
-    correct = _record_checkpoint(trace, model, dataset)
+    correct = _record_checkpoint(trace, model, sweep)
     batches = trace.batches
     for j in range(1, config.num_batches + 1):
         if correct * den >= stop:
@@ -375,7 +378,7 @@ def run_epoch(
         except SaturationError:
             trace.saturated = True
             break
-        correct = _record_checkpoint(trace, model, dataset)
+        correct = _record_checkpoint(trace, model, sweep)
     return trace, model
 
 
@@ -409,10 +412,11 @@ def run_training(config: RunConfig, dataset: Optional[Dataset] = None) -> Traini
         dataset = generate_dataset(config.generator, config.grid)
     check_step_smoothness(config, dataset)
     model = zero_model(config.model_kind, dataset.dim, config.grid, config.hidden_width)
+    sweep = _Sweep(dataset, model.kind)
     traces: list[EpochTrace] = []
     terminated = False
     for epoch in range(1, config.max_epochs + 1):
-        trace, model = run_epoch(model, dataset, config, epoch)
+        trace, model = run_epoch(model, dataset, config, epoch, sweep)
         traces.append(trace)
         if trace.terminated:
             terminated = True

@@ -2,9 +2,11 @@
 exact hypergeometric law the Hoeffding verifier is checked against; the
 per-case margins of three inequality sweeps, evaluated case by case; the
 closed-form width bound of the conditional set codec; the dataset
-generator spelled out on stdlib ``randrange`` and ``Fraction``; and the
-``Fraction`` bookkeeping of the reverse-step set-up, case selection,
-accounting and ``trace.csv`` cells, which the integer code must match."""
+generator spelled out on stdlib ``randrange`` and ``Fraction``; the dataset
+text as it rendered sparse rows cell by cell; and the
+``Fraction`` bookkeeping of the reverse-step set-up (with the table slope
+and the smoothness it rests on), case selection, accounting and
+``trace.csv`` cells, which the integer code must match."""
 
 from __future__ import annotations
 
@@ -15,12 +17,13 @@ from functools import partial
 
 from sgdcodec.codec import binomial, ceil_log2
 from sgdcodec.model import (
+    KNOT_BITS,
     Dataset,
     Element,
     GeneratorSpec,
     Model,
+    _sigmoid_knots,
     correctness_mask,
-    sigmoid_table_max_slope,
 )
 from sgdcodec.numerics import (
     DomainError,
@@ -194,6 +197,18 @@ def manual_dataset(grid: GridSpec, rows, family: str = "random-labels") -> Datas
     return Dataset(elements, grid, spec)
 
 
+def to_text_oracle(ds: Dataset) -> str:
+    """``Dataset.to_text`` as it rendered sparse rows before it wrote runs of
+    zeros: one d-cell list per row, its nonzero pairs written in."""
+    lines = [f"{ds.n}\t{ds.dim}\t{ds.grid.scale}"]
+    for el in ds.elements:
+        cells = ["0"] * ds.dim
+        for c, x in el._pairs:
+            cells[c] = str(x)
+        lines.append(f"{el.eid}\t{el.label}\t{','.join(cells)}")
+    return "\n".join(lines) + "\n"
+
+
 def band_dataset(grid: GridSpec, n: int, lo_raw: int, hi_raw: int, seed: int) -> Dataset:
     """One-feature elements, labels all 0, features inside a raw-value band."""
     rng = random.Random(seed)
@@ -285,6 +300,23 @@ def staircase_report_inputs():
 
 # The bookkeeping the step path did in ``Fraction`` before it counted in
 # integers, kept as the reference the integer code must match exactly.
+
+
+def sigmoid_table_max_slope(scale: int) -> Fraction:
+    """Largest knot-to-knot slope of the sigmoid table at this scale."""
+    knots = _sigmoid_knots(scale)
+    steepest = max(abs(b - a) for a, b in zip(knots, knots[1:]))
+    return Fraction(steepest << KNOT_BITS, 1 << scale)
+
+
+def analytic_logistic_smoothness(elements) -> Fraction:
+    """max |x|^2 / 4 over every raw of the rows: the smoothness of the
+    exact-sigmoid logistic-linear loss."""
+    elements = tuple(elements)
+    if not elements:
+        return Fraction(0)
+    worst = max(sum(x * x for x in el.features.raws) for el in elements)
+    return Fraction(worst, elements[0].features.grid.unit ** 2) / 4
 
 
 def reverse_setup_oracle(step_raw: int, grid: GridSpec, batch, d: int, steps: int):

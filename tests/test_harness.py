@@ -480,10 +480,14 @@ def test_cli_verify_rejects_unknown_suites(suites, capsys):
         ["run", "--g-bound", "5"],
         ["decode", "--x"],
         ["--dir", "x", "decode"],
+        ["decode", "--dir", "x", "extra"],
+        ["decode", "-h", "--dir"],
+        ["encode", "--n", "3", "extra"],
+        ["ru"],
     ],
 )
 def test_cli_prints_what_the_parser_with_every_flag_prints(argv, capsys):
-    # main builds flags for the invoked subcommand only; no output may show it
+    # main registers the invoked subcommand only; no output may show it
     def outcome(parse):
         with pytest.raises(SystemExit) as exc:
             parse(argv)
@@ -492,11 +496,24 @@ def test_cli_prints_what_the_parser_with_every_flag_prints(argv, capsys):
     assert outcome(main) == outcome(cli.build_parser().parse_args)
 
 
+@pytest.mark.parametrize(
+    "argv, error",
+    [(["ru"], "error: argument command: invalid choice: 'ru'"),
+     ([], "error: the following arguments are required: command\n")],
+)
+def test_cli_names_the_command_argument_in_usage_errors(argv, error, capsys):
+    # the lean parser's metavar must not leak into the full parser's errors
+    with pytest.raises(SystemExit):
+        main(argv)
+    assert error in capsys.readouterr().err
+
+
 def test_cli_parser_gives_flags_to_the_invoked_command_only():
     assert cli.build_parser("decode").parse_args(["decode", "--dir", "d"]).dir == "d"
     assert cli.build_parser("run").parse_args(["run", "--n", "3"]).n == 3
     with pytest.raises(SystemExit):
         cli.build_parser("decode").parse_args(["run", "--n", "3"])
+    assert list(cli.build_parser("decode")._subparsers._group_actions[0].choices) == ["decode"]
     for command in (None, "bogus"):
         assert cli.build_parser(command).parse_args(["run", "--n", "3"]).n == 3
 
@@ -725,14 +742,13 @@ def test_only_sparse_rows_build_their_nonzero_pairs(tmp_path, capsys, monkeypatc
     monkeypatch.setattr(model, "_nonzeros", counted)
     out = str(tmp_path / "exp")
     run_experiment(spec, out)
-    built = len(calls)
     assert main(["decode", "--dir", out]) == 0
-    n, dim = spec.config.n, spec.config.dim
+    # the one-hot generator stores each element's pairs as it builds it, and
+    # dense rows keep the column kernels: neither scans a row for nonzeros
+    assert calls == []
     if spec.config.generator.family == "one-hot":
-        # once per element of the run's dataset, once more for decode's
-        assert built == n and calls == [dim] * (2 * n)
-    else:  # dense rows keep the column kernels and never scan for nonzeros
-        assert calls == []
+        ds = model.generate_dataset(spec.config.generator, spec.config.grid)
+        assert [el._pairs for el in ds.elements] == [real(el.features.raws) for el in ds.elements]
 
 
 def test_cli_decode_rejects_nonzero_pad_bits(tmp_path, capsys):

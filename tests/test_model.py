@@ -11,7 +11,13 @@ import mpmath
 import pytest
 from hypothesis import given, settings
 
-from conftest import generate_dataset_oracle, manual_dataset, one_hot_dataset
+from conftest import (
+    analytic_logistic_smoothness,
+    generate_dataset_oracle,
+    manual_dataset,
+    one_hot_dataset,
+    sigmoid_table_max_slope,
+)
 from sgdcodec.model import (
     Dataset,
     Element,
@@ -21,15 +27,15 @@ from sgdcodec.model import (
     Model,
     Z_MAX,
     _gradient_sum,
+    _max_sq_norm,
     _sigmoid_knots,
     _sigmoid_num,
     _sigmoid_slope_num,
     _sparse_pairs,
-    analytic_logistic_smoothness,
+    _table_max_slope,
     correctness_mask,
     generate_dataset,
     loss_gradient,
-    sigmoid_table_max_slope,
     zero_model,
 )
 from sgdcodec.numerics import (
@@ -217,8 +223,8 @@ def test_sparse_rows_render_and_bound_like_dense_rows(name):
     assert ds.to_text() == dense_text(ds)
     assert Dataset.from_text(ds.to_text(), ds.grid).elements == ds.elements
     worst = max(sum(r * r for r in el.features.raws) for el in ds.elements)
+    assert _max_sq_norm(ds.elements) == worst
     assert analytic_logistic_smoothness(ds.elements) == Fraction(worst, ds.grid.unit**2) / 4
-    assert analytic_logistic_smoothness(iter(ds.elements)) == Fraction(worst, ds.grid.unit**2) / 4
 
 
 def test_dataset_text_rejects_scale_mismatch():
@@ -304,8 +310,9 @@ def test_sigmoid_slope_matches_segments():
 
 def test_sigmoid_table_max_slope_by_scale():
     # knots rounded to a coarse grid make the table steeper than sigmoid' <= 1/4
-    slopes = [sigmoid_table_max_slope(s) for s in (4, 6, 8, 16)]
+    slopes = [Fraction(_table_max_slope(s), 1 << s) for s in (4, 6, 8, 16)]
     assert slopes == [4, 1, Fraction(1, 4), Fraction(1, 4)]
+    assert slopes == [sigmoid_table_max_slope(s) for s in (4, 6, 8, 16)]
 
 
 def test_zero_model_gradient_formula():
@@ -386,9 +393,10 @@ def test_hidden_model_gradient_shape():
 def test_analytic_smoothness_bounds():
     rows = [((3, 4), 1), ((0, 2), 0)]
     ds = manual_dataset(GridSpec(scale=0, clip=64), rows)
-    assert analytic_logistic_smoothness(ds.elements) == Fraction(25, 4)  # max |x|^2 = 25
-    assert analytic_logistic_smoothness(ds.elements[1:]) == 1
-    assert analytic_logistic_smoothness(()) == 0
+    assert _max_sq_norm(ds.elements) == 25  # max |x|^2 = 25
+    assert _max_sq_norm(ds.elements[1:]) == 4
+    assert _max_sq_norm(()) == 0
+    assert analytic_logistic_smoothness(ds.elements) == Fraction(25, 4)
 
 
 @st.composite
@@ -407,4 +415,6 @@ def test_analytic_smoothness_matches_the_per_element_formula(batch):
     for el in batch:
         x = el.features
         worst = max(worst, Fraction(sum(r * r for r in x.raws), x.grid.unit**2))
+    unit = batch[0].features.grid.unit if batch else 1
+    assert Fraction(_max_sq_norm(batch), unit**2) == worst
     assert analytic_logistic_smoothness(batch) == worst / 4

@@ -6,11 +6,16 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import band_dataset, manual_dataset, one_hot_dataset, progress_oracle
+from conftest import (
+    analytic_logistic_smoothness,
+    band_dataset,
+    manual_dataset,
+    one_hot_dataset,
+    progress_oracle,
+)
 from sgdcodec.harness import write_trace_csv
 from sgdcodec.model import (
     GeneratorSpec,
-    analytic_logistic_smoothness,
     generate_dataset,
     zero_model,
 )
