@@ -215,14 +215,16 @@ def cmd_decode(args: argparse.Namespace) -> int:
     ``rep_NN`` directory that names no replication of the manifest, is a
     failure too.  Returns 1 on any mismatch; a missing replication
     directory, unreadable or undecodable files raise, and ``main`` reports
-    them with exit code 2.
+    them with exit code 2.  The dataset is generated once, when the first
+    replication directory is found, so a manifest whose ``rep_00`` is
+    missing stops before any data is regenerated.
     """
     outdir = args.dir or _resolve_out(args)
     if not outdir:
         print("decode requires --dir or SGDCODEC_OUT", file=sys.stderr)
         return 2
     spec = load_manifest(os.path.join(outdir, "manifest.json"))
-    dataset = generate_dataset(spec.config.generator, spec.config.grid)
+    dataset = None
     failures = 0
     for name in sorted(os.listdir(outdir)):
         path = os.path.join(outdir, name)
@@ -237,6 +239,8 @@ def cmd_decode(args: argparse.Namespace) -> int:
         rep_dir = replication_dir(outdir, r)
         if not os.path.isdir(rep_dir):
             raise DomainError(f"{rep_dir}: replication {r} of the manifest is missing")
+        if dataset is None:
+            dataset = generate_dataset(spec.config.generator, spec.config.grid)
         config = replication_config(spec.config, r)
         run = run_training(config, dataset)
         epoch_dir = epoch_code_dir(rep_dir)

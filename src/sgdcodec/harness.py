@@ -62,7 +62,7 @@ from .sgd_engine import (
     EpochTrace,
     RunConfig,
     TrainingRun,
-    run_training,
+    train_epochs,
     vector_to_bytes,
 )
 from .stable import LOG2_E, _log2_ratios, stable_entropy, stable_exp, stable_log2
@@ -290,13 +290,16 @@ def epoch_code_path(rep_dir: str, epoch: int) -> str:
 def run_experiment(spec: ExperimentSpec, outdir: Optional[str] = None) -> ExperimentResult:
     """Runs, encodes, decodes, accounts, and (optionally) writes artifacts.
 
-    Every epoch is round-tripped inline; a mismatch raises immediately.  The
-    decoder walks the chain from the side info ``SideInfo.of`` gives it (in
-    STRICT mode the epoch's last checkpoint alone), and both the order and
-    the walked chain must equal the trained ones.  Completed epochs are
-    contiguous (epoch e starts where epoch e-1 ends), so by induction from
-    the last checkpoint the STRICT checks are exactly the backward walk from
-    the final weights across all completed epochs.
+    Training is consumed epoch by epoch from ``train_epochs``: each completed
+    epoch is encoded, round-tripped, predicted and accounted before the next
+    one trains, so a failing round trip raises there and no later epoch
+    trains.  The decoder walks the chain from the side info ``SideInfo.of``
+    gives it (in STRICT mode the epoch's last checkpoint alone), and both the
+    order and the walked chain must equal the trained ones.  Completed
+    epochs are contiguous (epoch e starts where epoch e-1 ends), so by
+    induction from the last checkpoint the STRICT checks are exactly the
+    backward walk from the final weights across all completed epochs.  A
+    replication's artifacts are written once all its epochs have passed.
     """
     dataset = generate_dataset(spec.config.generator, spec.config.grid)
     if outdir is not None:
@@ -308,11 +311,14 @@ def run_experiment(spec: ExperimentSpec, outdir: Optional[str] = None) -> Experi
     reps: list[ReplicationResult] = []
     for r in range(spec.replications):
         config = replication_config(spec.config, r)
-        run = run_training(config, dataset)
+        traces: list[EpochTrace] = []
         rows: list[AccountRow] = []
         epoch_codes: list[EpochCode] = []
         ceilings: list[CeilingVerdict] = []
-        for trace in run.completed_traces:
+        for trace, final_model in train_epochs(config, dataset):
+            traces.append(trace)
+            if not trace.completed:
+                continue
             code = encode_epoch(trace, dataset, config, spec.mode)
             side = SideInfo.of(spec.mode, trace.checkpoints)
             decoded = decode_epoch(code, dataset, config, side)
@@ -331,6 +337,7 @@ def run_experiment(spec: ExperimentSpec, outdir: Optional[str] = None) -> Experi
             epoch_codes.append(code)
             rows.append(epoch_accounting(code, trace, config))
             ceilings.append(check_eps_beta_ceiling(trace, config.eps))
+        run = TrainingRun(config, dataset, traces, final_model)
         report = CompressionReport(
             rows,
             ceilings,

@@ -31,6 +31,8 @@ from typing import Mapping, Sequence, Union
 
 Rational = Union[int, float, Fraction]
 
+_LN2 = math.log(2)
+
 
 class DomainError(ValueError):
     """An argument is outside the mathematical domain of the operation."""
@@ -171,24 +173,53 @@ def _numerators(*values: Rational) -> tuple[list[int], int]:
 
 
 def _entropy(num: int, den: int) -> float:
-    """h(num/den) in bits for 0 <= num <= den."""
+    """h(num/den) in bits for 0 <= num <= den.
+
+    Where num/den rounds to 0.0 or 1.0, h is taken from the integers: from
+    the smaller side t = min(num, den - num)/den, whose complement's log
+    comes from log1p.
+    """
     if num == 0 or num == den:
         return 0.0
     x = num / den
-    return -(x * math.log2(x) + (1.0 - x) * math.log2(1.0 - x))
+    try:
+        return -(x * math.log2(x) + (1.0 - x) * math.log2(1.0 - x))
+    except ValueError:  # log2(0.0)
+        t = min(num, den - num) / den
+        return -(t * math.log2(t) + (1.0 - t) * math.log1p(-t) / _LN2) if t else 0.0
+
+
+def _ln_ratio(p: int, q: int) -> float:
+    """ln(p/q) for positive integers: from log1p where p/q is near 1, and
+    past the float range as k ln 2 plus the log of a ratio in (1/2, 2)."""
+    k = p.bit_length() - q.bit_length()
+    if abs(k) > 1000:
+        p, q = (p, q << k) if k > 0 else (p << -k, q)
+        return k * _LN2 + math.log(p / q)
+    r = p / q
+    return math.log(r) if r < 0.5 or r > 2.0 else math.log1p((p - q) / q)
 
 
 def _kl(a: int, c: int, n: int) -> float:
-    """D(a/n || c/n) in bits; 0 < c < n unless a == c."""
+    """D(a/n || c/n) in bits; 0 < c < n unless a == c.
+
+    Where c/n rounds to 1.0 while a/n does not, the float ratio of the
+    complements divides by 0.0, and both log ratios are taken from the
+    integers instead.
+    """
     if a == c:
         return 0.0
     x, y = a / n, c / n
-    total = 0.0
-    if x > 0.0:
-        total += x * math.log2(x / y)
-    if x < 1.0:
-        total += (1.0 - x) * math.log2((1.0 - x) / (1.0 - y))
-    return total
+    try:
+        total = 0.0
+        if x > 0.0:
+            total += x * math.log2(x / y)
+        if x < 1.0:
+            total += (1.0 - x) * math.log2((1.0 - x) / (1.0 - y))
+        return total
+    except ZeroDivisionError:
+        up = x * _ln_ratio(a, c) if x else 0.0
+        return (up + (n - a) / n * _ln_ratio(n - a, n - c)) / _LN2
 
 
 def _realizable_q(a: int, g: int, n: int) -> range:

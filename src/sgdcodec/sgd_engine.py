@@ -388,7 +388,11 @@ class TrainingRun:
     dataset: Dataset
     traces: list[EpochTrace]
     final_model: Model
-    terminated: bool
+
+    @property
+    def terminated(self) -> bool:
+        """Whether the accuracy target stopped the run, at its last epoch."""
+        return self.traces[-1].terminated
 
     @property
     def completed_traces(self) -> list[EpochTrace]:
@@ -404,26 +408,41 @@ class TrainingRun:
         return Fraction(last.masks[-1].bit_count(), last.n)
 
 
+def train_epochs(
+    config: RunConfig, dataset: Dataset
+) -> Iterator[tuple[EpochTrace, Model]]:
+    """The training loop: yields each epoch's trace and the model it ended on
+    as that epoch ends, and stops after the epoch that hits the accuracy
+    target or saturates, or after max_epochs.
+
+    A consumer may act on each epoch before the next one trains and stop
+    there; ``run_training`` collects every epoch.
+    """
+    check_step_smoothness(config, dataset)
+    model = zero_model(config.model_kind, dataset.dim, config.grid, config.hidden_width)
+    sweep = _Sweep(dataset, model.kind)
+    for epoch in range(1, config.max_epochs + 1):
+        trace, model = run_epoch(model, dataset, config, epoch, sweep)
+        yield trace, model
+        if trace.terminated or trace.saturated:
+            return
+
+
 def run_training(config: RunConfig, dataset: Optional[Dataset] = None) -> TrainingRun:
-    """Runs epochs until the accuracy target is hit or max_epochs expire."""
+    """Runs epochs until the accuracy target is hit or max_epochs expire.
+
+    It collects every epoch that ``train_epochs`` yields into one
+    ``TrainingRun``; the harness consumes ``train_epochs`` itself, epoch by
+    epoch, so this is the decoder's rerun.
+    """
     if dataset is None:
         from .model import generate_dataset
 
         dataset = generate_dataset(config.generator, config.grid)
-    check_step_smoothness(config, dataset)
-    model = zero_model(config.model_kind, dataset.dim, config.grid, config.hidden_width)
-    sweep = _Sweep(dataset, model.kind)
     traces: list[EpochTrace] = []
-    terminated = False
-    for epoch in range(1, config.max_epochs + 1):
-        trace, model = run_epoch(model, dataset, config, epoch, sweep)
+    for trace, model in train_epochs(config, dataset):
         traces.append(trace)
-        if trace.terminated:
-            terminated = True
-            break
-        if trace.saturated:
-            break
-    return TrainingRun(config, dataset, traces, model, terminated)
+    return TrainingRun(config, dataset, traces, model)
 
 
 def _ball_offsets(d: int, r2: int) -> Iterator[tuple[int, ...]]:

@@ -20,8 +20,9 @@ import tracemalloc
 from fractions import Fraction
 
 import hypothesis.strategies as st
+import mpmath
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from conftest import hypergeometric_pmf
 from sgdcodec.harness import HoeffdingCheck, _draws_below, verify_hoeffding
@@ -34,6 +35,7 @@ from sgdcodec.numerics import (
     _realizable_q,
     verify_split_entropy,
 )
+from sgdcodec.stable import stable_entropy
 
 
 def oracle_binary_entropy(p):
@@ -135,28 +137,123 @@ PROBS = st.one_of(
 )
 
 
+def precise_kl_terms(a, c, n):
+    """The two terms of D(a/n || c/n) in bits, p*log2(p/q) and
+    (1-p)*log2((1-p)/(1-q)), with 256 bits to spare past n**2, as floats."""
+    with mpmath.workprec(2 * n.bit_length() + 256):
+        x, y = mpmath.mpf(a) / n, mpmath.mpf(c) / n
+        up = x * mpmath.log(x / y, 2) if a else mpmath.mpf(0)
+        down = (1 - x) * mpmath.log((1 - x) / (1 - y), 2) if a < n else mpmath.mpf(0)
+        return float(up), float(down), float(up + down)
+
+
+def close(got, want, scale, ulps=4):
+    """got is want to a few ulps of scale.  A subnormal intermediate keeps
+    only an absolute 2**-1074, which a log2 factor of up to about 1100
+    scales, so 2**-1060 more is allowed."""
+    return abs(got - want) <= ulps * math.ulp(scale) + 2.0**-1060
+
+
+def kl_within_ulps(a, c, n):
+    """_kl(a, c, n) is D to a few ulps of its larger term: the terms have
+    opposite signs, and a float sum of them keeps only that much where p
+    is near q."""
+    up, down, want = precise_kl_terms(a, c, n)
+    return close(_kl(a, c, n), want, max(abs(up), abs(down)))
+
+
+# p rounds to 1.0 as a float: h(p) once raised "math domain error"
+@example(Fraction(2**60 - 63, 2**60 + 1))
+@example(Fraction(64, 2**60 + 1))
 @settings(max_examples=200)
 @given(PROBS)
 def test_binary_entropy_matches_oracle(p):
     (a,), n = _numerators(p)
     if 0 <= a <= n:
-        assert _entropy(a, n).hex() == oracle_binary_entropy(p).hex()
+        try:
+            want = oracle_binary_entropy(p)
+        except ValueError:  # where the float formula fails, h to a few ulps
+            want = stable_entropy(Fraction(a, n))
+            assert close(_entropy(a, n), want, want)
+        else:
+            assert _entropy(a, n).hex() == want.hex()
 
 
+# q rounds to 1.0 as a float: D(p || q) once divided by 0.0
+@example(Fraction(1, 2**60), Fraction(2**60 - 1, 2**60))
+@example(Fraction(2**60 - 64, 2**60 + 1), Fraction(2**60 - 63, 2**60 + 1))
+@example(Fraction(1, 3), Fraction(2**60, 2**60 + 1))
 @settings(max_examples=200)
 @given(PROBS, PROBS)
 def test_kl_bernoulli_matches_oracle(p, q):
     (a, c), n = _numerators(p, q)
     if 0 <= a <= n and (a == c or 0 < c < n):
-        assert _kl(a, c, n).hex() == oracle_kl_bernoulli(p, q).hex()
+        try:
+            want = oracle_kl_bernoulli(p, q)
+        except ZeroDivisionError:  # where the float formula fails, D from the integers
+            assert kl_within_ulps(a, c, n)
+        else:
+            assert _kl(a, c, n).hex() == want.hex()
 
 
+@pytest.mark.parametrize(
+    "num, den", [(1, 10**400), (10**400 - 1, 10**400), (3, 2**1100 + 1)],
+    ids=["1/10^400", "1-1/10^400", "3/(2^1100+1)"],
+)
+def test_binary_entropy_is_total_past_the_float_range(num, den):
+    # num/den or its complement underflows to 0.0: that side adds its limit 0
+    want = stable_entropy(Fraction(num, den))
+    assert _entropy(num, den) == pytest.approx(want, rel=1e-12, abs=1e-300)
+
+
+@pytest.mark.parametrize(
+    "a, c, n",
+    [(1, 2**1100 - 1, 2**1100), (2**1099, 2**1100 - 3, 2**1100), (0, 2**70 - 1, 2**70)],
+    ids=["2^-1100", "half", "zero"],
+)
+def test_kl_is_total_past_the_float_range(a, c, n):
+    assert kl_within_ulps(a, c, n)
+
+
+def split_within_ulps(p, gamma, q):
+    """verify_split_entropy(p, gamma, q) is its slack to a few ulps of the
+    largest of the four terms it sums."""
+    (a, g, c), n = _numerators(p, gamma, q)
+    with mpmath.workprec(2 * n.bit_length() + 256):
+        x, gm, y = (mpmath.mpf(v) / n for v in (a, g, c))
+
+        def h(v):
+            return -(v * mpmath.log(v, 2) + (1 - v) * mpmath.log(1 - v, 2)) if 0 < v < 1 else 0
+
+        up = x * mpmath.log(x / y, 2) if a and g else 0
+        down = (1 - x) * mpmath.log((1 - x) / (1 - y), 2) if a < n and g else 0
+        terms = [
+            h(gm),
+            -gm * (up + down),
+            -y * h(x * gm / y) if c else 0,
+            -(1 - y) * h((1 - x) * gm / (1 - y)) if c < n else 0,
+        ]
+        want, scale = float(sum(terms)), max(abs(float(t)) for t in terms)
+    return close(verify_split_entropy(p, gamma, q), want, scale, ulps=16)
+
+
+# the oracle's h(1 - p) rounds 1 - p to 1.0 and raised "math domain error"
+@example(4.856680502992691e-177, Fraction(1, 2), Fraction(1, 2))
+# its h(p * gamma / q) underflows to h(0.0), among subnormal terms
+@example(2.2250738585e-313, 2.2250738585e-313, 0.125)
+# the same with D(p || q) at inf, as p/q overflows
+@example(0.75, 5e-324, 5e-324)
 @settings(max_examples=300)
 @given(PROBS, PROBS, PROBS)
 def test_verify_split_entropy_matches_oracle(p, gamma, q):
-    assert outcome(verify_split_entropy, p, gamma, q) == outcome(
-        oracle_verify_split_entropy, p, gamma, q
-    )
+    want = outcome(oracle_verify_split_entropy, p, gamma, q)
+    if want in (ValueError, ZeroDivisionError):  # a float factor rounded to 0.0
+        if outcome(oracle_kl_bernoulli, p, q) == "inf":  # p/q overflowed, and still does
+            assert verify_split_entropy(p, gamma, q) == -math.inf
+        else:
+            assert split_within_ulps(p, gamma, q)
+    else:
+        assert outcome(verify_split_entropy, p, gamma, q) == want
 
 
 @pytest.mark.parametrize("side", [1, 2, 7, 16])
