@@ -432,8 +432,9 @@ def run_training(config: RunConfig, dataset: Optional[Dataset] = None) -> Traini
     """Runs epochs until the accuracy target is hit or max_epochs expire.
 
     It collects every epoch that ``train_epochs`` yields into one
-    ``TrainingRun``; the harness consumes ``train_epochs`` itself, epoch by
-    epoch, so this is the decoder's rerun.
+    ``TrainingRun``.  The harness consumes ``train_epochs`` itself, so that
+    a failing round trip stops training at its epoch; ``sgdcodec decode``
+    reruns training through this.
     """
     if dataset is None:
         from .model import generate_dataset
