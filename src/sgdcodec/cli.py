@@ -6,7 +6,8 @@ SGDCODEC_OUT is required), decode (decode each epoch code file on disk once
 and check it, and final_model.bin, against a rerun of training), report
 (print the summaries of an artifact directory, reading its files only).
 A flat key=value file can provide any flag's default; explicit flags win.
-SGDCODEC_OUT overrides the output directory.
+SGDCODEC_OUT names the artifact directory where --out (run, encode) or --dir
+(decode, report) is not given; the flag wins over it.
 """
 
 from __future__ import annotations

@@ -491,9 +491,9 @@ def _decode_backward(
     pool = (1 << n) - 1
     perm_w = ceil_log2(math.factorial(b))
     batches_rev: list[tuple[int, ...]] = []
-    chain_rev = [last]
+    chain_rev, carry = [last], []
     for j in range(n // b, 0, -1):
-        cv = correctness_mask(template.with_weights(chain_rev[-1]), dataset)
+        cv = correctness_mask(template.with_weights(chain_rev[-1]), dataset, carry)
         batch = decode_set_conditional(stream, pool, cv, b)
         batches_rev.append(perm_unrank(stream.read_uint(perm_w), batch))
         chain_rev.append(step_back(j, batches_rev[-1], chain_rev[-1]))

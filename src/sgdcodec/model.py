@@ -9,15 +9,16 @@ factor of the batch size), so a gradient is a deterministic function of
 (weights, batch) with a single round-half-even division at the end of each
 step.
 Classification goes through one sweep, ``correctness_mask`` (for logistic-linear
-models one big-int pass over lane-packed feature columns), with the prediction
-rule score > 0 -> label 1; accuracies are popcounts of its masks.
+models one big-int sum over lane-packed feature columns, which a caller may
+carry from sweep to sweep so that it adds only the weights that moved), with
+the prediction rule score > 0 -> label 1; accuracies are popcounts of its masks.
 
 Sparse rows, such as one-hot data, cost O(nonzeros): each element caches its
 nonzero (coordinate, raw) pairs, which the one-hot generator stores as it builds
 them; the logistic-linear gradient, lane packing, smoothness bound and dataset
-text run from them, and a run's sweep adds only the weights a step moved.  The
-density rule (``_sparse_pairs``) is one decision per kernel call or run, never
-per element; rows shorter than ``_SPARSE_DIM`` go unscanned.  Both paths agree.
+text run from them.  The density rule (``_sparse_pairs``) is one decision per
+kernel call, never per element; rows shorter than ``_SPARSE_DIM`` go unscanned.
+Both paths agree.
 """
 
 from __future__ import annotations
@@ -572,64 +573,38 @@ def correctness_vector(model: Model, dataset: Dataset) -> list[int]:
     return [mask >> e & 1 for e in range(dataset.n)]
 
 
-def _check_sweep(model: Model, dataset: Dataset) -> None:
-    """Raises unless the model can sweep this dataset."""
+def correctness_mask(model: Model, dataset: Dataset, carry: Optional[list] = None) -> int:
+    """The correctness sweep as one int: bit e is set iff element e is correct.
+
+    Correct means the sign of the score numerator agrees with the label:
+    positive for label 1, zero or negative for label 0.  A logistic-linear
+    sweep sums packed scores from zero raws and the bias lanes, adding
+    (new - old) * column only where a raw differs.  ``carry`` is a list one
+    caller keeps across its sweeps of one dataset: empty at first, then
+    [raws, packed scores] of its last sweep, so a sweep pays only for the
+    raws that moved since.  A refused model leaves it as it was.
+    """
     if dataset.grid != model.grid:
         raise DomainError("dataset and model live on different grids")
     if dataset.n and dataset.dim != model.dim:
         raise DomainError(f"dataset dim {dataset.dim}, model dim {model.dim}")
-    if model.kind == "logistic-linear" and not model.grid.holds(model.weights.raws):
-        raise DomainError("a weight lies outside the grid's clip range")
-
-
-def _top_bits(acc: int, dataset: Dataset) -> int:
-    """The mask of packed scores whose lane e holds score_e + 2**(L-1) - 1:
-    bit e is set iff the lane's top bit (score_e > 0) agrees with label e."""
-    size, _, _, tops, label0 = dataset._lanes
-    top_bytes = ((acc & tops) ^ label0).to_bytes(dataset.n * size, "big")[::size]
-    return int(top_bytes.translate(bytes.maketrans(b"\x00\x80", b"01")) or b"0", 2)
-
-
-def correctness_mask(model: Model, dataset: Dataset) -> int:
-    """The correctness sweep as one int: bit e is set iff element e is correct.
-
-    Correct means the sign of the score numerator agrees with the label:
-    positive for label 1, zero or negative for label 0.
-    """
-    _check_sweep(model, dataset)
     w, elements = model.weights.raws, dataset.elements
     if model.kind != "logistic-linear":  # per element, output scores over 2**(4s)
         v = w[model.width * model.dim :]
         scores = (_dot(v, model._hidden(el.features.raws)[1]) for el in elements)
         return sum(1 << el.eid for z, el in zip(scores, elements) if (z > 0) == el.label)
-    _, columns, bias, _, _ = dataset._lanes
-    return _top_bits(sum((wc * col for wc, col in zip(w, columns) if wc), bias), dataset)
-
-
-class _Sweep:
-    """``correctness_mask`` at each checkpoint of a run over one dataset.
-
-    On sparse rows (``_sparse_pairs``, decided once) a logistic-linear sweep
-    carries the packed scores and the raws they were built from, starting
-    from zero weights, and adds (new - old) * column only where a raw moved.
-    """
-
-    def __init__(self, dataset: Dataset, kind: str) -> None:
-        self.dataset = dataset
-        sparse = _sparse_pairs(dataset.elements, dataset.dim) is not None
-        self.carry = sparse and kind == "logistic-linear"
-        if self.carry:
-            self.raws, self.acc = (0,) * dataset.dim, dataset._lanes[2]
-
-    def mask(self, model: Model) -> int:
-        if not self.carry:
-            return correctness_mask(model, self.dataset)
-        _check_sweep(model, self.dataset)
-        w, old, columns = model.weights.raws, self.raws, self.dataset._lanes[1]
-        for c in compress(range(len(w)), map(operator.ne, w, old)):
-            self.acc += (w[c] - old[c]) * columns[c]
-        self.raws = w
-        return _top_bits(self.acc, self.dataset)
+    if not model.grid.holds(w):
+        raise DomainError("a weight lies outside the grid's clip range")
+    size, columns, bias, tops, label0 = dataset._lanes
+    old, acc = carry or ((0,) * len(w), bias)
+    for c in compress(range(len(columns)), map(operator.ne, w, old)):
+        acc += (w[c] - old[c]) * columns[c]
+    if carry is not None:
+        carry[:] = w, acc
+    # lane e holds score_e + 2**(L-1) - 1, so its top bit says score_e > 0;
+    # label0 flips that bit where label e is 0
+    top_bytes = ((acc & tops) ^ label0).to_bytes(dataset.n * size, "big")[::size]
+    return int(top_bytes.translate(bytes.maketrans(b"\x00\x80", b"01")) or b"0", 2)
 
 
 def _max_sq_norm(elements: Sequence[Element]) -> int:

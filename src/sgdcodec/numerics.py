@@ -203,9 +203,10 @@ def _ln_ratio(p: int, q: int) -> float:
 def _kl(a: int, c: int, n: int) -> float:
     """D(a/n || c/n) in bits; 0 < c < n unless a == c.
 
-    Where c/n rounds to 1.0 while a/n does not, the float ratio of the
-    complements divides by 0.0, and both log ratios are taken from the
-    integers instead.
+    Where the float formula fails, the log ratios are taken from the
+    integers instead: where c/n rounds to 1.0 while a/n does not, the float
+    ratio of the complements divides by 0.0, and where c/n is far below a/n,
+    x / y overflows to inf or divides by 0.0, although D is finite.
     """
     if a == c:
         return 0.0
@@ -216,10 +217,13 @@ def _kl(a: int, c: int, n: int) -> float:
             total += x * math.log2(x / y)
         if x < 1.0:
             total += (1.0 - x) * math.log2((1.0 - x) / (1.0 - y))
-        return total
     except ZeroDivisionError:
-        up = x * _ln_ratio(a, c) if x else 0.0
-        return (up + (n - a) / n * _ln_ratio(n - a, n - c)) / _LN2
+        total = math.inf
+    if math.isfinite(total):
+        return total
+    up = x * _ln_ratio(a, c) if x else 0.0
+    down = (n - a) / n * _ln_ratio(n - a, n - c) if a < n else 0.0
+    return (up + down) / _LN2
 
 
 def _realizable_q(a: int, g: int, n: int) -> range:

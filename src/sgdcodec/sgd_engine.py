@@ -28,9 +28,9 @@ from .model import (
     Element,
     GeneratorSpec,
     Model,
-    _Sweep,
     _max_sq_norm,
     _table_max_slope,
+    correctness_mask,
     loss_gradient,
     manifest_fraction,
     manifest_int,
@@ -264,7 +264,6 @@ class EpochTrace:
     checkpoints: list[FixedVector] = field(default_factory=list)
     masks: list[int] = field(default_factory=list)
     terminated: bool = False
-    terminated_at: Optional[int] = None
     saturated: bool = False
 
     @property
@@ -332,10 +331,12 @@ class EpochTrace:
         return Fraction(self.gained(), self.n)
 
 
-def _record_checkpoint(trace: EpochTrace, model: Model, sweep: _Sweep) -> int:
+def _record_checkpoint(
+    trace: EpochTrace, model: Model, dataset: Dataset, carry: Optional[list]
+) -> int:
     """Appends one checkpoint and its correctness mask; returns how many
     elements it classifies correctly."""
-    mask = sweep.mask(model)
+    mask = correctness_mask(model, dataset, carry)
     trace.checkpoints.append(model.weights)
     trace.masks.append(mask)
     return mask.bit_count()
@@ -355,22 +356,20 @@ def forward_step(model: Model, batch, step_raw: int) -> tuple[Model, FixedVector
 
 def run_epoch(
     model: Model, dataset: Dataset, config: RunConfig, epoch: int,
-    sweep: Optional[_Sweep] = None,
+    carry: Optional[list] = None,
 ) -> tuple[EpochTrace, Model]:
     """Runs one epoch; the trace stops early on termination or saturation.
-    ``sweep`` carries the correctness sweep of earlier epochs on ``dataset``."""
-    sweep = sweep or _Sweep(dataset, model.kind)
+    ``carry`` is ``correctness_mask``'s carry from earlier epochs on ``dataset``."""
     order = draw_epoch_permutation(dataset.n, config.seed, epoch)
     trace = EpochTrace(epoch, config.batch_size, order)
     # accuracy correct/n >= 1 - eps, as correct * den >= (den - num) * n
     den = config.eps.denominator
     stop = (den - config.eps.numerator) * dataset.n
-    correct = _record_checkpoint(trace, model, sweep)
+    correct = _record_checkpoint(trace, model, dataset, carry)
     batches = trace.batches
     for j in range(1, config.num_batches + 1):
         if correct * den >= stop:
             trace.terminated = True
-            trace.terminated_at = j
             break
         batch = dataset.subset(batches[j - 1])
         try:
@@ -378,7 +377,7 @@ def run_epoch(
         except SaturationError:
             trace.saturated = True
             break
-        correct = _record_checkpoint(trace, model, sweep)
+        correct = _record_checkpoint(trace, model, dataset, carry)
     return trace, model
 
 
@@ -420,9 +419,9 @@ def train_epochs(
     """
     check_step_smoothness(config, dataset)
     model = zero_model(config.model_kind, dataset.dim, config.grid, config.hidden_width)
-    sweep = _Sweep(dataset, model.kind)
+    carry: list = []
     for epoch in range(1, config.max_epochs + 1):
-        trace, model = run_epoch(model, dataset, config, epoch, sweep)
+        trace, model = run_epoch(model, dataset, config, epoch, carry)
         yield trace, model
         if trace.terminated or trace.saturated:
             return

@@ -3,7 +3,8 @@ exact hypergeometric law the Hoeffding verifier is checked against; the
 per-case margins of three inequality sweeps, evaluated case by case; the
 closed-form width bound of the conditional set codec; the dataset
 generator spelled out on stdlib ``randrange`` and ``Fraction``; the dataset
-text as it rendered sparse rows cell by cell; and the
+text as it rendered sparse rows cell by cell; the packed correctness sweep
+as one full sum, before it carried; and the
 ``Fraction`` bookkeeping of the reverse-step set-up (with the table slope
 and the smoothness it rests on), case selection, accounting and
 ``trace.csv`` cells, which the integer code must match."""
@@ -225,6 +226,22 @@ def one_hot_dataset(grid: GridSpec, n: int, scale_raw: int) -> Dataset:
         raws[i] = scale_raw
         elements.append(Element(i, FixedVector(tuple(raws), grid), 1))
     return Dataset(tuple(elements), grid, spec)
+
+
+def correctness_mask_oracle(model: Model, dataset: Dataset) -> int:
+    """``correctness_mask`` of a logistic-linear model as it was before it took
+    a carry: every nonzero weight times its packed column, summed onto the
+    bias lanes in one pass, and each lane's top bit read against its label."""
+    if dataset.grid != model.grid:
+        raise DomainError("dataset and model live on different grids")
+    if dataset.n and dataset.dim != model.dim:
+        raise DomainError(f"dataset dim {dataset.dim}, model dim {model.dim}")
+    if not model.grid.holds(model.weights.raws):
+        raise DomainError("a weight lies outside the grid's clip range")
+    size, columns, bias, tops, label0 = dataset._lanes
+    acc = sum((wc * col for wc, col in zip(model.weights.raws, columns) if wc), bias)
+    top_bytes = ((acc & tops) ^ label0).to_bytes(dataset.n * size, "big")[::size]
+    return int(top_bytes.translate(bytes.maketrans(b"\x00\x80", b"01")) or b"0", 2)
 
 
 def weights_on(dataset: Dataset, ids, raw: int) -> FixedVector:

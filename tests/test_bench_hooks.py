@@ -68,21 +68,29 @@ def test_traced_logistic_run_counts_one_mask_per_checkpoint_sweep():
     # Training and decoding sweep through model.correctness_mask;
     # correctness_vector is only a list view of it, so the benchmark's sweep
     # metrics must be read off the mask's name.  Training sweeps every
-    # checkpoint; a BACKWARD decode sweeps before each of its n / b batches,
-    # a SPLIT decode once, at the split position.
-    gen = GeneratorSpec(family="random-labels", n=64, dim=2, seed=3)
-    cfg = RunConfig(generator=gen, batch_size=16, step_raw=1 << 13, eps=Fraction(1, 4),
-                    progress_coeff=Fraction(4), seed=3, max_epochs=2, grid=GridSpec())
-    tracer = _load_tracer().Tracer()
-    tracer.install()
-    try:
-        result = harness.run_experiment(ExperimentSpec(config=cfg, mode="ACCOUNTING"))
-    finally:
-        tracer.uninstall()
-    rep = result.replications[0]
-    sweeps = sum(len(trace.masks) for trace in rep.run.traces) + sum(
-        gen.n // cfg.batch_size if row.case == "BACKWARD" else 1 for row in rep.report.rows
-    )
-    assert [row.case for row in rep.report.rows] == ["BACKWARD", "SPLIT"]
-    assert tracer.calls["model.correctness_mask"] == sweeps
-    assert tracer.calls["model.correctness_vector"] == 0
+    # checkpoint, on dense rows and on sparse one-hot rows alike; a BACKWARD
+    # decode sweeps before each of its n / b batches, a SPLIT decode once, at
+    # the split position.
+    random_labels = RunConfig(
+        generator=GeneratorSpec(family="random-labels", n=64, dim=2, seed=3),
+        batch_size=16, step_raw=1 << 13, eps=Fraction(1, 4), progress_coeff=Fraction(4),
+        seed=3, max_epochs=2, grid=GridSpec())
+    one_hot = RunConfig(  # the default run settings at n = d = 32
+        generator=GeneratorSpec(family="one-hot", n=32, dim=32, seed=1),
+        batch_size=16, step_raw=58982, eps=Fraction(1, 100), progress_coeff=Fraction(20),
+        seed=1, max_epochs=4, grid=GridSpec())
+    for cfg, cases in ((random_labels, ["BACKWARD", "SPLIT"]), (one_hot, ["SPLIT"])):
+        tracer = _load_tracer().Tracer()
+        tracer.install()
+        try:
+            result = harness.run_experiment(ExperimentSpec(config=cfg, mode="ACCOUNTING"))
+        finally:
+            tracer.uninstall()
+        rep = result.replications[0]
+        sweeps = sum(len(trace.masks) for trace in rep.run.traces) + sum(
+            cfg.generator.n // cfg.batch_size if row.case == "BACKWARD" else 1
+            for row in rep.report.rows
+        )
+        assert [row.case for row in rep.report.rows] == cases
+        assert tracer.calls["model.correctness_mask"] == sweeps
+        assert tracer.calls["model.correctness_vector"] == 0

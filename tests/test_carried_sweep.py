@@ -1,12 +1,15 @@
-"""Sparse rows pay only for what changed.
+"""Every sweep pays only for what changed since the caller's last one.
 
-A run on sparse logistic-linear rows carries its packed score sum from
-checkpoint to checkpoint and adds only the coordinates a step moved; at
-every checkpoint that carry must give ``correctness_mask``'s mask, and raise
-where it raises.  Dense and short rows, and hidden-layer models, keep the
-full sweep.  The one-hot generator stores each element's nonzero pairs as it
-builds it, and ``to_text`` writes sparse rows as runs of zeros; both must
-give what a scan of the row gives.
+``correctness_mask`` takes a caller's carry, the raws and packed scores of
+its last sweep of one dataset, and adds only the columns whose raw moved
+since.  At every checkpoint, on sparse, dense, short and clip-edge rows,
+that must give the mask of the full packed sum (``correctness_mask_oracle``)
+and raise where it raises, leaving the carry as it was.  Every
+logistic-linear run keeps one carry across its checkpoints and epochs, every
+BACKWARD decode walk one along its walk; a hidden-layer model ignores it.
+The one-hot generator stores each element's nonzero pairs as it builds it,
+and ``to_text`` writes sparse rows as runs of zeros; both must give what a
+scan of the row gives.
 """
 
 from __future__ import annotations
@@ -17,13 +20,14 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from conftest import manual_dataset, one_hot_dataset, to_text_oracle
+from conftest import correctness_mask_oracle, manual_dataset, one_hot_dataset, to_text_oracle
+from sgdcodec import epoch_codec, harness, sgd_engine
 from sgdcodec import model as model_module
+from sgdcodec.harness import ExperimentSpec
 from sgdcodec.model import (
     Dataset,
     GeneratorSpec,
     Model,
-    _Sweep,
     _nonzeros,
     correctness_mask,
     generate_dataset,
@@ -36,25 +40,33 @@ GRIDS = (GridSpec(scale=4, clip=2), GridSpec(scale=6, clip=4), GridSpec(scale=16
 
 
 @st.composite
-def sparse_datasets(draw) -> Dataset:
-    """One-hot rows, or hand-built rows with up to three nonzeros each and at
-    most one entry in eight nonzero overall."""
+def row_datasets(draw) -> Dataset:
+    """One-hot rows; hand-built sparse rows, with up to three nonzeros each
+    and at most one entry in eight nonzero overall; dense rows; rows shorter
+    than the sparse rule scans; or rows of clip-edge and zero cells."""
     grid = draw(st.sampled_from(GRIDS))
-    if draw(st.booleans()):
+    rows_of = draw(st.sampled_from(("one-hot", "sparse", "dense", "short", "edge")))
+    if rows_of == "one-hot":
         n = draw(st.sampled_from((8, 16, 24)))
         return one_hot_dataset(grid, n, draw(st.integers(1, grid.raw_max)))
-    dim = draw(st.sampled_from((8, 16, 40)))
     n = draw(st.integers(1, 12))
-    raw = st.integers(grid.raw_min, grid.raw_max).filter(bool)
-    budget, rows = n * dim // 8, []
-    for _ in range(n):
-        cols = draw(st.sets(st.integers(0, dim - 1), max_size=min(3, budget)))
-        budget -= len(cols)
-        feats = [0] * dim
-        for c in sorted(cols):
-            feats[c] = draw(raw)
-        rows.append((feats, draw(st.integers(0, 1))))
-    return manual_dataset(grid, rows)
+    raw = st.integers(grid.raw_min, grid.raw_max)
+    if rows_of == "sparse":
+        dim = draw(st.sampled_from((8, 16, 40)))
+        budget, rows = n * dim // 8, []
+        for _ in range(n):
+            cols = draw(st.sets(st.integers(0, dim - 1), max_size=min(3, budget)))
+            budget -= len(cols)
+            feats = [0] * dim
+            for c in sorted(cols):
+                feats[c] = draw(raw.filter(bool))
+            rows.append((feats, draw(st.integers(0, 1))))
+        return manual_dataset(grid, rows)
+    dim = draw(st.integers(1, 7) if rows_of == "short" else st.sampled_from((8, 16, 40)))
+    if rows_of == "edge":
+        raw = st.sampled_from((grid.raw_min, 0, grid.raw_max))
+    cells = st.lists(raw, min_size=dim, max_size=dim)
+    return manual_dataset(grid, [(draw(cells), draw(st.integers(0, 1))) for _ in range(n)])
 
 
 def next_weights(draw, grid: GridSpec, w: list[int]) -> list[int]:
@@ -74,64 +86,105 @@ def next_weights(draw, grid: GridSpec, w: list[int]) -> list[int]:
 
 
 @settings(max_examples=150, deadline=None)
-@given(sparse_datasets(), st.data())
+@given(row_datasets(), st.data())
 def test_carried_sweep_equals_the_full_sweep_at_every_checkpoint(ds, data):
-    sweep = _Sweep(ds, "logistic-linear")
-    assert sweep.carry
-    w = [0] * ds.dim
+    carry, w = [], [0] * ds.dim
     for _ in range(data.draw(st.integers(1, 8))):
         model = Model("logistic-linear", FixedVector(tuple(w), ds.grid), ds.dim)
-        assert sweep.mask(model) == correctness_mask(model, ds)
+        assert correctness_mask(model, ds, carry) == correctness_mask_oracle(model, ds)
+        assert carry[0] == tuple(w)
         w = next_weights(data.draw, ds.grid, w)
 
 
 def test_carried_sweep_runs_the_full_sweeps_checks():
     grid = GridSpec(scale=6, clip=4)
     ds = one_hot_dataset(grid, 16, 64)
-    sweep = _Sweep(ds, "logistic-linear")
     zero = zero_model("logistic-linear", 16, grid)
-    sweep.mask(zero)
+    carry = []
+    correctness_mask(zero.with_weights(FixedVector((3,) + (0,) * 15, grid)), ds, carry)
+    kept = list(carry)
     for bad in (
         zero.with_weights(FixedVector((grid.raw_max + 1,) + (0,) * 15, grid)),
         zero_model("logistic-linear", 16, GridSpec(scale=6, clip=8)),
         zero_model("logistic-linear", 8, grid),
     ):
-        for sweep_of in (sweep.mask, lambda m: correctness_mask(m, ds)):
+        for sweep_of in (lambda m: correctness_mask(m, ds, carry),
+                         lambda m: correctness_mask_oracle(m, ds)):
             with pytest.raises(DomainError):
                 sweep_of(bad)
-    # a refused checkpoint leaves the carry where it was
+        # a refused checkpoint leaves the carry where it was
+        assert carry == kept
     moved = zero.with_weights(FixedVector((5,) + (0,) * 15, grid))
-    assert sweep.mask(moved) == correctness_mask(moved, ds)
+    assert correctness_mask(moved, ds, carry) == correctness_mask_oracle(moved, ds)
 
 
-def config_for(ds: Dataset, step_raw: int, max_epochs: int) -> RunConfig:
+def config_for(ds: Dataset, step_raw: int, max_epochs: int, **kw) -> RunConfig:
     gen = GeneratorSpec(family=ds.spec.family, n=ds.n, dim=ds.dim, seed=1)
     return RunConfig(generator=gen, batch_size=2 if ds.n % 4 else 4, step_raw=step_raw, eps=Fraction(1, 100),
-                     progress_coeff=Fraction(1), seed=1, max_epochs=max_epochs, grid=ds.grid)
+                     progress_coeff=Fraction(1), seed=1, max_epochs=max_epochs, grid=ds.grid, **kw)
 
 
-def test_dense_rows_and_hidden_layers_never_take_the_carry(monkeypatch):
-    grid = GridSpec(scale=6, clip=4)
-    dense = [
-        generate_dataset(GeneratorSpec(family="random-labels", n=16, dim=2, seed=1), grid),
-        generate_dataset(GeneratorSpec(family="random-labels", n=16, dim=16, seed=1), grid),
-        manual_dataset(grid, [([1] * 5 + [0] * 11, 1), ([0] * 16, 0)]),  # 5 of 32 nonzero
-        one_hot_dataset(grid, 4, 64),  # rows shorter than the sparse rule scans
-    ]
-    assert not any(_Sweep(ds, "logistic-linear").carry for ds in dense)
-    sparse = manual_dataset(grid, [([1] * 3 + [0] * 13, 1), ([0] * 15 + [1], 0)])  # 4 of 32
-    assert _Sweep(sparse, "logistic-linear").carry
-    assert not _Sweep(one_hot_dataset(grid, 16, 64), "one-hidden-layer").carry
-    # a run that does not carry sweeps every checkpoint through correctness_mask
+def counted_sweeps(monkeypatch, module) -> list:
+    """Records the carry of each ``correctness_mask`` call made from module."""
     calls, real = [], model_module.correctness_mask
-    monkeypatch.setattr(model_module, "correctness_mask", lambda m, d: calls.append(1) or real(m, d))
-    for ds in dense:
+
+    def counted(m, d, carry=None):
+        calls.append(carry)
+        return real(m, d, carry)
+
+    monkeypatch.setattr(module, "correctness_mask", counted)
+    return calls
+
+
+def test_every_logistic_run_sweeps_each_checkpoint_once_on_one_carry(monkeypatch):
+    grid = GridSpec(scale=6, clip=4)
+    rows = [
+        manual_dataset(grid, [([48, -32], 1), ([16, 64], 0), ([-32, 32], 1), ([64, 16], 0)]),
+        manual_dataset(grid, [([(e * c) % 7 * 8 - 24 for c in range(16)], e % 2) for e in range(8)]),
+        manual_dataset(grid, [([32] * 5 + [0] * 11, 1), ([0] * 16, 0)]),  # 5 of 32 nonzero
+        one_hot_dataset(grid, 4, 64),  # shorter than the sparse rule scans
+        one_hot_dataset(grid, 16, 64),  # sparse
+    ]
+    calls = counted_sweeps(monkeypatch, sgd_engine)
+    for ds in rows:
         calls.clear()
-        run = run_training(config_for(ds, 0, 2), ds)
-        assert len(calls) == sum(len(t.masks) for t in run.traces) > 0
-    calls.clear()
-    run = run_training(config_for(dense[-1], 2, 2), one_hot_dataset(grid, 16, 64))
-    assert calls == [] and sum(len(t.masks) for t in run.traces) > 1
+        run = run_training(config_for(ds, 16, 2), ds)
+        masks = [mask for t in run.traces for mask in t.masks]
+        assert len(calls) == len(masks) > 2 and len(run.traces) == 2
+        assert all(carry is calls[0] for carry in calls)
+        assert calls[0][0] == run.final_model.weights.raws
+        assert len({w for t in run.traces for w in t.checkpoints}) > 1  # the weights moved
+
+
+def test_a_hidden_layer_model_ignores_the_carry(monkeypatch):
+    grid = GridSpec(scale=6, clip=4)
+    ds = one_hot_dataset(grid, 16, 64)
+    raws = tuple((7 * i) % 41 - 20 for i in range(2 * 16 + 2))
+    hidden = Model("one-hidden-layer", FixedVector(raws, grid), 16, 2)
+    logistic = zero_model("logistic-linear", 16, grid).with_weights(FixedVector(raws[:16], grid))
+    filled = []
+    correctness_mask(logistic, ds, filled)
+    for carry in ([], filled):
+        kept = list(carry)
+        assert correctness_mask(hidden, ds, carry) == correctness_mask(hidden, ds)
+        assert carry == kept
+    calls = counted_sweeps(monkeypatch, sgd_engine)
+    run = run_training(config_for(ds, 1, 2, model_kind="one-hidden-layer", hidden_width=2), ds)
+    assert len(calls) == sum(len(t.masks) for t in run.traces) > 2
+    assert calls[0] == []
+
+
+def test_each_backward_decode_walk_keeps_one_carry(monkeypatch):
+    # a BACKWARD walk sweeps once per batch on one carry; a SPLIT decode once, without
+    gen = GeneratorSpec(family="random-labels", n=64, dim=2, seed=3)
+    cfg = RunConfig(generator=gen, batch_size=16, step_raw=1 << 13, eps=Fraction(1, 4),
+                    progress_coeff=Fraction(4), seed=3, max_epochs=2, grid=GridSpec())
+    calls = counted_sweeps(monkeypatch, epoch_codec)
+    rows = harness.run_experiment(ExperimentSpec(config=cfg, mode="ACCOUNTING")).replications[0].report.rows
+    assert [row.case for row in rows] == ["BACKWARD", "SPLIT"]
+    walk, split = calls[:4], calls[4:]
+    assert all(carry is walk[0] for carry in walk) and walk[0]
+    assert split == [None]
 
 
 def conflicting_rows(grid: GridSpec) -> Dataset:
@@ -163,13 +216,13 @@ def test_carried_training_masks_equal_the_full_sweep(case):
     cfg = config_for(ds, step_raw, 3)
     run = run_training(cfg, ds)
     template = zero_model("logistic-linear", ds.dim, grid)
-    assert len(run.traces) > 1 and _Sweep(ds, "logistic-linear").carry
+    assert len(run.traces) > 1
     assert len({w for t in run.traces for w in t.checkpoints}) > 2  # the weights moved
     for trace in run.traces:
         assert len(trace.masks) == len(trace.checkpoints)
         for w, mask in zip(trace.checkpoints, trace.masks):
-            assert mask == correctness_mask(template.with_weights(w), ds)
-    # an epoch run alone builds its own sweep and gives the same trace
+            assert mask == correctness_mask_oracle(template.with_weights(w), ds)
+    # an epoch run alone, without a carry, gives the same trace
     alone, _ = run_epoch(template.with_weights(run.traces[0].checkpoints[-1]), ds, cfg, 2)
     assert alone.masks == run.traces[1].masks
 

@@ -614,6 +614,21 @@ def test_cli_decode_requires_directory(capsys, monkeypatch):
     assert "requires" in capsys.readouterr().err
 
 
+def test_cli_directory_flags_win_over_the_environment(tmp_path, capsys, monkeypatch):
+    env, flag = tmp_path / "env", tmp_path / "flag"
+    monkeypatch.setenv("SGDCODEC_OUT", str(env))
+    assert main(["run", "--n", "16", "--out", str(flag)]) == 0
+    assert f"artifacts written to {flag}" in capsys.readouterr().out
+    assert (flag / "manifest.json").exists() and not env.exists()
+    # decode would exit 2 at the environment's directory: it holds no manifest
+    assert main(["decode", "--dir", str(flag)]) == 0
+    assert "MISMATCH" not in capsys.readouterr().out and not env.exists()
+    # without the flags, both read the environment
+    assert main(["run", "--n", "16"]) == 0
+    assert (env / "manifest.json").exists()
+    assert main(["decode"]) == 0
+
+
 @pytest.mark.parametrize("argv", [["encode", "--n", "16"], ["report"]])
 def test_cli_encode_and_report_require_a_directory(argv, tmp_path, capsys, monkeypatch):
     monkeypatch.delenv("SGDCODEC_OUT", raising=False)
