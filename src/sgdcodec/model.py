@@ -486,6 +486,42 @@ def zero_model(kind: str, dim: int, grid: GridSpec, width: int = 0) -> Model:
     return Model(kind, zero_vector(weight_count(kind, dim, width), grid), dim, width)
 
 
+def _linear_batch(model: Model, batch: Sequence[Element]) -> tuple:
+    """The logistic-linear gradient's batch terms: the rows' nonzero pairs if
+    they are sparse (``_sparse_pairs``) else None, the rows, and the labels
+    over 2**(3s).  Raises DomainError on an empty batch or a bad element."""
+    if not batch:
+        raise DomainError("empty batch")
+    rows = [model._features(el) for el in batch]
+    labels = [el.label << 3 * model.grid.scale for el in batch]
+    return _sparse_pairs(batch, model.dim), rows, labels
+
+
+def _linear_sum(terms: tuple, w: Sequence[int], s: int) -> tuple[list[int], int]:
+    """``_gradient_sum`` of a logistic-linear model at raws w, scale s, on batch terms."""
+    pairs, rows, labels = terms
+    if pairs is not None:
+        total = [0] * len(w)
+        for row, label in zip(pairs, labels):
+            score = 0
+            for c, x in row:
+                score += w[c] * x
+            resid = _sigmoid_num(score, 2 * s, s) - label
+            if resid:
+                for c, x in row:
+                    total[c] += resid * x
+        return total, 4 * s
+    resids, kept = [], []
+    for x, label in zip(rows, labels):
+        resid = _sigmoid_num(_dot(w, x), 2 * s, s) - label
+        if resid:
+            resids.append(resid)
+            kept.append(x)
+    if not kept:
+        return [0] * len(w), 4 * s
+    return [_dot(resids, col) if any(col) else 0 for col in zip(*kept)], 4 * s
+
+
 def _gradient_sum(model: Model, batch: Sequence[Element]) -> tuple[list[int], int]:
     """Batch-summed gradient numerators and the exponent e of their common 2**e.
 
@@ -499,33 +535,12 @@ def _gradient_sum(model: Model, batch: Sequence[Element]) -> tuple[list[int], in
     column.  Elements with a zero residual and all-zero columns add nothing
     and are skipped.
     """
-    if not batch:
-        raise DomainError("empty batch")
     s = model.grid.scale
     w = model.weights.raws
     if model.kind == "logistic-linear":
-        rows = [model._features(el) for el in batch]
-        pairs = _sparse_pairs(batch, model.dim)
-        if pairs is not None:
-            total = [0] * model.d
-            for el, row in zip(batch, pairs):
-                score = 0
-                for c, x in row:
-                    score += w[c] * x
-                resid = _sigmoid_num(score, 2 * s, s) - (el.label << 3 * s)
-                if resid:
-                    for c, x in row:
-                        total[c] += resid * x
-            return total, 4 * s
-        resids, kept = [], []
-        for el, x in zip(batch, rows):
-            resid = _sigmoid_num(_dot(w, x), 2 * s, s) - (el.label << 3 * s)
-            if resid:
-                resids.append(resid)
-                kept.append(x)
-        if not kept:
-            return [0] * model.d, 4 * s
-        return [_dot(resids, col) if any(col) else 0 for col in zip(*kept)], 4 * s
+        return _linear_sum(_linear_batch(model, batch), w, s)
+    if not batch:
+        raise DomainError("empty batch")
     total = [0] * model.d
     dim, width = model.dim, model.width
     v = w[width * dim :]
@@ -542,10 +557,9 @@ def _gradient_sum(model: Model, batch: Sequence[Element]) -> tuple[list[int], in
     return total, 8 * s
 
 
-def rounded_gradient(model: Model, batch: Sequence[Element]) -> tuple[int, ...]:
-    """Mean batch gradient mantissas, rounded half to even and not clipped."""
-    total, exp = _gradient_sum(model, batch)
-    den = len(batch) << (exp - model.grid.scale)
+def _mean_raws(total: Sequence[int], exp: int, n: int, scale: int) -> tuple[int, ...]:
+    """Mean mantissas of a ``_gradient_sum`` over n elements, rounded half to even."""
+    den = n << (exp - scale)
     raws = [0] * len(total)
     for i in compress(range(len(total)), total):
         raws[i] = div_round_half_even(total[i], den)
@@ -560,8 +574,8 @@ def loss_gradient(model: Model, batch: Sequence[Element]) -> FixedVector:
     """
     if model.weights.saturated:
         raise SaturationError("model weights carry a saturation flag")
-    raws = rounded_gradient(model, batch)
     grid = model.grid
+    raws = _mean_raws(*_gradient_sum(model, batch), len(batch), grid.scale)
     if not grid.holds(raws):
         raise SaturationError("gradient coordinate clipped during quantization")
     return FixedVector(raws, grid)
@@ -607,13 +621,15 @@ def correctness_mask(model: Model, dataset: Dataset, carry: Optional[list] = Non
     return int(top_bytes.translate(bytes.maketrans(b"\x00\x80", b"01")) or b"0", 2)
 
 
-def _max_sq_norm(elements: Sequence[Element]) -> int:
-    """max |x|^2 over the elements, in raw units squared (0 for none).
-
-    Sparse rows sum the squares of their nonzero pairs only."""
-    if not elements:
-        return 0
-    pairs = _sparse_pairs(elements, len(elements[0].features))
+def _peak_sq_norm(pairs: Optional[list], rows: Sequence[Sequence[int]]) -> int:
+    """max |x|^2 over the rows, in raw units squared (0 for none); given
+    the rows' nonzero pairs, it sums their squares only."""
     if pairs is None:
-        return max(_dot(el.features.raws, el.features.raws) for el in elements)
-    return max(sum(x * x for _, x in row) for row in pairs)
+        return max(map(_dot, rows, rows), default=0)
+    return max((sum(x * x for _, x in row) for row in pairs), default=0)
+
+
+def _max_sq_norm(elements: Sequence[Element]) -> int:
+    """max |x|^2 over the elements, in raw units squared (0 for none)."""
+    rows = [el.features.raws for el in elements]
+    return _peak_sq_norm(_sparse_pairs(elements, len(rows[0]) if rows else 0), rows)

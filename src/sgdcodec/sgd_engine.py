@@ -5,7 +5,9 @@ splitmix64 stream keyed by (seed, epoch), so a run config pins down every
 random choice.  The reverse oracle recovers the unique predecessor of a step
 from the contraction that step * L < 1 gives the logistic-linear update: a
 fixed-point iteration lands near every predecessor, and a scan of the grid
-ball whose radius that premise bounds collects them all.
+ball whose radius that premise bounds collects them all.  The scan runs the
+forward step only where Phi(w) = w holds in integers, as it does at every
+forward hit, so the skip loses no predecessor.
 
 The step path counts in integers: the stop test compares correct counts,
 and the reverse search's set-up holds step * L, its radius and its reach
@@ -17,6 +19,7 @@ product, a trace's progress, a refused step's error text.
 from __future__ import annotations
 
 import math
+import operator
 import struct
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -28,13 +31,16 @@ from .model import (
     Element,
     GeneratorSpec,
     Model,
+    _linear_batch,
+    _linear_sum,
     _max_sq_norm,
+    _mean_raws,
+    _peak_sq_norm,
     _table_max_slope,
     correctness_mask,
     loss_gradient,
     manifest_fraction,
     manifest_int,
-    rounded_gradient,
     weight_count,
     zero_model,
     MODEL_KINDS,
@@ -462,15 +468,14 @@ def _ball_offsets(d: int, r2: int) -> Iterator[tuple[int, ...]]:
 
 
 def _reverse_setup(
-    step_raw: int, grid: GridSpec, batch: Sequence[Element], d: int
+    step_raw: int, grid: GridSpec, sq_norm: int, d: int
 ) -> tuple[int, int, int, int, int]:
-    """The reverse search's bounds over this batch, in integers.
+    """The reverse search's bounds for max|x|^2 = sq_norm raw units squared, in integers.
 
     Returns q = step * L as (q_num, q_den = unit**4), floor(rho**2) in raw
     units, and (step * max|x|)**2 in raw units as (reach_num, reach_den);
     each search iteration multiplies the reach by q**2.  Raises unless q < 1.
     """
-    sq_norm = _max_sq_norm(batch)
     q_num, q_den = _step_l(step_raw, grid, sq_norm), grid.unit**4
     if q_num >= q_den:
         q = Fraction(q_num, q_den)
@@ -479,6 +484,13 @@ def _reverse_setup(
     spread = (step_raw + grid.unit) ** 2 * d * grid.unit**6
     rho2 = spread // (q_den - q_num) ** 2
     return q_num, q_den, rho2, step_raw**2 * sq_norm, grid.unit**2
+
+
+def _pull(terms: tuple, w: tuple, base: tuple, step_raw: int, grid: GridSpec) -> tuple:
+    """Phi(w) = base + round(step * g(w)) in raws, where g is the rounded,
+    unclipped gradient at raws w over the ``_linear_batch`` terms."""
+    g = _mean_raws(*_linear_sum(terms, w, grid.scale), len(terms[2]), grid.scale)
+    return tuple(t + div_round_half_even(step_raw * x, grid.unit) for t, x in zip(base, g))
 
 
 def reverse_step(
@@ -498,24 +510,23 @@ def reverse_step(
     point, or until q**k * step * max|x| <= 1 raw unit, which puts every
     predecessor within rho + 1 of the last iterate.  It then scans that ball
     (radius rho around a fixed point) in ascending lexicographic raw order,
-    running the forward step for each candidate.  Exactly one hit is
-    required; zero or several raise.  Only logistic-linear has a proven L.
+    tests Phi(w) = w in integers, and runs the forward step only where that
+    holds.  That is exact: a forward step onto target that does not raise
+    clipped nothing, so w - round(step * g(w)) = target, i.e. Phi(w) = w.
+    Exactly one hit is required; zero or several raise.  Only
+    logistic-linear has a proven L.
     """
     if model_template.kind != "logistic-linear":
         raise PreconditionError(f"no smoothness bound for {model_template.kind}")
-    grid = target.grid
-    step_raw = config.step_raw
+    grid, step_raw = target.grid, config.step_raw
+    terms = _linear_batch(model_template.with_weights(target), batch)
     q_num, q_den, rho2, reach_num, reach_den = _reverse_setup(
-        step_raw, grid, batch, len(target)
+        step_raw, grid, _peak_sq_norm(*terms[:2]), len(target)
     )
-    base = target.raws
-    w = base
+    base = w = target.raws
+    pulls = {}  # Phi at each iterate, so the scan does not redo the last one
     while True:
-        model = model_template.with_weights(FixedVector(w, grid))
-        pulled = tuple(
-            t + div_round_half_even(step_raw * g, grid.unit)
-            for t, g in zip(base, rounded_gradient(model, batch))
-        )
+        pulls[w] = pulled = _pull(terms, w, base, step_raw, grid)
         if pulled == w:
             r2 = rho2
             break
@@ -527,8 +538,10 @@ def reverse_step(
         reach_den *= q_den * q_den
     hits: list[FixedVector] = []
     for off in _ball_offsets(len(target), r2):
-        raws = tuple(c + o for c, o in zip(w, off))
+        raws = tuple(map(operator.add, w, off))
         if not grid.holds(raws):
+            continue
+        if (pulls.get(raws) or _pull(terms, raws, base, step_raw, grid)) != raws:
             continue
         candidate = FixedVector(raws, grid)
         try:

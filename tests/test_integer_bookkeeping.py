@@ -37,7 +37,14 @@ from sgdcodec.epoch_codec import (
     select_case,
 )
 from sgdcodec.harness import _cell, _ratio_cell
-from sgdcodec.model import Element, GeneratorSpec, _table_max_slope, zero_model
+from sgdcodec.model import (
+    Element,
+    GeneratorSpec,
+    _max_sq_norm,
+    _table_max_slope,
+    loss_gradient,
+    zero_model,
+)
 from sgdcodec import sgd_engine
 from sgdcodec.numerics import FixedVector, GridSpec, PreconditionError, div_round_half_even
 from sgdcodec.sgd_engine import (
@@ -73,10 +80,12 @@ def test_reverse_setup_matches_the_fraction_oracle(case):
         q, rho2, reach2 = reverse_setup_oracle(step_raw, grid, batch, d, REACH_STEPS)
     except PreconditionError as want:
         with pytest.raises(PreconditionError) as got:
-            _reverse_setup(step_raw, grid, batch, d)
+            _reverse_setup(step_raw, grid, _max_sq_norm(batch), d)
         assert str(got.value) == str(want)
         return
-    q_num, q_den, r2, reach_num, reach_den = _reverse_setup(step_raw, grid, batch, d)
+    q_num, q_den, r2, reach_num, reach_den = _reverse_setup(
+        step_raw, grid, _max_sq_norm(batch), d
+    )
     assert q_den == grid.unit**4 and Fraction(q_num, q_den) == q
     assert r2 == rho2
     # the search multiplies the reach by q**2 per iteration and stops at <= 1
@@ -105,35 +114,45 @@ def test_reverse_step_refuses_q_exactly_one_with_the_same_text(scale):
         reverse_step(template.weights, batch, cfg, template)
     assert str(got.value) == str(want.value)
     # one raw step less is the largest step the search accepts
-    assert _reverse_setup(step_raw - 1, grid, batch, 1)[0] < grid.unit**4
+    assert _reverse_setup(step_raw - 1, grid, _max_sq_norm(batch), 1)[0] < grid.unit**4
 
 
 def test_reverse_step_stops_iterating_when_the_reach_is_exactly_one_unit(monkeypatch):
     # step_raw 8 and max|x| = 8 raw at scale 6 put (step * max|x|)**2 at
-    # exactly 1 raw unit on entry, so the search must stop before its first
+    # exactly 1 raw unit on entry, so the search must stop after its first
     # pull and scan the radius isqrt(rho2) + 2 ball around the target itself
     grid = GridSpec(scale=6, clip=64)
     batch = tuple(Element(e, FixedVector((8,), grid), 1) for e in range(2))
-    _, _, rho2, reach_num, reach_den = _reverse_setup(8, grid, batch, 1)
+    _, _, rho2, reach_num, reach_den = _reverse_setup(8, grid, _max_sq_norm(batch), 1)
     assert reach_num == reach_den
     template = zero_model("logistic-linear", 1, grid)
     before = FixedVector((-2000,), grid)  # far from label 1: a nonzero pull
     target = sgd_engine.forward_step(template.with_weights(before), batch, 8)[0].weights
-    pulled = sgd_engine.rounded_gradient(template.with_weights(target), batch)
-    assert div_round_half_even(8 * pulled[0], grid.unit) != 0  # not a fixed point
-    scanned, real = [], sgd_engine.forward_step
+    grad = loss_gradient(template.with_weights(target), batch).raws
+    assert div_round_half_even(8 * grad[0], grid.unit) != 0  # not a fixed point
+    pulled, stepped = [], []
+    real_pull, real_step = sgd_engine._pull, sgd_engine.forward_step
 
-    def spy(model, batch, step_raw):
-        scanned.append(model.weights.raws)
-        return real(model, batch, step_raw)
+    def pull_spy(terms, w, base, step_raw, grid):
+        pulled.append(w)
+        return real_pull(terms, w, base, step_raw, grid)
 
-    monkeypatch.setattr(sgd_engine, "forward_step", spy)
+    def step_spy(model, batch, step_raw):
+        stepped.append(model.weights.raws)
+        return real_step(model, batch, step_raw)
+
+    monkeypatch.setattr(sgd_engine, "_pull", pull_spy)
+    monkeypatch.setattr(sgd_engine, "forward_step", step_spy)
     ds = manual_dataset(grid, [((8,), 1)] * 2)
     cfg = RunConfig(generator=ds.spec, batch_size=2, step_raw=8, eps=Fraction(1, 100),
                     progress_coeff=Fraction(1), seed=0, max_epochs=1, grid=grid)
     assert reverse_step(target, batch, cfg, template) == before
     radius = math.isqrt(rho2) + 2
-    assert scanned == [(target.raws[0] + o,) for o in range(-radius, radius + 1)]
+    ball = [(target.raws[0] + o,) for o in range(-radius, radius + 1)]
+    # the one pull of the iteration is the target's; the scan takes that
+    # value from the iteration and pulls every other ball point in order
+    assert pulled == [target.raws] + [p for p in ball if p != target.raws]
+    assert stepped == [before.raws]  # the forward step confirms only the hit
 
 
 @pytest.mark.parametrize("eps, stops", [(Fraction(1, 4), True), (Fraction(1, 5), False)])

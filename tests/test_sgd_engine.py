@@ -374,6 +374,63 @@ def test_reverse_step_matches_a_full_grid_scan():
     assert all(outcomes.values()), outcomes
 
 
+# Two-feature rows on the scale 3, clip 2 grid: |x|**2 <= 10 raw units, so
+# step * L = 6 * 10 * 64 / 8**4 < 1 with step_raw 6.
+D2_GRID = GridSpec(scale=3, clip=2)
+D2_ROWS = [((-3, -1), 0), ((-1, -1), 0), ((1, -3), 0), ((0, 2), 1), ((3, 1), 1),
+           ((1, 0), 1), ((-3, -1), 1), ((-1, 0), 1), ((1, -2), 0), ((-2, -2), 0),
+           ((-2, -1), 0), ((-2, 1), 1), ((1, 2), 0), ((0, 3), 1), ((2, 1), 1),
+           ((3, 1), 1)]
+
+
+def test_reverse_step_matches_a_full_grid_scan_in_two_dimensions():
+    # every step of two epochs against every preimage on the 32 x 32 grid;
+    # the targets are the step's endpoint, its four grid neighbours, the
+    # nearest point that nothing maps onto and the nearest with two preimages
+    ds = manual_dataset(D2_GRID, D2_ROWS)
+    cfg = RunConfig(generator=ds.spec, batch_size=4, step_raw=6, eps=Fraction(1, 100),
+                    progress_coeff=Fraction(1), seed=2, max_epochs=2, grid=D2_GRID)
+    template = zero_model("logistic-linear", 2, D2_GRID)
+    span = range(D2_GRID.raw_min, D2_GRID.raw_max + 1)
+    grid_points = [(a, b) for a in span for b in span]
+    outcomes = {"unique": 0, "multiple": 0, "none": 0}
+    for tr in run_training(cfg, ds).traces:
+        for j in range(1, tr.steps_done + 1):
+            batch = ds.subset(tr.batches[j - 1])
+            preimages = {}
+            for w in grid_points:
+                start = template.with_weights(FixedVector(w, D2_GRID))
+                try:
+                    img = forward_step(start, batch, cfg.step_raw)[0].weights.raws
+                except SaturationError:
+                    continue
+                preimages.setdefault(img, []).append(w)
+            t = tr.checkpoints[j].raws
+
+            def nearest(points):
+                return min(points, key=lambda w: ((w[0] - t[0]) ** 2 + (w[1] - t[1]) ** 2, w))
+
+            targets = [t, (t[0] - 1, t[1]), (t[0] + 1, t[1]), (t[0], t[1] - 1), (t[0], t[1] + 1)]
+            # a step whose updates all round to zero leaves no gap
+            gaps = [w for w in grid_points if w not in preimages]
+            shared = [img for img, pre in preimages.items() if len(pre) > 1]
+            targets += [nearest(points) for points in (gaps, shared) if points]
+            for target in filter(D2_GRID.holds, targets):
+                want = preimages.get(target, [])
+                try:
+                    got = reverse_step(FixedVector(target, D2_GRID), batch, cfg, template, j)
+                    assert [got.raws] == want
+                    outcomes["unique"] += 1
+                except MultiplePreimage as exc:
+                    # the text names the first two preimages in ascending raw order
+                    assert str(exc) == f"{len(want)} preimages found: {want[0]} and {want[1]}"
+                    outcomes["multiple"] += 1
+                except PreimageNotFound:
+                    assert want == []
+                    outcomes["none"] += 1
+    assert all(outcomes.values()), outcomes
+
+
 def test_reverse_epoch_recovers_checkpoint_chain():
     gen = GeneratorSpec(family="two-gaussians", n=32, dim=1, seed=3,
                         sigma=Fraction(1, 2), center_dist=Fraction(2))
