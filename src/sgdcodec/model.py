@@ -489,7 +489,8 @@ def zero_model(kind: str, dim: int, grid: GridSpec, width: int = 0) -> Model:
 def _linear_batch(model: Model, batch: Sequence[Element]) -> tuple:
     """The logistic-linear gradient's batch terms: the rows' nonzero pairs if
     they are sparse (``_sparse_pairs``) else None, the rows, and the labels
-    over 2**(3s).  Raises DomainError on an empty batch or a bad element."""
+    over 2**(3s).  Raises DomainError on an empty batch or an element off the
+    model's grid or dim."""
     if not batch:
         raise DomainError("empty batch")
     rows = [model._features(el) for el in batch]

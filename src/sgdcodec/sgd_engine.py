@@ -487,8 +487,7 @@ def _reverse_setup(
 
 
 def _pull(terms: tuple, w: tuple, base: tuple, step_raw: int, grid: GridSpec) -> tuple:
-    """Phi(w) = base + round(step * g(w)) in raws, where g is the rounded,
-    unclipped gradient at raws w over the ``_linear_batch`` terms."""
+    """Phi(w) = base + round(step * g(w)) in raws, g the rounded, unclipped gradient."""
     g = _mean_raws(*_linear_sum(terms, w, grid.scale), len(terms[2]), grid.scale)
     return tuple(t + div_round_half_even(step_raw * x, grid.unit) for t, x in zip(base, g))
 
