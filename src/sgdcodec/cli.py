@@ -319,26 +319,29 @@ def cmd_verify(args: argparse.Namespace) -> int:
             print(row.line())
             all_ok = all_ok and row.passed
     if "hoeffding" in suites:
-        for k in (64, 256):
-            for delta in (Fraction(1, 10), Fraction(1, 5)):
-                check = HoeffdingCheck(
-                    population_size=1024,
-                    population_ones=512,
-                    sample_size=k,
-                    delta=delta,
-                    trials=args.trials,
-                    seed=11,
-                )
-                res = verify_hoeffding(check)
-                ok = res.ok_empirical and res.ok_exact
-                all_ok = all_ok and ok
-                print(
-                    f"{'pass' if ok else 'FAIL'}  hypergeometric-tail: k={k}"
-                    f" delta={delta} trials={check.trials}"
-                    f" freq={float(res.empirical_freq):.3e}"
-                    f" exact={float(res.exact_prob):.3e}"
-                    f" bound={res.bound:.3e} sigma={res.sigma:.3e}"
-                )
+        checks = [
+            HoeffdingCheck(
+                population_size=1024,
+                population_ones=512,
+                sample_size=k,
+                delta=delta,
+                trials=args.trials,
+                seed=11,
+            )
+            for k in (64, 256)
+            for delta in (Fraction(1, 10), Fraction(1, 5))
+        ]
+        for res in verify_hoeffding(checks):
+            check = res.check
+            ok = res.ok_empirical and res.ok_exact
+            all_ok = all_ok and ok
+            print(
+                f"{'pass' if ok else 'FAIL'}  hypergeometric-tail: k={check.sample_size}"
+                f" delta={check.delta} trials={check.trials}"
+                f" freq={float(res.empirical_freq):.3e}"
+                f" exact={float(res.exact_prob):.3e}"
+                f" bound={res.bound:.3e} sigma={res.sigma:.3e}"
+            )
     return 0 if all_ok else 1
 
 

@@ -428,51 +428,80 @@ class HoeffdingResult:
     ok_exact: bool
 
 
-def verify_hoeffding(check: HoeffdingCheck) -> HoeffdingResult:
+def verify_hoeffding(checks: Sequence[HoeffdingCheck]) -> list[HoeffdingResult]:
     """Monte Carlo plus exact verification of the without-replacement tail.
 
-    The exact tail is one Fraction of integer sums, the hypergeometric
-    probability of at most ``threshold`` ones in the sample.  Each trial
-    counts a hit when u = rng.random() falls below float(exact), one
-    comparison per trial.  This is inversion of the exact hypergeometric
-    CDF: the sampled count, the number of float CDF entries <= u, is at most
-    the threshold exactly when the CDF entry at the threshold, which is
-    float(exact), exceeds u, because the CDF is non-decreasing.  So the
-    simulation and the closed-form probability describe the same
-    distribution.  The uniforms are read in bulk from the generator's word
-    stream (``_draws_below``); the hit count and the generator's final
-    state are those of one ``rng.random()`` call per trial.  The verdict
-    allows three binomial standard deviations of Monte Carlo noise on top
-    of the e^(-2k delta^2) bound.
+    Returns one result per check, in input order.  The exact tail is one
+    Fraction of integer sums, the hypergeometric probability of at most
+    ``threshold`` ones in the sample (``_exact_tail``).  Each trial counts a
+    hit when u = rng.random() falls below float(exact), one comparison per
+    trial.  This is inversion of the exact hypergeometric CDF: the sampled
+    count, the number of float CDF entries <= u, is at most the threshold
+    exactly when the CDF entry at the threshold, which is float(exact),
+    exceeds u, because the CDF is non-decreasing.  So the simulation and the
+    closed-form probability describe the same distribution.  Checks that
+    share a seed and a trial count share one generator: its word stream is
+    read once, in bulk, and every check's cut is tested against the same
+    uniforms (``_draws_below``).  Each hit count is the one a fresh
+    ``random.Random(seed)`` gives with one ``random()`` call per trial.  The
+    verdict allows three binomial standard deviations of Monte Carlo noise
+    on top of the e^(-2k delta^2) bound.
+    """
+    tails = [_exact_tail(check) for check in checks]
+    groups: dict[tuple[int, int], list[int]] = {}
+    for i, check in enumerate(checks):
+        groups.setdefault((check.seed, check.trials), []).append(i)
+    hits = [0] * len(checks)
+    for (seed, trials), members in groups.items():
+        cuts = [float(tails[i][1]) for i in members]
+        for i, count in zip(members, _draws_below(random.Random(seed), trials, cuts)):
+            hits[i] = count
+    results = []
+    for check, (threshold, exact), count in zip(checks, tails, hits):
+        freq = Fraction(count, check.trials)
+        bound = stable_exp(-2 * check.sample_size * check.delta**2)
+        sigma = math.sqrt(max(bound * (1.0 - bound), 0.0) / check.trials)
+        results.append(HoeffdingResult(
+            check=check,
+            threshold_count=threshold,
+            empirical_freq=freq,
+            exact_prob=exact,
+            bound=bound,
+            sigma=sigma,
+            ok_empirical=float(freq) <= bound + 3 * sigma,
+            ok_exact=float(exact) <= bound + 1e-12,
+        ))
+    return results
+
+
+def _exact_tail(check: HoeffdingCheck) -> tuple[int, Fraction]:
+    """The threshold count and P(at most that many ones in the sample).
+
+    The tail sums C(ones, c) C(n - ones, k - c) from the support's start
+    c0 = max(0, k - (n - ones)) by the term ratio
+    term(c + 1) = term(c) (ones - c)(k - c) / ((c + 1)(n - ones - k + c + 1)),
+    whose division is exact, since both sides are the integer term(c + 1).
     """
     n, ones, k = check.population_size, check.population_ones, check.sample_size
     threshold = math.floor(k * (check.mu - check.delta))
-    tail = sum(
-        math.comb(ones, c) * math.comb(n - ones, k - c) for c in range(threshold + 1)
-    )
-    exact = Fraction(tail, math.comb(n, k))
-    hits = _draws_below(random.Random(check.seed), check.trials, float(exact))
-    freq = Fraction(hits, check.trials)
-    bound = stable_exp(-2 * k * check.delta**2)
-    sigma = math.sqrt(max(bound * (1.0 - bound), 0.0) / check.trials)
-    return HoeffdingResult(
-        check=check,
-        threshold_count=threshold,
-        empirical_freq=freq,
-        exact_prob=exact,
-        bound=bound,
-        sigma=sigma,
-        ok_empirical=float(freq) <= bound + 3 * sigma,
-        ok_exact=float(exact) <= bound + 1e-12,
-    )
+    zeros = n - ones
+    c = max(0, k - zeros)
+    term = math.comb(ones, c) * math.comb(zeros, k - c)
+    tail = 0
+    while c <= threshold:
+        tail += term
+        term = term * (ones - c) * (k - c) // ((c + 1) * (zeros - k + c + 1))
+        c += 1
+    return threshold, Fraction(tail, math.comb(n, k))
 
 
 # Trials read per randbytes call: 32 KiB of Mersenne Twister words.
 _CHUNK_TRIALS = 1 << 12
 
 
-def _draws_below(rng: random.Random, trials: int, cut: float) -> int:
-    """``sum(rng.random() < cut for _ in range(trials))``, read in bulk.
+def _draws_below(rng: random.Random, trials: int, cuts: Sequence[float]) -> list[int]:
+    """``[sum(u < cut for u in us) for cut in cuts]`` over ``trials`` uniforms
+    ``us`` from ``rng.random()``, read in bulk and once for every cut.
 
     CPython's ``random()`` is N / 2^53 with N = (a >> 5) * 2^26 + (b >> 6),
     where a and b are the next two 32-bit Mersenne Twister words, and
@@ -481,22 +510,27 @@ def _draws_below(rng: random.Random, trials: int, cut: float) -> int:
     So u < cut exactly when N < m = ceil(cut * 2^53), a product that is exact
     for a float cut in [0, 1].  N's top 8 bits are a's top byte: a trial
     whose top byte is below m >> 45 is a hit and one above it a miss, and
-    only a trial at that byte (1 in 256) is decoded in full.  With cut = 1,
-    m = 2^53 and the byte is capped at 255, whose trials all decode as hits.
+    only a trial at that byte (1 in 256 per cut) is decoded in full.  With
+    cut = 1, m = 2^53 and the byte is capped at 255, whose trials all decode
+    as hits.
     """
-    m = math.ceil(cut * 2.0**53)
-    top = min(m >> 45, 255)
-    below = b"\x01" * top + b"\x00" * (256 - top)
-    hits = 0
+    plans = []
+    for cut in cuts:
+        m = math.ceil(cut * 2.0**53)
+        top = min(m >> 45, 255)
+        plans.append((m, top, b"\x01" * top + b"\x00" * (256 - top)))
+    hits = [0] * len(plans)
     for start in range(0, trials, _CHUNK_TRIALS):
         raw = rng.randbytes(8 * min(_CHUNK_TRIALS, trials - start))
         tops = raw[3::8]
-        hits += tops.translate(below).count(1)
-        j = tops.find(top)
-        while j >= 0:
-            a, b = struct.unpack_from("<II", raw, 8 * j)
-            hits += (a >> 5 << 26 | b >> 6) < m
-            j = tops.find(top, j + 1)
+        for i, (m, top, below) in enumerate(plans):
+            count = tops.translate(below).count(1)
+            j = tops.find(top)
+            while j >= 0:
+                a, b = struct.unpack_from("<II", raw, 8 * j)
+                count += (a >> 5 << 26 | b >> 6) < m
+                j = tops.find(top, j + 1)
+            hits[i] += count
     return hits
 
 

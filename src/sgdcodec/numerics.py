@@ -175,15 +175,20 @@ def _numerators(*values: Rational) -> tuple[list[int], int]:
 def _entropy(num: int, den: int) -> float:
     """h(num/den) in bits for 0 <= num <= den.
 
-    Where num/den rounds to 0.0 or 1.0, h is taken from the integers: from
-    the smaller side t = min(num, den - num)/den, whose complement's log
-    comes from log1p.
+    Where 1 - x rounds to 1.0 (x below about 2^-53), the complement term
+    -(1 - x) log2(1 - x), about x / ln 2, comes from log1p(-x).  Where
+    num/den rounds to 0.0 or 1.0, h is taken from the integers: from the
+    smaller side t = min(num, den - num)/den, whose complement's log comes
+    from log1p.
     """
     if num == 0 or num == den:
         return 0.0
     x = num / den
+    y = 1.0 - x
     try:
-        return -(x * math.log2(x) + (1.0 - x) * math.log2(1.0 - x))
+        if y == 1.0:
+            return -(x * math.log2(x) + math.log1p(-x) / _LN2)
+        return -(x * math.log2(x) + y * math.log2(y))
     except ValueError:  # log2(0.0)
         t = min(num, den - num) / den
         return -(t * math.log2(t) + (1.0 - t) * math.log1p(-t) / _LN2) if t else 0.0

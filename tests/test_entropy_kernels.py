@@ -27,6 +27,7 @@ import pytest
 from hypothesis import example, given, settings
 
 from conftest import hypergeometric_pmf
+from sgdcodec import cli
 from sgdcodec.harness import HoeffdingCheck, _draws_below, verify_hoeffding
 from sgdcodec.numerics import (
     DomainError,
@@ -47,6 +48,8 @@ def oracle_binary_entropy(p):
     if pf == 0 or pf == 1:
         return 0.0
     x = float(pf)
+    if 1.0 - x == 1.0:  # the complement term, about x / ln 2, from log1p
+        return -(x * math.log2(x) + math.log1p(-x) / math.log(2))
     return -(x * math.log2(x) + (1.0 - x) * math.log2(1.0 - x))
 
 
@@ -166,6 +169,10 @@ def kl_within_ulps(a, c, n):
 
 # p rounds to 1.0 as a float: h(p) once raised "math domain error"
 @example(Fraction(2**60 - 63, 2**60 + 1))
+# 1 - p rounds to 1.0: h(p) once dropped its complement term
+@example(Fraction(1, 2**54))
+@example(Fraction(3, 2**60 + 1))
+@example(2.0**-100)
 @example(Fraction(64, 2**60 + 1))
 @settings(max_examples=200)
 @given(PROBS)
@@ -203,6 +210,15 @@ def test_kl_bernoulli_matches_oracle(p, q):
                 assert kl_within_ulps(a, c, n)
 
 
+# stable_entropy keeps 1 - p to 136 bits, so its complement term is exact here
+@pytest.mark.parametrize("e", [54, 60, 100, 130])
+def test_binary_entropy_keeps_the_complement_term_where_1_minus_p_rounds_to_1(e):
+    # -(1 - p) log2(1 - p) is about p / ln 2 there, 1.4-2.6% of h(p)
+    for num, den in ((1, 2**e), (2**e - 1, 2**e), (3, 2**(e + 2) + 1)):
+        want = stable_entropy(Fraction(num, den))
+        assert close(_entropy(num, den), want, want), (num, den)
+
+
 @pytest.mark.parametrize(
     "num, den", [(1, 10**400), (10**400 - 1, 10**400), (3, 2**1100 + 1)],
     ids=["1/10^400", "1-1/10^400", "3/(2^1100+1)"],
@@ -223,9 +239,9 @@ def test_kl_is_total_past_the_float_range(a, c, n):
     assert kl_within_ulps(a, c, n)
 
 
-def split_within_ulps(p, gamma, q, allowance=0.0):
+def split_within_ulps(p, gamma, q):
     """verify_split_entropy(p, gamma, q) is its slack to a few ulps of the
-    largest of the four terms it sums, plus an absolute allowance."""
+    largest of the four terms it sums."""
     (a, g, c), n = _numerators(p, gamma, q)
     with mpmath.workprec(2 * n.bit_length() + 256):
         x, gm, y = (mpmath.mpf(v) / n for v in (a, g, c))
@@ -243,7 +259,7 @@ def split_within_ulps(p, gamma, q, allowance=0.0):
         ]
         want, scale = float(sum(terms)), max(abs(float(t)) for t in terms)
     got = verify_split_entropy(p, gamma, q)
-    return close(got, want, scale, ulps=16) or abs(got - want) <= allowance
+    return close(got, want, scale, ulps=16)
 
 
 # the oracle's h(1 - p) rounds 1 - p to 1.0 and raised "math domain error"
@@ -263,11 +279,7 @@ def test_verify_split_entropy_matches_oracle(p, gamma, q):
     want = outcome(oracle_verify_split_entropy, p, gamma, q)
     # a float factor rounded to 0.0, or the oracle's D(p || q) overflowed
     if want in (ValueError, ZeroDivisionError, "-inf"):
-        # Where p/q overflows, gamma <= q/p < 2**-1024, and _entropy(v) drops
-        # -(1 - v) log2(1 - v), about v / ln 2, as 1 - v rounds to 1.0; over
-        # the slack's h terms that nets to at most gamma / ln 2.
-        overflow = outcome(oracle_kl_bernoulli, p, q) == "inf"
-        assert split_within_ulps(p, gamma, q, allowance=2 * float(gamma) if overflow else 0.0)
+        assert split_within_ulps(p, gamma, q)
     else:
         assert outcome(verify_split_entropy, p, gamma, q) == want
 
@@ -316,15 +328,69 @@ HOEFFDING_CASES = [
 @pytest.mark.parametrize("population, ones, k, delta, seed", HOEFFDING_CASES)
 def test_hoeffding_hits_match_cdf_inversion(population, ones, k, delta, seed):
     check = HoeffdingCheck(population, ones, k, delta, trials=10**4, seed=seed)
-    res = verify_hoeffding(check)
+    res = verify_hoeffding([check])[0]
     assert res.empirical_freq * check.trials == oracle_hoeffding_hits(check)
 
 
 @pytest.mark.parametrize("population, ones, k, delta, seed", HOEFFDING_CASES)
 def test_hoeffding_exact_tail_is_the_pmf_prefix_sum(population, ones, k, delta, seed):
     check = HoeffdingCheck(population, ones, k, delta, trials=10**4, seed=seed)
-    res = verify_hoeffding(check)
+    res = verify_hoeffding([check])[0]
     pmf = hypergeometric_pmf(population, ones, k)
+    assert res.exact_prob == sum(pmf[: res.threshold_count + 1], Fraction(0))
+
+
+def test_hoeffding_results_follow_the_input_order_across_shared_reads():
+    mixed = [
+        HoeffdingCheck(*HOEFFDING_CASES[0][:4], trials=10**4, seed=0),
+        HoeffdingCheck(*HOEFFDING_CASES[2][:4], trials=10**4 + 7, seed=5),
+        HoeffdingCheck(*HOEFFDING_CASES[3][:4], trials=10**4, seed=5),
+        HoeffdingCheck(*HOEFFDING_CASES[0][:4], trials=10**4, seed=0),
+        HoeffdingCheck(*HOEFFDING_CASES[6][:4], trials=10**4 + 7, seed=5),
+        HoeffdingCheck(*HOEFFDING_CASES[4][:4], trials=10**4, seed=0),
+    ]
+    assert verify_hoeffding(mixed) == [verify_hoeffding([c])[0] for c in mixed]
+    assert verify_hoeffding([]) == []
+
+
+def test_cli_verify_reads_the_generator_once_for_all_hoeffding_checks(monkeypatch, capsys):
+    calls = []
+    randbytes = random.Random.randbytes
+
+    def spy(self, n):
+        calls.append(n)
+        return randbytes(self, n)
+
+    monkeypatch.setattr(random.Random, "randbytes", spy)
+    assert cli.main(["verify", "--suites", "hoeffding"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 4
+    # four checks of 10^5 trials at seed 11, 4096 trials per read
+    assert len(calls) == -(-10**5 // 4096) == 25
+    assert sum(calls) == 8 * 10**5
+
+
+@st.composite
+def tail_settings(draw):
+    """(n, ones, k, delta) with n <= 64 and delta a rational in [0, mu]."""
+    n = draw(st.integers(1, 64))
+    ones = draw(st.integers(0, n))
+    k = draw(st.integers(1, n))
+    den = draw(st.integers(1, 64))
+    return n, ones, k, Fraction(ones, n) * Fraction(draw(st.integers(0, den)), den)
+
+
+@example((50, 50, 10, Fraction(1, 2)))  # threshold 5, below the support's start 10
+@example((40, 0, 8, Fraction(0)))  # no ones: the whole law at c = 0
+@example((30, 12, 30, Fraction(1, 5)))  # k = n: the law is one point
+@example((64, 63, 64, Fraction(0)))  # k = n at the top of the support
+@example((64, 1, 1, Fraction(0)))
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(tail_settings())
+def test_hoeffding_tail_by_the_term_ratio_is_the_pmf_prefix_sum(setting):
+    n, ones, k, delta = setting
+    res = verify_hoeffding([HoeffdingCheck(n, ones, k, delta, trials=10**4)])[0]
+    assert res.threshold_count == math.floor(k * (Fraction(ones, n) - delta))
+    pmf = hypergeometric_pmf(n, ones, k)
     assert res.exact_prob == sum(pmf[: res.threshold_count + 1], Fraction(0))
 
 
@@ -368,9 +434,9 @@ SAMPLER_CUTS = [
 def test_bulk_sampler_matches_one_random_call_per_trial(cut):
     for trials in (1, 2**12 - 1, 2**12, 2**12 + 1, 10**4 + 3):
         bulk, loop = random.Random(SAMPLER_SEED), random.Random(SAMPLER_SEED)
-        assert _draws_below(bulk, trials, cut) == sum(
+        assert _draws_below(bulk, trials, [cut]) == [sum(
             loop.random() < cut for _ in range(trials)
-        ), trials
+        )], trials
         assert bulk.random() == loop.random(), trials
 
 
@@ -378,8 +444,18 @@ def test_bulk_sampler_reads_the_stream_in_bounded_chunks():
     rng = random.Random(SAMPLER_SEED)
     tracemalloc.start()
     try:
-        _draws_below(rng, 10**6, 0.25)
+        _draws_below(rng, 10**6, [0.25])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 256 * 1024
+
+
+def test_bulk_sampler_counts_every_cut_in_one_pass():
+    for trials in (1, 2**12 - 1, 2**12, 2**12 + 1, 10**4 + 3):
+        bulk, loop = random.Random(SAMPLER_SEED), random.Random(SAMPLER_SEED)
+        us = [loop.random() for _ in range(trials)]
+        assert _draws_below(bulk, trials, SAMPLER_CUTS) == [
+            sum(u < cut for u in us) for cut in SAMPLER_CUTS
+        ], trials
+        assert bulk.random() == loop.random(), trials

@@ -42,10 +42,11 @@ def suite_rows(**sizes) -> list[list]:
 
 def hoeffding_rows() -> list[list]:
     out = []
-    for k, delta in HOEFFDING_SETTINGS:
-        res = verify_hoeffding(
-            HoeffdingCheck(1024, 512, k, Fraction(delta), TRIALS, seed=11)
-        )
+    results = verify_hoeffding([
+        HoeffdingCheck(1024, 512, k, Fraction(delta), TRIALS, seed=11)
+        for k, delta in HOEFFDING_SETTINGS
+    ])
+    for (k, delta), res in zip(HOEFFDING_SETTINGS, results):
         hits = res.empirical_freq * TRIALS
         exact = res.exact_prob
         out.append([k, delta, int(hits), f"{exact.numerator}/{exact.denominator}"])

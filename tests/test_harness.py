@@ -212,7 +212,7 @@ def test_verify_hoeffding_small_case():
     check = HoeffdingCheck(population_size=64, population_ones=32,
                            sample_size=16, delta=Fraction(1, 8),
                            trials=20_000, seed=0)
-    res = verify_hoeffding(check)
+    res = verify_hoeffding([check])[0]
     assert res.threshold_count == 6
     assert res.ok_exact and res.ok_empirical
     assert float(res.exact_prob) <= res.bound + 1e-12
