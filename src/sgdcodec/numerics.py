@@ -176,10 +176,9 @@ def _entropy(num: int, den: int) -> float:
     """h(num/den) in bits for 0 <= num <= den.
 
     Where 1 - x rounds to 1.0 (x below about 2^-53), the complement term
-    -(1 - x) log2(1 - x), about x / ln 2, comes from log1p(-x).  Where
-    num/den rounds to 0.0 or 1.0, h is taken from the integers: from the
-    smaller side t = min(num, den - num)/den, whose complement's log comes
-    from log1p.
+    -(1 - x) log2(1 - x), about x / ln 2, comes from log1p(-x).  Where x
+    rounds to 1.0, h is taken from the smaller side (den - num)/den, and
+    where that side or x rounds to 0.0, h is 0.0.
     """
     if num == 0 or num == den:
         return 0.0
@@ -189,9 +188,8 @@ def _entropy(num: int, den: int) -> float:
         if y == 1.0:
             return -(x * math.log2(x) + math.log1p(-x) / _LN2)
         return -(x * math.log2(x) + y * math.log2(y))
-    except ValueError:  # log2(0.0)
-        t = min(num, den - num) / den
-        return -(t * math.log2(t) + (1.0 - t) * math.log1p(-t) / _LN2) if t else 0.0
+    except ValueError:  # log2(0.0): x rounded to 0.0 or 1.0
+        return _entropy(den - num, den) if x else 0.0
 
 
 def _ln_ratio(p: int, q: int) -> float:

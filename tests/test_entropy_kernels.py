@@ -383,7 +383,7 @@ def tail_settings(draw):
 @example((40, 0, 8, Fraction(0)))  # no ones: the whole law at c = 0
 @example((30, 12, 30, Fraction(1, 5)))  # k = n: the law is one point
 @example((64, 63, 64, Fraction(0)))  # k = n at the top of the support
-@example((64, 1, 1, Fraction(0)))
+@example((64, 1, 1, Fraction(0)))  # one draw: the tail is P(the one is not drawn)
 @settings(max_examples=300, derandomize=True, deadline=None)
 @given(tail_settings())
 def test_hoeffding_tail_by_the_term_ratio_is_the_pmf_prefix_sum(setting):
