@@ -30,8 +30,8 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import compress
-from typing import Callable, Iterable, Optional, Sequence
+from itertools import compress, islice
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .numerics import (
     DomainError,
@@ -238,8 +238,16 @@ class Dataset:
         return size, tuple(columns), bias, tops, int.from_bytes(label0, "little")
 
     def subset(self, ids: Iterable[int]) -> tuple[Element, ...]:
-        """Elements for the given ids, ascending by id."""
-        return tuple(self.elements[e] for e in sorted(ids))
+        """Elements for the given ids, ascending by id; an id outside
+        [0, n) is a DomainError."""
+        ids = sorted(ids)
+        if not ids:
+            return ()
+        if ids[0] < 0 or ids[-1] >= len(self.elements):
+            bad = ids[0] if ids[0] < 0 else ids[-1]
+            raise DomainError(f"element id {bad} outside [0, {self.n})")
+        picked = operator.itemgetter(*ids)(self.elements)
+        return picked if len(ids) > 1 else (picked,)
 
     def to_text(self) -> str:
         """Header 'n<TAB>p<TAB>scale', then one 'id<TAB>label<TAB>raw,raw,...' line each."""
@@ -280,91 +288,81 @@ class Dataset:
         return cls(tuple(elements), grid)
 
 
-def _uniform_below(getrandbits: Callable[[int], int], n: int, count: int) -> list[int]:
-    """count uniform draws from range(n), n >= 1, on a ``Random.getrandbits``.
+def _uniform_draws(getrandbits: Callable[[int], int], lo: int, hi: int) -> Iterator[int]:
+    """Uniform integers from [lo, hi], hi >= lo, on a ``Random.getrandbits``,
+    drawn one at a time as they are consumed.
 
-    Each draw takes k = n.bit_length() bits and draws again while the value
-    is >= n.  That is the algorithm behind CPython's ``randrange``
-    (3.10-3.13), so the draws and the generator's final state are those of
-    count ``randrange(n)`` calls, but they depend on ``getrandbits`` alone.
+    Each draw takes k = n.bit_length() bits, n = hi - lo + 1, and draws
+    again while the value is >= n.  That is the algorithm behind CPython's
+    ``randrange`` (3.10-3.13), so the draws and the generator's state after
+    each are those of ``randrange(lo, hi + 1)`` calls, but they depend on
+    ``getrandbits`` alone.  Consumers may interleave other draws between
+    items.
     """
+    n = hi - lo + 1
     k = n.bit_length()
-    out = []
-    for _ in range(count):
+    while True:
         r = getrandbits(k)
-        while r >= n:
-            r = getrandbits(k)
-        out.append(r)
-    return out
-
-
-def _box_raw(
-    getrandbits: Callable[[int], int], half_width_raw: int, count: int
-) -> list[int]:
-    """count uniform integers from [-half_width_raw, half_width_raw]."""
-    draws = _uniform_below(getrandbits, 2 * half_width_raw + 1, count)
-    return [r - half_width_raw for r in draws]
-
-
-def _approx_gauss_raw(getrandbits: Callable[[int], int], sigma_raw: int) -> int:
-    # Sum of 12 uniform integers from [0, M): mean 6(M-1), variance M**2 - 1,
-    # so std ~ M; centered and scaled by sigma_raw / M.  Integer arithmetic
-    # only, so generation is bit-identical on every platform.
-    m = 1 << 20
-    centered = sum(_uniform_below(getrandbits, m, 12)) - 6 * (m - 1)
-    return div_round_half_even(centered * sigma_raw, m)
+        if r < n:
+            yield lo + r
 
 
 def generate_dataset(spec: GeneratorSpec, grid: GridSpec) -> Dataset:
     """Deterministic synthetic dataset for the given spec; same seed, same bytes."""
     getrandbits = random.Random(spec.seed).getrandbits
-    unit = grid.unit
+    unit, dim = grid.unit, spec.dim
     half = spec.feature_scale * unit
     if half > grid.raw_max:
         raise DomainError("feature_scale exceeds the grid clip range")
+    box = _uniform_draws(getrandbits, -half, half)
     elements: list[Element] = []
 
     if spec.family == "separable-margin":
-        normal = [0] * spec.dim
+        normal, units = [0] * dim, _uniform_draws(getrandbits, -unit, unit)
         while all(v == 0 for v in normal):
-            normal = _box_raw(getrandbits, unit, spec.dim)
+            normal = list(islice(units, dim))
         norm = math.sqrt(sum(v * v for v in normal))
         # Normalized margin threshold compared on raw products: |w.x| >= margin*|w|.
         for eid in range(spec.n):
             for _ in range(10000):
-                raws = _box_raw(getrandbits, half, spec.dim)
+                raws = tuple(islice(box, dim))
                 dot = sum(w * x for w, x in zip(normal, raws))
                 if abs(dot) >= float(spec.margin) * norm * unit:
                     break
             else:
                 raise DomainError("margin too large for the feature box")
-            elements.append(
-                Element(eid, FixedVector(tuple(raws), grid), 1 if dot > 0 else 0)
-            )
+            elements.append(Element(eid, FixedVector(raws, grid), 1 if dot > 0 else 0))
 
     elif spec.family == "two-gaussians":
+        # Each coordinate sums 12 uniform integers from [0, M): mean 6(M-1),
+        # variance M**2 - 1, so std ~ M; centered and scaled by sigma_raw / M.
+        # Integer arithmetic only, so generation is bit-identical everywhere.
+        m = 1 << 20
+        terms = _uniform_draws(getrandbits, 0, m - 1)
         center_raw = round_half_even(Fraction(spec.center_dist, 2) * unit)
         sigma_raw = round_half_even(spec.sigma * unit)
         for eid in range(spec.n):
             label = getrandbits(1)
             sign = 1 if label else -1
             raws = []
-            for c in range(spec.dim):
+            for c in range(dim):
                 base = sign * center_raw if c == 0 else 0
-                raw, _ = grid.clamp_raw(base + _approx_gauss_raw(getrandbits, sigma_raw))
+                centered = sum(islice(terms, 12)) - 6 * (m - 1)
+                raw, _ = grid.clamp_raw(base + div_round_half_even(centered * sigma_raw, m))
                 raws.append(raw)
             elements.append(Element(eid, FixedVector(tuple(raws), grid), label))
 
     elif spec.family == "random-labels":
         for eid in range(spec.n):
-            raws = tuple(_box_raw(getrandbits, half, spec.dim))
+            raws = tuple(islice(box, dim))
             elements.append(Element(eid, FixedVector(raws, grid), getrandbits(1)))
 
     elif spec.family == "one-hot":
-        on, zeros = (spec.feature_scale * unit,), (0,) * spec.dim
+        on = spec.feature_scale * unit
+        band = (0,) * dim + (on,) + (0,) * dim  # each row is one slice of it
         for eid in range(spec.n):
-            el = Element(eid, FixedVector(zeros[:eid] + on + zeros[eid + 1 :], grid), 1)
-            el.__dict__["_pairs"] = ((eid, on[0]),)  # what _nonzeros would find
+            el = Element(eid, FixedVector(band[dim - eid : 2 * dim - eid], grid), 1)
+            el.__dict__["_pairs"] = ((eid, on),)  # what _nonzeros would find
             elements.append(el)
 
     return Dataset(tuple(elements), grid, spec)
@@ -493,34 +491,56 @@ def _linear_batch(model: Model, batch: Sequence[Element]) -> tuple:
     model's grid or dim."""
     if not batch:
         raise DomainError("empty batch")
-    rows = [model._features(el) for el in batch]
-    labels = [el.label << 3 * model.grid.scale for el in batch]
-    return _sparse_pairs(batch, model.dim), rows, labels
+    grid, dim, shift = model.weights.grid, model.dim, 3 * model.grid.scale
+    rows, labels = [], []
+    for el in batch:
+        features = el.features
+        if features.grid is not grid or len(features.raws) != dim:
+            model._features(el)  # raises, unless the grid is only equal
+        rows.append(features.raws)
+        labels.append(el.label << shift)
+    return _sparse_pairs(batch, dim), rows, labels
 
 
 def _linear_sum(terms: tuple, w: Sequence[int], s: int) -> tuple[list[int], int]:
-    """``_gradient_sum`` of a logistic-linear model at raws w, scale s, on batch terms."""
+    """``_gradient_sum`` of a logistic-linear model at raws w, scale s, on batch terms.
+
+    Each residual is ``_sigmoid_num(score, 2s, s)`` minus the label, with
+    the table read inline: the table, its ends and its offset are looked up
+    once per call, not once per element.
+    """
     pairs, rows, labels = terms
-    if pairs is not None:
-        total = [0] * len(w)
-        for row, label in zip(pairs, labels):
-            score = 0
+    if pairs is None:
+        scores = [sum(map(operator.mul, w, x)) for x in rows]
+    else:
+        scores = []
+        for row in pairs:
+            z = 0
             for c, x in row:
-                score += w[c] * x
-            resid = _sigmoid_num(score, 2 * s, s) - label
-            if resid:
-                for c, x in row:
-                    total[c] += resid * x
-        return total, 4 * s
-    resids, kept = [], []
-    for x, label in zip(rows, labels):
-        resid = _sigmoid_num(_dot(w, x), 2 * s, s) - label
+                z += w[c] * x
+            scores.append(z)
+    e = 2 * s
+    knots, top, one = _sigmoid_knots(s), Z_MAX << e, 1 << 3 * s
+    mid, frac = Z_MAX << KNOT_BITS, (1 << e) - 1
+    resids = []
+    for z, label in zip(scores, labels):
+        if z >= top:
+            resids.append(one - label)
+        elif z <= -top:
+            resids.append(-label)
+        else:
+            z <<= KNOT_BITS
+            k = (z >> e) + mid
+            lo = knots[k]
+            resids.append((lo << e) + (knots[k + 1] - lo) * (z & frac) - label)
+    if pairs is None:
+        return [_dot(resids, col) for col in zip(*rows)], 4 * s
+    total = [0] * len(w)
+    for row, resid in zip(pairs, resids):
         if resid:
-            resids.append(resid)
-            kept.append(x)
-    if not kept:
-        return [0] * len(w), 4 * s
-    return [_dot(resids, col) if any(col) else 0 for col in zip(*kept)], 4 * s
+            for c, x in row:
+                total[c] += resid * x
+    return total, 4 * s
 
 
 def _gradient_sum(model: Model, batch: Sequence[Element]) -> tuple[list[int], int]:
@@ -529,12 +549,11 @@ def _gradient_sum(model: Model, batch: Sequence[Element]) -> tuple[list[int], in
     The mean gradient is numerator / (len(batch) * 2**e): e = 4s for
     logistic-linear (residual over 2**(3s) times a feature over 2**s), 8s for
     one hidden layer.  Integer sums are exact, so batch order does not matter.
-    Logistic-linear coordinate c is the dot product of the nonzero residuals
-    with column c of their elements' features.  On sparse rows (see
+    Logistic-linear coordinate c is the dot product of the residuals with
+    column c of the elements' features.  On sparse rows (see
     ``_sparse_pairs``) each element's score and its residual's share come
-    from its nonzero pairs alone; on dense rows the sum runs column by
-    column.  Elements with a zero residual and all-zero columns add nothing
-    and are skipped.
+    from its nonzero pairs alone, and an element with a zero residual is
+    skipped; on dense rows the sum runs column by column.
     """
     s = model.grid.scale
     w = model.weights.raws
@@ -599,16 +618,16 @@ def correctness_mask(model: Model, dataset: Dataset, carry: Optional[list] = Non
     [raws, packed scores] of its last sweep, so a sweep pays only for the
     raws that moved since.  A refused model leaves it as it was.
     """
-    if dataset.grid != model.grid:
+    grid, w, elements = model.weights.grid, model.weights.raws, dataset.elements
+    if dataset.grid is not grid and dataset.grid != grid:
         raise DomainError("dataset and model live on different grids")
-    if dataset.n and dataset.dim != model.dim:
+    if elements and len(elements[0].features.raws) != model.dim:
         raise DomainError(f"dataset dim {dataset.dim}, model dim {model.dim}")
-    w, elements = model.weights.raws, dataset.elements
     if model.kind != "logistic-linear":  # per element, output scores over 2**(4s)
         v = w[model.width * model.dim :]
         scores = (_dot(v, model._hidden(el.features.raws)[1]) for el in elements)
         return sum(1 << el.eid for z, el in zip(scores, elements) if (z > 0) == el.label)
-    if not model.grid.holds(w):
+    if not grid.holds(w):
         raise DomainError("a weight lies outside the grid's clip range")
     size, columns, bias, tops, label0 = dataset._lanes
     old, acc = carry or ((0,) * len(w), bias)

@@ -23,7 +23,8 @@ import operator
 import struct
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
+from itertools import compress
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .model import (
@@ -34,7 +35,6 @@ from .model import (
     _linear_batch,
     _linear_sum,
     _max_sq_norm,
-    _mean_raws,
     _peak_sq_norm,
     _table_max_slope,
     correctness_mask,
@@ -451,8 +451,12 @@ def run_training(config: RunConfig, dataset: Optional[Dataset] = None) -> Traini
     return TrainingRun(config, dataset, traces, model)
 
 
-def _ball_offsets(d: int, r2: int) -> Iterator[tuple[int, ...]]:
-    """Integer points with squared norm <= r2, ascending lexicographic."""
+@lru_cache(maxsize=32)
+def _ball_offsets(d: int, r2: int) -> tuple[tuple[int, ...], ...]:
+    """Integer points with squared norm <= r2, ascending lexicographic.
+
+    Memoized: a chain of reverse steps on one batch size and grid asks for
+    the same few balls again and again."""
 
     def rec(prefix: list[int], budget: int) -> Iterator[tuple[int, ...]]:
         if len(prefix) == d:
@@ -464,7 +468,7 @@ def _ball_offsets(d: int, r2: int) -> Iterator[tuple[int, ...]]:
             yield from rec(prefix, budget - o * o)
             prefix.pop()
 
-    yield from rec([], r2)
+    return tuple(rec([], r2))
 
 
 def _reverse_setup(
@@ -487,9 +491,16 @@ def _reverse_setup(
 
 
 def _pull(terms: tuple, w: tuple, base: tuple, step_raw: int, grid: GridSpec) -> tuple:
-    """Phi(w) = base + round(step * g(w)) in raws, g the rounded, unclipped gradient."""
-    g = _mean_raws(*_linear_sum(terms, w, grid.scale), len(terms[2]), grid.scale)
-    return tuple(t + div_round_half_even(step_raw * x, grid.unit) for t, x in zip(base, g))
+    """Phi(w) = base + round(step * g(w)) in raws, g the rounded, unclipped gradient.
+
+    The mean's rounding (``_mean_raws``) and the step's (``gd_update``) run
+    in one pass over the gradient's nonzero coordinates."""
+    total, exp = _linear_sum(terms, w, grid.scale)
+    den, unit = len(terms[2]) << (exp - grid.scale), grid.unit
+    pulled = list(base)
+    for i in compress(range(len(total)), total):
+        pulled[i] += div_round_half_even(step_raw * div_round_half_even(total[i], den), unit)
+    return tuple(pulled)
 
 
 def reverse_step(

@@ -4,7 +4,9 @@ per-case margins of three inequality sweeps, evaluated case by case; the
 closed-form width bound of the conditional set codec; the dataset
 generator spelled out on stdlib ``randrange`` and ``Fraction``; the dataset
 text as it rendered sparse rows cell by cell; the packed correctness sweep
-as one full sum, before it carried; and the
+as one full sum, before it carried; the logistic-linear gradient sum and
+the reverse search's pull as they composed the table sigmoid and the two
+roundings element by element; and the
 ``Fraction`` bookkeeping of the reverse-step set-up (with the table slope
 and the smoothness it rests on), case selection, accounting and
 ``trace.csv`` cells, which the integer code must match."""
@@ -23,7 +25,10 @@ from sgdcodec.model import (
     Element,
     GeneratorSpec,
     Model,
+    _dot,
+    _mean_raws,
     _sigmoid_knots,
+    _sigmoid_num,
     correctness_mask,
 )
 from sgdcodec.numerics import (
@@ -34,6 +39,7 @@ from sgdcodec.numerics import (
     _entropy,
     _kl,
     _realizable_q,
+    div_round_half_even,
     round_half_even,
 )
 from sgdcodec.sgd_engine import EpochTrace
@@ -242,6 +248,40 @@ def correctness_mask_oracle(model: Model, dataset: Dataset) -> int:
     acc = sum((wc * col for wc, col in zip(model.weights.raws, columns) if wc), bias)
     top_bytes = ((acc & tops) ^ label0).to_bytes(dataset.n * size, "big")[::size]
     return int(top_bytes.translate(bytes.maketrans(b"\x00\x80", b"01")) or b"0", 2)
+
+
+def linear_sum_oracle(terms: tuple, w, s: int) -> tuple[list[int], int]:
+    """``model._linear_sum`` as it was before it read the sigmoid table
+    inline: one ``_sigmoid_num`` call per element, the nonzero residuals and
+    their rows collected, and each nonzero column's dot product with them."""
+    pairs, rows, labels = terms
+    if pairs is not None:
+        total = [0] * len(w)
+        for row, label in zip(pairs, labels):
+            score = 0
+            for c, x in row:
+                score += w[c] * x
+            resid = _sigmoid_num(score, 2 * s, s) - label
+            if resid:
+                for c, x in row:
+                    total[c] += resid * x
+        return total, 4 * s
+    resids, kept = [], []
+    for x, label in zip(rows, labels):
+        resid = _sigmoid_num(_dot(w, x), 2 * s, s) - label
+        if resid:
+            resids.append(resid)
+            kept.append(x)
+    if not kept:
+        return [0] * len(w), 4 * s
+    return [_dot(resids, col) if any(col) else 0 for col in zip(*kept)], 4 * s
+
+
+def pull_oracle(terms: tuple, w, base, step_raw: int, grid: GridSpec) -> tuple:
+    """``sgd_engine._pull`` as it was before it fused its roundings: the
+    mean gradient rounded onto the grid first, then each step rounded."""
+    g = _mean_raws(*linear_sum_oracle(terms, w, grid.scale), len(terms[2]), grid.scale)
+    return tuple(t + div_round_half_even(step_raw * x, grid.unit) for t, x in zip(base, g))
 
 
 def weights_on(dataset: Dataset, ids, raw: int) -> FixedVector:

@@ -94,3 +94,26 @@ def test_traced_logistic_run_counts_one_mask_per_checkpoint_sweep():
         assert [row.case for row in rep.report.rows] == cases
         assert tracer.calls["model.correctness_mask"] == sweeps
         assert tracer.calls["model.correctness_vector"] == 0
+
+
+def test_traced_run_counts_each_training_step_on_the_step_hooks():
+    # Training steps through sgd_engine.forward_step, which calls
+    # model.loss_gradient and FixedVector.gd_update once each.  A kernel that
+    # stepped any other way would hide training from the per-layer table.
+    # An ACCOUNTING decode replays no step, so every count is a training step.
+    cfg = RunConfig(
+        generator=GeneratorSpec(family="random-labels", n=64, dim=2, seed=3),
+        batch_size=16, step_raw=1 << 13, eps=Fraction(1, 4), progress_coeff=Fraction(4),
+        seed=3, max_epochs=2, grid=GridSpec())
+    tracer = _load_tracer().Tracer()
+    tracer.install()
+    try:
+        result = harness.run_experiment(ExperimentSpec(config=cfg, mode="ACCOUNTING"))
+    finally:
+        tracer.uninstall()
+    traces = result.replications[0].run.traces
+    steps = sum(t.steps_done for t in traces)
+    assert len(traces) == 2 and steps == 2 * 64 // 16
+    for name in ("sgd_engine.forward_step", "model.loss_gradient",
+                 "numerics.FixedVector.gd_update"):
+        assert tracer.calls[name] == steps, name

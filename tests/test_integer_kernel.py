@@ -10,6 +10,7 @@ the table ends, and round-half-even ties.
 from __future__ import annotations
 
 import math
+import operator
 import random
 from dataclasses import replace
 from fractions import Fraction
@@ -18,15 +19,19 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from conftest import manual_dataset
+from conftest import linear_sum_oracle, manual_dataset, pull_oracle
 from sgdcodec import model as model_module
+from sgdcodec import sgd_engine
 from sgdcodec.model import (
     KNOT_BITS,
     MODEL_KINDS,
     Z_MAX,
+    Element,
     Model,
     GeneratorSpec,
     _dot,
+    _linear_batch,
+    _linear_sum,
     _sigmoid_knots,
     _sigmoid_num,
     _sparse_pairs,
@@ -462,6 +467,75 @@ def test_step_kernel_named_cases():
         -round_half_even(Fraction(unit, 3)) if c in (0, 64, 129) else 0 for c in range(130)
     )
     assert _sigmoid_num(hi * hi, 2 * grid.scale, grid.scale) == 1 << 3 * grid.scale
+
+
+@st.composite
+def linear_kernel_cases(draw):
+    """Weights, a batch, a target and a step for the inline table kernel.
+
+    The flag fixes the path: sparse rows have at least ``_SPARSE_DIM``
+    features and at most one nonzero in ``_SPARSE_DIM``; dense rows have
+    fewer features, or every feature but the first nonzero.  An edge row
+    solves for its first feature (w[0] is one raw) so that its score lands
+    exactly on a table end, one raw inside it, or on a negative score off
+    the floor grid of the knots; in an all-zero batch every score lies at
+    or past the end its label sits at."""
+    s = draw(st.sampled_from(SCALES))
+    grid = GridSpec(scale=s, clip=64)
+    unit, top = grid.unit, Z_MAX << 2 * s
+    knot = 1 << 2 * s - KNOT_BITS  # scores between two knots are not multiples
+    sparse = draw(st.booleans())
+    dim = draw(st.sampled_from((8, 9, 16) if sparse else (1, 2, 7, 8, 9)))
+    raw = st.integers(-2 * unit, 2 * unit)
+    pivot = draw(st.sampled_from((1, -1)))
+    w = (pivot, *draw(st.lists(raw, min_size=dim - 1, max_size=dim - 1)))
+    all_zero = draw(st.sampled_from((False, False, True)))
+    batch = []
+    for e in range(draw(st.integers(1, 6))):
+        label = draw(st.integers(0, 1))
+        x = [0] * dim
+        if sparse:
+            for c in draw(st.lists(st.integers(0, dim - 1), max_size=dim // 8, unique=True)):
+                x[c] = draw(raw.filter(bool))
+        else:
+            x = draw(st.lists(raw.filter(bool) if dim >= 8 else raw, min_size=dim, max_size=dim))
+        edge = "past" if all_zero else draw(st.sampled_from(("free", "end", "inside", "floor")))
+        if edge == "past":
+            target = (top + draw(st.integers(0, unit))) * (1 if label else -1)
+        elif edge == "end":
+            target = draw(st.sampled_from((top, -top)))
+        elif edge == "inside":
+            target = draw(st.sampled_from((top - 1, 1 - top)))
+        elif edge == "floor":
+            target = -draw(st.integers(0, top // knot - 1)) * knot - draw(st.integers(1, knot - 1))
+        if edge != "free":
+            if sparse:
+                x = [0] * dim
+            x[0] = pivot * (target - sum(map(operator.mul, w[1:], x[1:])))
+        batch.append(Element(e, FixedVector(tuple(x), grid), label))
+    model = Model("logistic-linear", FixedVector(w, grid), dim)
+    base = tuple(draw(st.lists(st.integers(grid.raw_min, grid.raw_max), min_size=dim, max_size=dim)))
+    return model, batch, base, draw(st.integers(0, 2 * unit)), sparse, all_zero
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(linear_kernel_cases())
+def test_inline_table_kernel_matches_the_per_element_oracles(case):
+    model, batch, base, step_raw, sparse, all_zero = case
+    grid, w = model.grid, model.weights.raws
+    terms = _linear_batch(model, batch)
+    assert terms == (
+        [el._pairs for el in batch] if sparse else None,
+        [el.features.raws for el in batch],
+        [el.label << 3 * grid.scale for el in batch],
+    )
+    total = _linear_sum(terms, w, grid.scale)
+    assert total == linear_sum_oracle(terms, w, grid.scale)
+    if all_zero:
+        assert not any(total[0])
+    assert sgd_engine._pull(terms, w, base, step_raw, grid) == pull_oracle(
+        terms, w, base, step_raw, grid
+    )
 
 
 def test_with_weights_rejects_a_wrong_weight_count():

@@ -99,6 +99,12 @@ _ORACLE_SPECS = [
         (GridSpec(scale=6, clip=4), GridSpec(scale=0, clip=8), GridSpec()),
     )
     if scale * grid.unit <= grid.raw_max
+] + [
+    # the benchmark's own datasets: sweep-random, memorize-onehot, strict-chain
+    *((GeneratorSpec("random-labels", 256, 2, seed), GridSpec()) for seed in (1, 2, 3, 4)),
+    (GeneratorSpec("one-hot", 128, 128, 1), GridSpec()),
+    (GeneratorSpec("two-gaussians", 32, 1, 3, sigma=Fraction(1, 2), center_dist=Fraction(2)),
+     GridSpec(scale=6, clip=4)),
 ]
 
 
@@ -248,6 +254,18 @@ def test_dataset_rejects_ragged_features():
     )
     with pytest.raises(DomainError, match="element 1 has 3 features, not 2"):
         Dataset(elements, GRID)
+
+
+def test_subset_is_ascending_and_refuses_ids_outside_the_dataset():
+    ds = generate_dataset(GeneratorSpec(family="random-labels", n=8, dim=2, seed=1), GRID)
+    assert ds.subset([5, 0, 7, 2]) == tuple(ds.elements[e] for e in (0, 2, 5, 7))
+    assert ds.subset(iter([3])) == (ds.elements[3],)
+    assert ds.subset([]) == ()
+    # a negative id once wrapped around to element n - 1, out of order,
+    # and an id past the end raised a bare IndexError
+    for ids, bad in (([-1, 2], -1), ([8], 8), ([0, 3, 9], 9), ([-8, 8], -8)):
+        with pytest.raises(DomainError, match=rf"element id {bad} outside \[0, 8\)"):
+            ds.subset(ids)
 
 
 def test_sigmoid_table_fixed_points():
