@@ -12,6 +12,10 @@ set): subsets, their pools and the classifier alike, so the set algebra is
 ``&``, ``|`` and ``^``, and a set has no order to check.  The subset and
 permutation codes cost O(k) exact big-integer steps for k members plus one
 C-level pass over the bytes of the pool, and never list the pool's ids.
+Subset codes of at most ``_TABLE_MEMBERS`` members from pools of at most
+``_TABLE_POOL`` ids read their binomials from one process-wide Pascal
+table; larger codes step from one binomial to the next by exact ratios.
+Both paths give the same integers.
 
 All widths are exact: a rank r of a space with N codewords is written in
 ceil(log2(N)) bits, and stream length always equals the sum of declared
@@ -121,17 +125,53 @@ class BitStream:
         return f"BitStream(len={self._len})"
 
 
+# Subset codes of at most _TABLE_MEMBERS members from pools of at most
+# _TABLE_POOL ids read C(c, r) as _PASCAL[r][c].  The table grows on demand,
+# doubling its columns, and never past _TABLE_MEMBERS + 1 rows of
+# _TABLE_POOL columns; larger codes take the ratio walks below.
+_TABLE_MEMBERS = 32
+_TABLE_POOL = 1024
+_PASCAL: list[list[int]] = []
+
+
+def _pascal(k: int, m: int) -> list[list[int]]:
+    """The Pascal table, grown to hold C(c, r) for r <= k and c < m, for
+    k <= _TABLE_MEMBERS and m <= _TABLE_POOL."""
+    table = _PASCAL
+    if len(table) <= k or len(table[0]) < m:
+        cols = min(_TABLE_POOL, max(m, 2 * len(table[0]))) if table else m
+        row = [1] * cols
+        rows = [row]
+        for _ in range(max(k, len(table) - 1)):
+            # C(c, r) = C(0, r-1) + ... + C(c-1, r-1)
+            row = list(itertools.accumulate(row[:-1], initial=0))
+            rows.append(row)
+        table[:] = rows
+    return table
+
+
 def subset_rank(a: int, pool: int) -> int:
     """Colexicographic rank of subset mask ``a`` within ``pool``, in
     [0, C(|pool|, |a|)): the sum of C(c_j, j) over the members of ``a`` in
     ascending order, c_j the j-th member's position in the pool (j from 1).
 
-    The empty subset and the |a| lowest ids of the pool both rank 0.  Runs in
+    The empty subset and the |a| lowest ids of the pool both rank 0.  Small
+    codes read each C(c_j, j) from the Pascal table.  Larger ones run in
     O(|a|) big-integer steps: each binomial is the previous one times a ratio
     of two short products, or one ``math.comb`` after a gap of j or more.
     """
     if pool < 0 or a & ~pool:
         raise CodecError("subset holds ids outside the pool")
+    k, m = a.bit_count(), pool.bit_count()
+    if 0 < k <= _TABLE_MEMBERS and m <= _TABLE_POOL:
+        table = _pascal(k, m)
+        rank, j = 0, 0
+        while a:
+            low = a & -a
+            a ^= low
+            j += 1
+            rank += table[j][(pool & (low - 1)).bit_count()]
+        return rank
     rank, v, j, p = 0, 0, 0, -1
     while a:
         low = a & -a
@@ -193,12 +233,13 @@ def subset_unrank(rank: int, pool: int, size: int) -> int:
 
     For r = size down to 1 the r-th member sits at the largest position c
     with C(c, r) <= rank (the combinatorial number system, Knuth TAOCP 4A
-    7.2.1.3).  For r >= 3 that is up to r ratio steps down from the previous
-    member's position, then a search seeded by the inverse of
-    C(c, r) ~ (c - (r-1)/2)^r / r!; r = 2 and r = 1 have closed forms.  Each
-    position maps to its id through cumulative byte popcounts of the pool,
-    built in one C-level pass, so the cost is O(size) big-integer steps plus
-    that pass, however many ids the pool holds.
+    7.2.1.3).  Small codes find c by one bisection of the Pascal table's row
+    r below the previous member's position.  In larger ones, for r >= 3, c is
+    up to r ratio steps down from the previous member's position, then a
+    search seeded by the inverse of C(c, r) ~ (c - (r-1)/2)^r / r!; r = 2 and
+    r = 1 have closed forms.  Each position maps to its id through cumulative
+    byte popcounts of the pool, built in one C-level pass, so the cost is
+    O(size) big-integer steps plus that pass, however many ids the pool holds.
     """
     if pool < 0:
         raise CodecError("a set mask cannot be negative")
@@ -211,6 +252,15 @@ def subset_unrank(rank: int, pool: int, size: int) -> int:
     if size == 0:
         return 0
     positions = []
+    if size <= _TABLE_MEMBERS and m <= _TABLE_POOL:
+        table, c = _pascal(size, m), m
+        for r in range(size, 0, -1):
+            # C(r-1, r) = 0 <= rank, so c lands in [r-1, c-1]
+            row = table[r]
+            c = bisect_right(row, rank, r, c) - 1
+            rank -= row[c]
+            positions.append(c)
+        return _select(pool, positions)
     c, v = m - 1, total * (m - size) // m  # v = C(c, r) throughout
     for r in range(size, 2, -1):
         stop = c - r

@@ -59,6 +59,7 @@ from .numerics import (
     _realized_slacks,
 )
 from .sgd_engine import (
+    MASK64,
     EpochTrace,
     RunConfig,
     TrainingRun,
@@ -81,6 +82,8 @@ class ExperimentSpec:
     def __post_init__(self) -> None:
         if self.replications < 1:
             raise DomainError("replications must be >= 1")
+        if self.config.seed + self.replications - 1 > MASK64:
+            raise DomainError("run seeds seed + replications - 1 must lie below 2**64")
         if self.mode not in (ACCOUNTING, STRICT):
             raise DomainError(f"unknown mode {self.mode!r}")
         if self.mode == STRICT:

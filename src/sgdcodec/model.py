@@ -141,6 +141,8 @@ class GeneratorSpec:
             raise DomainError(f"unknown family {self.family!r}")
         if self.n < 1:
             raise DomainError("n must be >= 1")
+        if self.seed < 0:  # random.Random(seed) would seed with |seed|
+            raise DomainError("data seed must be >= 0")
         if self.family == "one-hot":
             if self.dim != self.n:
                 raise DomainError("one-hot family requires dim == n")
@@ -607,6 +609,10 @@ def correctness_vector(model: Model, dataset: Dataset) -> list[int]:
     return [mask >> e & 1 for e in range(dataset.n)]
 
 
+# a lane's top byte is 0x00 or 0x80: the ASCII digit of its top bit
+_TOP_BYTE_DIGITS = bytes.maketrans(b"\x00\x80", b"01")
+
+
 def correctness_mask(model: Model, dataset: Dataset, carry: Optional[list] = None) -> int:
     """The correctness sweep as one int: bit e is set iff element e is correct.
 
@@ -638,7 +644,7 @@ def correctness_mask(model: Model, dataset: Dataset, carry: Optional[list] = Non
     # lane e holds score_e + 2**(L-1) - 1, so its top bit says score_e > 0;
     # label0 flips that bit where label e is 0
     top_bytes = ((acc & tops) ^ label0).to_bytes(dataset.n * size, "big")[::size]
-    return int(top_bytes.translate(bytes.maketrans(b"\x00\x80", b"01")) or b"0", 2)
+    return int(top_bytes.translate(_TOP_BYTE_DIGITS) or b"0", 2)
 
 
 def _peak_sq_norm(pairs: Optional[list], rows: Sequence[Sequence[int]]) -> int:

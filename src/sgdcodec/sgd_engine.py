@@ -74,49 +74,35 @@ class MultiplePreimage(ReverseError):
     """Two or more preimages found: a smoothness or quantization premise broke."""
 
 
-def splitmix64(state: int) -> tuple[int, int]:
-    """One splitmix64 draw: returns (next_state, 64-bit output)."""
-    state = (state + GOLDEN64) & MASK64
-    z = state
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
-    return state, z ^ (z >> 31)
+def _splitmix64_words(seed: int, epoch: int) -> Iterator[int]:
+    """The 64-bit outputs of the splitmix64 stream keyed by (seed, epoch)."""
+    # Distinct epochs get well-separated streams via a golden-ratio offset.
+    state = (seed + epoch * GOLDEN64) & MASK64
+    while True:
+        state = (state + GOLDEN64) & MASK64
+        z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
+        yield z ^ (z >> 31)
 
 
-class BitTape:
-    """MSB-first bit source backed by splitmix64."""
+def draw_permutation(n: int, words: Iterator[int]) -> tuple[int, ...]:
+    """Fisher-Yates using rejection sampling on a stream of 64-bit words.
 
-    def __init__(self, seed: int, epoch: int) -> None:
-        # Distinct epochs get well-separated streams via a golden-ratio offset.
-        self._state = (seed + epoch * GOLDEN64) & MASK64
-        self._buf = 0
-        self._buf_len = 0
-
-    def take(self, width: int) -> int:
-        if width < 0:
-            raise DomainError("width must be >= 0")
-        while self._buf_len < width:
-            self._state, out = splitmix64(self._state)
-            self._buf = (self._buf << 64) | out
-            self._buf_len += 64
-        shift = self._buf_len - width
-        value = self._buf >> shift
-        self._buf &= (1 << shift) - 1
-        self._buf_len = shift
-        return value
-
-
-def draw_permutation(n: int, source) -> tuple[int, ...]:
-    """Fisher-Yates using rejection sampling on the given bit source.
-
-    Each swap index j in [0, i] is drawn from i.bit_length() bits, redrawing
-    values above i, so the accepted draw is exactly uniform.
+    The words are read as one MSB-first bit string.  Each swap index j in
+    [0, i] is its next i.bit_length() bits, redrawing values above i, so the
+    accepted draw is exactly uniform.
     """
     arr = list(range(n))
+    buf = nbits = 0  # the nbits unread bits of the words taken so far
     for i in range(n - 1, 0, -1):
         width = i.bit_length()
         while True:
-            j = source.take(width)
+            while nbits < width:
+                buf = buf << 64 | next(words)
+                nbits += 64
+            nbits -= width
+            j = buf >> nbits
+            buf ^= j << nbits
             if j <= i:
                 break
         arr[i], arr[j] = arr[j], arr[i]
@@ -125,7 +111,7 @@ def draw_permutation(n: int, source) -> tuple[int, ...]:
 
 def draw_epoch_permutation(n: int, seed: int, epoch: int) -> tuple[int, ...]:
     """The visit order of one epoch, drawn from the (seed, epoch) stream."""
-    return draw_permutation(n, BitTape(seed, epoch))
+    return draw_permutation(n, _splitmix64_words(seed, epoch))
 
 
 @dataclass(frozen=True)
@@ -160,6 +146,8 @@ class RunConfig:
             raise DomainError("step_raw must be nonnegative")
         if self.max_epochs < 1:
             raise DomainError("max_epochs must be >= 1")
+        if not 0 <= self.seed <= MASK64:  # the epoch draws read it mod 2**64
+            raise DomainError("run seed must lie in [0, 2**64)")
         if self.model_kind == "one-hidden-layer" and self.hidden_width < 1:
             raise DomainError("one-hidden-layer needs hidden_width >= 1")
         if self.model_kind == "logistic-linear" and self.hidden_width:

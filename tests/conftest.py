@@ -6,7 +6,8 @@ generator spelled out on stdlib ``randrange`` and ``Fraction``; the dataset
 text as it rendered sparse rows cell by cell; the packed correctness sweep
 as one full sum, before it carried; the logistic-linear gradient sum and
 the reverse search's pull as they composed the table sigmoid and the two
-roundings element by element; and the
+roundings element by element; the splitmix64 bit tape and the Fisher-Yates
+draw that took one call to it per try; and the
 ``Fraction`` bookkeeping of the reverse-step set-up (with the table slope
 and the smoothness it rests on), case selection, accounting and
 ``trace.csv`` cells, which the integer code must match."""
@@ -42,7 +43,7 @@ from sgdcodec.numerics import (
     div_round_half_even,
     round_half_even,
 )
-from sgdcodec.sgd_engine import EpochTrace
+from sgdcodec.sgd_engine import GOLDEN64, MASK64, EpochTrace
 from sgdcodec.stable import stable_entropy
 
 
@@ -282,6 +283,51 @@ def pull_oracle(terms: tuple, w, base, step_raw: int, grid: GridSpec) -> tuple:
     mean gradient rounded onto the grid first, then each step rounded."""
     g = _mean_raws(*linear_sum_oracle(terms, w, grid.scale), len(terms[2]), grid.scale)
     return tuple(t + div_round_half_even(step_raw * x, grid.unit) for t, x in zip(base, g))
+
+
+def splitmix64(state: int) -> tuple[int, int]:
+    """One splitmix64 draw: returns (next_state, 64-bit output)."""
+    state = (state + GOLDEN64) & MASK64
+    z = state
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
+    return state, z ^ (z >> 31)
+
+
+class BitTape:
+    """MSB-first bit source backed by splitmix64, keyed by (seed, epoch)."""
+
+    def __init__(self, seed: int, epoch: int) -> None:
+        self._state = (seed + epoch * GOLDEN64) & MASK64
+        self._buf = 0
+        self._buf_len = 0
+
+    def take(self, width: int) -> int:
+        if width < 0:
+            raise DomainError("width must be >= 0")
+        while self._buf_len < width:
+            self._state, out = splitmix64(self._state)
+            self._buf = (self._buf << 64) | out
+            self._buf_len += 64
+        shift = self._buf_len - width
+        value = self._buf >> shift
+        self._buf &= (1 << shift) - 1
+        self._buf_len = shift
+        return value
+
+
+def draw_permutation_oracle(n: int, source) -> tuple[int, ...]:
+    """Fisher-Yates with one ``source.take(i.bit_length())`` call per try,
+    redrawing values above i."""
+    arr = list(range(n))
+    for i in range(n - 1, 0, -1):
+        width = i.bit_length()
+        while True:
+            j = source.take(width)
+            if j <= i:
+                break
+        arr[i], arr[j] = arr[j], arr[i]
+    return tuple(arr)
 
 
 def weights_on(dataset: Dataset, ids, raw: int) -> FixedVector:

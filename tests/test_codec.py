@@ -14,6 +14,8 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+from sgdcodec import codec
+
 from conftest import mask_of, theoretical_set_bound
 from sgdcodec.codec import (
     BitStream,
@@ -246,6 +248,65 @@ def test_subset_codec_edges_match_the_pool_scan():
     with pytest.raises(CodecError):
         subset_unrank(1, one, 1)
     assert subset_rank(0, 0) == 0 and subset_unrank(0, 0, 0) == 0
+
+
+K, M = codec._TABLE_MEMBERS, codec._TABLE_POOL
+
+
+def gapped_pool(rng, m):
+    """A pool of m ids with gaps: a random m of the first 3m ids."""
+    return mask_of(rng.sample(range(3 * m), m))
+
+
+@pytest.mark.parametrize(
+    "k, m", [(k, m) for k in (0, 1, K, K + 1) for m in (K, M, M + 1) if k <= m]
+)
+def test_subset_codec_matches_the_pool_scan_around_the_table_bounds(k, m):
+    # k <= K and m <= M read the Pascal table; k = K+1 or m = M+1 walk
+    rng = random.Random(1000 * k + m)
+    for pool in (mask_of(range(m)), gapped_pool(rng, m), mask_of(range(5, 5 + m)) << 900):
+        ids = [e for e in range(pool.bit_length()) if pool >> e & 1]
+        last = binomial(m, k) - 1
+        for rank in (0, last, *(rng.randint(0, last) for _ in range(3))):
+            got = subset_unrank(rank, pool, k)
+            assert got == scan_subset_unrank(rank, pool, k)
+            assert subset_rank(got, pool) == scan_subset_rank(got, pool) == rank
+        for _ in range(3):
+            a = mask_of(rng.sample(ids, k))
+            assert subset_rank(a, pool) == scan_subset_rank(a, pool)
+            assert subset_unrank(subset_rank(a, pool), pool, k) == a
+
+
+@pytest.mark.parametrize("k, m", [(1, K), (K, M), (K + 1, M), (K, M + 1), (K + 1, M + 1)])
+def test_subset_codec_errors_read_the_same_on_both_sides_of_the_table(k, m):
+    pool = gapped_pool(random.Random(m), m)
+    total = binomial(m, k)
+    for rank in (total, -1):
+        with pytest.raises(CodecError, match=rf"^rank {rank} outside \[0, {total}\)$"):
+            subset_unrank(rank, pool, k)
+    with pytest.raises(CodecError, match=rf"^subset size {m + 1} invalid for pool of {m}$"):
+        subset_unrank(0, pool, m + 1)
+    with pytest.raises(CodecError, match="^a set mask cannot be negative$"):
+        subset_unrank(0, -pool, k)
+    outside = mask_of(range(k - 1)) | 1 << pool.bit_length()
+    for a, mask in ((outside, pool), (mask_of(range(k)), -pool)):
+        with pytest.raises(CodecError, match="^subset holds ids outside the pool$"):
+            subset_rank(a, mask)
+
+
+def test_pascal_table_stays_within_its_bounds():
+    assert (K, M) == (32, 1024)
+    rng = random.Random(29)
+    for k, m in ((3, M // 2 + 100), (K, M), (K + 1, M), (K, M + 1), (K + 1, M + 1), (3, M + 1)):
+        pool = gapped_pool(rng, m)
+        a = mask_of(rng.sample([e for e in range(3 * m) if pool >> e & 1], k))
+        assert subset_unrank(subset_rank(a, pool), pool, k) == a
+        assert len(codec._PASCAL) <= K + 1
+        assert all(len(row) <= M for row in codec._PASCAL)
+    # the (K, M) code grew it to the full bound, and no larger code grew it on
+    assert len(codec._PASCAL) == K + 1
+    assert {len(row) for row in codec._PASCAL} == {M}
+    assert codec._PASCAL[K][M - 1] == binomial(M - 1, K)
 
 
 def test_unrankers_reject_negative_masks():

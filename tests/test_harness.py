@@ -75,6 +75,26 @@ def test_experiment_spec_validation():
     with pytest.raises(DomainError):
         # default grid scale exceeds the reverse-search budget
         ExperimentSpec(config=spec.config, mode="STRICT")
+    # replication r runs seed + r, which must stay below 2**64
+    top = replace(spec.config, seed=(1 << 64) - 1)
+    with pytest.raises(DomainError, match="replications"):
+        ExperimentSpec(config=top, replications=2)
+    with pytest.raises(DomainError, match="replications"):
+        ExperimentSpec(config=replace(top, seed=(1 << 64) - 3), replications=4)
+    ExperimentSpec(config=top, replications=1)
+    ExperimentSpec(config=replace(top, seed=(1 << 64) - 3), replications=3)
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [["--data-seed", "-5"], ["--seed", "-1"], ["--seed", str(1 << 64)],
+     ["--seed", str((1 << 64) - 1), "--replications", "2"]],
+)
+def test_cli_rejects_a_seed_that_would_alias_another(tmp_path, capsys, flags):
+    out = tmp_path / "out"
+    assert main(["run", *flags, "--out", str(out)]) == 2
+    assert "seed" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_run_experiment_writes_artifacts(tmp_path):

@@ -122,6 +122,14 @@ def test_generator_rejects_unknown_family():
         GeneratorSpec(family="mystery", n=8, dim=2, seed=0)
 
 
+@pytest.mark.parametrize("seed", [-1, -5])
+def test_generator_rejects_a_negative_data_seed(seed):
+    # random.Random(seed) seeds with |seed|: -5 would build seed 5's dataset
+    with pytest.raises(DomainError, match="data seed"):
+        GeneratorSpec(family="random-labels", n=8, dim=2, seed=seed)
+    GeneratorSpec(family="random-labels", n=8, dim=2, seed=-seed)
+
+
 def test_one_hot_structure():
     spec = GeneratorSpec(family="one-hot", n=12, dim=12, seed=4, feature_scale=2)
     ds = generate_dataset(spec, GRID)

@@ -7,11 +7,14 @@ from fractions import Fraction
 import pytest
 
 from conftest import (
+    BitTape,
     analytic_logistic_smoothness,
     band_dataset,
+    draw_permutation_oracle,
     manual_dataset,
     one_hot_dataset,
     progress_oracle,
+    splitmix64,
 )
 from sgdcodec.harness import write_trace_csv
 from sgdcodec.model import (
@@ -27,8 +30,8 @@ from sgdcodec.numerics import (
     SaturationError,
 )
 from sgdcodec.sgd_engine import (
-    BitTape,
     GOLDEN64,
+    MASK64,
     MultiplePreimage,
     PreimageNotFound,
     RunConfig,
@@ -40,8 +43,8 @@ from sgdcodec.sgd_engine import (
     reverse_step,
     run_epoch,
     run_training,
-    splitmix64,
     step_smoothness,
+    _splitmix64_words,
     vector_from_bytes,
     vector_to_bytes,
 )
@@ -65,7 +68,7 @@ def band_config(dataset, step_raw, seed=1, **kw):
 
 
 def test_splitmix64_reference_vectors():
-    # published sequence for seed 0
+    # published sequence for seed 0, from the oracle and the shipped stream
     state, out = splitmix64(0)
     assert state == GOLDEN64
     assert out == 0xE220A8397B1DCDAF
@@ -73,6 +76,10 @@ def test_splitmix64_reference_vectors():
     assert out == 0x6E789E6AA1B965F4
     state, out = splitmix64(state)
     assert out == 0x06C45D188009454F
+    words = _splitmix64_words(0, 0)
+    assert [next(words) for _ in range(3)] == [
+        0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F
+    ]
 
 
 def test_bit_tape_is_deterministic_and_epoch_separated():
@@ -101,14 +108,50 @@ class ScriptedSource:
         return self.values.pop(0)
 
 
+def scripted_words(fields):
+    """The 64-bit words that spell these (value, width) fields MSB-first,
+    zero-padded to a whole word."""
+    acc = nbits = 0
+    for value, width in fields:
+        acc, nbits = acc << width | value, nbits + width
+    pad = -nbits % 64
+    acc <<= pad
+    nwords = (nbits + pad) // 64
+    return [acc >> 64 * (nwords - 1 - w) & MASK64 for w in range(nwords)]
+
+
 def test_fisher_yates_scripted_draws():
     # n=4: i=3 takes 2 bits, i=2 takes 2 bits (rejects 3), i=1 takes 1 bit
-    src = ScriptedSource([2, 3, 1, 0])
-    order = draw_permutation(4, src)
+    fields = [(2, 2), (3, 2), (1, 2), (0, 1)]
+    src = ScriptedSource(value for value, _ in fields)
+    words = iter(scripted_words(fields))
     # start [0,1,2,3]: swap(3,2) -> [0,1,3,2]; draw 3 rejected, then 1:
     # swap(2,1) -> [0,3,1,2]; swap(1,0) -> [3,0,1,2]
-    assert order == (3, 0, 1, 2)
+    assert draw_permutation(4, words) == (3, 0, 1, 2)
+    assert next(words, None) is None  # one word read, and no more
+    assert draw_permutation_oracle(4, src) == (3, 0, 1, 2)
     assert src.values == []
+
+
+def test_fisher_yates_reads_a_draw_across_a_word_boundary():
+    # n=300: i=299 and i=298 take 9 bits each.  Seven rejected 9-bit draws
+    # (63 bits) leave one bit of the first word, so the accepted draw 290
+    # reads its top bit there and its low 8 bits from the second word.
+    # The zero words after them make every later swap index 0.
+    fields = [(511, 9)] * 7 + [(290, 9), (297, 9)]
+    got = draw_permutation(300, iter(scripted_words(fields) + [0] * 40))
+    assert got[298:] == (297, 290)
+    src = ScriptedSource([value for value, _ in fields] + [0] * 297)
+    assert got == draw_permutation_oracle(300, src)
+    assert src.values == []
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 63, 64, 65, 255, 256, 257, 1000])
+def test_shipped_draw_matches_the_bit_tape_oracle(n):
+    for seed in (0, 1, 1 << 63, MASK64):
+        for epoch in (0, 1, 2, 5):
+            want = draw_permutation_oracle(n, BitTape(seed, epoch))
+            assert draw_epoch_permutation(n, seed, epoch) == want
 
 
 def test_draw_permutation_is_valid_and_replayable():
@@ -138,6 +181,13 @@ def test_run_config_validation():
     with pytest.raises(DomainError):
         RunConfig(generator=gen, batch_size=4, step_raw=1, eps=Fraction(2),
                   progress_coeff=Fraction(1), seed=0, max_epochs=1, grid=GRID)
+    # the epoch draws read the run seed mod 2**64: s and s + 2**64 would alias
+    for seed in (-1, 1 << 64, (1 << 64) + 5):
+        with pytest.raises(DomainError, match="run seed"):
+            RunConfig(generator=gen, batch_size=4, step_raw=1, eps=Fraction(1, 4),
+                      progress_coeff=Fraction(1), seed=seed, max_epochs=1, grid=GRID)
+    RunConfig(generator=gen, batch_size=4, step_raw=1, eps=Fraction(1, 4),
+              progress_coeff=Fraction(1), seed=MASK64, max_epochs=1, grid=GRID)
 
 
 @pytest.mark.parametrize("width", (-1, 2))
