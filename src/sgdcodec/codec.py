@@ -125,10 +125,8 @@ class BitStream:
         return f"BitStream(len={self._len})"
 
 
-# Subset codes of at most _TABLE_MEMBERS members from pools of at most
-# _TABLE_POOL ids read C(c, r) as _PASCAL[r][c].  The table grows on demand,
-# doubling its columns, and never past _TABLE_MEMBERS + 1 rows of
-# _TABLE_POOL columns; larger codes take the ratio walks below.
+# _PASCAL[r][c] = C(c, r).  It grows on demand, doubling its columns, and
+# never past _TABLE_MEMBERS + 1 rows of _TABLE_POOL columns.
 _TABLE_MEMBERS = 32
 _TABLE_POOL = 1024
 _PASCAL: list[list[int]] = []

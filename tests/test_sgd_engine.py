@@ -108,41 +108,15 @@ class ScriptedSource:
         return self.values.pop(0)
 
 
-def scripted_words(fields):
-    """The 64-bit words that spell these (value, width) fields MSB-first,
-    zero-padded to a whole word."""
-    acc = nbits = 0
-    for value, width in fields:
-        acc, nbits = acc << width | value, nbits + width
-    pad = -nbits % 64
-    acc <<= pad
-    nwords = (nbits + pad) // 64
-    return [acc >> 64 * (nwords - 1 - w) & MASK64 for w in range(nwords)]
-
-
 def test_fisher_yates_scripted_draws():
     # n=4: i=3 takes 2 bits, i=2 takes 2 bits (rejects 3), i=1 takes 1 bit
-    fields = [(2, 2), (3, 2), (1, 2), (0, 1)]
-    src = ScriptedSource(value for value, _ in fields)
-    words = iter(scripted_words(fields))
+    src = ScriptedSource([2, 3, 1, 0])
+    words = iter([0b10_11_01_0 << 57])  # the same draws as one MSB-first word
     # start [0,1,2,3]: swap(3,2) -> [0,1,3,2]; draw 3 rejected, then 1:
     # swap(2,1) -> [0,3,1,2]; swap(1,0) -> [3,0,1,2]
     assert draw_permutation(4, words) == (3, 0, 1, 2)
-    assert next(words, None) is None  # one word read, and no more
+    assert next(words, None) is None
     assert draw_permutation_oracle(4, src) == (3, 0, 1, 2)
-    assert src.values == []
-
-
-def test_fisher_yates_reads_a_draw_across_a_word_boundary():
-    # n=300: i=299 and i=298 take 9 bits each.  Seven rejected 9-bit draws
-    # (63 bits) leave one bit of the first word, so the accepted draw 290
-    # reads its top bit there and its low 8 bits from the second word.
-    # The zero words after them make every later swap index 0.
-    fields = [(511, 9)] * 7 + [(290, 9), (297, 9)]
-    got = draw_permutation(300, iter(scripted_words(fields) + [0] * 40))
-    assert got[298:] == (297, 290)
-    src = ScriptedSource([value for value, _ in fields] + [0] * 297)
-    assert got == draw_permutation_oracle(300, src)
     assert src.values == []
 
 
