@@ -125,8 +125,8 @@ class BitStream:
         return f"BitStream(len={self._len})"
 
 
-# _PASCAL[r][c] = C(c, r).  It grows on demand, doubling its columns, and
-# never past _TABLE_MEMBERS + 1 rows of _TABLE_POOL columns.
+# _PASCAL[r][c] = C(c, r).  It grows by appending, to the largest code read
+# so far, and so never past _TABLE_MEMBERS + 1 rows of _TABLE_POOL columns.
 _TABLE_MEMBERS = 32
 _TABLE_POOL = 1024
 _PASCAL: list[list[int]] = []
@@ -134,17 +134,20 @@ _PASCAL: list[list[int]] = []
 
 def _pascal(k: int, m: int) -> list[list[int]]:
     """The Pascal table, grown to hold C(c, r) for r <= k and c < m, for
-    k <= _TABLE_MEMBERS and m <= _TABLE_POOL."""
+    1 <= k <= _TABLE_MEMBERS and 1 <= m <= _TABLE_POOL."""
     table = _PASCAL
-    if len(table) <= k or len(table[0]) < m:
-        cols = min(_TABLE_POOL, max(m, 2 * len(table[0]))) if table else m
-        row = [1] * cols
-        rows = [row]
-        for _ in range(max(k, len(table) - 1)):
-            # C(c, r) = C(0, r-1) + ... + C(c-1, r-1)
-            row = list(itertools.accumulate(row[:-1], initial=0))
-            rows.append(row)
-        table[:] = rows
+    if not table:
+        table.append([1] * m)
+    w = len(table[0])
+    if w < m:
+        # C(c, r) = C(w-1, r) + C(w-1, r-1) + ... + C(c-1, r-1) for c >= w
+        table[0] += [1] * (m - w)
+        for r in range(1, len(table)):
+            acc = itertools.accumulate(table[r - 1][w - 1 : m - 1], initial=table[r][-1])
+            table[r] += itertools.islice(acc, 1, None)
+    while len(table) <= k:
+        # C(c, r) = C(0, r-1) + ... + C(c-1, r-1)
+        table.append(list(itertools.accumulate(table[-1][:-1], initial=0)))
     return table
 
 

@@ -297,7 +297,7 @@ def test_subset_codec_errors_read_the_same_on_both_sides_of_the_table(k, m):
 def test_pascal_table_stays_within_its_bounds():
     assert (K, M) == (32, 1024)
     rng = random.Random(29)
-    for k, m in ((3, M // 2 + 100), (K, M), (K + 1, M), (K, M + 1), (K + 1, M + 1), (3, M + 1)):
+    for k, m in ((3, M // 2), (K, M), (K + 1, M), (K, M + 1), (K + 1, M + 1), (3, M + 1)):
         pool = gapped_pool(rng, m)
         a = mask_of(rng.sample([e for e in range(3 * m) if pool >> e & 1], k))
         assert subset_unrank(subset_rank(a, pool), pool, k) == a
