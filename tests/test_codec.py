@@ -14,9 +14,8 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from sgdcodec import codec
-
 from conftest import mask_of, theoretical_set_bound
+from sgdcodec import codec
 from sgdcodec.codec import (
     BitStream,
     CodecError,
