@@ -306,7 +306,7 @@ VERIFY_SUITES = ("inequalities", "hoeffding")
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    suites = args.suites.split(",") if args.suites else list(VERIFY_SUITES)
+    suites = args.suites.split(",") if args.suites is not None else list(VERIFY_SUITES)
     unknown = [s for s in suites if s not in VERIFY_SUITES]
     if unknown:
         raise DomainError(

@@ -32,7 +32,7 @@ import math
 import struct
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Optional, Sequence
 
 from .codec import (
     BitStream,
@@ -387,7 +387,7 @@ class DecodeResult:
 
 
 def decode_epoch(
-    code: Union[EpochCode, BitStream],
+    stream: BitStream,
     dataset: Dataset,
     config: RunConfig,
     side: SideInfo,
@@ -400,7 +400,6 @@ def decode_epoch(
     recovers it by reverse search, one step at a time or, once a SPLIT
     order is known, over the whole epoch.
     """
-    stream = code.stream if isinstance(code, EpochCode) else code
     stream.reset_cursor()
     n, b = dataset.n, config.batch_size
     template = _template(dataset, config)

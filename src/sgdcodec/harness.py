@@ -50,7 +50,7 @@ from .epoch_codec import (
     predict_segments,
     write_epoch_file,
 )
-from .model import Dataset, generate_dataset, manifest_int
+from .model import Dataset, _TOP_BIT_DIGITS, generate_dataset, manifest_int
 from .numerics import (
     DomainError,
     _entropy,
@@ -324,7 +324,7 @@ def run_experiment(spec: ExperimentSpec, outdir: Optional[str] = None) -> Experi
                 continue
             code = encode_epoch(trace, dataset, config, spec.mode)
             side = SideInfo.of(spec.mode, trace.checkpoints)
-            decoded = decode_epoch(code, dataset, config, side)
+            decoded = decode_epoch(code.stream, dataset, config, side)
             if decoded.order != trace.order:
                 raise DomainError(f"epoch {trace.epoch} failed its round trip")
             if not decoded.chain_matches(trace.checkpoints):
@@ -636,9 +636,6 @@ def _sweep_entropy_binomial(max_m: int) -> SuiteRow:
     margins = _binomial_margins(max_m)
     worst = max(margins, default=-math.inf)
     return SuiteRow("binomial-vs-entropy", len(margins), 0, worst, 0.0, worst <= 0.0)
-
-
-_TOP_BIT_DIGITS = bytes(b"01"[b >> 7] for b in range(256))
 
 
 def _random_mask(rng: random.Random, m: int) -> int:

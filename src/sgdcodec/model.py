@@ -350,8 +350,7 @@ def generate_dataset(spec: GeneratorSpec, grid: GridSpec) -> Dataset:
             for c in range(dim):
                 base = sign * center_raw if c == 0 else 0
                 centered = sum(islice(terms, 12)) - 6 * (m - 1)
-                raw, _ = grid.clamp_raw(base + div_round_half_even(centered * sigma_raw, m))
-                raws.append(raw)
+                raws.append(grid.clamp_raw(base + div_round_half_even(centered * sigma_raw, m)))
             elements.append(Element(eid, FixedVector(tuple(raws), grid), label))
 
     elif spec.family == "random-labels":
@@ -591,11 +590,8 @@ def _mean_raws(total: Sequence[int], exp: int, n: int, scale: int) -> tuple[int,
 def loss_gradient(model: Model, batch: Sequence[Element]) -> FixedVector:
     """Mean batch gradient quantized once to the grid, round half to even.
 
-    Raises SaturationError if the model carries a saturation flag or any
-    quantized coordinate clips.
+    Raises SaturationError if any quantized coordinate clips.
     """
-    if model.weights.saturated:
-        raise SaturationError("model weights carry a saturation flag")
     grid = model.grid
     raws = _mean_raws(*_gradient_sum(model, batch), len(batch), grid.scale)
     if not grid.holds(raws):
@@ -609,8 +605,8 @@ def correctness_vector(model: Model, dataset: Dataset) -> list[int]:
     return [mask >> e & 1 for e in range(dataset.n)]
 
 
-# a lane's top byte is 0x00 or 0x80: the ASCII digit of its top bit
-_TOP_BYTE_DIGITS = bytes.maketrans(b"\x00\x80", b"01")
+# the ASCII digit of a byte's top bit, as a bytes.translate table
+_TOP_BIT_DIGITS = bytes(b"01"[b >> 7] for b in range(256))
 
 
 def correctness_mask(model: Model, dataset: Dataset, carry: Optional[list] = None) -> int:
@@ -644,7 +640,7 @@ def correctness_mask(model: Model, dataset: Dataset, carry: Optional[list] = Non
     # lane e holds score_e + 2**(L-1) - 1, so its top bit says score_e > 0;
     # label0 flips that bit where label e is 0
     top_bytes = ((acc & tops) ^ label0).to_bytes(dataset.n * size, "big")[::size]
-    return int(top_bytes.translate(_TOP_BYTE_DIGITS) or b"0", 2)
+    return int(top_bytes.translate(_TOP_BIT_DIGITS) or b"0", 2)
 
 
 def _peak_sq_norm(pairs: Optional[list], rows: Sequence[Sequence[int]]) -> int:

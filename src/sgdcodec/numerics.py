@@ -1,8 +1,11 @@
 """Fixed-point grid vectors, exact rounding, and entropy helpers.
 
 All quantities that feed the codecs live on a shared dyadic grid: a value is
-an integer mantissa times 2**-scale, clipped to a symmetric range.  Grid
-arithmetic is integer-only: every intermediate is an integer numerator over a
+an integer mantissa times 2**-scale, within a clip range.  A descent update
+that leaves the range raises ``SaturationError`` where it happens, so a
+vector carries no flag.  ``GridSpec.clamp_raw`` clamps quietly, for the
+dataset generator and ``quantize_vector`` only.  Grid arithmetic is
+integer-only: every intermediate is an integer numerator over a
 denominator known in advance (a power of two, times the batch size for a
 mean), and a result goes back onto the grid through one
 ``div_round_half_even``, so every platform produces bit-identical mantissas.
@@ -107,12 +110,12 @@ class GridSpec:
         """Whether every raw lies in [raw_min, raw_max]."""
         return not raws or (self.raw_min <= min(raws) and max(raws) <= self.raw_max)
 
-    def clamp_raw(self, raw: int) -> tuple[int, bool]:
+    def clamp_raw(self, raw: int) -> int:
         if raw < self.raw_min:
-            return self.raw_min, True
+            return self.raw_min
         if raw > self.raw_max:
-            return self.raw_max, True
-        return raw, False
+            return self.raw_max
+        return raw
 
 
 @dataclass(frozen=True)
@@ -121,7 +124,6 @@ class FixedVector:
 
     raws: tuple[int, ...]
     grid: GridSpec
-    saturated: bool = False
 
     def __len__(self) -> int:
         return len(self.raws)
@@ -132,8 +134,8 @@ class FixedVector:
         Each product step_raw * g_raw is a numerator over 2**(2*scale), put
         back onto the grid by one round-half-even division by 2**scale; a zero
         gradient coordinate leaves its weight as it is, so only the nonzero
-        ones are visited.  Coordinates outside the clip range are clamped to
-        it and set the saturation flag.
+        ones are visited.  Raises SaturationError if a coordinate leaves the
+        clip range.
         """
         if gradient.grid != self.grid:
             raise DomainError("operands live on different grids")
@@ -143,22 +145,15 @@ class FixedVector:
         moved = list(self.raws)
         for i in compress(range(len(g)), g):
             moved[i] -= div_round_half_even(step_raw * g[i], unit)
-        raws = tuple(moved)
-        if grid.holds(raws):
-            return FixedVector(raws, grid, self.saturated or gradient.saturated)
-        lo, hi = grid.raw_min, grid.raw_max
-        return FixedVector(tuple(min(max(r, lo), hi) for r in raws), grid, True)
+        if not grid.holds(moved):
+            raise SaturationError("weight update clipped")
+        return FixedVector(tuple(moved), grid)
 
 
 def quantize_vector(values: Sequence[Rational], grid: GridSpec) -> FixedVector:
-    raws = []
-    sat = False
-    for v in values:
-        raw = round_half_even(Fraction(v) * grid.unit)
-        raw, s = grid.clamp_raw(raw)
-        sat = sat or s
-        raws.append(raw)
-    return FixedVector(tuple(raws), grid, sat)
+    """The values rounded half to even onto the grid, each clamped to its range."""
+    raws = (grid.clamp_raw(round_half_even(Fraction(v) * grid.unit)) for v in values)
+    return FixedVector(tuple(raws), grid)
 
 
 def zero_vector(dim: int, grid: GridSpec) -> FixedVector:

@@ -2,12 +2,15 @@
 
 Each epoch's visit order is a Fisher-Yates permutation drawn from a
 splitmix64 stream keyed by (seed, epoch), so a run config pins down every
-random choice.  The reverse oracle recovers the unique predecessor of a step
-from the contraction that step * L < 1 gives the logistic-linear update: a
-fixed-point iteration lands near every predecessor, and a scan of the grid
-ball whose radius that premise bounds collects them all.  The scan runs the
-forward step only where Phi(w) = w holds in integers, as it does at every
-forward hit, so the skip loses no predecessor.
+random choice.  ``forward_step`` returns the stepped model; a step whose
+gradient or update clips raises ``SaturationError``, which ends its epoch
+with ``EpochTrace.saturated`` set.  The reverse oracle recovers the unique
+predecessor of a step from the contraction that step * L < 1 gives the
+logistic-linear update: a fixed-point iteration lands near every
+predecessor, and a scan of the grid ball whose radius that premise bounds
+collects them all.  The scan runs the forward step only where Phi(w) = w
+holds in integers, as it does at every forward hit, so the skip loses no
+predecessor.
 
 The step path counts in integers: the stop test compares correct counts,
 and the reverse search's set-up holds step * L, its radius and its reach
@@ -336,16 +339,13 @@ def _record_checkpoint(
     return mask.bit_count()
 
 
-def forward_step(model: Model, batch, step_raw: int) -> tuple[Model, FixedVector]:
-    """One GD step of size step_raw * 2**-scale.
+def forward_step(model: Model, batch, step_raw: int) -> Model:
+    """One GD step of size step_raw * 2**-scale: the stepped model.
 
-    Returns the new model and the quantized gradient applied.
+    Raises SaturationError if the gradient or the update clips.
     """
     grad = loss_gradient(model, batch)
-    new_weights = model.weights.gd_update(step_raw, grad)
-    if new_weights.saturated:
-        raise SaturationError("weight update clipped")
-    return model.with_weights(new_weights), grad
+    return model.with_weights(model.weights.gd_update(step_raw, grad))
 
 
 def run_epoch(
@@ -367,7 +367,7 @@ def run_epoch(
             break
         batch = dataset.subset(batches[j - 1])
         try:
-            model, _ = forward_step(model, batch, config.step_raw)
+            model = forward_step(model, batch, config.step_raw)
         except SaturationError:
             trace.saturated = True
             break
@@ -390,10 +390,6 @@ class TrainingRun:
     @property
     def completed_traces(self) -> list[EpochTrace]:
         return [t for t in self.traces if t.completed]
-
-    @property
-    def epochs_completed(self) -> int:
-        return len(self.completed_traces)
 
     @property
     def final_accuracy(self) -> Fraction:
@@ -421,7 +417,7 @@ def train_epochs(
             return
 
 
-def run_training(config: RunConfig, dataset: Optional[Dataset] = None) -> TrainingRun:
+def run_training(config: RunConfig, dataset: Dataset) -> TrainingRun:
     """Runs epochs until the accuracy target is hit or max_epochs expire.
 
     It collects every epoch that ``train_epochs`` yields into one
@@ -429,10 +425,6 @@ def run_training(config: RunConfig, dataset: Optional[Dataset] = None) -> Traini
     a failing round trip stops training at its epoch; ``sgdcodec decode``
     reruns training through this.
     """
-    if dataset is None:
-        from .model import generate_dataset
-
-        dataset = generate_dataset(config.generator, config.grid)
     traces: list[EpochTrace] = []
     for trace, model in train_epochs(config, dataset):
         traces.append(trace)
@@ -543,9 +535,7 @@ def reverse_step(
             continue
         candidate = FixedVector(raws, grid)
         try:
-            stepped, _ = forward_step(
-                model_template.with_weights(candidate), batch, step_raw
-            )
+            stepped = forward_step(model_template.with_weights(candidate), batch, step_raw)
         except SaturationError:
             continue
         if stepped.weights.raws == base:

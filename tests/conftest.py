@@ -1,4 +1,5 @@
-"""Shared builders for handcrafted datasets, models, and epoch traces; the
+"""Shared builders for handcrafted datasets, models, epoch traces and
+training runs on generated data; the
 exact hypergeometric law the Hoeffding verifier is checked against; the
 per-case margins of three inequality sweeps, evaluated case by case; the
 closed-form width bound of the conditional set codec; the dataset
@@ -31,6 +32,7 @@ from sgdcodec.model import (
     _sigmoid_knots,
     _sigmoid_num,
     correctness_mask,
+    generate_dataset,
 )
 from sgdcodec.numerics import (
     DomainError,
@@ -43,7 +45,14 @@ from sgdcodec.numerics import (
     div_round_half_even,
     round_half_even,
 )
-from sgdcodec.sgd_engine import GOLDEN64, MASK64, EpochTrace
+from sgdcodec.sgd_engine import (
+    GOLDEN64,
+    MASK64,
+    EpochTrace,
+    RunConfig,
+    TrainingRun,
+    run_training,
+)
 from sgdcodec.stable import stable_entropy
 
 
@@ -173,8 +182,7 @@ def generate_dataset_oracle(spec: GeneratorSpec, grid: GridSpec) -> Dataset:
             raws = []
             for c in range(spec.dim):
                 base = sign * center_raw if c == 0 else 0
-                raw, _ = grid.clamp_raw(base + gauss_raw(sigma_raw))
-                raws.append(raw)
+                raws.append(grid.clamp_raw(base + gauss_raw(sigma_raw)))
             elements.append(Element(eid, FixedVector(tuple(raws), grid), label))
     elif spec.family == "random-labels":
         for eid in range(spec.n):
@@ -186,6 +194,11 @@ def generate_dataset_oracle(spec: GeneratorSpec, grid: GridSpec) -> Dataset:
             raws[eid] = spec.feature_scale * unit
             elements.append(Element(eid, FixedVector(tuple(raws), grid), 1))
     return Dataset(tuple(elements), grid, spec)
+
+
+def run_generated(config: RunConfig) -> TrainingRun:
+    """``run_training`` on the dataset that the config's generator draws."""
+    return run_training(config, generate_dataset(config.generator, config.grid))
 
 
 def mask_of(ids) -> int:

@@ -16,7 +16,13 @@ import random
 import time
 from fractions import Fraction
 
-from conftest import band_dataset, mask_of, split_trace, theoretical_set_bound
+from conftest import (
+    band_dataset,
+    mask_of,
+    run_generated,
+    split_trace,
+    theoretical_set_bound,
+)
 from sgdcodec.codec import (
     BitStream,
     binomial,
@@ -55,7 +61,6 @@ from sgdcodec.sgd_engine import (
     check_step_smoothness,
     forward_step,
     reverse_step,
-    run_training,
 )
 
 GRID = GridSpec()
@@ -81,12 +86,12 @@ def test_criterion_01_accounting_round_trips_at_scale(capsys):
                     eps=Fraction(1, 4), progress_coeff=Fraction(2),
                     seed=seed, max_epochs=2, grid=GRID,
                 )
-                run = run_training(cfg)
+                run = run_generated(cfg)
                 runs += 1
                 for tr in run.completed_traces:
                     code = encode_epoch(tr, run.dataset, cfg, mode=ACCOUNTING)
                     dec = decode_epoch(
-                        code, run.dataset, cfg, SideInfo.of(ACCOUNTING, tr.checkpoints)
+                        code.stream, run.dataset, cfg, SideInfo.of(ACCOUNTING, tr.checkpoints)
                     )
                     assert dec.order == tr.order
                     row = epoch_accounting(code, tr, cfg)
@@ -113,13 +118,12 @@ def test_criterion_02_strict_chain_from_final_weights_alone(capsys):
     cfg = RunConfig(generator=gen, batch_size=4, step_raw=8,
                     eps=Fraction(1, 100), progress_coeff=Fraction(1),
                     seed=3, max_epochs=4, grid=GRID6)
-    run = run_training(cfg)
-    assert run.epochs_completed == 4
+    run = run_generated(cfg)
+    assert len(run.completed_traces) == 4
     codes = [encode_epoch(tr, run.dataset, cfg, mode=STRICT)
              for tr in run.completed_traces]
     current = run.final_model.weights
     for tr, code in zip(reversed(run.completed_traces), reversed(codes)):
-        # hand the decoder the raw stream, not the encoder's code object
         dec = decode_epoch(code.stream, run.dataset, cfg, SideInfo.of(STRICT, [current]))
         assert dec.order == tr.order
         assert [w.raws for w in dec.checkpoints] == [w.raws for w in tr.checkpoints]
@@ -148,7 +152,7 @@ def test_criterion_03_reverse_step_unique_over_full_grid(capsys):
         for w in range(grid.raw_min, grid.raw_max + 1):
             start = Model("logistic-linear", FixedVector((w,), grid), 1)
             try:
-                nxt, _ = forward_step(start, batch, cfg.step_raw)
+                nxt = forward_step(start, batch, cfg.step_raw)
             except SaturationError:
                 saturated += 1
                 continue
@@ -236,7 +240,7 @@ def test_criterion_07_favorable_epochs_show_real_savings(capsys):
     baseline = ceil_log2(math.factorial(256))
     assert baseline == 1684
     assert baseline - code.measured_bits >= 0.9 * 256
-    dec = decode_epoch(code, ds, cfg, SideInfo.of(ACCOUNTING, tr.checkpoints))
+    dec = decode_epoch(code.stream, ds, cfg, SideInfo.of(ACCOUNTING, tr.checkpoints))
     assert dec.order == tr.order
     # (b) batches drawn inside a 90 percent-correct pool save bits each step
     m, ones_count, b = 1600, 1440, 160
@@ -257,7 +261,7 @@ def test_criterion_08_full_run_stays_below_permutation_cost(capsys):
     cfg = RunConfig(generator=gen, batch_size=16, step_raw=58982,
                     eps=Fraction(1, 100), progress_coeff=Fraction(20),
                     seed=1, max_epochs=4, grid=GRID)
-    run = run_training(cfg)
+    run = run_generated(cfg)
     assert check_step_smoothness(cfg, run.dataset) < 1
     # the all-ones weight vector classifies every element correctly
     witness = Model(
@@ -266,12 +270,12 @@ def test_criterion_08_full_run_stays_below_permutation_cost(capsys):
         256,
     )
     assert all(correctness_vector(witness, run.dataset))
-    assert run.epochs_completed >= 1
+    assert len(run.completed_traces) >= 1
     total_measured = 0
     baseline = ceil_log2(math.factorial(256))
     for tr in run.completed_traces:
         code = encode_epoch(tr, run.dataset, cfg, mode=ACCOUNTING)
-        dec = decode_epoch(code, run.dataset, cfg, SideInfo.of(ACCOUNTING, tr.checkpoints))
+        dec = decode_epoch(code.stream, run.dataset, cfg, SideInfo.of(ACCOUNTING, tr.checkpoints))
         assert dec.order == tr.order
         row = epoch_accounting(code, tr, cfg)
         assert row.beta_hat > 0
@@ -280,7 +284,7 @@ def test_criterion_08_full_run_stays_below_permutation_cost(capsys):
         total_measured += row.measured_bits
         verdict = check_eps_beta_ceiling(tr, cfg.eps)
         assert (not verdict.applicable) or verdict.ok
-    assert total_measured < run.epochs_completed * baseline
+    assert total_measured < len(run.completed_traces) * baseline
     announce(capsys, 8)
 
 

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from conftest import mask_of, theoretical_set_bound
+from conftest import mask_of, run_generated, theoretical_set_bound
 from sgdcodec import codec
 from sgdcodec.codec import (
     BitStream,
@@ -31,7 +31,7 @@ from sgdcodec.codec import (
 from sgdcodec.epoch_codec import ACCOUNTING, BACKWARD, SideInfo, decode_epoch, encode_epoch
 from sgdcodec.model import GeneratorSpec
 from sgdcodec.numerics import DomainError, GridSpec
-from sgdcodec.sgd_engine import RunConfig, run_training
+from sgdcodec.sgd_engine import RunConfig
 
 
 def test_ceil_log2_edges():
@@ -378,13 +378,13 @@ def test_n4096_accounting_round_trip_keeps_its_streams():
     gen = GeneratorSpec(family="random-labels", n=4096, dim=2, seed=1)
     cfg = RunConfig(generator=gen, batch_size=16, step_raw=1 << 13, eps=Fraction(1, 4),
                     progress_coeff=Fraction(4), seed=1, max_epochs=2, grid=GridSpec())
-    run = run_training(cfg)
+    run = run_generated(cfg)
     digest = hashlib.sha256()
     for tr in run.completed_traces:
         code = encode_epoch(tr, run.dataset, cfg, mode=ACCOUNTING)
         assert code.case == BACKWARD
         digest.update(code.stream.to_bytes())
-        dec = decode_epoch(code, run.dataset, cfg, SideInfo.of(ACCOUNTING, tr.checkpoints))
+        dec = decode_epoch(code.stream, run.dataset, cfg, SideInfo.of(ACCOUNTING, tr.checkpoints))
         assert dec.order == tuple(tr.order)
     assert len(run.completed_traces) == 2
     assert digest.hexdigest() == N4096_STREAMS_SHA256

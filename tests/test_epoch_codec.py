@@ -10,6 +10,7 @@ import pytest
 
 from conftest import (
     one_hot_dataset,
+    run_generated,
     split_trace,
     staircase_trace,
     synthesize_trace,
@@ -22,7 +23,6 @@ from sgdcodec.sgd_engine import (
     MultiplePreimage,
     PreimageNotFound,
     RunConfig,
-    run_training,
 )
 from sgdcodec.epoch_codec import (
     ACCOUNTING,
@@ -66,14 +66,14 @@ def gaussians_run():
                         sigma=Fraction(1, 2), center_dist=Fraction(2))
     cfg = RunConfig(generator=gen, batch_size=4, step_raw=8, eps=Fraction(1, 100),
                     progress_coeff=Fraction(1), seed=3, max_epochs=4, grid=GRID6)
-    return cfg, run_training(cfg)
+    return cfg, run_generated(cfg)
 
 
 def labels_run(seed=5):
     gen = GeneratorSpec(family="random-labels", n=32, dim=1, seed=seed)
     cfg = RunConfig(generator=gen, batch_size=8, step_raw=8, eps=Fraction(1, 4),
                     progress_coeff=Fraction(2), seed=seed, max_epochs=3, grid=GRID6)
-    return cfg, run_training(cfg)
+    return cfg, run_generated(cfg)
 
 
 def flip_bit(stream: BitStream, k: int) -> BitStream:
@@ -158,7 +158,7 @@ def test_split_on_the_unseen_side_round_trips():
     widths = dict(code.segments)
     assert widths["set_rank_pos"] == ceil_log2(4)  # 3 of the 4 correct
     assert widths["set_rank_neg"] == ceil_log2(12)  # 1 of the 12 wrong
-    dec = decode_epoch(code, ds, cfg, SideInfo.of(ACCOUNTING, tr.checkpoints))
+    dec = decode_epoch(code.stream, ds, cfg, SideInfo.of(ACCOUNTING, tr.checkpoints))
     assert dec.order == tr.order and dec.chain_matches(tr.checkpoints)
 
 
@@ -180,7 +180,7 @@ def test_split_stream_width_is_fully_predictable():
     assert widths["perm_right"] == 717
     assert code.measured_bits == 1453
     assert ceil_log2(math.factorial(256)) - code.measured_bits == 231
-    dec = decode_epoch(code, ds, cfg, SideInfo.of(ACCOUNTING, tr.checkpoints))
+    dec = decode_epoch(code.stream, ds, cfg, SideInfo.of(ACCOUNTING, tr.checkpoints))
     assert dec.order == tr.order
 
 
@@ -193,7 +193,7 @@ def test_staircase_backward_stream_beats_baseline():
     assert code.case == BACKWARD
     assert code.measured_bits == 441
     assert ceil_log2(math.factorial(160)) == 946
-    dec = decode_epoch(code, ds, cfg, SideInfo.of(ACCOUNTING, tr.checkpoints))
+    dec = decode_epoch(code.stream, ds, cfg, SideInfo.of(ACCOUNTING, tr.checkpoints))
     assert dec.order == tr.order
 
 
@@ -212,25 +212,25 @@ def test_predict_segments_matches_encoder_on_real_runs():
         cfg = RunConfig(generator=gen, batch_size=16, step_raw=gen_grid.unit // 4,
                         eps=Fraction(1, 4), progress_coeff=Fraction(2), seed=seed,
                         max_epochs=3, grid=gen_grid)
-        run = run_training(cfg)
+        run = run_generated(cfg)
         for tr in run.completed_traces:
             code = encode_epoch(tr, run.dataset, cfg, mode=ACCOUNTING)
             cases.add(code.case)
             assert predict_segments(tr, cfg, code.selector, ACCOUNTING) == code.segments
-            dec = decode_epoch(code, run.dataset, cfg, SideInfo.of(ACCOUNTING, tr.checkpoints))
+            dec = decode_epoch(code.stream, run.dataset, cfg, SideInfo.of(ACCOUNTING, tr.checkpoints))
             assert dec.order == tr.order
     assert cases == {SPLIT, BACKWARD}
 
 
 def test_strict_split_round_trip_recovers_chain():
     cfg, run = gaussians_run()
-    assert run.epochs_completed == 4
+    assert len(run.completed_traces) == 4
     for tr in run.completed_traces:
         code = encode_epoch(tr, run.dataset, cfg, mode=STRICT)
         assert code.case == SPLIT
         assert code.stream_model_bits == cfg.grid.coord_bits
         assert predict_segments(tr, cfg, code.selector, STRICT) == code.segments
-        dec = decode_epoch(code, run.dataset, cfg, SideInfo.of(STRICT, tr.checkpoints))
+        dec = decode_epoch(code.stream, run.dataset, cfg, SideInfo.of(STRICT, tr.checkpoints))
         assert dec.order == tr.order
         assert [w.raws for w in dec.checkpoints] == [w.raws for w in tr.checkpoints]
 
@@ -241,7 +241,7 @@ def test_strict_backward_round_trip_recovers_chain():
              for tr in run.completed_traces]
     assert [c.case for c in codes] == [BACKWARD, SPLIT, SPLIT]
     for tr, code in zip(run.completed_traces, codes):
-        dec = decode_epoch(code, run.dataset, cfg, SideInfo.of(STRICT, tr.checkpoints))
+        dec = decode_epoch(code.stream, run.dataset, cfg, SideInfo.of(STRICT, tr.checkpoints))
         assert dec.order == tr.order
         assert [w.raws for w in dec.checkpoints] == [w.raws for w in tr.checkpoints]
 
@@ -266,10 +266,10 @@ def test_decode_rejects_a_checkpoint_source_of_the_wrong_length():
     assert strict.case == accounting.case == SPLIT
     short = SideInfo.of(ACCOUNTING, tr.checkpoints[:-1])
     with pytest.raises(CodecError, match="checkpoint"):
-        decode_epoch(accounting, run.dataset, cfg, short)
+        decode_epoch(accounting.stream, run.dataset, cfg, short)
     two = SideInfo(STRICT, tuple(tr.checkpoints[-2:]))
     with pytest.raises(CodecError, match="checkpoint"):
-        decode_epoch(strict, run.dataset, cfg, two)
+        decode_epoch(strict.stream, run.dataset, cfg, two)
 
 
 def test_accounting_decode_returns_the_chain_it_was_given():
@@ -279,7 +279,7 @@ def test_accounting_decode_returns_the_chain_it_was_given():
         code = encode_epoch(tr, run.dataset, cfg, mode=ACCOUNTING)
         cases.add(code.case)
         side = SideInfo.of(ACCOUNTING, tr.checkpoints)
-        dec = decode_epoch(code, run.dataset, cfg, side)
+        dec = decode_epoch(code.stream, run.dataset, cfg, side)
         assert dec.checkpoints == side.checkpoints == tuple(tr.checkpoints)
     assert cases == {SPLIT, BACKWARD}
 

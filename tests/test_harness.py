@@ -481,7 +481,7 @@ def test_cli_verify_inequalities(capsys):
     assert text.count("pass") >= 6 and "FAIL" not in text
 
 
-@pytest.mark.parametrize("suites", ["hoefding", "inequalities,hoefding", "hoeffding,"])
+@pytest.mark.parametrize("suites", ["hoefding", "inequalities,hoefding", "hoeffding,", ""])
 def test_cli_verify_rejects_unknown_suites(suites, capsys):
     # a typo must not run nothing and exit 0, which would read as a pass
     assert main(["verify", "--suites", suites, "--trials", "10000"]) == 2

@@ -24,6 +24,7 @@ from conftest import (
     manual_dataset,
     progress_oracle,
     reverse_setup_oracle,
+    run_generated,
     select_case_oracle,
     trace_cells_oracle,
 )
@@ -127,7 +128,7 @@ def test_reverse_step_stops_iterating_when_the_reach_is_exactly_one_unit(monkeyp
     assert reach_num == reach_den
     template = zero_model("logistic-linear", 1, grid)
     before = FixedVector((-2000,), grid)  # far from label 1: a nonzero pull
-    target = sgd_engine.forward_step(template.with_weights(before), batch, 8)[0].weights
+    target = sgd_engine.forward_step(template.with_weights(before), batch, 8).weights
     grad = loss_gradient(template.with_weights(target), batch).raws
     assert div_round_half_even(8 * grad[0], grid.unit) != 0  # not a fixed point
     pulled, stepped = [], []
@@ -248,11 +249,11 @@ def test_fraction_count_does_not_grow_with_epochs(monkeypatch):
 
         with monkeypatch.context() as patch:
             patch.setattr(Fraction, "__new__", staticmethod(counting_new))
-            run = run_training(cfg)
+            run = run_generated(cfg)
             for tr in run.traces:
                 chain = reverse_epoch(tr.checkpoints[-1], tr.batches, run.dataset, cfg,
                                       template)
                 assert [w.raws for w in chain] == [w.raws for w in tr.checkpoints]
-        assert run.epochs_completed == epochs
+        assert len(run.completed_traces) == epochs
         counts[epochs] = made[0]
     assert counts[4] == counts[1]

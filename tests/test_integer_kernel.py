@@ -12,14 +12,13 @@ from __future__ import annotations
 import math
 import operator
 import random
-from dataclasses import replace
 from fractions import Fraction
 
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from conftest import linear_sum_oracle, manual_dataset, pull_oracle
+from conftest import linear_sum_oracle, manual_dataset, pull_oracle, run_generated
 from sgdcodec import model as model_module
 from sgdcodec import sgd_engine
 from sgdcodec.model import (
@@ -49,7 +48,7 @@ from sgdcodec.numerics import (
     div_round_half_even,
     round_half_even,
 )
-from sgdcodec.sgd_engine import RunConfig, forward_step, run_training
+from sgdcodec.sgd_engine import RunConfig, forward_step
 
 SCALES = (4, 6, 16)
 FAMILIES = ("random-labels", "two-gaussians", "one-hot")
@@ -132,19 +131,19 @@ def oracle_loss_gradient(model, batch):
     """Quantized gradient raws, or None where the kernel must raise SaturationError."""
     grid = model.grid
     raws = tuple(oracle_round(g * grid.unit) for g in oracle_mean_gradient(model, batch))
-    if model.weights.saturated or any(r < grid.raw_min or r > grid.raw_max for r in raws):
+    if any(r < grid.raw_min or r > grid.raw_max for r in raws):
         return None
     return raws
 
 
 def oracle_update(raws, step_raw: int, grad_raws, grid: GridSpec):
-    out, sat = [], False
-    for w, g in zip(raws, grad_raws):
-        r = w - oracle_round(Fraction(step_raw * g, grid.unit))
-        clipped = min(max(r, grid.raw_min), grid.raw_max)
-        sat = sat or clipped != r
-        out.append(clipped)
-    return tuple(out), sat
+    """The updated raws, or SaturationError where one leaves the clip range."""
+    out = tuple(
+        w - oracle_round(Fraction(step_raw * g, grid.unit)) for w, g in zip(raws, grad_raws)
+    )
+    if any(r < grid.raw_min or r > grid.raw_max for r in out):
+        return SaturationError
+    return out
 
 
 def assert_kernel_matches(model, dataset, batch) -> None:
@@ -190,10 +189,12 @@ def test_integer_kernel_matches_fraction_oracle(case):
     model, dataset, batch, grad, step_raw = case
     assert_kernel_matches(model, dataset, batch)
     grid = model.grid
-    updated = model.weights.gd_update(step_raw, FixedVector(grad, grid))
-    assert (updated.raws, updated.saturated) == oracle_update(
-        model.weights.raws, step_raw, grad, grid
-    )
+    expect = oracle_update(model.weights.raws, step_raw, grad, grid)
+    if expect is SaturationError:
+        with pytest.raises(SaturationError, match="weight update clipped"):
+            model.weights.gd_update(step_raw, FixedVector(grad, grid))
+    else:
+        assert model.weights.gd_update(step_raw, FixedVector(grad, grid)).raws == expect
 
 
 @pytest.mark.parametrize("scale", SCALES)
@@ -244,7 +245,7 @@ def test_half_even_ties(scale):
     grad = FixedVector((1, -1, 3, -3), grid)
     step_raw = grid.unit // 2
     assert w.gd_update(step_raw, grad).raws == (0, 0, -2, 2)
-    assert w.gd_update(step_raw, grad).raws == oracle_update(w.raws, step_raw, grad.raws, grid)[0]
+    assert w.gd_update(step_raw, grad).raws == oracle_update(w.raws, step_raw, grad.raws, grid)
 
 
 def oracle_mask(model, dataset) -> int:
@@ -332,7 +333,7 @@ def test_packed_sweep_on_checkpoints_of_a_large_random_labels_run():
     gen = GeneratorSpec(family="random-labels", n=4096, dim=2, seed=1)
     cfg = RunConfig(generator=gen, batch_size=16, step_raw=1 << 13, eps=Fraction(1, 4),
                     progress_coeff=Fraction(4), seed=1, max_epochs=2, grid=GridSpec())
-    run = run_training(cfg)
+    run = run_generated(cfg)
     trace = run.traces[-1]
     assert len(trace.masks) == 4096 // 16 + 1
     for k in (0, 1, 128, 256):
@@ -344,12 +345,10 @@ def reference_step(model, batch, step_raw: int):
     """The step kernel as first written: row-wise accumulate, one division per
     coordinate, then the Fraction oracle's update.
 
-    Returns (gradient raws, updated raws, saturated flag) or, where
+    Returns (gradient raws, ``oracle_update``'s result) or, where
     loss_gradient must raise, the exception type.
     """
     grid, s, w = model.grid, model.grid.scale, model.weights.raws
-    if model.weights.saturated:
-        return SaturationError
     total = [0] * len(w)
     for el in batch:
         x = el.features.raws
@@ -361,7 +360,7 @@ def reference_step(model, batch, step_raw: int):
     grad = tuple(div_round_half_even(t, den) for t in total)
     if any(g < grid.raw_min or g > grid.raw_max for g in grad):
         return SaturationError
-    return (grad, *oracle_update(w, step_raw, grad, grid))
+    return grad, oracle_update(w, step_raw, grad, grid)
 
 
 def assert_step_matches_reference(model, batch, step_raw: int):
@@ -373,23 +372,17 @@ def assert_step_matches_reference(model, batch, step_raw: int):
         with pytest.raises(SaturationError):
             forward_step(model, batch, step_raw)
         return expect
-    grad_raws, raws, saturated = expect
+    grad_raws, raws = expect
     grad = loss_gradient(model, batch)
-    assert (grad.raws, grad.saturated) == (grad_raws, False)
-    updated = model.weights.gd_update(step_raw, grad)
-    assert (updated.raws, updated.saturated) == (raws, saturated)
-    # a saturated operand flags the result whether or not a coordinate clips
-    for w, g in ((replace(model.weights, saturated=True), grad),
-                 (model.weights, replace(grad, saturated=True))):
-        flagged = w.gd_update(step_raw, g)
-        assert (flagged.raws, flagged.saturated) == (raws, True)
-    if saturated:
-        with pytest.raises(SaturationError):
+    assert grad.raws == grad_raws
+    if raws is SaturationError:
+        with pytest.raises(SaturationError, match="weight update clipped"):
+            model.weights.gd_update(step_raw, grad)
+        with pytest.raises(SaturationError, match="weight update clipped"):
             forward_step(model, batch, step_raw)
     else:
-        stepped, applied = forward_step(model, batch, step_raw)
-        assert (stepped.weights.raws, stepped.weights.saturated) == (raws, False)
-        assert applied == grad
+        assert model.weights.gd_update(step_raw, grad).raws == raws
+        assert forward_step(model, batch, step_raw).weights.raws == raws
     return expect
 
 
@@ -422,8 +415,6 @@ def step_cases(draw):
 def test_step_kernel_matches_the_row_wise_reference(case):
     model, batch, step_raw = case
     assert_step_matches_reference(model, batch, step_raw)
-    flagged = model.with_weights(replace(model.weights, saturated=True))
-    assert_step_matches_reference(flagged, batch, step_raw)
 
 
 def test_step_kernel_named_cases():
@@ -462,7 +453,7 @@ def test_step_kernel_named_cases():
     assert results["mixed-density"] is not SaturationError and any(results["mixed-density"][0])
     assert results["ties"][0][:2] == (0, -2) and results["ties"][1][:2] == (0, 0)
     assert results["gradient clip"] is SaturationError
-    assert results["weight clip"][2] is True
+    assert results["weight clip"][1] is SaturationError
     assert results["one-hot"][0] == tuple(
         -round_half_even(Fraction(unit, 3)) if c in (0, 64, 129) else 0 for c in range(130)
     )

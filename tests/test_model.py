@@ -42,7 +42,6 @@ from sgdcodec.numerics import (
     DomainError,
     FixedVector,
     GridSpec,
-    SaturationError,
     round_half_even,
 )
 from sgdcodec.stable import stable_sigmoid_float
@@ -394,17 +393,6 @@ def test_loss_gradient_quantizes_half_even():
     vec = loss_gradient(model, ds.elements[:1])
     exact = gradient_exact(model, ds.elements[:1])
     assert vec.raws == tuple(round_half_even(g * SMALL.unit) for g in exact)
-
-
-def test_loss_gradient_saturation():
-    rows = [((SMALL.raw_max,), 0)]
-    ds = manual_dataset(SMALL, rows)
-    # gradient magnitude ~ x/2 stays on grid; saturated model flag must raise
-    model = Model(
-        "logistic-linear", FixedVector((0,), SMALL, saturated=True), 1
-    )
-    with pytest.raises(SaturationError):
-        loss_gradient(model, ds.elements)
 
 
 def test_hidden_model_gradient_shape():

@@ -16,6 +16,7 @@ from sgdcodec.numerics import (
     FixedVector,
     GridSpec,
     PreconditionError,
+    SaturationError,
     _entropy,
     _kl,
     quantize_vector,
@@ -98,11 +99,11 @@ def test_quantize_round_half_even_on_grid():
 
 def test_quantize_clamps_and_flags():
     g = GridSpec(scale=6, clip=4)
-    top = quantize_vector((Fraction(100),), g)
-    assert top.raws == (g.raw_max,) and top.saturated
-    bottom = quantize_vector((Fraction(-100),), g)
-    assert bottom.raws == (g.raw_min,) and bottom.saturated
-    assert not quantize_vector((Fraction(1, 2),), g).saturated
+    assert quantize_vector((Fraction(100),), g).raws == (g.raw_max,)
+    assert quantize_vector((Fraction(-100),), g).raws == (g.raw_min,)
+    # the edges themselves and one raw inside them stay put
+    edges = (g.raw_min, g.raw_min + 1, g.raw_max - 1, g.raw_max)
+    assert quantize_vector([Fraction(r, g.unit) for r in edges], g).raws == edges
 
 
 def test_vector_update_and_saturation():
@@ -110,11 +111,27 @@ def test_vector_update_and_saturation():
     w = FixedVector((0, 100), g)
     step = 64  # 1.0
     grad = FixedVector((-64, 0), g)
-    out = w.gd_update(step, grad)
-    assert out.raws == (64, 100) and not out.saturated
+    assert w.gd_update(step, grad).raws == (64, 100)
     big = FixedVector((g.raw_max, 0), g)
-    out2 = big.gd_update(step, FixedVector((-64, 0), g))
-    assert out2.saturated
+    with pytest.raises(SaturationError, match="weight update clipped"):
+        big.gd_update(step, FixedVector((-64, 0), g))
+
+
+@pytest.mark.parametrize("step", [64, 32])
+def test_gd_update_reaches_each_edge_and_raises_one_raw_past_it(step):
+    g = GridSpec(scale=6, clip=4)
+    lo, hi = g.raw_min, g.raw_max
+    # a step of 1.0 moves by the gradient, a step of 1/2 by half of it
+    k = 64 // step
+    w = FixedVector((hi - 1, lo + 1, 0), g)
+    assert w.gd_update(step, FixedVector((-k, k, 0), g)).raws == (hi, lo, 0)
+    for grad in ((-2 * k, 0, 0), (0, 2 * k, 0), (-2 * k, 2 * k, 0)):
+        with pytest.raises(SaturationError, match="weight update clipped"):
+            w.gd_update(step, FixedVector(grad, g))
+    # a zero gradient coordinate leaves an edge weight where it is
+    edge = FixedVector((hi, lo, 0), g)
+    assert edge.gd_update(step, FixedVector((0, 0, 5 * k), g)).raws == (hi, lo, -5)
+    assert edge.gd_update(step, zero_vector(3, g)).raws == (hi, lo, 0)
 
 
 def test_zero_and_quantize_vector():

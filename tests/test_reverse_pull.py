@@ -75,7 +75,7 @@ def assert_pull_parity(grid, rows, step_raw, points) -> list[bool]:
     for p in points:
         try:
             image = forward_step(template.with_weights(FixedVector(p, grid)),
-                                 ds.elements, step_raw)[0].weights.raws
+                                 ds.elements, step_raw).weights.raws
         except SaturationError:
             image = None
         saturated.append(image is None)

@@ -14,6 +14,7 @@ from conftest import (
     manual_dataset,
     one_hot_dataset,
     progress_oracle,
+    run_generated,
     splitmix64,
 )
 from sgdcodec.harness import write_trace_csv
@@ -177,7 +178,7 @@ def test_zero_step_epoch_keeps_model_frozen():
     ds = generate_dataset(GeneratorSpec(family="random-labels", n=16, dim=2, seed=3), GRID)
     cfg = band_config(ds, step_raw=0, eps=Fraction(1, 100), max_epochs=2)
     run = run_training(cfg, ds)
-    assert run.epochs_completed == 2
+    assert len(run.completed_traces) == 2
     for tr in run.completed_traces:
         first = tr.checkpoints[0].raws
         assert all(w.raws == first for w in tr.checkpoints)
@@ -190,15 +191,50 @@ def two_gaussians_traces(eps):
     return run_training(cfg, ds).traces
 
 
-def saturated_trace():
-    """Random labels on a clip-2 grid: the seventh step leaves the grid."""
+def saturated_setup():
+    """Random labels on a clip-2 grid, a config and the zero model: epoch 1
+    takes seven steps, and its eighth leaves the grid."""
     grid = GridSpec(scale=4, clip=2)
     gen = GeneratorSpec(family="random-labels", n=16, dim=2, seed=1, feature_scale=1)
     ds = generate_dataset(gen, grid)
     cfg = band_config(ds, step_raw=4 * grid.unit, batch_size=2, max_epochs=1)
-    trace, _ = run_epoch(zero_model("logistic-linear", 2, grid), ds, cfg, epoch=1)
+    return ds, cfg, zero_model("logistic-linear", 2, grid)
+
+
+def saturated_trace():
+    ds, cfg, model = saturated_setup()
+    trace, _ = run_epoch(model, ds, cfg, epoch=1)
     assert trace.saturated and trace.steps_done == 7
     return trace
+
+
+# the saturated epoch's trace.csv: a row per checkpoint, each marked as stopped
+SATURATED_TRACE_CSV = """\
+epoch,j,lambda,lambda_prime,lambda_doubleprime,phi,batch_acc_before,terminated
+1,1,5/16,,5/16,,1/2,true
+1,2,3/8,1/2,5/14,1/2,1/2,true
+1,3,9/16,1/2,7/12,1/2,1/2,true
+1,4,1/2,2/3,2/5,1/1,1/2,true
+1,5,1/2,3/8,5/8,1/2,1/2,true
+1,6,1/2,1/2,1/2,1/1,1/2,true
+1,7,9/16,7/12,1/2,1/1,1/1,true
+1,8,1/2,4/7,0/1,1/1,0/1,true
+"""
+
+
+def test_a_clipping_step_raises_and_the_epoch_keeps_its_trace(tmp_path):
+    ds, cfg, model = saturated_setup()
+    trace = saturated_trace()
+    batches = [ds.subset(b) for b in trace.batches]
+    for j in range(trace.steps_done):
+        model = forward_step(model, batches[j], cfg.step_raw)
+        assert model.weights == trace.checkpoints[j + 1]
+    with pytest.raises(SaturationError, match="weight update clipped"):
+        forward_step(model, batches[trace.steps_done], cfg.step_raw)
+    assert not trace.completed and len(trace.masks) == trace.steps_done + 1
+    out = tmp_path / "trace.csv"
+    write_trace_csv([trace], str(out))
+    assert out.read_text() == SATURATED_TRACE_CSV
 
 
 def test_trace_accuracy_identity():
@@ -257,7 +293,7 @@ def test_termination_happens_before_any_step():
     tr = run.traces[0]
     assert tr.terminated and tr.steps_done == 0
     assert not tr.completed
-    assert run.epochs_completed == 0
+    assert len(run.completed_traces) == 0
 
 
 def test_saturation_aborts_epoch():
@@ -304,7 +340,7 @@ def test_reverse_step_inverts_forward_on_band():
     batch = ds.subset((0, 3, 7, 11))
     for w_raw in (-60, -10, 0, 17, 63):
         start = FixedVector((w_raw,), GRID6)
-        stepped, _ = forward_step(template.with_weights(start), batch, cfg.step_raw)
+        stepped = forward_step(template.with_weights(start), batch, cfg.step_raw)
         back = reverse_step(stepped.weights, batch, cfg, template)
         assert back.raws == start.raws
 
@@ -321,7 +357,7 @@ def test_reverse_step_detects_multiple_preimages():
     collision = None
     for w_raw in range(GRID6.raw_min + 8, GRID6.raw_max - 8):
         w = FixedVector((w_raw,), GRID6)
-        img = forward_step(template.with_weights(w), batch, cfg.step_raw)[0].weights.raws
+        img = forward_step(template.with_weights(w), batch, cfg.step_raw).weights.raws
         if img in images:
             collision = img
             break
@@ -367,7 +403,7 @@ def test_reverse_step_matches_a_full_grid_scan():
     for seed in range(1, 9):
         cfg = RunConfig(generator=gen, batch_size=4, step_raw=8, eps=Fraction(1, 100),
                         progress_coeff=Fraction(1), seed=seed, max_epochs=4, grid=GRID6)
-        run = run_training(cfg)
+        run = run_generated(cfg)
         for tr in run.traces:
             for j in range(1, tr.steps_done + 1):
                 batch = run.dataset.subset(tr.batches[j - 1])
@@ -375,7 +411,7 @@ def test_reverse_step_matches_a_full_grid_scan():
                 for w in grid_points:
                     start = template.with_weights(FixedVector((w,), GRID6))
                     try:
-                        img = forward_step(start, batch, cfg.step_raw)[0].weights.raws
+                        img = forward_step(start, batch, cfg.step_raw).weights.raws
                     except SaturationError:
                         continue
                     preimages.setdefault(img[0], []).append(w)
@@ -425,7 +461,7 @@ def test_reverse_step_matches_a_full_grid_scan_in_two_dimensions():
             for w in grid_points:
                 start = template.with_weights(FixedVector(w, D2_GRID))
                 try:
-                    img = forward_step(start, batch, cfg.step_raw)[0].weights.raws
+                    img = forward_step(start, batch, cfg.step_raw).weights.raws
                 except SaturationError:
                     continue
                 preimages.setdefault(img, []).append(w)
@@ -461,7 +497,7 @@ def test_reverse_epoch_recovers_checkpoint_chain():
     cfg = RunConfig(generator=gen, batch_size=4, step_raw=8,
                     eps=Fraction(1, 100), progress_coeff=Fraction(1),
                     seed=3, max_epochs=2, grid=GRID6)
-    run = run_training(cfg)
+    run = run_generated(cfg)
     template = zero_model("logistic-linear", 1, GRID6)
     for tr in run.completed_traces:
         chain = reverse_epoch(
