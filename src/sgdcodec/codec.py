@@ -9,10 +9,12 @@ the unconditional subset code.
 
 Every set is an int bitmask over element ids (bit e set iff e is in the
 set): subsets, their pools and the classifier alike, so the set algebra is
-``&``, ``|`` and ``^``, and a set has no order to check.  The subset and
-permutation codes cost O(k) exact big-integer steps for k members plus one
-C-level pass over the bytes of the pool, and never list the pool's ids.
-Subset codes of at most ``_TABLE_MEMBERS`` members from pools of at most
+``&``, ``|`` and ``^``, and a set has no order to check.  Subset rank
+costs one masked popcount per member; unrank costs O(k) exact big-integer
+steps for k members plus one downward walk of the pool's bytes, which maps
+positions to ids and never lists the pool's ids.  ``decode_ordered_set``
+decodes a conditional subset and its order straight to ids, with no mask
+built or listed.  Subset codes of at most ``_TABLE_MEMBERS`` members from pools of at most
 ``_TABLE_POOL`` ids read their binomials from one process-wide Pascal
 table; larger codes step from one binomial to the next by exact ratios.
 Both paths give the same integers.
@@ -238,9 +240,9 @@ def subset_unrank(rank: int, pool: int, size: int) -> int:
     r below the previous member's position.  In larger ones, for r >= 3, c is
     up to r ratio steps down from the previous member's position, then a
     search seeded by the inverse of C(c, r) ~ (c - (r-1)/2)^r / r!; r = 2 and
-    r = 1 have closed forms.  Each position maps to its id through cumulative
-    byte popcounts of the pool, built in one C-level pass, so the cost is
-    O(size) big-integer steps plus that pass, however many ids the pool holds.
+    r = 1 have closed forms.  The positions map to their ids in one downward
+    walk of the pool (``_select``), so the cost is O(size) big-integer steps
+    plus that walk, however many ids the pool holds.
     """
     if pool < 0:
         raise CodecError("a set mask cannot be negative")
@@ -248,10 +250,23 @@ def subset_unrank(rank: int, pool: int, size: int) -> int:
     if size < 0 or size > m:
         raise CodecError(f"subset size {size} invalid for pool of {m}")
     total = math.comb(m, size)
+    _check_rank(rank, total)
+    return _unrank(rank, pool, m, size, total, as_mask=True)
+
+
+def _check_rank(rank: int, total: int) -> None:
     if rank < 0 or rank >= total:
         raise CodecError(f"rank {rank} outside [0, {total})")
+
+
+def _unrank(
+    rank: int, pool: int, m: int, size: int, total: int, as_mask: bool = False
+) -> list[int] | int:
+    """``subset_unrank``'s subset as its ids, descending, or as its mask, for
+    a checked rank of the ``size``-subsets of the m-member pool, of which
+    there are ``total``."""
     if size == 0:
-        return 0
+        return 0 if as_mask else []
     positions = []
     if size <= _TABLE_MEMBERS and m <= _TABLE_POOL:
         table, c = _pascal(size, m), m
@@ -261,7 +276,7 @@ def subset_unrank(rank: int, pool: int, size: int) -> int:
             c = bisect_right(row, rank, r, c) - 1
             rank -= row[c]
             positions.append(c)
-        return _select(pool, positions)
+        return _select(pool, m, positions, as_mask)
     c, v = m - 1, total * (m - size) // m  # v = C(c, r) throughout
     for r in range(size, 2, -1):
         stop = c - r
@@ -277,35 +292,48 @@ def subset_unrank(rank: int, pool: int, size: int) -> int:
         rank -= c * (c - 1) // 2
         positions.append(c)
     positions.append(rank)
-    return _select(pool, positions)
+    return _select(pool, m, positions, as_mask)
 
 
-def _select(pool: int, positions: list[int]) -> int:
-    """The mask of the pool's members at these positions, given descending.
+def _select(
+    pool: int, m: int, positions: list[int], as_mask: bool = False
+) -> list[int] | int:
+    """The ids of the pool's m members at these positions, given descending,
+    or the mask of those members.
 
-    One C-level pass counts the members below each byte of the pool; each
-    position then finds its byte in the byte below the last one or by a
-    bisect under it, and its bit in a 256-entry table.
+    One downward walk over the pool's bytes, each position's bit read from a
+    256-entry table; a pool longer than 64 bytes first skips the whole 64-bit
+    words (their popcounts) above the next position.  No step counts the
+    pool below the last position.
     """
-    data = pool.to_bytes((pool.bit_length() + 7) // 8, "little")
-    starts = list(itertools.accumulate(data.translate(_BYTE_COUNTS), initial=0))
-    out = bytearray(len(data))
-    i = len(data)
-    base = starts[i]
+    data = pool.to_bytes((pool.bit_length() + 63) // 64 * 8, "little")
+    counts = data.translate(_BYTE_COUNTS)
+    words = memoryview(data).cast("Q") if len(data) > 64 else ()
+    w, below = len(words), m if words else 0  # below: the members below word w
+    i, base = len(data), m  # base: the members below byte i
+    out = bytearray(len(data)) if as_mask else []
     for c in positions:
-        if c < base:
+        if c < below:
+            w -= 1
+            base, below = below, below - words[w].bit_count()
+            while below > c:
+                w -= 1
+                base, below = below, below - words[w].bit_count()
+            i = 8 * w + 8
+        while base > c:
             i -= 1
-            if starts[i] > c:
-                i = bisect_right(starts, c, 0, i) - 1
-            base, ids = starts[i], _BYTE_IDS[data[i]]
-        out[i] |= 1 << ids[c - base]
-    return int.from_bytes(out, "little")
+            base -= counts[i]
+        if as_mask:
+            out[i] |= 1 << _BYTE_IDS[data[i]][c - base]
+        else:
+            out.append(8 * i + _BYTE_IDS[data[i]][c - base])
+    return int.from_bytes(out, "little") if as_mask else out
 
 
 def perm_rank(order: Sequence[int]) -> int:
     """Lehmer-code rank of ``order`` among the orderings of its own ids, in [0, k!)."""
     remaining = sorted(order)
-    if any(x == y for x, y in zip(remaining, remaining[1:])):
+    if len(set(remaining)) != len(remaining):
         raise CodecError("order repeats an id")
     rank = 0
     for e in order:
@@ -327,14 +355,20 @@ def perm_unrank(rank: int, ids: int) -> tuple[int, ...]:
     remaining = [
         8 * i + e for i in itertools.compress(range(len(data)), data) for e in _BYTE_IDS[data[i]]
     ]
+    return _order(rank, remaining)
+
+
+def _order(rank: int, remaining: list[int]) -> tuple[int, ...]:
+    """``perm_unrank`` of the ids ``remaining``, given ascending (it empties
+    the list): its k Lehmer digits, read off ``rank``, pick the ids in turn."""
+    k = len(remaining)
     digits = []
-    for radix in range(1, len(remaining) + 1):
+    for radix in range(1, k + 1):
         digits.append(rank % radix)
         rank //= radix
     if rank:
-        raise CodecError(f"rank outside [0, {len(remaining)}!)")
-    digits.reverse()
-    return tuple(map(remaining.pop, digits))
+        raise CodecError(f"rank outside [0, {k}!)")
+    return tuple(map(remaining.pop, reversed(digits)))
 
 
 @dataclass(frozen=True)
@@ -379,16 +413,51 @@ def decode_set_conditional(
     stream: BitStream, pool: int, ones: int, size: int
 ) -> int:
     """Inverse of encode_set_conditional; returns the subset mask."""
+    (r1, pool1, m1, n1, c1), (r0, pool0, m0, n0, c0) = _read_conditional(
+        stream, pool, ones, size
+    )
+    one = _unrank(r1, pool1, m1, n1, c1, as_mask=True)
+    return one | _unrank(r0, pool0, m0, n0, c0, as_mask=True)
+
+
+def decode_ordered_set(
+    stream: BitStream, pool: int, ones: int, size: int, order_bits: int
+) -> tuple[int, ...]:
+    """``decode_set_conditional``, then the set's order from the next
+    ``order_bits``-bit field as ``perm_unrank`` reads it, decoded straight to
+    ids: each half's positions map to ids, and their union, sorted, to the
+    order, with no mask built or listed on the way."""
+    (r1, pool1, m1, n1, c1), (r0, pool0, m0, n0, c0) = _read_conditional(
+        stream, pool, ones, size
+    )
+    ids = _unrank(r1, pool1, m1, n1, c1) + _unrank(r0, pool0, m0, n0, c0)
+    ids.sort()
+    return _order(stream.read_uint(order_bits), ids)
+
+
+def _read_conditional(stream: BitStream, pool: int, ones: int, size: int):
+    """The two halves of an encode_set_conditional code, each as (rank, pool
+    half, its size, the subset's size, the count of such subsets), checked
+    as ``decode_set_conditional`` always checked them: the headers add up to
+    ``size`` and each fits its half, then each half is a mask and its rank
+    fits its count.  The two headers are read as one field, as are the two
+    ranks."""
     pool1, pool0 = pool & ones, pool & ~ones
     wh = ceil_log2(size + 1)
-    n1 = stream.read_uint(wh)
-    n0 = stream.read_uint(wh)
+    heads = stream.read_uint(2 * wh)
+    n1, n0 = heads >> wh, heads & ((1 << wh) - 1)
     if n1 + n0 != size:
         raise CodecError(f"size headers {n1}+{n0} != {size}")
     m1, m0 = pool1.bit_count(), pool0.bit_count()
     if n1 > m1 or n0 > m0:
         raise CodecError("size header exceeds pool half")
-    r1 = stream.read_uint(ceil_log2(binomial(m1, n1)))
-    r0 = stream.read_uint(ceil_log2(binomial(m0, n0)))
-    return subset_unrank(r1, pool1, n1) | subset_unrank(r0, pool0, n0)
-
+    c1, c0 = math.comb(m1, n1), math.comb(m0, n0)
+    w0 = (c0 - 1).bit_length()  # ceil_log2(c0)
+    ranks = stream.read_uint((c1 - 1).bit_length() + w0)
+    r1, r0 = ranks >> w0, ranks & ((1 << w0) - 1)
+    if pool < 0 or r1 >= c1 or r0 >= c0:  # each half as subset_unrank checks it
+        for rank, half, total in ((r1, pool1, c1), (r0, pool0, c0)):
+            if half < 0:
+                raise CodecError("a set mask cannot be negative")
+            _check_rank(rank, total)
+    return (r1, pool1, m1, n1, c1), (r0, pool0, m0, n0, c0)

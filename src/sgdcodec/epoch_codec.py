@@ -19,7 +19,8 @@ Every field has a declared width and the total is checked against an
 independent width prediction derived from trace statistics alone, so the
 reported bit counts cannot drift from the actual streams.  ``epoch_accounting``
 measures an epoch as an ``AccountRow``, which ``harness`` writes to ``report.csv``.
-Case selection and accounting compare accuracies as ``EpochTrace.hits``
+Case selection, width prediction and accounting read their counts from the
+trace's count table (``EpochTrace.counts``) and compare accuracies as those
 counts, cross-multiplied, and take each float term as one int / int
 division; ``Fraction`` appears only in the row's rational cells
 (``beta_hat``, ``split_gap``, ``divergence_sum``, ``divergence_floor``),
@@ -28,6 +29,7 @@ built once per epoch.
 
 from __future__ import annotations
 
+import itertools
 import math
 import struct
 from dataclasses import dataclass
@@ -39,6 +41,7 @@ from .codec import (
     CodecError,
     binomial,
     ceil_log2,
+    decode_ordered_set,
     decode_set_conditional,
     encode_set_conditional,
     perm_rank,
@@ -121,9 +124,11 @@ def select_case(trace: EpochTrace, beta: Fraction) -> CaseSelector:
     hi = min(j_final, t)
     if lo > hi:
         return CaseSelector(j_start, j_final, True, BACKWARD, None, None)
+    counts = trace.counts
     for i in range(lo - 1, hi):
         # seen minus unseen accuracy is gap / size, tested against beta / 4
-        gap = abs((t - i) * trace.hits(i, 0, i) - i * trace.hits(i, i, t))
+        full, seen, _, _ = counts[i]
+        gap = abs((t - i) * seen - i * (full - seen))
         size = i * (t - i) * b
         if 4 * bd * gap >= bn * size:
             witness = Fraction(gap, size)
@@ -147,9 +152,9 @@ def _split_divergences(trace: EpochTrace, i: int) -> tuple[int, int, int]:
     numerators over one denominator, where gamma = i/t is the seen share and
     d_* a set's accuracy minus the full-set accuracy (0 < i < t)."""
     t, b = trace.num_batches, trace.batch_size
-    full = trace.hits(i, 0, t)
-    d_seen = t * trace.hits(i, 0, i) - i * full  # over i*t*b
-    d_unseen = t * trace.hits(i, i, t) - (t - i) * full  # over (t-i)*t*b
+    full, seen, _, _ = trace.counts[i]
+    d_seen = t * seen - i * full  # over i*t*b
+    d_unseen = t * (full - seen) - (t - i) * full  # over (t-i)*t*b
     return (t - i) * d_seen**2, i * d_unseen**2, i * (t - i) * t**3 * b**2
 
 
@@ -344,11 +349,11 @@ def predict_segments(
             segs.append(("model", config.d * config.grid.coord_bits))
         i = j - 1
         m = i * b
-        ones_total = trace.hits(i, 0, t)
+        ones_total, seen, _, _ = trace.counts[i]
         if choose_split_side(trace, j) == 0:
-            size, k1 = m, trace.hits(i, 0, i)
+            size, k1 = m, seen
         else:
-            size, k1 = n - m, trace.hits(i, i, t)
+            size, k1 = n - m, ones_total - seen
         wh = ceil_log2(size + 1)
         segs.append(("set_sizes", 2 * wh))
         segs.append(("set_rank_pos", ceil_log2(binomial(ones_total, k1))))
@@ -360,10 +365,10 @@ def predict_segments(
     else:
         wh = ceil_log2(b + 1)
         pw = ceil_log2(math.factorial(b))
+        counts = trace.counts
         for j in range(t, 0, -1):
             pool = j * b
-            n1 = trace.hits(j, 0, j)
-            k1 = trace.hits(j, j - 1, j)
+            _, n1, k1, _ = counts[j]
             tag = f"b{j:03d}"
             segs.append((f"{tag}_sizes", 2 * wh))
             segs.append((f"{tag}_rank_pos", ceil_log2(binomial(n1, k1))))
@@ -493,11 +498,12 @@ def _decode_backward(
     chain_rev, carry = [last], []
     for j in range(n // b, 0, -1):
         cv = correctness_mask(template.with_weights(chain_rev[-1]), dataset, carry)
-        batch = decode_set_conditional(stream, pool, cv, b)
-        batches_rev.append(perm_unrank(stream.read_uint(perm_w), batch))
-        chain_rev.append(step_back(j, batches_rev[-1], chain_rev[-1]))
-        pool ^= batch
-    order = tuple(e for batch in reversed(batches_rev) for e in batch)
+        batch = decode_ordered_set(stream, pool, cv, b, perm_w)
+        batches_rev.append(batch)
+        chain_rev.append(step_back(j, batch, chain_rev[-1]))
+        for e in batch:
+            pool ^= 1 << e
+    order = tuple(itertools.chain.from_iterable(reversed(batches_rev)))
     return DecodeResult(order, tuple(reversed(chain_rev)))
 
 
@@ -567,9 +573,8 @@ def epoch_accounting(code: EpochCode, trace: EpochTrace, config: RunConfig) -> A
 
     # per step i = 1..t: batch-after accuracy minus seen accuracy at
     # checkpoint i, delta_i = deltas[i - 1] / (i*b)
-    deltas = [
-        i * trace.hits(i, i - 1, i) - trace.hits(i, 0, i) for i in range(1, t + 1)
-    ]
+    counts = trace.counts
+    deltas = [i * counts[i].after - counts[i].seen for i in range(1, t + 1)]
     split_bound = split_ok = backward_bound = backward_ok = None
     if code.case == SPLIT:
         assert code.split_j is not None
@@ -596,9 +601,8 @@ def epoch_accounting(code: EpochCode, trace: EpochTrace, config: RunConfig) -> A
     # batch accuracy B/b >= unseen accuracy U/((t-i)*b) - beta/4, both sides
     # times 4*bd*(t-i)*b
     batch_lag_ok = all(
-        4 * bd * (t - i) * trace.hits(i, i, i + 1)
-        >= 4 * bd * trace.hits(i, i, t) - bn * (t - i) * b
-        for i in range(t)
+        4 * bd * (t - i) * before >= 4 * bd * (full - seen) - bn * (t - i) * b
+        for i, (full, seen, _, before) in enumerate(counts[:t])
     )
     # sum of delta_i^2 over the common denominator (lcm(1..t)*b)^2, against
     # n*beta_hat^2/(25*b) = gained^2/(25*b*n)

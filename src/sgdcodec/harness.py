@@ -227,27 +227,29 @@ def _ratio_cell(counts: Optional[tuple[int, int]]) -> str:
     return f"{hits // g}/{size // g}"
 
 
-def _write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence]) -> None:
-    lines = [",".join(header)]
-    lines.extend(",".join(map(_cell, row)) for row in rows)
+def _write_lines(path: str, lines: Iterable[str]) -> None:
     with open(path, "w", encoding="ascii") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
 def write_trace_csv(traces: Sequence[EpochTrace], path: str) -> None:
-    """One row per checkpoint: its ``EpochTrace.rates``, then whether the epoch
-    stopped early."""
-    header = ("epoch", "j", "lambda", "lambda_prime", "lambda_doubleprime", "phi",
-              "batch_acc_before", "terminated")
-    rows = ((t.epoch, i + 1, *map(_ratio_cell, t.rates(i)), t.terminated or t.saturated)
-            for t in traces for i in range(t.steps_done + 1))
-    _write_csv(path, header, rows)
+    """One row per checkpoint: its ``EpochTrace.rates``, read off the trace's
+    count table, then whether the epoch stopped early."""
+    lines = ["epoch,j,lambda,lambda_prime,lambda_doubleprime,phi,batch_acc_before,terminated"]
+    for t in traces:
+        epoch, stopped = str(t.epoch), _cell(t.terminated or t.saturated)
+        lines.extend(
+            ",".join((epoch, str(i + 1), *map(_ratio_cell, t.rates(i)), stopped))
+            for i in range(t.steps_done + 1)
+        )
+    _write_lines(path, lines)
 
 
 def write_report_csv(rows: Sequence[AccountRow], path: str) -> None:
     """One row per accounted epoch; the columns are ``AccountRow``'s fields."""
     columns = [f.name for f in fields(AccountRow)]
-    _write_csv(path, columns, map(attrgetter(*columns), rows))
+    cells = (",".join(map(_cell, row)) for row in map(attrgetter(*columns), rows))
+    _write_lines(path, [",".join(columns), *cells])
 
 
 @dataclass

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import compress
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .model import (
     Dataset,
@@ -243,16 +243,28 @@ def check_step_smoothness(config: RunConfig, dataset: Dataset) -> Fraction:
     return product
 
 
+class HitCounts(NamedTuple):
+    """How many elements checkpoint i classifies correctly: of the whole
+    visit order, of the i batches it has seen, of batch i-1, the batch it
+    stepped on last (``after``; 0 at i = 0), and of batch i, the batch it
+    steps on next (``before``; 0 at i = t).  The unseen count is full - seen.
+    """
+
+    full: int
+    seen: int
+    after: int
+    before: int
+
+
 @dataclass
 class EpochTrace:
     """Everything recorded while running one epoch.
 
     Checkpoint i (0-based) is the model before step i+1; ``masks[i]`` is its
     correctness over the dataset, bit e set iff element e is classified
-    correctly.  Every statistic is a count, ``hits(i, lo, hi)``: the popcount
-    of ``masks[i]`` over batches lo..hi-1 of the visit order.  Checkpoint i
-    has seen batches 0..i-1, stepped last on batch i-1 and steps next on
-    batch i.
+    correctly.  Checkpoint i has seen batches 0..i-1, stepped last on batch
+    i-1 and steps next on batch i.  Every statistic is read from one count
+    table, ``counts``: a ``HitCounts`` per checkpoint.
     """
 
     epoch: int
@@ -262,6 +274,9 @@ class EpochTrace:
     masks: list[int] = field(default_factory=list)
     terminated: bool = False
     saturated: bool = False
+    _counts: list[HitCounts] = field(
+        default_factory=list, init=False, repr=False, compare=False
+    )
 
     @property
     def n(self) -> int:
@@ -279,7 +294,7 @@ class EpochTrace:
     def completed(self) -> bool:
         return not self.saturated and self.steps_done == self.num_batches
 
-    @property
+    @cached_property
     def batches(self) -> tuple[tuple[int, ...], ...]:
         b = self.batch_size
         return tuple(
@@ -289,18 +304,34 @@ class EpochTrace:
     @cached_property
     def prefix_masks(self) -> tuple[int, ...]:
         """Mask of the first k batches of the visit order, for k = 0..num_batches."""
-        out = [0]
+        out, acc = [0], 0
         for batch in self.batches:
-            out.append(out[-1] | sum(1 << e for e in batch))
+            for e in batch:
+                acc |= 1 << e
+            out.append(acc)
         return tuple(out)
 
-    def hits(self, i: int, lo: int, hi: int) -> int:
-        """How many elements of batches lo..hi-1 of the visit order checkpoint
-        i classifies correctly."""
-        if not (0 <= i < len(self.masks) and 0 <= lo <= hi <= self.num_batches):
-            raise DomainError(f"hits({i}, {lo}, {hi}) outside the trace")
-        prefix = self.prefix_masks
-        return (self.masks[i] & (prefix[hi] ^ prefix[lo])).bit_count()
+    @property
+    def counts(self) -> list[HitCounts]:
+        """The count table: checkpoint i's ``HitCounts`` at index i.
+
+        Built on first read, four popcounts per checkpoint, so a trace whose
+        statistics are never read never pays for it; a checkpoint appended
+        or dropped since rebuilds it.
+        """
+        if len(self._counts) != len(self.masks):
+            prefix, t = self.prefix_masks, self.num_batches
+            every = prefix[t]
+            self._counts = [
+                HitCounts(
+                    (mask & every).bit_count(),
+                    (mask & prefix[i]).bit_count(),
+                    (mask & (prefix[i] ^ prefix[i - 1])).bit_count() if i else 0,
+                    (mask & (prefix[i + 1] ^ prefix[i])).bit_count() if i < t else 0,
+                )
+                for i, mask in enumerate(self.masks)
+            ]
+        return self._counts
 
     def rates(self, i: int) -> tuple[Optional[tuple[int, int]], ...]:
         """(full, seen, unseen, batch after, batch before) at checkpoint i,
@@ -310,18 +341,19 @@ class EpochTrace:
         once the whole order is seen.
         """
         t, b = self.num_batches, self.batch_size
-        spans = ((0, t), (0, i), (i, t), (i - 1, i), (i, i + 1))
-        return tuple(
-            (self.hits(i, lo, hi), (hi - lo) * b) if 0 <= lo < hi <= t else None
-            for lo, hi in spans
+        full, seen, after, before = self.counts[i]
+        return (
+            (full, t * b) if t else None,
+            (seen, i * b) if i else None,
+            (full - seen, (t - i) * b) if i < t else None,
+            (after, b) if i else None,
+            (before, b) if i < t else None,
         )
 
     def gained(self) -> int:
         """The net count of batch elements the steps turned correct."""
-        return sum(
-            self.hits(i, i - 1, i) - self.hits(i - 1, i - 1, i)
-            for i in range(1, self.steps_done + 1)
-        )
+        rows = self.counts[: self.steps_done + 1]
+        return sum(row.after for row in rows) - sum(row.before for row in rows[:-1])
 
     def progress(self) -> Fraction:
         """Measured epoch progress: ``gained()`` over n."""

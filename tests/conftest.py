@@ -11,7 +11,9 @@ roundings element by element; the splitmix64 bit tape and the Fisher-Yates
 draw that took one call to it per try; and the
 ``Fraction`` bookkeeping of the reverse-step set-up (with the table slope
 and the smoothness it rests on), case selection, accounting and
-``trace.csv`` cells, which the integer code must match."""
+``trace.csv`` cells, which the integer code must match; ``hits``, one
+count over a span of batches, which every entry of a trace's count table
+must match, and the width prediction as it read its counts through it."""
 
 from __future__ import annotations
 
@@ -451,11 +453,22 @@ def reverse_setup_oracle(step_raw: int, grid: GridSpec, batch, d: int, steps: in
     return q, math.floor(rho2), reach2
 
 
+def hits(trace: EpochTrace, i: int, lo: int, hi: int) -> int:
+    """How many elements of batches lo..hi-1 of the visit order checkpoint i
+    classifies correctly, counted from the order itself: the oracle of every
+    entry of ``EpochTrace.counts``."""
+    if not (0 <= i < len(trace.masks) and 0 <= lo <= hi <= trace.num_batches):
+        raise DomainError(f"hits({i}, {lo}, {hi}) outside the trace")
+    b = trace.batch_size
+    span = sum(1 << e for e in trace.order[lo * b : hi * b])
+    return (trace.masks[i] & span).bit_count()
+
+
 def rate_oracle(trace: EpochTrace, i: int, lo: int, hi: int):
     """Accuracy at checkpoint i over batches lo..hi-1; None for an empty span."""
     if not (0 <= lo < hi <= trace.num_batches):
         return None
-    return Fraction(trace.hits(i, lo, hi), (hi - lo) * trace.batch_size)
+    return Fraction(hits(trace, i, lo, hi), (hi - lo) * trace.batch_size)
 
 
 def trace_cells_oracle(trace: EpochTrace, i: int) -> list[str]:
@@ -507,6 +520,46 @@ def split_divergences_oracle(trace: EpochTrace, i: int) -> tuple[Fraction, Fract
 def choose_split_side_oracle(trace: EpochTrace, j: int) -> int:
     seen, unseen = split_divergences_oracle(trace, j - 1)
     return 0 if seen >= unseen else 1
+
+
+def predict_segments_oracle(trace: EpochTrace, config, selector, mode: str = "ACCOUNTING"):
+    """``predict_segments`` as it read every count through ``hits``."""
+    from sgdcodec.epoch_codec import SPLIT, STRICT, choose_split_side
+
+    n, b, t = trace.n, trace.batch_size, trace.num_batches
+    segs: list[tuple[str, int]] = [("case", 1)]
+    if selector.case == SPLIT:
+        j = selector.split_j
+        segs.append(("split_j", ceil_log2(t)))
+        segs.append(("side", 1))
+        if mode == STRICT:
+            segs.append(("model", config.d * config.grid.coord_bits))
+        i = j - 1
+        m = i * b
+        ones_total = hits(trace, i, 0, t)
+        if choose_split_side(trace, j) == 0:
+            size, k1 = m, hits(trace, i, 0, i)
+        else:
+            size, k1 = n - m, hits(trace, i, i, t)
+        wh = ceil_log2(size + 1)
+        segs.append(("set_sizes", 2 * wh))
+        segs.append(("set_rank_pos", ceil_log2(binomial(ones_total, k1))))
+        segs.append(("set_rank_neg", ceil_log2(binomial(n - ones_total, size - k1))))
+        segs.append(("perm_left", ceil_log2(math.factorial(m))))
+        segs.append(("perm_right", ceil_log2(math.factorial(n - m))))
+    else:
+        wh = ceil_log2(b + 1)
+        pw = ceil_log2(math.factorial(b))
+        for j in range(t, 0, -1):
+            pool = j * b
+            n1 = hits(trace, j, 0, j)
+            k1 = hits(trace, j, j - 1, j)
+            tag = f"b{j:03d}"
+            segs.append((f"{tag}_sizes", 2 * wh))
+            segs.append((f"{tag}_rank_pos", ceil_log2(binomial(n1, k1))))
+            segs.append((f"{tag}_rank_neg", ceil_log2(binomial(pool - n1, b - k1))))
+            segs.append((f"{tag}_perm", pw))
+    return tuple(segs)
 
 
 def epoch_accounting_oracle(code, trace: EpochTrace, config):

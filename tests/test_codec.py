@@ -5,9 +5,12 @@ Sets are int bitmasks over element ids, as the codec takes them."""
 from __future__ import annotations
 
 import hashlib
+import importlib.util
 import itertools
 import math
+import os
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -21,6 +24,7 @@ from sgdcodec.codec import (
     CodecError,
     binomial,
     ceil_log2,
+    decode_ordered_set,
     decode_set_conditional,
     encode_set_conditional,
     perm_rank,
@@ -538,3 +542,151 @@ def test_decode_rejects_inconsistent_headers():
     s.reset_cursor()
     with pytest.raises(CodecError):
         decode_set_conditional(s, 0xFF, 0x0F, 3)
+
+
+def mask_decode(stream, pool, ones, size, order_bits):
+    """A batch as the BACKWARD walk decoded it through masks: the subset,
+    then its order."""
+    batch = decode_set_conditional(stream, pool, ones, size)
+    return perm_unrank(stream.read_uint(order_bits), batch)
+
+
+def decode_both_ways(stream, pool, ones, size, order_bits):
+    """``decode_ordered_set`` and ``mask_decode`` on the same bits: each one's
+    order and the bits it read, or its CodecError text."""
+    out = []
+    for decode in (decode_ordered_set, mask_decode):
+        stream.reset_cursor()
+        try:
+            got = decode(stream, pool, ones, size, order_bits)
+        except CodecError as exc:
+            out.append(f"CodecError: {exc}")
+        else:
+            out.append((got, len(stream) - stream.bits_remaining()))
+    return out
+
+
+def encode_batch(order, pool, ones):
+    """What the BACKWARD encoder writes for one batch: its conditional subset
+    code, then the rank of its order."""
+    s = BitStream()
+    encode_set_conditional(s, mask_of(order), pool, ones)
+    s.write_uint(perm_rank(order), ceil_log2(math.factorial(len(order))))
+    return s
+
+
+def shaped_pools(rng, m):
+    """Pools of m ids: on leading empty bytes, gapped, with a run of empty
+    bytes inside, and ending one id past a 64-bit word, so that the walk's
+    top word holds seven empty bytes."""
+    low = m // 2
+    return (
+        mask_of(range(5, 5 + m)) << 900,
+        gapped_pool(rng, m),
+        mask_of(range(low)) | mask_of(range(m - low)) << (8 * 200 + 3),
+        mask_of(range(m - 1)) | 1 << 64 * ((m + 63) // 64),
+    )
+
+
+@pytest.mark.parametrize(
+    "k, m", [(k, m) for k in (0, 1, K, K + 1) for m in (K, M, M + 1) if k <= m]
+)
+def test_ordered_set_decode_matches_the_mask_decode_and_the_pool_scan(k, m):
+    rng = random.Random(7000 + 10 * k + m)
+    for pool in shaped_pools(rng, m):
+        ids = [e for e in range(pool.bit_length()) if pool >> e & 1]
+        for ones in (0, pool, rng.getrandbits(pool.bit_length()), mask_of(ids[::3])):
+            pool1, pool0 = pool & ones, pool & ~ones
+            ids1 = [e for e in ids if ones >> e & 1]
+            ids0 = [e for e in ids if not ones >> e & 1]
+            n1 = rng.randint(max(0, k - len(ids0)), min(k, len(ids1)))
+            n0 = k - n1
+            # ranks 0 and C-1 in each half (the lowest and the highest ids),
+            # then a random subset; orders ascending, descending and random
+            picks = [
+                ids1[:n1] + ids0[:n0],
+                ids1[len(ids1) - n1 :] + ids0[len(ids0) - n0 :],
+                ids1[:n1] + ids0[len(ids0) - n0 :],
+                rng.sample(ids1, n1) + rng.sample(ids0, n0),
+            ]
+            for members in picks:
+                shuffled = rng.sample(members, k)
+                for order in (sorted(members), sorted(members, reverse=True), shuffled):
+                    order = tuple(order)
+                    s = encode_batch(order, pool, ones)
+                    pw = ceil_log2(math.factorial(k))
+                    assert decode_both_ways(s, pool, ones, k, pw) == [(order, len(s))] * 2
+                    a = mask_of(order)
+                    r1, r0 = subset_rank(a & ones, pool1), subset_rank(a & ~ones, pool0)
+                    assert a == scan_subset_unrank(r1, pool1, n1) | scan_subset_unrank(r0, pool0, n0)
+
+
+def test_ordered_set_decode_rejects_what_the_mask_decode_rejects():
+    # a size header, a pool half, a subset rank and an order rank, each one
+    # past its range, and a negative pool: the same CodecError text both ways
+    ids = list(range(0, 120, 3))
+    pool, ones = mask_of(ids), mask_of(ids[:10])  # halves of 10 and 30 ids
+    k, wh, pw = 8, ceil_log2(9), ceil_log2(math.factorial(8))
+    c1, c0 = binomial(10, 3), binomial(30, 5)
+
+    def stream(*fields):
+        s = BitStream()
+        for value, width in fields:
+            s.write_uint(value, width)
+        return s
+
+    ok_ranks = ((0, ceil_log2(c1)), (0, ceil_log2(c0)))
+    neg0 = (-pool & ~ones).bit_count()  # the half of a negative pool below ones
+    cases = [
+        (stream((8, wh), (1, wh)), pool, "size headers 8+1 != 8"),
+        (stream((11, wh), (0, wh)), pool, "size headers 11+0 != 8"),
+        (stream((1, wh), (8, wh)), pool, "size headers 1+8 != 8"),
+        (stream((0, wh), (8, wh)), mask_of(ids[:17]), "size header exceeds pool half"),
+        (stream((3, wh), (5, wh), (c1, ceil_log2(c1)), (0, ceil_log2(c0)), (0, pw)),
+         pool, f"rank {c1} outside [0, {c1})"),
+        (stream((3, wh), (5, wh), (0, ceil_log2(c1)), (c0, ceil_log2(c0)), (0, pw)),
+         pool, f"rank {c0} outside [0, {c0})"),
+        (stream((3, wh), (5, wh), *ok_ranks, (math.factorial(8), pw)),
+         pool, "rank outside [0, 8!)"),
+        (stream((0, wh), (8, wh), (0, ceil_log2(binomial(neg0, 8))), (0, pw)), -pool,
+         "a set mask cannot be negative"),
+        (stream((3, wh), (5, wh), *ok_ranks), pool, "read past end of stream"),
+    ]
+    for s, p, text in cases:
+        assert decode_both_ways(s, p, ones, k, pw) == [f"CodecError: {text}"] * 2
+
+
+def _bench_workloads():
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "bench", "workloads.py")
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module.WORKLOADS
+
+
+def test_sweep_random_backward_epochs_decode_the_same_both_ways():
+    cases = _bench_workloads()["sweep-random"].cases
+    assert len(cases) == 4
+    for case in cases:
+        run = run_generated(case.spec.config)
+        traces = run.completed_traces
+        assert len(traces) == 2
+        for tr in traces:
+            code = encode_epoch(tr, run.dataset, run.config, ACCOUNTING)
+            assert code.case == BACKWARD
+            b, t = tr.batch_size, tr.num_batches
+            pw = ceil_log2(math.factorial(b))
+            walks = []
+            for decode in (decode_ordered_set, mask_decode):
+                s, pool, batches = code.stream, mask_of(range(tr.n)), []
+                s.reset_cursor()
+                assert s.read_uint(1) == 0
+                for j in range(t, 0, -1):
+                    batches.append(decode(s, pool, tr.masks[j], b, pw))
+                    pool ^= mask_of(batches[-1])
+                assert s.bits_remaining() == 0 and pool == 0
+                walks.append(batches[::-1])
+            assert walks[0] == walks[1] == list(tr.batches)
+            side = SideInfo.of(ACCOUNTING, tr.checkpoints)
+            assert decode_epoch(code.stream, run.dataset, run.config, side).order == tr.order

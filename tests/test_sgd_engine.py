@@ -11,6 +11,7 @@ from conftest import (
     analytic_logistic_smoothness,
     band_dataset,
     draw_permutation_oracle,
+    hits,
     manual_dataset,
     one_hot_dataset,
     progress_oracle,
@@ -238,26 +239,29 @@ def test_a_clipping_step_raises_and_the_epoch_keeps_its_trace(tmp_path):
 
 
 def test_trace_accuracy_identity():
-    # full hits == seen hits + unseen hits == the sum over single batches
+    # full hits == seen hits + unseen hits == the sum over single batches,
+    # in the count table as in the oracle
     traces = two_gaussians_traces(Fraction(1, 1000))
     assert traces, "no epochs ran"
     for tr in traces:
         t = tr.num_batches
-        for i in range(len(tr.masks)):
-            full = tr.hits(i, 0, t)
-            assert full == tr.masks[i].bit_count()
-            assert full == tr.hits(i, 0, i) + tr.hits(i, i, t)
-            assert full == sum(tr.hits(i, k, k + 1) for k in range(t))
+        assert len(tr.counts) == len(tr.masks)
+        for i, (full, seen, _, _) in enumerate(tr.counts):
+            assert full == hits(tr, i, 0, t) == tr.masks[i].bit_count()
+            assert seen == hits(tr, i, 0, i)
+            assert full - seen == hits(tr, i, i, t)
+            assert full == sum(hits(tr, i, k, k + 1) for k in range(t))
 
 
 def test_hits_rejects_spans_outside_the_trace():
+    # the count table's oracle reads no span the trace does not hold
     tr = two_gaussians_traces(Fraction(1, 1000))[0]
     t = tr.num_batches
     assert tr.completed and len(tr.masks) == t + 1
-    assert tr.hits(t, 0, 0) == tr.hits(0, t, t) == 0
+    assert hits(tr, t, 0, 0) == hits(tr, 0, t, t) == 0
     for i, lo, hi in ((1, 3, 2), (1, -1, 2), (1, 0, t + 1), (-1, 0, t), (t + 1, 0, t)):
         with pytest.raises(DomainError):
-            tr.hits(i, lo, hi)
+            hits(tr, i, lo, hi)
 
 
 def test_rate_is_none_where_trace_csv_leaves_a_cell_blank():
@@ -269,7 +273,7 @@ def test_rate_is_none_where_trace_csv_leaves_a_cell_blank():
     assert blank == [(1, 3), (), (2, 4)]
     # every other cell is (hits, elements) over its span
     assert tr.rates(1)[0] == (tr.masks[1].bit_count(), tr.n)
-    assert tr.rates(t)[3] == (tr.hits(t, t - 1, t), tr.batch_size)
+    assert tr.rates(t)[3] == (hits(tr, t, t - 1, t), tr.batch_size)
 
 
 def test_progress_matches_the_rate_formula():
