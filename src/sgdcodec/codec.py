@@ -313,20 +313,22 @@ def _select(
     i, base = len(data), m  # base: the members below byte i
     out = bytearray(len(data)) if as_mask else []
     for c in positions:
-        if c < below:
-            w -= 1
-            base, below = below, below - words[w].bit_count()
-            while below > c:
+        if c < base:
+            if c < below:
                 w -= 1
                 base, below = below, below - words[w].bit_count()
-            i = 8 * w + 8
-        while base > c:
-            i -= 1
-            base -= counts[i]
+                while below > c:
+                    w -= 1
+                    base, below = below, below - words[w].bit_count()
+                i = 8 * w + 8
+            while base > c:
+                i -= 1
+                base -= counts[i]
+            ids = _BYTE_IDS[data[i]]
         if as_mask:
-            out[i] |= 1 << _BYTE_IDS[data[i]][c - base]
+            out[i] |= 1 << ids[c - base]
         else:
-            out.append(8 * i + _BYTE_IDS[data[i]][c - base])
+            out.append(8 * i + ids[c - base])
     return int.from_bytes(out, "little") if as_mask else out
 
 
