@@ -14,10 +14,10 @@ costs one masked popcount per member; unrank costs O(k) exact big-integer
 steps for k members plus one downward walk of the pool's bytes, which maps
 positions to ids and never lists the pool's ids.  ``decode_ordered_set``
 decodes a conditional subset and its order straight to ids, with no mask
-built or listed.  Subset codes of at most ``_TABLE_MEMBERS`` members from pools of at most
-``_TABLE_POOL`` ids read their binomials from one process-wide Pascal
-table; larger codes step from one binomial to the next by exact ratios.
-Both paths give the same integers.
+built or listed.  Subset codes of at most ``_TABLE_MEMBERS`` members from
+pools of at most ``_TABLE_POOL`` ids read their binomials from one
+process-wide Pascal table; larger codes step from one binomial to the next
+by exact ratios.  Both paths give the same integers.
 
 All widths are exact: a rank r of a space with N codewords is written in
 ceil(log2(N)) bits, and stream length always equals the sum of declared
@@ -302,9 +302,10 @@ def _select(
     or the mask of those members.
 
     One downward walk over the pool's bytes, each position's bit read from a
-    256-entry table; a pool longer than 64 bytes first skips the whole 64-bit
-    words (their popcounts) above the next position.  No step counts the
-    pool below the last position.
+    256-entry table.  A pool longer than 64 bytes first skips the whole
+    64-bit words (their popcounts) above the next position; on shorter ones
+    the bytes alone are the faster walk.  No step counts the pool below the
+    last position.
     """
     data = pool.to_bytes((pool.bit_length() + 63) // 64 * 8, "little")
     counts = data.translate(_BYTE_COUNTS)

@@ -17,8 +17,11 @@ must match, and the width prediction as it read its counts through it."""
 
 from __future__ import annotations
 
+import importlib.util
 import math
+import os
 import random
+import sys
 from fractions import Fraction
 from functools import partial
 
@@ -56,6 +59,19 @@ from sgdcodec.sgd_engine import (
     run_training,
 )
 from sgdcodec.stable import stable_entropy
+
+
+BENCH_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "bench")
+
+
+def load_bench_workloads():
+    """``bench/workloads.py``, loaded from its file as ``bench_workloads``."""
+    path = os.path.join(BENCH_DIR, "workloads.py")
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
 
 
 def hypergeometric_pmf(population: int, ones: int, sample: int) -> list[Fraction]:

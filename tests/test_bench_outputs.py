@@ -9,26 +9,14 @@ a benchmark run does.
 
 from __future__ import annotations
 
-import importlib.util
 import json
 import os
-import sys
 
 import pytest
 
-BENCH_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "bench")
+from conftest import BENCH_DIR, load_bench_workloads
 
-
-def _load_workloads():
-    path = os.path.join(BENCH_DIR, "workloads.py")
-    spec = importlib.util.spec_from_file_location("bench_workloads", path)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # its dataclasses look their module up
-    spec.loader.exec_module(module)
-    return module
-
-
-WORKLOADS = _load_workloads().WORKLOADS
+WORKLOADS = load_bench_workloads().WORKLOADS
 with open(os.path.join(BENCH_DIR, "pins.json"), encoding="ascii") as _fh:
     PINS = json.load(_fh)
 

@@ -5,19 +5,16 @@ Sets are int bitmasks over element ids, as the codec takes them."""
 from __future__ import annotations
 
 import hashlib
-import importlib.util
 import itertools
 import math
-import os
 import random
-import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from conftest import mask_of, run_generated, theoretical_set_bound
+from conftest import load_bench_workloads, mask_of, run_generated, theoretical_set_bound
 from sgdcodec import codec
 from sgdcodec.codec import (
     BitStream,
@@ -618,7 +615,8 @@ def test_ordered_set_decode_matches_the_mask_decode_and_the_pool_scan(k, m):
                     assert decode_both_ways(s, pool, ones, k, pw) == [(order, len(s))] * 2
                     a = mask_of(order)
                     r1, r0 = subset_rank(a & ones, pool1), subset_rank(a & ~ones, pool0)
-                    assert a == scan_subset_unrank(r1, pool1, n1) | scan_subset_unrank(r0, pool0, n0)
+                    scanned = scan_subset_unrank(r1, pool1, n1), scan_subset_unrank(r0, pool0, n0)
+                    assert a == scanned[0] | scanned[1]
 
 
 def test_ordered_set_decode_rejects_what_the_mask_decode_rejects():
@@ -656,17 +654,8 @@ def test_ordered_set_decode_rejects_what_the_mask_decode_rejects():
         assert decode_both_ways(s, p, ones, k, pw) == [f"CodecError: {text}"] * 2
 
 
-def _bench_workloads():
-    path = os.path.join(os.path.dirname(__file__), os.pardir, "bench", "workloads.py")
-    spec = importlib.util.spec_from_file_location("bench_workloads", path)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # its dataclasses look their module up
-    spec.loader.exec_module(module)
-    return module.WORKLOADS
-
-
 def test_sweep_random_backward_epochs_decode_the_same_both_ways():
-    cases = _bench_workloads()["sweep-random"].cases
+    cases = load_bench_workloads().WORKLOADS["sweep-random"].cases
     assert len(cases) == 4
     for case in cases:
         run = run_generated(case.spec.config)
