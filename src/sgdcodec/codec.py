@@ -419,8 +419,8 @@ def decode_set_conditional(
     (r1, pool1, m1, n1, c1), (r0, pool0, m0, n0, c0) = _read_conditional(
         stream, pool, ones, size
     )
-    one = _unrank(r1, pool1, m1, n1, c1, as_mask=True)
-    return one | _unrank(r0, pool0, m0, n0, c0, as_mask=True)
+    half1 = _unrank(r1, pool1, m1, n1, c1, as_mask=True)
+    return half1 | _unrank(r0, pool0, m0, n0, c0, as_mask=True)
 
 
 def decode_ordered_set(

@@ -4,11 +4,12 @@ A run is fully pinned by its manifest (config plus replication count and
 mode): datasets, shuffles, streams, and reports are all deterministic
 functions of it, and re-running a manifest reproduces every artifact byte for
 byte.  This module owns the artifact directory: its layout, and the text
-artifacts ``trace.csv``, ``report.csv`` and ``summary.json``, whose every
-cell goes through one renderer, ``_cell``.  On the pipeline's side
-``Fraction`` appears only where a manifest is parsed and where a cell is
-rendered: a ``trace.csv`` rate comes from its two counts, put in lowest
-terms by ``_ratio_cell``, so no ``Fraction`` is built per checkpoint.
+artifacts ``trace.csv``, ``report.csv`` and ``summary.json``, whose cells
+print as ``_cell`` prints them.  On the pipeline's side ``Fraction``
+appears only where a manifest is parsed and where a cell is rendered: a
+``trace.csv`` rate comes from its two counts in the trace's count table,
+put in lowest terms by ``_ratio_cell``, so no ``Fraction`` is built per
+checkpoint.
 Alongside the compression pipeline it hosts the two statistical verifiers: a
 Monte Carlo check of the without-replacement tail bound against the exact
 hypergeometric law, and grid sweeps of the entropy and coding inequalities
