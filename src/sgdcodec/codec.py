@@ -302,26 +302,14 @@ def _select(
     or the mask of those members.
 
     One downward walk over the pool's bytes, each position's bit read from a
-    256-entry table.  A pool longer than 64 bytes first skips the whole
-    64-bit words (their popcounts) above the next position; on shorter ones
-    the bytes alone are the faster walk.  No step counts the pool below the
-    last position.
+    256-entry table.  No step counts the pool below the last position.
     """
-    data = pool.to_bytes((pool.bit_length() + 63) // 64 * 8, "little")
+    data = pool.to_bytes((pool.bit_length() + 7) // 8, "little")
     counts = data.translate(_BYTE_COUNTS)
-    words = memoryview(data).cast("Q") if len(data) > 64 else ()
-    w, below = len(words), m if words else 0  # below: the members below word w
     i, base = len(data), m  # base: the members below byte i
     out = bytearray(len(data)) if as_mask else []
     for c in positions:
         if c < base:
-            if c < below:
-                w -= 1
-                base, below = below, below - words[w].bit_count()
-                while below > c:
-                    w -= 1
-                    base, below = below, below - words[w].bit_count()
-                i = 8 * w + 8
             while base > c:
                 i -= 1
                 base -= counts[i]

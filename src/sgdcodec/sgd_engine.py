@@ -274,9 +274,6 @@ class EpochTrace:
     masks: list[int] = field(default_factory=list)
     terminated: bool = False
     saturated: bool = False
-    _counts: list[HitCounts] = field(
-        default_factory=list, init=False, repr=False, compare=False
-    )
 
     @property
     def n(self) -> int:
@@ -311,35 +308,36 @@ class EpochTrace:
             out.append(acc)
         return tuple(out)
 
-    @property
+    @cached_property
     def counts(self) -> list[HitCounts]:
         """The count table: checkpoint i's ``HitCounts`` at index i.
 
         Built on first read, four popcounts per checkpoint, so a trace whose
-        statistics are never read never pays for it; a checkpoint appended
-        or dropped since rebuilds it.
+        statistics are never read never pays for it.  It is read once the
+        epoch has run; a checkpoint recorded after that is not in it.
         """
-        if len(self._counts) != len(self.masks):
-            prefix, t = self.prefix_masks, self.num_batches
-            every = prefix[t]
-            self._counts = [
-                HitCounts(
-                    (mask & every).bit_count(),
-                    (mask & prefix[i]).bit_count(),
-                    (mask & (prefix[i] ^ prefix[i - 1])).bit_count() if i else 0,
-                    (mask & (prefix[i + 1] ^ prefix[i])).bit_count() if i < t else 0,
-                )
-                for i, mask in enumerate(self.masks)
-            ]
-        return self._counts
+        prefix, t = self.prefix_masks, self.num_batches
+        every = prefix[t]
+        return [
+            HitCounts(
+                (mask & every).bit_count(),
+                (mask & prefix[i]).bit_count(),
+                (mask & (prefix[i] ^ prefix[i - 1])).bit_count() if i else 0,
+                (mask & (prefix[i + 1] ^ prefix[i])).bit_count() if i < t else 0,
+            )
+            for i, mask in enumerate(self.masks)
+        ]
 
     def rates(self, i: int) -> tuple[Optional[tuple[int, int]], ...]:
         """(full, seen, unseen, batch after, batch before) at checkpoint i,
         each accuracy as its (hits, elements) counts.
 
         None marks an empty subset: nothing seen yet at i = 0, nothing left
-        once the whole order is seen.
+        once the whole order is seen.  A checkpoint outside the trace raises
+        DomainError.
         """
+        if not 0 <= i < len(self.masks):
+            raise DomainError(f"rates({i}) outside the trace")
         t, b = self.num_batches, self.batch_size
         full, seen, after, before = self.counts[i]
         return (

@@ -574,8 +574,8 @@ def encode_batch(order, pool, ones):
 
 def shaped_pools(rng, m):
     """Pools of m ids: on leading empty bytes, gapped, with a run of empty
-    bytes inside, and ending one id past a 64-bit word, so that the walk's
-    top word holds seven empty bytes."""
+    bytes inside, and with the top id alone above a run of empty bytes, at
+    the next multiple of 64."""
     low = m // 2
     return (
         mask_of(range(5, 5 + m)) << 900,

@@ -80,7 +80,7 @@ def drawn_traces(draw, kinds=KINDS):
 def test_every_count_equals_hits_at_its_span(epoch):
     trace = epoch[0]
     t = trace.num_batches
-    assert trace._counts == []  # nothing has read a statistic yet
+    assert "counts" not in vars(trace)  # nothing has read a statistic yet
     table = trace.counts
     assert len(table) == len(trace.masks)
     for i, row in enumerate(table):
@@ -129,17 +129,6 @@ def test_table_readers_match_their_oracles(epoch):
         assert got == expected and _cell(got) == _cell(expected), f.name
 
 
-def test_the_table_follows_added_and_dropped_checkpoints():
-    zero = FixedVector((0,), GRID6)
-    trace = EpochTrace(1, 2, (3, 0, 7, 1, 6, 2, 5, 4), [zero], [0b10001011])
-    assert trace.counts == [HitCounts(4, 0, 0, 2)]
-    trace.checkpoints.append(zero)
-    trace.masks.append(0b11110000)
-    assert trace.counts == [HitCounts(4, 0, 0, 2), HitCounts(4, 0, 0, 1)]
-    del trace.checkpoints[1:], trace.masks[1:]
-    assert trace.counts == [HitCounts(4, 0, 0, 2)]
-
-
 def test_decode_never_builds_a_count_table(tmp_path, monkeypatch):
     # a run reads its statistics; the decode's training rerun reads none
     gen = GeneratorSpec(family="random-labels", n=64, dim=2, seed=3)
@@ -147,9 +136,9 @@ def test_decode_never_builds_a_count_table(tmp_path, monkeypatch):
                     progress_coeff=Fraction(4), seed=3, max_epochs=2)
     result = harness.run_experiment(ExperimentSpec(cfg, 1, ACCOUNTING), str(tmp_path))
     traces = result.replications[0].run.traces
-    assert all(len(tr._counts) == len(tr.masks) for tr in traces)
+    assert all(len(vars(tr)["counts"]) == len(tr.masks) for tr in traces)
     built = []
-    real = EpochTrace.counts.fget
+    real = EpochTrace.counts.func
 
     def counting(trace):
         built.append(trace.epoch)

@@ -254,7 +254,8 @@ def test_trace_accuracy_identity():
 
 
 def test_hits_rejects_spans_outside_the_trace():
-    # the count table's oracle reads no span the trace does not hold
+    # the count table's oracle reads no span the trace does not hold, and
+    # rates reads no checkpoint the trace does not hold
     tr = two_gaussians_traces(Fraction(1, 1000))[0]
     t = tr.num_batches
     assert tr.completed and len(tr.masks) == t + 1
@@ -262,6 +263,9 @@ def test_hits_rejects_spans_outside_the_trace():
     for i, lo, hi in ((1, 3, 2), (1, -1, 2), (1, 0, t + 1), (-1, 0, t), (t + 1, 0, t)):
         with pytest.raises(DomainError):
             hits(tr, i, lo, hi)
+    for i in (-1, t + 1):
+        with pytest.raises(DomainError, match=f"rates\\({i}\\) outside the trace"):
+            tr.rates(i)
 
 
 def test_rate_is_none_where_trace_csv_leaves_a_cell_blank():
