@@ -6,6 +6,8 @@ SGDCODEC_OUT is required), decode (decode each epoch code file on disk once
 and check it, and final_model.bin, against a rerun of training), report
 (print the summaries of an artifact directory, reading its files only).
 A flat key=value file can provide any flag's default; explicit flags win.
+The 20 setting flags, their config-file keys and defaults come from
+``harness.SETTINGS``; for one-hot data dim is n, whatever --dim or dim = say.
 SGDCODEC_OUT names the artifact directory where --out (run, encode) or --dir
 (decode, report) is not given; the flag wins over it.
 """
@@ -20,15 +22,15 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .epoch_codec import (
-    ACCOUNTING,
-    STRICT,
     SideInfo,
     decode_epoch,
     read_epoch_file,
 )
 from .harness import (
+    SETTINGS,
     ExperimentSpec,
     HoeffdingCheck,
+    Setting,
     _cell,
     epoch_code_dir,
     epoch_code_path,
@@ -39,34 +41,13 @@ from .harness import (
     run_inequality_suite,
     verify_hoeffding,
 )
-from .model import FAMILIES, GeneratorSpec, MODEL_KINDS, generate_dataset
-from .numerics import DomainError, GridSpec, SaturationError
-from .sgd_engine import ReverseError, RunConfig, run_training, vector_from_bytes
+from .model import generate_dataset
+from .numerics import DomainError, SaturationError
+from .sgd_engine import ReverseError, run_training, vector_from_bytes
 
 OUT_ENV = "SGDCODEC_OUT"
 
-_DEFAULTS = {
-    "family": "one-hot",
-    "n": "256",
-    "dim": "4",
-    "data_seed": "1",
-    "margin": "1/2",
-    "sigma": "1/2",
-    "center_dist": "2",
-    "feature_scale": "2",
-    "batch_size": "16",
-    "step_raw": "58982",
-    "eps": "1/100",
-    "progress_coeff": "20",
-    "seed": "1",
-    "max_epochs": "4",
-    "model_kind": "logistic-linear",
-    "hidden_width": "0",
-    "scale": "16",
-    "clip": "64",
-    "replications": "1",
-    "mode": ACCOUNTING,
-}
+_DEFAULTS = {s.key: str(s.default) for s in SETTINGS}
 
 
 def read_config_file(path: str) -> dict[str, str]:
@@ -98,44 +79,22 @@ def _merge_values(args: argparse.Namespace) -> dict[str, str]:
     return values
 
 
-def build_spec(values: dict[str, str]) -> ExperimentSpec:
-    def rational(key: str) -> Fraction:
+def _parse(setting: Setting, text: str) -> object:
+    if setting.kind is int:
+        return int(text)
+    if setting.kind is Fraction:
         try:
-            return Fraction(values[key])
+            return Fraction(text)
         except ZeroDivisionError:
-            raise DomainError(f"{key} = {values[key]} has a zero denominator") from None
+            raise DomainError(f"{setting.key} = {text} has a zero denominator") from None
+    return text  # a choice, which its dataclass checks
 
-    n = int(values["n"])
-    family = values["family"]
-    dim = n if family == "one-hot" else int(values["dim"])
-    generator = GeneratorSpec(
-        family=family,
-        n=n,
-        dim=dim,
-        seed=int(values["data_seed"]),
-        margin=rational("margin"),
-        sigma=rational("sigma"),
-        center_dist=rational("center_dist"),
-        feature_scale=int(values["feature_scale"]),
-    )
-    grid = GridSpec(int(values["scale"]), int(values["clip"]))
-    config = RunConfig(
-        generator=generator,
-        batch_size=int(values["batch_size"]),
-        step_raw=int(values["step_raw"]),
-        eps=rational("eps"),
-        progress_coeff=rational("progress_coeff"),
-        seed=int(values["seed"]),
-        max_epochs=int(values["max_epochs"]),
-        model_kind=values["model_kind"],
-        hidden_width=int(values["hidden_width"]),
-        grid=grid,
-    )
-    return ExperimentSpec(
-        config=config,
-        replications=int(values["replications"]),
-        mode=values["mode"],
-    )
+
+def build_spec(values: dict[str, str]) -> ExperimentSpec:
+    """The spec of one config-file string per setting key."""
+    if values["family"] == "one-hot":  # its dim is n, whatever dim says
+        values = {**values, "dim": values["n"]}
+    return ExperimentSpec.from_settings({s.key: _parse(s, values[s.key]) for s in SETTINGS})
 
 
 def _resolve_out(args: argparse.Namespace) -> Optional[str]:
@@ -144,26 +103,10 @@ def _resolve_out(args: argparse.Namespace) -> Optional[str]:
 
 def _add_config_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="key=value defaults file")
-    p.add_argument("--family", choices=FAMILIES)
-    p.add_argument("--n", type=int)
-    p.add_argument("--dim", type=int)
-    p.add_argument("--data-seed", dest="data_seed", type=int)
-    p.add_argument("--margin")
-    p.add_argument("--sigma")
-    p.add_argument("--center-dist", dest="center_dist")
-    p.add_argument("--feature-scale", dest="feature_scale", type=int)
-    p.add_argument("--batch-size", dest="batch_size", type=int)
-    p.add_argument("--step-raw", dest="step_raw", type=int)
-    p.add_argument("--eps")
-    p.add_argument("--progress-coeff", dest="progress_coeff")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--max-epochs", dest="max_epochs", type=int)
-    p.add_argument("--model-kind", dest="model_kind", choices=MODEL_KINDS)
-    p.add_argument("--hidden-width", dest="hidden_width", type=int)
-    p.add_argument("--scale", type=int)
-    p.add_argument("--clip", type=int)
-    p.add_argument("--replications", type=int)
-    p.add_argument("--mode", choices=(ACCOUNTING, STRICT))
+    for s in SETTINGS:  # a rational flag is parsed with the config values
+        choices = s.kind if isinstance(s.kind, tuple) else None
+        flag, kind = "--" + s.key.replace("_", "-"), int if s.kind is int else None
+        p.add_argument(flag, dest=s.key, type=kind, choices=choices)
     p.add_argument("--out", help="artifact directory")
 
 

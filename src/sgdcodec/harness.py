@@ -3,9 +3,12 @@
 A run is fully pinned by its manifest (config plus replication count and
 mode): datasets, shuffles, streams, and reports are all deterministic
 functions of it, and re-running a manifest reproduces every artifact byte for
-byte.  This module owns the artifact directory: its layout, and the text
-artifacts ``trace.csv``, ``report.csv`` and ``summary.json``, whose cells
-print as ``_cell`` prints them.  On the pipeline's side ``Fraction``
+byte.  ``SETTINGS`` is the one table of the 20 run settings: the manifest is
+written, read and built into an ``ExperimentSpec`` from it, and the CLI's
+flags and config-file keys come from it.  This module owns the artifact
+directory: its layout, the manifest, and the text artifacts ``trace.csv``,
+``report.csv`` and ``summary.json``, whose cells print as ``_cell`` prints
+them.  On the pipeline's side ``Fraction``
 appears only where a manifest is parsed and where a cell is rendered: a
 ``trace.csv`` rate comes from its two counts in the trace's count table,
 put in lowest terms by ``_ratio_cell``, so no ``Fraction`` is built per
@@ -22,11 +25,13 @@ import json
 import math
 import os
 import random
+import re
 import struct
 from dataclasses import dataclass, fields, replace
-from operator import attrgetter
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from functools import reduce
+from operator import attrgetter, getitem
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .codec import (
     BitStream,
@@ -51,9 +56,17 @@ from .epoch_codec import (
     predict_segments,
     write_epoch_file,
 )
-from .model import Dataset, _TOP_BIT_DIGITS, generate_dataset, manifest_int
+from .model import (
+    FAMILIES,
+    MODEL_KINDS,
+    Dataset,
+    GeneratorSpec,
+    _TOP_BIT_DIGITS,
+    generate_dataset,
+)
 from .numerics import (
     DomainError,
+    GridSpec,
     _entropy,
     _kl,
     _realizable_q,
@@ -70,6 +83,68 @@ from .sgd_engine import (
 from .stable import LOG2_E, _log2_ratios, stable_entropy, stable_exp, stable_log2
 
 MANIFEST_FORMAT = "sgdcodec-run-v1"
+
+
+class Setting(NamedTuple):
+    """One run setting.  ``key`` names it in a config file and, dashed, as a
+    flag; it is field ``name`` of its ``level``'s dataclass and of that level's
+    manifest object.  ``kind`` is ``int``, ``Fraction`` or a tuple of choices;
+    a manifest that omits an ``optional`` setting reads the CLI's ``default``."""
+
+    key: str
+    level: str
+    name: str
+    kind: object
+    default: object
+    optional: bool = False
+
+
+# Every run setting, in the order the flags are registered.
+SETTINGS = (
+    Setting("family", "generator", "family", FAMILIES, "one-hot"),
+    Setting("n", "generator", "n", int, 256),
+    Setting("dim", "generator", "dim", int, 4),
+    Setting("data_seed", "generator", "seed", int, 1),
+    Setting("margin", "generator", "margin", Fraction, Fraction(1, 2), True),
+    Setting("sigma", "generator", "sigma", Fraction, Fraction(1, 2), True),
+    Setting("center_dist", "generator", "center_dist", Fraction, Fraction(2), True),
+    Setting("feature_scale", "generator", "feature_scale", int, 2, True),
+    Setting("batch_size", "config", "batch_size", int, 16),
+    Setting("step_raw", "config", "step_raw", int, 58982),
+    Setting("eps", "config", "eps", Fraction, Fraction(1, 100)),
+    Setting("progress_coeff", "config", "progress_coeff", Fraction, Fraction(20)),
+    Setting("seed", "config", "seed", int, 1),
+    Setting("max_epochs", "config", "max_epochs", int, 4),
+    Setting("model_kind", "config", "model_kind", MODEL_KINDS, "logistic-linear", True),
+    Setting("hidden_width", "config", "hidden_width", int, 0, True),
+    Setting("scale", "grid", "scale", int, 16),
+    Setting("clip", "grid", "clip", int, 64),
+    Setting("replications", "spec", "replications", int, 1),
+    Setting("mode", "spec", "mode", (ACCOUNTING, STRICT), ACCOUNTING),
+)
+
+# Each level's object in the manifest, as its path of keys from the top;
+# the grid's fields sit in the config's object.
+_MANIFEST_PATHS = {"spec": (), "config": ("config",), "grid": ("config",),
+                   "generator": ("config", "generator")}
+
+
+def _manifest_value(manifest: dict, setting: Setting) -> object:
+    """The setting's value in a manifest, or its default where an optional
+    setting is absent.  An int takes a JSON integer only, never a bool, float
+    or string, and a rational only the ``num/den`` string ``to_dict`` writes;
+    a choice is left to its dataclass to check."""
+    obj = reduce(getitem, _MANIFEST_PATHS[setting.level], manifest)
+    if setting.optional and setting.name not in obj:
+        return setting.default
+    name, value = setting.name, obj[setting.name]
+    if setting.kind is int and type(value) is not int:
+        raise DomainError(f"manifest key {name!r} is not a JSON integer: {value!r}")
+    if setting.kind is not Fraction:
+        return value
+    if type(value) is not str or not re.fullmatch(r"-?[0-9]+(/[1-9][0-9]*)?", value):
+        raise DomainError(f"manifest key {name!r} is not a rational string: {value!r}")
+    return Fraction(value)
 
 
 @dataclass(frozen=True)
@@ -90,13 +165,27 @@ class ExperimentSpec:
         if self.mode == STRICT:
             check_strict_limits(self.config, DomainError)
 
+    @classmethod
+    def from_settings(cls, values: dict) -> "ExperimentSpec":
+        """The spec of one parsed value per setting key.  Each level's
+        dataclass checks its fields in turn: generator, grid, config, spec."""
+        held: dict[str, dict] = {level: {} for level in _MANIFEST_PATHS}
+        for s in SETTINGS:
+            held[s.level][s.name] = values[s.key]
+        generator, grid = GeneratorSpec(**held["generator"]), GridSpec(**held["grid"])
+        return cls(RunConfig(generator=generator, grid=grid, **held["config"]), **held["spec"])
+
     def to_dict(self) -> dict:
-        return {
-            "format": MANIFEST_FORMAT,
-            "config": self.config.to_dict(),
-            "replications": self.replications,
-            "mode": self.mode,
-        }
+        """The manifest: every setting in its level's object, a rational as
+        its ``num/den`` string."""
+        c = self.config
+        held = {"generator": c.generator, "grid": c.grid, "config": c, "spec": self}
+        d: dict = {"format": MANIFEST_FORMAT, "config": {"generator": {}}}
+        for s in SETTINGS:
+            obj = reduce(getitem, _MANIFEST_PATHS[s.level], d)
+            value = getattr(held[s.level], s.name)
+            obj[s.name] = str(value) if s.kind is Fraction else value
+        return d
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentSpec":
@@ -107,11 +196,7 @@ class ExperimentSpec:
         if d.get("format") != MANIFEST_FORMAT:
             raise DomainError(f"unsupported manifest format {d.get('format')!r}")
         try:
-            return cls(
-                config=RunConfig.from_dict(d["config"]),
-                replications=manifest_int(d, "replications"),
-                mode=d["mode"],
-            )
+            return cls.from_settings({s.key: _manifest_value(d, s) for s in SETTINGS})
         except (KeyError, AttributeError, TypeError) as exc:
             raise DomainError(f"malformed manifest: {exc!r}") from exc
 

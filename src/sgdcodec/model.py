@@ -19,6 +19,7 @@ them; the logistic-linear gradient, lane packing, smoothness bound and dataset
 text run from them.  The density rule (``_sparse_pairs``) is one decision per
 kernel call, never per element; rows shorter than ``_SPARSE_DIM`` go unscanned.
 Both paths agree.
+A ``GeneratorSpec``'s fields are run settings, listed in ``harness.SETTINGS``.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from __future__ import annotations
 import math
 import operator
 import random
-import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -91,25 +91,6 @@ def _sparse_pairs(
     return pairs if sum(map(len, pairs)) * _SPARSE_DIM <= len(pairs) * dim else None
 
 
-def manifest_int(d: dict, key: str, default: Optional[int] = None) -> int:
-    """The JSON integer under key, or the default when the key is absent.
-
-    A bool, float or string there is a DomainError, not a value to coerce.
-    """
-    value = d[key] if default is None else d.get(key, default)
-    if type(value) is not int:
-        raise DomainError(f"manifest key {key!r} is not a JSON integer: {value!r}")
-    return value
-
-
-def manifest_fraction(d: dict, key: str, default: Optional[str] = None) -> Fraction:
-    """The str(Fraction) under key, as to_dict writes it; anything else is a DomainError."""
-    value = d[key] if default is None else d.get(key, default)
-    if type(value) is not str or not re.fullmatch(r"-?[0-9]+(/[1-9][0-9]*)?", value):
-        raise DomainError(f"manifest key {key!r} is not a rational string: {value!r}")
-    return Fraction(value)
-
-
 @dataclass(frozen=True)
 class GeneratorSpec:
     """Parameters of one synthetic dataset family.
@@ -152,31 +133,6 @@ class GeneratorSpec:
             raise DomainError("margin/sigma must be >= 0 and center_dist > 0")
         if self.feature_scale < 1:
             raise DomainError("feature_scale must be >= 1")
-
-    def to_dict(self) -> dict:
-        return {
-            "family": self.family,
-            "n": self.n,
-            "dim": self.dim,
-            "seed": self.seed,
-            "margin": str(self.margin),
-            "sigma": str(self.sigma),
-            "center_dist": str(self.center_dist),
-            "feature_scale": self.feature_scale,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "GeneratorSpec":
-        return cls(
-            family=d["family"],
-            n=manifest_int(d, "n"),
-            dim=manifest_int(d, "dim"),
-            seed=manifest_int(d, "seed"),
-            margin=manifest_fraction(d, "margin", "1/2"),
-            sigma=manifest_fraction(d, "sigma", "1/2"),
-            center_dist=manifest_fraction(d, "center_dist", "2"),
-            feature_scale=manifest_int(d, "feature_scale", 2),
-        )
 
 
 @dataclass(frozen=True)

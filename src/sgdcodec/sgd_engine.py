@@ -14,9 +14,10 @@ predecessor.
 
 The step path counts in integers: the stop test compares correct counts,
 and the reverse search's set-up holds step * L, its radius and its reach
-as numerators over powers of the grid unit.  ``Fraction`` appears only where
-a config is parsed and where a value is reported: ``check_step_smoothness``'s
-product, a trace's progress, a refused step's error text.
+as numerators over powers of the grid unit.  ``Fraction`` appears only in a
+config's two rational fields, which ``harness.SETTINGS`` lists with the rest,
+and where a value is reported: ``check_step_smoothness``'s product, a trace's
+progress, a refused step's error text.
 """
 
 from __future__ import annotations
@@ -42,8 +43,6 @@ from .model import (
     _table_max_slope,
     correctness_mask,
     loss_gradient,
-    manifest_fraction,
-    manifest_int,
     weight_count,
     zero_model,
     MODEL_KINDS,
@@ -176,36 +175,6 @@ class RunConfig:
     def progress_floor(self) -> Fraction:
         """Target per-epoch accuracy gain: coefficient times eps."""
         return self.progress_coeff * self.eps
-
-    def to_dict(self) -> dict:
-        return {
-            "generator": self.generator.to_dict(),
-            "batch_size": self.batch_size,
-            "step_raw": self.step_raw,
-            "eps": str(self.eps),
-            "progress_coeff": str(self.progress_coeff),
-            "seed": self.seed,
-            "max_epochs": self.max_epochs,
-            "model_kind": self.model_kind,
-            "hidden_width": self.hidden_width,
-            "scale": self.grid.scale,
-            "clip": self.grid.clip,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "RunConfig":
-        return cls(
-            generator=GeneratorSpec.from_dict(d["generator"]),
-            batch_size=manifest_int(d, "batch_size"),
-            step_raw=manifest_int(d, "step_raw"),
-            eps=manifest_fraction(d, "eps"),
-            progress_coeff=manifest_fraction(d, "progress_coeff"),
-            seed=manifest_int(d, "seed"),
-            max_epochs=manifest_int(d, "max_epochs"),
-            model_kind=d.get("model_kind", "logistic-linear"),
-            hidden_width=manifest_int(d, "hidden_width", 0),
-            grid=GridSpec(manifest_int(d, "scale"), manifest_int(d, "clip")),
-        )
 
 
 def _step_l(step_raw: int, grid: GridSpec, sq_norm: int) -> int:

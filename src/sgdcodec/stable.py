@@ -159,7 +159,12 @@ def _log2_ratios(num: int) -> list[float]:
 
 
 def stable_entropy(p: int | Fraction) -> float:
-    """Binary entropy in bits of p, with p and 1 - p each rounded to 136 bits."""
+    """Binary entropy in bits of p, with p and 1 - p each rounded to 136 bits.
+
+    Below p of about 2**-136 the complement term drops, so it is not the
+    correctly rounded h(p) there (1000 * 2**-1000 at p = 2**-1000, against
+    1001.44 * 2**-1000): an oracle for h only above that bound.
+    """
     f = Fraction(p)
     if f < 0 or f > 1:
         raise ValueError("probability outside [0, 1]")

@@ -88,6 +88,13 @@ def test_artifacts_match_golden_digests(name, tmp_path):
     assert artifact_digests(MANIFESTS[name], str(tmp_path / name)) == _recorded()[name]
 
 
+@pytest.mark.parametrize("name", sorted(MANIFESTS))
+def test_golden_manifests_read_back_as_their_specs(name):
+    spec = MANIFESTS[name]
+    manifest = json.loads(json.dumps(spec.to_dict()))
+    assert ExperimentSpec.from_dict(manifest) == spec
+
+
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         digests = {

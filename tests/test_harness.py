@@ -7,8 +7,10 @@ import math
 import os
 import shutil
 import signal
-from dataclasses import replace
+from dataclasses import fields, replace
 from fractions import Fraction
+from functools import reduce
+from operator import getitem
 
 import pytest
 
@@ -17,6 +19,7 @@ from sgdcodec import cli, harness, model
 from sgdcodec.cli import main, read_config_file
 from sgdcodec.codec import binomial
 from sgdcodec.harness import (
+    SETTINGS,
     CompressionReport,
     ExperimentSpec,
     HoeffdingCheck,
@@ -386,32 +389,60 @@ def manifest_generator_with(**generator):
     return d
 
 
+MISSING = object()
+
+
+def manifest_setting(setting, value, spec=None):
+    """The manifest of spec (the plateau spec for None) with one setting's
+    value replaced, or removed."""
+    d = (spec or plateau_spec()).to_dict()
+    level = reduce(getitem, harness._MANIFEST_PATHS[setting.level], d)
+    if value is MISSING:
+        del level[setting.name]
+    else:
+        level[setting.name] = value
+    return d
+
+
+# every required setting missing, every int and rational one mistyped
+TABLE_FAULTS = [
+    (s, value, f"{s.key}-{label}")
+    for s in SETTINGS
+    for value, label in (
+        ([(MISSING, "missing")] if not s.optional else [])
+        + ([(True, "as-bool"), (1.5, "as-float"), ("3", "as-string")] if s.kind is int else [])
+        + ([(0.5, "as-float"), (1, "as-int"), ("four", "as-word")] if s.kind is Fraction else [])
+    )
+]
+
+
 @pytest.mark.parametrize("command", ["decode", "report"])
 @pytest.mark.parametrize(
-    "manifest",
+    "manifest, name",
     [
-        {"format": "sgdcodec-run-v1"},
-        [],
-        {"format": "sgdcodec-run-v1", "config": [], "replications": 1,
-         "mode": "ACCOUNTING"},
-        manifest_with(generator=7),
-        manifest_with(batch_size=None),
-        manifest_keyed(replications=1.9),
-        manifest_keyed(replications=True),
-        manifest_with(max_epochs="3"),
-        manifest_generator_with(n=64.0),
-        manifest_with(eps=0.01),
-        manifest_generator_with(sigma=True),
-        manifest_generator_with(margin=1),
-        manifest_with(progress_coeff="four"),
-        manifest_generator_with(center_dist="1/0"),
-    ],
-    ids=["no-config", "list", "config-list", "generator-int", "batch-size-null",
-         "replications-float", "replications-bool", "config-int-string",
-         "generator-int-float", "eps-float", "sigma-bool", "margin-int",
-         "coeff-unparsable", "center-zero-denominator"],
+        pytest.param(manifest, None, id=case)
+        for manifest, case in [
+            ({"format": "sgdcodec-run-v1"}, "no-config"),
+            ([], "list"),
+            ({"format": "sgdcodec-run-v1", "config": [], "replications": 1,
+              "mode": "ACCOUNTING"}, "config-list"),
+            (manifest_with(generator=7), "generator-int"),
+            (manifest_with(batch_size=None), "batch-size-null"),
+            (manifest_keyed(replications=1.9), "replications-float"),
+            (manifest_keyed(replications=True), "replications-bool"),
+            (manifest_with(max_epochs="3"), "config-int-string"),
+            (manifest_generator_with(n=64.0), "generator-int-float"),
+            (manifest_with(eps=0.01), "eps-float"),
+            (manifest_generator_with(sigma=True), "sigma-bool"),
+            (manifest_generator_with(margin=1), "margin-int"),
+            (manifest_with(progress_coeff="four"), "coeff-unparsable"),
+            (manifest_generator_with(center_dist="1/0"), "center-zero-denominator"),
+        ]
+    ]
+    + [pytest.param(manifest_setting(s, value), s.name, id=case)
+       for s, value, case in TABLE_FAULTS],
 )
-def test_cli_rejects_a_malformed_manifest(tmp_path, capsys, command, manifest):
+def test_cli_rejects_a_malformed_manifest(tmp_path, capsys, command, manifest, name):
     # valid JSON of the wrong shape is an error: exit 2, not a traceback; an
     # integer field takes a JSON integer only, never a bool, float or string,
     # and a rational field only the "num/den" string that to_dict writes
@@ -419,6 +450,85 @@ def test_cli_rejects_a_malformed_manifest(tmp_path, capsys, command, manifest):
     assert main([command, "--dir", str(tmp_path)]) == 2
     err = capsys.readouterr().err.replace(str(tmp_path), "")
     assert err.startswith("error:") and "manifest" in err
+    if name is not None:  # a table case names the key at fault
+        assert repr(name) in err
+
+
+def hidden_spec():
+    """A spec whose six optional settings all differ from their defaults."""
+    gen = GeneratorSpec(family="two-gaussians", n=32, dim=2, seed=4, margin=Fraction(1, 4),
+                        sigma=Fraction(1), center_dist=Fraction(3, 2), feature_scale=3)
+    cfg = RunConfig(generator=gen, batch_size=8, step_raw=256, eps=Fraction(1, 10),
+                    progress_coeff=Fraction(1), seed=2, max_epochs=2,
+                    model_kind="one-hidden-layer", hidden_width=2, grid=GridSpec(8, 8))
+    return ExperimentSpec(config=cfg, replications=2)
+
+
+def outcome(make):
+    try:
+        return make()
+    except DomainError as exc:
+        return f"DomainError: {exc}"
+
+
+def with_defaults(spec, settings):
+    """spec with each of these optional settings at its default."""
+    generator = {s.name: s.default for s in settings if s.level == "generator"}
+    config = {s.name: s.default for s in settings if s.level == "config"}
+    config["generator"] = replace(spec.config.generator, **generator)
+    return replace(spec, config=replace(spec.config, **config))
+
+
+# the six settings a manifest may omit
+OPTIONAL = [s for s in SETTINGS if s.optional]
+
+
+@pytest.mark.parametrize("setting", OPTIONAL, ids=lambda s: s.key)
+def test_a_manifest_without_an_optional_setting_reads_its_default(setting):
+    # hidden_spec holds each optional setting off its default, so the absent
+    # key must load as the spec with that one field at its default; alone,
+    # the model kind or its width at its default is refused, as that spec is
+    assert [s.key for s in OPTIONAL] == [
+        "margin", "sigma", "center_dist", "feature_scale", "model_kind", "hidden_width"
+    ]
+    owner = GeneratorSpec if setting.level == "generator" else RunConfig
+    assert {f.name: f.default for f in fields(owner)}[setting.name] == setting.default
+    spec = hidden_spec()
+    d = manifest_setting(setting, MISSING, spec)
+    expected = outcome(lambda: with_defaults(spec, [setting]))
+    assert expected != spec
+    assert outcome(lambda: ExperimentSpec.from_dict(d)) == expected
+    if setting.level == "config":  # together they read a logistic-linear model
+        model = [s for s in OPTIONAL if s.level == "config"]
+        for s in model:
+            d["config"].pop(s.name, None)
+        assert ExperimentSpec.from_dict(d) == with_defaults(spec, model)
+
+
+def test_the_cli_default_spec_reads_back_from_its_manifest():
+    spec = cli.build_spec(dict(cli._DEFAULTS))
+    assert ExperimentSpec.from_dict(json.loads(json.dumps(spec.to_dict()))) == spec
+
+
+@pytest.mark.parametrize("command", ["run", "encode"])
+@pytest.mark.parametrize("setting", SETTINGS, ids=lambda s: s.key)
+def test_every_setting_is_a_flag_and_a_config_key(tmp_path, command, setting):
+    flag = "--" + setting.key.replace("_", "-")
+    parser = cli.build_parser(command)
+    choices = setting.kind if isinstance(setting.kind, tuple) else None
+    for value in choices or [str(setting.default)]:
+        parsed = getattr(parser.parse_args([command, flag, value]), setting.key)
+        assert parsed == (int(value) if setting.kind is int else value)
+        assert type(parsed) is (int if setting.kind is int else str)
+    if choices:
+        with pytest.raises(SystemExit):
+            parser.parse_args([command, flag, "bogus"])
+    elif setting.kind is int:
+        with pytest.raises(SystemExit):
+            parser.parse_args([command, flag, "1/2"])
+    cfg = tmp_path / "one.cfg"
+    cfg.write_text(f"{setting.key} = {value}\n")
+    assert read_config_file(str(cfg)) == {setting.key: value}
 
 
 @pytest.mark.parametrize("summary", [{}, [], {"epochs": 1}])

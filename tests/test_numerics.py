@@ -176,7 +176,8 @@ def test_log2_of_int_and_factorial():
 
 
 # The mpmath front ends the stable functions replaced, kept as their oracles:
-# each argument is mpf(num) / mpf(den) under workdps(40), rounded once to float.
+# each argument is mpf(num) / mpf(den) under workdps(40) (60 for the sigmoid),
+# rounded once to float.
 def _mpf(x):
     f = Fraction(x)
     return mpmath.mpf(f.numerator) / mpmath.mpf(f.denominator)
@@ -198,7 +199,9 @@ def _stable_exp_oracle(x):
 
 
 def _stable_sigmoid_oracle(z):
-    with mpmath.workdps(40):
+    # at z = odd * 2**-53 the sigmoid lies about |z|**3 / 48 off a midpoint
+    # between two doubles, below what 40 digits resolve; 60 digits do
+    with mpmath.workdps(60):
         return float(1 / (1 + mpmath.exp(-_mpf(z))))
 
 
