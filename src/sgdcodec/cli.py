@@ -1,10 +1,12 @@
-"""Command line front end.
+"""Command line front end: it parses arguments and prints lines.
 
-Subcommands: run (train + encode + account + artifacts), verify (inequality
-and tail-bound suites), encode (the same artifacts as run, but --out or
-SGDCODEC_OUT is required), decode (decode each epoch code file on disk once
-and check it, and final_model.bin, against a rerun of training), report
-(print the summaries of an artifact directory, reading its files only).
+``harness`` does the work and owns the artifact directory; this module names
+none of its files.  Subcommands: run (train + encode + account + artifacts),
+verify (the inequality suite and ``harness.HOEFFDING_CHECKS``), encode (the
+same artifacts as run, but --out or SGDCODEC_OUT is required), decode (the
+lines of ``harness.check_run``: the directory checked against a rerun of
+training), report (the lines of ``harness.report_lines``: the directory's
+summaries, read from its files only).
 A flat key=value file can provide any flag's default; explicit flags win.
 The 20 setting flags, their config-file keys and defaults come from
 ``harness.SETTINGS``; for one-hot data dim is n, whatever --dim or dim = say.
@@ -15,35 +17,25 @@ SGDCODEC_OUT names the artifact directory where --out (run, encode) or --dir
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .epoch_codec import (
-    SideInfo,
-    decode_epoch,
-    read_epoch_file,
-)
 from .harness import (
+    HOEFFDING_CHECKS,
     SETTINGS,
     ExperimentSpec,
-    HoeffdingCheck,
     Setting,
     _cell,
-    epoch_code_dir,
-    epoch_code_path,
-    load_manifest,
-    replication_config,
-    replication_dir,
+    check_run,
+    report_lines,
     run_experiment,
     run_inequality_suite,
     verify_hoeffding,
 )
-from .model import generate_dataset
 from .numerics import DomainError, SaturationError
-from .sgd_engine import ReverseError, run_training, vector_from_bytes
+from .sgd_engine import ReverseError
 
 OUT_ENV = "SGDCODEC_OUT"
 
@@ -148,99 +140,25 @@ def cmd_encode(args: argparse.Namespace) -> int:
 
 
 def cmd_decode(args: argparse.Namespace) -> int:
-    """Decodes each epoch code file once and checks it against a training rerun.
-
-    Only training is rerun (no encode, prediction or accounting).  Every
-    ``.epc`` must decode to the rerun's visit order, and the checkpoint chain
-    the decoder walked (in STRICT mode, recovered from the rerun's last
-    checkpoint alone) must equal the rerun's.  Each replication's
-    ``final_model.bin`` must hold the rerun's final weights.
-    An ``.epc`` file that names no completed epoch of the rerun, or a
-    ``rep_NN`` directory that names no replication of the manifest, is a
-    failure too.  Returns 1 on any mismatch; a missing replication
-    directory, unreadable or undecodable files raise, and ``main`` reports
-    them with exit code 2.  The dataset is generated once, when the first
-    replication directory is found, so a manifest whose ``rep_00`` is
-    missing stops before any data is regenerated.
-    """
+    """Prints the lines of ``harness.check_run``; 1 if any check failed."""
     outdir = args.dir or _resolve_out(args)
     if not outdir:
         print("decode requires --dir or SGDCODEC_OUT", file=sys.stderr)
         return 2
-    spec = load_manifest(os.path.join(outdir, "manifest.json"))
-    dataset = None
-    failures = 0
-    for name in sorted(os.listdir(outdir)):
-        path = os.path.join(outdir, name)
-        if not (name.startswith("rep_") and name[4:].isdecimal()):
-            continue
-        # matched by index: the manifest's count may be far too large to list
-        index = int(name[4:])
-        if index >= spec.replications or path != replication_dir(outdir, index):
-            print(f"{path}: no such replication in the manifest")
-            failures += 1
-    for r in range(spec.replications):
-        rep_dir = replication_dir(outdir, r)
-        if not os.path.isdir(rep_dir):
-            raise DomainError(f"{rep_dir}: replication {r} of the manifest is missing")
-        if dataset is None:
-            dataset = generate_dataset(spec.config.generator, spec.config.grid)
-        config = replication_config(spec.config, r)
-        run = run_training(config, dataset)
-        epoch_dir = epoch_code_dir(rep_dir)
-        rerun_files = {epoch_code_path(rep_dir, t.epoch) for t in run.completed_traces}
-        for name in sorted(os.listdir(epoch_dir)):
-            path = os.path.join(epoch_dir, name)
-            if name.endswith(".epc") and path not in rerun_files:
-                print(f"{path}: no such epoch in the rerun")
-                failures += 1
-        for trace in run.completed_traces:
-            path = epoch_code_path(rep_dir, trace.epoch)
-            n, b, epoch, stream = read_epoch_file(path)
-            if (n, b, epoch) != (trace.n, trace.batch_size, trace.epoch):
-                print(f"{path}: header mismatch")
-                failures += 1
-                continue
-            decoded = decode_epoch(
-                stream, dataset, config, SideInfo.of(spec.mode, trace.checkpoints)
-            )
-            ok = decoded.order == trace.order and decoded.chain_matches(
-                trace.checkpoints
-            )
-            failures += 0 if ok else 1
-            print(f"rep {r:02d} epoch {epoch}: {'ok' if ok else 'MISMATCH'}")
-        with open(os.path.join(rep_dir, "final_model.bin"), "rb") as fh:
-            final = vector_from_bytes(fh.read(), config.grid)
-        ok = final.raws == run.final_model.weights.raws
-        failures += 0 if ok else 1
-        print(f"rep {r:02d} final_model.bin: {'ok' if ok else 'MISMATCH'}")
-    return 0 if failures == 0 else 1
+    all_ok = True
+    for line, passed in check_run(outdir):
+        print(line)
+        all_ok = all_ok and passed
+    return 0 if all_ok else 1
 
 
 def cmd_report(args: argparse.Namespace) -> int:
+    """Prints the lines of ``harness.report_lines``."""
     outdir = args.dir or _resolve_out(args)
     if not outdir:
         print("report requires --dir or SGDCODEC_OUT", file=sys.stderr)
         return 2
-    manifest_path = os.path.join(outdir, "manifest.json")
-    spec = load_manifest(manifest_path)
-    print(f"manifest: {manifest_path} mode={spec.mode} replications={spec.replications}")
-    for r in range(spec.replications):
-        path = os.path.join(replication_dir(outdir, r), "summary.json")
-        with open(path, "r", encoding="ascii") as fh:
-            summary = json.load(fh)
-        try:
-            line = (
-                f"rep {r:02d}: epochs={summary['epochs']}"
-                f" good={summary['good_epochs']}/{summary['epochs']}"
-                f" charged={summary['total_charged_bits']}"
-                f" baseline={summary['total_baseline_bits']}"
-                f" savings={summary['total_savings_bits']}"
-                f" t*={summary['projected_epoch_bound']}"
-                f" conservation={'ok' if summary['conservation_ok'] else 'VIOLATED'}"
-            )
-        except (KeyError, TypeError) as exc:
-            raise DomainError(f"{path}: malformed summary: {exc!r}") from exc
+    for line in report_lines(outdir):
         print(line)
     return 0
 
@@ -256,36 +174,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
             f"unknown suite(s) {','.join(map(repr, unknown))}; "
             f"choose from {','.join(VERIFY_SUITES)}"
         )
-    all_ok = True
-    if "inequalities" in suites:
-        for row in run_inequality_suite():
-            print(row.line())
-            all_ok = all_ok and row.passed
+    rows: list = run_inequality_suite() if "inequalities" in suites else []
     if "hoeffding" in suites:
-        checks = [
-            HoeffdingCheck(
-                population_size=1024,
-                population_ones=512,
-                sample_size=k,
-                delta=delta,
-                trials=args.trials,
-                seed=11,
-            )
-            for k in (64, 256)
-            for delta in (Fraction(1, 10), Fraction(1, 5))
-        ]
-        for res in verify_hoeffding(checks):
-            check = res.check
-            ok = res.ok_empirical and res.ok_exact
-            all_ok = all_ok and ok
-            print(
-                f"{'pass' if ok else 'FAIL'}  hypergeometric-tail: k={check.sample_size}"
-                f" delta={check.delta} trials={check.trials}"
-                f" freq={float(res.empirical_freq):.3e}"
-                f" exact={float(res.exact_prob):.3e}"
-                f" bound={res.bound:.3e} sigma={res.sigma:.3e}"
-            )
-    return 0 if all_ok else 1
+        rows += verify_hoeffding(HOEFFDING_CHECKS)
+    for row in rows:
+        print(row.line())
+    return 0 if all(row.passed for row in rows) else 1
 
 
 def _add_dir_flag(p: argparse.ArgumentParser) -> None:
@@ -294,7 +188,6 @@ def _add_dir_flag(p: argparse.ArgumentParser) -> None:
 
 def _add_verify_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--suites", help=f"comma list: {','.join(VERIFY_SUITES)}")
-    p.add_argument("--trials", type=int, default=100_000)
 
 
 # name, help, the flags it takes, the function it runs

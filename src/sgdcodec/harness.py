@@ -6,17 +6,21 @@ functions of it, and re-running a manifest reproduces every artifact byte for
 byte.  ``SETTINGS`` is the one table of the 20 run settings: the manifest is
 written, read and built into an ``ExperimentSpec`` from it, and the CLI's
 flags and config-file keys come from it.  This module owns the artifact
-directory: its layout, the manifest, and the text artifacts ``trace.csv``,
-``report.csv`` and ``summary.json``, whose cells print as ``_cell`` prints
-them.  On the pipeline's side ``Fraction``
+directory: it writes the layout, the manifest, and the text artifacts
+``trace.csv``, ``report.csv`` and ``summary.json``, whose cells print as
+``_cell`` prints them, and it reads them back: ``check_run`` checks a
+directory against a rerun of training, with the round trip ``run_experiment``
+checks in memory, and ``report_lines`` reads its summaries.  The CLI only
+prints their lines.  On the pipeline's side ``Fraction``
 appears only where a manifest is parsed and where a cell is rendered: a
 ``trace.csv`` rate comes from its two counts in the trace's count table,
 put in lowest terms by ``_ratio_cell``, so no ``Fraction`` is built per
 checkpoint.
 Alongside the compression pipeline it hosts the two statistical verifiers: a
 Monte Carlo check of the without-replacement tail bound against the exact
-hypergeometric law, and grid sweeps of the entropy and coding inequalities
-the bit accounting relies on.
+hypergeometric law (``HOEFFDING_CHECKS`` are the ones ``sgdcodec verify``
+runs), and grid sweeps of the entropy and coding inequalities the bit
+accounting relies on.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 from functools import reduce
 from operator import attrgetter, getitem
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .codec import (
     BitStream,
@@ -54,6 +58,7 @@ from .epoch_codec import (
     epoch_accounting,
     model_description_bits,
     predict_segments,
+    read_epoch_file,
     write_epoch_file,
 )
 from .model import (
@@ -77,7 +82,9 @@ from .sgd_engine import (
     EpochTrace,
     RunConfig,
     TrainingRun,
+    run_training,
     train_epochs,
+    vector_from_bytes,
     vector_to_bytes,
 )
 from .stable import LOG2_E, _log2_ratios, stable_entropy, stable_exp, stable_log2
@@ -358,24 +365,34 @@ def _json_bytes(obj: dict) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
-def replication_config(config: RunConfig, index: int) -> RunConfig:
+def _replication_config(config: RunConfig, index: int) -> RunConfig:
     """Replication ``index`` trains ``config`` with its seed shifted by index."""
     return replace(config, seed=config.seed + index)
 
 
-def replication_dir(outdir: str, index: int) -> str:
+def _replication_dir(outdir: str, index: int) -> str:
     """Replication ``index`` keeps its artifacts in ``rep_NN`` under outdir."""
     return os.path.join(outdir, f"rep_{index:02d}")
 
 
-def epoch_code_dir(rep_dir: str) -> str:
-    """A replication keeps its epoch code files in ``epochs``."""
-    return os.path.join(rep_dir, "epochs")
+def _epoch_code_path(rep_dir: str, epoch: Optional[int] = None) -> str:
+    """Where a replication keeps one epoch's code, ``epochs/epoch_NNN.epc``;
+    the ``epochs`` directory itself for no epoch."""
+    epochs = os.path.join(rep_dir, "epochs")
+    return epochs if epoch is None else os.path.join(epochs, f"epoch_{epoch:03d}.epc")
 
 
-def epoch_code_path(rep_dir: str, epoch: int) -> str:
-    """Where a replication keeps one epoch's code: ``epochs/epoch_NNN.epc``."""
-    return os.path.join(epoch_code_dir(rep_dir), f"epoch_{epoch:03d}.epc")
+def _round_trip(stream: BitStream, trace: EpochTrace, dataset: Dataset,
+                config: RunConfig, mode: str) -> Optional[str]:
+    """What failed in decoding an epoch's stream from the side info
+    ``SideInfo.of`` gives (in STRICT mode its last checkpoint alone), or None
+    where the order and the walked chain both equal the trained ones."""
+    decoded = decode_epoch(stream, dataset, config, SideInfo.of(mode, trace.checkpoints))
+    if decoded.order != trace.order:
+        return f"epoch {trace.epoch} failed its round trip"
+    if not decoded.chain_matches(trace.checkpoints):
+        return f"epoch {trace.epoch} decode walked a wrong checkpoint chain"
+    return None
 
 
 def run_experiment(spec: ExperimentSpec, outdir: Optional[str] = None) -> ExperimentResult:
@@ -384,9 +401,8 @@ def run_experiment(spec: ExperimentSpec, outdir: Optional[str] = None) -> Experi
     Training is consumed epoch by epoch from ``train_epochs``: each completed
     epoch is encoded, round-tripped, predicted and accounted before the next
     one trains, so a failing round trip raises there and no later epoch
-    trains.  The decoder walks the chain from the side info ``SideInfo.of``
-    gives it (in STRICT mode the epoch's last checkpoint alone), and both the
-    order and the walked chain must equal the trained ones.  Completed
+    trains.  ``_round_trip`` decodes it as ``check_run`` decodes its file:
+    the order and the walked chain must equal the trained ones.  Completed
     epochs are contiguous (epoch e starts where epoch e-1 ends), so by
     induction from the last checkpoint the STRICT checks are exactly the
     backward walk from the final weights across all completed epochs.  A
@@ -401,7 +417,7 @@ def run_experiment(spec: ExperimentSpec, outdir: Optional[str] = None) -> Experi
             fh.write(dataset.to_text())
     reps: list[ReplicationResult] = []
     for r in range(spec.replications):
-        config = replication_config(spec.config, r)
+        config = _replication_config(spec.config, r)
         traces: list[EpochTrace] = []
         rows: list[AccountRow] = []
         epoch_codes: list[EpochCode] = []
@@ -411,14 +427,9 @@ def run_experiment(spec: ExperimentSpec, outdir: Optional[str] = None) -> Experi
             if not trace.completed:
                 continue
             code = encode_epoch(trace, dataset, config, spec.mode)
-            side = SideInfo.of(spec.mode, trace.checkpoints)
-            decoded = decode_epoch(code.stream, dataset, config, side)
-            if decoded.order != trace.order:
-                raise DomainError(f"epoch {trace.epoch} failed its round trip")
-            if not decoded.chain_matches(trace.checkpoints):
-                raise DomainError(
-                    f"epoch {trace.epoch} decode walked a wrong checkpoint chain"
-                )
+            failed = _round_trip(code.stream, trace, dataset, config, spec.mode)
+            if failed is not None:
+                raise DomainError(failed)
             predicted = predict_segments(trace, config, code.selector, spec.mode)
             if predicted != code.segments:
                 raise DomainError(
@@ -450,11 +461,11 @@ def _write_replication(
     codes: Sequence[EpochCode],
     report: CompressionReport,
 ) -> None:
-    rep_dir = replication_dir(outdir, index)
-    os.makedirs(epoch_code_dir(rep_dir), exist_ok=True)
+    rep_dir = _replication_dir(outdir, index)
+    os.makedirs(_epoch_code_path(rep_dir), exist_ok=True)
     write_trace_csv(run.traces, os.path.join(rep_dir, "trace.csv"))
     for code in codes:
-        write_epoch_file(epoch_code_path(rep_dir, code.epoch), code)
+        write_epoch_file(_epoch_code_path(rep_dir, code.epoch), code)
     with open(os.path.join(rep_dir, "final_model.bin"), "wb") as fh:
         fh.write(vector_to_bytes(run.final_model.weights))
     write_report_csv(report.rows, os.path.join(rep_dir, "report.csv"))
@@ -468,6 +479,81 @@ def _write_replication(
 def load_manifest(path: str) -> ExperimentSpec:
     with open(path, "r", encoding="ascii") as fh:
         return ExperimentSpec.from_dict(json.load(fh))
+
+
+def _verdict(label: str, ok: bool) -> tuple[str, bool]:
+    return f"{label}: {'ok' if ok else 'MISMATCH'}", ok
+
+
+def check_run(outdir: str) -> Iterator[tuple[str, bool]]:
+    """One ``(line, passed)`` pair per check of a run directory against a
+    rerun of training alone: ``dataset.tsv`` byte for byte, each ``.epc`` by
+    ``_round_trip``, each ``final_model.bin``, and no stray ``rep_NN`` or
+    ``.epc``.  A missing replication directory or a file that cannot be read
+    or decoded raises.  The dataset is generated at the first replication
+    directory found, so a run without ``rep_00`` stops before any data is."""
+    spec = load_manifest(os.path.join(outdir, "manifest.json"))
+    for name in sorted(os.listdir(outdir)):
+        path = os.path.join(outdir, name)
+        if not (name.startswith("rep_") and name[4:].isdecimal()):
+            continue
+        # matched by index: the manifest's count may be far too large to list
+        index = int(name[4:])
+        if index >= spec.replications or path != _replication_dir(outdir, index):
+            yield f"{path}: no such replication in the manifest", False
+    dataset = None
+    for r in range(spec.replications):
+        rep_dir = _replication_dir(outdir, r)
+        if not os.path.isdir(rep_dir):
+            raise DomainError(f"{rep_dir}: replication {r} of the manifest is missing")
+        if dataset is None:
+            dataset = generate_dataset(spec.config.generator, spec.config.grid)
+            with open(os.path.join(outdir, "dataset.tsv"), "rb") as fh:
+                yield _verdict("dataset.tsv", fh.read() == dataset.to_text().encode())
+        config = _replication_config(spec.config, r)
+        run = run_training(config, dataset)
+        epoch_dir = _epoch_code_path(rep_dir)
+        rerun_files = {_epoch_code_path(rep_dir, t.epoch) for t in run.completed_traces}
+        for name in sorted(os.listdir(epoch_dir)):
+            path = os.path.join(epoch_dir, name)
+            if name.endswith(".epc") and path not in rerun_files:
+                yield f"{path}: no such epoch in the rerun", False
+        for trace in run.completed_traces:
+            path = _epoch_code_path(rep_dir, trace.epoch)
+            n, b, epoch, stream = read_epoch_file(path)
+            if (n, b, epoch) != (trace.n, trace.batch_size, trace.epoch):
+                yield f"{path}: header mismatch", False
+                continue
+            failed = _round_trip(stream, trace, dataset, config, spec.mode)
+            yield _verdict(f"rep {r:02d} epoch {epoch}", failed is None)
+        with open(os.path.join(rep_dir, "final_model.bin"), "rb") as fh:
+            final = vector_from_bytes(fh.read(), config.grid).raws
+        yield _verdict(f"rep {r:02d} final_model.bin", final == run.final_model.weights.raws)
+
+
+def report_lines(outdir: str) -> Iterator[str]:
+    """The manifest's line, then each replication's totals and conservation
+    check as its ``summary.json`` records them; a malformed summary raises."""
+    manifest_path = os.path.join(outdir, "manifest.json")
+    spec = load_manifest(manifest_path)
+    yield f"manifest: {manifest_path} mode={spec.mode} replications={spec.replications}"
+    for r in range(spec.replications):
+        path = os.path.join(_replication_dir(outdir, r), "summary.json")
+        with open(path, "r", encoding="ascii") as fh:
+            summary = json.load(fh)
+        try:
+            line = (
+                f"rep {r:02d}: epochs={summary['epochs']}"
+                f" good={summary['good_epochs']}/{summary['epochs']}"
+                f" charged={summary['total_charged_bits']}"
+                f" baseline={summary['total_baseline_bits']}"
+                f" savings={summary['total_savings_bits']}"
+                f" t*={summary['projected_epoch_bound']}"
+                f" conservation={'ok' if summary['conservation_ok'] else 'VIOLATED'}"
+            )
+        except (KeyError, TypeError) as exc:
+            raise DomainError(f"{path}: malformed summary: {exc!r}") from exc
+        yield line
 
 
 @dataclass(frozen=True)
@@ -517,6 +603,26 @@ class HoeffdingResult:
     sigma: float
     ok_empirical: bool
     ok_exact: bool
+
+    @property
+    def passed(self) -> bool:
+        return self.ok_empirical and self.ok_exact
+
+    def line(self) -> str:
+        c = self.check
+        return (f"{'pass' if self.passed else 'FAIL'}  hypergeometric-tail: k={c.sample_size}"
+                f" delta={c.delta} trials={c.trials} freq={float(self.empirical_freq):.3e}"
+                f" exact={float(self.exact_prob):.3e} bound={self.bound:.3e}"
+                f" sigma={self.sigma:.3e}")
+
+
+# The tail checks ``sgdcodec verify`` runs: 10^5 trials per setting, one seed.
+HOEFFDING_CHECKS = tuple(
+    HoeffdingCheck(population_size=1024, population_ones=512, sample_size=k,
+                   delta=delta, trials=100_000, seed=11)
+    for k in (64, 256)
+    for delta in (Fraction(1, 10), Fraction(1, 5))
+)
 
 
 def verify_hoeffding(checks: Sequence[HoeffdingCheck]) -> list[HoeffdingResult]:

@@ -16,9 +16,9 @@ from fractions import Fraction
 
 import pytest
 
-from sgdcodec import cli, sgd_engine
+from sgdcodec import harness, sgd_engine
 from sgdcodec.cli import main
-from sgdcodec.harness import ExperimentSpec, replication_dir, run_experiment
+from sgdcodec.harness import ExperimentSpec, run_experiment
 from sgdcodec.model import GeneratorSpec, generate_dataset
 from sgdcodec.numerics import GridSpec
 from sgdcodec.sgd_engine import MultiplePreimage, RunConfig, run_training
@@ -100,10 +100,12 @@ def test_the_experiment_run_equals_run_training(name):
 
 @pytest.fixture
 def no_dataset(monkeypatch):
+    """Called after the run, which shares ``generate_dataset`` with decode."""
+
     def refuse(*args, **kwargs):
         raise AssertionError("decode regenerated the dataset")
 
-    monkeypatch.setattr(cli, "generate_dataset", refuse)
+    return lambda: monkeypatch.setattr(harness, "generate_dataset", refuse)
 
 
 def test_decode_of_a_run_that_raised_exits_2_before_regenerating_data(
@@ -112,9 +114,10 @@ def test_decode_of_a_run_that_raised_exits_2_before_regenerating_data(
     out = str(tmp_path / "exp")
     with pytest.raises(MultiplePreimage):
         run_experiment(strict_chain_spec(1), out)
+    no_dataset()
     capsys.readouterr()
     assert main(["decode", "--dir", out]) == 2
-    missing = replication_dir(out, 0)
+    missing = os.path.join(out, "rep_00")
     assert capsys.readouterr().err == (
         f"error: {missing}: replication 0 of the manifest is missing\n"
     )
@@ -129,27 +132,28 @@ def test_decode_without_rep_00_exits_2_before_regenerating_data(
 ):
     out = str(tmp_path / "exp")
     run_experiment(two_replications(), out)
-    shutil.rmtree(replication_dir(out, 0))
+    no_dataset()
+    shutil.rmtree(os.path.join(out, "rep_00"))
     capsys.readouterr()
     assert main(["decode", "--dir", out]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == (
-        f"error: {replication_dir(out, 0)}: replication 0 of the manifest is missing\n"
+        f"error: {os.path.join(out, 'rep_00')}: replication 0 of the manifest is missing\n"
     )
 
 
 def test_decode_generates_the_dataset_once(tmp_path, capsys, monkeypatch):
     out = str(tmp_path / "exp")
     run_experiment(two_replications(), out)
-    real = cli.generate_dataset
+    real = harness.generate_dataset
     calls = []
 
     def counted(*args, **kwargs):
         calls.append(1)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(cli, "generate_dataset", counted)
+    monkeypatch.setattr(harness, "generate_dataset", counted)
     assert main(["decode", "--dir", out]) == 0
     assert len(calls) == 1
     assert "MISMATCH" not in capsys.readouterr().out

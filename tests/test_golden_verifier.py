@@ -24,7 +24,7 @@ from sgdcodec.harness import HoeffdingCheck, run_inequality_suite, verify_hoeffd
 
 GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "golden_verifier.json")
 
-# The settings cmd_verify runs.
+# The settings of harness.HOEFFDING_CHECKS, which cmd_verify runs.
 HOEFFDING_SETTINGS = [(k, delta) for k in (64, 256) for delta in ("1/10", "1/5")]
 TRIALS = 10**5
 # The sizes bench/workloads.py runs the suite at.

@@ -594,10 +594,18 @@ def test_cli_verify_inequalities(capsys):
 @pytest.mark.parametrize("suites", ["hoefding", "inequalities,hoefding", "hoeffding,", ""])
 def test_cli_verify_rejects_unknown_suites(suites, capsys):
     # a typo must not run nothing and exit 0, which would read as a pass
-    assert main(["verify", "--suites", suites, "--trials", "10000"]) == 2
+    assert main(["verify", "--suites", suites]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: unknown suite(s)")
+
+
+def test_cli_verify_takes_no_trials_flag(capsys):
+    # the shipped checks fix their trial count: harness.HOEFFDING_CHECKS
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--trials", "100000"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --trials 100000" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -804,6 +812,46 @@ def test_cli_decode_checks_final_model(tmp_path, capsys):
     assert "rep 00 final_model.bin: MISMATCH" in capsys.readouterr().out
 
 
+def edit_first_row(text, spec):
+    header, row, rest = text.split("\n", 2)
+    eid, label, feats = row.split("\t")
+    return "\n".join((header, "\t".join((eid, str(1 - int(label)), feats)), rest))
+
+
+def other_data_seed(text, spec):
+    gen = spec.config.generator
+    return generate_dataset(replace(gen, seed=gen.seed + 1), spec.config.grid).to_text()
+
+
+@pytest.mark.parametrize("tamper", [edit_first_row, other_data_seed])
+def test_cli_decode_checks_the_dataset_file(tmp_path, capsys, tamper):
+    spec, out = plateau_spec(max_epochs=1), tmp_path / "exp"
+    run_experiment(spec, str(out))
+    capsys.readouterr()
+    assert main(["decode", "--dir", str(out)]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == "dataset.tsv: ok"
+    victim = out / "dataset.tsv"
+    text = victim.read_text()
+    victim.write_text(tamper(text, spec))
+    assert victim.read_text() != text
+    assert main(["decode", "--dir", str(out)]) == 1
+    # the run itself still decodes: only the file differs
+    assert capsys.readouterr().out.splitlines() == [
+        "dataset.tsv: MISMATCH", "rep 00 epoch 1: ok", "rep 00 final_model.bin: ok"
+    ]
+
+
+def test_cli_decode_of_a_deleted_dataset_file_exits_2(tmp_path, capsys):
+    out = tmp_path / "exp"
+    run_experiment(plateau_spec(max_epochs=1), str(out))
+    (out / "dataset.tsv").unlink()
+    capsys.readouterr()
+    assert main(["decode", "--dir", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and "dataset.tsv" in captured.err
+
+
 @pytest.mark.parametrize(
     "spec", [plateau_spec(max_epochs=2, replications=2), strict_spec()],
     ids=["accounting", "strict"],
@@ -814,18 +862,19 @@ def test_cli_decode_reruns_training_only(tmp_path, capsys, monkeypatch, spec):
     epc_files = sum(
         len(files) for d, _, files in os.walk(out) if d.endswith("epochs")
     )
-    real_decode = cli.decode_epoch
+    real_decode = harness.decode_epoch
     calls = []
 
     def refuse(*args, **kwargs):
-        raise AssertionError("decode must not rerun the experiment")
+        raise AssertionError("decode must rerun training only")
 
     def counted(*args, **kwargs):
         calls.append(1)
         return real_decode(*args, **kwargs)
 
-    monkeypatch.setattr(cli, "run_experiment", refuse)
-    monkeypatch.setattr(cli, "decode_epoch", counted)
+    for name in ("encode_epoch", "predict_segments", "epoch_accounting"):
+        monkeypatch.setattr(harness, name, refuse)
+    monkeypatch.setattr(harness, "decode_epoch", counted)
     assert main(["decode", "--dir", out]) == 0
     assert len(calls) == epc_files > 0
     assert "MISMATCH" not in capsys.readouterr().out
@@ -834,7 +883,9 @@ def test_cli_decode_reruns_training_only(tmp_path, capsys, monkeypatch, spec):
 def test_cli_decode_checks_the_strict_chain(tmp_path, capsys, monkeypatch):
     out = str(tmp_path / "exp")
     run_experiment(strict_spec(), out)
-    monkeypatch.setattr(cli, "decode_epoch", shift_first_checkpoint(cli.decode_epoch))
+    monkeypatch.setattr(
+        harness, "decode_epoch", shift_first_checkpoint(harness.decode_epoch)
+    )
     capsys.readouterr()
     assert main(["decode", "--dir", out]) == 1
     assert "rep 00 epoch 1: MISMATCH" in capsys.readouterr().out

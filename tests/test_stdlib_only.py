@@ -24,6 +24,9 @@ run = ["run", "--family", "random-labels", "--n", "64", "--dim", "2",
        "--progress-coeff", "4", "--max-epochs", "2", "--out", sys.argv[1]]
 assert cli.main(run) == 0
 assert "mpmath" not in sys.modules, "sgdcodec run"
+for command in ("decode", "report"):
+    assert cli.main([command, "--dir", sys.argv[1]]) == 0
+    assert "mpmath" not in sys.modules, f"sgdcodec {command}"
 assert cli.main(["verify", "--suites", "hoeffding"]) == 0
 assert "mpmath" not in sys.modules, "sgdcodec verify"
 """
