@@ -19,7 +19,11 @@ them; the logistic-linear gradient, lane packing, smoothness bound and dataset
 text run from them.  The density rule (``_sparse_pairs``) is one decision per
 kernel call, never per element; rows shorter than ``_SPARSE_DIM`` go unscanned.
 Both paths agree.
-A ``GeneratorSpec``'s fields are run settings, listed in ``harness.SETTINGS``.
+Dense rows build the lane packing, the dataset text and the smoothness bound
+in C-level passes over columns or rows, with no Python call per entry or per
+row (``Dataset._lanes``, ``Dataset.to_text``, ``_peak_sq_norm``).
+A ``GeneratorSpec``'s fields are run settings, listed in ``harness.SETTINGS``;
+it refuses more than 2**24 feature cells.
 """
 
 from __future__ import annotations
@@ -27,10 +31,11 @@ from __future__ import annotations
 import math
 import operator
 import random
+import struct
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import compress, islice
+from itertools import compress, islice, repeat
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .numerics import (
@@ -51,6 +56,10 @@ FAMILIES = ("separable-margin", "two-gaussians", "random-labels", "one-hot")
 # behind the bytes path near one nonzero in four (its column sums grow as
 # they add), the gradient's near one in two; 1/8 keeps both ahead.
 _SPARSE_DIM = 8
+
+# Most feature cells (n * dim) a generated dataset may hold: a one-hot n of
+# 4096, about 0.1 GiB of row pointers, so a huge n exits with an error at once.
+_MAX_CELLS = 1 << 24
 
 
 def _nonzeros(raws: Sequence[int]) -> tuple[tuple[int, int], ...]:
@@ -129,6 +138,8 @@ class GeneratorSpec:
                 raise DomainError("one-hot family requires dim == n")
         elif self.dim < 1:
             raise DomainError("dim must be >= 1")
+        if self.n * self.dim > _MAX_CELLS:  # before any row is allocated
+            raise DomainError(f"n * dim must be <= 2**24, got {self.n * self.dim}")
         if self.margin < 0 or self.sigma < 0 or self.center_dist <= 0:
             raise DomainError("margin/sigma must be >= 0 and center_dist > 0")
         if self.feature_scale < 1:
@@ -150,8 +161,8 @@ class Dataset:
                 raise DomainError("element ids must be exactly 0..n-1 in order")
             if el.features.grid is not self.grid and el.features.grid != self.grid:
                 raise DomainError("element features live on another grid")
-            if len(el.features) != dim:
-                raise DomainError(f"element {i} has {len(el.features)} features, not {dim}")
+            if len(el.features.raws) != dim:
+                raise DomainError(f"element {i} has {len(el.features.raws)} features, not {dim}")
 
     @property
     def n(self) -> int:
@@ -159,7 +170,7 @@ class Dataset:
 
     @property
     def dim(self) -> int:
-        return len(self.elements[0].features) if self.elements else 0
+        return len(self.elements[0].features.raws) if self.elements else 0
 
     @cached_property
     def _lanes(self) -> tuple[int, tuple[int, ...], int, int, int]:
@@ -168,12 +179,16 @@ class Dataset:
         L = 8*size >= bitlen(dim * max|x| * clip * 2**scale) + 2.  Returns size,
         per column c the int sum_e x_ec * 2**(L*e), and ints holding 2**(L-1) - 1,
         the top bit, and the top bit iff label 0, in every lane.  Sparse rows
-        add each nonzero's shifted value into its column; dense rows pack
-        every entry's bytes."""
+        add each nonzero's shifted value into its column.  Dense rows pack a
+        column at a time: one ``struct`` int64 pack, whose low ``size`` bytes
+        per entry are its two's-complement lane, copied out by ``size``
+        strided slices; lanes wider than 8 bytes (dim * peak * |raw_min| >=
+        2**62) pack each entry by ``int.to_bytes``."""
         n, dim, rows = self.n, self.dim, [el.features.raws for el in self.elements]
         pairs = _sparse_pairs(self.elements, dim)
         if pairs is None:
-            peak = max(max(map(max, rows)), -min(map(min, rows))) if n and dim else 0
+            cols = list(zip(*rows))
+            peak = max(max(map(max, cols)), -min(map(min, cols))) if cols else 0
         else:
             peak = max((abs(x) for row in pairs for _, x in row), default=0)
         size = ((dim * peak * -self.grid.raw_min).bit_length() + 9) // 8
@@ -181,10 +196,16 @@ class Dataset:
         tops = int.from_bytes(top * n, "little")
         if pairs is None:
             columns = []
-            for col in zip(*rows):
+            for col in cols:
+                if size <= 8:  # each lane is the low bytes of the raw's int64
+                    words, buf = struct.pack(f"<{n}q", *col), bytearray(n * size)
+                    for k in range(size):
+                        buf[k::size] = words[k::8]
+                else:
+                    buf = b"".join(x.to_bytes(size, "little", signed=True) if x else zero
+                                   for x in col)
                 # read unsigned, each negative lane overshoots by 2**L: twice its top bit
-                lanes = [x.to_bytes(size, "little", signed=True) if x else zero for x in col]
-                packed = int.from_bytes(b"".join(lanes), "little")
+                packed = int.from_bytes(buf, "little")
                 columns.append(packed - ((packed & tops) << 1))
         else:
             columns = [0] * dim
@@ -208,21 +229,30 @@ class Dataset:
         return picked if len(ids) > 1 else (picked,)
 
     def to_text(self) -> str:
-        """Header 'n<TAB>p<TAB>scale', then one 'id<TAB>label<TAB>raw,raw,...' line each."""
-        lines = [f"{self.n}\t{self.dim}\t{self.grid.scale}"]
-        pairs = _sparse_pairs(self.elements, self.dim)
+        """Header 'n<TAB>p<TAB>scale', then one 'id<TAB>label<TAB>raw,raw,...' line each.
+
+        Dense rows fill one ``%s`` template per line, repeated n times, from
+        the (id, label, column...) cells interleaved by strided slices."""
+        n, dim, elements = self.n, self.dim, self.elements
+        head = f"{n}\t{dim}\t{self.grid.scale}\n"
+        pairs = _sparse_pairs(elements, dim)
         if pairs is None:
-            feats = [",".join(map(str, el.features.raws)) for el in self.elements]
-        else:  # runs of zeros around each row's nonzeros
-            feats = []
-            for row in pairs:
-                text, at = "", 0
-                for c, x in row:
-                    text += "0," * (c - at) + f"{x},"
-                    at = c + 1
-                feats.append((text + "0," * (self.dim - at))[:-1])
-        lines.extend(f"{el.eid}\t{el.label}\t{f}" for el, f in zip(self.elements, feats))
-        return "\n".join(lines) + "\n"
+            width = dim + 2
+            cells: list = [0] * (n * width)
+            cells[::width] = range(n)  # the ids, which __post_init__ checked
+            cells[1::width] = [el.label for el in elements]
+            for c, col in enumerate(zip(*[el.features.raws for el in elements]), 2):
+                cells[c::width] = col
+            line = "%s\t%s\t" + ",".join(["%s"] * dim) + "\n"
+            return head + (line * n) % tuple(cells)
+        feats = []  # runs of zeros around each row's nonzeros
+        for row in pairs:
+            text, at = "", 0
+            for c, x in row:
+                text += "0," * (c - at) + f"{x},"
+                at = c + 1
+            feats.append((text + "0," * (dim - at))[:-1])
+        return head + "".join(f"{el.eid}\t{el.label}\t{f}\n" for el, f in zip(elements, feats))
 
     @classmethod
     def from_text(cls, text: str, grid: GridSpec) -> "Dataset":
@@ -405,10 +435,10 @@ class Model:
         if self.kind == "one-hidden-layer" and self.width < 1:
             raise DomainError("one-hidden-layer needs width >= 1")
         expect = weight_count(self.kind, self.dim, self.width)
-        if len(self.weights) != expect:
+        if len(self.weights.raws) != expect:
             raise DomainError(
                 f"{self.kind} with dim={self.dim} width={self.width} "
-                f"needs {expect} weights, got {len(self.weights)}"
+                f"needs {expect} weights, got {len(self.weights.raws)}"
             )
 
     @property
@@ -603,7 +633,7 @@ def _peak_sq_norm(pairs: Optional[list], rows: Sequence[Sequence[int]]) -> int:
     """max |x|^2 over the rows, in raw units squared (0 for none); given
     the rows' nonzero pairs, it sums their squares only."""
     if pairs is None:
-        return max(map(_dot, rows, rows), default=0)
+        return max(map(sum, map(map, repeat(operator.mul), rows, rows)), default=0)
     return max((sum(x * x for _, x in row) for row in pairs), default=0)
 
 

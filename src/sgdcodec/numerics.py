@@ -137,12 +137,12 @@ class FixedVector:
         ones are visited.  Raises SaturationError if a coordinate leaves the
         clip range.
         """
-        if gradient.grid != self.grid:
+        grid, g = self.grid, gradient.raws
+        if gradient.grid is not grid and gradient.grid != grid:
             raise DomainError("operands live on different grids")
-        if len(gradient) != len(self):
+        if len(g) != len(self.raws):
             raise DomainError("dimension mismatch")
-        grid, unit, g = self.grid, self.grid.unit, gradient.raws
-        moved = list(self.raws)
+        unit, moved = grid.unit, list(self.raws)
         for i in compress(range(len(g)), g):
             moved[i] -= div_round_half_even(step_raw * g[i], unit)
         if not grid.holds(moved):

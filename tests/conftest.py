@@ -4,7 +4,9 @@ exact hypergeometric law the Hoeffding verifier is checked against; the
 per-case margins of three inequality sweeps, evaluated case by case; the
 closed-form width bound of the conditional set codec; the dataset
 generator spelled out on stdlib ``randrange`` and ``Fraction``; the dataset
-text as it rendered sparse rows cell by cell; the packed correctness sweep
+text as it rendered sparse rows cell by cell and dense rows by one join per
+row, the sweep's lanes packed entry by entry and max |x|^2 as one dot
+product per row, as they were before they ran in column passes; the packed correctness sweep
 as one full sum, before it carried; the logistic-linear gradient sum and
 the reverse search's pull as they composed the table sigmoid and the two
 roundings element by element; the splitmix64 bit tape and the Fisher-Yates
@@ -246,6 +248,40 @@ def to_text_oracle(ds: Dataset) -> str:
             cells[c] = str(x)
         lines.append(f"{el.eid}\t{el.label}\t{','.join(cells)}")
     return "\n".join(lines) + "\n"
+
+
+def dense_text(ds: Dataset) -> str:
+    """The dataset text rendered entry by entry, one join per row, as every
+    row once was."""
+    lines = [f"{ds.n}\t{ds.dim}\t{ds.grid.scale}"]
+    for el in ds.elements:
+        lines.append(f"{el.eid}\t{el.label}\t{','.join(map(str, el.features.raws))}")
+    return "\n".join(lines) + "\n"
+
+
+def lanes_oracle(ds: Dataset) -> tuple[int, tuple[int, ...], int, int, int]:
+    """``Dataset._lanes`` as it packed every row before it packed dense
+    columns in one ``struct`` pass: each entry's lane by ``int.to_bytes``,
+    one join per column.  Sparse rows give the same lanes this way."""
+    n, dim, rows = ds.n, ds.dim, [el.features.raws for el in ds.elements]
+    peak = max(max(map(max, rows)), -min(map(min, rows))) if n and dim else 0
+    size = ((dim * peak * -ds.grid.raw_min).bit_length() + 9) // 8
+    zero, top = bytes(size), (1 << 8 * size - 1).to_bytes(size, "little")
+    tops = int.from_bytes(top * n, "little")
+    columns = []
+    for col in zip(*rows):
+        lanes = [x.to_bytes(size, "little", signed=True) if x else zero for x in col]
+        packed = int.from_bytes(b"".join(lanes), "little")
+        columns.append(packed - ((packed & tops) << 1))
+    label0 = b"".join(zero if el.label else top for el in ds.elements)
+    bias = tops - (tops >> 8 * size - 1)
+    return size, tuple(columns), bias, tops, int.from_bytes(label0, "little")
+
+
+def max_sq_norm_oracle(elements) -> int:
+    """``model._max_sq_norm`` as one ``_dot`` call per row (0 for none)."""
+    rows = [el.features.raws for el in elements]
+    return max(map(_dot, rows, rows), default=0)
 
 
 def band_dataset(grid: GridSpec, n: int, lo_raw: int, hi_raw: int, seed: int) -> Dataset:

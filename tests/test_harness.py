@@ -965,19 +965,24 @@ class Expired(Exception):
     """Raised by the alarm; no subclass of what ``cli.main`` turns into exit 2."""
 
 
-def decode_within_a_second(out):
-    """``sgdcodec decode --dir out``, failing the test if it runs past 1 s."""
+def main_within_a_second(argv):
+    """``cli.main(argv)``, failing the test if it runs past 1 s."""
 
     def expire(signum, frame):
-        raise Expired("decode did not return within 1 s")
+        raise Expired(f"{argv[0]} did not return within 1 s")
 
     previous = signal.signal(signal.SIGALRM, expire)
     signal.alarm(1)
     try:
-        return main(["decode", "--dir", str(out)])
+        return main(argv)
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
+
+
+def decode_within_a_second(out):
+    """``sgdcodec decode --dir out``, failing the test if it runs past 1 s."""
+    return main_within_a_second(["decode", "--dir", str(out)])
 
 
 def test_cli_decode_of_a_huge_replication_count_exits_2_at_once(tmp_path, capsys):
@@ -1005,3 +1010,35 @@ def test_cli_decode_of_a_grid_past_int64_exits_2_at_once(tmp_path, capsys, key, 
     capsys.readouterr()
     assert decode_within_a_second(out) == 2
     assert "clip * 2**scale must be <= 2**63" in capsys.readouterr().err
+
+
+HUGE_N = 1 << 40  # unbounded, one-hot runs out of memory and random-labels never ends
+
+
+@pytest.mark.parametrize("family", ["one-hot", "random-labels"])
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_cli_refuses_a_dataset_past_2_24_cells_at_once(tmp_path, capsys, family, source):
+    out = tmp_path / "out"
+    settings = {"family": family, "n": HUGE_N, "dim": 2, "batch_size": 16}
+    if source == "flag":
+        argv = [f"--{key.replace('_', '-')}={value}" for key, value in settings.items()]
+    else:
+        cfg = tmp_path / "huge.cfg"
+        cfg.write_text("".join(f"{key} = {value}\n" for key, value in settings.items()))
+        argv = ["--config", str(cfg)]
+    assert main_within_a_second(["run", *argv, "--out", str(out)]) == 2
+    dim = HUGE_N if family == "one-hot" else 2
+    assert f"error: n * dim must be <= 2**24, got {HUGE_N * dim}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_decode_of_a_dataset_past_2_24_cells_exits_2_at_once(tmp_path, capsys):
+    out = tmp_path / "exp"
+    run_experiment(plateau_spec(max_epochs=1), str(out))
+    manifest = json.loads((out / "manifest.json").read_text())
+    manifest["config"]["generator"]["n"] = HUGE_N
+    (out / "manifest.json").write_text(json.dumps(manifest))
+    assert (out / "rep_00").is_dir()
+    capsys.readouterr()
+    assert decode_within_a_second(out) == 2
+    assert f"n * dim must be <= 2**24, got {HUGE_N * 2}" in capsys.readouterr().err

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 
 from conftest import (
     analytic_logistic_smoothness,
+    dense_text,
     generate_dataset_oracle,
     manual_dataset,
     one_hot_dataset,
@@ -129,6 +130,17 @@ def test_generator_rejects_a_negative_data_seed(seed):
     GeneratorSpec(family="random-labels", n=8, dim=2, seed=-seed)
 
 
+@pytest.mark.parametrize(
+    "family,n,dim",
+    [("one-hot", 4096, 4096), ("random-labels", 1 << 23, 2), ("two-gaussians", 1, 1 << 24)],
+)
+def test_generator_bounds_the_cell_count_at_2_24(family, n, dim):
+    GeneratorSpec(family=family, n=n, dim=dim, seed=0)
+    bigger = (n + 1, n + 1) if family == "one-hot" else (n, dim + 1)
+    with pytest.raises(DomainError, match=r"n \* dim must be <= 2\*\*24"):
+        GeneratorSpec(family=family, n=bigger[0], dim=bigger[1], seed=0)
+
+
 def test_one_hot_structure():
     spec = GeneratorSpec(family="one-hot", n=12, dim=12, seed=4, feature_scale=2)
     ds = generate_dataset(spec, GRID)
@@ -205,14 +217,6 @@ def test_dataset_text_round_trip():
     assert [el.features.raws for el in back.elements] == [
         el.features.raws for el in ds.elements
     ]
-
-
-def dense_text(ds: Dataset) -> str:
-    """The dataset text rendered entry by entry, as every row once was."""
-    lines = [f"{ds.n}\t{ds.dim}\t{ds.grid.scale}"]
-    for el in ds.elements:
-        lines.append(f"{el.eid}\t{el.label}\t{','.join(map(str, el.features.raws))}")
-    return "\n".join(lines) + "\n"
 
 
 def sparse_row_datasets() -> dict[str, Dataset]:
