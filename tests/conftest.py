@@ -6,8 +6,8 @@ closed-form width bound of the conditional set codec; the dataset
 generator spelled out on stdlib ``randrange`` and ``Fraction``; the dataset
 text as it rendered sparse rows cell by cell and dense rows by one join per
 row, the sweep's lanes packed entry by entry and max |x|^2 as one dot
-product per row, as they were before they ran in column passes; the packed correctness sweep
-as one full sum, before it carried; the logistic-linear gradient sum and
+product per row, as they were before they ran in column passes; the packed
+correctness sweep as one full sum, before it carried; the logistic-linear gradient sum and
 the reverse search's pull as they composed the table sigmoid and the two
 roundings element by element; the splitmix64 bit tape and the Fisher-Yates
 draw that took one call to it per try; and the

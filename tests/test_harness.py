@@ -1012,7 +1012,9 @@ def test_cli_decode_of_a_grid_past_int64_exits_2_at_once(tmp_path, capsys, key, 
     assert "clip * 2**scale must be <= 2**63" in capsys.readouterr().err
 
 
-HUGE_N = 1 << 40  # unbounded, one-hot runs out of memory and random-labels never ends
+# without a size bound, a one-hot dataset of this n runs out of memory and a
+# random-labels one is still generating after 20 s
+HUGE_N = 1 << 40
 
 
 @pytest.mark.parametrize("family", ["one-hot", "random-labels"])
