@@ -19,9 +19,9 @@ pools of at most ``_TABLE_POOL`` ids read their binomials from one
 process-wide Pascal table; larger codes step from one binomial to the next
 by exact ratios.  Both paths give the same integers.
 
-All widths are exact: a rank r of a space with N codewords is written in
-ceil(log2(N)) bits, and stream length always equals the sum of declared
-widths.
+The set encoder returns (value, width) fields, which ``epoch_codec.encode_epoch``
+writes.  All widths are exact: a rank r of a space with N codewords gets
+ceil(log2(N)) bits.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ from __future__ import annotations
 import itertools
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from typing import Sequence
 
 from .numerics import DomainError
@@ -362,42 +361,22 @@ def _order(rank: int, remaining: list[int]) -> tuple[int, ...]:
     return tuple(map(remaining.pop, reversed(digits)))
 
 
-@dataclass(frozen=True)
-class SetCodeInfo:
-    """Exact widths of one conditional set encoding, for bit accounting."""
-
-    size_header_bits: int
-    rank_ones_bits: int
-    rank_zeros_bits: int
-
-    @property
-    def total_bits(self) -> int:
-        return 2 * self.size_header_bits + self.rank_ones_bits + self.rank_zeros_bits
-
-
-def encode_set_conditional(
-    stream: BitStream, a: int, pool: int, ones: int
-) -> SetCodeInfo:
-    """Encode subset mask ``a`` of ``pool``, with the classifier mask ``ones``
-    as shared side information.
-
-    Layout: |A & ones| and |A & ~ones|, each in ceil(log2(|A|+1)) bits, then
-    the colex rank of each half within the same half of the pool, each in its
+def encode_set_conditional(a: int, pool: int, ones: int) -> tuple[tuple[int, int], ...]:
+    """Subset mask ``a`` of ``pool``, coded with the classifier mask ``ones``
+    as shared side information, as three (value, width) fields: |A & ones|
+    and |A & ~ones| as one field, each in ceil(log2(|A|+1)) bits, then the
+    colex rank of each half within the same half of the pool, each in its
     exact ceil(log2 C(...)) width.  The decoder must know the pool, ``ones``
-    and |A|.
-    """
+    and |A|."""
     pool1, pool0 = pool & ones, pool & ~ones
     a1, a0 = a & ones, a & ~ones
-    r1, r0 = subset_rank(a1, pool1), subset_rank(a0, pool0)
     k1, k0 = a1.bit_count(), a0.bit_count()
     wh = ceil_log2(k1 + k0 + 1)
-    w1 = ceil_log2(binomial(pool1.bit_count(), k1))
-    w0 = ceil_log2(binomial(pool0.bit_count(), k0))
-    stream.write_uint(k1, wh)
-    stream.write_uint(k0, wh)
-    stream.write_uint(r1, w1)
-    stream.write_uint(r0, w0)
-    return SetCodeInfo(size_header_bits=wh, rank_ones_bits=w1, rank_zeros_bits=w0)
+    return (
+        (k1 << wh | k0, 2 * wh),
+        (subset_rank(a1, pool1), ceil_log2(binomial(pool1.bit_count(), k1))),
+        (subset_rank(a0, pool0), ceil_log2(binomial(pool0.bit_count(), k0))),
+    )
 
 
 def decode_set_conditional(

@@ -15,9 +15,11 @@ hands over the whole chain and the walk looks each checkpoint up; STRICT
 hands over the last checkpoint alone and the walk rebuilds every earlier one
 by reverse search.
 
-Every field has a declared width and the total is checked against an
-independent width prediction derived from trace statistics alone, so the
-reported bit counts cannot drift from the actual streams.  ``epoch_accounting``
+The encoders return an epoch's fields as (label, value, width) triples;
+``encode_epoch`` alone writes them, in one loop whose ``write_uint`` refuses a
+value wider than its width, and reads ``segments`` off the same triples.
+``harness`` checks those widths against ``predict_segments``, an independent
+prediction from trace statistics alone.  ``epoch_accounting``
 measures an epoch as an ``AccountRow``, which ``harness`` writes to ``report.csv``.
 Case selection, width prediction and accounting read their counts from the
 trace's count table (``EpochTrace.counts``) and compare accuracies as those
@@ -218,11 +220,16 @@ def _slack_bits(num_batches: int, log2_n: float) -> float:
     return 4.0 * (num_batches + 2) * log2_n
 
 
-def _write_model_field(stream: BitStream, weights: FixedVector) -> int:
+def _model_field(weights: FixedVector) -> tuple[int, int]:
+    """A checkpoint as one (value, width) field: each raw less ``raw_min`` in
+    ``coord_bits`` bits, the first coordinate highest."""
     grid = weights.grid
+    if not grid.holds(weights.raws):
+        raise CodecError("checkpoint outside the grid's clip range")
+    value = 0
     for raw in weights.raws:
-        stream.write_uint(raw - grid.raw_min, grid.coord_bits)
-    return len(weights) * grid.coord_bits
+        value = value << grid.coord_bits | raw - grid.raw_min
+    return value, len(weights) * grid.coord_bits
 
 
 def _read_model_field(stream: BitStream, config: RunConfig) -> FixedVector:
@@ -247,20 +254,16 @@ def encode_epoch(
     if mode == STRICT:
         check_strict_limits(config)
     selector = select_case(trace, config.progress_floor)
-    stream = BitStream()
-    segments: list[tuple[str, int]] = []
     if selector.case == SPLIT:
         assert selector.split_j is not None
         side = choose_split_side(trace, selector.split_j)
-        _encode_split(stream, segments, trace, selector.split_j, side, mode)
+        fields = _encode_split(trace, selector.split_j, side, mode)
     else:
         side = None
-        _encode_backward(stream, segments, trace)
-    declared = sum(w for _, w in segments)
-    if declared != len(stream):
-        raise CodecError(
-            f"declared widths sum to {declared} but stream holds {len(stream)} bits"
-        )
+        fields = _encode_backward(trace)
+    stream = BitStream()
+    for _, value, width in fields:
+        stream.write_uint(value, width)
     return EpochCode(
         epoch=trace.epoch,
         n=trace.n,
@@ -270,60 +273,44 @@ def encode_epoch(
         side=side,
         selector=selector,
         stream=stream,
-        segments=tuple(segments),
+        segments=tuple((label, width) for label, _, width in fields),
     )
 
 
-def _encode_split(
-    stream: BitStream,
-    segments: list[tuple[str, int]],
-    trace: EpochTrace,
-    j: int,
-    side: int,
-    mode: str,
-) -> None:
+def _encode_split(trace: EpochTrace, j: int, side: int, mode: str) -> list[tuple[str, int, int]]:
     n, b, t = trace.n, trace.batch_size, trace.num_batches
-    stream.write_uint(1, 1)
-    segments.append(("case", 1))
-    jw = ceil_log2(t)
-    stream.write_uint(j - 2, jw)
-    segments.append(("split_j", jw))
-    stream.write_uint(side, 1)
-    segments.append(("side", 1))
+    fields = [("case", 1, 1), ("split_j", j - 2, ceil_log2(t)), ("side", side, 1)]
     if mode == STRICT:
-        segments.append(("model", _write_model_field(stream, trace.checkpoints[j - 1])))
+        fields.append(("model", *_model_field(trace.checkpoints[j - 1])))
     m = (j - 1) * b
     everything, seen = trace.prefix_masks[-1], trace.prefix_masks[j - 1]
     target = seen if side == 0 else everything ^ seen
-    info = encode_set_conditional(stream, target, everything, trace.masks[j - 1])
-    segments.append(("set_sizes", 2 * info.size_header_bits))
-    segments.append(("set_rank_pos", info.rank_ones_bits))
-    segments.append(("set_rank_neg", info.rank_zeros_bits))
-    left_w = ceil_log2(math.factorial(m))
-    stream.write_uint(perm_rank(trace.order[:m]), left_w)
-    segments.append(("perm_left", left_w))
-    right_w = ceil_log2(math.factorial(n - m))
-    stream.write_uint(perm_rank(trace.order[m:]), right_w)
-    segments.append(("perm_right", right_w))
+    fields += _set_fields("set", target, everything, trace.masks[j - 1])
+    fields.append(("perm_left", perm_rank(trace.order[:m]), ceil_log2(math.factorial(m))))
+    fields.append(("perm_right", perm_rank(trace.order[m:]), ceil_log2(math.factorial(n - m))))
+    return fields
 
 
-def _encode_backward(
-    stream: BitStream, segments: list[tuple[str, int]], trace: EpochTrace
-) -> None:
+def _encode_backward(trace: EpochTrace) -> list[tuple[str, int, int]]:
     b, t = trace.batch_size, trace.num_batches
-    stream.write_uint(0, 1)
-    segments.append(("case", 1))
     batches, prefix = trace.batches, trace.prefix_masks
     perm_w = ceil_log2(math.factorial(b))
+    fields = [("case", 0, 1)]
     for j in range(t, 0, -1):
-        batch, pool = prefix[j] ^ prefix[j - 1], prefix[j]
-        info = encode_set_conditional(stream, batch, pool, trace.masks[j])
         tag = f"b{j:03d}"
-        segments.append((f"{tag}_sizes", 2 * info.size_header_bits))
-        segments.append((f"{tag}_rank_pos", info.rank_ones_bits))
-        segments.append((f"{tag}_rank_neg", info.rank_zeros_bits))
-        stream.write_uint(perm_rank(batches[j - 1]), perm_w)
-        segments.append((f"{tag}_perm", perm_w))
+        fields += _set_fields(tag, prefix[j] ^ prefix[j - 1], prefix[j], trace.masks[j])
+        fields.append((f"{tag}_perm", perm_rank(batches[j - 1]), perm_w))
+    return fields
+
+
+def _set_fields(tag: str, a: int, pool: int, ones: int) -> list[tuple[str, int, int]]:
+    """``encode_set_conditional``'s three fields, labelled ``{tag}_sizes``,
+    ``{tag}_rank_pos`` and ``{tag}_rank_neg``."""
+    code = encode_set_conditional(a, pool, ones)
+    return [
+        (f"{tag}_{name}", value, width)
+        for name, (value, width) in zip(("sizes", "rank_pos", "rank_neg"), code)
+    ]
 
 
 def predict_segments(

@@ -542,13 +542,14 @@ def report_lines(outdir: str) -> Iterator[str]:
         with open(path, "r", encoding="ascii") as fh:
             summary = json.load(fh)
         try:
+            t_star = summary["projected_epoch_bound"]
             line = (
                 f"rep {r:02d}: epochs={summary['epochs']}"
                 f" good={summary['good_epochs']}/{summary['epochs']}"
                 f" charged={summary['total_charged_bits']}"
                 f" baseline={summary['total_baseline_bits']}"
                 f" savings={summary['total_savings_bits']}"
-                f" t*={summary['projected_epoch_bound']}"
+                f" t*={'-' if t_star is None else t_star}"
                 f" conservation={'ok' if summary['conservation_ok'] else 'VIOLATED'}"
             )
         except (KeyError, TypeError) as exc:
@@ -855,8 +856,8 @@ def _sweep_conditional_overhead(instances: int, seed: int) -> SuiteRow:
         pool = (1 << m) - 1
         ones = _random_mask(rng, m)
         picked = subset_unrank(rng.randrange(binomial(m, k)), pool, k)
-        info = encode_set_conditional(BitStream(), picked, pool, ones)
-        overhead = info.total_bits - ceil_log2(binomial(m, k)) - 2 * info.size_header_bits
+        _, (_, w1), (_, w0) = encode_set_conditional(picked, pool, ones)
+        overhead = w1 + w0 - ceil_log2(binomial(m, k))
         worst = max(worst, overhead)
     return SuiteRow(
         "conditional-codec-overhead", instances, 0, float(worst), 0.0, worst <= 0.0

@@ -2,7 +2,8 @@
 training runs on generated data; the
 exact hypergeometric law the Hoeffding verifier is checked against; the
 per-case margins of three inequality sweeps, evaluated case by case; the
-closed-form width bound of the conditional set codec; the dataset
+closed-form width bound of the conditional set codec, and that codec as it
+wrote its four fields straight to a stream; the dataset
 generator spelled out on stdlib ``randrange`` and ``Fraction``; the dataset
 text as it rendered sparse rows cell by cell and dense rows by one join per
 row, the sweep's lanes packed entry by entry and max |x|^2 as one dot
@@ -27,7 +28,7 @@ import sys
 from fractions import Fraction
 from functools import partial
 
-from sgdcodec.codec import binomial, ceil_log2
+from sgdcodec.codec import BitStream, binomial, ceil_log2, subset_rank
 from sgdcodec.model import (
     KNOT_BITS,
     Dataset,
@@ -224,6 +225,34 @@ def run_generated(config: RunConfig) -> TrainingRun:
 def mask_of(ids) -> int:
     """The set mask of these element ids."""
     return sum(1 << e for e in ids)
+
+
+def written(fields) -> BitStream:
+    """A stream holding these (value, width) fields, MSB-first, in order."""
+    stream = BitStream()
+    for value, width in fields:
+        stream.write_uint(value, width)
+    return stream
+
+
+def encode_set_conditional_oracle(
+    stream: BitStream, a: int, pool: int, ones: int
+) -> tuple[int, int, int]:
+    """The conditional set code as the encoder wrote it before it returned
+    fields: |A & ones| and |A & ~ones| in wh bits each, then each half's rank
+    in w1 and w0 bits, all written to ``stream``; returns (wh, w1, w0)."""
+    pool1, pool0 = pool & ones, pool & ~ones
+    a1, a0 = a & ones, a & ~ones
+    r1, r0 = subset_rank(a1, pool1), subset_rank(a0, pool0)
+    k1, k0 = a1.bit_count(), a0.bit_count()
+    wh = ceil_log2(k1 + k0 + 1)
+    w1 = ceil_log2(binomial(pool1.bit_count(), k1))
+    w0 = ceil_log2(binomial(pool0.bit_count(), k0))
+    stream.write_uint(k1, wh)
+    stream.write_uint(k0, wh)
+    stream.write_uint(r1, w1)
+    stream.write_uint(r0, w0)
+    return wh, w1, w0
 
 
 def manual_dataset(grid: GridSpec, rows, family: str = "random-labels") -> Dataset:

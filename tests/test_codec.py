@@ -14,7 +14,14 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from conftest import load_bench_workloads, mask_of, run_generated, theoretical_set_bound
+from conftest import (
+    encode_set_conditional_oracle,
+    load_bench_workloads,
+    mask_of,
+    run_generated,
+    theoretical_set_bound,
+    written,
+)
 from sgdcodec import codec
 from sgdcodec.codec import (
     BitStream,
@@ -110,6 +117,20 @@ def test_bitstream_from_bytes_rejects_nonzero_pad_bits():
             bad[-2] ^= 1 << bit
             with pytest.raises(CodecError, match="nonzero pad bits"):
                 BitStream.from_bytes(bytes(bad))
+
+
+@pytest.mark.parametrize(
+    "blob, message",
+    [
+        (b"", "missing trailer byte"),
+        (b"\x03", "trailer declares bits but payload is empty"),
+        (b"\x00\x08", "invalid trailer 8"),
+    ],
+)
+def test_bitstream_from_bytes_refuses_a_malformed_blob(blob, message):
+    with pytest.raises(CodecError) as info:
+        BitStream.from_bytes(blob)
+    assert str(info.value) == message
 
 
 def test_bitstream_copy_is_independent():
@@ -396,7 +417,7 @@ def test_subset_rank_rejects_bad_input():
     with pytest.raises(CodecError):
         subset_rank(mask_of((1, 4)), pool)  # 4 not in pool
     with pytest.raises(CodecError):
-        encode_set_conditional(BitStream(), mask_of((1, 4)), pool, mask_of((1,)))
+        encode_set_conditional(mask_of((1, 4)), pool, mask_of((1,)))
     with pytest.raises(CodecError):
         subset_unrank(0, -1, 1)  # a negative int is no set
 
@@ -452,11 +473,24 @@ def test_conditional_set_round_trip():
         pool = tuple(sorted(rng.sample(range(300), m)))
         a = mask_of(rng.sample(pool, rng.randint(0, m)))
         ones = mask_of(rng.sample(pool, rng.randint(0, m)))
-        s = BitStream()
-        info = encode_set_conditional(s, a, mask_of(pool), ones)
-        assert len(s) == info.total_bits
-        s.reset_cursor()
+        s = written(encode_set_conditional(a, mask_of(pool), ones))
         assert decode_set_conditional(s, mask_of(pool), ones, a.bit_count()) == a
+        assert s.bits_remaining() == 0
+
+
+@settings(max_examples=200)
+@given(st.sampled_from((8, 72, 2100)), st.data())
+def test_set_fields_written_msb_first_are_the_stream_oracle(bits, data):
+    # pools of up to 2100 ids reach both subset_rank paths: the Pascal table
+    # (at most 32 members, pools of at most 1024) and the ratio steps
+    pool = data.draw(st.integers(0, (1 << bits) - 1))
+    a = pool & data.draw(st.integers(0, (1 << bits) - 1))
+    ones = data.draw(st.integers(0, (1 << bits) - 1))
+    fields = encode_set_conditional(a, pool, ones)
+    oracle = BitStream()
+    wh, w1, w0 = encode_set_conditional_oracle(oracle, a, pool, ones)
+    assert [w for _, w in fields] == [2 * wh, w1, w0]
+    assert written(fields) == oracle
 
 
 @settings(max_examples=300)
@@ -483,27 +517,22 @@ def test_decode_of_arbitrary_streams_is_a_subset_or_an_error(rng, headers_add_up
         return
     assert a & ~pool == 0 and a.bit_count() == size
     read = len(s) - s.bits_remaining()
-    again = BitStream()
-    encode_set_conditional(again, a, pool, ones)
+    again = written(encode_set_conditional(a, pool, ones))
     s.reset_cursor()
-    again.reset_cursor()
     assert len(again) == read and again.read_uint(read) == s.read_uint(read)
 
 
 def test_conditional_set_header_width_uses_subset_size():
-    s = BitStream()
-    info = encode_set_conditional(
-        s, (1 << 128) - 1, (1 << 256) - 1, mask_of(range(0, 256, 2))
+    (_, sizes_w), _, _ = encode_set_conditional(
+        (1 << 128) - 1, (1 << 256) - 1, mask_of(range(0, 256, 2))
     )
-    assert info.size_header_bits == ceil_log2(129) == 8
+    assert sizes_w == 2 * ceil_log2(129) == 16
 
 
 def test_conditional_set_perfect_classifier_costs_headers_only():
     a = (1 << 16) - 1
-    s = BitStream()
-    info = encode_set_conditional(s, a, (1 << 64) - 1, a)
-    assert info.rank_ones_bits == 0 and info.rank_zeros_bits == 0
-    assert info.total_bits == 2 * ceil_log2(17)
+    fields = encode_set_conditional(a, (1 << 64) - 1, a)
+    assert fields == ((16 << 5, 2 * ceil_log2(17)), (0, 0), (0, 0))
 
 
 def test_conditional_rank_bits_never_far_above_unconditional():
@@ -514,10 +543,9 @@ def test_conditional_rank_bits_never_far_above_unconditional():
         ids = range(m)
         a = mask_of(rng.sample(ids, rng.randint(0, m)))
         ones = mask_of(rng.sample(ids, rng.randint(0, m)))
-        s = BitStream()
-        info = encode_set_conditional(s, a, (1 << m) - 1, ones)
+        _, (_, w1), (_, w0) = encode_set_conditional(a, (1 << m) - 1, ones)
         uncond = ceil_log2(binomial(m, a.bit_count()))
-        assert info.rank_ones_bits + info.rank_zeros_bits <= uncond + 2
+        assert w1 + w0 <= uncond + 2
 
 
 def test_theoretical_set_bound_frozen_value():
@@ -534,9 +562,7 @@ def test_theoretical_set_bound_rejects_unrealizable():
 
 
 def test_decode_rejects_inconsistent_headers():
-    s = BitStream()
-    encode_set_conditional(s, 0b11, 0xFF, 0x0F)
-    s.reset_cursor()
+    s = written(encode_set_conditional(0b11, 0xFF, 0x0F))
     with pytest.raises(CodecError):
         decode_set_conditional(s, 0xFF, 0x0F, 3)
 
@@ -566,10 +592,8 @@ def decode_both_ways(stream, pool, ones, size, order_bits):
 def encode_batch(order, pool, ones):
     """What the BACKWARD encoder writes for one batch: its conditional subset
     code, then the rank of its order."""
-    s = BitStream()
-    encode_set_conditional(s, mask_of(order), pool, ones)
-    s.write_uint(perm_rank(order), ceil_log2(math.factorial(len(order))))
-    return s
+    order_field = perm_rank(order), ceil_log2(math.factorial(len(order)))
+    return written([*encode_set_conditional(mask_of(order), pool, ones), order_field])
 
 
 def shaped_pools(rng, m):

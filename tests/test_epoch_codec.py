@@ -15,10 +15,11 @@ from conftest import (
     staircase_trace,
     synthesize_trace,
     weights_on,
+    written,
 )
 from sgdcodec.codec import BitStream, CodecError, ceil_log2
 from sgdcodec.model import GeneratorSpec
-from sgdcodec.numerics import DomainError, GridSpec
+from sgdcodec.numerics import DomainError, FixedVector, GridSpec
 from sgdcodec.sgd_engine import (
     MultiplePreimage,
     PreimageNotFound,
@@ -30,6 +31,7 @@ from sgdcodec.epoch_codec import (
     SPLIT,
     STRICT,
     SideInfo,
+    _model_field,
     check_eps_beta_ceiling,
     choose_split_side,
     decode_epoch,
@@ -202,6 +204,17 @@ def test_declared_segments_sum_to_stream_length():
     cfg = one_hot_config(ds, 4)
     code = encode_epoch(tr, ds, cfg, mode=ACCOUNTING)
     assert sum(w for _, w in code.segments) == len(code.stream)
+
+
+def test_model_field_packs_each_coordinate_and_refuses_a_raw_off_the_grid():
+    weights = FixedVector((GRID6.raw_min, 0, GRID6.raw_max), GRID6)
+    stream = written([_model_field(weights)])
+    assert len(stream) == 3 * GRID6.coord_bits
+    raws = [stream.read_uint(GRID6.coord_bits) + GRID6.raw_min for _ in range(3)]
+    assert raws == list(weights.raws)
+    for raw in (GRID6.raw_min - 1, GRID6.raw_max + 1):
+        with pytest.raises(CodecError, match="outside the grid's clip range"):
+            _model_field(FixedVector((0, raw), GRID6))
 
 
 def test_predict_segments_matches_encoder_on_real_runs():

@@ -16,6 +16,7 @@ from fractions import Fraction
 
 import pytest
 
+from sgdcodec.epoch_codec import predict_segments
 from sgdcodec.harness import ExperimentSpec, run_experiment
 from sgdcodec.model import GeneratorSpec
 from sgdcodec.numerics import GridSpec
@@ -93,6 +94,20 @@ def test_golden_manifests_read_back_as_their_specs(name):
     spec = MANIFESTS[name]
     manifest = json.loads(json.dumps(spec.to_dict()))
     assert ExperimentSpec.from_dict(manifest) == spec
+
+
+@pytest.mark.parametrize("name", sorted(MANIFESTS))
+def test_golden_codes_record_every_stream_bit_as_predicted(name):
+    spec = MANIFESTS[name]
+    for rep in run_experiment(spec).replications:
+        assert rep.codes
+        traces = {trace.epoch: trace for trace in rep.run.traces}
+        for code in rep.codes:
+            assert sum(w for _, w in code.segments) == code.measured_bits
+            predicted = predict_segments(
+                traces[code.epoch], rep.run.config, code.selector, spec.mode
+            )
+            assert predicted == code.segments
 
 
 if __name__ == "__main__":

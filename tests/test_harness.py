@@ -361,6 +361,21 @@ def test_cli_run_prints_the_final_accuracy_as_a_fraction(capsys):
     assert capsys.readouterr().out.endswith(" terminated=False acc=25/32\n")
 
 
+def test_cli_report_prints_t_star_as_run_does(tmp_path, capsys):
+    out = tmp_path / "exp"
+    assert main(["run", "--n", "16", "--out", str(out)]) == 0
+    assert " t*=- " in capsys.readouterr().out
+    want = "rep 00: epochs=1 good=1/1 charged=56 baseline=45 savings=-11 t*={} conservation=ok\n"
+    assert main(["report", "--dir", str(out)]) == 0
+    assert capsys.readouterr().out.endswith(want.format("-"))
+    summary = out / "rep_00" / "summary.json"
+    data = json.loads(summary.read_text())
+    assert data["projected_epoch_bound"] is None
+    summary.write_text(json.dumps({**data, "projected_epoch_bound": 7}))
+    assert main(["report", "--dir", str(out)]) == 0
+    assert capsys.readouterr().out.endswith(want.format(7))
+
+
 def test_cli_report_reads_artifacts_only(tmp_path, capsys):
     # a manifest without any rep_NN/summary.json is an error, not a rerun
     out = tmp_path / "exp"
@@ -452,6 +467,23 @@ def test_cli_rejects_a_malformed_manifest(tmp_path, capsys, command, manifest, n
     assert err.startswith("error:") and "manifest" in err
     if name is not None:  # a table case names the key at fault
         assert repr(name) in err
+
+
+# manifests the reader parses but the spec refuses
+SPEC_REFUSALS = [
+    (manifest_keyed(format="sgdcodec-run-v2"), "unsupported manifest format 'sgdcodec-run-v2'"),
+    (manifest_with(model_kind="bogus"), "unknown model kind 'bogus'"),
+]
+
+
+@pytest.mark.parametrize("command", ["decode", "report"])
+@pytest.mark.parametrize(
+    "manifest, message", SPEC_REFUSALS, ids=[m for _, m in SPEC_REFUSALS]
+)
+def test_cli_refuses_a_manifest_the_spec_rejects(tmp_path, capsys, command, manifest, message):
+    (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+    assert main([command, "--dir", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def hidden_spec():
@@ -683,6 +715,38 @@ def test_cli_rejects_unknown_config_key(tmp_path, capsys):
     cfg.write_text("learning_rate = 0.1\n")
     assert main(["run", "--config", str(cfg)]) == 2
     assert "unknown key" in capsys.readouterr().err
+
+
+# a setting out of its range, from a flag or a config file: the first check
+# of GeneratorSpec, generate_dataset or RunConfig that it fails
+RUN_REFUSALS = [
+    (["--n", "0"], None, "n must be >= 1"),
+    (["--family", "random-labels", "--dim", "0"], None, "dim must be >= 1"),
+    (["--sigma", "-1"], None, "margin/sigma must be >= 0 and center_dist > 0"),
+    (["--feature-scale", "0"], None, "feature_scale must be >= 1"),
+    (["--feature-scale", "100", "--clip", "4"], None,
+     "feature_scale exceeds the grid clip range"),
+    (["--batch-size", "1"], None, "batch_size must be >= 2"),
+    (["--progress-coeff", "0"], None, "progress_coeff must be positive"),
+    (["--eps", "1/2", "--progress-coeff", "3"], None,
+     "progress floor eps*coeff must lie in (0, 1]"),
+    (["--max-epochs", "0"], None, "max_epochs must be >= 1"),
+    ([], "n = 16\nbatch_size 4\n", "{cfg}:2: expected key=value"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, config, message", RUN_REFUSALS, ids=[m for _, _, m in RUN_REFUSALS]
+)
+def test_cli_run_refuses_a_setting_out_of_range(tmp_path, capsys, argv, config, message):
+    cfg = tmp_path / "run.cfg"
+    if config is not None:
+        cfg.write_text(config)
+        argv = [*argv, "--config", str(cfg)]
+    out = tmp_path / "out"
+    assert main(["run", *argv, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {message.format(cfg=cfg)}\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("key", ["step_raw", "batch_size", "eps"])
@@ -959,6 +1023,38 @@ def test_cli_decode_rejects_nonzero_pad_bits(tmp_path, capsys):
     capsys.readouterr()
     assert main(["decode", "--dir", out]) == 2
     assert "nonzero pad bits" in capsys.readouterr().err
+
+
+def cut_final_model(blob):
+    return blob[:-1]
+
+
+def final_model_at_2_62(blob):
+    return blob[:8] + (2**62).to_bytes(8, "little") + blob[16:]
+
+
+def epoch_code_header_only(blob):
+    return blob[:16]
+
+
+DECODE_REFUSALS = [
+    ("final_model.bin", cut_final_model, "checkpoint blob length mismatch"),
+    ("final_model.bin", final_model_at_2_62, "checkpoint mantissa outside clip range"),
+    ("epochs/epoch_001.epc", epoch_code_header_only, "missing trailer byte"),
+]
+
+
+@pytest.mark.parametrize(
+    "victim, tamper, message", DECODE_REFUSALS, ids=[t.__name__ for _, t, _ in DECODE_REFUSALS]
+)
+def test_cli_decode_refuses_a_corrupted_file(tmp_path, capsys, victim, tamper, message):
+    out = tmp_path / "exp"
+    run_experiment(plateau_spec(max_epochs=1), str(out))
+    path = out / "rep_00" / victim
+    path.write_bytes(tamper(path.read_bytes()))
+    capsys.readouterr()
+    assert main(["decode", "--dir", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 class Expired(Exception):

@@ -250,6 +250,24 @@ def test_dataset_text_rejects_scale_mismatch():
         Dataset.from_text(ds.to_text(), SMALL)
 
 
+# text that to_text never writes, on SMALL, whose raws lie in [-256, 255]
+TEXT_REFUSALS = [
+    ("", "empty dataset text"),
+    ("2\t1\t6\n0\t1\t3\n", "expected 2 rows, got 1"),
+    ("1\t1\t6\n0\t1\t3,4\n", "feature dimension mismatch"),
+    ("1\t1\t6\n0\t1\t256\n", "feature mantissa outside clip range"),
+    ("1\t1\t6\n0\t2\t3\n", "label must be 0/1, got 2"),
+]
+
+
+@pytest.mark.parametrize("text, message", TEXT_REFUSALS, ids=[m for _, m in TEXT_REFUSALS])
+def test_dataset_text_refuses_what_to_text_never_writes(text, message):
+    assert Dataset.from_text("1\t1\t6\n0\t1\t255\n", SMALL).elements[0].features.raws == (255,)
+    with pytest.raises(DomainError) as info:
+        Dataset.from_text(text, SMALL)
+    assert str(info.value) == message
+
+
 def test_dataset_ids_must_be_dense():
     ds = generate_dataset(GeneratorSpec(family="random-labels", n=4, dim=2, seed=0), GRID)
     with pytest.raises(DomainError):

@@ -270,6 +270,12 @@ def test_stable_entropy_is_bit_equal_to_the_mpmath_front_end(p):
     assert stable_entropy(p) == _stable_entropy_oracle(p)
 
 
+@pytest.mark.parametrize("p", [Fraction(3, 2), Fraction(-1, 2)])
+def test_stable_entropy_refuses_a_probability_outside_0_1(p):
+    with pytest.raises(ValueError, match=r"^probability outside \[0, 1\]$"):
+        stable_entropy(p)
+
+
 def test_stable_exact_values():
     assert [stable_log2(2**k) for k in (0, 1, 52, 1000)] == [0.0, 1.0, 52.0, 1000.0]
     assert stable_log2(Fraction(1, 2**60)) == -60.0
