@@ -1,7 +1,8 @@
 """Golden artifact digests: a few small manifests must reproduce every file bit for bit.
 
 The runs cover both decoder modes, both epoch cases, both model kinds, a run
-that terminates early and one that saturates.  The digests in
+that terminates early and one that saturates.  Each epoch code's recorded
+widths must add up to its stream and equal ``predict_segments``.  The digests in
 ``golden_digests.json`` may only change with a deliberate artifact format
 change; regenerate them with ``PYTHONPATH=src python tests/test_golden.py``.
 """
