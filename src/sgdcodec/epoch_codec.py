@@ -13,7 +13,9 @@ The decoder walks the epoch's checkpoint chain backward from one source, a
 ``SideInfo`` whose checkpoints end with the epoch's last one.  ACCOUNTING
 hands over the whole chain and the walk looks each checkpoint up; STRICT
 hands over the last checkpoint alone and the walk rebuilds every earlier one
-by reverse search.
+by reverse search.  Each walk reads its classifiers from ``correctness_mask``,
+which returns the mask the dataset stored when training swept that
+checkpoint, so a round trip of a trained epoch computes no new sweep.
 
 The encoders return an epoch's fields as (label, value, width) triples;
 ``encode_epoch`` alone writes them, in one loop whose ``write_uint`` refuses a
@@ -482,9 +484,9 @@ def _decode_backward(
     pool = (1 << n) - 1
     perm_w = ceil_log2(math.factorial(b))
     batches_rev: list[tuple[int, ...]] = []
-    chain_rev, carry = [last], []
+    chain_rev = [last]
     for j in range(n // b, 0, -1):
-        cv = correctness_mask(template.with_weights(chain_rev[-1]), dataset, carry)
+        cv = correctness_mask(template.with_weights(chain_rev[-1]), dataset)
         batch = decode_ordered_set(stream, pool, cv, b, perm_w)
         batches_rev.append(batch)
         chain_rev.append(step_back(j, batch, chain_rev[-1]))

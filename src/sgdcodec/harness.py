@@ -747,6 +747,15 @@ class SuiteRow:
         if self.cases < 1:  # a sweep of no case would pass vacuously
             raise DomainError(f"{self.name}: the sizes leave no case to evaluate")
 
+    @classmethod
+    def of(cls, name: str, margins: Sequence[float], threshold: float, at_most: bool,
+           skipped: int = 0) -> "SuiteRow":
+        """The row of a sweep's margins: each must be at most the threshold
+        (``at_most``; the worst is the max) or at least it (the worst is the min)."""
+        worst = float((max if at_most else min)(margins, default=math.nan))
+        passed = worst <= threshold if at_most else worst >= threshold
+        return cls(name, len(margins), skipped, worst, threshold, passed)
+
     def line(self) -> str:
         flag = "pass" if self.passed else "FAIL"
         return (
@@ -755,13 +764,10 @@ class SuiteRow:
         )
 
 
-def _sweep_entropy_upper(points: int) -> SuiteRow:
-    # h(p) <= p*log2(e/p); worst positive excess should be numeric noise only.
-    worst = -math.inf
-    for k, log2 in enumerate(_log2_ratios(points), 1):
-        rhs = k / points * (log2 + LOG2_E)
-        worst = max(worst, _entropy(k, points) - rhs)
-    return SuiteRow("entropy-vs-plog2ep", points, 0, worst, 1e-9, worst <= 1e-9)
+def _entropy_excesses(points: int) -> list[float]:
+    # h(p) - p*log2(e/p) at p = k/points; any positive excess is numeric noise.
+    return [_entropy(k, points) - k / points * (log2 + LOG2_E)
+            for k, log2 in enumerate(_log2_ratios(points), 1)]
 
 
 def _split_margins(side: int) -> list[float]:
@@ -777,14 +783,6 @@ def _split_margins(side: int) -> list[float]:
     return margins
 
 
-def _sweep_split_entropy(side: int) -> SuiteRow:
-    margins = _split_margins(side)
-    worst, cases = min(margins, default=math.inf), len(margins)
-    return SuiteRow(
-        "split-entropy-drop", cases, side**3 - cases, worst, -1e-12, worst >= -1e-12
-    )
-
-
 def _pinsker_margins(side: int) -> list[float]:
     # p, q range over k/side for k = 1..side; q = 1 is skipped (D(p || 1) is
     # infinite for p != 1).  The penalty depends on |a - c| alone.
@@ -796,21 +794,13 @@ def _pinsker_margins(side: int) -> list[float]:
     ]
 
 
-def _sweep_pinsker(side: int) -> SuiteRow:
-    margins = _pinsker_margins(side)
-    worst = min(margins, default=math.inf)
-    return SuiteRow("pinsker-bernoulli", len(margins), 0, worst, -1e-12, worst >= -1e-12)
-
-
-def _sweep_stirling(sizes: Sequence[int]) -> SuiteRow:
-    # log2 n! vs n*log2(n/e) + 0.5*log2(2*pi*n); 2*pi as a 20-digit rational.
+def _stirling_errors() -> list[float]:
+    # log2 n! vs n*log2(n/e) + 0.5*log2(2*pi*n) at n = 64 ... 4096; 2*pi as
+    # a 20-digit rational.
     two_pi = Fraction(2 * 314159265358979323846, 10**20)
-    worst = 0.0
-    for n in sizes:
-        exact = stable_log2(math.factorial(n))
-        approx = n * (stable_log2(n) - LOG2_E) + 0.5 * stable_log2(two_pi * n)
-        worst = max(worst, abs(exact - approx))
-    return SuiteRow("stirling-log2-factorial", len(sizes), 0, worst, 0.1, worst <= 0.1)
+    return [abs(stable_log2(math.factorial(n))
+                - (n * (stable_log2(n) - LOG2_E) + 0.5 * stable_log2(two_pi * n)))
+            for n in (64, 128, 256, 512, 1024, 2048, 4096)]
 
 
 def _binomial_margins(max_m: int) -> list[float]:
@@ -827,12 +817,6 @@ def _binomial_margins(max_m: int) -> list[float]:
     return margins
 
 
-def _sweep_entropy_binomial(max_m: int) -> SuiteRow:
-    margins = _binomial_margins(max_m)
-    worst = max(margins, default=-math.inf)
-    return SuiteRow("binomial-vs-entropy", len(margins), 0, worst, 0.0, worst <= 0.0)
-
-
 def _random_mask(rng: random.Random, m: int) -> int:
     """``sum(rng.getrandbits(1) << e for e in range(m))``, read in bulk; m >= 1.
 
@@ -845,11 +829,11 @@ def _random_mask(rng: random.Random, m: int) -> int:
     return int(digits[::-1], 2)
 
 
-def _sweep_conditional_overhead(instances: int, seed: int) -> SuiteRow:
+def _codec_overheads(instances: int, seed: int) -> list[int]:
     # Conditional payload never exceeds the unconditional subset code by more
     # than its two size headers.
     rng = random.Random(seed)
-    worst = -math.inf
+    overheads = []
     for _ in range(instances):
         m = rng.randrange(4, 200)
         k = rng.randrange(1, m + 1)
@@ -857,11 +841,8 @@ def _sweep_conditional_overhead(instances: int, seed: int) -> SuiteRow:
         ones = _random_mask(rng, m)
         picked = subset_unrank(rng.randrange(binomial(m, k)), pool, k)
         _, (_, w1), (_, w0) = encode_set_conditional(picked, pool, ones)
-        overhead = w1 + w0 - ceil_log2(binomial(m, k))
-        worst = max(worst, overhead)
-    return SuiteRow(
-        "conditional-codec-overhead", instances, 0, float(worst), 0.0, worst <= 0.0
-    )
+        overheads.append(w1 + w0 - ceil_log2(binomial(m, k)))
+    return overheads
 
 
 def run_inequality_suite(
@@ -874,11 +855,12 @@ def run_inequality_suite(
     for size in (entropy_points, split_side, pinsker_side, codec_instances):
         if type(size) is not int:  # bools too, as HoeffdingCheck
             raise DomainError(f"suite sizes must be ints, got {size!r}")
+    split = _split_margins(split_side)
     return [
-        _sweep_entropy_upper(entropy_points),
-        _sweep_split_entropy(split_side),
-        _sweep_pinsker(pinsker_side),
-        _sweep_stirling((64, 128, 256, 512, 1024, 2048, 4096)),
-        _sweep_entropy_binomial(4096),
-        _sweep_conditional_overhead(codec_instances, seed=7),
+        SuiteRow.of("entropy-vs-plog2ep", _entropy_excesses(entropy_points), 1e-9, True),
+        SuiteRow.of("split-entropy-drop", split, -1e-12, False, split_side**3 - len(split)),
+        SuiteRow.of("pinsker-bernoulli", _pinsker_margins(pinsker_side), -1e-12, False),
+        SuiteRow.of("stirling-log2-factorial", _stirling_errors(), 0.1, True),
+        SuiteRow.of("binomial-vs-entropy", _binomial_margins(4096), 0.0, True),
+        SuiteRow.of("conditional-codec-overhead", _codec_overheads(codec_instances, 7), 0.0, True),
     ]

@@ -9,9 +9,13 @@ factor of the batch size), so a gradient is a deterministic function of
 (weights, batch) with a single round-half-even division at the end of each
 step.
 Classification goes through one sweep, ``correctness_mask`` (for logistic-linear
-models one big-int sum over lane-packed feature columns, which a caller may
-carry from sweep to sweep so that it adds only the weights that moved), with
-the prediction rule score > 0 -> label 1; accuracies are popcounts of its masks.
+models one big-int sum over lane-packed feature columns), with the prediction
+rule score > 0 -> label 1; accuracies are popcounts of its masks.  A
+logistic-linear mask depends on the dataset and the raws alone, so the
+``Dataset`` owns the sweep state: the masks it has computed, keyed by raws,
+and the packed scores of its last computed sweep, from which a new sweep adds
+only the weights that moved.  Training and every decode walk share it, and
+each checkpoint is swept once per dataset.
 
 Sparse rows, such as one-hot data, cost O(nonzeros): each element caches its
 nonzero (coordinate, raw) pairs, which the one-hot generator stores as it builds
@@ -21,7 +25,8 @@ kernel call, never per element; rows shorter than ``_SPARSE_DIM`` go unscanned.
 Both paths agree.
 Dense rows build the lane packing, the dataset text and the smoothness bound
 in C-level passes over columns or rows, with no Python call per entry or per
-row (``Dataset._lanes``, ``Dataset.to_text``, ``_peak_sq_norm``).
+row (``Dataset._lanes``, ``Dataset.to_text``, ``_peak_sq_norm``); the dataset
+keeps its lanes and its max |x|^2 (``Dataset._sq_norm``) once built.
 A ``GeneratorSpec``'s fields are run settings, listed in ``harness.SETTINGS``;
 it refuses more than 2**24 feature cells.
 """
@@ -32,7 +37,7 @@ import math
 import operator
 import random
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import compress, islice, repeat
@@ -144,6 +149,9 @@ class GeneratorSpec:
             raise DomainError("margin/sigma must be >= 0 and center_dist > 0")
         if self.feature_scale < 1:
             raise DomainError("feature_scale must be >= 1")
+        # |w.x| / |w| <= |x| <= sqrt(dim) * feature_scale on the feature box
+        if self.family == "separable-margin" and self.margin**2 > self.dim * self.feature_scale**2:
+            raise DomainError("margin too large for the feature box")
 
 
 @dataclass(frozen=True)
@@ -153,6 +161,10 @@ class Dataset:
     elements: tuple[Element, ...]
     grid: GridSpec
     spec: Optional[GeneratorSpec] = None
+    # correctness_mask's state: the mask of each raws tuple it has computed,
+    # and [raws, packed scores] of its last computed sweep
+    _masks: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    _sweep: list = field(default_factory=list, init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         dim = self.dim
@@ -171,6 +183,11 @@ class Dataset:
     @property
     def dim(self) -> int:
         return len(self.elements[0].features.raws) if self.elements else 0
+
+    @cached_property
+    def _sq_norm(self) -> int:
+        """max |x|^2 over the elements, in raw units squared (0 for none)."""
+        return _max_sq_norm(self.elements)
 
     @cached_property
     def _lanes(self) -> tuple[int, tuple[int, ...], int, int, int]:
@@ -595,16 +612,16 @@ def correctness_vector(model: Model, dataset: Dataset) -> list[int]:
 _TOP_BIT_DIGITS = bytes(b"01"[b >> 7] for b in range(256))
 
 
-def correctness_mask(model: Model, dataset: Dataset, carry: Optional[list] = None) -> int:
+def correctness_mask(model: Model, dataset: Dataset) -> int:
     """The correctness sweep as one int: bit e is set iff element e is correct.
 
     Correct means the sign of the score numerator agrees with the label:
     positive for label 1, zero or negative for label 0.  A logistic-linear
-    sweep sums packed scores from zero raws and the bias lanes, adding
-    (new - old) * column only where a raw differs.  ``carry`` is a list one
-    caller keeps across its sweeps of one dataset: empty at first, then
-    [raws, packed scores] of its last sweep, so a sweep pays only for the
-    raws that moved since.  A refused model leaves it as it was.
+    mask is kept in ``dataset._masks`` under its raws, and a repeat returns
+    it.  A new one starts from the raws and packed scores of the dataset's
+    last computed sweep (``dataset._sweep``; zero raws and the bias lanes at
+    first) and adds (new - old) * column only where a raw differs.  A refused
+    model and a hidden-layer model touch neither.
     """
     grid, w, elements = model.weights.grid, model.weights.raws, dataset.elements
     if dataset.grid is not grid and dataset.grid != grid:
@@ -615,18 +632,21 @@ def correctness_mask(model: Model, dataset: Dataset, carry: Optional[list] = Non
         v = w[model.width * model.dim :]
         scores = (_dot(v, model._hidden(el.features.raws)[1]) for el in elements)
         return sum(1 << el.eid for z, el in zip(scores, elements) if (z > 0) == el.label)
+    mask = dataset._masks.get(w)
+    if mask is not None:
+        return mask
     if not grid.holds(w):
         raise DomainError("a weight lies outside the grid's clip range")
     size, columns, bias, tops, label0 = dataset._lanes
-    old, acc = carry or ((0,) * len(w), bias)
+    old, acc = dataset._sweep or ((0,) * len(w), bias)
     for c in compress(range(len(columns)), map(operator.ne, w, old)):
         acc += (w[c] - old[c]) * columns[c]
-    if carry is not None:
-        carry[:] = w, acc
+    dataset._sweep[:] = w, acc
     # lane e holds score_e + 2**(L-1) - 1, so its top bit says score_e > 0;
     # label0 flips that bit where label e is 0
     top_bytes = ((acc & tops) ^ label0).to_bytes(dataset.n * size, "big")[::size]
-    return int(top_bytes.translate(_TOP_BIT_DIGITS) or b"0", 2)
+    mask = dataset._masks[w] = int(top_bytes.translate(_TOP_BIT_DIGITS) or b"0", 2)
+    return mask
 
 
 def _peak_sq_norm(pairs: Optional[list], rows: Sequence[Sequence[int]]) -> int:

@@ -12,6 +12,10 @@ collects them all.  The scan runs the forward step only where Phi(w) = w
 holds in integers, as it does at every forward hit, so the skip loses no
 predecessor.
 
+Each checkpoint's mask comes from ``model.correctness_mask``, whose sweep
+state the ``Dataset`` keeps, and the step * L < 1 check reads the dataset's
+cached max |x|^2, so the loop passes no state between epochs but the model.
+
 The step path counts in integers: the stop test compares correct counts,
 and the reverse search's set-up holds step * L, its radius and its reach
 as numerators over powers of the grid unit.  ``Fraction`` appears only in a
@@ -29,7 +33,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import compress
-from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .model import (
     Dataset,
@@ -38,7 +42,6 @@ from .model import (
     Model,
     _linear_batch,
     _linear_sum,
-    _max_sq_norm,
     _peak_sq_norm,
     _table_max_slope,
     correctness_mask,
@@ -188,14 +191,6 @@ def _step_l(step_raw: int, grid: GridSpec, sq_norm: int) -> int:
     return step_raw * sq_norm * _table_max_slope(grid.scale)
 
 
-def step_smoothness(
-    step_raw: int, grid: GridSpec, elements: Iterable[Element]
-) -> Fraction:
-    """step * L for the logistic-linear loss over these elements."""
-    sq_norm = _max_sq_norm(tuple(elements))
-    return Fraction(_step_l(step_raw, grid, sq_norm), grid.unit**4)
-
-
 def check_step_smoothness(config: RunConfig, dataset: Dataset) -> Fraction:
     """Validates step * smoothness < 1 over the whole dataset and returns it.
 
@@ -204,7 +199,8 @@ def check_step_smoothness(config: RunConfig, dataset: Dataset) -> Fraction:
     """
     if config.model_kind != "logistic-linear":
         return Fraction(0)
-    product = step_smoothness(config.step_raw, config.grid, dataset.elements)
+    grid = config.grid
+    product = Fraction(_step_l(config.step_raw, grid, dataset._sq_norm), grid.unit**4)
     if product >= 1:
         raise PreconditionError(
             f"step*smoothness = {product} >= 1; reverse uniqueness not guaranteed"
@@ -327,12 +323,10 @@ class EpochTrace:
         return Fraction(self.gained(), self.n)
 
 
-def _record_checkpoint(
-    trace: EpochTrace, model: Model, dataset: Dataset, carry: Optional[list]
-) -> int:
+def _record_checkpoint(trace: EpochTrace, model: Model, dataset: Dataset) -> int:
     """Appends one checkpoint and its correctness mask; returns how many
     elements it classifies correctly."""
-    mask = correctness_mask(model, dataset, carry)
+    mask = correctness_mask(model, dataset)
     trace.checkpoints.append(model.weights)
     trace.masks.append(mask)
     return mask.bit_count()
@@ -348,17 +342,15 @@ def forward_step(model: Model, batch, step_raw: int) -> Model:
 
 
 def run_epoch(
-    model: Model, dataset: Dataset, config: RunConfig, epoch: int,
-    carry: Optional[list] = None,
+    model: Model, dataset: Dataset, config: RunConfig, epoch: int
 ) -> tuple[EpochTrace, Model]:
-    """Runs one epoch; the trace stops early on termination or saturation.
-    ``carry`` is ``correctness_mask``'s carry from earlier epochs on ``dataset``."""
+    """Runs one epoch; the trace stops early on termination or saturation."""
     order = draw_epoch_permutation(dataset.n, config.seed, epoch)
     trace = EpochTrace(epoch, config.batch_size, order)
     # accuracy correct/n >= 1 - eps, as correct * den >= (den - num) * n
     den = config.eps.denominator
     stop = (den - config.eps.numerator) * dataset.n
-    correct = _record_checkpoint(trace, model, dataset, carry)
+    correct = _record_checkpoint(trace, model, dataset)
     batches = trace.batches
     for j in range(1, config.num_batches + 1):
         if correct * den >= stop:
@@ -370,7 +362,7 @@ def run_epoch(
         except SaturationError:
             trace.saturated = True
             break
-        correct = _record_checkpoint(trace, model, dataset, carry)
+        correct = _record_checkpoint(trace, model, dataset)
     return trace, model
 
 
@@ -408,9 +400,8 @@ def train_epochs(
     """
     check_step_smoothness(config, dataset)
     model = zero_model(config.model_kind, dataset.dim, config.grid, config.hidden_width)
-    carry: list = []
     for epoch in range(1, config.max_epochs + 1):
-        trace, model = run_epoch(model, dataset, config, epoch, carry)
+        trace, model = run_epoch(model, dataset, config, epoch)
         yield trace, model
         if trace.terminated or trace.saturated:
             return

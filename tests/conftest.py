@@ -332,9 +332,9 @@ def one_hot_dataset(grid: GridSpec, n: int, scale_raw: int) -> Dataset:
 
 
 def correctness_mask_oracle(model: Model, dataset: Dataset) -> int:
-    """``correctness_mask`` of a logistic-linear model as it was before it took
-    a carry: every nonzero weight times its packed column, summed onto the
-    bias lanes in one pass, and each lane's top bit read against its label."""
+    """``correctness_mask`` of a logistic-linear model with no stored sweep:
+    every nonzero weight times its packed column, summed onto the bias lanes
+    in one pass, and each lane's top bit read against its label."""
     if dataset.grid != model.grid:
         raise DomainError("dataset and model live on different grids")
     if dataset.n and dataset.dim != model.dim:
@@ -516,6 +516,13 @@ def analytic_logistic_smoothness(elements) -> Fraction:
         return Fraction(0)
     worst = max(sum(x * x for x in el.features.raws) for el in elements)
     return Fraction(worst, elements[0].features.grid.unit ** 2) / 4
+
+
+def step_smoothness_oracle(step_raw: int, grid: GridSpec, batch) -> Fraction:
+    """step * L of the logistic-linear loss over the batch, in ``Fraction``:
+    max |x|^2 times the table's steepest slope."""
+    sq_norm = Fraction(max_sq_norm_oracle(batch), grid.unit**2)
+    return Fraction(step_raw, grid.unit) * sq_norm * sigmoid_table_max_slope(grid.scale)
 
 
 def reverse_setup_oracle(step_raw: int, grid: GridSpec, batch, d: int, steps: int):

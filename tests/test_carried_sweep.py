@@ -1,12 +1,14 @@
-"""Every sweep pays only for what changed since the caller's last one.
+"""Every sweep pays only for what changed since the dataset's last one.
 
-``correctness_mask`` takes a caller's carry, the raws and packed scores of
-its last sweep of one dataset, and adds only the columns whose raw moved
-since.  At every checkpoint, on sparse, dense, short and clip-edge rows,
-that must give the mask of the full packed sum (``correctness_mask_oracle``)
-and raise where it raises, leaving the carry as it was.  Every
-logistic-linear run keeps one carry across its checkpoints and epochs, every
-BACKWARD decode walk one along its walk; a hidden-layer model ignores it.
+A ``Dataset`` owns ``correctness_mask``'s state: the mask of every raws
+tuple it has computed, and the raws and packed scores of its last computed
+sweep, from which a new sweep adds only the columns whose raw moved.  At
+every checkpoint, on sparse, dense, short and clip-edge rows, and on sweeps
+that alternate between datasets, that must give the mask of the full packed
+sum (``correctness_mask_oracle``) and raise where it raises, leaving the
+state as it was.  Training, the round trips and every decode walk share the
+state, so each checkpoint is swept once per dataset, and max |x|^2 is taken
+once per dataset; a hidden-layer model touches no state.
 The one-hot generator stores each element's nonzero pairs as it builds it,
 and ``to_text`` writes sparse rows as runs of zeros; both must give what a
 scan of the row gives.
@@ -85,37 +87,111 @@ def next_weights(draw, grid: GridSpec, w: list[int]) -> list[int]:
     return w
 
 
+class CountedSweeps(list):
+    """A ``Dataset._sweep`` that counts the sweeps stored into it."""
+
+    computed = 0
+
+    def __setitem__(self, key, value):
+        self.computed += 1
+        super().__setitem__(key, value)
+
+
+def counting(ds: Dataset) -> CountedSweeps:
+    """Puts a ``CountedSweeps`` in place of the dataset's empty sweep state."""
+    assert ds._sweep == [] and ds._masks == {}
+    object.__setattr__(ds, "_sweep", CountedSweeps())
+    return ds._sweep
+
+
+def state(ds: Dataset) -> tuple:
+    return dict(ds._masks), list(ds._sweep)
+
+
 @settings(max_examples=150, deadline=None)
 @given(row_datasets(), st.data())
 def test_carried_sweep_equals_the_full_sweep_at_every_checkpoint(ds, data):
-    carry, w = [], [0] * ds.dim
+    # a checkpoint met again, as after a "none" move, is looked up, not swept
+    sweeps, w = counting(ds), [0] * ds.dim
     for _ in range(data.draw(st.integers(1, 8))):
         model = Model("logistic-linear", FixedVector(tuple(w), ds.grid), ds.dim)
-        assert correctness_mask(model, ds, carry) == correctness_mask_oracle(model, ds)
-        assert carry[0] == tuple(w)
+        new = tuple(w) not in ds._masks
+        mask = correctness_mask(model, ds)
+        assert mask == correctness_mask_oracle(model, ds) == ds._masks[tuple(w)]
+        if new:
+            assert ds._sweep[0] == tuple(w)
+        assert sweeps.computed == len(ds._masks)
         w = next_weights(data.draw, ds.grid, w)
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(GRIDS), st.data())
+def test_sweeps_alternating_between_two_datasets_equal_the_full_sweep(grid, data):
+    # each dataset sweeps from its own last sweep, whichever dataset came between
+    dim = data.draw(st.sampled_from((2, 16)))
+    raw = st.integers(grid.raw_min, grid.raw_max)
+    rows = st.tuples(st.lists(raw, min_size=dim, max_size=dim), st.integers(0, 1))
+    pair = [manual_dataset(grid, data.draw(st.lists(rows, min_size=1, max_size=9)))
+            for _ in range(2)]
+    w = [0] * dim
+    for _ in range(data.draw(st.integers(2, 10))):
+        ds = pair[data.draw(st.integers(0, 1))]
+        model = Model("logistic-linear", FixedVector(tuple(w), grid), dim)
+        assert correctness_mask(model, ds) == correctness_mask_oracle(model, ds)
+        w = next_weights(data.draw, grid, w)
+
+
 def test_carried_sweep_runs_the_full_sweeps_checks():
+    # an off-grid raw, another grid and another dim each raise and leave the
+    # dataset's masks and last sweep as they were, empty or filled
     grid = GridSpec(scale=6, clip=4)
     ds = one_hot_dataset(grid, 16, 64)
     zero = zero_model("logistic-linear", 16, grid)
-    carry = []
-    correctness_mask(zero.with_weights(FixedVector((3,) + (0,) * 15, grid)), ds, carry)
-    kept = list(carry)
-    for bad in (
+    bad_models = (
         zero.with_weights(FixedVector((grid.raw_max + 1,) + (0,) * 15, grid)),
         zero_model("logistic-linear", 16, GridSpec(scale=6, clip=8)),
         zero_model("logistic-linear", 8, grid),
-    ):
-        for sweep_of in (lambda m: correctness_mask(m, ds, carry),
-                         lambda m: correctness_mask_oracle(m, ds)):
-            with pytest.raises(DomainError):
-                sweep_of(bad)
-        # a refused checkpoint leaves the carry where it was
-        assert carry == kept
+    )
+    for fill in (False, True):
+        if fill:
+            correctness_mask(zero.with_weights(FixedVector((3,) + (0,) * 15, grid)), ds)
+        kept = state(ds)
+        for bad in bad_models:
+            for sweep_of in (lambda m: correctness_mask(m, ds),
+                             lambda m: correctness_mask_oracle(m, ds)):
+                with pytest.raises(DomainError):
+                    sweep_of(bad)
+            assert state(ds) == kept
     moved = zero.with_weights(FixedVector((5,) + (0,) * 15, grid))
-    assert correctness_mask(moved, ds, carry) == correctness_mask_oracle(moved, ds)
+    assert correctness_mask(moved, ds) == correctness_mask_oracle(moved, ds)
+
+
+class CountedColumn(int):
+    """A packed column that counts the products taken of it."""
+
+    products = 0
+
+    def __rmul__(self, other):
+        CountedColumn.products += 1
+        return other * int(self)
+
+
+def test_a_new_sweep_multiplies_only_the_columns_that_moved(monkeypatch):
+    # from the last computed sweep, whichever checkpoints were looked up since
+    grid = GridSpec(scale=6, clip=4)
+    rows = [([(e * c) % 7 * 8 - 24 for c in range(16)], e % 2) for e in range(8)]
+    ds, plain = manual_dataset(grid, rows), manual_dataset(grid, rows)
+    size, columns, *rest = ds._lanes
+    ds.__dict__["_lanes"] = (size, tuple(map(CountedColumn, columns)), *rest)
+    monkeypatch.setattr(CountedColumn, "products", 0)
+    zero = zero_model("logistic-linear", 16, grid)
+    one, three = (5,) + (0,) * 15, (5,) * 3 + (0,) * 13
+    for w, products in (((0,) * 16, 0), (one, 1), (three, 2), ((0,) * 16, 0), (one, 0),
+                        ((5, 1) + (0,) * 14, 2)):
+        before = CountedColumn.products
+        model = zero.with_weights(FixedVector(w, grid))
+        assert correctness_mask(model, ds) == correctness_mask_oracle(model, plain)
+        assert CountedColumn.products - before == products
 
 
 def config_for(ds: Dataset, step_raw: int, max_epochs: int, **kw) -> RunConfig:
@@ -125,15 +201,19 @@ def config_for(ds: Dataset, step_raw: int, max_epochs: int, **kw) -> RunConfig:
 
 
 def counted_sweeps(monkeypatch, module) -> list:
-    """Records the carry of each ``correctness_mask`` call made from module."""
+    """Records the dataset of each ``correctness_mask`` call made from module."""
     calls, real = [], model_module.correctness_mask
 
-    def counted(m, d, carry=None):
-        calls.append(carry)
-        return real(m, d, carry)
+    def counted(m, d):
+        calls.append(d)
+        return real(m, d)
 
     monkeypatch.setattr(module, "correctness_mask", counted)
     return calls
+
+
+def checkpoints_of(traces) -> set:
+    return {w.raws for t in traces for w in t.checkpoints}
 
 
 def test_every_logistic_run_sweeps_each_checkpoint_once_on_one_carry(monkeypatch):
@@ -148,12 +228,19 @@ def test_every_logistic_run_sweeps_each_checkpoint_once_on_one_carry(monkeypatch
     calls = counted_sweeps(monkeypatch, sgd_engine)
     for ds in rows:
         calls.clear()
+        sweeps = counting(ds)
         run = run_training(config_for(ds, 16, 2), ds)
         masks = [mask for t in run.traces for mask in t.masks]
         assert len(calls) == len(masks) > 2 and len(run.traces) == 2
-        assert all(carry is calls[0] for carry in calls)
-        assert calls[0][0] == run.final_model.weights.raws
-        assert len({w for t in run.traces for w in t.checkpoints}) > 1  # the weights moved
+        assert all(d is ds for d in calls)
+        # one sweep per distinct checkpoint, each stored under its raws
+        assert sweeps.computed == len(ds._masks) == len(checkpoints_of(run.traces)) > 1
+        assert set(ds._masks) == checkpoints_of(run.traces)
+        assert ds._sweep[0] == run.final_model.weights.raws
+        # a second run on the dataset sweeps nothing new
+        again = run_training(config_for(ds, 16, 2), ds)
+        assert [t.masks for t in again.traces] == [t.masks for t in run.traces]
+        assert sweeps.computed == len(ds._masks)
 
 
 def test_a_hidden_layer_model_ignores_the_carry(monkeypatch):
@@ -162,29 +249,80 @@ def test_a_hidden_layer_model_ignores_the_carry(monkeypatch):
     raws = tuple((7 * i) % 41 - 20 for i in range(2 * 16 + 2))
     hidden = Model("one-hidden-layer", FixedVector(raws, grid), 16, 2)
     logistic = zero_model("logistic-linear", 16, grid).with_weights(FixedVector(raws[:16], grid))
-    filled = []
-    correctness_mask(logistic, ds, filled)
-    for carry in ([], filled):
-        kept = list(carry)
-        assert correctness_mask(hidden, ds, carry) == correctness_mask(hidden, ds)
-        assert carry == kept
+    expect = correctness_mask(hidden, ds)
+    assert state(ds) == ({}, [])
+    correctness_mask(logistic, ds)
+    kept = state(ds)
+    assert correctness_mask(hidden, ds) == expect
+    assert state(ds) == kept
     calls = counted_sweeps(monkeypatch, sgd_engine)
-    run = run_training(config_for(ds, 1, 2, model_kind="one-hidden-layer", hidden_width=2), ds)
+    fresh = one_hot_dataset(grid, 16, 64)
+    run = run_training(config_for(fresh, 1, 2, model_kind="one-hidden-layer", hidden_width=2), fresh)
     assert len(calls) == sum(len(t.masks) for t in run.traces) > 2
-    assert calls[0] == []
+    assert state(fresh) == ({}, [])
 
 
 def test_each_backward_decode_walk_keeps_one_carry(monkeypatch):
-    # a BACKWARD walk sweeps once per batch on one carry; a SPLIT decode once, without
+    # a BACKWARD walk sweeps once per batch and a SPLIT decode once, each a
+    # checkpoint training swept already: the walks look them all up
     gen = GeneratorSpec(family="random-labels", n=64, dim=2, seed=3)
     cfg = RunConfig(generator=gen, batch_size=16, step_raw=1 << 13, eps=Fraction(1, 4),
                     progress_coeff=Fraction(4), seed=3, max_epochs=2, grid=GridSpec())
     calls = counted_sweeps(monkeypatch, epoch_codec)
-    rows = harness.run_experiment(ExperimentSpec(config=cfg, mode="ACCOUNTING")).replications[0].report.rows
-    assert [row.case for row in rows] == ["BACKWARD", "SPLIT"]
-    walk, split = calls[:4], calls[4:]
-    assert all(carry is walk[0] for carry in walk) and walk[0]
-    assert split == [None]
+    result = harness.run_experiment(ExperimentSpec(config=cfg, mode="ACCOUNTING"))
+    rep = result.replications[0]
+    assert [row.case for row in rep.report.rows] == ["BACKWARD", "SPLIT"]
+    assert len(calls) == 5 and all(d is result.dataset for d in calls)
+    assert set(result.dataset._masks) == checkpoints_of(rep.run.traces)
+
+
+@pytest.mark.parametrize("mode,seed,cases", [
+    ("ACCOUNTING", 2, ["BACKWARD", "BACKWARD"]),
+    ("ACCOUNTING", 1, ["SPLIT", "SPLIT"]),
+    ("STRICT", 3, ["SPLIT"] * 4),  # criterion 2's chain, rebuilt by reverse search
+], ids=["backward", "split", "strict"])
+def test_round_trips_compute_no_sweep_training_did_not(mode, seed, cases, monkeypatch):
+    # the stored masks number exactly the trained checkpoints, and each was
+    # swept once: every decode walk of the run looked its classifiers up
+    if mode == "STRICT":
+        gen = GeneratorSpec(family="two-gaussians", n=32, dim=1, seed=3)
+        cfg = RunConfig(generator=gen, batch_size=4, step_raw=8, eps=Fraction(1, 100),
+                        progress_coeff=Fraction(1), seed=seed, max_epochs=4,
+                        grid=GridSpec(scale=6, clip=4))
+    else:
+        gen = GeneratorSpec(family="random-labels", n=64, dim=2, seed=seed)
+        cfg = RunConfig(generator=gen, batch_size=16, step_raw=1 << 13, eps=Fraction(1, 4),
+                        progress_coeff=Fraction(4), seed=seed, max_epochs=2, grid=GridSpec())
+    made = []
+
+    def generated(spec, grid):
+        ds = generate_dataset(spec, grid)
+        made.append((ds, counting(ds)))
+        return ds
+
+    monkeypatch.setattr(harness, "generate_dataset", generated)
+    rep = harness.run_experiment(ExperimentSpec(config=cfg, mode=mode)).replications[0]
+    assert [row.case for row in rep.report.rows] == cases
+    [(ds, sweeps)] = made
+    trained = checkpoints_of(rep.run.traces)
+    assert set(ds._masks) == trained and sweeps.computed == len(trained)
+
+
+def test_max_sq_norm_is_taken_once_per_dataset(monkeypatch):
+    calls, real = [], model_module._max_sq_norm
+
+    def counted(elements):
+        calls.append(elements)
+        return real(elements)
+
+    monkeypatch.setattr(model_module, "_max_sq_norm", counted)
+    grid = GridSpec(scale=6, clip=4)
+    ds = one_hot_dataset(grid, 16, 64)
+    cfg = config_for(ds, 16, 2)
+    for _ in range(2):
+        assert len(list(sgd_engine.train_epochs(cfg, ds))) == 2
+    assert calls == [ds.elements]
+    assert ds._sq_norm == 64 * 64
 
 
 def conflicting_rows(grid: GridSpec) -> Dataset:
@@ -202,7 +340,7 @@ def conflicting_rows(grid: GridSpec) -> Dataset:
 
 @pytest.mark.parametrize("case", ["one-hot-1", "one-hot-2", "one-hot-3", "one-hot-128", "conflict"])
 def test_carried_training_masks_equal_the_full_sweep(case):
-    # the carry runs across checkpoints and across the epochs of one run
+    # the dataset's sweep state runs across checkpoints and epochs of one run
     grid = GridSpec(scale=6, clip=4)
     if case == "conflict":
         ds, step_raw = conflicting_rows(grid), 40
@@ -222,8 +360,9 @@ def test_carried_training_masks_equal_the_full_sweep(case):
         assert len(trace.masks) == len(trace.checkpoints)
         for w, mask in zip(trace.checkpoints, trace.masks):
             assert mask == correctness_mask_oracle(template.with_weights(w), ds)
-    # an epoch run alone, without a carry, gives the same trace
-    alone, _ = run_epoch(template.with_weights(run.traces[0].checkpoints[-1]), ds, cfg, 2)
+    # an epoch run alone on a fresh copy of the dataset gives the same trace
+    fresh = Dataset(ds.elements, grid, ds.spec)
+    alone, _ = run_epoch(template.with_weights(run.traces[0].checkpoints[-1]), fresh, cfg, 2)
     assert alone.masks == run.traces[1].masks
 
 

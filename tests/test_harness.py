@@ -329,7 +329,7 @@ def test_inequality_suite_rejects_sizes_that_are_not_ints(size, value):
 def test_entropy_sweep_of_one_point_reports_its_only_margin():
     # the sweep used to start from a worst of -1 and print it: the one case,
     # p = 1, has margin h(1) - 1 * log2(e / 1) = -log2(e)
-    row = harness._sweep_entropy_upper(1)
+    row = run_inequality_suite(1, split_side=1, pinsker_side=2, codec_instances=1)[0]
     assert (row.cases, row.worst, row.passed) == (1, -harness.LOG2_E, True)
     assert "worst=-1.443e+00" in row.line()
 
@@ -473,6 +473,8 @@ def test_cli_rejects_a_malformed_manifest(tmp_path, capsys, command, manifest, n
 SPEC_REFUSALS = [
     (manifest_keyed(format="sgdcodec-run-v2"), "unsupported manifest format 'sgdcodec-run-v2'"),
     (manifest_with(model_kind="bogus"), "unknown model kind 'bogus'"),
+    (manifest_generator_with(family="separable-margin", dim=2, margin="3"),
+     "margin too large for the feature box"),
 ]
 
 
@@ -731,6 +733,10 @@ RUN_REFUSALS = [
     (["--eps", "1/2", "--progress-coeff", "3"], None,
      "progress floor eps*coeff must lie in (0, 1]"),
     (["--max-epochs", "0"], None, "max_epochs must be >= 1"),
+    # margin**2 > dim * feature_scale**2: no point of the box is that far
+    # from a hyperplane through 0; 1e400 once overflowed float()
+    (["--family", "separable-margin", "--dim", "2", "--margin", "1e400"], None,
+     "margin too large for the feature box"),
     ([], "n = 16\nbatch_size 4\n", "{cfg}:2: expected key=value"),
 ]
 

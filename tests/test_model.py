@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -139,6 +140,20 @@ def test_generator_bounds_the_cell_count_at_2_24(family, n, dim):
     bigger = (n + 1, n + 1) if family == "one-hot" else (n, dim + 1)
     with pytest.raises(DomainError, match=r"n \* dim must be <= 2\*\*24"):
         GeneratorSpec(family=family, n=bigger[0], dim=bigger[1], seed=0)
+
+
+@pytest.mark.parametrize("dim,feature_scale", [(1, 1), (2, 2), (4, 3)])
+def test_separable_margin_spec_refuses_a_margin_beyond_the_box(dim, feature_scale):
+    # |w.x| / |w| <= sqrt(dim) * feature_scale on the box; margin**2 is
+    # compared with dim * feature_scale**2 exactly, so the edge itself (1 and
+    # 6 here) passes and the next 20-digit decimal does not
+    below = Fraction(math.isqrt(dim * feature_scale**2 * 10**40), 10**20)
+    for margin in (Fraction(0), below):
+        GeneratorSpec("separable-margin", 4, dim, 0, margin, feature_scale=feature_scale)
+    for margin in (below + Fraction(1, 10**20), Fraction(10**400)):
+        with pytest.raises(DomainError, match="margin too large for the feature box"):
+            GeneratorSpec("separable-margin", 4, dim, 0, margin, feature_scale=feature_scale)
+        GeneratorSpec("random-labels", 4, dim, 0, margin, feature_scale=feature_scale)
 
 
 def test_one_hot_structure():

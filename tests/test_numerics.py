@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from sgdcodec.harness import _sweep_entropy_upper
+from sgdcodec.harness import run_inequality_suite
 from sgdcodec.numerics import (
     DomainError,
     FixedVector,
@@ -360,8 +360,8 @@ def test_stable_log2_rejects_nonpositive():
 
 def test_entropy_upper_check():
     # h(p) <= p * log2(e / p): worst signed violation stays at float noise
-    row = _sweep_entropy_upper(256)
-    assert row.cases == 256 and row.passed
+    row = run_inequality_suite(256, split_side=1, pinsker_side=2, codec_instances=1)[0]
+    assert (row.name, row.cases, row.passed) == ("entropy-vs-plog2ep", 256, True)
 
 
 def test_split_entropy_slack_nonnegative():

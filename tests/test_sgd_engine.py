@@ -17,6 +17,7 @@ from conftest import (
     progress_oracle,
     run_generated,
     splitmix64,
+    step_smoothness_oracle,
 )
 from sgdcodec.harness import write_trace_csv
 from sgdcodec.model import (
@@ -45,7 +46,6 @@ from sgdcodec.sgd_engine import (
     reverse_step,
     run_epoch,
     run_training,
-    step_smoothness,
     _splitmix64_words,
     vector_from_bytes,
     vector_to_bytes,
@@ -360,7 +360,9 @@ def test_reverse_step_detects_multiple_preimages():
     cfg = band_config(ds, step_raw=8, batch_size=4)
     template = zero_model("logistic-linear", 1, GRID6)
     batch = ds.subset((0, 1, 2, 3))
-    assert step_smoothness(cfg.step_raw, GRID6, batch) < 1
+    assert step_smoothness_oracle(cfg.step_raw, GRID6, batch) < 1
+    whole = step_smoothness_oracle(cfg.step_raw, GRID6, ds.elements)
+    assert check_step_smoothness(cfg, ds) == whole
     images = {}
     collision = None
     for w_raw in range(GRID6.raw_min + 8, GRID6.raw_max - 8):
@@ -390,7 +392,7 @@ def test_reverse_step_not_found_and_infeasible():
     wide = band_dataset(GRID6, 8, lo_raw=100, hi_raw=250, seed=3)
     steep = band_config(wide, step_raw=16, batch_size=4)
     wide_batch = wide.subset((0, 1, 2, 3))
-    assert step_smoothness(steep.step_raw, GRID6, wide_batch) > 3
+    assert step_smoothness_oracle(steep.step_raw, GRID6, wide_batch) > 3
     with pytest.raises(PreconditionError):
         reverse_step(lonely, wide_batch, steep, template)
     # and only logistic-linear has a proven smoothness bound

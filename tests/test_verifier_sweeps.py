@@ -21,44 +21,68 @@ from conftest import (
     split_slack_oracle,
 )
 from sgdcodec.harness import (
+    SuiteRow,
     _binomial_margins,
     _random_mask,
     _pinsker_margins,
     _split_margins,
-    _sweep_entropy_binomial,
-    _sweep_pinsker,
-    _sweep_split_entropy,
+    run_inequality_suite,
 )
-from sgdcodec.numerics import PreconditionError, _realizable_q, _split_slack
+from sgdcodec.numerics import DomainError, PreconditionError, _realizable_q, _split_slack
 
 
 def hexes(margins) -> list[str]:
     return [float(x).hex() for x in margins]
 
 
+def suite_row(name: str, **sizes) -> SuiteRow:
+    """The named row of ``run_inequality_suite`` at these sizes, the others
+    at their smallest."""
+    smallest = dict(entropy_points=1, split_side=1, pinsker_side=2, codec_instances=1)
+    return next(row for row in run_inequality_suite(**{**smallest, **sizes}) if row.name == name)
+
+
 @pytest.mark.parametrize("side", [2, 37, 100, 200])
 def test_pinsker_margins_match_the_per_case_oracle(side):
     expect = pinsker_margins_oracle(side)
     assert hexes(_pinsker_margins(side)) == hexes(expect)
-    row = _sweep_pinsker(side)
-    assert (row.cases, row.worst.hex()) == (len(expect), min(expect).hex())
+    row = suite_row("pinsker-bernoulli", pinsker_side=side)
+    assert (row.cases, row.skipped, row.worst.hex()) == (len(expect), 0, min(expect).hex())
+    assert (row.threshold, row.passed) == (-1e-12, True)
 
 
 @pytest.mark.parametrize("side", [1, 13, 20, 50])
 def test_split_margins_match_the_per_case_oracle(side):
     expect = split_margins_oracle(side)
     assert hexes(_split_margins(side)) == hexes(expect)
-    row = _sweep_split_entropy(side)
+    row = suite_row("split-entropy-drop", split_side=side)
     assert (row.cases, row.skipped) == (len(expect), side**3 - len(expect))
     assert row.worst.hex() == min(expect).hex()
+    assert (row.threshold, row.passed) == (-1e-12, True)
 
 
 @pytest.mark.parametrize("max_m", [16 << i for i in range(9)])
 def test_binomial_margins_match_the_per_case_oracle(max_m):
+    # the suite sweeps max_m = 4096; its row is the one of those margins
     expect = binomial_margins_oracle(max_m)
     assert hexes(_binomial_margins(max_m)) == hexes(expect)
-    row = _sweep_entropy_binomial(max_m)
+    row = SuiteRow.of("binomial-vs-entropy", _binomial_margins(max_m), 0.0, True)
     assert (row.cases, row.worst.hex()) == (len(expect), float(max(expect)).hex())
+    if max_m == 4096:
+        assert suite_row("binomial-vs-entropy") == row
+
+
+@pytest.mark.parametrize("at_most", [True, False])
+def test_a_suite_row_takes_its_worst_margin_in_the_verdict_direction(at_most):
+    margins = [-2.0, 0.5, 3]
+    worst = 3.0 if at_most else -2.0
+    for threshold in (-3.0, -2.0, 0.0, 3.0, 4.0):
+        row = SuiteRow.of("row", margins, threshold, at_most, skipped=5)
+        passed = worst <= threshold if at_most else worst >= threshold
+        assert row == SuiteRow("row", 3, 5, worst, threshold, passed)
+        assert type(row.worst) is float
+    with pytest.raises(DomainError, match="row: the sizes leave no case"):
+        SuiteRow.of("row", [], 0.0, at_most)
 
 
 def test_split_slack_matches_the_oracle_on_every_numerator_triple():
