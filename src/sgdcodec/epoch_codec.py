@@ -9,13 +9,12 @@ Every set here is an int bitmask over element ids: the encoder reads pools
 and batches off ``EpochTrace.prefix_masks`` and classifiers off
 ``EpochTrace.masks``, and the decoder peels each batch off its pool with XOR.
 
-The decoder walks the epoch's checkpoint chain backward from one source, a
-``SideInfo`` whose checkpoints end with the epoch's last one.  ACCOUNTING
-hands over the whole chain and the walk looks each checkpoint up; STRICT
-hands over the last checkpoint alone and the walk rebuilds every earlier one
-by reverse search.  Each walk reads its classifiers from ``correctness_mask``,
-which returns the mask the dataset stored when training swept that
-checkpoint, so a round trip of a trained epoch computes no new sweep.
+The decoder reads its classifiers from a ``SideInfo``, which holds exactly
+what its mode's decoder reads.  ACCOUNTING hands over the epoch's T+1
+checkpoint masks (``EpochTrace.masks``), and the decoder reads each by index:
+it walks no chain and computes no sweep.  STRICT hands over the last
+checkpoint alone, and the decoder rebuilds every earlier one by reverse
+search and sweeps each checkpoint it uses with ``correctness_mask``.
 
 The encoders return an epoch's fields as (label, value, width) triples;
 ``encode_epoch`` alone writes them, in one loop whose ``write_uint`` refuses a
@@ -38,7 +37,7 @@ import math
 import struct
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .codec import (
     BitStream,
@@ -58,6 +57,7 @@ from .sgd_engine import (
     RunConfig,
     reverse_epoch,
     reverse_step,
+    within_eps,
 )
 from .stable import LOG2_E, stable_ln, stable_log2
 
@@ -164,20 +164,21 @@ def _split_divergences(trace: EpochTrace, i: int) -> tuple[int, int, int]:
 
 @dataclass(frozen=True)
 class SideInfo:
-    """The checkpoint source the decoder walks: ``checkpoints`` ends with the
-    epoch's last checkpoint W_{T+1}, and holds the whole chain W_1 .. W_{T+1}
-    in ACCOUNTING but W_{T+1} alone in STRICT."""
+    """What the decoder reads besides the stream: in ACCOUNTING ``masks``,
+    the correctness masks of the epoch's checkpoints W_1 .. W_{T+1}; in
+    STRICT ``last``, the last checkpoint W_{T+1} alone."""
 
     mode: str
-    checkpoints: tuple[FixedVector, ...]
+    masks: tuple[int, ...] = ()
+    last: Optional[FixedVector] = None
 
     @classmethod
-    def of(cls, mode: str, checkpoints: Sequence[FixedVector]) -> "SideInfo":
-        """The side info ``mode`` allows out of an epoch's full chain."""
+    def of(cls, mode: str, trace: EpochTrace) -> "SideInfo":
+        """The side info ``mode`` allows out of a trained epoch's trace."""
         if mode == STRICT:
-            return cls(STRICT, (checkpoints[-1],))
+            return cls(STRICT, last=trace.checkpoints[-1])
         if mode == ACCOUNTING:
-            return cls(ACCOUNTING, tuple(checkpoints))
+            return cls(ACCOUNTING, masks=tuple(trace.masks))
         raise DomainError(f"unknown mode {mode!r}")
 
 
@@ -368,12 +369,12 @@ def predict_segments(
 
 @dataclass(frozen=True)
 class DecodeResult:
-    """The decoded visit order and the checkpoint chain W_1 .. W_{T+1} walked
-    to decode it: the side info's own list in ACCOUNTING, the chain recovered
-    by reverse search in STRICT."""
+    """The decoded visit order and, in STRICT, the checkpoint chain W_1 ..
+    W_{T+1} that reverse search recovered to decode it; an ACCOUNTING decode
+    walks no chain, and its ``checkpoints`` is empty."""
 
     order: tuple[int, ...]
-    checkpoints: tuple[FixedVector, ...]
+    checkpoints: tuple[FixedVector, ...] = ()
 
     def chain_matches(self, checkpoints: Sequence[FixedVector]) -> bool:
         """Whether the walked chain is exactly these checkpoints."""
@@ -388,60 +389,32 @@ def decode_epoch(
 ) -> DecodeResult:
     """Reconstructs the epoch's exact visit order from the stream.
 
-    Both modes walk the checkpoint chain backward from the side info's last
-    checkpoint, which must hold T+1 checkpoints in ACCOUNTING and one in
-    STRICT.  ACCOUNTING looks each earlier checkpoint up in the list; STRICT
-    recovers it by reverse search, one step at a time or, once a SPLIT
-    order is known, over the whole epoch.
+    ACCOUNTING reads each classifier by its checkpoint's index in the side
+    info's masks, which must number T+1.  STRICT walks the chain back from
+    the side info's last checkpoint by reverse search, one step at a time
+    or, once a SPLIT order is known, over the whole epoch, and sweeps each
+    checkpoint whose classifier it reads.
     """
     stream.reset_cursor()
-    n, b = dataset.n, config.batch_size
-    template = _template(dataset, config)
-    chain = side.checkpoints
+    t = dataset.n // config.batch_size
     if side.mode == STRICT:
         check_strict_limits(config)
-        expected = 1
-
-        def step_back(j, batch, after):
-            return reverse_step(after, dataset.subset(batch), config, template, j)
-
-        def walk(order):
-            batches = [order[k : k + b] for k in range(0, n, b)]
-            return tuple(reverse_epoch(chain[-1], batches, dataset, config, template))
-
+        if side.last is None:
+            raise CodecError("STRICT decode needs the epoch's last checkpoint")
     elif side.mode == ACCOUNTING:
-        expected = n // b + 1
-
-        def step_back(j, batch, after):
-            return chain[j - 1]
-
-        def walk(order):
-            return chain
-
+        if len(side.masks) != t + 1:
+            raise CodecError(f"ACCOUNTING decode needs {t + 1} masks, got {len(side.masks)}")
     else:
         raise DomainError(f"unknown mode {side.mode!r}")
-    if len(chain) != expected:
-        raise CodecError(
-            f"{side.mode} decode needs {expected} checkpoint(s), got {len(chain)}"
-        )
-    if stream.read_uint(1):
-        result = _decode_split(stream, dataset, config, template, side, walk)
-    else:
-        result = _decode_backward(
-            stream, dataset, config, template, chain[-1], step_back
-        )
+    decode = _decode_split if stream.read_uint(1) else _decode_backward
+    result = decode(stream, dataset, config, side)
     if stream.bits_remaining():
         raise CodecError(f"{stream.bits_remaining()} bit(s) left after the last field")
     return result
 
 
 def _decode_split(
-    stream: BitStream,
-    dataset: Dataset,
-    config: RunConfig,
-    template: Model,
-    side: SideInfo,
-    walk: Callable[[tuple[int, ...]], tuple[FixedVector, ...]],
+    stream: BitStream, dataset: Dataset, config: RunConfig, side: SideInfo
 ) -> DecodeResult:
     n, b = dataset.n, config.batch_size
     t = n // b
@@ -450,20 +423,24 @@ def _decode_split(
         raise CodecError(f"split position {j} outside [2, {t}]")
     side_bit = stream.read_uint(1)
     if side.mode == STRICT:
+        template = _template(dataset, config)
         weights_j = _read_model_field(stream, config)
+        ones = correctness_mask(template.with_weights(weights_j), dataset)
     else:
-        weights_j = side.checkpoints[j - 1]
-    cv = correctness_mask(template.with_weights(weights_j), dataset)
+        ones = side.masks[j - 1]
     m = (j - 1) * b
     everything = (1 << n) - 1
     chosen = decode_set_conditional(
-        stream, everything, cv, m if side_bit == 0 else n - m
+        stream, everything, ones, m if side_bit == 0 else n - m
     )
     seen = chosen if side_bit == 0 else everything ^ chosen
     left_rank = stream.read_uint(ceil_log2(math.factorial(m)))
     right_rank = stream.read_uint(ceil_log2(math.factorial(n - m)))
     order = perm_unrank(left_rank, seen) + perm_unrank(right_rank, everything ^ seen)
-    chain = walk(order)
+    if side.mode == ACCOUNTING:
+        return DecodeResult(order)
+    batches = [order[k : k + b] for k in range(0, n, b)]
+    chain = tuple(reverse_epoch(side.last, batches, dataset, config, template))
     if chain[j - 1].raws != weights_j.raws:
         raise CodecError(
             f"embedded checkpoint at split position {j} disagrees with "
@@ -473,27 +450,32 @@ def _decode_split(
 
 
 def _decode_backward(
-    stream: BitStream,
-    dataset: Dataset,
-    config: RunConfig,
-    template: Model,
-    last: FixedVector,
-    step_back: Callable[[int, Sequence[int], FixedVector], FixedVector],
+    stream: BitStream, dataset: Dataset, config: RunConfig, side: SideInfo
 ) -> DecodeResult:
+    """Batch j is read against checkpoint j's classifier, W_{j+1}'s: the
+    side info's mask j in ACCOUNTING; in STRICT the sweep of the chain's
+    head, which then steps back over the batch by reverse search."""
     n, b = dataset.n, config.batch_size
     pool = (1 << n) - 1
     perm_w = ceil_log2(math.factorial(b))
+    strict = side.mode == STRICT
+    template = _template(dataset, config) if strict else None
     batches_rev: list[tuple[int, ...]] = []
-    chain_rev = [last]
+    chain_rev = [side.last]
     for j in range(n // b, 0, -1):
-        cv = correctness_mask(template.with_weights(chain_rev[-1]), dataset)
-        batch = decode_ordered_set(stream, pool, cv, b, perm_w)
+        if strict:
+            ones = correctness_mask(template.with_weights(chain_rev[-1]), dataset)
+        else:
+            ones = side.masks[j]
+        batch = decode_ordered_set(stream, pool, ones, b, perm_w)
         batches_rev.append(batch)
-        chain_rev.append(step_back(j, batch, chain_rev[-1]))
+        if strict:
+            before = reverse_step(chain_rev[-1], dataset.subset(batch), config, template, j)
+            chain_rev.append(before)
         for e in batch:
             pool ^= 1 << e
     order = tuple(itertools.chain.from_iterable(reversed(batches_rev)))
-    return DecodeResult(order, tuple(reversed(chain_rev)))
+    return DecodeResult(order, tuple(reversed(chain_rev)) if strict else ())
 
 
 def model_description_bits(config: RunConfig) -> int:
@@ -652,8 +634,7 @@ def check_eps_beta_ceiling(trace: EpochTrace, eps: Fraction) -> CeilingVerdict:
     capped by (4/3)*eps*(1 + ln(n/b)); reports the margin."""
     if not trace.completed:
         return CeilingVerdict(False, "epoch incomplete")
-    low = min(mask.bit_count() for mask in trace.masks)
-    if low * eps.denominator < (eps.denominator - eps.numerator) * trace.n:
+    if not within_eps(min(mask.bit_count() for mask in trace.masks), trace.n, eps):
         return CeilingVerdict(False, "some checkpoint below 1-eps")
     beta_hat = trace.progress()
     ceiling = (4.0 / 3.0) * float(eps) * (1.0 + stable_ln(Fraction(trace.n, trace.batch_size)))

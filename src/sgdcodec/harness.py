@@ -10,7 +10,8 @@ directory: it writes the layout, the manifest, and the text artifacts
 ``trace.csv``, ``report.csv`` and ``summary.json``, whose cells print as
 ``_cell`` prints them, and it reads them back: ``check_run`` checks a
 directory against a rerun of training, with the round trip ``run_experiment``
-checks in memory, and ``report_lines`` reads its summaries.  The CLI only
+checks in memory (``_round_trip``: the decoded order, and in STRICT the chain
+reverse search recovered), and ``report_lines`` reads its summaries.  The CLI only
 prints their lines.  On the pipeline's side ``Fraction``
 appears only where a manifest is parsed and where a cell is rendered: a
 ``trace.csv`` rate comes from its two counts in the trace's count table,
@@ -385,12 +386,13 @@ def _epoch_code_path(rep_dir: str, epoch: Optional[int] = None) -> str:
 def _round_trip(stream: BitStream, trace: EpochTrace, dataset: Dataset,
                 config: RunConfig, mode: str) -> Optional[str]:
     """What failed in decoding an epoch's stream from the side info
-    ``SideInfo.of`` gives (in STRICT mode its last checkpoint alone), or None
-    where the order and the walked chain both equal the trained ones."""
-    decoded = decode_epoch(stream, dataset, config, SideInfo.of(mode, trace.checkpoints))
+    ``SideInfo.of`` gives (its masks in ACCOUNTING, its last checkpoint
+    alone in STRICT), or None where the order equals the trained one and,
+    in STRICT, so does the chain reverse search walked."""
+    decoded = decode_epoch(stream, dataset, config, SideInfo.of(mode, trace))
     if decoded.order != trace.order:
         return f"epoch {trace.epoch} failed its round trip"
-    if not decoded.chain_matches(trace.checkpoints):
+    if mode == STRICT and not decoded.chain_matches(trace.checkpoints):
         return f"epoch {trace.epoch} decode walked a wrong checkpoint chain"
     return None
 
@@ -402,9 +404,9 @@ def run_experiment(spec: ExperimentSpec, outdir: Optional[str] = None) -> Experi
     epoch is encoded, round-tripped, predicted and accounted before the next
     one trains, so a failing round trip raises there and no later epoch
     trains.  ``_round_trip`` decodes it as ``check_run`` decodes its file:
-    the order and the walked chain must equal the trained ones.  Completed
-    epochs are contiguous (epoch e starts where epoch e-1 ends), so by
-    induction from the last checkpoint the STRICT checks are exactly the
+    the order, and in STRICT the walked chain, must equal the trained ones.
+    Completed epochs are contiguous (epoch e starts where epoch e-1 ends), so
+    by induction from the last checkpoint the STRICT checks are exactly the
     backward walk from the final weights across all completed epochs.  A
     replication's artifacts are written once all its epochs have passed.
     """

@@ -10,12 +10,11 @@ factor of the batch size), so a gradient is a deterministic function of
 step.
 Classification goes through one sweep, ``correctness_mask`` (for logistic-linear
 models one big-int sum over lane-packed feature columns), with the prediction
-rule score > 0 -> label 1; accuracies are popcounts of its masks.  A
-logistic-linear mask depends on the dataset and the raws alone, so the
-``Dataset`` owns the sweep state: the masks it has computed, keyed by raws,
-and the packed scores of its last computed sweep, from which a new sweep adds
-only the weights that moved.  Training and every decode walk share it, and
-each checkpoint is swept once per dataset.
+rule score > 0 -> label 1; accuracies are popcounts of its masks.  The
+``Dataset`` keeps the raws and packed scores of its last logistic-linear
+sweep, from which the next sweep adds only the weights that moved.  Training
+sweeps each checkpoint as it records it; an ACCOUNTING decode reads the
+trace's masks and sweeps nothing.
 
 Sparse rows, such as one-hot data, cost O(nonzeros): each element caches its
 nonzero (coordinate, raw) pairs, which the one-hot generator stores as it builds
@@ -62,8 +61,9 @@ FAMILIES = ("separable-margin", "two-gaussians", "random-labels", "one-hot")
 # they add), the gradient's near one in two; 1/8 keeps both ahead.
 _SPARSE_DIM = 8
 
-# Most feature cells (n * dim) a generated dataset may hold: a one-hot n of
-# 4096, about 0.1 GiB of row pointers, so a huge n exits with an error at once.
+# Most feature cells (n * dim) a generated dataset may hold, and most weights
+# a run may train: a one-hot n of 4096, about 0.1 GiB of row pointers, so a
+# huge n or hidden width exits with an error at once.
 _MAX_CELLS = 1 << 24
 
 
@@ -161,9 +161,7 @@ class Dataset:
     elements: tuple[Element, ...]
     grid: GridSpec
     spec: Optional[GeneratorSpec] = None
-    # correctness_mask's state: the mask of each raws tuple it has computed,
-    # and [raws, packed scores] of its last computed sweep
-    _masks: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    # correctness_mask's state: [raws, packed scores] of its last sweep
     _sweep: list = field(default_factory=list, init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -617,11 +615,10 @@ def correctness_mask(model: Model, dataset: Dataset) -> int:
 
     Correct means the sign of the score numerator agrees with the label:
     positive for label 1, zero or negative for label 0.  A logistic-linear
-    mask is kept in ``dataset._masks`` under its raws, and a repeat returns
-    it.  A new one starts from the raws and packed scores of the dataset's
-    last computed sweep (``dataset._sweep``; zero raws and the bias lanes at
-    first) and adds (new - old) * column only where a raw differs.  A refused
-    model and a hidden-layer model touch neither.
+    sweep starts from the raws and packed scores of the dataset's last one
+    (``dataset._sweep``; zero raws and the bias lanes at first) and adds
+    (new - old) * column only where a raw differs.  A refused model and a
+    hidden-layer model leave that state as it was.
     """
     grid, w, elements = model.weights.grid, model.weights.raws, dataset.elements
     if dataset.grid is not grid and dataset.grid != grid:
@@ -632,9 +629,6 @@ def correctness_mask(model: Model, dataset: Dataset) -> int:
         v = w[model.width * model.dim :]
         scores = (_dot(v, model._hidden(el.features.raws)[1]) for el in elements)
         return sum(1 << el.eid for z, el in zip(scores, elements) if (z > 0) == el.label)
-    mask = dataset._masks.get(w)
-    if mask is not None:
-        return mask
     if not grid.holds(w):
         raise DomainError("a weight lies outside the grid's clip range")
     size, columns, bias, tops, label0 = dataset._lanes
@@ -645,8 +639,7 @@ def correctness_mask(model: Model, dataset: Dataset) -> int:
     # lane e holds score_e + 2**(L-1) - 1, so its top bit says score_e > 0;
     # label0 flips that bit where label e is 0
     top_bytes = ((acc & tops) ^ label0).to_bytes(dataset.n * size, "big")[::size]
-    mask = dataset._masks[w] = int(top_bytes.translate(_TOP_BIT_DIGITS) or b"0", 2)
-    return mask
+    return int(top_bytes.translate(_TOP_BIT_DIGITS) or b"0", 2)
 
 
 def _peak_sq_norm(pairs: Optional[list], rows: Sequence[Sequence[int]]) -> int:

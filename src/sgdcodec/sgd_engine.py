@@ -12,11 +12,13 @@ collects them all.  The scan runs the forward step only where Phi(w) = w
 holds in integers, as it does at every forward hit, so the skip loses no
 predecessor.
 
-Each checkpoint's mask comes from ``model.correctness_mask``, whose sweep
-state the ``Dataset`` keeps, and the step * L < 1 check reads the dataset's
-cached max |x|^2, so the loop passes no state between epochs but the model.
+Each checkpoint is swept by ``model.correctness_mask`` as it is recorded,
+from the last sweep the ``Dataset`` keeps, and the step * L < 1 check reads
+the dataset's cached max |x|^2, so the loop passes no state between epochs
+but the model.
 
-The step path counts in integers: the stop test compares correct counts,
+The step path counts in integers: the stop test compares correct counts
+(``within_eps``, which the accuracy ceiling check shares),
 and the reverse search's set-up holds step * L, its radius and its reach
 as numerators over powers of the grid unit.  ``Fraction`` appears only in a
 config's two rational fields, which ``harness.SETTINGS`` lists with the rest,
@@ -40,6 +42,7 @@ from .model import (
     Element,
     GeneratorSpec,
     Model,
+    _MAX_CELLS,
     _linear_batch,
     _linear_sum,
     _peak_sq_norm,
@@ -157,6 +160,8 @@ class RunConfig:
             raise DomainError("one-hidden-layer needs hidden_width >= 1")
         if self.model_kind == "logistic-linear" and self.hidden_width:
             raise DomainError("logistic-linear has no hidden layer: hidden_width must be 0")
+        if self.d > _MAX_CELLS:  # before zero_model allocates them
+            raise DomainError(f"weight count d must be <= 2**24, got {self.d}")
 
     @property
     def n(self) -> int:
@@ -323,6 +328,11 @@ class EpochTrace:
         return Fraction(self.gained(), self.n)
 
 
+def within_eps(correct: int, n: int, eps: Fraction) -> bool:
+    """Whether accuracy correct/n >= 1 - eps, as correct * den >= (den - num) * n."""
+    return correct * eps.denominator >= (eps.denominator - eps.numerator) * n
+
+
 def _record_checkpoint(trace: EpochTrace, model: Model, dataset: Dataset) -> int:
     """Appends one checkpoint and its correctness mask; returns how many
     elements it classifies correctly."""
@@ -347,13 +357,10 @@ def run_epoch(
     """Runs one epoch; the trace stops early on termination or saturation."""
     order = draw_epoch_permutation(dataset.n, config.seed, epoch)
     trace = EpochTrace(epoch, config.batch_size, order)
-    # accuracy correct/n >= 1 - eps, as correct * den >= (den - num) * n
-    den = config.eps.denominator
-    stop = (den - config.eps.numerator) * dataset.n
     correct = _record_checkpoint(trace, model, dataset)
     batches = trace.batches
     for j in range(1, config.num_batches + 1):
-        if correct * den >= stop:
+        if within_eps(correct, dataset.n, config.eps):
             trace.terminated = True
             break
         batch = dataset.subset(batches[j - 1])

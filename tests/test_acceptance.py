@@ -86,7 +86,7 @@ def test_criterion_01_accounting_round_trips_at_scale(capsys):
                 for tr in run.completed_traces:
                     code = encode_epoch(tr, run.dataset, cfg, mode=ACCOUNTING)
                     dec = decode_epoch(
-                        code.stream, run.dataset, cfg, SideInfo.of(ACCOUNTING, tr.checkpoints)
+                        code.stream, run.dataset, cfg, SideInfo.of(ACCOUNTING, tr)
                     )
                     assert dec.order == tr.order
                     row = epoch_accounting(code, tr, cfg)
@@ -119,7 +119,7 @@ def test_criterion_02_strict_chain_from_final_weights_alone(capsys):
              for tr in run.completed_traces]
     current = run.final_model.weights
     for tr, code in zip(reversed(run.completed_traces), reversed(codes)):
-        dec = decode_epoch(code.stream, run.dataset, cfg, SideInfo.of(STRICT, [current]))
+        dec = decode_epoch(code.stream, run.dataset, cfg, SideInfo(STRICT, last=current))
         assert dec.order == tr.order
         assert [w.raws for w in dec.checkpoints] == [w.raws for w in tr.checkpoints]
         current = dec.checkpoints[0]
@@ -233,7 +233,7 @@ def test_criterion_07_favorable_epochs_show_real_savings(capsys):
     baseline = ceil_log2(math.factorial(256))
     assert baseline == 1684
     assert baseline - code.measured_bits >= 0.9 * 256
-    dec = decode_epoch(code.stream, ds, cfg, SideInfo.of(ACCOUNTING, tr.checkpoints))
+    dec = decode_epoch(code.stream, ds, cfg, SideInfo.of(ACCOUNTING, tr))
     assert dec.order == tr.order
     # (b) batches drawn inside a 90 percent-correct pool save bits each step
     m, ones_count, b = 1600, 1440, 160
@@ -266,7 +266,7 @@ def test_criterion_08_full_run_stays_below_permutation_cost(capsys):
     baseline = ceil_log2(math.factorial(256))
     for tr in run.completed_traces:
         code = encode_epoch(tr, run.dataset, cfg, mode=ACCOUNTING)
-        dec = decode_epoch(code.stream, run.dataset, cfg, SideInfo.of(ACCOUNTING, tr.checkpoints))
+        dec = decode_epoch(code.stream, run.dataset, cfg, SideInfo.of(ACCOUNTING, tr))
         assert dec.order == tr.order
         row = epoch_accounting(code, tr, cfg)
         assert row.beta_hat > 0

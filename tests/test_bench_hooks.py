@@ -65,12 +65,11 @@ def test_traced_strict_decode_goes_through_the_reverse_walkers():
 
 
 def test_traced_logistic_run_counts_one_mask_per_checkpoint_sweep():
-    # Training and decoding sweep through model.correctness_mask;
-    # correctness_vector is only a list view of it, so the benchmark's sweep
-    # metrics must be read off the mask's name.  Training sweeps every
-    # checkpoint, on dense rows and on sparse one-hot rows alike; a BACKWARD
-    # decode sweeps before each of its n / b batches, a SPLIT decode once, at
-    # the split position.
+    # Training sweeps through model.correctness_mask; correctness_vector is
+    # only a list view of it, so the benchmark's sweep metrics must be read
+    # off the mask's name.  Training sweeps every checkpoint it records, on
+    # dense rows and on sparse one-hot rows alike; an ACCOUNTING decode,
+    # BACKWARD or SPLIT, reads the trace's masks and sweeps nothing.
     random_labels = RunConfig(
         generator=GeneratorSpec(family="random-labels", n=64, dim=2, seed=3),
         batch_size=16, step_raw=1 << 13, eps=Fraction(1, 4), progress_coeff=Fraction(4),
@@ -87,10 +86,7 @@ def test_traced_logistic_run_counts_one_mask_per_checkpoint_sweep():
         finally:
             tracer.uninstall()
         rep = result.replications[0]
-        sweeps = sum(len(trace.masks) for trace in rep.run.traces) + sum(
-            cfg.generator.n // cfg.batch_size if row.case == "BACKWARD" else 1
-            for row in rep.report.rows
-        )
+        sweeps = sum(len(trace.masks) for trace in rep.run.traces)
         assert [row.case for row in rep.report.rows] == cases
         assert tracer.calls["model.correctness_mask"] == sweeps
         assert tracer.calls["model.correctness_vector"] == 0

@@ -1,14 +1,15 @@
 """Every sweep pays only for what changed since the dataset's last one.
 
-A ``Dataset`` owns ``correctness_mask``'s state: the mask of every raws
-tuple it has computed, and the raws and packed scores of its last computed
-sweep, from which a new sweep adds only the columns whose raw moved.  At
-every checkpoint, on sparse, dense, short and clip-edge rows, and on sweeps
-that alternate between datasets, that must give the mask of the full packed
-sum (``correctness_mask_oracle``) and raise where it raises, leaving the
-state as it was.  Training, the round trips and every decode walk share the
-state, so each checkpoint is swept once per dataset, and max |x|^2 is taken
-once per dataset; a hidden-layer model touches no state.
+A ``Dataset`` owns ``correctness_mask``'s state: the raws and packed scores
+of its last sweep, from which a new sweep adds only the columns whose raw
+moved.  At every checkpoint, on sparse, dense, short and clip-edge rows, and
+on sweeps that alternate between datasets, that must give the mask of the
+full packed sum (``correctness_mask_oracle``) and raise where it raises,
+leaving the state as it was.  Training sweeps each checkpoint it records
+once; an ACCOUNTING round trip, in the run or from ``sgdcodec decode``,
+reads the trace's masks and sweeps nothing, and a STRICT one sweeps only
+checkpoints of the chain it recovers.  max |x|^2 is taken once per dataset;
+a hidden-layer model touches no state.
 The one-hot generator stores each element's nonzero pairs as it builds it,
 and ``to_text`` writes sparse rows as runs of zeros; both must give what a
 scan of the row gives.
@@ -23,7 +24,7 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import correctness_mask_oracle, manual_dataset, one_hot_dataset, to_text_oracle
-from sgdcodec import epoch_codec, harness, sgd_engine
+from sgdcodec import cli, epoch_codec, harness, sgd_engine
 from sgdcodec import model as model_module
 from sgdcodec.harness import ExperimentSpec
 from sgdcodec.model import (
@@ -88,39 +89,41 @@ def next_weights(draw, grid: GridSpec, w: list[int]) -> list[int]:
 
 
 class CountedSweeps(list):
-    """A ``Dataset._sweep`` that counts the sweeps stored into it."""
+    """A ``Dataset._sweep`` that records the raws of each sweep stored into it."""
 
-    computed = 0
+    def __init__(self):
+        super().__init__()
+        self.raws = []
+
+    @property
+    def computed(self) -> int:
+        return len(self.raws)
 
     def __setitem__(self, key, value):
-        self.computed += 1
+        self.raws.append(value[0])
         super().__setitem__(key, value)
 
 
 def counting(ds: Dataset) -> CountedSweeps:
     """Puts a ``CountedSweeps`` in place of the dataset's empty sweep state."""
-    assert ds._sweep == [] and ds._masks == {}
+    assert ds._sweep == []
     object.__setattr__(ds, "_sweep", CountedSweeps())
     return ds._sweep
 
 
-def state(ds: Dataset) -> tuple:
-    return dict(ds._masks), list(ds._sweep)
+def state(ds: Dataset) -> list:
+    return list(ds._sweep)
 
 
 @settings(max_examples=150, deadline=None)
 @given(row_datasets(), st.data())
 def test_carried_sweep_equals_the_full_sweep_at_every_checkpoint(ds, data):
-    # a checkpoint met again, as after a "none" move, is looked up, not swept
+    # every call sweeps and stores, a checkpoint met again (a "none" move) too
     sweeps, w = counting(ds), [0] * ds.dim
-    for _ in range(data.draw(st.integers(1, 8))):
+    for k in range(1, data.draw(st.integers(1, 8)) + 1):
         model = Model("logistic-linear", FixedVector(tuple(w), ds.grid), ds.dim)
-        new = tuple(w) not in ds._masks
-        mask = correctness_mask(model, ds)
-        assert mask == correctness_mask_oracle(model, ds) == ds._masks[tuple(w)]
-        if new:
-            assert ds._sweep[0] == tuple(w)
-        assert sweeps.computed == len(ds._masks)
+        assert correctness_mask(model, ds) == correctness_mask_oracle(model, ds)
+        assert ds._sweep[0] == tuple(w) and sweeps.computed == k
         w = next_weights(data.draw, ds.grid, w)
 
 
@@ -143,7 +146,7 @@ def test_sweeps_alternating_between_two_datasets_equal_the_full_sweep(grid, data
 
 def test_carried_sweep_runs_the_full_sweeps_checks():
     # an off-grid raw, another grid and another dim each raise and leave the
-    # dataset's masks and last sweep as they were, empty or filled
+    # dataset's last sweep as it was, empty or filled
     grid = GridSpec(scale=6, clip=4)
     ds = one_hot_dataset(grid, 16, 64)
     zero = zero_model("logistic-linear", 16, grid)
@@ -177,7 +180,7 @@ class CountedColumn(int):
 
 
 def test_a_new_sweep_multiplies_only_the_columns_that_moved(monkeypatch):
-    # from the last computed sweep, whichever checkpoints were looked up since
+    # from the last sweep, a checkpoint met before included
     grid = GridSpec(scale=6, clip=4)
     rows = [([(e * c) % 7 * 8 - 24 for c in range(16)], e % 2) for e in range(8)]
     ds, plain = manual_dataset(grid, rows), manual_dataset(grid, rows)
@@ -186,8 +189,8 @@ def test_a_new_sweep_multiplies_only_the_columns_that_moved(monkeypatch):
     monkeypatch.setattr(CountedColumn, "products", 0)
     zero = zero_model("logistic-linear", 16, grid)
     one, three = (5,) + (0,) * 15, (5,) * 3 + (0,) * 13
-    for w, products in (((0,) * 16, 0), (one, 1), (three, 2), ((0,) * 16, 0), (one, 0),
-                        ((5, 1) + (0,) * 14, 2)):
+    for w, products in (((0,) * 16, 0), (one, 1), (three, 2), (three, 0), ((0,) * 16, 3),
+                        (one, 1), ((5, 1) + (0,) * 14, 1)):
         before = CountedColumn.products
         model = zero.with_weights(FixedVector(w, grid))
         assert correctness_mask(model, ds) == correctness_mask_oracle(model, plain)
@@ -212,8 +215,10 @@ def counted_sweeps(monkeypatch, module) -> list:
     return calls
 
 
-def checkpoints_of(traces) -> set:
-    return {w.raws for t in traces for w in t.checkpoints}
+def recorded(traces) -> list:
+    """The raws of every checkpoint the traces record, in training's order;
+    an epoch's first checkpoint repeats the previous epoch's last."""
+    return [w.raws for t in traces for w in t.checkpoints]
 
 
 def test_every_logistic_run_sweeps_each_checkpoint_once_on_one_carry(monkeypatch):
@@ -233,14 +238,13 @@ def test_every_logistic_run_sweeps_each_checkpoint_once_on_one_carry(monkeypatch
         masks = [mask for t in run.traces for mask in t.masks]
         assert len(calls) == len(masks) > 2 and len(run.traces) == 2
         assert all(d is ds for d in calls)
-        # one sweep per distinct checkpoint, each stored under its raws
-        assert sweeps.computed == len(ds._masks) == len(checkpoints_of(run.traces)) > 1
-        assert set(ds._masks) == checkpoints_of(run.traces)
+        # one sweep per recorded checkpoint, in the order training records them
+        assert sweeps.raws == recorded(run.traces) and len(set(recorded(run.traces))) > 1
         assert ds._sweep[0] == run.final_model.weights.raws
-        # a second run on the dataset sweeps nothing new
+        # a second run on the dataset sweeps from the first run's last sweep
         again = run_training(config_for(ds, 16, 2), ds)
         assert [t.masks for t in again.traces] == [t.masks for t in run.traces]
-        assert sweeps.computed == len(ds._masks)
+        assert sweeps.raws == 2 * recorded(run.traces)
 
 
 def test_a_hidden_layer_model_ignores_the_carry(monkeypatch):
@@ -250,7 +254,7 @@ def test_a_hidden_layer_model_ignores_the_carry(monkeypatch):
     hidden = Model("one-hidden-layer", FixedVector(raws, grid), 16, 2)
     logistic = zero_model("logistic-linear", 16, grid).with_weights(FixedVector(raws[:16], grid))
     expect = correctness_mask(hidden, ds)
-    assert state(ds) == ({}, [])
+    assert state(ds) == []
     correctness_mask(logistic, ds)
     kept = state(ds)
     assert correctness_mask(hidden, ds) == expect
@@ -259,21 +263,90 @@ def test_a_hidden_layer_model_ignores_the_carry(monkeypatch):
     fresh = one_hot_dataset(grid, 16, 64)
     run = run_training(config_for(fresh, 1, 2, model_kind="one-hidden-layer", hidden_width=2), fresh)
     assert len(calls) == sum(len(t.masks) for t in run.traces) > 2
-    assert state(fresh) == ({}, [])
+    assert state(fresh) == []
+
+
+def accounting_run_config() -> RunConfig:
+    """Random labels whose two ACCOUNTING epochs code BACKWARD, then SPLIT."""
+    gen = GeneratorSpec(family="random-labels", n=64, dim=2, seed=3)
+    return RunConfig(generator=gen, batch_size=16, step_raw=1 << 13, eps=Fraction(1, 4),
+                     progress_coeff=Fraction(4), seed=3, max_epochs=2, grid=GridSpec())
+
+
+def counted_datasets(monkeypatch) -> list:
+    """Makes ``harness.generate_dataset`` count each dataset's stored sweeps;
+    returns the (dataset, ``CountedSweeps``) pairs it made."""
+    made = []
+
+    def generated(spec, grid):
+        ds = generate_dataset(spec, grid)
+        made.append((ds, counting(ds)))
+        return ds
+
+    monkeypatch.setattr(harness, "generate_dataset", generated)
+    return made
 
 
 def test_each_backward_decode_walk_keeps_one_carry(monkeypatch):
-    # a BACKWARD walk sweeps once per batch and a SPLIT decode once, each a
-    # checkpoint training swept already: the walks look them all up
-    gen = GeneratorSpec(family="random-labels", n=64, dim=2, seed=3)
-    cfg = RunConfig(generator=gen, batch_size=16, step_raw=1 << 13, eps=Fraction(1, 4),
-                    progress_coeff=Fraction(4), seed=3, max_epochs=2, grid=GridSpec())
+    # an ACCOUNTING round trip, BACKWARD or SPLIT, reads the trace's masks:
+    # the decoder calls correctness_mask zero times, and the dataset's only
+    # sweeps are training's, one per recorded checkpoint
     calls = counted_sweeps(monkeypatch, epoch_codec)
-    result = harness.run_experiment(ExperimentSpec(config=cfg, mode="ACCOUNTING"))
-    rep = result.replications[0]
+    made = counted_datasets(monkeypatch)
+    rep = harness.run_experiment(ExperimentSpec(config=accounting_run_config())).replications[0]
     assert [row.case for row in rep.report.rows] == ["BACKWARD", "SPLIT"]
-    assert len(calls) == 5 and all(d is result.dataset for d in calls)
-    assert set(result.dataset._masks) == checkpoints_of(rep.run.traces)
+    [(ds, sweeps)] = made
+    assert calls == [] and sweeps.raws == recorded(rep.run.traces)
+
+
+def test_sgdcodec_decode_of_an_accounting_run_computes_no_sweep(monkeypatch, tmp_path, capsys):
+    # check_run reruns training, which sweeps each recorded checkpoint once;
+    # decoding its BACKWARD and SPLIT epoch files adds no sweep
+    out = str(tmp_path / "run")
+    rep = harness.run_experiment(ExperimentSpec(config=accounting_run_config()), out)
+    assert [row.case for row in rep.replications[0].report.rows] == ["BACKWARD", "SPLIT"]
+    calls = counted_sweeps(monkeypatch, epoch_codec)
+    made = counted_datasets(monkeypatch)
+    assert cli.main(["decode", "--dir", out]) == 0
+    assert capsys.readouterr().out.count(": ok") == 4  # dataset, two epochs, final model
+    [(ds, sweeps)] = made
+    assert calls == [] and sweeps.raws == recorded(rep.replications[0].run.traces)
+
+
+def test_a_strict_decode_sweeps_only_the_chain_it_recovers(monkeypatch):
+    # each mask a STRICT decode reads is the full sweep of a checkpoint of
+    # the chain it returns: W_{T+1} .. W_2 walking BACKWARD, the embedded
+    # W_j of a SPLIT
+    gen = GeneratorSpec(family="random-labels", n=32, dim=1, seed=5)
+    cfg = RunConfig(generator=gen, batch_size=8, step_raw=8, eps=Fraction(1, 4),
+                    progress_coeff=Fraction(2), seed=5, max_epochs=3,
+                    grid=GridSpec(scale=6, clip=4))
+    run = run_training(cfg, generate_dataset(gen, cfg.grid))
+    swept, real = [], model_module.correctness_mask
+
+    def recorded_sweep(m, d):
+        mask = real(m, d)
+        swept.append((m, mask))
+        return mask
+
+    monkeypatch.setattr(epoch_codec, "correctness_mask", recorded_sweep)
+    cases = []
+    for tr in run.completed_traces:
+        code = epoch_codec.encode_epoch(tr, run.dataset, cfg, epoch_codec.STRICT)
+        cases.append(code.case)
+        swept.clear()
+        side = epoch_codec.SideInfo.of(epoch_codec.STRICT, tr)
+        dec = epoch_codec.decode_epoch(code.stream, run.dataset, cfg, side)
+        assert dec.order == tr.order
+        assert [w.raws for w in dec.checkpoints] == [w.raws for w in tr.checkpoints]
+        if code.case == "SPLIT":
+            chain = [dec.checkpoints[code.split_j - 1]]
+        else:
+            chain = dec.checkpoints[:0:-1]
+        assert [m.weights.raws for m, _ in swept] == [w.raws for w in chain]
+        for m, mask in swept:
+            assert mask == correctness_mask_oracle(m, run.dataset)
+    assert cases == ["BACKWARD", "SPLIT", "SPLIT"]
 
 
 @pytest.mark.parametrize("mode,seed,cases", [
@@ -282,8 +355,9 @@ def test_each_backward_decode_walk_keeps_one_carry(monkeypatch):
     ("STRICT", 3, ["SPLIT"] * 4),  # criterion 2's chain, rebuilt by reverse search
 ], ids=["backward", "split", "strict"])
 def test_round_trips_compute_no_sweep_training_did_not(mode, seed, cases, monkeypatch):
-    # the stored masks number exactly the trained checkpoints, and each was
-    # swept once: every decode walk of the run looked its classifiers up
+    # ACCOUNTING: the dataset's sweeps are training's, one per recorded
+    # checkpoint.  STRICT: each epoch's decode, which follows its training,
+    # adds one more, at the SPLIT's embedded checkpoint W_j
     if mode == "STRICT":
         gen = GeneratorSpec(family="two-gaussians", n=32, dim=1, seed=3)
         cfg = RunConfig(generator=gen, batch_size=4, step_raw=8, eps=Fraction(1, 100),
@@ -293,19 +367,17 @@ def test_round_trips_compute_no_sweep_training_did_not(mode, seed, cases, monkey
         gen = GeneratorSpec(family="random-labels", n=64, dim=2, seed=seed)
         cfg = RunConfig(generator=gen, batch_size=16, step_raw=1 << 13, eps=Fraction(1, 4),
                         progress_coeff=Fraction(4), seed=seed, max_epochs=2, grid=GridSpec())
-    made = []
-
-    def generated(spec, grid):
-        ds = generate_dataset(spec, grid)
-        made.append((ds, counting(ds)))
-        return ds
-
-    monkeypatch.setattr(harness, "generate_dataset", generated)
+    made = counted_datasets(monkeypatch)
     rep = harness.run_experiment(ExperimentSpec(config=cfg, mode=mode)).replications[0]
     assert [row.case for row in rep.report.rows] == cases
     [(ds, sweeps)] = made
-    trained = checkpoints_of(rep.run.traces)
-    assert set(ds._masks) == trained and sweeps.computed == len(trained)
+    assert len(rep.run.traces) == len(cases)
+    expect = []
+    for trace, row in zip(rep.run.traces, rep.report.rows):
+        expect += recorded([trace])
+        if mode == "STRICT":
+            expect.append(trace.checkpoints[row.split_j - 1].raws)
+    assert sweeps.raws == expect
 
 
 def test_max_sq_norm_is_taken_once_per_dataset(monkeypatch):

@@ -406,7 +406,7 @@ def test_n4096_accounting_round_trip_keeps_its_streams():
         code = encode_epoch(tr, run.dataset, cfg, mode=ACCOUNTING)
         assert code.case == BACKWARD
         digest.update(code.stream.to_bytes())
-        dec = decode_epoch(code.stream, run.dataset, cfg, SideInfo.of(ACCOUNTING, tr.checkpoints))
+        dec = decode_epoch(code.stream, run.dataset, cfg, SideInfo.of(ACCOUNTING, tr))
         assert dec.order == tuple(tr.order)
     assert len(run.completed_traces) == 2
     assert digest.hexdigest() == N4096_STREAMS_SHA256
@@ -701,5 +701,5 @@ def test_sweep_random_backward_epochs_decode_the_same_both_ways():
                 assert s.bits_remaining() == 0 and pool == 0
                 walks.append(batches[::-1])
             assert walks[0] == walks[1] == list(tr.batches)
-            side = SideInfo.of(ACCOUNTING, tr.checkpoints)
+            side = SideInfo.of(ACCOUNTING, tr)
             assert decode_epoch(code.stream, run.dataset, run.config, side).order == tr.order

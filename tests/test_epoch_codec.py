@@ -160,8 +160,8 @@ def test_split_on_the_unseen_side_round_trips():
     widths = dict(code.segments)
     assert widths["set_rank_pos"] == ceil_log2(4)  # 3 of the 4 correct
     assert widths["set_rank_neg"] == ceil_log2(12)  # 1 of the 12 wrong
-    dec = decode_epoch(code.stream, ds, cfg, SideInfo.of(ACCOUNTING, tr.checkpoints))
-    assert dec.order == tr.order and dec.chain_matches(tr.checkpoints)
+    dec = decode_epoch(code.stream, ds, cfg, SideInfo.of(ACCOUNTING, tr))
+    assert dec.order == tr.order and dec.checkpoints == ()
 
 
 def test_split_stream_width_is_fully_predictable():
@@ -182,7 +182,7 @@ def test_split_stream_width_is_fully_predictable():
     assert widths["perm_right"] == 717
     assert code.measured_bits == 1453
     assert ceil_log2(math.factorial(256)) - code.measured_bits == 231
-    dec = decode_epoch(code.stream, ds, cfg, SideInfo.of(ACCOUNTING, tr.checkpoints))
+    dec = decode_epoch(code.stream, ds, cfg, SideInfo.of(ACCOUNTING, tr))
     assert dec.order == tr.order
 
 
@@ -195,7 +195,7 @@ def test_staircase_backward_stream_beats_baseline():
     assert code.case == BACKWARD
     assert code.measured_bits == 441
     assert ceil_log2(math.factorial(160)) == 946
-    dec = decode_epoch(code.stream, ds, cfg, SideInfo.of(ACCOUNTING, tr.checkpoints))
+    dec = decode_epoch(code.stream, ds, cfg, SideInfo.of(ACCOUNTING, tr))
     assert dec.order == tr.order
 
 
@@ -230,7 +230,7 @@ def test_predict_segments_matches_encoder_on_real_runs():
             code = encode_epoch(tr, run.dataset, cfg, mode=ACCOUNTING)
             cases.add(code.case)
             assert predict_segments(tr, cfg, code.selector, ACCOUNTING) == code.segments
-            dec = decode_epoch(code.stream, run.dataset, cfg, SideInfo.of(ACCOUNTING, tr.checkpoints))
+            dec = decode_epoch(code.stream, run.dataset, cfg, SideInfo.of(ACCOUNTING, tr))
             assert dec.order == tr.order
     assert cases == {SPLIT, BACKWARD}
 
@@ -243,7 +243,7 @@ def test_strict_split_round_trip_recovers_chain():
         assert code.case == SPLIT
         assert code.stream_model_bits == cfg.grid.coord_bits
         assert predict_segments(tr, cfg, code.selector, STRICT) == code.segments
-        dec = decode_epoch(code.stream, run.dataset, cfg, SideInfo.of(STRICT, tr.checkpoints))
+        dec = decode_epoch(code.stream, run.dataset, cfg, SideInfo.of(STRICT, tr))
         assert dec.order == tr.order
         assert [w.raws for w in dec.checkpoints] == [w.raws for w in tr.checkpoints]
 
@@ -254,7 +254,7 @@ def test_strict_backward_round_trip_recovers_chain():
              for tr in run.completed_traces]
     assert [c.case for c in codes] == [BACKWARD, SPLIT, SPLIT]
     for tr, code in zip(run.completed_traces, codes):
-        dec = decode_epoch(code.stream, run.dataset, cfg, SideInfo.of(STRICT, tr.checkpoints))
+        dec = decode_epoch(code.stream, run.dataset, cfg, SideInfo.of(STRICT, tr))
         assert dec.order == tr.order
         assert [w.raws for w in dec.checkpoints] == [w.raws for w in tr.checkpoints]
 
@@ -262,39 +262,59 @@ def test_strict_backward_round_trip_recovers_chain():
 def test_side_info_of_hands_strict_the_last_checkpoint_alone():
     _, run = gaussians_run()
     trace = run.completed_traces[0]
-    strict = SideInfo.of(STRICT, trace.checkpoints)
-    assert strict.mode == STRICT and strict.checkpoints == (trace.checkpoints[-1],)
-    accounting = SideInfo.of(ACCOUNTING, trace.checkpoints)
-    assert accounting.mode == ACCOUNTING
-    assert accounting.checkpoints == tuple(trace.checkpoints)
+    strict = SideInfo.of(STRICT, trace)
+    assert strict.mode == STRICT and strict.masks == ()
+    assert strict.last == trace.checkpoints[-1]
+    accounting = SideInfo.of(ACCOUNTING, trace)
+    assert accounting.mode == ACCOUNTING and accounting.last is None
+    assert accounting.masks == tuple(trace.masks)
+    assert len(accounting.masks) == trace.num_batches + 1
     with pytest.raises(DomainError):
-        SideInfo.of("FAST", trace.checkpoints)
+        SideInfo.of("FAST", trace)
 
 
 def test_decode_rejects_a_checkpoint_source_of_the_wrong_length():
-    cfg, run = gaussians_run()
-    tr = run.completed_traces[0]
-    strict = encode_epoch(tr, run.dataset, cfg, mode=STRICT)
-    accounting = encode_epoch(tr, run.dataset, cfg, mode=ACCOUNTING)
-    assert strict.case == accounting.case == SPLIT
-    short = SideInfo.of(ACCOUNTING, tr.checkpoints[:-1])
-    with pytest.raises(CodecError, match="checkpoint"):
-        decode_epoch(accounting.stream, run.dataset, cfg, short)
-    two = SideInfo(STRICT, tuple(tr.checkpoints[-2:]))
-    with pytest.raises(CodecError, match="checkpoint"):
-        decode_epoch(strict.stream, run.dataset, cfg, two)
+    # ACCOUNTING needs the n/b + 1 masks, STRICT the last checkpoint
+    cfg, run = labels_run(seed=5)
+    cases = []
+    for tr in run.completed_traces[:2]:
+        strict = encode_epoch(tr, run.dataset, cfg, mode=STRICT)
+        accounting = encode_epoch(tr, run.dataset, cfg, mode=ACCOUNTING)
+        cases.append(accounting.case)
+        for masks in (tr.masks[:-1], tr.masks[1:], tr.masks + tr.masks[-1:], []):
+            side = SideInfo(ACCOUNTING, masks=tuple(masks))
+            with pytest.raises(CodecError, match=f"needs 5 masks, got {len(masks)}"):
+                decode_epoch(accounting.stream, run.dataset, cfg, side)
+        with pytest.raises(CodecError, match="last checkpoint"):
+            decode_epoch(strict.stream, run.dataset, cfg, SideInfo(STRICT))
+    assert cases == [BACKWARD, SPLIT]
 
 
-def test_accounting_decode_returns_the_chain_it_was_given():
+def test_accounting_decode_walks_no_chain():
     cfg, run = labels_run(seed=5)
     cases = set()
     for tr in run.completed_traces:
         code = encode_epoch(tr, run.dataset, cfg, mode=ACCOUNTING)
         cases.add(code.case)
-        side = SideInfo.of(ACCOUNTING, tr.checkpoints)
-        dec = decode_epoch(code.stream, run.dataset, cfg, side)
-        assert dec.checkpoints == side.checkpoints == tuple(tr.checkpoints)
+        dec = decode_epoch(code.stream, run.dataset, cfg, SideInfo.of(ACCOUNTING, tr))
+        assert dec.order == tr.order and dec.checkpoints == ()
     assert cases == {SPLIT, BACKWARD}
+
+
+def test_accounting_decode_reads_each_classifier_by_its_index():
+    # masks swapped at the classifier a field was coded against decode
+    # another order, or raise: the decoder reads mask j for batch j
+    cfg, run = labels_run(seed=5)
+    for tr in run.completed_traces:
+        code = encode_epoch(tr, run.dataset, cfg, mode=ACCOUNTING)
+        j = code.split_j - 1 if code.case == SPLIT else tr.num_batches
+        masks = list(tr.masks)
+        masks[j] = (1 << tr.n) - 1 ^ masks[j]
+        try:
+            dec = decode_epoch(code.stream, run.dataset, cfg, SideInfo(ACCOUNTING, tuple(masks)))
+        except DECODE_ERRORS:
+            continue
+        assert dec.order != tr.order
 
 
 @pytest.mark.parametrize("mode", [ACCOUNTING, STRICT])
@@ -306,7 +326,7 @@ def test_decode_rejects_a_split_position_past_the_epoch(mode):
     stream.write_uint(1, 1)
     stream.write_uint((1 << width) - 1, width)  # split position 2**width + 1
     with pytest.raises(CodecError, match="split position"):
-        decode_epoch(stream, run.dataset, cfg, SideInfo.of(mode, tr.checkpoints))
+        decode_epoch(stream, run.dataset, cfg, SideInfo.of(mode, tr))
 
 
 def test_accounting_mode_never_embeds_the_model():
@@ -322,7 +342,7 @@ def test_tampered_stream_never_decodes_silently():
     cfg, run = gaussians_run()
     tr = run.completed_traces[0]
     code = encode_epoch(tr, run.dataset, cfg, mode=STRICT)
-    side = SideInfo.of(STRICT, tr.checkpoints)
+    side = SideInfo.of(STRICT, tr)
     for k in (0, 1, 2, 40, len(code.stream) - 1):
         bad = flip_bit(code.stream, k)
         try:
@@ -339,7 +359,7 @@ def test_decode_rejects_trailing_bits(tmp_path):
     assert [c.case for c in codes] == [BACKWARD, SPLIT]
     path = str(tmp_path / "epoch.epc")
     for tr, code in zip(traces, codes):
-        side = SideInfo.of(ACCOUNTING, tr.checkpoints)
+        side = SideInfo.of(ACCOUNTING, tr)
         for extra in range(1, 8):
             for fill in (0, (1 << extra) - 1):
                 padded = BitStream.from_bytes(code.stream.to_bytes())
@@ -473,7 +493,7 @@ def test_epoch_file_round_trip(tmp_path):
     write_epoch_file(path, code)
     n, b, epoch, stream = read_epoch_file(path)
     assert (n, b, epoch) == (code.n, code.batch_size, code.epoch)
-    dec = decode_epoch(stream, run.dataset, cfg, SideInfo.of(ACCOUNTING, tr.checkpoints))
+    dec = decode_epoch(stream, run.dataset, cfg, SideInfo.of(ACCOUNTING, tr))
     assert dec.order == tr.order
 
 

@@ -187,7 +187,7 @@ def test_strict_round_trip_decodes_from_the_last_checkpoint_alone(monkeypatch):
     assert len(sides) == len(traces) == 4
     for side, trace in zip(sides, traces):
         assert side.mode == "STRICT"
-        assert side.checkpoints == (trace.checkpoints[-1],)
+        assert side.last == trace.checkpoints[-1] and side.masks == ()
 
 
 def test_replications_shift_the_run_seed(tmp_path):

@@ -49,6 +49,7 @@ from sgdcodec.sgd_engine import (
     _splitmix64_words,
     vector_from_bytes,
     vector_to_bytes,
+    within_eps,
 )
 
 GRID = GridSpec()
@@ -173,6 +174,30 @@ def test_run_config_rejects_a_hidden_width_for_logistic_linear(width):
         RunConfig(generator=gen, batch_size=4, step_raw=1, eps=Fraction(1, 4),
                   progress_coeff=Fraction(1), seed=0, max_epochs=1, grid=GRID,
                   hidden_width=width)
+
+
+def test_run_config_refuses_more_weights_than_the_cell_cap():
+    # d = width * dim + width, checked before any weight vector is allocated
+    gen = GeneratorSpec(family="random-labels", n=16, dim=2, seed=0)
+
+    def config(width):
+        return RunConfig(generator=gen, batch_size=4, step_raw=1, eps=Fraction(1, 4),
+                         progress_coeff=Fraction(1), seed=0, max_epochs=1, grid=GRID,
+                         model_kind="one-hidden-layer", hidden_width=width)
+
+    cap = 1 << 24
+    assert config(cap // 3).d == cap - cap % 3 <= cap
+    for width in (cap // 3 + 1, cap, 1 << 200):
+        with pytest.raises(DomainError, match=f"weight count d must be <= 2\\*\\*24, got {3 * width}"):
+            config(width)
+
+
+@pytest.mark.parametrize("eps", [Fraction(1, 100), Fraction(1, 4), Fraction(3, 7)])
+def test_within_eps_is_accuracy_at_least_1_minus_eps(eps):
+    # the stop test and the accuracy ceiling check both read this rule
+    for n in (1, 7, 100, 256):
+        for correct in range(n + 1):
+            assert within_eps(correct, n, eps) == (Fraction(correct, n) >= 1 - eps)
 
 
 def test_zero_step_epoch_keeps_model_frozen():
