@@ -302,8 +302,8 @@ def test_accounting_decode_walks_no_chain():
 
 
 def test_accounting_decode_reads_each_classifier_by_its_index():
-    # masks swapped at the classifier a field was coded against decode
-    # another order, or raise: the decoder reads mask j for batch j
+    # the mask the first coded field was read against, complemented, decodes
+    # another order or raises: the decoder reads that classifier by index
     cfg, run = labels_run(seed=5)
     for tr in run.completed_traces:
         code = encode_epoch(tr, run.dataset, cfg, mode=ACCOUNTING)
