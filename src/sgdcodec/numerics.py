@@ -170,21 +170,17 @@ def _numerators(*values: Rational) -> tuple[list[int], int]:
 def _entropy(num: int, den: int) -> float:
     """h(num/den) in bits for 0 <= num <= den.
 
-    Where 1 - x rounds to 1.0 (x below about 2^-53), the complement term
-    -(1 - x) log2(1 - x), about x / ln 2, comes from log1p(-x).  Where x
-    rounds to 1.0, h is taken from the smaller side (den - num)/den, and
-    where that side or x rounds to 0.0, h is 0.0.
+    h is symmetric, so it is taken from the smaller side x <= 1/2, with the
+    complement term -(1 - x) log2(1 - x) from log1p(-x): log2 of a rounded
+    1 - x keeps only an absolute error of about 2^-53, where the term itself
+    is about x / ln 2.  Where x rounds to 0.0, h is 0.0.
     """
-    if num == 0 or num == den:
-        return 0.0
     x = num / den
-    y = 1.0 - x
-    try:
-        if y == 1.0:
-            return -(x * math.log2(x) + math.log1p(-x) / _LN2)
-        return -(x * math.log2(x) + y * math.log2(y))
-    except ValueError:  # log2(0.0): x rounded to 0.0 or 1.0
-        return _entropy(den - num, den) if x else 0.0
+    if x > 0.5:
+        x = (den - num) / den
+    if x == 0.0:
+        return 0.0
+    return -(x * math.log2(x) + (1.0 - x) * math.log1p(-x) / _LN2)
 
 
 def _ln_ratio(p: int, q: int) -> float:

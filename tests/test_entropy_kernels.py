@@ -47,10 +47,11 @@ def oracle_binary_entropy(p):
         raise DomainError(f"probability {p} outside [0, 1]")
     if pf == 0 or pf == 1:
         return 0.0
+    # from the smaller side, with the complement term from log1p
     x = float(pf)
-    if 1.0 - x == 1.0:  # the complement term, about x / ln 2, from log1p
-        return -(x * math.log2(x) + math.log1p(-x) / math.log(2))
-    return -(x * math.log2(x) + (1.0 - x) * math.log2(1.0 - x))
+    if x > 0.5:
+        x = float(1 - pf)
+    return -(x * math.log2(x) + (1.0 - x) * math.log1p(-x) / math.log(2))
 
 
 def oracle_kl_bernoulli(p, q):
@@ -188,6 +189,23 @@ def test_binary_entropy_matches_oracle(p):
             assert _entropy(a, n).hex() == want.hex()
 
 
+# the complement term from log2 of a rounded 1 - p was off by about 2^-53
+# absolute, some 10^5 ulps of h(p) here
+@example(1.192092896e-07)
+@example(Fraction(1, 10**9 + 7))
+@example(Fraction(10**9 + 6, 10**9 + 7))
+@settings(max_examples=200)
+@given(PROBS)
+def test_binary_entropy_is_accurate_to_a_few_ulps(p):
+    (a,), n = _numerators(p)
+    if 0 <= a <= n:
+        with mpmath.workprec(2 * n.bit_length() + 256):
+            x = mpmath.mpf(a) / n
+            h = -(x * mpmath.log(x, 2) + (1 - x) * mpmath.log(1 - x, 2)) if 0 < a < n else 0
+            want = float(h)
+        assert close(_entropy(a, n), want, want)
+
+
 # q rounds to 1.0 as a float: D(p || q) once divided by 0.0
 @example(Fraction(3, 4), Fraction(1, 2**1074))  # p/q overflows: D was once inf
 @example(1, 2.2250738585e-313)  # the same at p = 1, with no complement term
@@ -273,6 +291,9 @@ def split_within_ulps(p, gamma, q):
 @example(0.5, 5e-324, 1.5e-323)
 # p = 1 and p/q overflows: D once raised "math domain error" from ln(0)
 @example(1, 2.225073858507e-311, 2.225073858507e-311)
+# h(gamma) took its complement term from log2 of a rounded 1 - gamma: off by
+# about 2^-53 absolute, some 10^5 ulps of h(gamma)
+@example(5e-324, 1.192092896e-07, 0.5)
 @settings(max_examples=300)
 @given(PROBS, PROBS, PROBS)
 def test_verify_split_entropy_matches_oracle(p, gamma, q):
