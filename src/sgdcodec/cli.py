@@ -79,7 +79,7 @@ def _parse(setting: Setting, text: str) -> object:
             return Fraction(text)
         except ZeroDivisionError:
             raise DomainError(f"{setting.key} = {text} has a zero denominator") from None
-    return text  # a choice, which its dataclass checks
+    return text  # a choice, which its record checks as it is built
 
 
 def build_spec(values: dict[str, str]) -> ExperimentSpec:

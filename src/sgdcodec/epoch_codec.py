@@ -35,9 +35,8 @@ from __future__ import annotations
 import itertools
 import math
 import struct
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .codec import (
     BitStream,
@@ -99,8 +98,7 @@ def check_strict_limits(config: RunConfig, error: type[Exception] = CodecError) 
         )
 
 
-@dataclass(frozen=True)
-class CaseSelector:
+class CaseSelector(NamedTuple):
     """Window scan outcome: which branch encodes this epoch and why."""
 
     window_start: int
@@ -162,8 +160,7 @@ def _split_divergences(trace: EpochTrace, i: int) -> tuple[int, int, int]:
     return (t - i) * d_seen**2, i * d_unseen**2, i * (t - i) * t**3 * b**2
 
 
-@dataclass(frozen=True)
-class SideInfo:
+class SideInfo(NamedTuple):
     """What the decoder reads besides the stream: in ACCOUNTING ``masks``,
     the correctness masks of the epoch's checkpoints W_1 .. W_{T+1}; in
     STRICT ``last``, the last checkpoint W_{T+1} alone."""
@@ -182,8 +179,7 @@ class SideInfo:
         raise DomainError(f"unknown mode {mode!r}")
 
 
-@dataclass
-class EpochCode:
+class EpochCode(NamedTuple):
     epoch: int
     n: int
     batch_size: int
@@ -367,8 +363,7 @@ def predict_segments(
     return tuple(segs)
 
 
-@dataclass(frozen=True)
-class DecodeResult:
+class DecodeResult(NamedTuple):
     """The decoded visit order and, in STRICT, the checkpoint chain W_1 ..
     W_{T+1} that reverse search recovered to decode it; an ACCOUNTING decode
     walks no chain, and its ``checkpoints`` is empty."""
@@ -483,8 +478,7 @@ def model_description_bits(config: RunConfig) -> int:
     return config.d * (config.grid.scale + ceil_log2(config.grid.clip))
 
 
-@dataclass
-class AccountRow:
+class AccountRow(NamedTuple):
     """Everything the per-epoch compression report records; the field order
     is the ``report.csv`` column order."""
 
@@ -617,8 +611,7 @@ def epoch_accounting(code: EpochCode, trace: EpochTrace, config: RunConfig) -> A
     )
 
 
-@dataclass(frozen=True)
-class CeilingVerdict:
+class CeilingVerdict(NamedTuple):
     """Outcome of the high-accuracy progress ceiling check."""
 
     applicable: bool

@@ -32,10 +32,9 @@ import os
 import random
 import re
 import struct
-from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 from functools import reduce
-from operator import attrgetter, getitem
+from operator import getitem
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .codec import (
@@ -73,6 +72,7 @@ from .model import (
 from .numerics import (
     DomainError,
     GridSpec,
+    Record,
     _entropy,
     _kl,
     _realizable_q,
@@ -95,7 +95,7 @@ MANIFEST_FORMAT = "sgdcodec-run-v1"
 
 class Setting(NamedTuple):
     """One run setting.  ``key`` names it in a config file and, dashed, as a
-    flag; it is field ``name`` of its ``level``'s dataclass and of that level's
+    flag; it is field ``name`` of its ``level``'s record and of that level's
     manifest object.  ``kind`` is ``int``, ``Fraction`` or a tuple of choices;
     a manifest that omits an ``optional`` setting reads the CLI's ``default``."""
 
@@ -141,7 +141,7 @@ def _manifest_value(manifest: dict, setting: Setting) -> object:
     """The setting's value in a manifest, or its default where an optional
     setting is absent.  An int takes a JSON integer only, never a bool, float
     or string, and a rational only the ``num/den`` string ``to_dict`` writes;
-    a choice is left to its dataclass to check."""
+    a choice is left to its record's constructor to check."""
     obj = reduce(getitem, _MANIFEST_PATHS[setting.level], manifest)
     if setting.optional and setting.name not in obj:
         return setting.default
@@ -155,15 +155,13 @@ def _manifest_value(manifest: dict, setting: Setting) -> object:
     return Fraction(value)
 
 
-@dataclass(frozen=True)
-class ExperimentSpec:
+class ExperimentSpec(Record):
     """One reproducible experiment: a config, how often, and in which mode."""
 
-    config: RunConfig
-    replications: int = 1
-    mode: str = ACCOUNTING
+    __slots__ = _fields = ("config", "replications", "mode")
 
-    def __post_init__(self) -> None:
+    def __init__(self, config: RunConfig, replications: int = 1, mode: str = ACCOUNTING) -> None:
+        self._init(config, replications, mode)
         if self.replications < 1:
             raise DomainError("replications must be >= 1")
         if self.config.seed + self.replications - 1 > MASK64:
@@ -176,7 +174,7 @@ class ExperimentSpec:
     @classmethod
     def from_settings(cls, values: dict) -> "ExperimentSpec":
         """The spec of one parsed value per setting key.  Each level's
-        dataclass checks its fields in turn: generator, grid, config, spec."""
+        record checks its fields in turn: generator, grid, config, spec."""
         held: dict[str, dict] = {level: {} for level in _MANIFEST_PATHS}
         for s in SETTINGS:
             held[s.level][s.name] = values[s.key]
@@ -214,8 +212,7 @@ def dataset_description_bits(dataset: Dataset) -> int:
     return dataset.n * (1 + dataset.dim * dataset.grid.coord_bits) + 64
 
 
-@dataclass
-class CompressionReport:
+class CompressionReport(NamedTuple):
     """Per-epoch accounting rows plus the run-level totals built from them."""
 
     rows: list[AccountRow]
@@ -292,7 +289,7 @@ class CompressionReport:
             "projected_epoch_bound": self.projected_epoch_bound,
             "conservation_ok": self.check_conservation(),
             "ceilings": [
-                dict(vars(c), beta_hat=None if c.beta_hat is None else _cell(c.beta_hat))
+                dict(c._asdict(), beta_hat=None if c.beta_hat is None else _cell(c.beta_hat))
                 for c in self.ceilings
             ],
         }
@@ -341,21 +338,18 @@ def write_trace_csv(traces: Sequence[EpochTrace], path: str) -> None:
 
 def write_report_csv(rows: Sequence[AccountRow], path: str) -> None:
     """One row per accounted epoch; the columns are ``AccountRow``'s fields."""
-    columns = [f.name for f in fields(AccountRow)]
-    cells = (",".join(map(_cell, row)) for row in map(attrgetter(*columns), rows))
-    _write_lines(path, [",".join(columns), *cells])
+    cells = (",".join(map(_cell, row)) for row in rows)
+    _write_lines(path, [",".join(AccountRow._fields), *cells])
 
 
-@dataclass
-class ReplicationResult:
+class ReplicationResult(NamedTuple):
     index: int
     run: TrainingRun
     codes: list[EpochCode]
     report: CompressionReport
 
 
-@dataclass
-class ExperimentResult:
+class ExperimentResult(NamedTuple):
     spec: ExperimentSpec
     dataset: Dataset
     replications: list[ReplicationResult]
@@ -368,7 +362,7 @@ def _json_bytes(obj: dict) -> str:
 
 def _replication_config(config: RunConfig, index: int) -> RunConfig:
     """Replication ``index`` trains ``config`` with its seed shifted by index."""
-    return replace(config, seed=config.seed + index)
+    return config._replace(seed=config.seed + index)
 
 
 def _replication_dir(outdir: str, index: int) -> str:
@@ -559,22 +553,19 @@ def report_lines(outdir: str) -> Iterator[str]:
         yield line
 
 
-@dataclass(frozen=True)
-class HoeffdingCheck:
+class HoeffdingCheck(Record):
     """Tail check spec: k draws without replacement from a binary population.
 
     ``delta`` is an exact rational (an int or a Fraction) and every other
     field an int, so a check always names one reproducible verdict.
     """
 
-    population_size: int
-    population_ones: int
-    sample_size: int
-    delta: Fraction
-    trials: int
-    seed: int = 0
+    __slots__ = _fields = (
+        "population_size", "population_ones", "sample_size", "delta", "trials", "seed")
 
-    def __post_init__(self) -> None:
+    def __init__(self, population_size: int, population_ones: int, sample_size: int,
+                 delta: Fraction, trials: int, seed: int = 0) -> None:
+        self._init(population_size, population_ones, sample_size, delta, trials, seed)
         if not (type(self.delta) is int or isinstance(self.delta, Fraction)):
             raise DomainError(f"delta must be an int or a Fraction, got {self.delta!r}")
         for name in ("population_size", "population_ones", "sample_size", "trials",
@@ -596,8 +587,7 @@ class HoeffdingCheck:
         return Fraction(self.population_ones, self.population_size)
 
 
-@dataclass(frozen=True)
-class HoeffdingResult:
+class HoeffdingResult(NamedTuple):
     check: HoeffdingCheck
     threshold_count: int
     empirical_freq: Fraction
@@ -734,18 +724,14 @@ def _draws_below(rng: random.Random, trials: int, cuts: Sequence[float]) -> list
     return hits
 
 
-@dataclass(frozen=True)
-class SuiteRow:
+class SuiteRow(Record):
     """One verifier line: what was swept, the worst margin, and the verdict."""
 
-    name: str
-    cases: int
-    skipped: int
-    worst: float
-    threshold: float
-    passed: bool
+    __slots__ = _fields = ("name", "cases", "skipped", "worst", "threshold", "passed")
 
-    def __post_init__(self) -> None:
+    def __init__(self, name: str, cases: int, skipped: int, worst: float, threshold: float,
+                 passed: bool) -> None:
+        self._init(name, cases, skipped, worst, threshold, passed)
         if self.cases < 1:  # a sweep of no case would pass vacuously
             raise DomainError(f"{self.name}: the sizes leave no case to evaluate")
 

@@ -36,7 +36,6 @@ import math
 import operator
 import random
 import struct
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import compress, islice, repeat
@@ -46,7 +45,9 @@ from .numerics import (
     DomainError,
     FixedVector,
     GridSpec,
+    Record,
     SaturationError,
+    _set,
     div_round_half_even,
     round_half_even,
     zero_vector,
@@ -73,17 +74,18 @@ def _nonzeros(raws: Sequence[int]) -> tuple[tuple[int, int], ...]:
     return tuple(zip(coords, map(raws.__getitem__, coords)))
 
 
-@dataclass(frozen=True)
-class Element:
+class Element(Record):
     """One data point: unique id, fixed-point feature vector, binary label."""
 
-    eid: int
-    features: FixedVector
-    label: int
+    __slots__ = ("eid", "features", "label", "__dict__")  # _pairs caches in __dict__
+    _fields = __slots__[:3]
 
-    def __post_init__(self) -> None:
-        if self.label not in (0, 1):
-            raise DomainError(f"label must be 0/1, got {self.label}")
+    def __init__(self, eid: int, features: FixedVector, label: int) -> None:
+        _set(self, "eid", eid)
+        _set(self, "features", features)
+        _set(self, "label", label)
+        if label not in (0, 1):
+            raise DomainError(f"label must be 0/1, got {label}")
 
     @cached_property
     def _pairs(self) -> tuple[tuple[int, int], ...]:
@@ -105,8 +107,7 @@ def _sparse_pairs(
     return pairs if sum(map(len, pairs)) * _SPARSE_DIM <= len(pairs) * dim else None
 
 
-@dataclass(frozen=True)
-class GeneratorSpec:
+class GeneratorSpec(Record):
     """Parameters of one synthetic dataset family.
 
     Families:
@@ -122,16 +123,15 @@ class GeneratorSpec:
                         hyperplane)
     """
 
-    family: str
-    n: int
-    dim: int
-    seed: int
-    margin: Fraction = Fraction(1, 2)
-    sigma: Fraction = Fraction(1, 2)
-    center_dist: Fraction = Fraction(2)
-    feature_scale: int = 2
+    __slots__ = _fields = (
+        "family", "n", "dim", "seed", "margin", "sigma", "center_dist", "feature_scale")
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self, family: str, n: int, dim: int, seed: int, margin: Fraction = Fraction(1, 2),
+        sigma: Fraction = Fraction(1, 2), center_dist: Fraction = Fraction(2),
+        feature_scale: int = 2,
+    ) -> None:
+        self._init(family, n, dim, seed, margin, sigma, center_dist, feature_scale)
         if self.family not in FAMILIES:
             raise DomainError(f"unknown family {self.family!r}")
         if self.n < 1:
@@ -154,17 +154,17 @@ class GeneratorSpec:
             raise DomainError("margin too large for the feature box")
 
 
-@dataclass(frozen=True)
-class Dataset:
+class Dataset(Record):
     """Elements sorted by id; ids are exactly 0..n-1, features of one length on ``grid``."""
 
-    elements: tuple[Element, ...]
-    grid: GridSpec
-    spec: Optional[GeneratorSpec] = None
-    # correctness_mask's state: [raws, packed scores] of its last sweep
-    _sweep: list = field(default_factory=list, init=False, compare=False, repr=False)
+    _fields = ("elements", "grid", "spec")
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self, elements: tuple[Element, ...], grid: GridSpec, spec: Optional[GeneratorSpec] = None
+    ) -> None:
+        self._init(elements, grid, spec)
+        # correctness_mask's state: [raws, packed scores] of its last sweep
+        _set(self, "_sweep", [])
         dim = self.dim
         for i, el in enumerate(self.elements):
             if el.eid != i:
@@ -254,7 +254,7 @@ class Dataset:
         if pairs is None:
             width = dim + 2
             cells: list = [0] * (n * width)
-            cells[::width] = range(n)  # the ids, which __post_init__ checked
+            cells[::width] = range(n)  # the ids, which Dataset's __init__ checked
             cells[1::width] = [el.label for el in elements]
             for c, col in enumerate(zip(*[el.features.raws for el in elements]), 2):
                 cells[c::width] = col
@@ -427,8 +427,7 @@ def _dot(a: Sequence[int], b: Sequence[int]) -> int:
     return sum(map(operator.mul, a, b))
 
 
-@dataclass(frozen=True)
-class Model:
+class Model(Record):
     """A grid-valued classifier: weights plus a kind tag.
 
     one-hidden-layer weight layout: ``width`` rows of ``dim`` input weights,
@@ -439,21 +438,22 @@ class Model:
     the output score over 2**(2s) (logistic-linear) or 2**(4s) (hidden).
     """
 
-    kind: str
-    weights: FixedVector
-    dim: int
-    width: int = 0
+    __slots__ = _fields = ("kind", "weights", "dim", "width")
 
-    def __post_init__(self) -> None:
-        if self.kind not in MODEL_KINDS:
-            raise DomainError(f"unknown model kind {self.kind!r}")
-        if self.kind == "one-hidden-layer" and self.width < 1:
+    def __init__(self, kind: str, weights: FixedVector, dim: int, width: int = 0) -> None:
+        _set(self, "kind", kind)
+        _set(self, "weights", weights)
+        _set(self, "dim", dim)
+        _set(self, "width", width)
+        if kind not in MODEL_KINDS:
+            raise DomainError(f"unknown model kind {kind!r}")
+        if kind == "one-hidden-layer" and width < 1:
             raise DomainError("one-hidden-layer needs width >= 1")
-        expect = weight_count(self.kind, self.dim, self.width)
-        if len(self.weights.raws) != expect:
+        expect = weight_count(kind, dim, width)
+        if len(weights.raws) != expect:
             raise DomainError(
-                f"{self.kind} with dim={self.dim} width={self.width} "
-                f"needs {expect} weights, got {len(self.weights.raws)}"
+                f"{kind} with dim={dim} width={width} "
+                f"needs {expect} weights, got {len(weights.raws)}"
             )
 
     @property

@@ -27,7 +27,6 @@ D(p || q) from the caller's row, so the sweep computes that row once per p.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
 from typing import Mapping, Sequence, Union
@@ -66,8 +65,53 @@ def round_half_even(x: Rational) -> int:
     return div_round_half_even(f.numerator, f.denominator)
 
 
-@dataclass(frozen=True)
-class GridSpec:
+_set = object.__setattr__  # how a record's __init__ sets a field
+
+
+class Record:
+    """Base of the records that check their fields in ``__init__``.
+
+    A record names its constructor's fields in ``_fields``, in order, and
+    its ``__init__`` sets each through ``_set`` before it checks them.
+    Equality, hashing, ``repr``, ``_asdict`` and ``_replace`` read those
+    fields as a NamedTuple's do, and ``_replace`` goes back through
+    ``__init__``, so the checks run again.  A record refuses assignment; a
+    mutable one puts back ``object``'s ``__setattr__`` and drops its hash.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _init(self, *values: object) -> None:
+        for name, value in zip(self._fields, values):
+            _set(self, name, value)
+
+    def _asdict(self) -> dict:
+        return {name: getattr(self, name) for name in self._fields}
+
+    def _replace(self, **changes: object) -> "Record":
+        return type(self)(**{**self._asdict(), **changes})
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._asdict() == other._asdict()
+
+    def __hash__(self) -> int:
+        return hash(tuple(self._asdict().values()))
+
+    def __repr__(self) -> str:
+        cells = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({cells})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class GridSpec(Record):
     """Dyadic grid: values raw * 2**-scale with raw in [-clip*2**scale, clip*2**scale - 1].
 
     The asymmetric (two's-complement style) clip range makes the number of grid
@@ -75,17 +119,17 @@ class GridSpec:
     ``coord_bits`` bits with no unused codewords.
     """
 
-    scale: int = 16
-    clip: int = 64
+    __slots__ = _fields = ("scale", "clip")
 
-    def __post_init__(self) -> None:
-        if self.scale < 0:
-            raise DomainError(f"scale must be >= 0, got {self.scale}")
-        if self.clip < 1:
-            raise DomainError(f"clip must be >= 1, got {self.clip}")
+    def __init__(self, scale: int = 16, clip: int = 64) -> None:
+        self._init(scale, clip)
+        if scale < 0:
+            raise DomainError(f"scale must be >= 0, got {scale}")
+        if clip < 1:
+            raise DomainError(f"clip must be >= 1, got {clip}")
         # every raw must fit a checkpoint blob's int64; a huge scale must
         # fail before the shift builds a huge int
-        if self.scale > 63 or self.clip << self.scale > 1 << 63:
+        if scale > 63 or clip << scale > 1 << 63:
             raise DomainError(f"clip * 2**scale must be <= 2**63, got {self}")
 
     @property
@@ -118,12 +162,14 @@ class GridSpec:
         return raw
 
 
-@dataclass(frozen=True)
-class FixedVector:
+class FixedVector(Record):
     """A tuple of grid coordinates sharing one grid."""
 
-    raws: tuple[int, ...]
-    grid: GridSpec
+    __slots__ = _fields = ("raws", "grid")
+
+    def __init__(self, raws: tuple[int, ...], grid: GridSpec) -> None:
+        _set(self, "raws", raws)
+        _set(self, "grid", grid)
 
     def __len__(self) -> int:
         return len(self.raws)

@@ -31,7 +31,6 @@ from __future__ import annotations
 import math
 import operator
 import struct
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import compress
@@ -58,6 +57,7 @@ from .numerics import (
     FixedVector,
     GridSpec,
     PreconditionError,
+    Record,
     SaturationError,
     div_round_half_even,
 )
@@ -122,22 +122,19 @@ def draw_epoch_permutation(n: int, seed: int, epoch: int) -> tuple[int, ...]:
     return draw_permutation(n, _splitmix64_words(seed, epoch))
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(Record):
     """Everything that pins down a training run."""
 
-    generator: GeneratorSpec
-    batch_size: int
-    step_raw: int
-    eps: Fraction
-    progress_coeff: Fraction
-    seed: int
-    max_epochs: int
-    model_kind: str = "logistic-linear"
-    hidden_width: int = 0
-    grid: GridSpec = field(default_factory=GridSpec)
+    __slots__ = _fields = ("generator", "batch_size", "step_raw", "eps", "progress_coeff",
+                           "seed", "max_epochs", "model_kind", "hidden_width", "grid")
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self, generator: GeneratorSpec, batch_size: int, step_raw: int, eps: Fraction,
+        progress_coeff: Fraction, seed: int, max_epochs: int,
+        model_kind: str = "logistic-linear", hidden_width: int = 0, grid: GridSpec = GridSpec(),
+    ) -> None:
+        self._init(generator, batch_size, step_raw, eps, progress_coeff, seed, max_epochs,
+                   model_kind, hidden_width, grid)
         if self.model_kind not in MODEL_KINDS:
             raise DomainError(f"unknown model kind {self.model_kind!r}")
         if self.batch_size < 2:
@@ -226,24 +223,30 @@ class HitCounts(NamedTuple):
     before: int
 
 
-@dataclass
-class EpochTrace:
+class EpochTrace(Record):
     """Everything recorded while running one epoch.
 
     Checkpoint i (0-based) is the model before step i+1; ``masks[i]`` is its
     correctness over the dataset, bit e set iff element e is classified
     correctly.  Checkpoint i has seen batches 0..i-1, stepped last on batch
     i-1 and steps next on batch i.  Every statistic is read from one count
-    table, ``counts``: a ``HitCounts`` per checkpoint.
+    table, ``counts``: a ``HitCounts`` per checkpoint.  It fills as the
+    epoch runs, so it takes assignment and has no hash.
     """
 
-    epoch: int
-    batch_size: int
-    order: tuple[int, ...]
-    checkpoints: list[FixedVector] = field(default_factory=list)
-    masks: list[int] = field(default_factory=list)
-    terminated: bool = False
-    saturated: bool = False
+    _fields = ("epoch", "batch_size", "order", "checkpoints", "masks", "terminated",
+               "saturated")
+    __setattr__, __delattr__, __hash__ = object.__setattr__, object.__delattr__, None
+
+    def __init__(
+        self, epoch: int, batch_size: int, order: tuple[int, ...],
+        checkpoints: Optional[list[FixedVector]] = None, masks: Optional[list[int]] = None,
+        terminated: bool = False, saturated: bool = False,
+    ) -> None:
+        self.epoch, self.batch_size, self.order = epoch, batch_size, order
+        self.checkpoints = [] if checkpoints is None else checkpoints
+        self.masks = [] if masks is None else masks
+        self.terminated, self.saturated = terminated, saturated
 
     @property
     def n(self) -> int:
@@ -373,8 +376,7 @@ def run_epoch(
     return trace, model
 
 
-@dataclass
-class TrainingRun:
+class TrainingRun(NamedTuple):
     config: RunConfig
     dataset: Dataset
     traces: list[EpochTrace]

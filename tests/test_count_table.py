@@ -15,7 +15,6 @@ import contextlib
 import io
 import os
 import tempfile
-from dataclasses import fields
 from fractions import Fraction
 
 import hypothesis.strategies as st
@@ -124,9 +123,9 @@ def test_table_readers_match_their_oracles(epoch):
     assert predicted == predict_segments_oracle(trace, cfg, selector) == code.segments
     row = epoch_accounting(code, trace, cfg)
     want = epoch_accounting_oracle(code, trace, cfg)
-    for f in fields(AccountRow):
-        got, expected = getattr(row, f.name), getattr(want, f.name)
-        assert got == expected and _cell(got) == _cell(expected), f.name
+    for name in AccountRow._fields:
+        got, expected = getattr(row, name), getattr(want, name)
+        assert got == expected and _cell(got) == _cell(expected), name
 
 
 def test_decode_never_builds_a_count_table(tmp_path, monkeypatch):

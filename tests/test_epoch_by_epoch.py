@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import os
 import shutil
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -124,7 +123,7 @@ def test_decode_of_a_run_that_raised_exits_2_before_regenerating_data(
 
 
 def two_replications() -> ExperimentSpec:
-    return replace(MANIFESTS["accounting-onehot"], replications=2)
+    return MANIFESTS["accounting-onehot"]._replace(replications=2)
 
 
 def test_decode_without_rep_00_exits_2_before_regenerating_data(

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -366,7 +365,7 @@ def test_decode_rejects_trailing_bits(tmp_path):
                 padded.write_uint(fill, extra)
                 with pytest.raises(CodecError):
                     decode_epoch(padded, run.dataset, cfg, side)
-                write_epoch_file(path, replace(code, stream=padded))
+                write_epoch_file(path, code._replace(stream=padded))
                 with pytest.raises(CodecError):
                     decode_epoch(read_epoch_file(path)[3], run.dataset, cfg, side)
         write_epoch_file(path, code)

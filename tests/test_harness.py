@@ -2,12 +2,12 @@
 
 from __future__ import annotations
 
+import inspect
 import json
 import math
 import os
 import shutil
 import signal
-from dataclasses import fields, replace
 from fractions import Fraction
 from functools import reduce
 from operator import getitem
@@ -79,13 +79,13 @@ def test_experiment_spec_validation():
         # default grid scale exceeds the reverse-search budget
         ExperimentSpec(config=spec.config, mode="STRICT")
     # replication r runs seed + r, which must stay below 2**64
-    top = replace(spec.config, seed=(1 << 64) - 1)
+    top = spec.config._replace(seed=(1 << 64) - 1)
     with pytest.raises(DomainError, match="replications"):
         ExperimentSpec(config=top, replications=2)
     with pytest.raises(DomainError, match="replications"):
-        ExperimentSpec(config=replace(top, seed=(1 << 64) - 3), replications=4)
+        ExperimentSpec(config=top._replace(seed=(1 << 64) - 3), replications=4)
     ExperimentSpec(config=top, replications=1)
-    ExperimentSpec(config=replace(top, seed=(1 << 64) - 3), replications=3)
+    ExperimentSpec(config=top._replace(seed=(1 << 64) - 3), replications=3)
 
 
 @pytest.mark.parametrize(
@@ -159,7 +159,7 @@ def shift_first_checkpoint(decode):
         result = decode(*args, **kwargs)
         first = result.checkpoints[0]
         wrong = FixedVector((first.raws[0] + 1,) + first.raws[1:], first.grid)
-        return replace(result, checkpoints=(wrong,) + result.checkpoints[1:])
+        return result._replace(checkpoints=(wrong,) + result.checkpoints[1:])
 
     return shifted
 
@@ -509,8 +509,8 @@ def with_defaults(spec, settings):
     """spec with each of these optional settings at its default."""
     generator = {s.name: s.default for s in settings if s.level == "generator"}
     config = {s.name: s.default for s in settings if s.level == "config"}
-    config["generator"] = replace(spec.config.generator, **generator)
-    return replace(spec, config=replace(spec.config, **config))
+    config["generator"] = spec.config.generator._replace(**generator)
+    return spec._replace(config=spec.config._replace(**config))
 
 
 # the six settings a manifest may omit
@@ -526,7 +526,7 @@ def test_a_manifest_without_an_optional_setting_reads_its_default(setting):
         "margin", "sigma", "center_dist", "feature_scale", "model_kind", "hidden_width"
     ]
     owner = GeneratorSpec if setting.level == "generator" else RunConfig
-    assert {f.name: f.default for f in fields(owner)}[setting.name] == setting.default
+    assert inspect.signature(owner).parameters[setting.name].default == setting.default
     spec = hidden_spec()
     d = manifest_setting(setting, MISSING, spec)
     expected = outcome(lambda: with_defaults(spec, [setting]))
@@ -890,7 +890,7 @@ def edit_first_row(text, spec):
 
 def other_data_seed(text, spec):
     gen = spec.config.generator
-    return generate_dataset(replace(gen, seed=gen.seed + 1), spec.config.grid).to_text()
+    return generate_dataset(gen._replace(seed=gen.seed + 1), spec.config.grid).to_text()
 
 
 @pytest.mark.parametrize("tamper", [edit_first_row, other_data_seed])

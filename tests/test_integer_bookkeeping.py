@@ -11,7 +11,6 @@ back into a per-step path fails it.
 from __future__ import annotations
 
 import math
-from dataclasses import fields, replace
 from fractions import Fraction
 
 import hypothesis.strategies as st
@@ -202,10 +201,10 @@ def test_case_selection_and_accounting_match_the_fraction_oracles(epoch):
     code = encode_epoch(trace, ds, cfg, mode=ACCOUNTING)
     row = epoch_accounting(code, trace, cfg)
     want = epoch_accounting_oracle(code, trace, cfg)
-    for f in fields(AccountRow):
-        got, expected = getattr(row, f.name), getattr(want, f.name)
+    for name in AccountRow._fields:
+        got, expected = getattr(row, name), getattr(want, name)
         # the cell text pins the type and every float bit (repr round-trips)
-        assert got == expected and _cell(got) == _cell(expected), f.name
+        assert got == expected and _cell(got) == _cell(expected), name
     low = min(mask.bit_count() for mask in trace.masks)
     verdict = check_eps_beta_ceiling(trace, cfg.eps)
     assert verdict.applicable == (low >= (1 - cfg.eps) * trace.n)
@@ -240,7 +239,7 @@ def test_fraction_count_does_not_grow_with_epochs(monkeypatch):
     built = Fraction.__new__
     counts = {}
     for epochs in (1, 4):
-        cfg = replace(base, max_epochs=epochs)
+        cfg = base._replace(max_epochs=epochs)
         made = [0]
 
         def counting_new(cls, *args, **kwargs):
