@@ -1087,6 +1087,56 @@ def decode_within_a_second(out):
     return main_within_a_second(["decode", "--dir", str(out)])
 
 
+# JSON values each setting of a manifest is set to, one at a time
+MANIFEST_VALUES = [0, -1, 1, 3, 33, 2**31, 2**62, 2**64, -(2**63), True, False, 1.5, -0.0,
+                   1e308, "", "x", "1/0", "1/2", "-1/3", "0", None, [], {}]
+
+
+def test_cli_decode_of_each_setting_over_a_value_grid_exits_0_1_or_2(tmp_path, capsys):
+    # every value either passes the record checks, and decode checks the run
+    # against the rerun it builds (0: unchanged, 1: a mismatch), or is
+    # refused with an error line (2); none raises and none runs past its cap
+    out = tmp_path / "exp"
+    assert main(["encode", "--n", "32", "--dim", "32", "--out", str(out)]) == 0
+    path = out / "manifest.json"
+    original = json.loads(path.read_text())
+
+    def expire(signum, frame):
+        raise Expired("decode ran past its cap")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    faults = []
+    try:
+        for setting in SETTINGS:
+            for value in MANIFEST_VALUES:
+                manifest = json.loads(json.dumps(original))
+                reduce(getitem, harness._MANIFEST_PATHS[setting.level],
+                       manifest)[setting.name] = value
+                path.write_text(json.dumps(manifest))
+                capsys.readouterr()
+                signal.setitimer(signal.ITIMER_REAL, 1.0)
+                try:
+                    code = main(["decode", "--dir", str(out)])
+                except BaseException as exc:  # noqa: B902 (reported below)
+                    code = repr(exc)
+                finally:
+                    signal.setitimer(signal.ITIMER_REAL, 0)
+                captured = capsys.readouterr()
+                lines = captured.out.splitlines()
+                if code == 0:
+                    ok = lines and all(line.endswith(": ok") for line in lines)
+                elif code == 1:
+                    ok = any(not line.endswith(": ok") for line in lines)
+                else:
+                    ok = code == 2 and captured.err.startswith("error: ")
+                if not ok:
+                    faults.append((setting.key, value, code, captured.err[-200:]))
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert faults == []
+
+
 def test_cli_decode_of_a_huge_replication_count_exits_2_at_once(tmp_path, capsys):
     out = tmp_path / "exp"
     run_experiment(plateau_spec(max_epochs=1), str(out))
