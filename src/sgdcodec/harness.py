@@ -353,7 +353,6 @@ class ExperimentResult(NamedTuple):
     spec: ExperimentSpec
     dataset: Dataset
     replications: list[ReplicationResult]
-    outdir: Optional[str]
 
 
 def _json_bytes(obj: dict) -> str:
@@ -447,7 +446,7 @@ def run_experiment(spec: ExperimentSpec, outdir: Optional[str] = None) -> Experi
         reps.append(ReplicationResult(r, run, epoch_codes, report))
         if outdir is not None:
             _write_replication(outdir, r, run, epoch_codes, report)
-    return ExperimentResult(spec, dataset, reps, outdir)
+    return ExperimentResult(spec, dataset, reps)
 
 
 def _write_replication(

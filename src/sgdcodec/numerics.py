@@ -12,16 +12,17 @@ mean), and a result goes back onto the grid through one
 The entropy and divergence functions all use log base 2; code lengths
 elsewhere in the package are therefore in bits throughout.  They are
 private kernels over integer numerators (``_entropy``, ``_kl``,
-``_split_slack``) that compare integers and form each float by one
+``_realized_slacks``) that compare integers and form each float by one
 correctly rounded ``int / int``, so a value gets the same bits whatever
 denominator it is written over.  The inequality sweeps call them directly.
 The one public wrapper, ``verify_split_entropy``, puts its arguments over
-one common denominator first; it stays because the benchmark's tracer
-hooks it by name.  ``_realizable_q`` alone states when a two-block entropy
-split is realizable, for ``_split_slack`` and for the sweep that visits
-only those splits; both then call the unchecked ``_realized_slacks``, which
-evaluates the slack for one (p, gamma) pair at each q it is given and reads
-D(p || q) from the caller's row, so the sweep computes that row once per p.
+one common denominator and checks them first; it stays because the
+benchmark's tracer hooks it by name.  ``_realizable_q`` alone states when a
+two-block entropy split is realizable, for ``verify_split_entropy`` and for
+the sweep that visits only those splits; both then call the unchecked
+``_realized_slacks``, which evaluates the slack for one (p, gamma) pair at
+each q it is given and reads D(p || q) from the caller's row, so the sweep
+computes that row once per p.
 """
 
 from __future__ import annotations
@@ -273,23 +274,12 @@ def _realizable_q(a: int, g: int, n: int) -> range:
     return range(-(-a * g // n), n + (-(n - a) * g // n) + 1)
 
 
-def _split_slack(a: int, g: int, c: int, n: int) -> float:
-    """verify_split_entropy(a/n, g/n, c/n) for numerators in [0, n]."""
-    if c not in _realizable_q(a, g, n):
-        nn = n * n
-        raise PreconditionError(
-            f"split not realizable: p*gamma={a * g}/{nn} vs q={c}/{n}, "
-            f"(1-p)*gamma={(n - a) * g}/{nn} vs 1-q={n - c}/{n}"
-        )
-    # at g = 0 the slack is 0 whatever D(p || q) is, and that may be infinite
-    return _realized_slacks(a, g, n, (c,), {c: _kl(a, c, n)} if g else {})[0]
-
-
 def _realized_slacks(
     a: int, g: int, n: int, cs: Sequence[int], kls: Mapping[int, float]
 ) -> list[float]:
-    """_split_slack(a, g, c, n) for each c in cs, unchecked: every c must be
-    one that _realizable_q(a, g, n) yields, and kls[c] must be _kl(a, c, n)."""
+    """The split slack at numerators a, g, c over n for each c in cs, unchecked:
+    every c must be one that _realizable_q(a, g, n) yields, and kls[c] must be
+    _kl(a, c, n)."""
     if g == 0:
         return [0.0] * len(cs)
     h, share, ag, bg = _entropy(g, n), g / n, a * g, (n - a) * g
@@ -315,4 +305,11 @@ def verify_split_entropy(p: Rational, gamma: Rational, q: Rational) -> float:
     for v, name in ((a, "p"), (g, "gamma"), (c, "q")):
         if v < 0 or v > n:
             raise DomainError(f"{name}={Fraction(v, n)} outside [0, 1]")
-    return _split_slack(a, g, c, n)
+    if c not in _realizable_q(a, g, n):
+        nn = n * n
+        raise PreconditionError(
+            f"split not realizable: p*gamma={a * g}/{nn} vs q={c}/{n}, "
+            f"(1-p)*gamma={(n - a) * g}/{nn} vs 1-q={n - c}/{n}"
+        )
+    # at g = 0 the slack is 0 whatever D(p || q) is, and that may be infinite
+    return _realized_slacks(a, g, n, (c,), {c: _kl(a, c, n)} if g else {})[0]

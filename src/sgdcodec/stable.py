@@ -1,11 +1,11 @@
 """Platform-stable transcendental evaluations for report output.
 
 Report files must be byte-identical across platforms, so every float that lands
-in an artifact is computed here on exact integers, never by the host libm.  An
-argument is first rounded to 136 bits, as mpmath's 40 digits did.  The result is
-bracketed in fixed point, and the working precision raised until both ends round
-to one double (Ziv's test) by libmp's to_float rule.  See Brent & Zimmermann,
-*Modern Computer Arithmetic*, ch. 4, and Ziv, ACM TOMS 17(3), 1991.
+in an artifact is computed here on exact integers, never by the host libm.  Each
+function brackets its value at the exact rational argument in fixed point, and
+the working precision is raised until both ends round to one double (Ziv's
+test), by CPython's correctly rounded int / int, subnormals included.  See Brent
+& Zimmermann, *Modern Computer Arithmetic*, ch. 4, and Ziv, ACM TOMS 17(3), 1991.
 The entropy sweep's batch path, ``_log2_ratios``, reads stable_log2(num / k)
 for all k <= num off a sieve table of fixed-point log2(k), and sends the rare
 bracket whose ends round to two doubles to stable_log2.
@@ -17,44 +17,16 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-from .numerics import div_round_half_even
-
-_PREC = 136  # bits each argument is rounded to
 _T = 7  # ln table step 2**-_T: the atanh argument stays below 2**-(_T + 1)
 _WORK, _WORK_CAP = 128, 1 << 12  # first and largest working precision, in bits
-_NORMAL = 2.0**-1022
-
-
-def _round(n: int, d: int, prec: int) -> tuple[int, int]:
-    """n / d (d > 0) to prec bits, half to even: (m, e) with value m * 2**e."""
-    e = abs(n).bit_length() - d.bit_length() - prec
-    if d == 1:  # an integer: e + 1 surplus bits
-        return (n, 0) if e < 0 else (div_round_half_even(n, 2 << e), e + 1)
-    n, d = (n << -e, d) if e < 0 else (n, d << e)
-    if abs(n) >= d << prec:
-        e, d = e + 1, d << 1
-    return div_round_half_even(n, d), e
-
-
-def _arg(x: int | Fraction, positive: bool = False) -> tuple[int, int]:
-    """x as mpmath.mpf(num) / mpmath.mpf(den) under workdps(40): (m, e)."""
-    if positive and x.numerator <= 0:
-        raise ValueError("argument must be positive")
-    (n, en), (d, ed) = _round(x.numerator, 1, _PREC), _round(x.denominator, 1, _PREC)
-    m, e = _round(n, d, _PREC)
-    return m, e + en - ed
 
 
 def _float(n: int, d: int) -> float:
-    """n / d (d > 0) as libmp's to_float(rnd="n"): below the normal range too."""
+    """n / d (d > 0) correctly rounded to a double, or ±inf past the range."""
     try:
-        v = n / d  # int / int rounds correctly
+        return n / d
     except OverflowError:
         return math.inf if n > 0 else -math.inf
-    if abs(v) >= _NORMAL:
-        return v
-    m, e = _round(n, d, 53)  # libmp rounds to 53 bits, then ldexp rounds again
-    return math.ldexp(m, e)
 
 
 def _ziv(enclose) -> float:
@@ -90,36 +62,47 @@ def _ln_point(j: int, w: int) -> int:
     return _atanh2(j - (1 << _T), j + (1 << _T), w)
 
 
-def _log(m: int, e: int, w: int, base2: bool) -> tuple[int, int]:
-    """(a, err): ln(m * 2**e), or log2 with base2, is (a ± err) / 2**w; m > 0."""
-    k, sh = e + m.bit_length() - 1, w + 1 - m.bit_length()
-    u = m << sh if sh >= 0 else m >> -sh  # m / 2**k, in [1, 2) at w bits
-    j = u >> (w - _T)  # table point j / 2**_T <= m / 2**k
+def _log(n: int, d: int, w: int, base2: bool) -> tuple[int, int]:
+    """(a, err): ln(n / d), or log2 with base2, is (a ± err) / 2**w; n, d > 0.
+
+    n / d = 2**k * u / 2**w by one floor division, u under one unit low: ln u is
+    within 5 and log2 u within 12, so err is 16, or 0 where n / d = 2**k.
+    """
+    k = n.bit_length() - d.bit_length()
+    n, d = n << max(-k, 0), d << max(k, 0)  # n / d in (1/2, 2)
+    if n < d:
+        k, n = k - 1, n << 1
+    u = (n << w) // d
+    j = u >> (w - _T)  # table point j / 2**_T <= u / 2**w
     a = _ln_point(j, w) + _atanh2(u - (j << (w - _T)), u + (j << (w - _T)), w)
-    err = 0 if m & (m - 1) == 0 else 16  # ln u is within 5, ln u / ln 2 within 11
+    err = 0 if n == d else 16
     if base2:
         return (k << w) + (a << w) // _ln_point(2 << _T, w), err
     return a + (k * _ln_point(2 << _T, w + 64) >> 64), err + (2 if k else 0)
 
 
-def _exp(m: int, e: int, w: int) -> tuple[int, int, int]:
-    """(n, err, t): exp(m * 2**e) = (n ± err) * 2**t, for |m * 2**e| < 2**11."""
+def _exp(n: int, d: int, w: int) -> tuple[int, int, int]:
+    """(m, err, t): exp(n / d) = (m ± err) * 2**t, for |n / d| < 2**11, d > 0.
+
+    n / d at g = w + 32 bits by one floor division, and ln 2's error, move m by
+    < 2**14; the 8 squarings scale the series error by < 2**9: err covers both.
+    """
     g = w + 32
-    x = m << (e + g) if e + g >= 0 else m >> -(e + g)
-    q, r = divmod(x, _ln_point(2 << _T, g))  # x = q ln 2 + r, 0 <= r < ln 2
-    r, n, term, i = r >> 8, 1 << g, 1 << g, 1  # exp(r) = exp(r / 2**8) ** 2**8
+    q, r = divmod((n << g) // d, _ln_point(2 << _T, g))  # q ln 2 + r, 0 <= r < ln 2
+    r, m, term, i = r >> 8, 1 << g, 1 << g, 1  # exp(r) = exp(r / 2**8) ** 2**8
     while term:
         term, i = (term * r >> g) // i, i + 1
-        n += term
+        m += term
     for _ in range(8):
-        n = n * n >> g
-    return n, g << 12, q - g  # the 8 squarings scale the series error by < 2**9
+        m = m * m >> g
+    return m, g << 12, q - g
 
 
 def stable_log2(x: int | Fraction) -> float:
-    """log2 of a positive rational, correctly rounded well past double precision."""
-    m, e = _arg(x, positive=True)
-    return _ziv(lambda w: _ends(*_log(m, e, w, True), -w))
+    """log2 of a positive rational, correctly rounded."""
+    if x <= 0:
+        raise ValueError("argument must be positive")
+    return _ziv(lambda w: _ends(*_log(x.numerator, x.denominator, w, True), -w))
 
 
 def _log2_table(top: int, w: int) -> list[tuple[int, int]]:
@@ -136,76 +119,72 @@ def _log2_table(top: int, w: int) -> list[tuple[int, int]]:
             table[k] = a + b, ea + eb
         else:
             factor[k::k] = [k] * (top // k)
-            table[k] = _log(k, 0, w, True)
+            table[k] = _log(k, 1, w, True)
     return table
 
 
 def _log2_ratios(num: int) -> list[float]:
-    """stable_log2(Fraction(num, k)) for k = 1..num, from one log2 table.
-
-    The bracket of log2(num) - log2(k) at _WORK bits widens by one unit for the
-    136-bit rounding of num / k in _arg, which moves its log2 by under 2**-135.
-    Where the two ends round to different doubles (k = num among them),
-    stable_log2 decides.
-    """
+    """stable_log2(Fraction(num, k)) for k = 1..num, from one log2 table: its
+    entries bracket log2(num) - log2(k) at _WORK bits, and stable_log2 decides
+    where the two ends round to different doubles."""
     table, one = _log2_table(num, _WORK), 1 << _WORK
     an, en = table[num] if num > 0 else (0, 0)
     out = []
     for k, (a, e) in enumerate(table[1:], 1):
-        d, r = an - a, en + e + 1
+        d, r = an - a, en + e
         lo, hi = _float(d - r, one), _float(d + r, one)
         out.append(hi if lo == hi else stable_log2(Fraction(num, k)))
     return out
 
 
 def stable_entropy(p: int | Fraction) -> float:
-    """Binary entropy in bits of p, with p and 1 - p each rounded to 136 bits.
+    """Binary entropy in bits of p in [0, 1], correctly rounded at every p.
 
-    Below p of about 2**-136 the complement term drops, so it is not the
-    correctly rounded h(p) there (1000 * 2**-1000 at p = 2**-1000, against
-    1001.44 * 2**-1000): an oracle for h only above that bound.
+    p = n / d: h(p) = log2 d - (n log2 n + (d - n) log2(d - n)) / d, bracketed
+    from the three integer logs.
     """
     f = Fraction(p)
     if f < 0 or f > 1:
         raise ValueError("probability outside [0, 1]")
-    mx, ex = _arg(f)
-    my, ey = _round((1 << -ex) - mx, 1, _PREC)  # ey >= 0
-    if not mx or not my:  # p = 0, or p = 1 or rounded to it
+    n, d = f.numerator, f.denominator
+    if n == 0 or n == d:
         return 0.0
 
     def enclose(w: int):
-        (ax, rx), (ay, ry) = _log(mx, ex, w, True), _log(my, ey + ex, w, True)
-        return _ends(-mx * ax - (my * ay << ey), mx * rx + (my * ry << ey), ex - w)
+        (a, ea), (b, eb), (c, ec) = (_log(k, 1, w, True) for k in (d, n, d - n))
+        mid, err = d * a - n * b - (d - n) * c, d * ea + n * eb + (d - n) * ec
+        return (mid - err, d << w), (mid + err, d << w)
 
     return _ziv(enclose)
 
 
 def stable_ln(x: int | Fraction) -> float:
-    """Natural log of a positive rational."""
-    m, e = _arg(x, positive=True)
-    return _ziv(lambda w: _ends(*_log(m, e, w, False), -w))
+    """Natural log of a positive rational, correctly rounded."""
+    if x <= 0:
+        raise ValueError("argument must be positive")
+    return _ziv(lambda w: _ends(*_log(x.numerator, x.denominator, w, False), -w))
 
 
 LOG2_E = 1 / stable_ln(2)
 
 
 def stable_exp(x: int | Fraction) -> float:
-    """exp of a rational, for tail-probability bounds."""
-    m, e = _arg(x)
-    if e + m.bit_length() > 11:  # |x| >= 2**11: inf or 0.0 as a double
-        return math.inf if m > 0 else 0.0
-    return _ziv(lambda w: _ends(*_exp(m, e, w)))
+    """exp of a rational, correctly rounded, for tail-probability bounds."""
+    n, d = x.numerator, x.denominator
+    if abs(n) >= d << 11:  # |x| >= 2**11: inf or 0.0 as a double
+        return math.inf if n > 0 else 0.0
+    return _ziv(lambda w: _ends(*_exp(n, d, w)))
 
 
 def stable_sigmoid_float(z: int | Fraction) -> float:
     """1 / (1 + exp(-z)) rounded once to a double."""
-    m, e = _arg(z)
-    if e + m.bit_length() > 11:
-        return 1.0 if m > 0 else 0.0
+    n, d = z.numerator, z.denominator
+    if abs(n) >= d << 11:
+        return 1.0 if n > 0 else 0.0
 
     def enclose(w: int):
-        (lo, d), (hi, _) = _ends(*_exp(-m, e, w))  # exp(-z) within [lo / d, hi / d]
-        return (d, d + hi), (d, d + lo)
+        (lo, e), (hi, _) = _ends(*_exp(-n, d, w))  # exp(-z) within [lo / e, hi / e]
+        return (e, e + hi), (e, e + lo)
 
     return _ziv(enclose)
 
@@ -217,7 +196,7 @@ def stable_sigmoid_knots(bits: int, z_max: int) -> tuple[float, ...]:
     Powers of exp(-2**-bits) at about 256 bits, by repeated multiplication; a
     knot whose bracket straddles a rounding boundary goes to stable_sigmoid_float.
     """
-    b, err, t = _exp(-1, -bits, 256)
+    b, err, t = _exp(-1, 1 << bits, 256)
     powers = [1 << -t]
     for _ in range(z_max << bits):
         powers.append(powers[-1] * b >> -t)

@@ -228,7 +228,8 @@ def test_kl_bernoulli_matches_oracle(p, q):
                 assert kl_within_ulps(a, c, n)
 
 
-# stable_entropy keeps 1 - p to 136 bits, so its complement term is exact here
+# stable_entropy is the correctly rounded h(p) at every p, complement term
+# included, so it serves as the oracle here and below
 @pytest.mark.parametrize("e", [54, 60, 100, 130])
 def test_binary_entropy_keeps_the_complement_term_where_1_minus_p_rounds_to_1(e):
     # -(1 - p) log2(1 - p) is about p / ln 2 there, 1.4-2.6% of h(p)

@@ -175,42 +175,44 @@ def test_log2_of_int_and_factorial():
     assert stable_log2(math.factorial(52)) == pytest.approx(LOG2_FACT_52, abs=1e-9)
 
 
-# The mpmath front ends the stable functions replaced, kept as their oracles:
-# each argument is mpf(num) / mpf(den) under workdps(40) (60 for the sigmoid),
-# rounded once to float.
-def _mpf(x):
-    f = Fraction(x)
-    return mpmath.mpf(f.numerator) / mpmath.mpf(f.denominator)
+# Oracles of the correctly rounded value: mpmath at 400 bits past the longest
+# numerator or denominator, taken exactly, and rounded once to a double through
+# Fraction (subnormals included; past the range, +-inf or +-0.0).  In the test
+# names, "the mpmath front end" is mpmath evaluated at the exact argument.
+def _oracle(f, x):
+    x = Fraction(x)
+    with mpmath.workprec(max(x.numerator.bit_length(), x.denominator.bit_length()) + 400):
+        v = f(mpmath.mpf(x.numerator) / x.denominator)
+    (man, exp), sign = v.man_exp, -1 if v < 0 else 1  # man_exp is of |v|
+    top = exp + man.bit_length()  # 2**(top - 1) <= |v| < 2**top
+    if not -1076 < top <= 1025:  # 0.0 or inf as a double; 2**exp may be huge
+        return sign * (0.0 if top < 0 else math.inf)
+    try:
+        return sign * float(man * Fraction(2) ** exp)
+    except OverflowError:
+        return sign * math.inf
 
 
 def _stable_log2_oracle(x):
-    with mpmath.workdps(40):
-        return float(mpmath.log(_mpf(x), 2))
+    return _oracle(lambda v: mpmath.log(v, 2), x)
 
 
 def _stable_ln_oracle(x):
-    with mpmath.workdps(40):
-        return float(mpmath.log(_mpf(x)))
+    return _oracle(mpmath.log, x)
 
 
 def _stable_exp_oracle(x):
-    with mpmath.workdps(40):
-        return float(mpmath.exp(_mpf(x)))
+    return _oracle(mpmath.exp, x)
 
 
 def _stable_sigmoid_oracle(z):
-    # at z = odd * 2**-53 the sigmoid lies about |z|**3 / 48 off a midpoint
-    # between two doubles, below what 40 digits resolve; 60 digits do
-    with mpmath.workdps(60):
-        return float(1 / (1 + mpmath.exp(-_mpf(z))))
+    return _oracle(lambda v: 1 / (1 + mpmath.exp(-v)), z)
 
 
 def _stable_entropy_oracle(p):
     if p == 0 or p == 1:
         return 0.0
-    with mpmath.workdps(40):
-        x = _mpf(p)
-        return float(-(x * mpmath.log(x, 2) + (1 - x) * mpmath.log(1 - x, 2)))
+    return _oracle(lambda x: -(x * mpmath.log(x, 2) + (1 - x) * mpmath.log(1 - x, 2)), p)
 
 
 POSITIVE_RATIONALS = st.one_of(
@@ -286,25 +288,29 @@ def test_stable_exact_values():
 
 
 def test_stable_exp_underflow_and_overflow():
-    # libmp's to_float: subnormals rounded twice, inf and 0.0 past the range
+    # one correct rounding below the normal range, inf and 0.0 past it
     assert stable_exp(-745) == 5e-324
-    # exp(x) lies just below 1.5 * 2**-1074: 53 bits make it the midpoint,
-    # which then rounds to even, where one correct rounding gives 5e-324
+    # exp(x) lies just below 1.5 * 2**-1074, so it rounds down to 5e-324;
+    # rounding to 53 bits first would make it the midpoint, and even 1e-323
     x = Fraction(-494495814604512456114621990794542187315, 2**119)
-    assert stable_exp(x) == _stable_exp_oracle(x) == 1e-323
+    assert stable_exp(x) == _stable_exp_oracle(x) == 5e-324
     assert stable_exp(-1000) == 0.0
     assert stable_exp(710) == math.inf
     assert stable_exp(-(10**9)) == 0.0 and stable_exp(10**9) == math.inf
     assert stable_sigmoid_float(-1000) == 0.0 and stable_sigmoid_float(1000) == 1.0
 
 
-def test_stable_rounds_each_argument_to_136_bits_first():
-    # as mpmath.mpf(num) / mpmath.mpf(den) did at 40 digits: a numerator
-    # 2**136 + 1 rounds to 2**136, and near 1 the rounded quotient shows
-    assert stable_log2(Fraction(2**136 + 1, 2**136)) == 0.0
-    assert stable_ln(Fraction(2**136 + 1, 2**136)) == 0.0
+def test_stable_evaluates_the_exact_argument():
+    # no argument is rounded first: a numerator 2**136 + 1 stays off 2**136,
+    # and the complement term of h(2**-1000) stays in, 1001.44 * 2**-1000
+    x = Fraction(2**136 + 1, 2**136)
+    assert stable_log2(x) == _stable_log2_oracle(x) != 0.0
+    assert stable_ln(x) == _stable_ln_oracle(x) != 0.0
     x = Fraction(3**63 + 1, 3**63)
-    assert stable_log2(x) == _stable_log2_oracle(x) == 1.2604786431138176e-30
+    assert stable_log2(x) == _stable_log2_oracle(x)
+    p = Fraction(1, 2**1000)
+    assert stable_entropy(p) == _stable_entropy_oracle(p)
+    assert stable_entropy(p) / 2.0**-1000 == pytest.approx(1000 + 1 / math.log(2), rel=1e-12)
 
 
 def test_stable_log2_of_huge_arguments():
@@ -314,16 +320,11 @@ def test_stable_log2_of_huge_arguments():
 
 
 @pytest.mark.parametrize("num", [1, 2000, 4096, 9973, 10000])
-def test_log2_ratios_equal_stable_log2(num, monkeypatch):
+def test_log2_ratios_equal_stable_log2(num):
     # the sieve table's brackets give stable_log2's doubles; a bracket whose
-    # ends round apart goes to stable_log2, and at k = num it straddles 0.0
-    fallbacks = []
-    monkeypatch.setattr(
-        stable, "stable_log2", lambda x: fallbacks.append(x) or stable_log2(x)
-    )
+    # ends round apart goes to stable_log2
     out = stable._log2_ratios(num)
     assert out == [stable_log2(Fraction(num, k)) for k in range(1, num + 1)]
-    assert 1 in fallbacks
     assert out[-1] == 0.0 and math.copysign(1.0, out[-1]) == 1.0
 
 

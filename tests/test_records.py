@@ -112,12 +112,8 @@ RECORDS = {
     CompressionReport: (REPORT._asdict(), {}, {"model_bits": 5}),
     ReplicationResult: ({"index": 0, "run": RUN, "codes": [], "report": REPORT}, {},
                         {"index": 1}),
-    ExperimentResult: (
-        {"spec": ExperimentSpec(CONFIG), "dataset": DATASET, "replications": [],
-         "outdir": None},
-        {},
-        {"outdir": "out"},
-    ),
+    ExperimentResult: ({"spec": ExperimentSpec(CONFIG), "dataset": DATASET, "replications": []},
+                       {}, {"replications": [ReplicationResult(0, RUN, [], REPORT)]}),
     HoeffdingResult: (
         {"check": CHECK, "threshold_count": 0, "empirical_freq": Fraction(1, 3),
          "exact_prob": Fraction(1, 6), "bound": 0.5, "sigma": 0.01, "ok_empirical": True,

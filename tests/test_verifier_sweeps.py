@@ -11,6 +11,7 @@ the bit-by-bit masks and leave the generator in the same state.
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -28,7 +29,12 @@ from sgdcodec.harness import (
     _split_margins,
     run_inequality_suite,
 )
-from sgdcodec.numerics import DomainError, PreconditionError, _realizable_q, _split_slack
+from sgdcodec.numerics import (
+    DomainError,
+    PreconditionError,
+    _realizable_q,
+    verify_split_entropy,
+)
 
 
 def hexes(margins) -> list[str]:
@@ -93,12 +99,13 @@ def test_split_slack_matches_the_oracle_on_every_numerator_triple():
         for g in range(n + 1):
             realizable = _realizable_q(a, g, n)
             for c in range(n + 1):
+                p, gamma, q = Fraction(a, n), Fraction(g, n), Fraction(c, n)
                 if c in realizable:
                     expect = split_slack_oracle(a, g, c, n)
-                    assert _split_slack(a, g, c, n).hex() == expect.hex()
+                    assert verify_split_entropy(p, gamma, q).hex() == expect.hex()
                 else:
-                    with pytest.raises(PreconditionError):
-                        _split_slack(a, g, c, n)
+                    with pytest.raises(PreconditionError, match="^split not realizable"):
+                        verify_split_entropy(p, gamma, q)
 
 
 @pytest.mark.parametrize("m", [4, 5, 31, 199])
