@@ -20,8 +20,8 @@ checkpoint.
 Alongside the compression pipeline it hosts the two statistical verifiers: a
 Monte Carlo check of the without-replacement tail bound against the exact
 hypergeometric law (``HOEFFDING_CHECKS`` are the ones ``sgdcodec verify``
-runs), and grid sweeps of the entropy and coding inequalities the bit
-accounting relies on.
+runs), and grid sweeps of the inequalities the bit accounting relies on,
+three of them exact over one table of fixed-point log2 k (``_exact_row``).
 """
 
 from __future__ import annotations
@@ -73,10 +73,8 @@ from .numerics import (
     DomainError,
     GridSpec,
     Record,
-    _entropy,
-    _kl,
     _realizable_q,
-    _realized_slacks,
+    _split_units,
 )
 from .sgd_engine import (
     MASK64,
@@ -88,7 +86,8 @@ from .sgd_engine import (
     vector_from_bytes,
     vector_to_bytes,
 )
-from .stable import LOG2_E, _log2_ratios, stable_entropy, stable_exp, stable_log2
+from .stable import (LOG2_E, _WORK, _log2_e, _log2_table, _ziv_units, stable_entropy, stable_exp,
+                     stable_log2)
 
 MANIFEST_FORMAT = "sgdcodec-run-v1"
 
@@ -735,13 +734,10 @@ class SuiteRow(Record):
             raise DomainError(f"{self.name}: the sizes leave no case to evaluate")
 
     @classmethod
-    def of(cls, name: str, margins: Sequence[float], threshold: float, at_most: bool,
-           skipped: int = 0) -> "SuiteRow":
-        """The row of a sweep's margins: each must be at most the threshold
-        (``at_most``; the worst is the max) or at least it (the worst is the min)."""
-        worst = float((max if at_most else min)(margins, default=math.nan))
-        passed = worst <= threshold if at_most else worst >= threshold
-        return cls(name, len(margins), skipped, worst, threshold, passed)
+    def of(cls, name: str, margins: Sequence[float], threshold: float) -> "SuiteRow":
+        """The row of a sweep whose margins must each be at most the threshold."""
+        worst = float(max(margins, default=math.nan))
+        return cls(name, len(margins), 0, worst, threshold, worst <= threshold)
 
     def line(self) -> str:
         flag = "pass" if self.passed else "FAIL"
@@ -751,34 +747,45 @@ class SuiteRow(Record):
         )
 
 
-def _entropy_excesses(points: int) -> list[float]:
-    # h(p) - p*log2(e/p) at p = k/points; any positive excess is numeric noise.
-    return [_entropy(k, points) - k / points * (log2 + LOG2_E)
-            for k, log2 in enumerate(_log2_ratios(points), 1)]
+def _exact_row(name: str, units, batches, table: tuple, den: int, slack, sign: int,
+               zeros: int = 0, space: int = 0) -> SuiteRow:
+    """The row of a sweep whose claim is margin >= 0 (sign 1) or <= 0 (sign -1).
+
+    units(log, l2e, *batch, cs) lists a batch's margins times den * 2**w from
+    log[k] = log2 k * 2**w and l2e = log2 e * 2**w, off by at most slack(e)
+    where each log is off by at most e and l2e by at most 1.  Over the table
+    (logs, err, l2e) at _WORK bits, a case passes when its margin clears 0 by
+    more than slack(err), the threshold, on the claimed side; the ``zeros``
+    equalities count as exact zeros, and the rest of ``space`` as skipped.
+    worst is the nearest case's margin, evaluated again and rounded once.
+    """
+    (logs, err, l2e), pick, count, near = table, (min if sign > 0 else max), zeros, None
+    for *batch, cs in batches:
+        margins = units(logs, l2e, *batch, cs)
+        count += len(margins)
+        m = pick(margins, default=None)
+        if m is not None and (near is None or sign * m < sign * near[0]):
+            near = m, batch, cs[margins.index(m)]
+    worst, passed, bound = 0.0, True, slack(err)
+    if near is not None:
+        m, batch, c = near
+        worst = _ziv_units(lambda log: units(log, _log2_e(log.w), *batch, [c])[0], slack(16), den)
+        passed = sign * m > bound
+    threshold = bound / (den << _WORK) if count else math.nan  # no case: the row refuses
+    return SuiteRow(name, count, max(space - count, 0), worst, threshold, passed)
 
 
-def _split_margins(side: int) -> list[float]:
-    # p, gamma, q range over k/side for k = 1..side; only realizable q are
-    # evaluated, and for a, g >= 1 those start at k >= 1.  Those at gamma =
-    # 1/side hold those of every larger gamma: one D(p || q) row per p.
-    margins: list[float] = []
-    ks = range(1, side + 1)
-    for a in ks:
-        kls = {c: _kl(a, c, side) for c in _realizable_q(a, 1, side)}
-        for g in ks:
-            margins += _realized_slacks(a, g, side, _realizable_q(a, g, side), kls)
-    return margins
+def _excess_units(log, l2e: int, n: int, ks: Sequence[int]) -> list[int]:
+    # (h(p) - p log2(e / p)) * n * 2**w at p = k/n is (n - k) log2(n / (n - k))
+    # - k log2 e: within (2 e + 1) n
+    return [(n - k) * (log[n] - log[n - k]) - k * l2e for k in ks]
 
 
-def _pinsker_margins(side: int) -> list[float]:
-    # p, q range over k/side for k = 1..side; q = 1 is skipped (D(p || 1) is
-    # infinite for p != 1).  The penalty depends on |a - c| alone.
-    penalty = [2.0 * (d * d / side**2) / math.log(2) for d in range(side)]
-    return [
-        _kl(a, c, side) - penalty[abs(a - c)]
-        for a in range(1, side + 1)
-        for c in range(1, side)
-    ]
+def _pinsker_units(log, l2e: int, a: int, n: int, cs: Sequence[int]) -> list[int]:
+    # (D(p || q) - 2 (p - q)**2 log2 e) * n**2 * 2**w at p, q = a/n, c/n: within 2 n**2 (e + 1)
+    na, nb = n * a, n * (n - a)
+    fixed = na * log[a] + nb * log[n - a]
+    return [fixed - na * log[c] - nb * log[n - c] - 2 * (a - c) ** 2 * l2e for c in cs]
 
 
 def _stirling_errors() -> list[float]:
@@ -842,12 +849,25 @@ def run_inequality_suite(
     for size in (entropy_points, split_side, pinsker_side, codec_instances):
         if type(size) is not int:  # bools too, as HoeffdingCheck
             raise DomainError(f"suite sizes must be ints, got {size!r}")
-    split = _split_margins(split_side)
+    n, s, k = entropy_points, split_side, pinsker_side
+    logs, errs = _log2_table(max(n, s * s, k), _WORK)
+    table = logs, max(errs), _log2_e(_WORK)
     return [
-        SuiteRow.of("entropy-vs-plog2ep", _entropy_excesses(entropy_points), 1e-9, True),
-        SuiteRow.of("split-entropy-drop", split, -1e-12, False, split_side**3 - len(split)),
-        SuiteRow.of("pinsker-bernoulli", _pinsker_margins(pinsker_side), -1e-12, False),
-        SuiteRow.of("stirling-log2-factorial", _stirling_errors(), 0.1, True),
-        SuiteRow.of("binomial-vs-entropy", _binomial_margins(4096), 0.0, True),
-        SuiteRow.of("conditional-codec-overhead", _codec_overheads(codec_instances, 7), 0.0, True),
+        # h(p) <= p log2(e / p) at p = j/n for j = 1..n
+        _exact_row("entropy-vs-plog2ep", _excess_units, [(n, range(1, n + 1))], table, n,
+                   lambda e: (2 * e + 1) * n, -1),
+        # p, gamma, q range over j/s for j = 1..s; only realizable q are swept,
+        # and for a, g >= 1 those start at j >= 1.  q = p is an equality.
+        _exact_row("split-entropy-drop", lambda log, _, *batch: _split_units(log, *batch),
+                   ((a, g, s, [c for c in _realizable_q(a, g, s) if c != a])
+                    for a in range(1, s + 1) for g in range(1, s + 1)),
+                   table, s * s, lambda e: 6 * s * s * e, 1, max(s, 0) ** 2, s**3),
+        # p, q range over j/k for j = 1..k; q = 1 is skipped (D(p || 1) is
+        # infinite for p != 1).  q = p is an equality.
+        _exact_row("pinsker-bernoulli", _pinsker_units,
+                   ((a, k, [c for c in range(1, k) if c != a]) for a in range(1, k + 1)),
+                   table, k * k, lambda e: 2 * k * k * (e + 1), 1, max(k - 1, 0)),
+        SuiteRow.of("stirling-log2-factorial", _stirling_errors(), 0.1),
+        SuiteRow.of("binomial-vs-entropy", _binomial_margins(4096), 0.0),
+        SuiteRow.of("conditional-codec-overhead", _codec_overheads(codec_instances, 7), 0.0),
     ]

@@ -1,4 +1,4 @@
-"""Fixed-point grid vectors, exact rounding, and entropy helpers.
+"""Fixed-point grid vectors, exact rounding, and the split-entropy kernel.
 
 All quantities that feed the codecs live on a shared dyadic grid: a value is
 an integer mantissa times 2**-scale, within a clip range.  A descent update
@@ -9,20 +9,14 @@ integer-only: every intermediate is an integer numerator over a
 denominator known in advance (a power of two, times the batch size for a
 mean), and a result goes back onto the grid through one
 ``div_round_half_even``, so every platform produces bit-identical mantissas.
-The entropy and divergence functions all use log base 2; code lengths
-elsewhere in the package are therefore in bits throughout.  They are
-private kernels over integer numerators (``_entropy``, ``_kl``,
-``_realized_slacks``) that compare integers and form each float by one
-correctly rounded ``int / int``, so a value gets the same bits whatever
-denominator it is written over.  The inequality sweeps call them directly.
-The one public wrapper, ``verify_split_entropy``, puts its arguments over
-one common denominator and checks them first; it stays because the
-benchmark's tracer hooks it by name.  ``_realizable_q`` alone states when a
-two-block entropy split is realizable, for ``verify_split_entropy`` and for
-the sweep that visits only those splits; both then call the unchecked
-``_realized_slacks``, which evaluates the slack for one (p, gamma) pair at
-each q it is given and reads D(p || q) from the caller's row, so the sweep
-computes that row once per p.
+Code lengths are in bits throughout.  The two-block entropy split is one
+integer kernel, ``_split_units``, a sum of fixed-point log2 k read from a
+table: the inequality sweep reads ``stable._log2_table``, and
+``verify_split_entropy`` reads ``stable._Log2s`` at each precision and
+rounds the slack once.  It puts its arguments over one common denominator
+and checks them first, and stays because the benchmark's tracer hooks it by
+name.  ``_realizable_q`` alone states when a two-block split is realizable,
+for it and for the sweep that visits only those splits.
 """
 
 from __future__ import annotations
@@ -30,11 +24,11 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import compress
-from typing import Mapping, Sequence, Union
+from typing import Sequence, Union
+
+from .stable import _ziv_units
 
 Rational = Union[int, float, Fraction]
-
-_LN2 = math.log(2)
 
 
 class DomainError(ValueError):
@@ -214,59 +208,6 @@ def _numerators(*values: Rational) -> tuple[list[int], int]:
     return [f.numerator * (den // f.denominator) for f in fracs], den
 
 
-def _entropy(num: int, den: int) -> float:
-    """h(num/den) in bits for 0 <= num <= den.
-
-    h is symmetric, so it is taken from the smaller side x <= 1/2, with the
-    complement term -(1 - x) log2(1 - x) from log1p(-x): log2 of a rounded
-    1 - x keeps only an absolute error of about 2^-53, where the term itself
-    is about x / ln 2.  Where x rounds to 0.0, h is 0.0.
-    """
-    x = num / den
-    if x > 0.5:
-        x = (den - num) / den
-    if x == 0.0:
-        return 0.0
-    return -(x * math.log2(x) + (1.0 - x) * math.log1p(-x) / _LN2)
-
-
-def _ln_ratio(p: int, q: int) -> float:
-    """ln(p/q) for positive integers: from log1p where p/q is near 1, and
-    past the float range as k ln 2 plus the log of a ratio in (1/2, 2)."""
-    k = p.bit_length() - q.bit_length()
-    if abs(k) > 1000:
-        p, q = (p, q << k) if k > 0 else (p << -k, q)
-        return k * _LN2 + math.log(p / q)
-    r = p / q
-    return math.log(r) if r < 0.5 or r > 2.0 else math.log1p((p - q) / q)
-
-
-def _kl(a: int, c: int, n: int) -> float:
-    """D(a/n || c/n) in bits; 0 < c < n unless a == c.
-
-    Where the float formula fails, the log ratios are taken from the
-    integers instead: where c/n rounds to 1.0 while a/n does not, the float
-    ratio of the complements divides by 0.0, and where c/n is far below a/n,
-    x / y overflows to inf or divides by 0.0, although D is finite.
-    """
-    if a == c:
-        return 0.0
-    x, y = a / n, c / n
-    try:
-        total = 0.0
-        if x > 0.0:
-            total += x * math.log2(x / y)
-        if x < 1.0:
-            total += (1.0 - x) * math.log2((1.0 - x) / (1.0 - y))
-    except ZeroDivisionError:
-        total = math.inf
-    if math.isfinite(total):
-        return total
-    up = x * _ln_ratio(a, c) if x else 0.0
-    down = (n - a) / n * _ln_ratio(n - a, n - c) if a < n else 0.0
-    return (up + down) / _LN2
-
-
 def _realizable_q(a: int, g: int, n: int) -> range:
     """The numerators c in [0, n] for which the split of gamma = g/n over
     p = a/n is realizable at q = c/n: p*gamma <= q and (1-p)*gamma <= 1-q,
@@ -274,32 +215,37 @@ def _realizable_q(a: int, g: int, n: int) -> range:
     return range(-(-a * g // n), n + (-(n - a) * g // n) + 1)
 
 
-def _realized_slacks(
-    a: int, g: int, n: int, cs: Sequence[int], kls: Mapping[int, float]
-) -> list[float]:
-    """The split slack at numerators a, g, c over n for each c in cs, unchecked:
-    every c must be one that _realizable_q(a, g, n) yields, and kls[c] must be
-    _kl(a, c, n)."""
-    if g == 0:
-        return [0.0] * len(cs)
-    h, share, ag, bg = _entropy(g, n), g / n, a * g, (n - a) * g
+def _split_units(log, a: int, g: int, n: int, cs: Sequence[int]) -> list[int]:
+    """The split slack at p, gamma, q = a/n, g/n, c/n times n**2 * 2**w for each c
+    in cs, from log[k] = log2(k) * 2**w (log[0] only times 0); unchecked: each c
+    must be one that _realizable_q(a, g, n) yields.
+
+    With A = a g, B = (n - a) g, u = c n and v = (n - c) n: n**2 h(gamma) is
+    n**2 log2 n - n g log2 g - n (n - g) log2(n - g), n**2 gamma D(p || q) is
+    A log2(a / c) + B log2((n - a) / (n - c)), n**2 q h(A / u) is u log2 u -
+    A log2 A - (u - A) log2(u - A), and the same at B and v.  The coefficients
+    sum to 4 n**2 + 2 g n in absolute value: logs off by at most e move a
+    result by at most 6 n**2 e.  It is exactly 0 at p = q where each log is the
+    sum of its prime factors' logs, as in _log2_table.
+    """
+    ag, bg, nn = a * g, (n - a) * g, n * n
+    fixed = (nn * log[n] - n * g * log[g] - n * (n - g) * log[n - g]
+             + ag * (log[ag] - log[a]) + bg * (log[bg] - log[n - a]))  # the D terms at p
     out = []
     for c in cs:
-        lhs = 0.0
-        if c > 0:
-            lhs += c / n * _entropy(ag, c * n)
-        if c < n:
-            lhs += (n - c) / n * _entropy(bg, (n - c) * n)
-        out.append(h - share * kls[c] - lhs)
+        u, v = c * n, nn - c * n
+        out.append(fixed + ag * log[c] + bg * log[n - c] - u * log[u] + (u - ag) * log[u - ag]
+                   - v * log[v] + (v - bg) * log[v - bg])
     return out
 
 
 def verify_split_entropy(p: Rational, gamma: Rational, q: Rational) -> float:
-    """Slack of the two-block entropy split bound.
+    """Slack of the two-block entropy split bound, correctly rounded.
 
     Returns [h(gamma) - gamma * D(p || q)] - [q * h(p*gamma/q) + (1-q) * h((1-p)*gamma/(1-q))],
-    which is nonnegative whenever the arguments are valid.  Requires
-    p*gamma <= q and (1-p)*gamma <= 1-q, otherwise the split is not realizable.
+    which is nonnegative whenever the arguments are valid, and 0.0 at
+    gamma = 0 or p = q.  Requires p*gamma <= q and (1-p)*gamma <= 1-q,
+    otherwise the split is not realizable.
     """
     (a, g, c), n = _numerators(p, gamma, q)
     for v, name in ((a, "p"), (g, "gamma"), (c, "q")):
@@ -311,5 +257,7 @@ def verify_split_entropy(p: Rational, gamma: Rational, q: Rational) -> float:
             f"split not realizable: p*gamma={a * g}/{nn} vs q={c}/{n}, "
             f"(1-p)*gamma={(n - a) * g}/{nn} vs 1-q={n - c}/{n}"
         )
-    # at g = 0 the slack is 0 whatever D(p || q) is, and that may be infinite
-    return _realized_slacks(a, g, n, (c,), {c: _kl(a, c, n)} if g else {})[0]
+    if g == 0 or a == c:  # equalities; at g = 0 D(p || q) may be infinite
+        return 0.0
+    # elsewhere the slack is (1 - gamma) D(r || q) > 0, r = (q - p gamma) / (1 - gamma)
+    return _ziv_units(lambda log: _split_units(log, a, g, n, (c,))[0], 96 * n * n, n * n)

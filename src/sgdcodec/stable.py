@@ -6,9 +6,8 @@ function brackets its value at the exact rational argument in fixed point, and
 the working precision is raised until both ends round to one double (Ziv's
 test), by CPython's correctly rounded int / int, subnormals included.  See Brent
 & Zimmermann, *Modern Computer Arithmetic*, ch. 4, and Ziv, ACM TOMS 17(3), 1991.
-The entropy sweep's batch path, ``_log2_ratios``, reads stable_log2(num / k)
-for all k <= num off a sieve table of fixed-point log2(k), and sends the rare
-bracket whose ends round to two doubles to stable_log2.
+The inequality sweeps read fixed-point log2 k off one sieve table,
+``_log2_table``; ``_ziv_units`` rounds a sum of such logs once.
 """
 
 from __future__ import annotations
@@ -29,14 +28,15 @@ def _float(n: int, d: int) -> float:
         return math.inf if n > 0 else -math.inf
 
 
-def _ziv(enclose) -> float:
-    """The double that both ends n / d of enclose(w) = ((n, d), (n, d)) round to."""
+def _ziv(enclose, negative: bool = False) -> float:
+    """The double that both ends n / d of enclose(w) = ((n, d), (n, d)) round to;
+    the end on the side of the value's sign gives an underflow that sign."""
     w = _WORK
     while w <= _WORK_CAP:
         (a, b), (c, d) = enclose(w)
         lo, hi = _float(a, b), _float(c, d)
         if lo == hi:
-            return hi  # hi keeps the + of an underflowing positive value
+            return lo if negative else hi
         w *= 2
     raise ArithmeticError(f"no single double within {_WORK_CAP} working bits")
 
@@ -102,46 +102,58 @@ def stable_log2(x: int | Fraction) -> float:
     """log2 of a positive rational, correctly rounded."""
     if x <= 0:
         raise ValueError("argument must be positive")
-    return _ziv(lambda w: _ends(*_log(x.numerator, x.denominator, w, True), -w))
+    return _ziv(lambda w: _ends(*_log(x.numerator, x.denominator, w, True), -w), x < 1)
 
 
-def _log2_table(top: int, w: int) -> list[tuple[int, int]]:
-    """(a, err) with log2(k) = (a ± err) / 2**w, at index k for 1 <= k <= top.
+def _log2_table(top: int, w: int) -> tuple[list[int], list[int]]:
+    """(logs, errs) with log2(k) = (logs[k] ± errs[k]) / 2**w for 1 <= k <= top.
 
     A prime's entry is one _log series.  The sieve marks each composite with its
     largest prime factor p, and its entry is the sum of those of p and k // p.
     """
-    factor, table = [0] * (top + 1), [(0, 0)] * (top + 1)
+    factor, logs, errs = [0] * (top + 1), [0] * (top + 1), [0] * (top + 1)
     for k in range(2, top + 1):
         p = factor[k]
         if p:
-            (a, ea), (b, eb) = table[p], table[k // p]
-            table[k] = a + b, ea + eb
+            logs[k], errs[k] = logs[p] + logs[k // p], errs[p] + errs[k // p]
         else:
             factor[k::k] = [k] * (top // k)
-            table[k] = _log(k, 1, w, True)
-    return table
+            logs[k], errs[k] = _log(k, 1, w, True)
+    return logs, errs
 
 
-def _log2_ratios(num: int) -> list[float]:
-    """stable_log2(Fraction(num, k)) for k = 1..num, from one log2 table: its
-    entries bracket log2(num) - log2(k) at _WORK bits, and stable_log2 decides
-    where the two ends round to different doubles."""
-    table, one = _log2_table(num, _WORK), 1 << _WORK
-    an, en = table[num] if num > 0 else (0, 0)
-    out = []
-    for k, (a, e) in enumerate(table[1:], 1):
-        d, r = an - a, en + e
-        lo, hi = _float(d - r, one), _float(d + r, one)
-        out.append(hi if lo == hi else stable_log2(Fraction(num, k)))
-    return out
+def _log2_e(w: int) -> int:
+    """log2(e) * 2**w within 1: 2**w / ln 2, from ln 2 at 16 bits more."""
+    return (1 << 2 * w + 16) // _ln_point(2 << _T, w + 16)
+
+
+class _Log2s(dict):
+    """log2(k) * 2**w within 16 at each integer k read, from _log; 0 at k = 0."""
+
+    def __init__(self, w: int) -> None:
+        self.w = w
+
+    def __missing__(self, k: int) -> int:
+        self[k] = a = _log(k, 1, self.w, True)[0] if k else 0
+        return a
+
+
+def _ziv_units(units, err: int, den: int) -> float:
+    """The double nearest x, where units(log) is x * den * 2**w within err from
+    log = _Log2s(w)."""
+
+    def enclose(w: int):
+        m = units(_Log2s(w))
+        return (m - err, den << w), (m + err, den << w)
+
+    return _ziv(enclose)
 
 
 def stable_entropy(p: int | Fraction) -> float:
     """Binary entropy in bits of p in [0, 1], correctly rounded at every p.
 
-    p = n / d: h(p) = log2 d - (n log2 n + (d - n) log2(d - n)) / d, bracketed
-    from the three integer logs.
+    p = n / d: h(p) = log2 d - (n log2 n + (d - n) log2(d - n)) / d, from the
+    three integer logs, each within 16 units.
     """
     f = Fraction(p)
     if f < 0 or f > 1:
@@ -149,20 +161,14 @@ def stable_entropy(p: int | Fraction) -> float:
     n, d = f.numerator, f.denominator
     if n == 0 or n == d:
         return 0.0
-
-    def enclose(w: int):
-        (a, ea), (b, eb), (c, ec) = (_log(k, 1, w, True) for k in (d, n, d - n))
-        mid, err = d * a - n * b - (d - n) * c, d * ea + n * eb + (d - n) * ec
-        return (mid - err, d << w), (mid + err, d << w)
-
-    return _ziv(enclose)
+    return _ziv_units(lambda log: d * log[d] - n * log[n] - (d - n) * log[d - n], 32 * d, d)
 
 
 def stable_ln(x: int | Fraction) -> float:
     """Natural log of a positive rational, correctly rounded."""
     if x <= 0:
         raise ValueError("argument must be positive")
-    return _ziv(lambda w: _ends(*_log(x.numerator, x.denominator, w, False), -w))
+    return _ziv(lambda w: _ends(*_log(x.numerator, x.denominator, w, False), -w), x < 1)
 
 
 LOG2_E = 1 / stable_ln(2)

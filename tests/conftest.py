@@ -1,7 +1,9 @@
 """Shared builders for handcrafted datasets, models, epoch traces and
 training runs on generated data; the
 exact hypergeometric law the Hoeffding verifier is checked against; the
-per-case margins of three inequality sweeps, evaluated case by case; the
+margins of three inequality sweeps, evaluated case by case, in the integer
+units of the sweeps and by mpmath, whose values ``mp_float`` rounds once to
+a double, and the two-block split slack by mpmath at the exact argument; the
 closed-form width bound of the conditional set codec, and that codec as it
 wrote its four fields straight to a stream; the dataset
 generator spelled out on stdlib ``randrange`` and ``Fraction``; the dataset
@@ -28,6 +30,8 @@ import sys
 from fractions import Fraction
 from functools import partial
 
+import mpmath
+
 from sgdcodec.codec import BitStream, binomial, ceil_log2, subset_rank
 from sgdcodec.model import (
     KNOT_BITS,
@@ -47,8 +51,6 @@ from sgdcodec.numerics import (
     FixedVector,
     GridSpec,
     PreconditionError,
-    _entropy,
-    _kl,
     _realizable_q,
     div_round_half_even,
     round_half_even,
@@ -86,37 +88,100 @@ def hypergeometric_pmf(population: int, ones: int, sample: int) -> list[Fraction
     ]
 
 
-def split_slack_oracle(a: int, g: int, c: int, n: int) -> float:
-    """The two-block split slack at numerators a, g, c over n, spelled out."""
-    if g == 0:
+def mp_float(v) -> float:
+    """The mpmath value v rounded once to a double through Fraction
+    (subnormals included; past the range, +-inf or +-0.0)."""
+    if not v:
         return 0.0
-    lhs = 0.0
-    if c > 0:
-        lhs += c / n * _entropy(a * g, c * n)
-    if c < n:
-        lhs += (n - c) / n * _entropy((n - a) * g, (n - c) * n)
-    return _entropy(g, n) - g / n * _kl(a, c, n) - lhs
+    (man, exp), sign = v.man_exp, -1 if v < 0 else 1  # man_exp is of |v|
+    top = exp + man.bit_length()  # 2**(top - 1) <= |v| < 2**top
+    if not -1076 < top <= 1025:  # 0.0 or inf as a double; 2**exp may be huge
+        return sign * (0.0 if top < 0 else math.inf)
+    try:
+        return sign * float(man * Fraction(2) ** exp)
+    except OverflowError:
+        return sign * math.inf
 
 
-def split_margins_oracle(side: int) -> list[float]:
-    """The split-entropy sweep's margins, one slack evaluated per case."""
-    margins = []
-    for a in range(1, side + 1):
-        for g in range(1, side + 1):
-            for c in _realizable_q(a, g, side):
-                margins.append(split_slack_oracle(a, g, c, side))
-    return margins
+def mp_bits(*values) -> int:
+    """A working precision for values over one denominator n: 400 bits past
+    n**4, which bounds how much the sums below cancel."""
+    return 4 * max(Fraction(v).denominator for v in values).bit_length() + 400
 
 
-def pinsker_margins_oracle(side: int) -> list[float]:
-    """The Pinsker sweep's margins, the penalty evaluated per case."""
-    margins = []
-    for a in range(1, side + 1):
-        for c in range(1, side):
-            margins.append(
-                _kl(a, c, side) - 2.0 * ((a - c) ** 2 / side**2) / math.log(2)
-            )
-    return margins
+def mp_divergence(p, q):
+    """D(p || q) in bits by mpmath at the working precision; 0 < q < 1 or p == q."""
+    p, q = (mpmath.mpf(x.numerator) / x.denominator for x in map(Fraction, (p, q)))
+    up = p * mpmath.log(p / q, 2) if p else 0
+    return up + ((1 - p) * mpmath.log((1 - p) / (1 - q), 2) if p < 1 else 0)
+
+
+def split_slack_oracle(p, gamma, q) -> float:
+    """``verify_split_entropy`` spelled out: the same refusals, then the slack
+    as (1 - gamma) D(r || q), r = (q - p gamma) / (1 - gamma), by mpmath at
+    the exact argument, rounded once."""
+    p, g, q = (Fraction(v) for v in (p, gamma, q))
+    for v, name in ((p, "p"), (g, "gamma"), (q, "q")):
+        if v < 0 or v > 1:
+            raise DomainError(f"{name}={v} outside [0, 1]")
+    if p * g > q or (1 - p) * g > 1 - q:
+        raise PreconditionError("split not realizable")
+    if g == 0 or p == q:
+        return 0.0
+    with mpmath.workprec(mp_bits(p, g, q)):
+        return mp_float((1 - mpmath.mpf(g.numerator) / g.denominator)
+                        * mp_divergence((q - p * g) / (1 - g), q))
+
+
+def entropy_units(log, x: int, y: int) -> int:
+    """y h(x / y) * 2**w from log[k] = log2 k * 2**w: y log2 y - x log2 x -
+    (y - x) log2(y - x)."""
+    return y * log[y] - x * log[x] - (y - x) * log[y - x]
+
+
+def split_units_oracle(log, a: int, g: int, c: int, n: int) -> int:
+    """The split slack at a/n, g/n, c/n times n**2 * 2**w, term by term as the
+    inequality states it: n**2 h(gamma) - n**2 gamma D(p || q) - n**2 q h(p
+    gamma / q) - n**2 (1 - q) h((1 - p) gamma / (1 - q))."""
+    ag, bg = a * g, (n - a) * g
+    divergence = ag * (log[a] - log[c]) + bg * (log[n - a] - log[n - c])
+    return (n * entropy_units(log, g, n) - divergence
+            - entropy_units(log, ag, c * n) - entropy_units(log, bg, (n - c) * n))
+
+
+def pinsker_units_oracle(log, l2e: int, a: int, c: int, n: int) -> int:
+    """(D(p || q) - 2 (p - q)**2 log2 e) * n**2 * 2**w at a/n, c/n, from the
+    logs and l2e = log2 e * 2**w."""
+    divergence = a * (log[a] - log[c]) + (n - a) * (log[n - a] - log[n - c])
+    return n * divergence - 2 * (a - c) ** 2 * l2e
+
+
+def mp_split_slack(a: int, g: int, c: int, n: int):
+    """The split slack at a/n, g/n, c/n by mpmath, term by term as stated."""
+    with mpmath.workprec(mp_bits(Fraction(1, n))):
+        p, gm, q = (mpmath.mpf(v) / n for v in (a, g, c))
+
+        def h(x):
+            return -(x * mpmath.log(x, 2) + (1 - x) * mpmath.log(1 - x, 2)) if 0 < x < 1 else 0
+
+        return (h(gm) - gm * mp_divergence(Fraction(a, n), Fraction(c, n))
+                - (q * h(p * gm / q) if c else 0)
+                - ((1 - q) * h((1 - p) * gm / (1 - q)) if c < n else 0))
+
+
+def mp_pinsker(a: int, c: int, n: int):
+    """D(p || q) - 2 (p - q)**2 log2 e at a/n, c/n by mpmath."""
+    with mpmath.workprec(mp_bits(Fraction(1, n))):
+        penalty = 2 * mpmath.mpf(a - c) ** 2 / n**2 / mpmath.log(2)
+        return mp_divergence(Fraction(a, n), Fraction(c, n)) - penalty
+
+
+def mp_excess(k: int, n: int):
+    """h(p) - p log2(e / p) at p = k/n by mpmath."""
+    with mpmath.workprec(mp_bits(Fraction(1, n))):
+        p = mpmath.mpf(k) / n
+        h = -(p * mpmath.log(p, 2) + ((1 - p) * mpmath.log(1 - p, 2) if k < n else 0))
+        return h - p * mpmath.log(mpmath.e / p, 2)
 
 
 def binomial_margins_oracle(max_m: int) -> list[float]:
@@ -155,7 +220,7 @@ def theoretical_set_bound(
     if p * g > q or (1 - p) * g > 1 - q:
         raise DomainError("split not realizable for these rates")
     gap = q - p
-    h = _entropy(g.numerator, g.denominator)
+    h = stable_entropy(g)
     return m * h - 2.0 * float(g) * m * float(gap) * float(gap)
 
 

@@ -1,16 +1,15 @@
-"""The integer-numerator entropy kernels and the Hoeffding sampler against oracles.
+"""The binary entropy, the Pinsker and split-entropy kernels and the
+Hoeffding sampler against oracles.
 
-The oracles below are the Fraction-based binary entropy, Bernoulli
-divergence and ``verify_split_entropy``, the CDF-inversion Hoeffding sampler
-and the per-trial ``rng.random()`` loop that the kernels replaced.  The
-``_entropy`` and ``_kl`` kernels, fed numerators over one common
-denominator, must return the very same float bits as the oracles over mixed
-denominators and the boundary values 0 and 1; ``verify_split_entropy`` must
-also raise the same exception type on infeasible splits and out-of-range
-arguments; the bulk sampler must count the same hits and leave the generator
-in the same state.  Where the oracles' float formula fails (a factor rounds
-to 0.0), the kernels return a value instead, checked against
-``stable_entropy`` or mpmath to a few ulps.
+``stable_entropy`` and ``verify_split_entropy`` must equal mpmath at the exact
+argument, rounded once, to the bit, and ``verify_split_entropy`` must raise
+the same exception as its oracle on infeasible splits and out-of-range
+arguments.  The Pinsker kernel, over logs of the integers it reads at one
+precision, must lie within its stated bound of mpmath, at arguments whose
+float forms once divided by 0.0 or overflowed.  The oracles of the sampler
+are the CDF-inversion Hoeffding sampler and the per-trial ``rng.random()``
+loop that the bulk sampler replaced: it must count the same hits and leave
+the generator in the same state.
 """
 
 from __future__ import annotations
@@ -26,69 +25,26 @@ import mpmath
 import pytest
 from hypothesis import example, given, settings
 
-from conftest import hypergeometric_pmf
+from conftest import hypergeometric_pmf, mp_bits, mp_float, mp_pinsker, split_slack_oracle
 from sgdcodec import cli
-from sgdcodec.harness import HoeffdingCheck, _draws_below, verify_hoeffding
+from sgdcodec.harness import HoeffdingCheck, _draws_below, _pinsker_units, verify_hoeffding
 from sgdcodec.numerics import (
-    DomainError,
     PreconditionError,
-    _entropy,
-    _kl,
     _numerators,
     _realizable_q,
     verify_split_entropy,
 )
-from sgdcodec.stable import stable_entropy
+from sgdcodec.stable import _WORK, _Log2s, _log2_e, stable_entropy
 
 
-def oracle_binary_entropy(p):
-    pf = Fraction(p)
-    if pf < 0 or pf > 1:
-        raise DomainError(f"probability {p} outside [0, 1]")
-    if pf == 0 or pf == 1:
+def oracle_binary_entropy(p) -> float:
+    """h(p) by mpmath at the exact p in [0, 1], rounded once."""
+    p = Fraction(p)
+    if p == 0 or p == 1:
         return 0.0
-    # from the smaller side, with the complement term from log1p
-    x = float(pf)
-    if x > 0.5:
-        x = float(1 - pf)
-    return -(x * math.log2(x) + (1.0 - x) * math.log1p(-x) / math.log(2))
-
-
-def oracle_kl_bernoulli(p, q):
-    pf, qf = Fraction(p), Fraction(q)
-    for v in (pf, qf):
-        if v < 0 or v > 1:
-            raise DomainError(f"probability {v} outside [0, 1]")
-    if pf == qf:
-        return 0.0
-    if qf == 0 or qf == 1:
-        raise DomainError("divergence is infinite for q on the boundary with p != q")
-    x, y = float(pf), float(qf)
-    total = 0.0
-    if x > 0.0:
-        total += x * math.log2(x / y)
-    if x < 1.0:
-        total += (1.0 - x) * math.log2((1.0 - x) / (1.0 - y))
-    return total
-
-
-def oracle_verify_split_entropy(p, gamma, q):
-    pf, gf, qf = Fraction(p), Fraction(gamma), Fraction(q)
-    for v, name in ((pf, "p"), (gf, "gamma"), (qf, "q")):
-        if v < 0 or v > 1:
-            raise DomainError(f"{name}={v} outside [0, 1]")
-    if pf * gf > qf or (1 - pf) * gf > 1 - qf:
-        raise PreconditionError("split not realizable")
-    if gf == 0:
-        return 0.0
-    lhs = 0.0
-    if qf > 0:
-        lhs += float(qf) * oracle_binary_entropy(pf * gf / qf)
-    if qf < 1:
-        lhs += float(1 - qf) * oracle_binary_entropy((1 - pf) * gf / (1 - qf))
-    div = oracle_kl_bernoulli(pf, qf) if pf != qf else 0.0
-    rhs = oracle_binary_entropy(gf) - float(gf) * div
-    return rhs - lhs
+    with mpmath.workprec(mp_bits(p)):
+        x = mpmath.mpf(p.numerator) / p.denominator
+        return mp_float(-(x * mpmath.log(x, 2) + (1 - x) * mpmath.log(1 - x, 2)))
 
 
 def oracle_hoeffding_hits(check: HoeffdingCheck) -> int:
@@ -143,67 +99,36 @@ PROBS = st.one_of(
 )
 
 
-def precise_kl_terms(a, c, n):
-    """The two terms of D(a/n || c/n) in bits, p*log2(p/q) and
-    (1-p)*log2((1-p)/(1-q)), with 256 bits to spare past n**2, as floats."""
-    with mpmath.workprec(2 * n.bit_length() + 256):
-        x, y = mpmath.mpf(a) / n, mpmath.mpf(c) / n
-        up = x * mpmath.log(x / y, 2) if a else mpmath.mpf(0)
-        down = (1 - x) * mpmath.log((1 - x) / (1 - y), 2) if a < n else mpmath.mpf(0)
-        return float(up), float(down), float(up + down)
+def pinsker_within_bound(a, c, n):
+    """The Pinsker kernel at a/n, c/n, over logs each within 16 of log2 k *
+    2**_WORK, lies within 2 n**2 (16 + 1) of mpmath's margin times n**2 *
+    2**_WORK: the divergence it reads is D(p || q)."""
+    m = _pinsker_units(_Log2s(_WORK), _log2_e(_WORK), a, n, [c])[0]
+    x = mp_pinsker(a, c, n)
+    with mpmath.workprec(mp_bits(Fraction(1, n)) + _WORK):
+        return abs(m - x * (n * n << _WORK)) <= 34 * n * n
 
 
-def close(got, want, scale, ulps=4):
-    """got is want to a few ulps of scale.  A subnormal intermediate keeps
-    only an absolute 2**-1074, which a log2 factor of up to about 1100
-    scales, so 2**-1060 more is allowed."""
-    return abs(got - want) <= ulps * math.ulp(scale) + 2.0**-1060
-
-
-def kl_within_ulps(a, c, n):
-    """_kl(a, c, n) is D to a few ulps of its larger term: the terms have
-    opposite signs, and a float sum of them keeps only that much where p
-    is near q."""
-    up, down, want = precise_kl_terms(a, c, n)
-    return close(_kl(a, c, n), want, max(abs(up), abs(down)))
-
-
-# p rounds to 1.0 as a float: h(p) once raised "math domain error"
+# p rounds to 1.0 as a float: the float h(p) once raised "math domain error"
 @example(Fraction(2**60 - 63, 2**60 + 1))
-# 1 - p rounds to 1.0: h(p) once dropped its complement term
+# 1 - p rounds to 1.0: the float h(p) once dropped its complement term
 @example(Fraction(1, 2**54))
 @example(Fraction(3, 2**60 + 1))
 @example(2.0**-100)
 @example(Fraction(64, 2**60 + 1))
-@settings(max_examples=200)
-@given(PROBS)
-def test_binary_entropy_matches_oracle(p):
-    (a,), n = _numerators(p)
-    if 0 <= a <= n:
-        try:
-            want = oracle_binary_entropy(p)
-        except ValueError:  # where the float formula fails, h to a few ulps
-            want = stable_entropy(Fraction(a, n))
-            assert close(_entropy(a, n), want, want)
-        else:
-            assert _entropy(a, n).hex() == want.hex()
-
-
 # the complement term from log2 of a rounded 1 - p was off by about 2^-53
 # absolute, some 10^5 ulps of h(p) here
 @example(1.192092896e-07)
 @example(Fraction(1, 10**9 + 7))
 @example(Fraction(10**9 + 6, 10**9 + 7))
-@settings(max_examples=200)
+@settings(max_examples=300, deadline=None)
 @given(PROBS)
-def test_binary_entropy_is_accurate_to_a_few_ulps(p):
-    (a,), n = _numerators(p)
-    if 0 <= a <= n:
-        with mpmath.workprec(2 * n.bit_length() + 256):
-            x = mpmath.mpf(a) / n
-            h = -(x * mpmath.log(x, 2) + (1 - x) * mpmath.log(1 - x, 2)) if 0 < a < n else 0
-            want = float(h)
-        assert close(_entropy(a, n), want, want)
+def test_binary_entropy_matches_oracle(p):
+    if 0 <= p <= 1:
+        assert stable_entropy(p) == oracle_binary_entropy(p)
+    else:
+        with pytest.raises(ValueError, match=r"^probability outside \[0, 1\]$"):
+            stable_entropy(p)
 
 
 # q rounds to 1.0 as a float: D(p || q) once divided by 0.0
@@ -212,30 +137,19 @@ def test_binary_entropy_is_accurate_to_a_few_ulps(p):
 @example(Fraction(1, 2**60), Fraction(2**60 - 1, 2**60))
 @example(Fraction(2**60 - 64, 2**60 + 1), Fraction(2**60 - 63, 2**60 + 1))
 @example(Fraction(1, 3), Fraction(2**60, 2**60 + 1))
-@settings(max_examples=200)
+@settings(max_examples=200, deadline=None)
 @given(PROBS, PROBS)
 def test_kl_bernoulli_matches_oracle(p, q):
     (a, c), n = _numerators(p, q)
     if 0 <= a <= n and (a == c or 0 < c < n):
-        try:
-            want = oracle_kl_bernoulli(p, q)
-        except ZeroDivisionError:  # where the float formula fails, D from the integers
-            assert kl_within_ulps(a, c, n)
-        else:
-            if math.isfinite(want):
-                assert _kl(a, c, n).hex() == want.hex()
-            else:  # p/q overflowed the float range: D from the integers
-                assert kl_within_ulps(a, c, n)
+        assert pinsker_within_bound(a, c, n)
 
 
-# stable_entropy is the correctly rounded h(p) at every p, complement term
-# included, so it serves as the oracle here and below
 @pytest.mark.parametrize("e", [54, 60, 100, 130])
 def test_binary_entropy_keeps_the_complement_term_where_1_minus_p_rounds_to_1(e):
     # -(1 - p) log2(1 - p) is about p / ln 2 there, 1.4-2.6% of h(p)
     for num, den in ((1, 2**e), (2**e - 1, 2**e), (3, 2**(e + 2) + 1)):
-        want = stable_entropy(Fraction(num, den))
-        assert close(_entropy(num, den), want, want), (num, den)
+        assert stable_entropy(Fraction(num, den)) == oracle_binary_entropy(Fraction(num, den))
 
 
 @pytest.mark.parametrize(
@@ -243,9 +157,8 @@ def test_binary_entropy_keeps_the_complement_term_where_1_minus_p_rounds_to_1(e)
     ids=["1/10^400", "1-1/10^400", "3/(2^1100+1)"],
 )
 def test_binary_entropy_is_total_past_the_float_range(num, den):
-    # num/den or its complement underflows to 0.0: that side adds its limit 0
-    want = stable_entropy(Fraction(num, den))
-    assert close(_entropy(num, den), want, want)
+    # num/den or its complement underflows to 0.0 as a float
+    assert stable_entropy(Fraction(num, den)) == oracle_binary_entropy(Fraction(num, den))
 
 
 @pytest.mark.parametrize(
@@ -255,55 +168,27 @@ def test_binary_entropy_is_total_past_the_float_range(num, den):
     ids=["2^-1100", "half", "zero", "p/q-overflows"],
 )
 def test_kl_is_total_past_the_float_range(a, c, n):
-    assert kl_within_ulps(a, c, n)
+    assert pinsker_within_bound(a, c, n)
 
 
-def split_within_ulps(p, gamma, q):
-    """verify_split_entropy(p, gamma, q) is its slack to a few ulps of the
-    largest of the four terms it sums."""
-    (a, g, c), n = _numerators(p, gamma, q)
-    with mpmath.workprec(2 * n.bit_length() + 256):
-        x, gm, y = (mpmath.mpf(v) / n for v in (a, g, c))
-
-        def h(v):
-            return -(v * mpmath.log(v, 2) + (1 - v) * mpmath.log(1 - v, 2)) if 0 < v < 1 else 0
-
-        up = x * mpmath.log(x / y, 2) if a and g else 0
-        down = (1 - x) * mpmath.log((1 - x) / (1 - y), 2) if a < n and g else 0
-        terms = [
-            h(gm),
-            -gm * (up + down),
-            -y * h(x * gm / y) if c else 0,
-            -(1 - y) * h((1 - x) * gm / (1 - y)) if c < n else 0,
-        ]
-        want, scale = float(sum(terms)), max(abs(float(t)) for t in terms)
-    got = verify_split_entropy(p, gamma, q)
-    return close(got, want, scale, ulps=16)
-
-
-# the oracle's h(1 - p) rounds 1 - p to 1.0 and raised "math domain error"
+# the float h(1 - p) rounded 1 - p to 1.0 and raised "math domain error"
 @example(4.856680502992691e-177, Fraction(1, 2), Fraction(1, 2))
-# its h(p * gamma / q) underflows to h(0.0), among subnormal terms
+# a float h(p * gamma / q) underflowed to h(0.0), among subnormal terms
 @example(2.2250738585e-313, 2.2250738585e-313, 0.125)
-# the same with the oracle's D(p || q) at inf, as p/q overflows; the slack
-# was once -inf, and D is finite
+# the same with a float D(p || q) at inf, as p/q overflows; the slack was
+# once -inf, and D is finite
 @example(0.75, 5e-324, 5e-324)
-# p/q overflows with every other oracle term finite: the oracle reads -inf
+# p/q overflows with every other float term finite
 @example(0.5, 5e-324, 1.5e-323)
 # p = 1 and p/q overflows: D once raised "math domain error" from ln(0)
 @example(1, 2.225073858507e-311, 2.225073858507e-311)
 # h(gamma) took its complement term from log2 of a rounded 1 - gamma: off by
 # about 2^-53 absolute, some 10^5 ulps of h(gamma)
 @example(5e-324, 1.192092896e-07, 0.5)
-@settings(max_examples=300)
+@settings(max_examples=300, deadline=None)
 @given(PROBS, PROBS, PROBS)
 def test_verify_split_entropy_matches_oracle(p, gamma, q):
-    want = outcome(oracle_verify_split_entropy, p, gamma, q)
-    # a float factor rounded to 0.0, or the oracle's D(p || q) overflowed
-    if want in (ValueError, ZeroDivisionError, "-inf"):
-        assert split_within_ulps(p, gamma, q)
-    else:
-        assert outcome(verify_split_entropy, p, gamma, q) == want
+    assert outcome(verify_split_entropy, p, gamma, q) == outcome(split_slack_oracle, p, gamma, q)
 
 
 @pytest.mark.parametrize("side", [1, 2, 7, 16])
@@ -314,8 +199,32 @@ def test_verify_split_entropy_matches_oracle_on_grids(side):
         for gamma in pts:
             for q in pts:
                 assert outcome(verify_split_entropy, p, gamma, q) == outcome(
-                    oracle_verify_split_entropy, p, gamma, q
+                    split_slack_oracle, p, gamma, q
                 )
+
+
+@st.composite
+def realizable_splits(draw):
+    """(p, gamma, q) over one denominator, up to 2**80 + 1, with q realizable."""
+    n = draw(st.one_of(st.integers(2, 64), st.sampled_from([3**13, 2**60 + 1, 2**80 + 1])))
+    a, g = draw(st.integers(0, n)), draw(st.integers(1, n))
+    q = _realizable_q(a, g, n)
+    return Fraction(a, n), Fraction(g, n), Fraction(draw(st.integers(q.start, q.stop - 1)), n)
+
+
+@settings(max_examples=300, deadline=None)
+@given(realizable_splits())
+def test_verify_split_entropy_matches_oracle_on_realizable_splits(split):
+    assert verify_split_entropy(*split) == split_slack_oracle(*split)
+
+
+def test_verify_split_entropy_is_zero_at_the_equalities():
+    # gamma = 0, where D(p || q) may be infinite, and p = q return +0.0
+    for p, gamma, q in ((Fraction(1, 3), 0, 0), (1, 0, Fraction(1, 2)), (0.25, 0.5, 0.25),
+                        (Fraction(2**60 - 1, 2**60), Fraction(1, 3), Fraction(2**60 - 1, 2**60))):
+        got = verify_split_entropy(p, gamma, q)
+        assert got == 0.0 and math.copysign(1.0, got) == 1.0
+    assert verify_split_entropy(5e-324, 1.192092896e-07, 0.5) == 1.0250966042682913e-14
 
 
 def test_split_precondition_message_names_both_sides():

@@ -5,7 +5,9 @@ sizes and at the benchmark's smaller ones, each row as (name, cases, skipped,
 worst.hex(), passed); for the four
 ``sgdcodec verify`` Hoeffding settings at 10^5 trials, the hit count and the
 exact tail probability; and the sha256 of the full ``sgdcodec verify`` stdout.
-``float.hex`` makes "same bits" exact rather than approximate.  The values
+``float.hex`` makes "same bits" exact rather than approximate.  The
+entropy, split-entropy and Pinsker rows are exact sweeps, and each worst is
+its case's value rounded once, so no row reads the host libm.  The values
 may only change with a deliberate change to what the verifiers compute;
 regenerate them with ``PYTHONPATH=src python tests/test_golden_verifier.py``.
 """

@@ -10,15 +10,14 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from sgdcodec.harness import run_inequality_suite
+from conftest import mp_float
+from sgdcodec.harness import _pinsker_units, run_inequality_suite
 from sgdcodec.numerics import (
     DomainError,
     FixedVector,
     GridSpec,
     PreconditionError,
     SaturationError,
-    _entropy,
-    _kl,
     quantize_vector,
     round_half_even,
     verify_split_entropy,
@@ -142,21 +141,30 @@ def test_zero_and_quantize_vector():
 
 
 def test_binary_entropy_frozen_values():
-    assert _entropy(1, 2) == pytest.approx(1.0, abs=1e-15)
-    assert _entropy(1, 4) == pytest.approx(H_QUARTER, abs=1e-12)
-    assert _entropy(1, 3) == pytest.approx(H_THIRD, abs=1e-12)
-    assert _entropy(0, 1) == 0.0
-    assert _entropy(1, 1) == 0.0
+    assert stable_entropy(Fraction(1, 2)) == 1.0
+    assert stable_entropy(Fraction(1, 4)) == pytest.approx(H_QUARTER, abs=1e-12)
+    assert stable_entropy(Fraction(1, 3)) == pytest.approx(H_THIRD, abs=1e-12)
+    assert stable_entropy(0) == 0.0
+    assert stable_entropy(1) == 0.0
 
 
 def test_binary_entropy_symmetry():
-    for num, den in ((1, 5), (2, 7), (3, 11)):
-        assert _entropy(num, den) == pytest.approx(_entropy(den - num, den), abs=1e-15)
+    # correctly rounded, so h(p) and h(1 - p) are one double
+    for num, den in ((1, 5), (2, 7), (3, 11), (1, 2**60 + 1)):
+        assert stable_entropy(Fraction(num, den)) == stable_entropy(Fraction(den - num, den))
+
+
+def pinsker_divergence(a: int, c: int, n: int) -> Fraction:
+    """D(a/n || c/n) as the Pinsker kernel reads it off the log2 table: its
+    margin plus the penalty 2 (a - c)**2 log2 e, over n**2 * 2**_WORK."""
+    logs, l2e = stable._log2_table(n, stable._WORK)[0], stable._log2_e(stable._WORK)
+    units = _pinsker_units(logs, l2e, a, n, [c])[0] + 2 * (a - c) ** 2 * l2e
+    return Fraction(units, n * n << stable._WORK)
 
 
 def test_kl_bernoulli_frozen_value():
-    assert _kl(3, 6, 10) == pytest.approx(KL_3_6, abs=1e-12)
-    assert _kl(2, 2, 5) == 0.0
+    assert float(pinsker_divergence(3, 6, 10)) == pytest.approx(KL_3_6, abs=1e-15)
+    assert pinsker_divergence(2, 2, 5) == 0
 
 
 @given(
@@ -166,7 +174,7 @@ def test_kl_bernoulli_frozen_value():
 )
 def test_entropy_in_unit_interval(pq):
     k, d = pq
-    assert 0.0 <= _entropy(k, d) <= 1.0
+    assert 0.0 <= stable_entropy(Fraction(k, d)) <= 1.0
 
 
 def test_log2_of_int_and_factorial():
@@ -182,15 +190,7 @@ def test_log2_of_int_and_factorial():
 def _oracle(f, x):
     x = Fraction(x)
     with mpmath.workprec(max(x.numerator.bit_length(), x.denominator.bit_length()) + 400):
-        v = f(mpmath.mpf(x.numerator) / x.denominator)
-    (man, exp), sign = v.man_exp, -1 if v < 0 else 1  # man_exp is of |v|
-    top = exp + man.bit_length()  # 2**(top - 1) <= |v| < 2**top
-    if not -1076 < top <= 1025:  # 0.0 or inf as a double; 2**exp may be huge
-        return sign * (0.0 if top < 0 else math.inf)
-    try:
-        return sign * float(man * Fraction(2) ** exp)
-    except OverflowError:
-        return sign * math.inf
+        return mp_float(f(mpmath.mpf(x.numerator) / x.denominator))
 
 
 def _stable_log2_oracle(x):
@@ -321,21 +321,39 @@ def test_stable_log2_of_huge_arguments():
 
 @pytest.mark.parametrize("num", [1, 2000, 4096, 9973, 10000])
 def test_log2_ratios_equal_stable_log2(num):
-    # the sieve table's brackets give stable_log2's doubles; a bracket whose
-    # ends round apart goes to stable_log2
-    out = stable._log2_ratios(num)
-    assert out == [stable_log2(Fraction(num, k)) for k in range(1, num + 1)]
-    assert out[-1] == 0.0 and math.copysign(1.0, out[-1]) == 1.0
+    # log2(num / k) off the sieve table, a difference of two entries, lies
+    # within their two errors, and its bracket rounds to stable_log2's double
+    # but at k = num, whose 0 it straddles unless num is a power of two
+    (logs, errs), one = stable._log2_table(num, stable._WORK), 1 << stable._WORK
+    an, en = logs[num], errs[num]
+    for k, a, e in zip(range(1, num + 1), logs[1:], errs[1:]):
+        lo, hi = (an - a - en - e) / one, (an - a + en + e) / one
+        want = stable_log2(Fraction(num, k))
+        assert lo <= want <= hi and (lo == hi == want or k == num), k
+
+
+def test_log2_e_lies_within_its_stated_error():
+    for w in (0, 1, 64, 128, 256, 1000):
+        with mpmath.workprec(w + 200):
+            assert abs(stable._log2_e(w) - mpmath.log(mpmath.e, 2) * 2**w) <= 1, w
+
+
+@pytest.mark.parametrize("f", [stable_log2, stable_ln])
+def test_stable_log_underflow_keeps_the_sign(f):
+    # a log too small for a double is -0.0 below 1 and +0.0 above it
+    for x, sign in ((Fraction(2**5000 - 1, 2**5000), -1.0), (Fraction(2**1100 - 1, 2**1100), -1.0),
+                    (Fraction(2**5000 + 1, 2**5000), 1.0), (1, 1.0)):
+        got = f(x)
+        assert got == 0.0 and math.copysign(1.0, got) == sign, x
 
 
 def test_log2_table_lies_within_its_declared_error():
     w, top = stable._WORK, 10**4
-    table = stable._log2_table(top, w)
-    assert len(table) == top + 1
+    logs, errs = stable._log2_table(top, w)
+    assert len(logs) == len(errs) == top + 1
     with mpmath.workdps(60):
         for k in range(1, top + 1):
-            a, err = table[k]
-            assert abs(a - mpmath.log(k, 2) * 2**w) <= err, k
+            assert abs(logs[k] - mpmath.log(k, 2) * 2**w) <= errs[k], k
 
 
 def test_ziv_precision_cap_raises_instead_of_spinning(monkeypatch):
@@ -369,7 +387,7 @@ def test_split_entropy_slack_nonnegative():
     # h(gamma) - gamma*D(p||q) dominates the two-block split entropy
     assert verify_split_entropy(
         Fraction(1, 4), Fraction(1, 2), Fraction(1, 6)
-    ) >= -1e-12
+    ) > 0.0
     with pytest.raises(PreconditionError):
         verify_split_entropy(Fraction(1), Fraction(1, 2), Fraction(1, 4))
     with pytest.raises(DomainError):
@@ -382,7 +400,5 @@ def test_split_entropy_slack_nonnegative():
     st.integers(1, 99),
 )
 def test_kl_nonnegative(a, b):
-    v = _kl(a, b, 100)
-    assert v >= -1e-15
-    if a == b:
-        assert v == pytest.approx(0.0, abs=1e-15)
+    v = pinsker_divergence(a, b, 100)
+    assert v > 0 if a != b else v == 0
